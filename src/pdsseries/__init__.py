@@ -33,7 +33,7 @@ from .inference import (
     sandwich_variance,
 )
 from .lasso import (
-    BACKEND,
+    ConvergenceError,
     DegenerateLoadingsError,
     LassoConfig,
     LassoFit,
@@ -67,8 +67,3 @@ from .selection import (
 )
 
 __version__ = "0.1.0"
-
-
-def solver_backend() -> str:
-    """Which coordinate-descent core is active: "compiled" or "python"."""
-    return BACKEND

@@ -6,40 +6,33 @@ The objective is kept in unnormalized sum-of-squares form,
 
 so the penalty level lam = 2 c sqrt(n) Phi^{-1}(1 - gamma / (2 M)) and the
 loadings psi_j = sqrt(mean(x_j^2 e^2)) carry their conventional scaling.
-Loadings are refined iteratively from Post-Lasso residuals.
+Loadings are refined iteratively from Post-Lasso residuals. Both loadings
+formulas are one matrix-vector product against the squared design ``X*X``,
+which callers sharing one design compute once and pass down.
 
-The inner solver is cyclic coordinate descent on the Gram system; a compiled
-core is used when available, with a NumPy fallback selected at import time
-(set ``PDS_PURE_PYTHON=1`` to force the fallback).
+The solver is active-set cyclic coordinate descent on the Gram system: the
+covariance-update scheme of glmnet (Friedman, Hastie & Tibshirani 2010,
+J. Stat. Softw. 33(1)), where sweeps run over the active coordinates only
+and one vectorised check of the subgradient (KKT) conditions over the
+inactive coordinates decides which enter, as in the strong rules of
+Tibshirani et al. (2012, J. R. Stat. Soc. B 74(2)). The solve ends when a
+screen finds no violator, so at a converged solution every inactive
+coordinate meets its KKT condition exactly and every active one to the
+sweep tolerance.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-if os.environ.get("PDS_PURE_PYTHON"):
-    from . import _cd_py as _kernel
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _cd as _kernel
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _cd_py as _kernel
-
-        BACKEND = "python"
-
 __all__ = [
-    "BACKEND",
     "LassoConfig",
     "LassoFit",
     "DegenerateLoadingsError",
+    "ConvergenceError",
     "normal_quantile",
     "default_gamma",
     "penalty_level",
@@ -54,6 +47,10 @@ __all__ = [
 
 class DegenerateLoadingsError(ValueError):
     """All penalty loadings are zero (degenerate target or residuals)."""
+
+
+class ConvergenceError(RuntimeError):
+    """Coordinate descent reached ``cd_max_iter`` sweeps without converging."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,14 @@ class LassoFit:
     """Solution of one penalized regression.
 
     ``active_set`` holds the sorted positions of the nonzero coefficients.
-    ``iterations`` counts coordinate-descent sweeps of the final solve.
+    ``iterations`` counts the active-set sweeps of the final solve: passes
+    of cyclic coordinate descent over the coordinates admitted so far by
+    the KKT screen, not over all columns (the glmnet active-set scheme of
+    Friedman, Hastie & Tibshirani 2010, screened as in Tibshirani et al.
+    2012); a solve whose first screen admits nothing takes 0.
+    ``converged`` means the last sweep moved no coefficient by more than
+    ``cd_tol`` and the screen after it found no inactive coordinate
+    violating its KKT condition.
     """
 
     coefficients: np.ndarray
@@ -193,25 +197,104 @@ def penalty_level(
     return 2.0 * cfg.c * math.sqrt(n) * normal_quantile(1.0 - tail)
 
 
-def initial_loadings(X: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Conservative start psi_j = sqrt(mean(x_j^2 (t_i - tbar)^2))."""
-    X = np.asarray(X, dtype=float)
+def initial_loadings(X: np.ndarray, target: np.ndarray,
+                     sq: np.ndarray | None = None) -> np.ndarray:
+    """Conservative start psi_j = sqrt(mean(x_j^2 (t_i - tbar)^2)).
+
+    ``sq`` is the squared design ``X*X``; pass it to reuse one copy across
+    calls on the same design.
+    """
     t = np.asarray(target, dtype=float)
+    if sq is None:
+        X = np.asarray(X, dtype=float)
+        sq = X * X
     dev2 = (t - t.mean()) ** 2
-    loadings = np.sqrt((X * X * dev2[:, None]).mean(axis=0))
+    loadings = np.sqrt(dev2 @ sq / t.shape[0])
     if not loadings.any():
         raise DegenerateLoadingsError("all initial loadings are zero")
     return loadings
 
 
-def refined_loadings(X: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """Residual-based loadings psi_j = sqrt(mean(x_j^2 e_i^2))."""
-    X = np.asarray(X, dtype=float)
+def refined_loadings(X: np.ndarray, residuals: np.ndarray,
+                     sq: np.ndarray | None = None) -> np.ndarray:
+    """Residual-based loadings psi_j = sqrt(mean(x_j^2 e_i^2)).
+
+    ``sq`` is the squared design ``X*X``, as in ``initial_loadings``.
+    """
     e2 = np.asarray(residuals, dtype=float) ** 2
-    loadings = np.sqrt((X * X * e2[:, None]).mean(axis=0))
+    if sq is None:
+        X = np.asarray(X, dtype=float)
+        sq = X * X
+    loadings = np.sqrt(e2 @ sq / e2.shape[0])
     if not loadings.any():
         raise DegenerateLoadingsError("all refined loadings are zero")
     return loadings
+
+
+def _cd_solve(gram: np.ndarray, xty: np.ndarray, thr: np.ndarray,
+              max_iter: int, tol: float):
+    """Active-set cyclic coordinate descent on the Gram system.
+
+    The covariance-update scheme of Friedman, Hastie & Tibshirani (2010),
+    with each screen a full KKT check as in Tibshirani et al. (2012).
+    Minimizes sum (y - X t)^2 + 2 sum_j thr_j |t_j| given ``gram = X'X`` and
+    ``xty = X'y``, starting from t = 0. Each round screens the inactive
+    coordinates at once: j enters when |xty_j - q_j| > thr_j, with
+    q = gram @ t, which is exactly when its coordinate update would move it
+    off zero. Columns with a zero diagonal never enter. Sweeps then run
+    over the active coordinates only, updating q on the active block,
+    until the largest coefficient change in a sweep is at most ``tol``;
+    q is then refreshed in full from the active rows of ``gram`` and the
+    next screen runs. The solve ends when a screen admits nothing.
+
+    Returns (coef, sweeps, converged). ``sweeps`` counts active-set sweeps
+    over all rounds and is capped at ``max_iter``; ``converged`` is False
+    when the cap stopped a round before its sweeps met ``tol``.
+    """
+    m = xty.shape[0]
+    coef = np.zeros(m)
+    q = np.zeros(m)
+    usable = np.diagonal(gram) > 0.0
+    active = np.zeros(m, dtype=bool)
+    sweeps = 0
+    while True:
+        entering = usable & ~active & (np.abs(xty - q) > thr)
+        if not entering.any():
+            return coef, sweeps, True
+        active |= entering
+        idx = np.flatnonzero(active)
+        block = gram[np.ix_(idx, idx)]
+        rows = list(block)
+        q_a = q[idx]
+        c_a = coef[idx].tolist()
+        d_a = np.diagonal(block).tolist()
+        t_a = thr[idx].tolist()
+        b_a = xty[idx].tolist()
+        while True:
+            if sweeps == max_iter:
+                coef[idx] = c_a
+                return coef, sweeps, False
+            sweeps += 1
+            max_change = 0.0
+            for k, dk in enumerate(d_a):
+                z = b_a[k] - q_a[k] + dk * c_a[k]
+                t = t_a[k]
+                if z > t:
+                    new = (z - t) / dk
+                elif z < -t:
+                    new = (z + t) / dk
+                else:
+                    new = 0.0
+                delta = new - c_a[k]
+                if delta != 0.0:
+                    q_a += delta * rows[k]
+                    c_a[k] = new
+                    if abs(delta) > max_change:
+                        max_change = abs(delta)
+            if max_change <= tol:
+                break
+        coef[idx] = c_a
+        q = coef[idx] @ gram[idx]
 
 
 def lasso_solve(
@@ -223,15 +306,17 @@ def lasso_solve(
     gram: np.ndarray | None = None,
     xty: np.ndarray | None = None,
 ) -> LassoFit:
-    """Solve one weighted-penalty Lasso by cyclic coordinate descent.
+    """Solve one weighted-penalty Lasso by active-set coordinate descent.
 
     ``gram`` and ``xty`` may be supplied to reuse precomputed cross products
-    (the Gram matrix of a shared regressor block in particular).
+    (the Gram matrix of a shared regressor block in particular). The fit
+    reports ``converged = False`` when ``cd_max_iter`` sweeps were not
+    enough; ``iterated_lasso`` turns that into a ``ConvergenceError``.
     """
     cfg = config if config is not None else LassoConfig()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    loadings = np.ascontiguousarray(loadings, dtype=float)
+    loadings = np.asarray(loadings, dtype=float)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if loadings.shape[0] != X.shape[1]:
@@ -242,10 +327,9 @@ def lasso_solve(
         gram = X.T @ X
     if xty is None:
         xty = X.T @ y
-    gram = np.ascontiguousarray(gram, dtype=float)
-    xty = np.ascontiguousarray(xty, dtype=float)
-    coef, sweeps, converged = _kernel.cd_solve(
-        gram, xty, float(lam), loadings, cfg.cd_max_iter, cfg.cd_tol
+    coef, sweeps, converged = _cd_solve(
+        np.asarray(gram, dtype=float), np.asarray(xty, dtype=float),
+        0.5 * float(lam) * loadings, cfg.cd_max_iter, cfg.cd_tol,
     )
     return LassoFit(
         coefficients=coef,
@@ -301,6 +385,7 @@ def iterated_lasso(
     lam: float,
     config: LassoConfig | None = None,
     gram: np.ndarray | None = None,
+    sq: np.ndarray | None = None,
 ) -> LassoFit:
     """Lasso with iterated penalty loadings.
 
@@ -310,14 +395,21 @@ def iterated_lasso(
     1e-12 sd(y), flagged), on degenerate refined loadings (flagged, last fit
     returned), or when the loadings reach a fixed point, after which every
     further round would reproduce the same solution.
+
+    ``gram`` (``X'X``) and ``sq`` (``X*X``) may be supplied to share them
+    across calls on the same design; each is computed once when omitted.
+    Raises ``ConvergenceError`` when the solve behind the returned fit hit
+    ``cd_max_iter``.
     """
     cfg = config if config is not None else LassoConfig()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if gram is None:
         gram = X.T @ X
+    if sq is None:
+        sq = X * X
     xty = X.T @ y
-    fit = lasso_solve(X, y, lam, initial_loadings(X, y), cfg, gram=gram, xty=xty)
+    fit = lasso_solve(X, y, lam, initial_loadings(X, y, sq), cfg, gram=gram, xty=xty)
     sd_y = float(y.std())
     for _ in range(1, cfg.n_loadings):
         coef = post_lasso(X, y, fit.active_set)
@@ -326,12 +418,19 @@ def iterated_lasso(
         else:
             resid = y.copy()
         if np.max(np.abs(resid)) < 1e-12 * sd_y:
-            return replace(fit, perfect_fit=True)
+            fit = replace(fit, perfect_fit=True)
+            break
         try:
-            loadings = refined_loadings(X, resid)
+            loadings = refined_loadings(X, resid, sq)
         except DegenerateLoadingsError:
-            return replace(fit, loadings_degenerate=True)
+            fit = replace(fit, loadings_degenerate=True)
+            break
         if np.array_equal(loadings, fit.loadings):
             break
         fit = lasso_solve(X, y, lam, loadings, cfg, gram=gram, xty=xty)
+    if not fit.converged:
+        raise ConvergenceError(
+            f"coordinate descent did not converge within cd_max_iter="
+            f"{cfg.cd_max_iter} sweeps"
+        )
     return fit

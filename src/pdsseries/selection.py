@@ -177,11 +177,13 @@ def resolve_gamma(config: LassoConfig, n: int, n_fs_targets: int,
 
 def first_stage_select(P_fs: np.ndarray, Q: np.ndarray,
                        config: LassoConfig | None = None,
-                       gram: np.ndarray | None = None):
+                       gram: np.ndarray | None = None,
+                       sq: np.ndarray | None = None):
     """Lasso of each g-dictionary column on the conditioning dictionary.
 
-    Inputs are expected column-standardized. Returns (list of active sets,
-    L x K matrix of Post-Lasso coefficients).
+    Inputs are expected column-standardized. ``gram`` (``Q'Q``) and ``sq``
+    (``Q*Q``) are shared by every equation and computed here when omitted.
+    Returns (list of active sets, L x K matrix of Post-Lasso coefficients).
     """
     cfg = config if config is not None else LassoConfig()
     P_fs = np.asarray(P_fs, dtype=float)
@@ -190,11 +192,13 @@ def first_stage_select(P_fs: np.ndarray, Q: np.ndarray,
     lam = penalty_level(n, k_fs, Q.shape[1], cfg, stage="first_stage")
     if gram is None:
         gram = Q.T @ Q
+    if sq is None:
+        sq = Q * Q
     sets = []
     coefs = np.zeros((Q.shape[1], k_fs))
     for k in range(k_fs):
         try:
-            fit = iterated_lasso(Q, P_fs[:, k], lam, cfg, gram=gram)
+            fit = iterated_lasso(Q, P_fs[:, k], lam, cfg, gram=gram, sq=sq)
         except Exception as exc:
             raise SelectionError(f"first-stage equation {k} failed: {exc}") from exc
         sets.append(fit.active_set)
@@ -204,7 +208,8 @@ def first_stage_select(P_fs: np.ndarray, Q: np.ndarray,
 
 def reduced_form_select(Q: np.ndarray, y: np.ndarray,
                         config: LassoConfig | None = None,
-                        gram: np.ndarray | None = None):
+                        gram: np.ndarray | None = None,
+                        sq: np.ndarray | None = None):
     """Lasso of the outcome on the conditioning dictionary.
 
     Returns (active set, Post-Lasso coefficient vector).
@@ -214,7 +219,7 @@ def reduced_form_select(Q: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     lam = penalty_level(Q.shape[0], 1, Q.shape[1], cfg, stage="reduced_form")
     try:
-        fit = iterated_lasso(Q, y, lam, cfg, gram=gram)
+        fit = iterated_lasso(Q, y, lam, cfg, gram=gram, sq=sq)
     except Exception as exc:
         raise SelectionError(f"reduced-form equation failed: {exc}") from exc
     return fit.active_set, post_lasso(Q, y, fit.active_set)
@@ -222,8 +227,13 @@ def reduced_form_select(Q: np.ndarray, y: np.ndarray,
 
 def post_double_select(P_fs: np.ndarray, Q: np.ndarray, y: np.ndarray,
                        config: LassoConfig | None = None,
-                       gram: np.ndarray | None = None) -> SelectionResult:
-    """Run both selection stages and form the union of selected terms."""
+                       gram: np.ndarray | None = None,
+                       sq: np.ndarray | None = None) -> SelectionResult:
+    """Run both selection stages and form the union of selected terms.
+
+    ``gram`` (``Q'Q``) and ``sq`` (``Q*Q``) are computed once here when
+    omitted and shared by both stages.
+    """
     cfg = resolve_gamma(
         config if config is not None else LassoConfig(),
         np.asarray(y).shape[0],
@@ -233,8 +243,10 @@ def post_double_select(P_fs: np.ndarray, Q: np.ndarray, y: np.ndarray,
     Q = np.asarray(Q, dtype=float)
     if gram is None:
         gram = Q.T @ Q
-    fs_sets, fs_coefs = first_stage_select(P_fs, Q, cfg, gram=gram)
-    rf_set, rf_coefs = reduced_form_select(Q, y, cfg, gram=gram)
+    if sq is None:
+        sq = Q * Q
+    fs_sets, fs_coefs = first_stage_select(P_fs, Q, cfg, gram=gram, sq=sq)
+    rf_set, rf_coefs = reduced_form_select(Q, y, cfg, gram=gram, sq=sq)
     pieces = [s for s in fs_sets if s.size] + ([rf_set] if rf_set.size else [])
     if pieces:
         union = np.unique(np.concatenate(pieces)).astype(int)
@@ -303,6 +315,7 @@ def choose_k_bic(data: Dataset, spec_q: DictionarySpec, k_grid,
     Q_raw = evaluate_dictionary(spec_q, data.Z)
     Q, _ = standardize_columns(Q_raw, what="Q column")
     gram = Q.T @ Q
+    sq = Q * Q
     fits: dict[int, PdsFit] = {}
     bics: dict[int, float] = {}
     errors: dict[int, str] = {}
@@ -312,7 +325,7 @@ def choose_k_bic(data: Dataset, spec_q: DictionarySpec, k_grid,
             P_raw = hermite_design(data.x, k)
             P, _ = standardize_columns(P_raw, what="P column")
             P_fs = build_extended_fs(P) if extended_fs else P
-            sel = post_double_select(P_fs, Q, data.y, cfg, gram=gram)
+            sel = post_double_select(P_fs, Q, data.y, cfg, gram=gram, sq=sq)
             fit = pds_fit(P_raw, Q_raw, data.y, sel, spec_p=spec_p, k_chosen=k)
         except Exception as exc:
             errors[k] = str(exc)
@@ -359,6 +372,9 @@ def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
             cache["design"] = build_design(spec_p, spec_q, data.x, data.Z)
         return cache["design"]
 
+    # Q*Q is not cached beside Q'Q: each post_double_select call shares its
+    # own across its equations, and holding one for the whole sample raised
+    # peak memory by a full n x L block.
     def q_gram():
         if "gram" not in cache:
             d = std_design()

@@ -1,18 +1,16 @@
 """Weighted-penalty Lasso: solver, penalty levels, loadings, iteration."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import lasso_objective, lasso_sign_enumeration, random_instance
+from _oracles import cd_solve, lasso_objective, lasso_sign_enumeration, random_instance
+from pdsseries.dictionary import build_design
 from pdsseries.lasso import (
-    BACKEND,
+    ConvergenceError,
     DegenerateLoadingsError,
     LassoConfig,
     default_gamma,
@@ -24,6 +22,13 @@ from pdsseries.lasso import (
     penalty_level,
     post_lasso,
     refined_loadings,
+)
+from pdsseries.montecarlo import DgpConfig, default_specs, generate_sample
+from pdsseries.selection import (
+    SelectionError,
+    first_stage_select,
+    post_double_select,
+    reduced_form_select,
 )
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -325,41 +330,125 @@ def test_iterated_support_recovery():
     assert np.max(np.abs(coef[[3, 17, 40]] - beta[[3, 17, 40]])) < 0.2
 
 
-# ---------------------------------------------------------------- backends
+# ---------------------------------------------------------------- kernel oracle
 
-def test_backend_kernels_agree(rng):
-    from pdsseries import _cd_py
-    if BACKEND != "compiled":
-        pytest.skip("compiled kernel unavailable")
-    from pdsseries import _cd
-    for _ in range(10):
-        X, y = random_instance(rng, 50, 12)
-        gram, xty = X.T @ X, X.T @ y
-        lam = 0.3 * np.abs(2 * xty).max()
-        pen = initial_loadings(X, y)
-        c1, s1, ok1 = _cd.cd_solve(gram, xty, lam, pen, 10_000, 1e-10)
-        c2, s2, ok2 = _cd_py.cd_solve(gram, xty, lam, pen, 10_000, 1e-10)
-        assert ok1 and ok2
-        np.testing.assert_allclose(c1, c2, atol=1e-10)
+TIGHT = LassoConfig(cd_tol=1e-13, cd_max_iter=100_000)
 
 
-def test_pure_python_env_override():
-    code = (
-        "import pdsseries.lasso as L; import numpy as np;"
-        "print(L.BACKEND);"
-        "rng = np.random.default_rng(4); X = rng.standard_normal((30, 5));"
-        "y = X[:, 0] * 2 + rng.standard_normal(30);"
-        "f = L.lasso_solve(X, y, 5.0, L.initial_loadings(X, y));"
-        "print(repr(f.coefficients.tolist()))"
-    )
-    env = dict(os.environ, PDS_PURE_PYTHON="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    lines = out.stdout.strip().splitlines()
-    assert lines[0] == "python"
-    env.pop("PDS_PURE_PYTHON")
-    out2 = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    coefs1 = np.array(eval(lines[1]))
-    coefs2 = np.array(eval(out2.stdout.strip().splitlines()[1]))
-    np.testing.assert_allclose(coefs1, coefs2, atol=1e-10)
+def assert_matches_full_sweep(X, y, lam, loadings, gram=None, xty=None):
+    """The active-set kernel against the former full-sweep kernel."""
+    gram = X.T @ X if gram is None else gram
+    xty = X.T @ y if xty is None else xty
+    fit = lasso_solve(X, y, lam, loadings, TIGHT, gram=gram, xty=xty)
+    want, _, ok = cd_solve(gram, xty, lam, loadings, TIGHT.cd_max_iter, TIGHT.cd_tol)
+    assert ok and fit.converged
+    np.testing.assert_allclose(fit.coefficients, want, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(fit.active_set, np.flatnonzero(want))
+    return fit
+
+
+def test_kernel_matches_full_sweep_random_problems():
+    rng = np.random.default_rng(31)
+    for i in range(30):
+        n, m = 40 + 5 * (i % 4), 10 + 3 * i
+        X, y = random_instance(rng, n, m, n_nonzero=1 + i % 6)
+        lam = (0.02 + 0.03 * (i % 10)) * np.abs(2 * X.T @ y).max()
+        assert_matches_full_sweep(X, y, lam, initial_loadings(X, y))
+
+
+def test_kernel_skips_zero_variance_column(rng):
+    X, y = random_instance(rng, 50, 8)
+    X[:, 3] = 0.0
+    lam = 0.1 * np.abs(2 * X.T @ y).max()
+    fit = assert_matches_full_sweep(X, y, lam, np.ones(8))
+    assert fit.coefficients[3] == 0.0
+    assert fit.active_set.size > 0
+
+
+def test_kernel_lambda_zero_admits_every_column(rng):
+    X, y = random_instance(rng, 60, 12)
+    fit = assert_matches_full_sweep(X, y, 0.0, np.ones(12))
+    assert fit.active_set.size == 12
+
+
+def test_kernel_above_lambda_max_takes_no_sweep(rng):
+    X, y = random_instance(rng, 40, 9)
+    loadings = initial_loadings(X, y)
+    lam = 1.01 * np.max(np.abs(2 * X.T @ y) / loadings)
+    fit = assert_matches_full_sweep(X, y, lam, loadings)
+    assert fit.active_set.size == 0
+    assert fit.iterations == 0
+
+
+def test_kernel_matches_full_sweep_on_pipeline_problems():
+    """First-stage and reduced-form solves of one high_dim n=500 sample."""
+    cfg = DgpConfig("high_dim", 500)
+    data = generate_sample(cfg, np.random.default_rng(2024))
+    spec_p, spec_q = default_specs(cfg)
+    d = build_design(spec_p, spec_q, data.x, data.Z)
+    gram = d.Q.T @ d.Q
+    n, k = d.P.shape
+    lam_fs = penalty_level(n, k, d.Q.shape[1], stage="first_stage")
+    lam_rf = penalty_level(n, 1, d.Q.shape[1])
+    problems = [(d.P[:, j], lam_fs) for j in (0, 1, k - 1)] + [(data.y, lam_rf)]
+    selected = 0
+    for target, lam in problems:
+        xty = d.Q.T @ target
+        final = iterated_lasso(d.Q, target, lam, gram=gram)
+        for loadings in (initial_loadings(d.Q, target), final.loadings):
+            fit = assert_matches_full_sweep(d.Q, target, lam, loadings, gram, xty)
+            assert kkt_max_violation(d.Q, target, fit) <= TIGHT.kkt_tol
+            selected += fit.active_set.size
+    assert selected > 0
+
+
+# ---------------------------------------------------------------- shared X*X
+
+def test_loadings_matvec_matches_elementwise(rng):
+    X, y = random_instance(rng, 300, 40)
+    X[:, 5] *= 1e3
+    e = y - X[:, :3] @ np.ones(3)
+    dev2 = (y - y.mean()) ** 2
+    np.testing.assert_allclose(initial_loadings(X, y) ** 2,
+                               (X * X * dev2[:, None]).mean(0), rtol=1e-12)
+    np.testing.assert_allclose(refined_loadings(X, e) ** 2,
+                               (X * X * (e * e)[:, None]).mean(0), rtol=1e-12)
+    sq = X * X
+    np.testing.assert_array_equal(initial_loadings(X, y, sq), initial_loadings(X, y))
+    np.testing.assert_array_equal(refined_loadings(X, e, sq), refined_loadings(X, e))
+
+
+def test_iterated_lasso_same_fit_with_supplied_sq():
+    rng = np.random.default_rng(8)
+    n, m = 200, 60
+    X = rng.standard_normal((n, m))
+    y = X[:, [2, 9, 30]] @ np.array([2.0, -1.5, 1.0]) + rng.standard_normal(n)
+    lam = penalty_level(n, 1, m)
+    own = iterated_lasso(X, y, lam)
+    shared = iterated_lasso(X, y, lam, gram=X.T @ X, sq=X * X)
+    assert own.active_set.size > 0
+    np.testing.assert_array_equal(own.coefficients, shared.coefficients)
+    np.testing.assert_array_equal(own.loadings, shared.loadings)
+    assert own.iterations == shared.iterations
+
+
+# ---------------------------------------------------------------- non-convergence
+
+def test_sweep_cap_reported_by_solve_and_raised_by_iteration():
+    rng = np.random.default_rng(12)
+    n, m = 100, 20
+    X = rng.standard_normal((n, m))
+    P = X[:, :2] + 0.1 * rng.standard_normal((n, 2))
+    y = X[:, 0] - X[:, 1] + rng.standard_normal(n)
+    capped = LassoConfig(cd_max_iter=1)
+    lam = penalty_level(n, 1, m)
+    fit = lasso_solve(X, y, lam, initial_loadings(X, y), capped)
+    assert fit.iterations == 1 and not fit.converged
+    with pytest.raises(ConvergenceError, match="cd_max_iter=1"):
+        iterated_lasso(X, y, lam, capped)
+    with pytest.raises(SelectionError, match="first-stage equation 0.*cd_max_iter"):
+        first_stage_select(P, X, capped)
+    with pytest.raises(SelectionError, match="reduced-form equation.*cd_max_iter"):
+        reduced_form_select(X, y, capped)
+    with pytest.raises(SelectionError):
+        post_double_select(P, X, y, capped)
