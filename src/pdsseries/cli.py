@@ -416,22 +416,23 @@ def _run_fit(cfg: RunConfig) -> str:
                                   input_dim=data.Z.shape[1])
         return DictionarySpec("raw_coordinates", input_dim=data.Z.shape[1])
 
+    degree = default_degree(data.n) if mode == "bic" else k_val
+    spec_p = DictionarySpec("hermite_univariate", degree=degree)
+    spec_q = q_spec(degree)
+    design = build_design(spec_p, spec_q, data.x, data.Z)
     if mode == "bic":
         grid = default_k_grid(data.n)
-        spec_q = q_spec(default_degree(data.n))
-        res: KGridResult = choose_k_bic(data, spec_q, grid, lasso_cfg,
+        res: KGridResult = choose_k_bic(data, design, grid, lasso_cfg,
                                         extended_fs=cfg.extended_fs)
         fit = res.fits[res.k_hat]
         spec_p = fit.spec_p
         lines.append(f"degree grid: {min(grid)}..{max(grid)}")
         lines.append(f"BIC minimizer: {res.k_bic}; chosen K: {res.k_hat}")
     else:
-        spec_p = DictionarySpec("hermite_univariate", degree=k_val)
-        spec_q = q_spec(k_val)
-        design = build_design(spec_p, spec_q, data.x, data.Z)
         P_fs = build_extended_fs(design.P) if cfg.extended_fs else design.P
-        sel = post_double_select(P_fs, design.Q, data.y, lasso_cfg)
-        fit = pds_fit(design.p_raw, design.q_raw, data.y, sel, spec_p=spec_p)
+        sel = post_double_select(P_fs, design, data.y, lasso_cfg)
+        fit = pds_fit(design.p_raw, design.q_raw(sel.union_set), data.y, sel,
+                      spec_p=spec_p)
         lines.append(f"dictionary degree K: {k_val}")
 
     labels = dictionary_labels(spec_q, prefix="q",

@@ -251,16 +251,24 @@ def standardize_columns(mat: np.ndarray, what: str = "column"):
 
 @dataclass
 class DesignMatrices:
-    """Standardized design blocks for one sample.
+    """Per-sample design workspace, built once by ``build_design``.
 
     ``P`` (n, K) approximates g and ``Q`` (n, L) approximates h; both are
-    unit-variance column-wise. ``column_scales`` has length K + L and maps
-    back to raw columns: raw = standardized * scale.
+    unit-variance column-wise, and ``p_scales`` / ``q_scales`` map back to
+    raw columns: raw = standardized * scale. Every Lasso of post-double
+    selection runs on the same ``Q``, so its Gram ``gram = Q'Q`` and squared
+    design ``sq = Q*Q`` (for the penalty loadings) are formed here once and
+    shared by every equation, estimator and degree grid on the sample. No
+    raw copy of ``Q`` is kept: ``q_raw(idx)`` rebuilds only the selected
+    columns the final OLS needs.
     """
 
     P: np.ndarray
     Q: np.ndarray
-    column_scales: np.ndarray
+    p_scales: np.ndarray
+    q_scales: np.ndarray
+    gram: np.ndarray
+    sq: np.ndarray
     spec_p: DictionarySpec | None = None
     spec_q: DictionarySpec | None = None
 
@@ -269,24 +277,17 @@ class DesignMatrices:
         return self.P.shape[1]
 
     @property
-    def p_scales(self) -> np.ndarray:
-        return self.column_scales[: self.n_p]
-
-    @property
-    def q_scales(self) -> np.ndarray:
-        return self.column_scales[self.n_p :]
-
-    @property
     def p_raw(self) -> np.ndarray:
         return self.P * self.p_scales
 
-    @property
-    def q_raw(self) -> np.ndarray:
-        return self.Q * self.q_scales
+    def q_raw(self, idx) -> np.ndarray:
+        """Columns ``idx`` of the conditioning dictionary in raw units."""
+        idx = np.asarray(idx, dtype=int)
+        return self.Q[:, idx] * self.q_scales[idx]
 
 
 def build_design(spec_p: DictionarySpec, spec_q: DictionarySpec, x, Z) -> DesignMatrices:
-    """Evaluate both dictionaries and standardize every column.
+    """Evaluate both dictionaries, standardize every column, form Q'Q and Q*Q.
 
     Raises ``DegenerateColumnError`` when any column is constant, naming the
     offending block and column.
@@ -295,12 +296,17 @@ def build_design(spec_p: DictionarySpec, spec_q: DictionarySpec, x, Z) -> Design
     Q_raw = evaluate_dictionary(spec_q, Z)
     if P_raw.shape[0] != Q_raw.shape[0]:
         raise ValueError("x and Z have different sample sizes")
-    P, sp = standardize_columns(P_raw, what="P column")
-    Q, sq = standardize_columns(Q_raw, what="Q column")
+    P, p_scales = standardize_columns(P_raw, what="P column")
+    Q, q_scales = standardize_columns(Q_raw, what="Q column")
+    # release the raw n x L block before the two workspace products
+    del Q_raw
     return DesignMatrices(
         P=P,
         Q=Q,
-        column_scales=np.concatenate([sp, sq]),
+        p_scales=p_scales,
+        q_scales=q_scales,
+        gram=Q.T @ Q,
+        sq=Q * Q,
         spec_p=spec_p,
         spec_q=spec_q,
     )

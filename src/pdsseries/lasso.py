@@ -67,7 +67,6 @@ class LassoConfig:
     n_loadings: int = 15
     cd_tol: float = 1e-8
     cd_max_iter: int = 10_000
-    kkt_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.c <= 0:

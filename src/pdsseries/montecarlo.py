@@ -36,6 +36,7 @@ from .lasso import LassoConfig
 from .selection import (
     ESTIMATORS,
     ESTIMATOR_LABELS,
+    FIT_ERRORS,
     comparison_estimators,
     default_degree,
 )
@@ -341,7 +342,7 @@ def _run_replication(args):
                 res = functional_estimate(fit, fspec)
                 reject = rejection_test(res, theta[fn])
                 cell[fn] = (res.theta_hat, res.se, reject)
-            except Exception as exc:
+            except FIT_ERRORS as exc:
                 cell[fn] = {"error": f"{type(exc).__name__}: {exc}"}
         out[name] = cell
     return r, out

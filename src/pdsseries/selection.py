@@ -7,6 +7,12 @@ is OLS of y on an intercept, the full g dictionary, and the union of the
 selected conditioning terms. The benchmarking alternatives (single-selection
 variants, plain series fits, an infeasible oracle) share the final-OLS
 plumbing so downstream inference treats every fit uniformly.
+
+Every one of these Lassos runs on the same conditioning dictionary, so the
+selection functions take the sample's ``DesignMatrices`` workspace from
+``build_design`` in place of ``Q``: the standardized ``Q`` with its ``Q'Q``
+and ``Q*Q``, formed once per sample and shared by every equation, every
+estimator and every degree of the BIC grid.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .dictionary import (
+    DesignMatrices,
     DictionarySpec,
     build_design,
     build_extended_fs,
@@ -25,7 +32,13 @@ from .dictionary import (
     hermite_design,
     standardize_columns,
 )
-from .lasso import LassoConfig, default_gamma, iterated_lasso, penalty_level, post_lasso
+from .lasso import (
+    ConvergenceError,
+    LassoConfig,
+    default_gamma,
+    iterated_lasso,
+    penalty_level,
+)
 
 __all__ = [
     "ESTIMATORS",
@@ -34,6 +47,7 @@ __all__ = [
     "PdsFit",
     "KGridResult",
     "SelectionError",
+    "FIT_ERRORS",
     "integer_root",
     "default_degree",
     "default_k_grid",
@@ -80,18 +94,25 @@ class SelectionError(RuntimeError):
     """A selection step failed; the message names the offending equation."""
 
 
+# What a fit can legitimately raise on one sample: bad or degenerate data
+# (ValueError, with DegenerateColumnError and DegenerateLoadingsError), a
+# singular system (LinAlgError, with SingularOmegaError), a solve that hit
+# cd_max_iter, and a failed selection step. Anything else is a programming
+# error and propagates instead of being counted as an estimator failure.
+FIT_ERRORS = (ValueError, np.linalg.LinAlgError, ConvergenceError, SelectionError)
+
+
 @dataclass
 class SelectionResult:
     """Selected conditioning terms from both stages.
 
-    ``fs_sets`` has one index array per first-stage target;
-    ``fs_coefficients`` holds the Post-Lasso coefficients column-per-target.
+    ``fs_sets`` has one index array per first-stage target and ``rf_set``
+    is the reduced form's; ``union_set`` is their sorted union, the
+    conditioning terms of the final OLS.
     """
 
     fs_sets: list
-    fs_coefficients: np.ndarray
     rf_set: np.ndarray
-    rf_coefficients: np.ndarray
     union_set: np.ndarray
 
 
@@ -175,106 +196,82 @@ def resolve_gamma(config: LassoConfig, n: int, n_fs_targets: int,
     return replace(config, gamma=default_gamma(n, n_fs_targets, n_regressors))
 
 
-def first_stage_select(P_fs: np.ndarray, Q: np.ndarray,
-                       config: LassoConfig | None = None,
-                       gram: np.ndarray | None = None,
-                       sq: np.ndarray | None = None):
+def first_stage_select(P_fs: np.ndarray, design: DesignMatrices,
+                       config: LassoConfig | None = None) -> list:
     """Lasso of each g-dictionary column on the conditioning dictionary.
 
-    Inputs are expected column-standardized. ``gram`` (``Q'Q``) and ``sq``
-    (``Q*Q``) are shared by every equation and computed here when omitted.
-    Returns (list of active sets, L x K matrix of Post-Lasso coefficients).
+    ``P_fs`` is expected column-standardized; every equation shares the
+    workspace's ``Q``, ``Q'Q`` and ``Q*Q``. Returns one active set per
+    column of ``P_fs``.
     """
     cfg = config if config is not None else LassoConfig()
     P_fs = np.asarray(P_fs, dtype=float)
-    Q = np.asarray(Q, dtype=float)
     n, k_fs = P_fs.shape
-    lam = penalty_level(n, k_fs, Q.shape[1], cfg, stage="first_stage")
-    if gram is None:
-        gram = Q.T @ Q
-    if sq is None:
-        sq = Q * Q
+    lam = penalty_level(n, k_fs, design.Q.shape[1], cfg, stage="first_stage")
     sets = []
-    coefs = np.zeros((Q.shape[1], k_fs))
     for k in range(k_fs):
         try:
-            fit = iterated_lasso(Q, P_fs[:, k], lam, cfg, gram=gram, sq=sq)
-        except Exception as exc:
+            fit = iterated_lasso(design.Q, P_fs[:, k], lam, cfg,
+                                 gram=design.gram, sq=design.sq)
+        except FIT_ERRORS as exc:
             raise SelectionError(f"first-stage equation {k} failed: {exc}") from exc
         sets.append(fit.active_set)
-        coefs[:, k] = post_lasso(Q, P_fs[:, k], fit.active_set)
-    return sets, coefs
+    return sets
 
 
-def reduced_form_select(Q: np.ndarray, y: np.ndarray,
-                        config: LassoConfig | None = None,
-                        gram: np.ndarray | None = None,
-                        sq: np.ndarray | None = None):
-    """Lasso of the outcome on the conditioning dictionary.
-
-    Returns (active set, Post-Lasso coefficient vector).
-    """
+def reduced_form_select(design: DesignMatrices, y: np.ndarray,
+                        config: LassoConfig | None = None) -> np.ndarray:
+    """Lasso of the outcome on the conditioning dictionary; its active set."""
     cfg = config if config is not None else LassoConfig()
-    Q = np.asarray(Q, dtype=float)
     y = np.asarray(y, dtype=float)
-    lam = penalty_level(Q.shape[0], 1, Q.shape[1], cfg, stage="reduced_form")
+    lam = penalty_level(y.shape[0], 1, design.Q.shape[1], cfg, stage="reduced_form")
     try:
-        fit = iterated_lasso(Q, y, lam, cfg, gram=gram, sq=sq)
-    except Exception as exc:
+        fit = iterated_lasso(design.Q, y, lam, cfg, gram=design.gram, sq=design.sq)
+    except FIT_ERRORS as exc:
         raise SelectionError(f"reduced-form equation failed: {exc}") from exc
-    return fit.active_set, post_lasso(Q, y, fit.active_set)
+    return fit.active_set
 
 
-def post_double_select(P_fs: np.ndarray, Q: np.ndarray, y: np.ndarray,
-                       config: LassoConfig | None = None,
-                       gram: np.ndarray | None = None,
-                       sq: np.ndarray | None = None) -> SelectionResult:
-    """Run both selection stages and form the union of selected terms.
-
-    ``gram`` (``Q'Q``) and ``sq`` (``Q*Q``) are computed once here when
-    omitted and shared by both stages.
-    """
+def post_double_select(P_fs: np.ndarray, design: DesignMatrices, y: np.ndarray,
+                       config: LassoConfig | None = None) -> SelectionResult:
+    """Run both selection stages and form the union of selected terms."""
     cfg = resolve_gamma(
         config if config is not None else LassoConfig(),
         np.asarray(y).shape[0],
         np.asarray(P_fs).shape[1],
-        np.asarray(Q).shape[1],
+        design.Q.shape[1],
     )
-    Q = np.asarray(Q, dtype=float)
-    if gram is None:
-        gram = Q.T @ Q
-    if sq is None:
-        sq = Q * Q
-    fs_sets, fs_coefs = first_stage_select(P_fs, Q, cfg, gram=gram, sq=sq)
-    rf_set, rf_coefs = reduced_form_select(Q, y, cfg, gram=gram, sq=sq)
+    fs_sets = first_stage_select(P_fs, design, cfg)
+    rf_set = reduced_form_select(design, y, cfg)
     pieces = [s for s in fs_sets if s.size] + ([rf_set] if rf_set.size else [])
     if pieces:
         union = np.unique(np.concatenate(pieces)).astype(int)
     else:
         union = np.array([], dtype=int)
-    return SelectionResult(
-        fs_sets=fs_sets,
-        fs_coefficients=fs_coefs,
-        rf_set=rf_set,
-        rf_coefficients=rf_coefs,
-        union_set=union,
-    )
+    return SelectionResult(fs_sets=fs_sets, rf_set=rf_set, union_set=union)
 
 
-def pds_fit(P: np.ndarray, Q: np.ndarray, y: np.ndarray, sel,
+def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
             spec_p: DictionarySpec | None = None, name: str = "post_double",
             k_chosen: int | None = None) -> PdsFit:
-    """Final OLS of y on [1, P, Q(selected)] in raw column units.
+    """Final OLS of y on [1, P, Q_sel] in raw column units.
 
-    ``sel`` is a SelectionResult or a plain index array into Q's columns.
-    Rank deficiency is handled by the minimum-norm solution and flagged.
+    ``Q_sel`` holds only the selected control columns, in raw units (from a
+    workspace, ``design.q_raw(idx)``). ``sel`` names them: a SelectionResult
+    (its ``union_set``) or a plain index array into the estimator's control
+    matrix, one index per column of ``Q_sel``. Rank deficiency is handled by
+    the minimum-norm solution and flagged.
     """
     P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
+    Q_sel = np.asarray(Q_sel, dtype=float)
     y = np.asarray(y, dtype=float)
     idx = np.asarray(getattr(sel, "union_set", sel), dtype=int)
     n, k = P.shape
-    Q_sel = Q[:, idx] if idx.size else np.empty((n, 0))
+    if Q_sel.shape != (n, idx.size):
+        raise ValueError(
+            f"Q_sel has shape {Q_sel.shape}, expected ({n}, {idx.size}): "
+            "one raw column per selected index"
+        )
     X = np.concatenate([np.ones((n, 1)), P, Q_sel], axis=1)
     coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ coef
@@ -299,23 +296,20 @@ def _bic(fit: PdsFit) -> float:
     return n * math.log(max(rss, 1e-300) / n) + ncols * math.log(n)
 
 
-def choose_k_bic(data: Dataset, spec_q: DictionarySpec, k_grid,
+def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
                  config: LassoConfig | None = None,
                  extended_fs: bool = False) -> KGridResult:
     """Refit over a grid of g-dictionary degrees and pick by BIC.
 
-    The conditioning dictionary stays fixed across the grid. The chosen
-    degree is the BIC minimizer plus one, clamped to the grid maximum; a
-    degree whose fit fails is skipped and recorded.
+    The conditioning dictionary, the workspace's ``Q`` with its ``Q'Q`` and
+    ``Q*Q``, stays fixed across the grid; only the g dictionary is rebuilt
+    per degree. The chosen degree is the BIC minimizer plus one, clamped to
+    the grid maximum; a degree whose fit fails is skipped and recorded.
     """
     cfg = config if config is not None else LassoConfig()
     k_grid = sorted(set(int(k) for k in k_grid))
     if not k_grid:
         raise ValueError("k_grid is empty")
-    Q_raw = evaluate_dictionary(spec_q, data.Z)
-    Q, _ = standardize_columns(Q_raw, what="Q column")
-    gram = Q.T @ Q
-    sq = Q * Q
     fits: dict[int, PdsFit] = {}
     bics: dict[int, float] = {}
     errors: dict[int, str] = {}
@@ -325,9 +319,10 @@ def choose_k_bic(data: Dataset, spec_q: DictionarySpec, k_grid,
             P_raw = hermite_design(data.x, k)
             P, _ = standardize_columns(P_raw, what="P column")
             P_fs = build_extended_fs(P) if extended_fs else P
-            sel = post_double_select(P_fs, Q, data.y, cfg, gram=gram, sq=sq)
-            fit = pds_fit(P_raw, Q_raw, data.y, sel, spec_p=spec_p, k_chosen=k)
-        except Exception as exc:
+            sel = post_double_select(P_fs, design, data.y, cfg)
+            fit = pds_fit(P_raw, design.q_raw(sel.union_set), data.y, sel,
+                          spec_p=spec_p, k_chosen=k)
+        except FIT_ERRORS as exc:
             errors[k] = str(exc)
             continue
         fits[k] = fit
@@ -348,9 +343,12 @@ def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
                           rng=None, k_grid=None):
     """Fit the requested estimators on one sample.
 
+    The sample's workspace is built once and handed to every estimator.
     Returns (fits, failures): a dict of PdsFit by estimator name, and a dict
-    of error messages for estimators that failed on this sample. ``rng`` is
-    consumed only by the randomized series benchmark.
+    of error messages for estimators that failed on this sample with one of
+    ``FIT_ERRORS``; any other exception propagates. When the workspace
+    itself cannot be built, every requested estimator fails with that
+    reason. ``rng`` is consumed only by the randomized series benchmark.
     """
     cfg = config if config is not None else LassoConfig()
     names = list(estimators) if estimators is not None else list(ESTIMATORS)
@@ -360,48 +358,31 @@ def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
     if k_grid is None:
         k_grid = default_k_grid(data.n)
 
-    cache: dict = {}
-
-    def p_raw():
-        if "p_raw" not in cache:
-            cache["p_raw"] = evaluate_dictionary(spec_p, data.x)
-        return cache["p_raw"]
-
-    def std_design():
-        if "design" not in cache:
-            cache["design"] = build_design(spec_p, spec_q, data.x, data.Z)
-        return cache["design"]
-
-    # Q*Q is not cached beside Q'Q: each post_double_select call shares its
-    # own across its equations, and holding one for the whole sample raised
-    # peak memory by a full n x L block.
-    def q_gram():
-        if "gram" not in cache:
-            d = std_design()
-            cache["gram"] = d.Q.T @ d.Q
-        return cache["gram"]
-
     fits: dict[str, PdsFit] = {}
     failures: dict[str, str] = {}
+    try:
+        design = build_design(spec_p, spec_q, data.x, data.Z)
+    except FIT_ERRORS as exc:
+        return fits, {name: f"{type(exc).__name__}: {exc}" for name in names}
     for name in names:
         try:
-            fits[name] = _fit_one(name, data, spec_p, spec_q, cfg,
-                                  p_raw, std_design, q_gram, rng, k_grid)
-        except Exception as exc:
+            fits[name] = _fit_one(name, data, design, cfg, rng, k_grid)
+        except FIT_ERRORS as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"
     return fits, failures
 
 
-def _series_controls(data: Dataset, spec_q: DictionarySpec, which: str, rng):
+def _series_controls(data: Dataset, design: DesignMatrices, which: str, rng):
     """Control block for the plain series benchmarks."""
     n = data.n
+    spec_q = design.spec_q
     if spec_q.kind == "hermite_tensor":
         if which == "series_1":
             # additive univariate expansions, one block per coordinate
             blocks = [hermite_design(data.Z[:, j], spec_q.degree)
                       for j in range(data.Z.shape[1])]
             return np.concatenate(blocks, axis=1)
-        return evaluate_dictionary(spec_q, data.Z)
+        return design.q_raw(np.arange(design.Q.shape[1]))
     n_keep = min((SERIES_FRACTION_NUM * n) // SERIES_FRACTION_DEN, data.Z.shape[1])
     if which == "series_1":
         return data.Z[:, :n_keep]
@@ -411,52 +392,51 @@ def _series_controls(data: Dataset, spec_q: DictionarySpec, which: str, rng):
     return data.Z[:, cols]
 
 
-def _fit_one(name, data: Dataset, spec_p, spec_q, cfg,
-             p_raw, std_design, q_gram, rng, k_grid) -> PdsFit:
+def _fit_one(name, data: Dataset, design: DesignMatrices, cfg, rng, k_grid) -> PdsFit:
+    spec_p = design.spec_p
     if name in ("post_double", "post_double_ext"):
-        d = std_design()
-        P_fs = build_extended_fs(d.P) if name == "post_double_ext" else d.P
-        sel = post_double_select(P_fs, d.Q, data.y, cfg, gram=q_gram())
-        fit = pds_fit(d.p_raw, d.q_raw, data.y, sel, spec_p=spec_p, name=name)
-        return fit
+        P_fs = build_extended_fs(design.P) if name == "post_double_ext" else design.P
+        sel = post_double_select(P_fs, design, data.y, cfg)
+        return pds_fit(design.p_raw, design.q_raw(sel.union_set), data.y, sel,
+                       spec_p=spec_p, name=name)
 
     if name in ("post_double_set", "post_double_set_ext"):
-        res = choose_k_bic(data, spec_q, k_grid, cfg,
+        res = choose_k_bic(data, design, k_grid, cfg,
                            extended_fs=name.endswith("_ext"))
         fit = res.fits[res.k_hat]
         fit.name = name
         return fit
 
     if name == "post_single_1":
-        d = std_design()
-        rf_set, _ = reduced_form_select(d.Q, data.y, cfg, gram=q_gram())
-        return pds_fit(d.p_raw, d.q_raw, data.y, rf_set, spec_p=spec_p, name=name)
+        rf_set = reduced_form_select(design, data.y, cfg)
+        return pds_fit(design.p_raw, design.q_raw(rf_set), data.y, rf_set,
+                       spec_p=spec_p, name=name)
 
     if name == "post_single_2":
-        d = std_design()
-        X = np.concatenate([d.P, d.Q], axis=1)
-        m = X.shape[1]
-        # assemble the joint Gram from blocks so the big Q'Q is shared
-        g_qq = q_gram()
-        g_pp = d.P.T @ d.P
-        g_pq = d.P.T @ d.Q
-        gram = np.block([[g_pp, g_pq], [g_pq.T, g_qq]])
-        lam = penalty_level(data.n, 1, m, cfg, stage="reduced_form")
-        fit = iterated_lasso(X, data.y, lam, cfg, gram=gram)
-        in_q = fit.active_set[fit.active_set >= d.n_p] - d.n_p
-        return pds_fit(d.p_raw, d.q_raw, data.y, in_q, spec_p=spec_p, name=name)
+        P, Q = design.P, design.Q
+        X = np.concatenate([P, Q], axis=1)
+        # assemble the joint Gram and squared design from blocks so the
+        # workspace's Q'Q and Q*Q are reused
+        g_pq = P.T @ Q
+        gram = np.block([[P.T @ P, g_pq], [g_pq.T, design.gram]])
+        sq = np.concatenate([P * P, design.sq], axis=1)
+        lam = penalty_level(data.n, 1, X.shape[1], cfg, stage="reduced_form")
+        fit = iterated_lasso(X, data.y, lam, cfg, gram=gram, sq=sq)
+        in_q = fit.active_set[fit.active_set >= design.n_p] - design.n_p
+        return pds_fit(design.p_raw, design.q_raw(in_q), data.y, in_q,
+                       spec_p=spec_p, name=name)
 
     if name in ("series_1", "series_2"):
-        controls = _series_controls(data, spec_q, name, rng)
+        controls = _series_controls(data, design, name, rng)
         sel = np.arange(controls.shape[1])
-        return pds_fit(p_raw(), controls, data.y, sel, spec_p=spec_p, name=name)
+        return pds_fit(design.p_raw, controls, data.y, sel, spec_p=spec_p, name=name)
 
     if name == "oracle":
         if data.h_true is None:
             raise ValueError("oracle estimator requires the true h values")
         y_adj = data.y - data.h_true
         empty = np.array([], dtype=int)
-        return pds_fit(p_raw(), np.empty((data.n, 0)), y_adj, empty,
+        return pds_fit(design.p_raw, np.empty((data.n, 0)), y_adj, empty,
                        spec_p=spec_p, name=name)
 
     raise ValueError(f"unknown estimator {name!r}")

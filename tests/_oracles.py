@@ -4,6 +4,8 @@ Everything here is deliberately written from first principles, without
 touching the library's own solver paths, so agreement is meaningful.
 ``cd_solve`` is the library's former full-sweep coordinate-descent kernel,
 kept unchanged as the reference for the active-set kernel that replaced it.
+``workspace_of`` builds the selection workspace by hand for a matrix that
+``build_design`` would standardize or reject.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import itertools
 import math
 
 import numpy as np
+
+from pdsseries.dictionary import DesignMatrices
 
 
 def hermite_monomial(x: float, k: int) -> float:
@@ -149,3 +153,16 @@ def random_instance(rng: np.random.Generator, n: int, m: int,
     beta[support] = rng.standard_normal(support.size) * 2.0
     y = X @ beta + noise * rng.standard_normal(n)
     return X, y
+
+
+def workspace_of(Q: np.ndarray) -> DesignMatrices:
+    """The selection workspace for a conditioning block used as given.
+
+    ``build_design`` standardizes and rejects constant columns; this hands
+    the selection layer any matrix, a degenerate one included, with unit
+    scales and its own ``Q'Q`` and ``Q*Q``.
+    """
+    Q = np.asarray(Q, dtype=float)
+    n, m = Q.shape
+    return DesignMatrices(P=np.empty((n, 0)), Q=Q, p_scales=np.empty(0),
+                          q_scales=np.ones(m), gram=Q.T @ Q, sq=Q * Q)

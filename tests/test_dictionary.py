@@ -222,8 +222,13 @@ def test_build_design_shapes_and_scales(rng):
     assert d.P.shape == (n, 4) and d.Q.shape == (n, spec_q.n_terms)
     np.testing.assert_allclose(d.P.std(axis=0), 1.0, rtol=1e-12)
     np.testing.assert_allclose(d.Q.std(axis=0), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(d.p_raw, d.P * d.p_scales, rtol=1e-12)
-    np.testing.assert_allclose(d.q_raw, d.Q * d.q_scales, rtol=1e-12)
+    np.testing.assert_allclose(d.p_raw, evaluate_dictionary(spec_p, x), rtol=1e-12)
+    Q_raw = evaluate_dictionary(spec_q, Z)
+    np.testing.assert_allclose(d.q_raw(np.arange(spec_q.n_terms)), Q_raw, rtol=1e-12)
+    np.testing.assert_allclose(d.q_raw([4, 1]), Q_raw[:, [4, 1]], rtol=1e-12)
+    assert d.q_raw([]).shape == (n, 0)
+    np.testing.assert_array_equal(d.gram, d.Q.T @ d.Q)
+    np.testing.assert_array_equal(d.sq, d.Q * d.Q)
     assert d.n_p == 4
     assert d.spec_p == spec_p and d.spec_q == spec_q
 

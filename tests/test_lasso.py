@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import cd_solve, lasso_objective, lasso_sign_enumeration, random_instance
+from _oracles import (
+    cd_solve,
+    lasso_objective,
+    lasso_sign_enumeration,
+    random_instance,
+    workspace_of,
+)
 from pdsseries.dictionary import build_design
 from pdsseries.lasso import (
     ConvergenceError,
@@ -333,6 +339,8 @@ def test_iterated_support_recovery():
 # ---------------------------------------------------------------- kernel oracle
 
 TIGHT = LassoConfig(cd_tol=1e-13, cd_max_iter=100_000)
+# largest subgradient violation accepted at a TIGHT solve
+KKT_TOL = 1e-6
 
 
 def assert_matches_full_sweep(X, y, lam, loadings, gram=None, xty=None):
@@ -386,7 +394,6 @@ def test_kernel_matches_full_sweep_on_pipeline_problems():
     data = generate_sample(cfg, np.random.default_rng(2024))
     spec_p, spec_q = default_specs(cfg)
     d = build_design(spec_p, spec_q, data.x, data.Z)
-    gram = d.Q.T @ d.Q
     n, k = d.P.shape
     lam_fs = penalty_level(n, k, d.Q.shape[1], stage="first_stage")
     lam_rf = penalty_level(n, 1, d.Q.shape[1])
@@ -394,10 +401,10 @@ def test_kernel_matches_full_sweep_on_pipeline_problems():
     selected = 0
     for target, lam in problems:
         xty = d.Q.T @ target
-        final = iterated_lasso(d.Q, target, lam, gram=gram)
+        final = iterated_lasso(d.Q, target, lam, gram=d.gram, sq=d.sq)
         for loadings in (initial_loadings(d.Q, target), final.loadings):
-            fit = assert_matches_full_sweep(d.Q, target, lam, loadings, gram, xty)
-            assert kkt_max_violation(d.Q, target, fit) <= TIGHT.kkt_tol
+            fit = assert_matches_full_sweep(d.Q, target, lam, loadings, d.gram, xty)
+            assert kkt_max_violation(d.Q, target, fit) <= KKT_TOL
             selected += fit.active_set.size
     assert selected > 0
 
@@ -446,9 +453,10 @@ def test_sweep_cap_reported_by_solve_and_raised_by_iteration():
     assert fit.iterations == 1 and not fit.converged
     with pytest.raises(ConvergenceError, match="cd_max_iter=1"):
         iterated_lasso(X, y, lam, capped)
+    design = workspace_of(X)
     with pytest.raises(SelectionError, match="first-stage equation 0.*cd_max_iter"):
-        first_stage_select(P, X, capped)
+        first_stage_select(P, design, capped)
     with pytest.raises(SelectionError, match="reduced-form equation.*cd_max_iter"):
-        reduced_form_select(X, y, capped)
+        reduced_form_select(design, y, capped)
     with pytest.raises(SelectionError):
-        post_double_select(P, X, y, capped)
+        post_double_select(P, design, y, capped)

@@ -208,7 +208,7 @@ def test_omitted_control_bias_is_closed_form_and_nonnegative():
         P = evaluate_dictionary(spec_p, data.x)
         functional = average_derivative(spec_p, data.x)
         for i, S in enumerate(sets):
-            fit = pds_fit(P, data.Z, data.y, np.array(S, dtype=int),
+            fit = pds_fit(P, data.Z[:, S], data.y, np.array(S, dtype=int),
                           spec_p=spec_p)
             bias[i, r] = functional_estimate(fit, functional).theta_hat - theta
     # three standard errors of a sample median, 1.2533 sd / sqrt(R) under

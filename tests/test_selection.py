@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from _oracles import workspace_of
+from pdsseries import dictionary, selection
 from pdsseries.data import Dataset
 from pdsseries.dictionary import DictionarySpec, build_design
 from pdsseries.lasso import (
@@ -86,14 +88,13 @@ def test_union_is_union_of_stage_sets():
     data = make_low_dim_like()
     spec_p, spec_q = make_specs(data)
     d = build_design(spec_p, spec_q, data.x, data.Z)
-    sel = post_double_select(d.P, d.Q, data.y)
+    sel = post_double_select(d.P, d, data.y)
     pieces = [s for s in sel.fs_sets if s.size]
     if sel.rf_set.size:
         pieces.append(sel.rf_set)
     want = np.unique(np.concatenate(pieces)) if pieces else np.array([], int)
     np.testing.assert_array_equal(sel.union_set, want)
     assert len(sel.fs_sets) == d.n_p
-    assert sel.fs_coefficients.shape == (d.Q.shape[1], d.n_p)
 
 
 def test_double_selection_contains_single_and_fits_tighter():
@@ -101,11 +102,11 @@ def test_double_selection_contains_single_and_fits_tighter():
     spec_p, spec_q = make_specs(data)
     d = build_design(spec_p, spec_q, data.x, data.Z)
     cfg = resolve_gamma(LassoConfig(), data.n, d.n_p, d.Q.shape[1])
-    sel = post_double_select(d.P, d.Q, data.y, cfg)
-    rf_set, _ = reduced_form_select(d.Q, data.y, cfg)
+    sel = post_double_select(d.P, d, data.y, cfg)
+    rf_set = reduced_form_select(d, data.y, cfg)
     assert set(rf_set.tolist()) <= set(sel.union_set.tolist())
-    fit_pd = pds_fit(d.p_raw, d.q_raw, data.y, sel)
-    fit_ps = pds_fit(d.p_raw, d.q_raw, data.y, rf_set)
+    fit_pd = pds_fit(d.p_raw, d.q_raw(sel.union_set), data.y, sel)
+    fit_ps = pds_fit(d.p_raw, d.q_raw(rf_set), data.y, rf_set)
     rss_pd = fit_pd.residuals @ fit_pd.residuals
     rss_ps = fit_ps.residuals @ fit_ps.residuals
     assert rss_pd <= rss_ps + 1e-9
@@ -121,9 +122,9 @@ def test_noiseless_linear_model_recovered_exactly():
     spec_p = DictionarySpec("hermite_univariate", degree=2)
     spec_q = DictionarySpec("raw_coordinates", input_dim=6)
     d = build_design(spec_p, spec_q, data.x, data.Z)
-    sel = post_double_select(d.P, d.Q, data.y)
+    sel = post_double_select(d.P, d, data.y)
     assert {0, 3} <= set(sel.union_set.tolist())
-    fit = pds_fit(d.p_raw, d.q_raw, data.y, sel, spec_p=spec_p)
+    fit = pds_fit(d.p_raw, d.q_raw(sel.union_set), data.y, sel, spec_p=spec_p)
     assert fit.beta_hat[0] == pytest.approx(2.0, abs=1e-8)
     assert fit.beta_hat[1] == pytest.approx(0.0, abs=1e-8)
     assert fit.eta_hat[0] == pytest.approx(3.0, abs=1e-8)
@@ -139,10 +140,11 @@ def test_selection_error_names_equation():
     Q = rng.standard_normal((n, 3))
     Q[:, 1] = 0.0  # degenerate column reaches the solver untouched
     P = rng.standard_normal((n, 2))
+    design = workspace_of(Q)
     with pytest.raises(SelectionError, match="first-stage equation 0"):
-        first_stage_select(P, Q)
+        first_stage_select(P, design)
     with pytest.raises(SelectionError, match="reduced-form equation"):
-        reduced_form_select(Q, rng.standard_normal(n))
+        reduced_form_select(design, rng.standard_normal(n))
 
 
 # ---------------------------------------------------------------- final OLS
@@ -151,13 +153,18 @@ def test_pds_fit_accepts_selection_or_indices():
     data = make_low_dim_like(seed=6)
     spec_p, spec_q = make_specs(data)
     d = build_design(spec_p, spec_q, data.x, data.Z)
-    sel = post_double_select(d.P, d.Q, data.y)
-    via_sel = pds_fit(d.p_raw, d.q_raw, data.y, sel)
-    via_idx = pds_fit(d.p_raw, d.q_raw, data.y, sel.union_set)
+    sel = post_double_select(d.P, d, data.y)
+    Q_sel = d.q_raw(sel.union_set)
+    via_sel = pds_fit(d.p_raw, Q_sel, data.y, sel)
+    via_idx = pds_fit(d.p_raw, Q_sel, data.y, sel.union_set)
     np.testing.assert_array_equal(via_sel.beta_hat, via_idx.beta_hat)
     np.testing.assert_array_equal(via_sel.selected, via_idx.selected)
     assert via_sel.n == data.n
     assert via_sel.Q_sel.shape == (data.n, sel.union_set.size)
+    # the whole raw block is not a selection of its columns
+    full = d.q_raw(np.arange(d.Q.shape[1]))
+    with pytest.raises(ValueError, match="one raw column per selected index"):
+        pds_fit(d.p_raw, full, data.y, sel)
 
 
 def test_pds_fit_flags_rank_deficiency(rng):
@@ -184,8 +191,8 @@ def test_predict_g_requires_spec(rng):
 
 def test_choose_k_bic_rule():
     data = make_low_dim_like(n=300, seed=12)
-    _, spec_q = make_specs(data)
-    res = choose_k_bic(data, spec_q, [2, 3, 4, 5])
+    d = build_design(*make_specs(data), data.x, data.Z)
+    res = choose_k_bic(data, d, [2, 3, 4, 5])
     assert res.errors == {}
     assert set(res.bics) == {2, 3, 4, 5}
     want_k_bic = min(res.bics, key=lambda k: (res.bics[k], k))
@@ -197,11 +204,11 @@ def test_choose_k_bic_rule():
 
 def test_choose_k_bic_clamps_to_grid_max():
     data = make_low_dim_like(n=150, seed=13)
-    _, spec_q = make_specs(data)
-    res = choose_k_bic(data, spec_q, [3])
+    d = build_design(*make_specs(data), data.x, data.Z)
+    res = choose_k_bic(data, d, [3])
     assert res.k_bic == 3 and res.k_hat == 3
     with pytest.raises(ValueError, match="empty"):
-        choose_k_bic(data, spec_q, [])
+        choose_k_bic(data, d, [])
 
 
 # ---------------------------------------------------------------- estimators
@@ -238,8 +245,8 @@ def test_post_single_1_matches_reduced_form_refit():
     spec_p, spec_q = make_specs(data)
     d = build_design(spec_p, spec_q, data.x, data.Z)
     cfg = resolve_gamma(LassoConfig(), data.n, 1, d.Q.shape[1])
-    rf_set, _ = reduced_form_select(d.Q, data.y, cfg)
-    want = pds_fit(d.p_raw, d.q_raw, data.y, rf_set)
+    rf_set = reduced_form_select(d, data.y, cfg)
+    want = pds_fit(d.p_raw, d.q_raw(rf_set), data.y, rf_set)
     fits, failures = comparison_estimators(data, spec_p, spec_q,
                                            estimators=("post_single_1",))
     assert failures == {}
@@ -340,3 +347,63 @@ def test_comparison_estimators_deterministic():
     for name in out1:
         np.testing.assert_array_equal(out1[name].beta_hat, out2[name].beta_hat)
         np.testing.assert_array_equal(out1[name].selected, out2[name].selected)
+
+
+# ---------------------------------------------------------------- workspace
+
+def test_one_workspace_serves_every_estimator(monkeypatch):
+    data = make_low_dim_like(n=260, seed=21)
+    spec_p, spec_q = make_specs(data)
+    evaluated = []
+    real = dictionary.evaluate_dictionary
+
+    def counting(spec, values):
+        evaluated.append(spec)
+        return real(spec, values)
+
+    monkeypatch.setattr(dictionary, "evaluate_dictionary", counting)
+    monkeypatch.setattr(selection, "evaluate_dictionary", counting)
+    fits, failures = comparison_estimators(
+        data, spec_p, spec_q, estimators=ESTIMATORS,
+        rng=np.random.default_rng(0), k_grid=[2, 3, 4])
+    assert failures == {}
+    assert evaluated.count(spec_q) == 1
+    monkeypatch.undo()
+
+    d = build_design(spec_p, spec_q, data.x, data.Z)
+    res = choose_k_bic(data, d, [2, 3, 4])
+    want = res.fits[res.k_hat]
+    got = fits["post_double_set"]
+    assert got.k_chosen == want.k_chosen
+    np.testing.assert_array_equal(got.selected, want.selected)
+    np.testing.assert_array_equal(got.beta_hat, want.beta_hat)
+    np.testing.assert_array_equal(got.eta_hat, want.eta_hat)
+    # series_2 on a tensor dictionary takes every raw column of the workspace
+    idx = np.arange(d.Q.shape[1])
+    np.testing.assert_array_equal(fits["series_2"].Q_sel, d.q_raw(idx))
+    for idx in (idx, got.selected, np.array([5, 0, 5]), np.array([], dtype=int)):
+        np.testing.assert_array_equal(d.q_raw(idx), (d.Q * d.q_scales)[:, idx])
+
+
+def test_programming_errors_propagate(monkeypatch):
+    data = make_low_dim_like(seed=34)
+    spec_p, spec_q = make_specs(data)
+
+    # a sweep cap is a fit failure, counted per estimator
+    capped = LassoConfig(cd_max_iter=1)
+    fits, failures = comparison_estimators(
+        data, spec_p, spec_q, capped,
+        estimators=("post_double", "post_single_2", "oracle"))
+    assert failures["post_double"].startswith("SelectionError")
+    assert failures["post_single_2"].startswith("ConvergenceError")
+    assert set(fits) == {"oracle"}
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a stage")
+
+    monkeypatch.setattr(selection, "iterated_lasso", broken)
+    with pytest.raises(TypeError, match="bug in a stage"):
+        comparison_estimators(data, spec_p, spec_q, estimators=("post_double",))
+    with pytest.raises(TypeError, match="bug in a stage"):
+        comparison_estimators(data, spec_p, spec_q, estimators=("post_double_set",),
+                              k_grid=[2, 3])
