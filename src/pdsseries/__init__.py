@@ -58,6 +58,7 @@ from .selection import (
     ESTIMATORS,
     PdsFit,
     SelectionResult,
+    TargetBank,
     choose_k_bic,
     comparison_estimators,
     first_stage_select,

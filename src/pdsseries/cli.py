@@ -35,6 +35,7 @@ from .montecarlo import (
 )
 from .selection import (
     ESTIMATORS,
+    FIT_ERRORS,
     KGridResult,
     choose_k_bic,
     default_degree,
@@ -489,7 +490,8 @@ def main(argv=None) -> int:
         return 2
     try:
         text = run(cfg)
-    except Exception as exc:
+    except (OSError, *FIT_ERRORS) as exc:
+        # unreadable input or a failed fit; a programming error propagates
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(text, end="")

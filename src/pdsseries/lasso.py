@@ -7,8 +7,12 @@ The objective is kept in unnormalized sum-of-squares form,
 so the penalty level lam = 2 c sqrt(n) Phi^{-1}(1 - gamma / (2 M)) and the
 loadings psi_j = sqrt(mean(x_j^2 e^2)) carry their conventional scaling.
 Loadings are refined iteratively from Post-Lasso residuals. Both loadings
-formulas are one matrix-vector product against the squared design ``X*X``,
-which callers sharing one design compute once and pass down.
+formulas are one product against the squared design ``X*X``, which callers
+sharing one design compute once and pass down; the initial loadings of many
+targets at once are one matrix product. Refined loadings depend on a fit only
+through its active set, so the iteration stops as soon as a round selects
+the same set as the round before, and callers that regress one target on
+one design several times share a memo of them keyed by active set.
 
 The solver is active-set cyclic coordinate descent on the Gram system: the
 covariance-update scheme of glmnet (Friedman, Hastie & Tibshirani 2010,
@@ -196,22 +200,33 @@ def penalty_level(
     return 2.0 * cfg.c * math.sqrt(n) * normal_quantile(1.0 - tail)
 
 
+def _nonzero(loadings: np.ndarray, which: str) -> np.ndarray:
+    if not loadings.any():
+        raise DegenerateLoadingsError(f"all {which} loadings are zero")
+    return loadings
+
+
 def initial_loadings(X: np.ndarray, target: np.ndarray,
                      sq: np.ndarray | None = None) -> np.ndarray:
     """Conservative start psi_j = sqrt(mean(x_j^2 (t_i - tbar)^2)).
 
     ``sq`` is the squared design ``X*X``; pass it to reuse one copy across
-    calls on the same design.
+    calls on the same design. ``target`` may also be an (m, n) block with
+    one target per row: the result then has one row of loadings per target,
+    from one matrix product, and no row is checked for degeneracy here
+    (``iterated_lasso`` checks the row it is given).
     """
     t = np.asarray(target, dtype=float)
     if sq is None:
         X = np.asarray(X, dtype=float)
         sq = X * X
-    dev2 = (t - t.mean()) ** 2
-    loadings = np.sqrt(dev2 @ sq / t.shape[0])
-    if not loadings.any():
-        raise DegenerateLoadingsError("all initial loadings are zero")
-    return loadings
+    dev2 = t - t.mean(axis=-1, keepdims=True)
+    np.square(dev2, out=dev2)
+    loadings = dev2 @ sq
+    del dev2
+    loadings /= t.shape[-1]
+    np.sqrt(loadings, out=loadings)
+    return loadings if t.ndim > 1 else _nonzero(loadings, "initial")
 
 
 def refined_loadings(X: np.ndarray, residuals: np.ndarray,
@@ -224,10 +239,7 @@ def refined_loadings(X: np.ndarray, residuals: np.ndarray,
     if sq is None:
         X = np.asarray(X, dtype=float)
         sq = X * X
-    loadings = np.sqrt(e2 @ sq / e2.shape[0])
-    if not loadings.any():
-        raise DegenerateLoadingsError("all refined loadings are zero")
-    return loadings
+    return _nonzero(np.sqrt(e2 @ sq / e2.shape[0]), "refined")
 
 
 def _cd_solve(gram: np.ndarray, xty: np.ndarray, thr: np.ndarray,
@@ -378,6 +390,26 @@ def post_lasso(X: np.ndarray, y: np.ndarray, active_set) -> np.ndarray:
     return coef
 
 
+def _refine(X: np.ndarray, y: np.ndarray, active_set: np.ndarray, sq: np.ndarray):
+    """Refined loadings from the Post-Lasso fit on ``active_set``.
+
+    Returns the loadings, or the name of the ``LassoFit`` flag that ends the
+    iteration instead: ``perfect_fit`` when max |residual| is below
+    1e-12 sd(y), ``loadings_degenerate`` when every loading is zero.
+    """
+    coef = post_lasso(X, y, active_set)
+    if active_set.size:
+        resid = y - X[:, active_set] @ coef[active_set]
+    else:
+        resid = y.copy()
+    if np.max(np.abs(resid)) < 1e-12 * float(y.std()):
+        return "perfect_fit"
+    try:
+        return refined_loadings(X, resid, sq)
+    except DegenerateLoadingsError:
+        return "loadings_degenerate"
+
+
 def iterated_lasso(
     X: np.ndarray,
     y: np.ndarray,
@@ -385,20 +417,27 @@ def iterated_lasso(
     config: LassoConfig | None = None,
     gram: np.ndarray | None = None,
     sq: np.ndarray | None = None,
+    xty: np.ndarray | None = None,
+    loadings0: np.ndarray | None = None,
+    memo: dict | None = None,
 ) -> LassoFit:
     """Lasso with iterated penalty loadings.
 
     Solves once with the conservative initial loadings, then alternates
-    Post-Lasso residuals and refined loadings, for ``n_loadings`` solves in
-    total. Stops early on a perfect Post-Lasso fit (max |residual| below
-    1e-12 sd(y), flagged), on degenerate refined loadings (flagged, last fit
-    returned), or when the loadings reach a fixed point, after which every
-    further round would reproduce the same solution.
+    Post-Lasso residuals and refined loadings, for at most ``n_loadings``
+    solves in total. Stops early on a perfect Post-Lasso fit (max |residual|
+    below 1e-12 sd(y), flagged), on degenerate refined loadings (flagged,
+    last fit returned), or when a round selects the same active set as the
+    round before: the refined loadings depend on a fit only through its
+    active set, so every further round would reproduce the same solution.
 
-    ``gram`` (``X'X``) and ``sq`` (``X*X``) may be supplied to share them
-    across calls on the same design; each is computed once when omitted.
-    Raises ``ConvergenceError`` when the solve behind the returned fit hit
-    ``cd_max_iter``.
+    ``gram`` (``X'X``), ``sq`` (``X*X``), ``xty`` (``X'y``) and the initial
+    loadings ``loadings0`` may be supplied to share them across calls on
+    the same design; each is computed when omitted. ``memo`` maps
+    ``active_set.tobytes()`` to the refined loadings (or ending flag) of
+    that set; pass one dict per (target, design) to reuse them across calls
+    that differ only in ``lam`` or ``config``. Raises ``ConvergenceError``
+    when the solve behind the returned fit hit ``cd_max_iter``.
     """
     cfg = config if config is not None else LassoConfig()
     X = np.asarray(X, dtype=float)
@@ -407,24 +446,23 @@ def iterated_lasso(
         gram = X.T @ X
     if sq is None:
         sq = X * X
-    xty = X.T @ y
-    fit = lasso_solve(X, y, lam, initial_loadings(X, y, sq), cfg, gram=gram, xty=xty)
-    sd_y = float(y.std())
+    if xty is None:
+        xty = X.T @ y
+    if loadings0 is None:
+        loadings0 = initial_loadings(X, y, sq)
+    memo = {} if memo is None else memo
+    fit = lasso_solve(X, y, lam, _nonzero(loadings0, "initial"), cfg, gram=gram, xty=xty)
+    previous = None
     for _ in range(1, cfg.n_loadings):
-        coef = post_lasso(X, y, fit.active_set)
-        if fit.active_set.size:
-            resid = y - X[:, fit.active_set] @ coef[fit.active_set]
-        else:
-            resid = y.copy()
-        if np.max(np.abs(resid)) < 1e-12 * sd_y:
-            fit = replace(fit, perfect_fit=True)
+        key = fit.active_set.tobytes()
+        if key == previous:
             break
-        try:
-            loadings = refined_loadings(X, resid, sq)
-        except DegenerateLoadingsError:
-            fit = replace(fit, loadings_degenerate=True)
-            break
-        if np.array_equal(loadings, fit.loadings):
+        previous = key
+        if key not in memo:
+            memo[key] = _refine(X, y, fit.active_set, sq)
+        loadings = memo[key]
+        if isinstance(loadings, str):
+            fit = replace(fit, **{loadings: True})
             break
         fit = lasso_solve(X, y, lam, loadings, cfg, gram=gram, xty=xty)
     if not fit.converged:

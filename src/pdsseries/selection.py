@@ -12,7 +12,10 @@ Every one of these Lassos runs on the same conditioning dictionary, so the
 selection functions take the sample's ``DesignMatrices`` workspace from
 ``build_design`` in place of ``Q``: the standardized ``Q`` with its ``Q'Q``
 and ``Q*Q``, formed once per sample and shared by every equation, every
-estimator and every degree of the BIC grid.
+estimator and every degree of the BIC grid. Their targets go through a
+``TargetBank``, which evaluates each target's ``Q't`` and initial loadings
+once and memoizes its refined loadings by active set; the BIC grid builds
+one bank at its largest degree and indexes every degree into it.
 """
 
 from __future__ import annotations
@@ -24,18 +27,20 @@ import numpy as np
 
 from .data import Dataset
 from .dictionary import (
+    DegenerateColumnError,
     DesignMatrices,
     DictionarySpec,
     build_design,
     build_extended_fs,
     evaluate_dictionary,
     hermite_design,
-    standardize_columns,
 )
 from .lasso import (
     ConvergenceError,
     LassoConfig,
+    LassoFit,
     default_gamma,
+    initial_loadings,
     iterated_lasso,
     penalty_level,
 )
@@ -46,6 +51,7 @@ __all__ = [
     "SelectionResult",
     "PdsFit",
     "KGridResult",
+    "TargetBank",
     "SelectionError",
     "FIT_ERRORS",
     "integer_root",
@@ -160,6 +166,65 @@ class KGridResult:
     errors: dict
 
 
+@dataclass
+class TargetBank:
+    """Lasso targets on one workspace, each evaluated once.
+
+    Row j of ``rows`` is one target, regressed on the workspace
+    ``design``. Its cross products ``xty[j]`` (a row of ``T'Q``) and
+    initial loadings ``loadings0[j]`` come from one matrix product each
+    against the workspace's ``Q`` and ``Q*Q``, and ``memos[j]`` keeps its
+    refined loadings by active set for every equation that regresses this
+    target on the workspace. ``cols`` names the targets the bank stands
+    for, in equation order: ``subset`` gives a bank of some of them that
+    shares every array and memo, so a degree grid indexes each degree's
+    equations into one bank instead of rebuilding its targets.
+    """
+
+    design: DesignMatrices
+    rows: np.ndarray
+    xty: np.ndarray
+    loadings0: np.ndarray
+    memos: list
+    cols: tuple
+
+    @classmethod
+    def of(cls, rows, design: DesignMatrices) -> TargetBank:
+        """Bank of the targets in ``rows`` (one per row) on ``design``."""
+        rows = np.ascontiguousarray(rows, dtype=float)
+        return cls(design=design, rows=rows, xty=rows @ design.Q,
+                   loadings0=initial_loadings(design.Q, rows, design.sq),
+                   memos=[{} for _ in rows], cols=tuple(range(len(rows))))
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def subset(self, cols) -> TargetBank:
+        """The targets ``cols`` of this bank, sharing its arrays and memos."""
+        return replace(self, cols=tuple(int(j) for j in cols))
+
+    def fit(self, k: int, lam: float, config: LassoConfig) -> LassoFit:
+        """Iterated Lasso of the bank's ``k``-th target on the workspace."""
+        j, d = self.cols[k], self.design
+        return iterated_lasso(d.Q, self.rows[j], lam, config, gram=d.gram, sq=d.sq,
+                              xty=self.xty[j], loadings0=self.loadings0[j],
+                              memo=self.memos[j])
+
+
+def _as_bank(targets, design: DesignMatrices) -> TargetBank:
+    """A TargetBank as it is; else a bank of the columns of an (n, k)
+    matrix, or of one vector."""
+    if isinstance(targets, TargetBank):
+        if targets.design is not design:
+            raise ValueError("the target bank belongs to another workspace")
+        return targets
+    return TargetBank.of(np.atleast_2d(np.asarray(targets, dtype=float).T), design)
+
+
 def integer_root(m: int, r: int) -> int:
     """Exact floor(m ** (1/r)) for nonnegative integer m."""
     if m < 0 or r < 1:
@@ -196,53 +261,61 @@ def resolve_gamma(config: LassoConfig, n: int, n_fs_targets: int,
     return replace(config, gamma=default_gamma(n, n_fs_targets, n_regressors))
 
 
-def first_stage_select(P_fs: np.ndarray, design: DesignMatrices,
+def first_stage_select(P_fs, design: DesignMatrices,
                        config: LassoConfig | None = None) -> list:
     """Lasso of each g-dictionary column on the conditioning dictionary.
 
-    ``P_fs`` is expected column-standardized; every equation shares the
-    workspace's ``Q``, ``Q'Q`` and ``Q*Q``. Returns one active set per
-    column of ``P_fs``.
+    ``P_fs`` is an (n, k) matrix, expected column-standardized, or a
+    ``TargetBank`` of its columns; every equation shares the workspace's
+    ``Q``, ``Q'Q`` and ``Q*Q``. Returns one active set per target.
     """
     cfg = config if config is not None else LassoConfig()
-    P_fs = np.asarray(P_fs, dtype=float)
-    n, k_fs = P_fs.shape
-    lam = penalty_level(n, k_fs, design.Q.shape[1], cfg, stage="first_stage")
+    bank = _as_bank(P_fs, design)
+    lam = penalty_level(bank.n, len(bank), design.Q.shape[1], cfg, stage="first_stage")
     sets = []
-    for k in range(k_fs):
+    for k in range(len(bank)):
         try:
-            fit = iterated_lasso(design.Q, P_fs[:, k], lam, cfg,
-                                 gram=design.gram, sq=design.sq)
+            fit = bank.fit(k, lam, cfg)
         except FIT_ERRORS as exc:
             raise SelectionError(f"first-stage equation {k} failed: {exc}") from exc
         sets.append(fit.active_set)
     return sets
 
 
-def reduced_form_select(design: DesignMatrices, y: np.ndarray,
+def reduced_form_select(design: DesignMatrices, y,
                         config: LassoConfig | None = None) -> np.ndarray:
-    """Lasso of the outcome on the conditioning dictionary; its active set."""
+    """Lasso of the outcome on the conditioning dictionary; its active set.
+
+    ``y`` is the outcome vector or a one-target ``TargetBank`` of it.
+    """
     cfg = config if config is not None else LassoConfig()
-    y = np.asarray(y, dtype=float)
-    lam = penalty_level(y.shape[0], 1, design.Q.shape[1], cfg, stage="reduced_form")
+    bank = _as_bank(y, design)
+    if len(bank) != 1:
+        raise ValueError("the reduced form has one target")
+    lam = penalty_level(bank.n, 1, design.Q.shape[1], cfg, stage="reduced_form")
     try:
-        fit = iterated_lasso(design.Q, y, lam, cfg, gram=design.gram, sq=design.sq)
+        fit = bank.fit(0, lam, cfg)
     except FIT_ERRORS as exc:
         raise SelectionError(f"reduced-form equation failed: {exc}") from exc
     return fit.active_set
 
 
-def post_double_select(P_fs: np.ndarray, design: DesignMatrices, y: np.ndarray,
+def post_double_select(P_fs, design: DesignMatrices, y,
                        config: LassoConfig | None = None) -> SelectionResult:
-    """Run both selection stages and form the union of selected terms."""
+    """Run both selection stages and form the union of selected terms.
+
+    ``P_fs`` and ``y`` are arrays or ``TargetBank``s, as in the two stages.
+    """
+    fs_bank = _as_bank(P_fs, design)
+    rf_bank = _as_bank(y, design)
     cfg = resolve_gamma(
         config if config is not None else LassoConfig(),
-        np.asarray(y).shape[0],
-        np.asarray(P_fs).shape[1],
+        rf_bank.n,
+        len(fs_bank),
         design.Q.shape[1],
     )
-    fs_sets = first_stage_select(P_fs, design, cfg)
-    rf_set = reduced_form_select(design, y, cfg)
+    fs_sets = first_stage_select(fs_bank, design, cfg)
+    rf_set = reduced_form_select(design, rf_bank, cfg)
     pieces = [s for s in fs_sets if s.size] + ([rf_set] if rf_set.size else [])
     if pieces:
         union = np.unique(np.concatenate(pieces)).astype(int)
@@ -296,32 +369,65 @@ def _bic(fit: PdsFit) -> float:
     return n * math.log(max(rss, 1e-300) / n) + ncols * math.log(n)
 
 
+def _grid_bank(data: Dataset, design: DesignMatrices, k_max: int,
+               extended_fs: bool):
+    """One bank of every target of a degree grid, built at its largest degree.
+
+    The rows are the standardized He_1..He_k_ok of ``data.x``, where k_ok
+    stops before the first constant column; with ``extended_fs``, their
+    pairwise sums and then differences in ``build_extended_fs`` order; and
+    ``data.y`` last. A standardized column, and a sum or difference of two,
+    is the same at every degree that has it, so every degree's targets are
+    rows of this bank. Returns the bank, the raw He_1..He_k_max, k_ok and
+    the second index of each bank pair.
+    """
+    P_raw = hermite_design(data.x, k_max)
+    scales = P_raw.std(axis=0)
+    bad = np.flatnonzero(scales == 0.0)
+    k_ok = int(bad[0]) if bad.size else k_max
+    ii, jj = np.triu_indices(k_ok, 1) if extended_fs else (np.empty(0, int),) * 2
+    rows = np.empty((k_ok + 2 * ii.size + 1, data.n))
+    base = rows[:k_ok]
+    np.divide(P_raw[:, :k_ok].T, scales[:k_ok, None], out=base)
+    np.add(base[ii], base[jj], out=rows[k_ok : k_ok + ii.size])
+    np.subtract(base[ii], base[jj], out=rows[k_ok + ii.size : -1])
+    rows[-1] = data.y
+    return TargetBank.of(rows, design), P_raw, k_ok, jj
+
+
 def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
                  config: LassoConfig | None = None,
                  extended_fs: bool = False) -> KGridResult:
     """Refit over a grid of g-dictionary degrees and pick by BIC.
 
     The conditioning dictionary, the workspace's ``Q`` with its ``Q'Q`` and
-    ``Q*Q``, stays fixed across the grid; only the g dictionary is rebuilt
-    per degree. The chosen degree is the BIC minimizer plus one, clamped to
-    the grid maximum; a degree whose fit fails is skipped and recorded.
+    ``Q*Q``, stays fixed across the grid, and every Lasso target of the
+    grid is evaluated once, in one ``TargetBank`` at the largest degree:
+    each degree runs its equations on its rows of that bank, at its own
+    penalty level. The chosen degree is the BIC minimizer plus one, clamped
+    to the grid maximum; a degree whose fit fails, for instance on a
+    constant term of its g dictionary, is skipped and recorded.
     """
     cfg = config if config is not None else LassoConfig()
     k_grid = sorted(set(int(k) for k in k_grid))
     if not k_grid:
         raise ValueError("k_grid is empty")
+    specs = {k: DictionarySpec("hermite_univariate", degree=k) for k in k_grid}
+    bank, P_raw, k_ok, pair_j = _grid_bank(data, design, k_grid[-1], extended_fs)
+    y_bank = bank.subset([len(bank.rows) - 1])
     fits: dict[int, PdsFit] = {}
     bics: dict[int, float] = {}
     errors: dict[int, str] = {}
     for k in k_grid:
-        spec_p = DictionarySpec("hermite_univariate", degree=k)
+        pairs = np.flatnonzero(pair_j < k)
+        fs_rows = [*range(k), *(k_ok + pairs), *(k_ok + pair_j.size + pairs)]
         try:
-            P_raw = hermite_design(data.x, k)
-            P, _ = standardize_columns(P_raw, what="P column")
-            P_fs = build_extended_fs(P) if extended_fs else P
-            sel = post_double_select(P_fs, design, data.y, cfg)
-            fit = pds_fit(P_raw, design.q_raw(sel.union_set), data.y, sel,
-                          spec_p=spec_p, k_chosen=k)
+            if k > k_ok:
+                raise DegenerateColumnError(
+                    f"P column {k_ok} has zero variance on this sample")
+            sel = post_double_select(bank.subset(fs_rows), design, y_bank, cfg)
+            fit = pds_fit(P_raw[:, :k].copy(), design.q_raw(sel.union_set), data.y,
+                          sel, spec_p=specs[k], k_chosen=k)
         except FIT_ERRORS as exc:
             errors[k] = str(exc)
             continue

@@ -4,6 +4,10 @@ Everything here is deliberately written from first principles, without
 touching the library's own solver paths, so agreement is meaningful.
 ``cd_solve`` is the library's former full-sweep coordinate-descent kernel,
 kept unchanged as the reference for the active-set kernel that replaced it.
+``iterated_lasso`` is the library's former loadings iteration, kept
+unchanged: it stopped when the refined loadings repeated the previous
+round's, which the library's rule (stop when the active set repeats)
+must match in every field of the returned fit.
 ``workspace_of`` builds the selection workspace by hand for a matrix that
 ``build_design`` would standardize or reject.
 """
@@ -12,10 +16,21 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from pdsseries.dictionary import DesignMatrices
+from pdsseries.lasso import (
+    ConvergenceError,
+    DegenerateLoadingsError,
+    LassoConfig,
+    LassoFit,
+    initial_loadings,
+    lasso_solve,
+    post_lasso,
+    refined_loadings,
+)
 
 
 def hermite_monomial(x: float, k: int) -> float:
@@ -166,3 +181,60 @@ def workspace_of(Q: np.ndarray) -> DesignMatrices:
     n, m = Q.shape
     return DesignMatrices(P=np.empty((n, 0)), Q=Q, p_scales=np.empty(0),
                           q_scales=np.ones(m), gram=Q.T @ Q, sq=Q * Q)
+
+
+def iterated_lasso(
+    X: np.ndarray,
+    y: np.ndarray,
+    lam: float,
+    config: LassoConfig | None = None,
+    gram: np.ndarray | None = None,
+    sq: np.ndarray | None = None,
+) -> LassoFit:
+    """Lasso with iterated penalty loadings.
+
+    Solves once with the conservative initial loadings, then alternates
+    Post-Lasso residuals and refined loadings, for ``n_loadings`` solves in
+    total. Stops early on a perfect Post-Lasso fit (max |residual| below
+    1e-12 sd(y), flagged), on degenerate refined loadings (flagged, last fit
+    returned), or when the loadings reach a fixed point, after which every
+    further round would reproduce the same solution.
+
+    ``gram`` (``X'X``) and ``sq`` (``X*X``) may be supplied to share them
+    across calls on the same design; each is computed once when omitted.
+    Raises ``ConvergenceError`` when the solve behind the returned fit hit
+    ``cd_max_iter``.
+    """
+    cfg = config if config is not None else LassoConfig()
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if gram is None:
+        gram = X.T @ X
+    if sq is None:
+        sq = X * X
+    xty = X.T @ y
+    fit = lasso_solve(X, y, lam, initial_loadings(X, y, sq), cfg, gram=gram, xty=xty)
+    sd_y = float(y.std())
+    for _ in range(1, cfg.n_loadings):
+        coef = post_lasso(X, y, fit.active_set)
+        if fit.active_set.size:
+            resid = y - X[:, fit.active_set] @ coef[fit.active_set]
+        else:
+            resid = y.copy()
+        if np.max(np.abs(resid)) < 1e-12 * sd_y:
+            fit = replace(fit, perfect_fit=True)
+            break
+        try:
+            loadings = refined_loadings(X, resid, sq)
+        except DegenerateLoadingsError:
+            fit = replace(fit, loadings_degenerate=True)
+            break
+        if np.array_equal(loadings, fit.loadings):
+            break
+        fit = lasso_solve(X, y, lam, loadings, cfg, gram=gram, xty=xty)
+    if not fit.converged:
+        raise ConvergenceError(
+            f"coordinate descent did not converge within cd_max_iter="
+            f"{cfg.cd_max_iter} sweeps"
+        )
+    return fit

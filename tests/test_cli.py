@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pdsseries import cli
 from pdsseries.cli import (
     ConfigError,
     load_csv,
@@ -12,7 +13,7 @@ from pdsseries.cli import (
 )
 from pdsseries.data import Dataset
 from pdsseries.montecarlo import DgpConfig, generate_sample
-from pdsseries.selection import ESTIMATORS
+from pdsseries.selection import ESTIMATORS, SelectionError
 
 SAMPLE = """y,x,z1,z2,z3,w
 1.0,0.5,0.1,0.2,0.3,9
@@ -179,6 +180,28 @@ def test_main_exit_code_1_on_runtime_error(capsys, tmp_path):
                "--x", "x", "--z", "z*", "--out", str(tmp_path / "o.txt")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_main_reports_fit_errors_and_propagates_programming_errors(
+        monkeypatch, capsys, tmp_path):
+    dump = tmp_path / "sample.csv"
+    write_sample_csv(
+        generate_sample(DgpConfig("low_dim", 60), np.random.default_rng(3)),
+        str(dump))
+    argv = ["fit", "--input", str(dump), "--y", "y", "--x", "x", "--z", "z*",
+            "--k", "2", "--out", str(tmp_path / "fit.txt")]
+
+    def failing(exc):
+        def stage(*args, **kwargs):
+            raise exc
+        return stage
+
+    monkeypatch.setattr(cli, "post_double_select", failing(SelectionError("no fit")))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: no fit\n"
+    monkeypatch.setattr(cli, "post_double_select", failing(TypeError("bug in fit")))
+    with pytest.raises(TypeError, match="bug in fit"):
+        main(argv)
 
 
 def test_main_simulate_end_to_end(capsys, tmp_path):

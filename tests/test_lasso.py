@@ -1,5 +1,6 @@
 """Weighted-penalty Lasso: solver, penalty levels, loadings, iteration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from _oracles import (
     cd_solve,
+    iterated_lasso as iterated_lasso_oracle,
     lasso_objective,
     lasso_sign_enumeration,
     random_instance,
     workspace_of,
 )
+from pdsseries import lasso as lasso_module
 from pdsseries.dictionary import build_design
 from pdsseries.lasso import (
     ConvergenceError,
@@ -300,6 +304,7 @@ def test_iterated_perfect_fit_flag(rng):
     fit = iterated_lasso(X, y, lam, LassoConfig(gamma=0.1))
     assert fit.perfect_fit
     assert 0 in fit.active_set
+    assert_same_fit(fit, iterated_lasso_oracle(X, y, lam, LassoConfig(gamma=0.1)))
 
 
 def test_iterated_degenerate_refined_loadings_flag():
@@ -313,6 +318,7 @@ def test_iterated_degenerate_refined_loadings_flag():
     fit = iterated_lasso(X, y, lam, LassoConfig(gamma=0.1))
     assert fit.loadings_degenerate
     assert fit.active_set.size == 0
+    assert_same_fit(fit, iterated_lasso_oracle(X, y, lam, LassoConfig(gamma=0.1)))
 
 
 def test_iterated_constant_target_raises():
@@ -334,6 +340,85 @@ def test_iterated_support_recovery():
     assert {3, 17, 40} <= set(fit.active_set.tolist())
     coef = post_lasso(X, y, fit.active_set)
     assert np.max(np.abs(coef[[3, 17, 40]] - beta[[3, 17, 40]])) < 0.2
+
+
+# ---------------------------------------------------------------- stopping rule
+
+def assert_same_fit(got, want):
+    """Every field of two LassoFits equal, arrays bit for bit."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert a == b, f.name
+
+
+def pipeline_problems():
+    """First-stage and reduced-form problems of one high_dim n=500 sample."""
+    cfg = DgpConfig("high_dim", 500)
+    data = generate_sample(cfg, np.random.default_rng(2024))
+    spec_p, spec_q = default_specs(cfg)
+    d = build_design(spec_p, spec_q, data.x, data.Z)
+    n, k = d.P.shape
+    lam_fs = penalty_level(n, k, d.Q.shape[1], stage="first_stage")
+    lam_rf = penalty_level(n, 1, d.Q.shape[1])
+    problems = [(d.P[:, j], lam_fs) for j in (0, 1, k - 1)] + [(data.y, lam_rf)]
+    return d, problems
+
+
+def oracle_problems():
+    """Random Lasso problems for the stopping-rule oracle, as (X, y, lam)."""
+    rng = np.random.default_rng(41)
+    for i in range(30):
+        n, m = 60 + 10 * (i % 5), 5 + i
+        X, y = random_instance(rng, n, m, n_nonzero=1 + i % 6, noise=0.2 + 0.2 * (i % 4))
+        yield X, y, penalty_level(n, 1, m, LassoConfig(gamma=0.1)) * (0.4 + 0.1 * (i % 8))
+    # a near-copy of column 0 and noise that grows with it: some rounds swap
+    # a selected column for another and keep the size of the active set
+    for seed in range(80):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((80, 12))
+        X[:, 1] = X[:, 0] + 0.3 * rng.standard_normal(80)
+        y = X[:, 0] + X[:, 2] + np.exp(X[:, 1]) * rng.standard_normal(80)
+        yield X, y, 0.6 * penalty_level(80, 1, 12, LassoConfig(gamma=0.1))
+
+
+def test_stopping_rule_matches_loadings_fixed_point_oracle(monkeypatch):
+    solves = {"lib": 0, "oracle": 0}
+
+    def counting(side):
+        def solve(*args, **kwargs):
+            solves[side] += 1
+            return lasso_solve(*args, **kwargs)
+        return solve
+
+    monkeypatch.setattr(lasso_module, "lasso_solve", counting("lib"))
+    monkeypatch.setattr(_oracles, "lasso_solve", counting("oracle"))
+    for X, y, lam in oracle_problems():
+        memo = {}
+        for n_loadings in (1, 2, 15):
+            cfg = LassoConfig(gamma=0.1, n_loadings=n_loadings)
+            solves.update(lib=0, oracle=0)
+            want = iterated_lasso_oracle(X, y, lam, cfg)
+            assert_same_fit(iterated_lasso(X, y, lam, cfg), want)
+            # the rule stops in the round where the oracle's loadings repeat
+            assert solves["lib"] == solves["oracle"]
+            # a memo shared across calls that differ in lam gives the same fits
+            assert_same_fit(iterated_lasso(X, y, lam, cfg, memo=memo), want)
+            lam2 = 0.8 * lam
+            assert_same_fit(iterated_lasso(X, y, lam2, cfg, memo=memo),
+                            iterated_lasso_oracle(X, y, lam2, cfg))
+
+
+def test_stopping_rule_matches_oracle_on_pipeline_problems():
+    d, problems = pipeline_problems()
+    for target, lam in problems:
+        for n_loadings in (1, 2, 15):
+            cfg = LassoConfig(n_loadings=n_loadings)
+            want = iterated_lasso_oracle(d.Q, target, lam, cfg, gram=d.gram, sq=d.sq)
+            got = iterated_lasso(d.Q, target, lam, cfg, gram=d.gram, sq=d.sq)
+            assert_same_fit(got, want)
 
 
 # ---------------------------------------------------------------- kernel oracle
@@ -390,14 +475,7 @@ def test_kernel_above_lambda_max_takes_no_sweep(rng):
 
 def test_kernel_matches_full_sweep_on_pipeline_problems():
     """First-stage and reduced-form solves of one high_dim n=500 sample."""
-    cfg = DgpConfig("high_dim", 500)
-    data = generate_sample(cfg, np.random.default_rng(2024))
-    spec_p, spec_q = default_specs(cfg)
-    d = build_design(spec_p, spec_q, data.x, data.Z)
-    n, k = d.P.shape
-    lam_fs = penalty_level(n, k, d.Q.shape[1], stage="first_stage")
-    lam_rf = penalty_level(n, 1, d.Q.shape[1])
-    problems = [(d.P[:, j], lam_fs) for j in (0, 1, k - 1)] + [(data.y, lam_rf)]
+    d, problems = pipeline_problems()
     selected = 0
     for target, lam in problems:
         xty = d.Q.T @ target

@@ -1,12 +1,20 @@
 """Selection stages, the final OLS, and the comparison estimators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from _oracles import workspace_of
 from pdsseries import dictionary, selection
 from pdsseries.data import Dataset
-from pdsseries.dictionary import DictionarySpec, build_design
+from pdsseries.dictionary import (
+    DictionarySpec,
+    build_design,
+    build_extended_fs,
+    hermite_design,
+    standardize_columns,
+)
 from pdsseries.lasso import (
     LassoConfig,
     default_gamma,
@@ -209,6 +217,68 @@ def test_choose_k_bic_clamps_to_grid_max():
     assert res.k_bic == 3 and res.k_hat == 3
     with pytest.raises(ValueError, match="empty"):
         choose_k_bic(data, d, [])
+
+
+@pytest.mark.parametrize("values, grid, failing, message", [
+    # He_2 = x^2 - 1 is constant: every degree that has it fails
+    ((-1.0, 1.0), [1, 2, 3], {False: [2, 3], True: [2, 3]},
+     lambda k: "P column 1 has zero variance on this sample"),
+    # standardized He_3 = -He_1, so their sum, the target after He_1..He_k
+    # and p_1 + p_2, is constant and fails the extended degrees from 3 up
+    ((-1.0, 0.0, 1.0), [1, 2, 3, 4, 5], {False: [], True: [3, 4, 5]},
+     lambda k: f"first-stage equation {k + 1} failed: all initial loadings are zero"),
+])
+def test_choose_k_bic_degenerate_term_fails_only_its_degrees(values, grid, failing,
+                                                             message):
+    rng = np.random.default_rng(5)
+    n = 120
+    x = rng.choice(values, size=n)
+    Z = rng.standard_normal((n, 30))
+    data = Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z)
+    d = build_design(DictionarySpec("hermite_univariate", degree=1),
+                     DictionarySpec("raw_coordinates", input_dim=30), x, Z)
+    for extended_fs in (False, True):
+        res = choose_k_bic(data, d, grid, extended_fs=extended_fs)
+        ok = [k for k in grid if k not in failing[extended_fs]]
+        assert sorted(res.fits) == sorted(res.bics) == ok
+        assert res.errors == {k: message(k) for k in failing[extended_fs]}
+
+
+@pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
+@pytest.mark.parametrize("extended_fs", [False, True])
+def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extended_fs):
+    cfg = DgpConfig(design_name, 200)
+    data = generate_sample(cfg, np.random.default_rng(7))
+    d = build_design(*default_specs(cfg), data.x, data.Z)
+    grid = default_k_grid(data.n)
+    calls = []
+    real = selection.post_double_select
+
+    def spy(P_fs, design, y, config=None):
+        sel = real(P_fs, design, y, config)
+        calls.append((P_fs, y, sel))
+        return sel
+
+    monkeypatch.setattr(selection, "post_double_select", spy)
+    res = choose_k_bic(data, d, grid, extended_fs=extended_fs)
+    monkeypatch.undo()
+    assert res.errors == {} and len(calls) == len(grid)
+    for k, (fs_bank, y_bank, sel) in zip(grid, calls):
+        P, _ = standardize_columns(hermite_design(data.x, k))
+        P_fs = build_extended_fs(P) if extended_fs else P
+        np.testing.assert_array_equal(fs_bank.rows[list(fs_bank.cols)], P_fs.T)
+        np.testing.assert_array_equal(y_bank.rows[list(y_bank.cols)], data.y[None])
+        want = post_double_select(P_fs, d, data.y)
+        assert len(sel.fs_sets) == len(want.fs_sets) == P_fs.shape[1]
+        for got_set, want_set in zip(sel.fs_sets, want.fs_sets):
+            np.testing.assert_array_equal(got_set, want_set)
+        np.testing.assert_array_equal(sel.rf_set, want.rf_set)
+        np.testing.assert_array_equal(sel.union_set, want.union_set)
+        ref = pds_fit(hermite_design(data.x, k), d.q_raw(want.union_set), data.y, want)
+        np.testing.assert_allclose(res.fits[k].beta_hat, ref.beta_hat, rtol=1e-12)
+        assert res.bics[k] == pytest.approx(selection._bic(ref), rel=1e-12, abs=0)
+    with pytest.raises(ValueError, match="another workspace"):
+        first_stage_select(fs_bank, dataclasses.replace(d))
 
 
 # ---------------------------------------------------------------- estimators
