@@ -35,6 +35,7 @@ from .inference import (
 from .lasso import (
     ConvergenceError,
     DegenerateLoadingsError,
+    GramRows,
     LassoConfig,
     LassoFit,
     initial_loadings,

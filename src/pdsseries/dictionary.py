@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lasso import GramRows
+
 __all__ = [
     "DictionarySpec",
     "DesignMatrices",
@@ -256,18 +258,21 @@ class DesignMatrices:
     ``P`` (n, K) approximates g and ``Q`` (n, L) approximates h; both are
     unit-variance column-wise, and ``p_scales`` / ``q_scales`` map back to
     raw columns: raw = standardized * scale. Every Lasso of post-double
-    selection runs on the same ``Q``, so its Gram ``gram = Q'Q`` and squared
-    design ``sq = Q*Q`` (for the penalty loadings) are formed here once and
-    shared by every equation, estimator and degree grid on the sample. No
-    raw copy of ``Q`` is kept: ``q_raw(idx)`` rebuilds only the selected
-    columns the final OLS needs.
+    selection runs on the same ``Q``, so the workspace holds what they
+    share: the squared design ``sq = Q*Q`` (for the penalty loadings),
+    formed here once, and ``gram``, a ``GramRows`` store of the rows of
+    ``Q'Q``. A Gram row is formed the first time its column enters any
+    solve on the sample and kept for every later equation, estimator and
+    degree grid, so ``Q'Q`` is never formed whole. No raw copy of ``Q`` is
+    kept: ``q_raw(idx)`` rebuilds only the selected columns the final OLS
+    needs.
     """
 
     P: np.ndarray
     Q: np.ndarray
     p_scales: np.ndarray
     q_scales: np.ndarray
-    gram: np.ndarray
+    gram: GramRows
     sq: np.ndarray
     spec_p: DictionarySpec | None = None
     spec_q: DictionarySpec | None = None
@@ -287,9 +292,11 @@ class DesignMatrices:
 
 
 def build_design(spec_p: DictionarySpec, spec_q: DictionarySpec, x, Z) -> DesignMatrices:
-    """Evaluate both dictionaries, standardize every column, form Q'Q and Q*Q.
+    """Evaluate both dictionaries, standardize every column, form Q*Q.
 
-    Raises ``DegenerateColumnError`` when any column is constant, naming the
+    The workspace's Gram store over ``Q`` starts empty: its rows are formed
+    as columns enter the solves that use it. Raises
+    ``DegenerateColumnError`` when any column is constant, naming the
     offending block and column.
     """
     P_raw = evaluate_dictionary(spec_p, x)
@@ -298,15 +305,16 @@ def build_design(spec_p: DictionarySpec, spec_q: DictionarySpec, x, Z) -> Design
         raise ValueError("x and Z have different sample sizes")
     P, p_scales = standardize_columns(P_raw, what="P column")
     Q, q_scales = standardize_columns(Q_raw, what="Q column")
-    # release the raw n x L block before the two workspace products
+    # release the raw n x L block before the squared design
     del Q_raw
+    sq = Q * Q
     return DesignMatrices(
         P=P,
         Q=Q,
         p_scales=p_scales,
         q_scales=q_scales,
-        gram=Q.T @ Q,
-        sq=Q * Q,
+        gram=GramRows(Q, sq),
+        sq=sq,
         spec_p=spec_p,
         spec_q=spec_q,
     )

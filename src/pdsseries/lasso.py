@@ -23,6 +23,12 @@ Tibshirani et al. (2012, J. R. Stat. Soc. B 74(2)). The solve ends when a
 screen finds no violator, so at a converged solution every inactive
 coordinate meets its KKT condition exactly and every active one to the
 sweep tolerance.
+
+The solver reads the Gram system only through the rows of its active
+coordinates, so ``X'X`` is never formed whole: a ``GramRows`` store forms
+row j, ``x_j'X``, the first time column j enters a solve and keeps it for
+every later solve on the same design. Callers sharing one design share one
+store; a solve given none builds its own from ``X``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import numpy as np
 __all__ = [
     "LassoConfig",
     "LassoFit",
+    "GramRows",
     "DegenerateLoadingsError",
     "ConvergenceError",
     "normal_quantile",
@@ -242,21 +249,67 @@ def refined_loadings(X: np.ndarray, residuals: np.ndarray,
     return _nonzero(np.sqrt(e2 @ sq / e2.shape[0]), "refined")
 
 
-def _cd_solve(gram: np.ndarray, xty: np.ndarray, thr: np.ndarray,
+class GramRows:
+    """Rows of the Gram matrix ``X'X``, formed on first request and kept.
+
+    ``rows(idx)`` returns rows ``idx`` of ``X'X``. A row missing from the
+    store is formed then, as ``x_j'X``, and kept, so each row is formed at
+    most once however many solves on ``X`` ask for it. Each row is formed on
+    its own, so its bits depend only on ``X`` and j, not on which rows were
+    asked for before or alongside it: a fit is the same on a fresh store and
+    on one that earlier solves have filled. ``diag`` is the Gram diagonal,
+    the column sums of the squared design ``sq = X*X`` (computed from ``X``
+    when not given). ``rows_formed`` counts the rows formed so far.
+    """
+
+    def __init__(self, X: np.ndarray, sq: np.ndarray | None = None):
+        self.X = np.asarray(X, dtype=float)
+        m = self.X.shape[1]
+        self.diag = (self.X * self.X if sq is None else sq).sum(axis=0)
+        self._slot = np.full(m, -1)  # row of _buf holding each column's row
+        self._buf = np.empty((0, m))
+        self._count = 0
+
+    @property
+    def rows_formed(self) -> int:
+        return self._count
+
+    def rows(self, idx) -> np.ndarray:
+        """Rows ``idx`` of ``X'X``, as a (len(idx), m) array."""
+        idx = np.asarray(idx, dtype=int)
+        new = np.unique(idx[self._slot[idx] < 0])
+        if new.size:
+            m, need = self.X.shape[1], self._count + new.size
+            if need > len(self._buf):
+                # grow by doubling, to at most one row per column
+                grown = np.empty((min(m, max(need, 2 * len(self._buf))), m))
+                grown[:self._count] = self._buf[:self._count]
+                self._buf = grown
+            for j in new.tolist():
+                np.matmul(self.X[:, j], self.X, out=self._buf[self._count])
+                self._slot[j] = self._count
+                self._count += 1
+        return self._buf[self._slot[idx]]
+
+
+def _cd_solve(gram: GramRows, xty: np.ndarray, thr: np.ndarray,
               max_iter: int, tol: float):
     """Active-set cyclic coordinate descent on the Gram system.
 
     The covariance-update scheme of Friedman, Hastie & Tibshirani (2010),
     with each screen a full KKT check as in Tibshirani et al. (2012).
-    Minimizes sum (y - X t)^2 + 2 sum_j thr_j |t_j| given ``gram = X'X`` and
-    ``xty = X'y``, starting from t = 0. Each round screens the inactive
-    coordinates at once: j enters when |xty_j - q_j| > thr_j, with
-    q = gram @ t, which is exactly when its coordinate update would move it
-    off zero. Columns with a zero diagonal never enter. Sweeps then run
-    over the active coordinates only, updating q on the active block,
+    Minimizes sum (y - X t)^2 + 2 sum_j thr_j |t_j| given the store ``gram``
+    of the rows of X'X and ``xty = X'y``, starting from t = 0. Each round
+    screens the inactive coordinates at once: j enters when
+    |xty_j - q_j| > thr_j, with q = X'X t, which is exactly when its
+    coordinate update would move it off zero. Columns with a zero Gram
+    diagonal never enter. The active rows are then read from the store,
+    which forms those of the entering columns it does not hold yet. Sweeps
+    run over the active coordinates only, updating q on the active block,
     until the largest coefficient change in a sweep is at most ``tol``;
-    q is then refreshed in full from the active rows of ``gram`` and the
-    next screen runs. The solve ends when a screen admits nothing.
+    q is then refreshed in full from the active rows and the next screen
+    runs. The solve ends when a screen admits nothing, so only rows of
+    columns that entered are ever formed.
 
     Returns (coef, sweeps, converged). ``sweeps`` counts active-set sweeps
     over all rounds and is capped at ``max_iter``; ``converged`` is False
@@ -265,7 +318,7 @@ def _cd_solve(gram: np.ndarray, xty: np.ndarray, thr: np.ndarray,
     m = xty.shape[0]
     coef = np.zeros(m)
     q = np.zeros(m)
-    usable = np.diagonal(gram) > 0.0
+    usable = gram.diag > 0.0
     active = np.zeros(m, dtype=bool)
     sweeps = 0
     while True:
@@ -274,7 +327,8 @@ def _cd_solve(gram: np.ndarray, xty: np.ndarray, thr: np.ndarray,
             return coef, sweeps, True
         active |= entering
         idx = np.flatnonzero(active)
-        block = gram[np.ix_(idx, idx)]
+        active_rows = gram.rows(idx)
+        block = active_rows[:, idx]
         rows = list(block)
         q_a = q[idx]
         c_a = coef[idx].tolist()
@@ -305,7 +359,7 @@ def _cd_solve(gram: np.ndarray, xty: np.ndarray, thr: np.ndarray,
             if max_change <= tol:
                 break
         coef[idx] = c_a
-        q = coef[idx] @ gram[idx]
+        q = coef[idx] @ active_rows
 
 
 def lasso_solve(
@@ -314,15 +368,17 @@ def lasso_solve(
     lam: float,
     loadings: np.ndarray,
     config: LassoConfig | None = None,
-    gram: np.ndarray | None = None,
+    gram: GramRows | None = None,
     xty: np.ndarray | None = None,
 ) -> LassoFit:
     """Solve one weighted-penalty Lasso by active-set coordinate descent.
 
-    ``gram`` and ``xty`` may be supplied to reuse precomputed cross products
-    (the Gram matrix of a shared regressor block in particular). The fit
-    reports ``converged = False`` when ``cd_max_iter`` sweeps were not
-    enough; ``iterated_lasso`` turns that into a ``ConvergenceError``.
+    ``gram`` is a ``GramRows`` store over ``X``; pass one to share the Gram
+    rows formed on first entry across solves on the same design. Without
+    one, the solve builds its own and forms only the rows of the columns
+    that enter. ``xty`` (``X'y``) may be supplied as well. The fit reports
+    ``converged = False`` when ``cd_max_iter`` sweeps were not enough;
+    ``iterated_lasso`` turns that into a ``ConvergenceError``.
     """
     cfg = config if config is not None else LassoConfig()
     X = np.asarray(X, dtype=float)
@@ -335,11 +391,15 @@ def lasso_solve(
     if np.any(loadings <= 0.0):
         raise ValueError("loadings must be positive; degenerate columns upstream")
     if gram is None:
-        gram = X.T @ X
+        gram = GramRows(X)
+    elif not isinstance(gram, GramRows):
+        raise TypeError("gram must be a GramRows store over X")
+    elif gram.X.shape[1] != X.shape[1]:
+        raise ValueError("the Gram store's column count does not match X")
     if xty is None:
         xty = X.T @ y
     coef, sweeps, converged = _cd_solve(
-        np.asarray(gram, dtype=float), np.asarray(xty, dtype=float),
+        gram, np.asarray(xty, dtype=float),
         0.5 * float(lam) * loadings, cfg.cd_max_iter, cfg.cd_tol,
     )
     return LassoFit(
@@ -415,7 +475,7 @@ def iterated_lasso(
     y: np.ndarray,
     lam: float,
     config: LassoConfig | None = None,
-    gram: np.ndarray | None = None,
+    gram: GramRows | None = None,
     sq: np.ndarray | None = None,
     xty: np.ndarray | None = None,
     loadings0: np.ndarray | None = None,
@@ -431,9 +491,10 @@ def iterated_lasso(
     round before: the refined loadings depend on a fit only through its
     active set, so every further round would reproduce the same solution.
 
-    ``gram`` (``X'X``), ``sq`` (``X*X``), ``xty`` (``X'y``) and the initial
-    loadings ``loadings0`` may be supplied to share them across calls on
-    the same design; each is computed when omitted. ``memo`` maps
+    The Gram row store ``gram`` over ``X``, ``sq`` (``X*X``), ``xty``
+    (``X'y``) and the initial loadings ``loadings0`` may be supplied to
+    share them across calls on the same design; each is built when omitted,
+    and every solve of the iteration reads the same store. ``memo`` maps
     ``active_set.tobytes()`` to the refined loadings (or ending flag) of
     that set; pass one dict per (target, design) to reuse them across calls
     that differ only in ``lam`` or ``config``. Raises ``ConvergenceError``
@@ -442,10 +503,10 @@ def iterated_lasso(
     cfg = config if config is not None else LassoConfig()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if gram is None:
-        gram = X.T @ X
     if sq is None:
         sq = X * X
+    if gram is None:
+        gram = GramRows(X, sq)
     if xty is None:
         xty = X.T @ y
     if loadings0 is None:

@@ -355,8 +355,10 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
     """Run the replication loop and aggregate.
 
     ``n_jobs`` defaults to the PDS_THREADS environment variable (1 when
-    unset). Aggregation is keyed by replication index, so the report is
-    identical for any worker count.
+    unset); either must be a positive integer, and a non-integer
+    PDS_THREADS or a count below 1 raises ``ValueError``. The worker count
+    is capped at ``n_reps``. Aggregation is keyed by replication index, so
+    the report is identical for any worker count.
     """
     estimators = list(estimators) if estimators is not None else list(ESTIMATORS)
     unknown = [e for e in estimators if e not in ESTIMATORS]
@@ -369,8 +371,13 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     if n_jobs is None:
-        n_jobs = int(os.environ.get("PDS_THREADS", "1"))
-    n_jobs = max(1, min(n_jobs, n_reps))
+        raw = os.environ.get("PDS_THREADS", "1")
+        if not raw.strip().isdecimal() or int(raw) < 1:
+            raise ValueError(f"PDS_THREADS must be a positive integer, got {raw!r}")
+        n_jobs = int(raw)
+    elif n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    n_jobs = min(n_jobs, n_reps)
 
     lcfg = lasso_config if lasso_config is not None else LassoConfig()
     theta = {fn: true_theta(cfg, fn) for fn in functionals}

@@ -10,9 +10,10 @@ plumbing so downstream inference treats every fit uniformly.
 
 Every one of these Lassos runs on the same conditioning dictionary, so the
 selection functions take the sample's ``DesignMatrices`` workspace from
-``build_design`` in place of ``Q``: the standardized ``Q`` with its ``Q'Q``
-and ``Q*Q``, formed once per sample and shared by every equation, every
-estimator and every degree of the BIC grid. Their targets go through a
+``build_design`` in place of ``Q``: the standardized ``Q`` with its ``Q*Q``,
+formed once per sample, and its store of Gram rows, each formed the first
+time its column enters a solve and kept; all are shared by every equation,
+every estimator and every degree of the BIC grid. Their targets go through a
 ``TargetBank``, which evaluates each target's ``Q't`` and initial loadings
 once and memoizes its refined loadings by active set; the BIC grid builds
 one bank at its largest degree and indexes every degree into it.
@@ -175,10 +176,12 @@ class TargetBank:
     initial loadings ``loadings0[j]`` come from one matrix product each
     against the workspace's ``Q`` and ``Q*Q``, and ``memos[j]`` keeps its
     refined loadings by active set for every equation that regresses this
-    target on the workspace. ``cols`` names the targets the bank stands
-    for, in equation order: ``subset`` gives a bank of some of them that
-    shares every array and memo, so a degree grid indexes each degree's
-    equations into one bank instead of rebuilding its targets.
+    target on the workspace. Every fit reads the workspace's Gram row
+    store, so a row one equation formed serves all the others. ``cols``
+    names the targets the bank stands for, in equation order: ``subset``
+    gives a bank of some of them that shares every array and memo, so a
+    degree grid indexes each degree's equations into one bank instead of
+    rebuilding its targets.
     """
 
     design: DesignMatrices
@@ -267,7 +270,8 @@ def first_stage_select(P_fs, design: DesignMatrices,
 
     ``P_fs`` is an (n, k) matrix, expected column-standardized, or a
     ``TargetBank`` of its columns; every equation shares the workspace's
-    ``Q``, ``Q'Q`` and ``Q*Q``. Returns one active set per target.
+    ``Q``, ``Q*Q`` and Gram rows, each row formed on the first entry of
+    its column into any equation. Returns one active set per target.
     """
     cfg = config if config is not None else LassoConfig()
     bank = _as_bank(P_fs, design)
@@ -400,11 +404,11 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
                  extended_fs: bool = False) -> KGridResult:
     """Refit over a grid of g-dictionary degrees and pick by BIC.
 
-    The conditioning dictionary, the workspace's ``Q`` with its ``Q'Q`` and
-    ``Q*Q``, stays fixed across the grid, and every Lasso target of the
-    grid is evaluated once, in one ``TargetBank`` at the largest degree:
-    each degree runs its equations on its rows of that bank, at its own
-    penalty level. The chosen degree is the BIC minimizer plus one, clamped
+    The conditioning dictionary, the workspace's ``Q`` with its ``Q*Q`` and
+    Gram rows (formed on first entry and kept), stays fixed across the
+    grid, and every Lasso target of the grid is evaluated once, in one
+    ``TargetBank`` at the largest degree: each degree runs its equations
+    on its rows of that bank, at its own penalty level. The chosen degree is the BIC minimizer plus one, clamped
     to the grid maximum; a degree whose fit fails, for instance on a
     constant term of its g dictionary, is skipped and recorded.
     """
@@ -519,15 +523,13 @@ def _fit_one(name, data: Dataset, design: DesignMatrices, cfg, rng, k_grid) -> P
                        spec_p=spec_p, name=name)
 
     if name == "post_single_2":
-        P, Q = design.P, design.Q
-        X = np.concatenate([P, Q], axis=1)
-        # assemble the joint Gram and squared design from blocks so the
-        # workspace's Q'Q and Q*Q are reused
-        g_pq = P.T @ Q
-        gram = np.block([[P.T @ P, g_pq], [g_pq.T, design.gram]])
-        sq = np.concatenate([P * P, design.sq], axis=1)
+        X = np.concatenate([design.P, design.Q], axis=1)
+        # the squared design reuses the workspace's Q*Q; iterated_lasso
+        # builds a Gram row store over the joint X that forms only the rows
+        # of columns entering its solves
+        sq = np.concatenate([design.P * design.P, design.sq], axis=1)
         lam = penalty_level(data.n, 1, X.shape[1], cfg, stage="reduced_form")
-        fit = iterated_lasso(X, data.y, lam, cfg, gram=gram, sq=sq)
+        fit = iterated_lasso(X, data.y, lam, cfg, sq=sq)
         in_q = fit.active_set[fit.active_set >= design.n_p] - design.n_p
         return pds_fit(design.p_raw, design.q_raw(in_q), data.y, in_q,
                        spec_p=spec_p, name=name)

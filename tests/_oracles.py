@@ -24,6 +24,7 @@ from pdsseries.dictionary import DesignMatrices
 from pdsseries.lasso import (
     ConvergenceError,
     DegenerateLoadingsError,
+    GramRows,
     LassoConfig,
     LassoFit,
     initial_loadings,
@@ -175,12 +176,13 @@ def workspace_of(Q: np.ndarray) -> DesignMatrices:
 
     ``build_design`` standardizes and rejects constant columns; this hands
     the selection layer any matrix, a degenerate one included, with unit
-    scales and its own ``Q'Q`` and ``Q*Q``.
+    scales, its own ``Q*Q`` and a Gram row store over it.
     """
     Q = np.asarray(Q, dtype=float)
     n, m = Q.shape
+    sq = Q * Q
     return DesignMatrices(P=np.empty((n, 0)), Q=Q, p_scales=np.empty(0),
-                          q_scales=np.ones(m), gram=Q.T @ Q, sq=Q * Q)
+                          q_scales=np.ones(m), gram=GramRows(Q, sq), sq=sq)
 
 
 def iterated_lasso(
@@ -188,7 +190,7 @@ def iterated_lasso(
     y: np.ndarray,
     lam: float,
     config: LassoConfig | None = None,
-    gram: np.ndarray | None = None,
+    gram: GramRows | None = None,
     sq: np.ndarray | None = None,
 ) -> LassoFit:
     """Lasso with iterated penalty loadings.
@@ -200,8 +202,9 @@ def iterated_lasso(
     returned), or when the loadings reach a fixed point, after which every
     further round would reproduce the same solution.
 
-    ``gram`` (``X'X``) and ``sq`` (``X*X``) may be supplied to share them
-    across calls on the same design; each is computed once when omitted.
+    ``gram`` (a ``GramRows`` store over ``X``) and ``sq`` (``X*X``) may be
+    supplied to share them across calls on the same design; each is built
+    once when omitted.
     Raises ``ConvergenceError`` when the solve behind the returned fit hit
     ``cd_max_iter``.
     """
@@ -209,7 +212,7 @@ def iterated_lasso(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if gram is None:
-        gram = X.T @ X
+        gram = GramRows(X)
     if sq is None:
         sq = X * X
     xty = X.T @ y

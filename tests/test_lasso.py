@@ -22,6 +22,7 @@ from pdsseries.dictionary import build_design
 from pdsseries.lasso import (
     ConvergenceError,
     DegenerateLoadingsError,
+    GramRows,
     LassoConfig,
     default_gamma,
     initial_loadings,
@@ -251,7 +252,7 @@ def test_gram_shortcut_matches_direct(rng):
     lam = 0.5 * np.abs(2 * X.T @ y).max()
     loadings = initial_loadings(X, y)
     direct = lasso_solve(X, y, lam, loadings)
-    via_gram = lasso_solve(X, y, lam, loadings, gram=X.T @ X, xty=X.T @ y)
+    via_gram = lasso_solve(X, y, lam, loadings, gram=GramRows(X), xty=X.T @ y)
     np.testing.assert_array_equal(direct.coefficients, via_gram.coefficients)
 
 
@@ -428,12 +429,14 @@ TIGHT = LassoConfig(cd_tol=1e-13, cd_max_iter=100_000)
 KKT_TOL = 1e-6
 
 
-def assert_matches_full_sweep(X, y, lam, loadings, gram=None, xty=None):
-    """The active-set kernel against the former full-sweep kernel."""
-    gram = X.T @ X if gram is None else gram
+def assert_matches_full_sweep(X, y, lam, loadings, gram=None, xty=None, full=None):
+    """The active-set kernel, on the Gram row store ``gram``, against the
+    former full-sweep kernel on the full Gram ``full = X'X``."""
+    gram = GramRows(X) if gram is None else gram
+    full = X.T @ X if full is None else full
     xty = X.T @ y if xty is None else xty
     fit = lasso_solve(X, y, lam, loadings, TIGHT, gram=gram, xty=xty)
-    want, _, ok = cd_solve(gram, xty, lam, loadings, TIGHT.cd_max_iter, TIGHT.cd_tol)
+    want, _, ok = cd_solve(full, xty, lam, loadings, TIGHT.cd_max_iter, TIGHT.cd_tol)
     assert ok and fit.converged
     np.testing.assert_allclose(fit.coefficients, want, rtol=0, atol=1e-10)
     np.testing.assert_array_equal(fit.active_set, np.flatnonzero(want))
@@ -476,15 +479,88 @@ def test_kernel_above_lambda_max_takes_no_sweep(rng):
 def test_kernel_matches_full_sweep_on_pipeline_problems():
     """First-stage and reduced-form solves of one high_dim n=500 sample."""
     d, problems = pipeline_problems()
+    full = d.Q.T @ d.Q
     selected = 0
     for target, lam in problems:
         xty = d.Q.T @ target
         final = iterated_lasso(d.Q, target, lam, gram=d.gram, sq=d.sq)
         for loadings in (initial_loadings(d.Q, target), final.loadings):
-            fit = assert_matches_full_sweep(d.Q, target, lam, loadings, d.gram, xty)
+            fit = assert_matches_full_sweep(d.Q, target, lam, loadings, d.gram, xty, full)
             assert kkt_max_violation(d.Q, target, fit) <= KKT_TOL
             selected += fit.active_set.size
     assert selected > 0
+
+
+# ---------------------------------------------------------------- Gram rows
+
+def test_gram_rows_match_the_full_product(rng):
+    X = rng.standard_normal((120, 50))
+    X[:, 7] *= 1e3
+    X[:, 8] = 0.0
+    full = X.T @ X
+    # a dot product's rounding error scales with the norms of its factors
+    scale = np.sqrt(np.outer(np.diagonal(full), np.diagonal(full)))
+    store = GramRows(X)
+    for idx in ([3], [9, 3, 40], [8, 7], list(range(50))):
+        got = store.rows(idx)
+        assert got.shape == (len(idx), 50)
+        assert np.all(np.abs(got - full[idx]) <= 1e-13 * scale[idx])
+    assert store.rows(np.array([], dtype=int)).shape == (0, 50)
+
+
+def test_gram_rows_are_formed_once_and_kept(rng):
+    X = rng.standard_normal((60, 30))
+    store = GramRows(X)
+    assert store.rows_formed == 0
+    first = store.rows([4, 2])
+    assert store.rows_formed == 2
+    again = store.rows([2, 4, 2])
+    assert store.rows_formed == 2
+    np.testing.assert_array_equal(again, first[[1, 0, 1]])
+    store.rows([2, 11, 11])
+    assert store.rows_formed == 3
+    with pytest.raises(AttributeError):
+        store.rows_formed = 0
+    # a row's bits depend only on X and its column, not on what came before
+    np.testing.assert_array_equal(GramRows(X).rows([11, 4]), store.rows([11, 4]))
+
+
+def test_gram_rows_diagonal_is_the_squared_design_sum(rng):
+    X = rng.standard_normal((70, 25))
+    X[:, 3] = 0.0
+    sq = X * X
+    np.testing.assert_array_equal(GramRows(X).diag, sq.sum(axis=0))
+    np.testing.assert_array_equal(GramRows(X, sq).diag, sq.sum(axis=0))
+    assert GramRows(X).diag[3] == 0.0
+
+
+def test_fit_is_the_same_with_or_without_a_store():
+    rng = np.random.default_rng(19)
+    n, m = 200, 80
+    X = rng.standard_normal((n, m))
+    y = X[:, [1, 7, 50]] @ np.array([1.5, -2.0, 1.0]) + rng.standard_normal(n)
+    other = X[:, [3, 60]] @ np.array([2.0, 1.0]) + rng.standard_normal(n)
+    lam = penalty_level(n, 1, m)
+    store = GramRows(X)
+    # another target's solves fill the store first
+    iterated_lasso(X, other, lam, gram=store)
+    formed = store.rows_formed
+    assert formed > 0
+    loadings = initial_loadings(X, y)
+    assert_same_fit(lasso_solve(X, y, lam, loadings, gram=store),
+                    lasso_solve(X, y, lam, loadings))
+    fit = iterated_lasso(X, y, lam, gram=store)
+    assert fit.active_set.size > 0
+    assert_same_fit(fit, iterated_lasso(X, y, lam))
+    assert formed < store.rows_formed < m
+
+
+def test_lasso_solve_rejects_a_foreign_gram(rng):
+    X, y = random_instance(rng, 30, 5)
+    with pytest.raises(TypeError, match="GramRows"):
+        lasso_solve(X, y, 1.0, np.ones(5), gram=X.T @ X)
+    with pytest.raises(ValueError, match="column count"):
+        lasso_solve(X, y, 1.0, np.ones(5), gram=GramRows(X[:, :4]))
 
 
 # ---------------------------------------------------------------- shared X*X
@@ -510,7 +586,7 @@ def test_iterated_lasso_same_fit_with_supplied_sq():
     y = X[:, [2, 9, 30]] @ np.array([2.0, -1.5, 1.0]) + rng.standard_normal(n)
     lam = penalty_level(n, 1, m)
     own = iterated_lasso(X, y, lam)
-    shared = iterated_lasso(X, y, lam, gram=X.T @ X, sq=X * X)
+    shared = iterated_lasso(X, y, lam, gram=GramRows(X), sq=X * X)
     assert own.active_set.size > 0
     np.testing.assert_array_equal(own.coefficients, shared.coefficients)
     np.testing.assert_array_equal(own.loadings, shared.loadings)

@@ -299,3 +299,21 @@ def test_run_monte_carlo_validation():
     with pytest.raises(ValueError, match="n_reps"):
         run_monte_carlo(cfg, estimators=("oracle",), n_reps=0)
     assert set(FUNCTIONALS) == {"avg_deriv", "quantile_contrast"}
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-2"])
+def test_run_monte_carlo_rejects_a_bad_pds_threads(monkeypatch, value):
+    monkeypatch.setenv("PDS_THREADS", value)
+    with pytest.raises(ValueError, match="PDS_THREADS must be a positive integer"):
+        run_monte_carlo(DgpConfig("low_dim", 60), estimators=("oracle",), n_reps=2)
+
+
+def test_run_monte_carlo_rejects_n_jobs_below_one(monkeypatch):
+    monkeypatch.setenv("PDS_THREADS", "nonsense")  # ignored when n_jobs is given
+    cfg = DgpConfig("low_dim", 60)
+    for n_jobs in (0, -1):
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            run_monte_carlo(cfg, estimators=("oracle",), n_reps=2, n_jobs=n_jobs)
+    rep = run_monte_carlo(cfg, estimators=("oracle",), n_reps=2,
+                          functionals=("avg_deriv",), n_jobs=1)
+    assert rep.n_reps == 2

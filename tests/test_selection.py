@@ -1,6 +1,7 @@
 """Selection stages, the final OLS, and the comparison estimators."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +17,14 @@ from pdsseries.dictionary import (
     standardize_columns,
 )
 from pdsseries.lasso import (
+    GramRows,
     LassoConfig,
     default_gamma,
     iterated_lasso,
     kkt_max_violation,
     penalty_level,
 )
-from pdsseries.montecarlo import DgpConfig, default_specs, generate_sample
+from pdsseries.montecarlo import DgpConfig, default_specs, g_true, generate_sample
 from pdsseries.selection import (
     ESTIMATOR_LABELS,
     ESTIMATORS,
@@ -453,6 +455,69 @@ def test_one_workspace_serves_every_estimator(monkeypatch):
     np.testing.assert_array_equal(fits["series_2"].Q_sel, d.q_raw(idx))
     for idx in (idx, got.selected, np.array([5, 0, 5]), np.array([], dtype=int)):
         np.testing.assert_array_equal(d.q_raw(idx), (d.Q * d.q_scales)[:, idx])
+
+
+def gram_rows_of_a_run(monkeypatch, data, spec_p, spec_q, estimators):
+    """Run ``comparison_estimators``; return every Gram row store it built,
+    the workspace, and the traced peak of the memory it allocated."""
+    stores, designs = [], []
+    real_init, real_build = GramRows.__init__, selection.build_design
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        stores.append(self)
+
+    def recording_build(*args):
+        designs.append(real_build(*args))
+        return designs[-1]
+
+    monkeypatch.setattr(GramRows, "__init__", recording_init)
+    monkeypatch.setattr(selection, "build_design", recording_build)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fits, failures = comparison_estimators(data, spec_p, spec_q,
+                                               estimators=estimators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failures == {} and set(fits) == set(estimators)
+    return stores, designs[0], peak
+
+
+def test_gram_rows_are_formed_only_for_entering_columns(monkeypatch):
+    """The Gram of the ~1000-column conditioning dictionary is never formed
+    whole: only rows of columns that enter a solve, and no L x L array."""
+    # pure-noise controls, as in acceptance 8: no column ever enters
+    rng = np.random.default_rng(8)
+    n = 1000
+    x = rng.standard_normal(n)
+    Z = rng.standard_normal((n, 4))
+    noise = Dataset(y=g_true(x) + rng.standard_normal(n), x=x, Z=Z, h_true=np.zeros(n))
+    spec_p = DictionarySpec("hermite_univariate", degree=10)
+    spec_q = DictionarySpec("hermite_tensor", degree=10, input_dim=4)
+    # the high_dim design at n = 500, as in acceptance 6
+    cfg = DgpConfig("high_dim", 500, sigma_eps=2.0)
+    high = generate_sample(cfg, np.random.default_rng(1))
+    runs = [(noise, spec_p, spec_q, ("post_double",), 1),
+            (high, *default_specs(cfg), ("post_double", "post_single_2"), 2)]
+    for data, spec_p, spec_q, estimators, n_stores in runs:
+        stores, d, peak = gram_rows_of_a_run(monkeypatch, data, spec_p, spec_q,
+                                             estimators)
+        L = d.Q.shape[1]
+        assert L >= 1000 and len(stores) == n_stores and stores[0] is d.gram
+        for store in stores:
+            if data is noise:
+                assert store.rows_formed == 0
+            else:
+                assert 0 < store.rows_formed < 0.02 * store.X.shape[1]
+        assert {k for k, v in vars(d).items() if np.ndim(v) == 2} == {"P", "Q", "sq"}
+        # beyond the arrays the run must hold at once (Q and Q*Q, and for
+        # Post-Single II the joint [P, Q] and its square), the traced peak
+        # leaves no room for an L x L Gram
+        held = 2 * d.Q.nbytes * (1 + ("post_single_2" in estimators))
+        assert peak - held < 0.5 * 8 * L * L
+        monkeypatch.undo()
 
 
 def test_programming_errors_propagate(monkeypatch):
