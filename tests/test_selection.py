@@ -512,9 +512,9 @@ def test_gram_rows_are_formed_only_for_entering_columns(monkeypatch):
             else:
                 assert 0 < store.rows_formed < 0.02 * store.X.shape[1]
         assert {k for k, v in vars(d).items() if np.ndim(v) == 2} == {"P", "Q", "sq"}
-        # beyond the arrays the run must hold at once (Q and Q*Q, and for
-        # Post-Single II the joint [P, Q] and its square), the traced peak
-        # leaves no room for an L x L Gram
+        # the traced peak exceeds the arrays the run must hold at once (Q
+        # and Q*Q, and for Post-Single II the joint [P, Q] and its square)
+        # by less than half an L x L Gram
         held = 2 * d.Q.nbytes * (1 + ("post_single_2" in estimators))
         assert peak - held < 0.5 * 8 * L * L
         monkeypatch.undo()
