@@ -145,17 +145,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config_file(command: str, path: str, values: dict) -> dict:
-    """Fill unset options from an INI file; explicit flags keep priority."""
+def _merge_config_file(command: str, path: str, values: dict, problems: list) -> dict:
+    """Fill unset options from an INI file; explicit flags keep priority.
+
+    A section that names no subcommand, or a key that names no option of
+    the subcommand, is a problem.
+    """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError([f"config file {path!r} not found or unreadable"])
+    for section in parser.sections():
+        if section not in ("simulate", "fit"):
+            problems.append(f"config file {path!r}: unknown section [{section}]")
     merged = dict(values)
     if parser.has_section(command):
         for key, val in parser.items(command):
             dest = key.replace("-", "_")
-            if merged.get(dest) is None:
+            if dest not in values or dest == "config":
+                problems.append(f"config file {path!r}: unknown key {key!r} in [{command}]")
+            elif merged[dest] is None:
                 merged[dest] = val
     return merged
 
@@ -191,9 +200,9 @@ def resolve_config(argv) -> RunConfig:
     if args.command not in ("simulate", "fit"):
         raise ConfigError(["a subcommand is required: simulate or fit"])
     values = {k: v for k, v in vars(args).items() if k != "command"}
-    if values.get("config"):
-        values = _merge_config_file(args.command, values["config"], values)
     problems: list[str] = []
+    if values.get("config"):
+        values = _merge_config_file(args.command, values["config"], values, problems)
     cfg = RunConfig(command=args.command)
 
     if args.command == "simulate":
@@ -221,7 +230,9 @@ def resolve_config(argv) -> RunConfig:
             if names == ["all"]:
                 names = list(ESTIMATORS)
             bad = [s for s in names if s not in ESTIMATORS]
-            if bad:
+            if not names:
+                problems.append("--estimators must list at least one estimator")
+            elif bad:
                 problems.append(
                     f"--estimators contains unknown names {bad}; valid: {', '.join(ESTIMATORS)}"
                 )
@@ -230,7 +241,9 @@ def resolve_config(argv) -> RunConfig:
         if values.get("functionals") is not None:
             fns = [s.strip() for s in str(values["functionals"]).split(",") if s.strip()]
             bad = [s for s in fns if s not in FUNCTIONALS]
-            if bad:
+            if not fns:
+                problems.append("--functionals must list at least one functional")
+            elif bad:
                 problems.append(
                     f"--functionals contains unknown names {bad}; valid: {', '.join(FUNCTIONALS)}"
                 )
@@ -260,7 +273,11 @@ def resolve_config(argv) -> RunConfig:
                     k = str(kv)
             cfg.k = k
         if values.get("extended_fs") is not None:
-            cfg.extended_fs = str(values["extended_fs"]).lower() in ("1", "true", "yes", "on")
+            flag = str(values["extended_fs"]).strip().lower()
+            if flag in configparser.ConfigParser.BOOLEAN_STATES:
+                cfg.extended_fs = configparser.ConfigParser.BOOLEAN_STATES[flag]
+            else:
+                problems.append(f"--extended-fs must be true or false, got {values['extended_fs']!r}")
         if values.get("q_dict") is not None:
             if str(values["q_dict"]) not in ("raw", "tensor"):
                 problems.append(f"--q-dict must be raw or tensor, got {values['q_dict']!r}")

@@ -31,12 +31,7 @@ __all__ = [
     "build_extended_fs",
 ]
 
-KINDS = (
-    "hermite_univariate",
-    "hermite_tensor",
-    "raw_coordinates",
-    "extended_sums_diffs",
-)
+KINDS = ("hermite_univariate", "hermite_tensor", "raw_coordinates")
 
 
 class DegenerateColumnError(ValueError):
@@ -56,12 +51,10 @@ class DictionarySpec:
         - ``"hermite_tensor"``: products prod_j He_{m_j}(z_j) over all
           multi-indices m with 1 <= |m| <= K.
         - ``"raw_coordinates"``: the input coordinates themselves.
-        - ``"extended_sums_diffs"``: a univariate Hermite base of K terms
-          augmented with all pairwise sums and differences.
     degree : int
         Total-degree cap K. Ignored for ``raw_coordinates``.
     input_dim : int
-        Dimension d of the input vector. Must be 1 for the univariate kinds.
+        Dimension d of the input vector. Must be 1 for ``hermite_univariate``.
     """
 
     kind: str
@@ -77,7 +70,7 @@ class DictionarySpec:
             return
         if self.degree < 1:
             raise ValueError(f"{self.kind} requires degree >= 1")
-        if self.kind in ("hermite_univariate", "extended_sums_diffs") and self.input_dim != 1:
+        if self.kind == "hermite_univariate" and self.input_dim != 1:
             raise ValueError(f"{self.kind} takes a scalar input")
 
     @property
@@ -87,10 +80,7 @@ class DictionarySpec:
             return self.degree
         if self.kind == "hermite_tensor":
             return math.comb(self.degree + self.input_dim, self.input_dim) - 1
-        if self.kind == "raw_coordinates":
-            return self.input_dim
-        k = self.degree
-        return k + 2 * math.comb(k, 2)
+        return self.input_dim
 
 
 def hermite_eval(x, k: int):
@@ -181,13 +171,11 @@ def tensor_index_set(d: int, kmax: int) -> list[tuple[int, ...]]:
 def evaluate_dictionary(spec: DictionarySpec, data) -> np.ndarray:
     """Evaluate a dictionary on a sample, returning the raw (unscaled) matrix.
 
-    ``data`` is a vector for scalar-input kinds and an (n, d) matrix
+    ``data`` is a vector for ``hermite_univariate`` and an (n, d) matrix
     otherwise.
     """
     if spec.kind == "hermite_univariate":
         return hermite_design(data, spec.degree)
-    if spec.kind == "extended_sums_diffs":
-        return build_extended_fs(hermite_design(data, spec.degree))
     Z = np.asarray(data, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != spec.input_dim:
         raise ValueError(
@@ -223,16 +211,11 @@ def dictionary_labels(spec: DictionarySpec, prefix: str = "q", names=None) -> li
     if spec.kind == "hermite_tensor":
         idx = tensor_index_set(spec.input_dim, spec.degree)
         return [f"{prefix}[{','.join(map(str, mi))}]" for mi in idx]
-    if spec.kind == "raw_coordinates":
-        if names is not None:
-            if len(names) != spec.input_dim:
-                raise ValueError("names length does not match input_dim")
-            return list(names)
-        return [f"{prefix}{j + 1}" for j in range(spec.input_dim)]
-    base = [f"{prefix}[{k}]" for k in range(1, spec.degree + 1)]
-    sums = [f"{a}+{b}" for i, a in enumerate(base) for b in base[i + 1 :]]
-    diffs = [f"{a}-{b}" for i, a in enumerate(base) for b in base[i + 1 :]]
-    return base + sums + diffs
+    if names is not None:
+        if len(names) != spec.input_dim:
+            raise ValueError("names length does not match input_dim")
+        return list(names)
+    return [f"{prefix}{j + 1}" for j in range(spec.input_dim)]
 
 
 def standardize_columns(mat: np.ndarray, what: str = "column"):

@@ -10,6 +10,7 @@ and differ in the confounder:
 
 In both, z has Toeplitz correlation rho^|j-k|, x = h(z) + sigma_v v, and
 y = g(x) + h(z) + sigma_eps e with standard normal v and e.
+The population values of the functionals are computed by quadrature.
 
 Replications are seeded by spawning one child sequence per replication
 index from the base seed, so results do not depend on worker scheduling.
@@ -17,6 +18,7 @@ index from the base seed, so results do not depend on worker scheduling.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -27,12 +29,11 @@ from .data import Dataset
 from .dictionary import DictionarySpec
 from .inference import (
     average_derivative,
-    empirical_quantile,
     functional_estimate,
     quantile_contrast,
     rejection_test,
 )
-from .lasso import LassoConfig
+from .lasso import LassoConfig, normal_quantile
 from .selection import (
     ESTIMATORS,
     ESTIMATOR_LABELS,
@@ -62,11 +63,9 @@ __all__ = [
 DESIGNS = ("low_dim", "high_dim")
 FUNCTIONALS = ("avg_deriv", "quantile_contrast")
 
-ORACLE_DRAWS = 10_000_000
-ORACLE_SEED = 977_650_301
-_ORACLE_CHUNK = 1_000_000
-
-_theta_cache: dict = {}
+# Gauss-Hermite order of true_theta: within 2.3e-12 of adaptive quadrature
+# at sigma_v = 0 and from 0.3 to 3 (README, "Simulation designs")
+_GH_NODES = 300
 
 
 @dataclass(frozen=True)
@@ -171,59 +170,50 @@ def default_specs(cfg: DgpConfig):
     return spec_p, spec_q
 
 
-def _toeplitz_quad_form(d: int, rho: float) -> float:
-    # w' S w for w_j = (1/2)^(j-1) and S_jk = rho^|j-k|
-    w = 0.5 ** np.arange(d)
+def _toeplitz_quad_form(d: int, rho: float, decay: float = 0.5) -> float:
+    # w' S w for w_j = decay^(j-1) and S_jk = rho^|j-k|
+    w = decay ** np.arange(d)
     total = float(w @ w)
     for lag in range(1, d):
         total += 2.0 * rho**lag * float(w[: d - lag] @ w[lag:])
     return total
 
 
-def _oracle_draw_x(cfg: DgpConfig, rng: np.random.Generator, size: int) -> np.ndarray:
-    if cfg.design == "low_dim":
-        Z = draw_toeplitz_gaussian(size, cfg.dim_z, cfg.rho, rng)
-        h = h_true_low_dim(Z)
-    else:
-        # h(z) is exactly Gaussian here, so x can be drawn directly
-        sd_h = np.sqrt(_toeplitz_quad_form(cfg.dim_z, cfg.rho))
-        h = sd_h * rng.standard_normal(size)
-    return h + cfg.sigma_v * rng.standard_normal(size)
+def true_theta(cfg: DgpConfig, functional: str) -> float:
+    """Population value of the functional under the design, by quadrature.
 
-
-def true_theta(cfg: DgpConfig, functional: str, n_draws: int = ORACLE_DRAWS) -> float:
-    """Population value of the functional under the design, by simulation.
-
-    Uses a fixed internal seed and a large draw so the value is a
-    deterministic function of the design parameters; results are cached per
-    process.
+    x is symmetric about 0 and g is odd, so the quantile contrast is
+    2 g(x_0.75). In ``high_dim``, x ~ N(0, w'Sw + sigma_v^2): the average
+    derivative is a Gauss-Hermite sum and the quantile is closed form. In
+    ``low_dim``, x = h(S) + sigma_v v with S = z_1 + ... + z_d ~ N(0, 1'S1):
+    the average derivative is a two-dimensional Gauss-Hermite sum and x_0.75
+    solves F(t) = E_S Phi((t - h(S)) / sigma_v) = 3/4 by bisection.
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
-    key = (cfg.design, cfg.dim_z, cfg.rho, cfg.sigma_v, functional, n_draws)
-    if key in _theta_cache:
-        return _theta_cache[key]
-    rng = np.random.default_rng(ORACLE_SEED)
+    u, w = np.polynomial.hermite_e.hermegauss(_GH_NODES)
+    w /= math.sqrt(2.0 * math.pi)
+    sv = cfg.sigma_v
+    if cfg.design == "high_dim":
+        sd_x = math.sqrt(_toeplitz_quad_form(cfg.dim_z, cfg.rho) + sv * sv)
+        if functional == "avg_deriv":
+            return float(w @ g_deriv_true(sd_x * u))
+        return 2.0 * g_true(sd_x * normal_quantile(0.75))
+    sd_s = math.sqrt(_toeplitz_quad_form(cfg.dim_z, cfg.rho, decay=1.0))
+    h = g_true(sd_s * u)
     if functional == "avg_deriv":
-        total = 0.0
-        done = 0
-        while done < n_draws:
-            size = min(_ORACLE_CHUNK, n_draws - done)
-            total += float(g_deriv_true(_oracle_draw_x(cfg, rng, size)).sum())
-            done += size
-        value = total / n_draws
-    else:
-        xs = np.empty(n_draws)
-        done = 0
-        while done < n_draws:
-            size = min(_ORACLE_CHUNK, n_draws - done)
-            xs[done : done + size] = _oracle_draw_x(cfg, rng, size)
-            done += size
-        lo = empirical_quantile(xs, 0.25)
-        hi = empirical_quantile(xs, 0.75)
-        value = float(g_true(hi) - g_true(lo))
-    _theta_cache[key] = value
-    return value
+        return float(w @ g_deriv_true(h[:, None] + sv * u) @ w)
+    if sv == 0.0:
+        return 2.0 * g_true(g_true(sd_s * normal_quantile(0.75)))
+    # F(0) = 1/2 and F(1/2 + 10 sigma_v) > Phi(10), so x_0.75 is bracketed
+    pairs = list(zip(w.tolist(), h.tolist()))
+    scale = 1.0 / (sv * math.sqrt(2.0))
+    lo, hi = 0.0, 0.5 + 10.0 * sv
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        cdf = 0.5 * sum(wk * math.erfc((hk - mid) * scale) for wk, hk in pairs)
+        lo, hi = (mid, hi) if cdf < 0.75 else (lo, mid)
+    return 2.0 * g_true(0.5 * (lo + hi))
 
 
 @dataclass
@@ -361,10 +351,14 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
     the report is identical for any worker count.
     """
     estimators = list(estimators) if estimators is not None else list(ESTIMATORS)
+    if not estimators:
+        raise ValueError("estimators must name at least one estimator")
     unknown = [e for e in estimators if e not in ESTIMATORS]
     if unknown:
         raise ValueError(f"unknown estimator names: {unknown}")
     functionals = list(functionals)
+    if not functionals:
+        raise ValueError("functionals must name at least one functional")
     for fn in functionals:
         if fn not in FUNCTIONALS:
             raise ValueError(f"unknown functional {fn!r}")

@@ -166,6 +166,39 @@ def test_config_file_merge_with_flag_priority(tmp_path):
         resolve_config(["simulate", "--config", str(tmp_path / "nope.ini")])
 
 
+def test_config_file_unknown_section_key_and_bad_boolean_are_problems(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[simulate]\ndesign = low\nn = 150\nout = o.csv\nsigmav = 3\n")
+    with pytest.raises(ConfigError) as err:
+        resolve_config(["simulate", "--config", str(ini)])
+    assert err.value.problems == [f"config file {str(ini)!r}: unknown key 'sigmav' in [simulate]"]
+    ini.write_text("[simulat]\nreps = 3\n[fit]\nk = bic\n")
+    with pytest.raises(ConfigError) as err:
+        resolve_config(["simulate", "--config", str(ini), "--design", "low",
+                        "--n", "50", "--out", "o.csv"])
+    assert err.value.problems == [f"config file {str(ini)!r}: unknown section [simulat]"]
+
+    ini.write_text("[fit]\ninput = a.csv\ny = y\nx = x\nz = z1\nout = o\n"
+                   "extended-fs = maybe\n")
+    with pytest.raises(ConfigError, match="--extended-fs must be true or false, got 'maybe'"):
+        resolve_config(["fit", "--config", str(ini)])
+    ini.write_text("[fit]\ninput = a.csv\ny = y\nx = x\nz = z1\nout = o\n"
+                   "extended-fs = no\n")
+    assert resolve_config(["fit", "--config", str(ini)]).extended_fs is False
+    ini.write_text("[fit]\ninput = a.csv\ny = y\nx = x\nz = z1\nout = o\n"
+                   "extended-fs = On\n")
+    assert resolve_config(["fit", "--config", str(ini)]).extended_fs is True
+
+
+@pytest.mark.parametrize("flag", ["--estimators", "--functionals"])
+def test_main_rejects_an_empty_name_list(capsys, tmp_path, flag):
+    rc = main(["simulate", "--design", "low", "--n", "60", "--reps", "1",
+               flag, ",", "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert f"{flag} must list at least one" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 # ---------------------------------------------------------------- main
 
 def test_main_exit_code_2_on_config_error(capsys):

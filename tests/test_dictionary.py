@@ -140,9 +140,6 @@ def test_spec_n_terms():
     assert DictionarySpec("hermite_tensor", degree=3, input_dim=4).n_terms == \
         math.comb(7, 4) - 1
     assert DictionarySpec("raw_coordinates", input_dim=9).n_terms == 9
-    k = 5
-    assert DictionarySpec("extended_sums_diffs", degree=k).n_terms == \
-        k + 2 * math.comb(k, 2)
 
 
 def test_spec_validation():
@@ -179,17 +176,12 @@ def test_labels_univariate_and_tensor():
         ["q[1,0]", "q[0,1]", "q[2,0]", "q[1,1]", "q[0,2]"]
 
 
-def test_labels_raw_and_extended():
+def test_labels_raw_coordinates():
     spec = DictionarySpec("raw_coordinates", input_dim=3)
     assert dictionary_labels(spec) == ["q1", "q2", "q3"]
     assert dictionary_labels(spec, names=["a", "b", "c"]) == ["a", "b", "c"]
     with pytest.raises(ValueError, match="names length"):
         dictionary_labels(spec, names=["a"])
-    spec = DictionarySpec("extended_sums_diffs", degree=3)
-    labels = dictionary_labels(spec)
-    assert labels[:3] == ["q[1]", "q[2]", "q[3]"]
-    assert "q[1]+q[2]" in labels and "q[2]-q[3]" in labels
-    assert len(labels) == spec.n_terms
 
 
 # ---------------------------------------------------------------- scaling

@@ -1,5 +1,7 @@
 """Simulation designs, the truth oracle, and the replication harness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,16 +26,17 @@ from pdsseries.montecarlo import (
 )
 from pdsseries.selection import pds_fit
 
-# deterministic oracle values at one million draws, pinned once
-FROZEN_THETA_1M = {
-    ("low_dim", 1.0, "avg_deriv"): 0.2025920418245061,
-    ("low_dim", 1.0, "quantile_contrast"): 0.34494672776602947,
-    ("low_dim", 2.0, "avg_deriv"): 0.14993271374902095,
-    ("low_dim", 2.0, "quantile_contrast"): 0.595317093299948,
-    ("high_dim", 1.0, "avg_deriv"): 0.16125732392351588,
-    ("high_dim", 1.0, "quantile_contrast"): 0.539882290307582,
-    ("high_dim", 2.0, "avg_deriv"): 0.13133548453020258,
-    ("high_dim", 2.0, "quantile_contrast"): 0.6864978397301387,
+# exact population values at the design points of the acceptance tests,
+# pinned so that a change to the quadrature shows without scipy installed
+FROZEN_THETA = {
+    ("high_dim", 1.0, "avg_deriv"): 0.16116990250729918,
+    ("high_dim", 1.0, "quantile_contrast"): 0.5408618919600687,
+    ("high_dim", 2.0, "avg_deriv"): 0.1312770299475997,
+    ("high_dim", 2.0, "quantile_contrast"): 0.6864634487971963,
+    ("low_dim", 1.0, "avg_deriv"): 0.2025884768921215,
+    ("low_dim", 1.0, "quantile_contrast"): 0.34487225471425154,
+    ("low_dim", 2.0, "avg_deriv"): 0.14994487420210184,
+    ("low_dim", 2.0, "quantile_contrast"): 0.5951437235688737,
 }
 
 
@@ -153,19 +156,72 @@ def test_generate_sample_reproducible():
 
 # ---------------------------------------------------------------- truth
 
-@pytest.mark.parametrize("design,sv,fn", sorted(FROZEN_THETA_1M))
+@pytest.mark.parametrize("design,sv,fn", sorted(FROZEN_THETA))
 def test_true_theta_frozen_values(design, sv, fn):
     dim_z = 1000 if design == "high_dim" else None
     cfg = DgpConfig(design, 500, sigma_v=sv, sigma_eps=1.0, dim_z=dim_z)
-    got = true_theta(cfg, fn, n_draws=1_000_000)
-    assert got == pytest.approx(FROZEN_THETA_1M[(design, sv, fn)], abs=1e-9)
+    assert true_theta(cfg, fn) == pytest.approx(FROZEN_THETA[(design, sv, fn)], abs=1e-12)
+
+
+def _logistic_half(t):
+    return math.copysign(0.5 * math.tanh(0.5 * abs(t)), t)
+
+
+def _logistic_density(t):
+    return 0.25 / math.cosh(0.5 * t) ** 2
+
+
+def _normal_density(t, sd=1.0):
+    return math.exp(-0.5 * (t / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+
+def _scipy_theta(cfg, fn):
+    """The population value by adaptive quadrature and root finding."""
+    integrate = pytest.importorskip("scipy.integrate")
+    optimize = pytest.importorskip("scipy.optimize")
+    stats = pytest.importorskip("scipy.stats")
+    g, dg, dens = _logistic_half, _logistic_density, _normal_density
+    tol = dict(epsabs=1e-13, epsrel=1e-13)
+    idx = np.arange(cfg.dim_z)
+    cov = cfg.rho ** np.abs(np.subtract.outer(idx, idx))
+    sv = cfg.sigma_v
+    q75 = stats.norm.ppf(0.75)
+    if cfg.design == "high_dim":
+        w = 0.5 ** idx
+        sd = math.sqrt(w @ cov @ w + sv**2)
+        if fn == "quantile_contrast":
+            return 2.0 * g(sd * q75)
+        return integrate.quad(lambda x: dg(x) * dens(x, sd), -12 * sd, 12 * sd,
+                              limit=200, **tol)[0]
+    # low_dim: x = h(S) + sigma_v v with S the sum of the z's
+    sd = math.sqrt(cov.sum())
+    if fn == "quantile_contrast":
+        if sv == 0.0:
+            return 2.0 * g(g(sd * q75))
+        cdf = lambda t: integrate.quad(
+            lambda s: 0.5 * math.erfc((g(s) - t) / (sv * math.sqrt(2.0))) * dens(s, sd),
+            -12 * sd, 12 * sd, limit=200, **tol)[0]
+        root = optimize.brentq(lambda t: cdf(t) - 0.75, 0.0, 0.5 + 10 * sv,
+                               xtol=1e-15, rtol=1e-15)
+        return 2.0 * g(root)
+    if sv == 0.0:
+        return integrate.quad(lambda s: dg(g(s)) * dens(s, sd), -12 * sd, 12 * sd,
+                              limit=200, **tol)[0]
+    return integrate.dblquad(lambda v, s: dg(g(s) + sv * v) * dens(v) * dens(s, sd),
+                             -12 * sd, 12 * sd, -12.0, 12.0, **tol)[0]
+
+
+@pytest.mark.parametrize("sv", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("fn", FUNCTIONALS)
+@pytest.mark.parametrize("design", DESIGNS)
+def test_true_theta_matches_scipy_integrate(design, fn, sv):
+    cfg = DgpConfig(design, 500, sigma_v=sv)
+    assert true_theta(cfg, fn) == pytest.approx(_scipy_theta(cfg, fn), abs=1e-10)
 
 
 def test_true_theta_ignores_outcome_noise_and_sample_size():
-    a = true_theta(DgpConfig("low_dim", 500, sigma_eps=1.0), "avg_deriv",
-                   n_draws=200_000)
-    b = true_theta(DgpConfig("low_dim", 900, sigma_eps=2.0), "avg_deriv",
-                   n_draws=200_000)
+    a = true_theta(DgpConfig("low_dim", 500, sigma_eps=1.0), "avg_deriv")
+    b = true_theta(DgpConfig("low_dim", 900, sigma_eps=2.0), "avg_deriv")
     assert a == b
     with pytest.raises(ValueError, match="unknown functional"):
         true_theta(DgpConfig("low_dim", 100), "median_deriv")
@@ -298,6 +354,10 @@ def test_run_monte_carlo_validation():
                         functionals=("mystery",))
     with pytest.raises(ValueError, match="n_reps"):
         run_monte_carlo(cfg, estimators=("oracle",), n_reps=0)
+    with pytest.raises(ValueError, match="at least one estimator"):
+        run_monte_carlo(cfg, estimators=(), n_reps=2)
+    with pytest.raises(ValueError, match="at least one functional"):
+        run_monte_carlo(cfg, estimators=("oracle",), n_reps=2, functionals=())
     assert set(FUNCTIONALS) == {"avg_deriv", "quantile_contrast"}
 
 
