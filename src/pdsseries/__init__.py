@@ -35,9 +35,10 @@ from .inference import (
 from .lasso import (
     ConvergenceError,
     DegenerateLoadingsError,
-    GramRows,
     LassoConfig,
+    LassoDesign,
     LassoFit,
+    TargetBank,
     initial_loadings,
     iterated_lasso,
     lasso_solve,
@@ -59,7 +60,6 @@ from .selection import (
     ESTIMATORS,
     PdsFit,
     SelectionResult,
-    TargetBank,
     choose_k_bic,
     comparison_estimators,
     first_stage_select,

@@ -18,6 +18,7 @@ import argparse
 import configparser
 import csv
 import fnmatch
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -149,10 +150,15 @@ def _merge_config_file(command: str, path: str, values: dict, problems: list) ->
     """Fill unset options from an INI file; explicit flags keep priority.
 
     A section that names no subcommand, or a key that names no option of
-    the subcommand, is a problem.
+    the subcommand, is a problem. Values are read literally (no ``%``
+    interpolation); a file that does not parse, such as one with no section
+    header or a key given twice in a section, is a configuration error.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError([f"config file {path!r} does not parse: {exc}"]) from None
     if not read:
         raise ConfigError([f"config file {path!r} not found or unreadable"])
     for section in parser.sections():
@@ -186,6 +192,9 @@ def _coerce_float(name, raw, problems, minimum=None):
         val = float(str(raw))
     except ValueError:
         problems.append(f"--{name} must be a number, got {raw!r}")
+        return None
+    if not math.isfinite(val):
+        problems.append(f"--{name} must be a finite number, got {raw!r}")
         return None
     if minimum is not None and val < minimum:
         problems.append(f"--{name} must be >= {minimum}, got {val}")
@@ -327,8 +336,9 @@ def load_csv(path: str, y_col: str, x_col: str, z_patterns):
 
     ``z_patterns`` may contain exact column names or fnmatch-style
     wildcards; matches keep header order. Rows with a missing value in any
-    used column are dropped (the count is reported). A non-numeric,
-    non-missing cell raises a ValueError naming the row and column.
+    used column are dropped (the count is reported). A non-numeric or
+    infinite cell that is not a missing token raises a ValueError naming the
+    row and column.
 
     Returns (Dataset, z_column_names, n_dropped).
     """
@@ -372,12 +382,18 @@ def load_csv(path: str, y_col: str, x_col: str, z_patterns):
                 drop = True
                 break
             try:
-                vals.append(float(cell))
+                val = float(cell)
             except ValueError:
                 raise ValueError(
                     f"{path}: non-numeric value {cell!r} in row {i + 2}, "
                     f"column {col!r}"
                 ) from None
+            if not math.isfinite(val):
+                raise ValueError(
+                    f"{path}: non-finite value {cell!r} in row {i + 2}, "
+                    f"column {col!r}"
+                )
+            vals.append(val)
         if drop:
             n_dropped += 1
             continue

@@ -3,7 +3,10 @@
 Dictionaries never include a constant term; the estimation step adds a single
 explicit intercept instead. Design columns handed to the selection machinery
 are standardized to unit sample standard deviation, with the scales recorded
-so coefficients can be mapped back to the raw basis.
+so coefficients can be mapped back to the raw basis. ``build_design``
+returns them as one per-sample workspace, ``DesignMatrices``, with a single
+``LassoDesign`` over the conditioning dictionary ``Q`` that every Lasso on
+the sample shares.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lasso import GramRows
+from .lasso import LassoDesign
 
 __all__ = [
     "DictionarySpec",
@@ -241,22 +244,20 @@ class DesignMatrices:
     ``P`` (n, K) approximates g and ``Q`` (n, L) approximates h; both are
     unit-variance column-wise, and ``p_scales`` / ``q_scales`` map back to
     raw columns: raw = standardized * scale. Every Lasso of post-double
-    selection runs on the same ``Q``, so the workspace holds what they
-    share: the squared design ``sq = Q*Q`` (for the penalty loadings),
-    formed here once, and ``gram``, a ``GramRows`` store of the rows of
-    ``Q'Q``. A Gram row is formed the first time its column enters any
-    solve on the sample and kept for every later equation, estimator and
-    degree grid, so ``Q'Q`` is never formed whole. No raw copy of ``Q`` is
-    kept: ``q_raw(idx)`` rebuilds only the selected columns the final OLS
-    needs.
+    selection runs on the same ``Q``, so the workspace holds one
+    ``LassoDesign`` over it, ``lasso_design``: ``Q*Q`` for the penalty
+    loadings, and a store of the rows of ``Q'Q``, each formed the first
+    time its column enters any solve on the sample and kept for every
+    later equation, estimator and degree grid, so ``Q'Q`` is never formed
+    whole. No raw copy of ``Q`` is kept: ``q_raw(idx)`` rebuilds only the
+    selected columns the final OLS needs.
     """
 
     P: np.ndarray
     Q: np.ndarray
     p_scales: np.ndarray
     q_scales: np.ndarray
-    gram: GramRows
-    sq: np.ndarray
+    lasso_design: LassoDesign
     spec_p: DictionarySpec | None = None
     spec_q: DictionarySpec | None = None
 
@@ -275,10 +276,11 @@ class DesignMatrices:
 
 
 def build_design(spec_p: DictionarySpec, spec_q: DictionarySpec, x, Z) -> DesignMatrices:
-    """Evaluate both dictionaries, standardize every column, form Q*Q.
+    """Evaluate both dictionaries, standardize every column, and wrap the
+    standardized ``Q`` in the workspace's ``LassoDesign``.
 
-    The workspace's Gram store over ``Q`` starts empty: its rows are formed
-    as columns enter the solves that use it. Raises
+    The design's Gram row store starts empty: its rows are formed as
+    columns enter the solves that use it. Raises
     ``DegenerateColumnError`` when any column is constant, naming the
     offending block and column.
     """
@@ -288,16 +290,14 @@ def build_design(spec_p: DictionarySpec, spec_q: DictionarySpec, x, Z) -> Design
         raise ValueError("x and Z have different sample sizes")
     P, p_scales = standardize_columns(P_raw, what="P column")
     Q, q_scales = standardize_columns(Q_raw, what="Q column")
-    # release the raw n x L block before the squared design
+    # release the raw n x L block before the design squares Q
     del Q_raw
-    sq = Q * Q
     return DesignMatrices(
         P=P,
         Q=Q,
         p_scales=p_scales,
         q_scales=q_scales,
-        gram=GramRows(Q, sq),
-        sq=sq,
+        lasso_design=LassoDesign(Q),
         spec_p=spec_p,
         spec_q=spec_q,
     )

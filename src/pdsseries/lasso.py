@@ -6,13 +6,18 @@ The objective is kept in unnormalized sum-of-squares form,
 
 so the penalty level lam = 2 c sqrt(n) Phi^{-1}(1 - gamma / (2 M)) and the
 loadings psi_j = sqrt(mean(x_j^2 e^2)) carry their conventional scaling.
-Loadings are refined iteratively from Post-Lasso residuals. Both loadings
-formulas are one product against the squared design ``X*X``, which callers
-sharing one design compute once and pass down; the initial loadings of many
-targets at once are one matrix product. Refined loadings depend on a fit only
-through its active set, so the iteration stops as soon as a round selects
-the same set as the round before, and callers that regress one target on
-one design several times share a memo of them keyed by active set.
+Loadings are refined iteratively from Post-Lasso residuals.
+
+Every Lasso of post-double selection regresses some target on one design,
+so what those Lassos share lives in two objects. A ``LassoDesign`` holds
+the design ``X``, its square ``X*X`` (both loadings formulas are one
+product against it) and a store of the rows of ``X'X``. A ``TargetBank``
+holds targets on one ``LassoDesign``, each with its ``X't`` and initial
+loadings, evaluated for all targets at once, and a memo of its refined
+loadings by active set: refined loadings depend on a fit only through its
+active set, so the iteration stops as soon as a round selects the same set
+as the round before, and every equation on the same target reuses them.
+``iterated_lasso(bank, k, lam)`` fits the bank's ``k``-th target.
 
 The solver is active-set cyclic coordinate descent on the Gram system: the
 covariance-update scheme of glmnet (Friedman, Hastie & Tibshirani 2010,
@@ -25,10 +30,9 @@ coordinate meets its KKT condition exactly and every active one to the
 sweep tolerance.
 
 The solver reads the Gram system only through the rows of its active
-coordinates, so ``X'X`` is never formed whole: a ``GramRows`` store forms
+coordinates, so ``X'X`` is never formed whole: the ``LassoDesign`` forms
 row j, ``x_j'X``, the first time column j enters a solve and keeps it for
-every later solve on the same design. Callers sharing one design share one
-store; a solve given none builds its own from ``X``.
+every later solve on the same design.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ import numpy as np
 __all__ = [
     "LassoConfig",
     "LassoFit",
-    "GramRows",
+    "LassoDesign",
+    "TargetBank",
     "DegenerateLoadingsError",
     "ConvergenceError",
     "normal_quantile",
@@ -80,8 +85,8 @@ class LassoConfig:
     cd_max_iter: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         if self.n_loadings < 1:
@@ -184,7 +189,6 @@ def penalty_level(
     n_targets: int,
     n_regressors: int,
     config: LassoConfig | None = None,
-    stage: str = "reduced_form",
 ) -> float:
     """Penalty level 2 c sqrt(n) Phi^{-1}(1 - gamma / (2 M)).
 
@@ -193,10 +197,6 @@ def penalty_level(
     level (K for the first stage, 1 for a single equation) and
     ``n_regressors`` the regressor count per equation.
     """
-    if stage not in ("first_stage", "reduced_form"):
-        raise ValueError(f"unknown stage {stage!r}")
-    if stage == "reduced_form" and n_targets != 1:
-        raise ValueError("reduced_form has a single target equation")
     if n < 1 or n_targets < 1 or n_regressors < 1:
         raise ValueError("n, n_targets and n_regressors must be >= 1")
     cfg = config if config is not None else LassoConfig()
@@ -213,59 +213,48 @@ def _nonzero(loadings: np.ndarray, which: str) -> np.ndarray:
     return loadings
 
 
-def initial_loadings(X: np.ndarray, target: np.ndarray,
-                     sq: np.ndarray | None = None) -> np.ndarray:
+def initial_loadings(design: LassoDesign, targets: np.ndarray) -> np.ndarray:
     """Conservative start psi_j = sqrt(mean(x_j^2 (t_i - tbar)^2)).
 
-    ``sq`` is the squared design ``X*X``; pass it to reuse one copy across
-    calls on the same design. ``target`` may also be an (m, n) block with
-    one target per row: the result then has one row of loadings per target,
-    from one matrix product, and no row is checked for degeneracy here
-    (``iterated_lasso`` checks the row it is given).
+    ``targets`` is one target vector, or a (k, n) block with one target per
+    row: the result then has one row of loadings per target, from one
+    matrix product against ``design.sq``, and no row is checked for
+    degeneracy here (``iterated_lasso`` checks the row it fits).
     """
-    t = np.asarray(target, dtype=float)
-    if sq is None:
-        X = np.asarray(X, dtype=float)
-        sq = X * X
+    t = np.asarray(targets, dtype=float)
     dev2 = t - t.mean(axis=-1, keepdims=True)
     np.square(dev2, out=dev2)
-    loadings = dev2 @ sq
+    loadings = dev2 @ design.sq
     del dev2
     loadings /= t.shape[-1]
     np.sqrt(loadings, out=loadings)
     return loadings if t.ndim > 1 else _nonzero(loadings, "initial")
 
 
-def refined_loadings(X: np.ndarray, residuals: np.ndarray,
-                     sq: np.ndarray | None = None) -> np.ndarray:
-    """Residual-based loadings psi_j = sqrt(mean(x_j^2 e_i^2)).
-
-    ``sq`` is the squared design ``X*X``, as in ``initial_loadings``.
-    """
+def refined_loadings(design: LassoDesign, residuals: np.ndarray) -> np.ndarray:
+    """Residual-based loadings psi_j = sqrt(mean(x_j^2 e_i^2))."""
     e2 = np.asarray(residuals, dtype=float) ** 2
-    if sq is None:
-        X = np.asarray(X, dtype=float)
-        sq = X * X
-    return _nonzero(np.sqrt(e2 @ sq / e2.shape[0]), "refined")
+    return _nonzero(np.sqrt(e2 @ design.sq / e2.shape[0]), "refined")
 
 
-class GramRows:
-    """Rows of the Gram matrix ``X'X``, formed on first request and kept.
+class LassoDesign:
+    """One design ``X`` and what every Lasso on it shares.
 
-    ``rows(idx)`` returns rows ``idx`` of ``X'X``. A row missing from the
-    store is formed then, as ``x_j'X``, and kept, so each row is formed at
-    most once however many solves on ``X`` ask for it. Each row is formed on
-    its own, so its bits depend only on ``X`` and j, not on which rows were
-    asked for before or alongside it: a fit is the same on a fresh store and
-    on one that earlier solves have filled. ``diag`` is the Gram diagonal,
-    the column sums of the squared design ``sq = X*X`` (computed from ``X``
-    when not given). ``rows_formed`` counts the rows formed so far.
+    ``sq = X*X`` feeds both loadings formulas and ``diag``, the Gram
+    diagonal, is its column sums. ``rows(idx)`` returns rows ``idx`` of
+    ``X'X``. A row missing from the store is formed then, as ``x_j'X``, and
+    kept, so each row is formed at most once however many solves on ``X``
+    ask for it. Each row is formed on its own, so its bits depend only on
+    ``X`` and j, not on which rows were asked for before or alongside it: a
+    fit is the same on a fresh design and on one that earlier solves have
+    filled. ``rows_formed`` counts the rows formed so far.
     """
 
-    def __init__(self, X: np.ndarray, sq: np.ndarray | None = None):
+    def __init__(self, X: np.ndarray):
         self.X = np.asarray(X, dtype=float)
+        self.sq = self.X * self.X
+        self.diag = self.sq.sum(axis=0)
         m = self.X.shape[1]
-        self.diag = (self.X * self.X if sq is None else sq).sum(axis=0)
         self._slot = np.full(m, -1)  # row of _buf holding each column's row
         self._buf = np.empty((0, m))
         self._count = 0
@@ -292,14 +281,56 @@ class GramRows:
         return self._buf[self._slot[idx]]
 
 
-def _cd_solve(gram: GramRows, xty: np.ndarray, thr: np.ndarray,
+@dataclass
+class TargetBank:
+    """Lasso targets on one ``LassoDesign``, each evaluated once.
+
+    Row j of ``rows`` is one target, regressed on ``design``. Its cross
+    products ``xty[j]`` (a row of ``T'X``) and initial loadings
+    ``loadings0[j]`` come from one matrix product each for the whole bank,
+    and ``memos[j]`` keeps its refined loadings by active set for every
+    equation that regresses this target on the design. ``cols`` names the
+    targets the bank stands for, in equation order: ``subset`` gives a bank
+    of some of them that shares every array and memo, so a degree grid
+    indexes each degree's equations into one bank instead of rebuilding its
+    targets.
+    """
+
+    design: LassoDesign
+    rows: np.ndarray
+    xty: np.ndarray
+    loadings0: np.ndarray
+    memos: list
+    cols: tuple
+
+    @classmethod
+    def of(cls, rows, design: LassoDesign) -> TargetBank:
+        """Bank of the targets in ``rows`` (one per row, or one vector)."""
+        rows = np.ascontiguousarray(np.atleast_2d(rows), dtype=float)
+        return cls(design=design, rows=rows, xty=rows @ design.X,
+                   loadings0=initial_loadings(design, rows),
+                   memos=[{} for _ in rows], cols=tuple(range(len(rows))))
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def subset(self, cols) -> TargetBank:
+        """The targets ``cols`` of this bank, sharing its arrays and memos."""
+        return replace(self, cols=tuple(int(j) for j in cols))
+
+
+def _cd_solve(design: LassoDesign, xty: np.ndarray, thr: np.ndarray,
               max_iter: int, tol: float):
     """Active-set cyclic coordinate descent on the Gram system.
 
     The covariance-update scheme of Friedman, Hastie & Tibshirani (2010),
     with each screen a full KKT check as in Tibshirani et al. (2012).
-    Minimizes sum (y - X t)^2 + 2 sum_j thr_j |t_j| given the store ``gram``
-    of the rows of X'X and ``xty = X'y``, starting from t = 0. Each round
+    Minimizes sum (y - X t)^2 + 2 sum_j thr_j |t_j| given ``design``, which
+    holds the rows of X'X, and ``xty = X'y``, starting from t = 0. Each round
     screens the inactive coordinates at once: j enters when
     |xty_j - q_j| > thr_j, with q = X'X t, which is exactly when its
     coordinate update would move it off zero. Columns with a zero Gram
@@ -318,7 +349,7 @@ def _cd_solve(gram: GramRows, xty: np.ndarray, thr: np.ndarray,
     m = xty.shape[0]
     coef = np.zeros(m)
     q = np.zeros(m)
-    usable = gram.diag > 0.0
+    usable = design.diag > 0.0
     active = np.zeros(m, dtype=bool)
     sweeps = 0
     while True:
@@ -327,7 +358,7 @@ def _cd_solve(gram: GramRows, xty: np.ndarray, thr: np.ndarray,
             return coef, sweeps, True
         active |= entering
         idx = np.flatnonzero(active)
-        active_rows = gram.rows(idx)
+        active_rows = design.rows(idx)
         block = active_rows[:, idx]
         rows = list(block)
         q_a = q[idx]
@@ -363,44 +394,34 @@ def _cd_solve(gram: GramRows, xty: np.ndarray, thr: np.ndarray,
 
 
 def lasso_solve(
-    X: np.ndarray,
-    y: np.ndarray,
+    design: LassoDesign,
+    xty: np.ndarray,
     lam: float,
     loadings: np.ndarray,
     config: LassoConfig | None = None,
-    gram: GramRows | None = None,
-    xty: np.ndarray | None = None,
 ) -> LassoFit:
     """Solve one weighted-penalty Lasso by active-set coordinate descent.
 
-    ``gram`` is a ``GramRows`` store over ``X``; pass one to share the Gram
-    rows formed on first entry across solves on the same design. Without
-    one, the solve builds its own and forms only the rows of the columns
-    that enter. ``xty`` (``X'y``) may be supplied as well. The fit reports
-    ``converged = False`` when ``cd_max_iter`` sweeps were not enough;
-    ``iterated_lasso`` turns that into a ``ConvergenceError``.
+    ``xty`` is ``X'y`` for the design ``X`` of ``design``, whose Gram rows
+    the solve reads, forming those of entering columns it does not hold
+    yet. The fit reports ``converged = False`` when ``cd_max_iter`` sweeps
+    were not enough; ``iterated_lasso`` turns that into a
+    ``ConvergenceError``.
     """
     cfg = config if config is not None else LassoConfig()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    xty = np.asarray(xty, dtype=float)
     loadings = np.asarray(loadings, dtype=float)
+    m = design.X.shape[1]
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    if loadings.shape[0] != X.shape[1]:
+    if xty.shape != (m,):
+        raise ValueError(f"xty has shape {xty.shape}, expected ({m},)")
+    if loadings.shape[0] != m:
         raise ValueError("loadings length does not match column count")
     if np.any(loadings <= 0.0):
         raise ValueError("loadings must be positive; degenerate columns upstream")
-    if gram is None:
-        gram = GramRows(X)
-    elif not isinstance(gram, GramRows):
-        raise TypeError("gram must be a GramRows store over X")
-    elif gram.X.shape[1] != X.shape[1]:
-        raise ValueError("the Gram store's column count does not match X")
-    if xty is None:
-        xty = X.T @ y
     coef, sweeps, converged = _cd_solve(
-        gram, np.asarray(xty, dtype=float),
-        0.5 * float(lam) * loadings, cfg.cd_max_iter, cfg.cd_tol,
+        design, xty, 0.5 * float(lam) * loadings, cfg.cd_max_iter, cfg.cd_tol,
     )
     return LassoFit(
         coefficients=coef,
@@ -450,13 +471,14 @@ def post_lasso(X: np.ndarray, y: np.ndarray, active_set) -> np.ndarray:
     return coef
 
 
-def _refine(X: np.ndarray, y: np.ndarray, active_set: np.ndarray, sq: np.ndarray):
+def _refine(design: LassoDesign, y: np.ndarray, active_set: np.ndarray):
     """Refined loadings from the Post-Lasso fit on ``active_set``.
 
     Returns the loadings, or the name of the ``LassoFit`` flag that ends the
     iteration instead: ``perfect_fit`` when max |residual| is below
     1e-12 sd(y), ``loadings_degenerate`` when every loading is zero.
     """
+    X = design.X
     coef = post_lasso(X, y, active_set)
     if active_set.size:
         resid = y - X[:, active_set] @ coef[active_set]
@@ -465,23 +487,14 @@ def _refine(X: np.ndarray, y: np.ndarray, active_set: np.ndarray, sq: np.ndarray
     if np.max(np.abs(resid)) < 1e-12 * float(y.std()):
         return "perfect_fit"
     try:
-        return refined_loadings(X, resid, sq)
+        return refined_loadings(design, resid)
     except DegenerateLoadingsError:
         return "loadings_degenerate"
 
 
-def iterated_lasso(
-    X: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    config: LassoConfig | None = None,
-    gram: GramRows | None = None,
-    sq: np.ndarray | None = None,
-    xty: np.ndarray | None = None,
-    loadings0: np.ndarray | None = None,
-    memo: dict | None = None,
-) -> LassoFit:
-    """Lasso with iterated penalty loadings.
+def iterated_lasso(bank: TargetBank, k: int, lam: float,
+                   config: LassoConfig | None = None) -> LassoFit:
+    """Lasso of the bank's ``k``-th target with iterated penalty loadings.
 
     Solves once with the conservative initial loadings, then alternates
     Post-Lasso residuals and refined loadings, for at most ``n_loadings``
@@ -491,28 +504,16 @@ def iterated_lasso(
     round before: the refined loadings depend on a fit only through its
     active set, so every further round would reproduce the same solution.
 
-    The Gram row store ``gram`` over ``X``, ``sq`` (``X*X``), ``xty``
-    (``X'y``) and the initial loadings ``loadings0`` may be supplied to
-    share them across calls on the same design; each is built when omitted,
-    and every solve of the iteration reads the same store. ``memo`` maps
-    ``active_set.tobytes()`` to the refined loadings (or ending flag) of
-    that set; pass one dict per (target, design) to reuse them across calls
-    that differ only in ``lam`` or ``config``. Raises ``ConvergenceError``
-    when the solve behind the returned fit hit ``cd_max_iter``.
+    The target's ``X'y``, initial loadings and memo of refined loadings come
+    from the bank, and every solve reads the Gram rows of the bank's
+    design, so calls on the same bank that differ only in ``lam`` or
+    ``config`` reuse them. Raises ``ConvergenceError`` when the solve
+    behind the returned fit hit ``cd_max_iter``.
     """
     cfg = config if config is not None else LassoConfig()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if sq is None:
-        sq = X * X
-    if gram is None:
-        gram = GramRows(X, sq)
-    if xty is None:
-        xty = X.T @ y
-    if loadings0 is None:
-        loadings0 = initial_loadings(X, y, sq)
-    memo = {} if memo is None else memo
-    fit = lasso_solve(X, y, lam, _nonzero(loadings0, "initial"), cfg, gram=gram, xty=xty)
+    j, design = bank.cols[k], bank.design
+    y, xty, memo = bank.rows[j], bank.xty[j], bank.memos[j]
+    fit = lasso_solve(design, xty, lam, _nonzero(bank.loadings0[j], "initial"), cfg)
     previous = None
     for _ in range(1, cfg.n_loadings):
         key = fit.active_set.tobytes()
@@ -520,12 +521,12 @@ def iterated_lasso(
             break
         previous = key
         if key not in memo:
-            memo[key] = _refine(X, y, fit.active_set, sq)
+            memo[key] = _refine(design, y, fit.active_set)
         loadings = memo[key]
         if isinstance(loadings, str):
             fit = replace(fit, **{loadings: True})
             break
-        fit = lasso_solve(X, y, lam, loadings, cfg, gram=gram, xty=xty)
+        fit = lasso_solve(design, xty, lam, loadings, cfg)
     if not fit.converged:
         raise ConvergenceError(
             f"coordinate descent did not converge within cd_max_iter="

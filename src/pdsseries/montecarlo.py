@@ -88,8 +88,8 @@ class DgpConfig:
             raise ValueError(f"unknown design {self.design!r}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.sigma_v < 0 or self.sigma_eps < 0:
-            raise ValueError("noise scales must be nonnegative")
+        if not (0.0 <= self.sigma_v < math.inf and 0.0 <= self.sigma_eps < math.inf):
+            raise ValueError("noise scales must be finite and nonnegative")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
         if self.dim_z is None:

@@ -10,13 +10,14 @@ plumbing so downstream inference treats every fit uniformly.
 
 Every one of these Lassos runs on the same conditioning dictionary, so the
 selection functions take the sample's ``DesignMatrices`` workspace from
-``build_design`` in place of ``Q``: the standardized ``Q`` with its ``Q*Q``,
-formed once per sample, and its store of Gram rows, each formed the first
-time its column enters a solve and kept; all are shared by every equation,
-every estimator and every degree of the BIC grid. Their targets go through a
-``TargetBank``, which evaluates each target's ``Q't`` and initial loadings
-once and memoizes its refined loadings by active set; the BIC grid builds
-one bank at its largest degree and indexes every degree into it.
+``build_design`` in place of ``Q``. Its one ``LassoDesign`` over ``Q``
+holds ``Q*Q`` and the Gram rows formed so far, and is shared by every
+equation, every estimator and every degree of the BIC grid. Each stage
+fits its targets from a ``lasso.TargetBank`` on that design, which
+evaluates each target's ``Q't`` and initial loadings once and memoizes its
+refined loadings by active set; the BIC grid builds one bank at its largest
+degree and indexes every degree into it. Post-Single II, the one Lasso on
+another design, builds its own ``LassoDesign`` over ``[P, Q]``.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .dictionary import (
 from .lasso import (
     ConvergenceError,
     LassoConfig,
-    LassoFit,
+    LassoDesign,
+    TargetBank,
     default_gamma,
-    initial_loadings,
     iterated_lasso,
     penalty_level,
 )
@@ -52,7 +53,6 @@ __all__ = [
     "SelectionResult",
     "PdsFit",
     "KGridResult",
-    "TargetBank",
     "SelectionError",
     "FIT_ERRORS",
     "integer_root",
@@ -167,65 +167,14 @@ class KGridResult:
     errors: dict
 
 
-@dataclass
-class TargetBank:
-    """Lasso targets on one workspace, each evaluated once.
-
-    Row j of ``rows`` is one target, regressed on the workspace
-    ``design``. Its cross products ``xty[j]`` (a row of ``T'Q``) and
-    initial loadings ``loadings0[j]`` come from one matrix product each
-    against the workspace's ``Q`` and ``Q*Q``, and ``memos[j]`` keeps its
-    refined loadings by active set for every equation that regresses this
-    target on the workspace. Every fit reads the workspace's Gram row
-    store, so a row one equation formed serves all the others. ``cols``
-    names the targets the bank stands for, in equation order: ``subset``
-    gives a bank of some of them that shares every array and memo, so a
-    degree grid indexes each degree's equations into one bank instead of
-    rebuilding its targets.
-    """
-
-    design: DesignMatrices
-    rows: np.ndarray
-    xty: np.ndarray
-    loadings0: np.ndarray
-    memos: list
-    cols: tuple
-
-    @classmethod
-    def of(cls, rows, design: DesignMatrices) -> TargetBank:
-        """Bank of the targets in ``rows`` (one per row) on ``design``."""
-        rows = np.ascontiguousarray(rows, dtype=float)
-        return cls(design=design, rows=rows, xty=rows @ design.Q,
-                   loadings0=initial_loadings(design.Q, rows, design.sq),
-                   memos=[{} for _ in rows], cols=tuple(range(len(rows))))
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.cols)
-
-    def subset(self, cols) -> TargetBank:
-        """The targets ``cols`` of this bank, sharing its arrays and memos."""
-        return replace(self, cols=tuple(int(j) for j in cols))
-
-    def fit(self, k: int, lam: float, config: LassoConfig) -> LassoFit:
-        """Iterated Lasso of the bank's ``k``-th target on the workspace."""
-        j, d = self.cols[k], self.design
-        return iterated_lasso(d.Q, self.rows[j], lam, config, gram=d.gram, sq=d.sq,
-                              xty=self.xty[j], loadings0=self.loadings0[j],
-                              memo=self.memos[j])
-
-
 def _as_bank(targets, design: DesignMatrices) -> TargetBank:
-    """A TargetBank as it is; else a bank of the columns of an (n, k)
-    matrix, or of one vector."""
+    """A TargetBank on the workspace's design as it is; else a bank of the
+    columns of an (n, k) matrix, or of one vector."""
     if isinstance(targets, TargetBank):
-        if targets.design is not design:
+        if targets.design is not design.lasso_design:
             raise ValueError("the target bank belongs to another workspace")
         return targets
-    return TargetBank.of(np.atleast_2d(np.asarray(targets, dtype=float).T), design)
+    return TargetBank.of(np.asarray(targets, dtype=float).T, design.lasso_design)
 
 
 def integer_root(m: int, r: int) -> int:
@@ -270,16 +219,16 @@ def first_stage_select(P_fs, design: DesignMatrices,
 
     ``P_fs`` is an (n, k) matrix, expected column-standardized, or a
     ``TargetBank`` of its columns; every equation shares the workspace's
-    ``Q``, ``Q*Q`` and Gram rows, each row formed on the first entry of
-    its column into any equation. Returns one active set per target.
+    ``LassoDesign``, whose Gram rows are each formed on the first entry of
+    their column into any equation. Returns one active set per target.
     """
     cfg = config if config is not None else LassoConfig()
     bank = _as_bank(P_fs, design)
-    lam = penalty_level(bank.n, len(bank), design.Q.shape[1], cfg, stage="first_stage")
+    lam = penalty_level(bank.n, len(bank), design.Q.shape[1], cfg)
     sets = []
     for k in range(len(bank)):
         try:
-            fit = bank.fit(k, lam, cfg)
+            fit = iterated_lasso(bank, k, lam, cfg)
         except FIT_ERRORS as exc:
             raise SelectionError(f"first-stage equation {k} failed: {exc}") from exc
         sets.append(fit.active_set)
@@ -296,9 +245,9 @@ def reduced_form_select(design: DesignMatrices, y,
     bank = _as_bank(y, design)
     if len(bank) != 1:
         raise ValueError("the reduced form has one target")
-    lam = penalty_level(bank.n, 1, design.Q.shape[1], cfg, stage="reduced_form")
+    lam = penalty_level(bank.n, 1, design.Q.shape[1], cfg)
     try:
-        fit = bank.fit(0, lam, cfg)
+        fit = iterated_lasso(bank, 0, lam, cfg)
     except FIT_ERRORS as exc:
         raise SelectionError(f"reduced-form equation failed: {exc}") from exc
     return fit.active_set
@@ -396,7 +345,7 @@ def _grid_bank(data: Dataset, design: DesignMatrices, k_max: int,
     np.add(base[ii], base[jj], out=rows[k_ok : k_ok + ii.size])
     np.subtract(base[ii], base[jj], out=rows[k_ok + ii.size : -1])
     rows[-1] = data.y
-    return TargetBank.of(rows, design), P_raw, k_ok, jj
+    return TargetBank.of(rows, design.lasso_design), P_raw, k_ok, jj
 
 
 def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
@@ -404,13 +353,14 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
                  extended_fs: bool = False) -> KGridResult:
     """Refit over a grid of g-dictionary degrees and pick by BIC.
 
-    The conditioning dictionary, the workspace's ``Q`` with its ``Q*Q`` and
-    Gram rows (formed on first entry and kept), stays fixed across the
-    grid, and every Lasso target of the grid is evaluated once, in one
-    ``TargetBank`` at the largest degree: each degree runs its equations
-    on its rows of that bank, at its own penalty level. The chosen degree is the BIC minimizer plus one, clamped
-    to the grid maximum; a degree whose fit fails, for instance on a
-    constant term of its g dictionary, is skipped and recorded.
+    The conditioning dictionary, the workspace's ``LassoDesign`` over ``Q``
+    with its Gram rows (formed on first entry and kept), stays fixed across
+    the grid, and every Lasso target of the grid is evaluated once, in one
+    ``TargetBank`` at the largest degree: each degree runs its equations on
+    its rows of that bank, at its own penalty level. The chosen degree is
+    the BIC minimizer plus one, clamped to the grid maximum; a degree whose
+    fit fails, for instance on a constant term of its g dictionary, is
+    skipped and recorded.
     """
     cfg = config if config is not None else LassoConfig()
     k_grid = sorted(set(int(k) for k in k_grid))
@@ -523,13 +473,10 @@ def _fit_one(name, data: Dataset, design: DesignMatrices, cfg, rng, k_grid) -> P
                        spec_p=spec_p, name=name)
 
     if name == "post_single_2":
-        X = np.concatenate([design.P, design.Q], axis=1)
-        # the squared design reuses the workspace's Q*Q; iterated_lasso
-        # builds a Gram row store over the joint X that forms only the rows
-        # of columns entering its solves
-        sq = np.concatenate([design.P * design.P, design.sq], axis=1)
-        lam = penalty_level(data.n, 1, X.shape[1], cfg, stage="reduced_form")
-        fit = iterated_lasso(X, data.y, lam, cfg, sq=sq)
+        # one Lasso of y on the joint [P, Q], its own design
+        joint = LassoDesign(np.concatenate([design.P, design.Q], axis=1))
+        lam = penalty_level(data.n, 1, joint.X.shape[1], cfg)
+        fit = iterated_lasso(TargetBank.of(data.y, joint), 0, lam, cfg)
         in_q = fit.active_set[fit.active_set >= design.n_p] - design.n_p
         return pds_fit(design.p_raw, design.q_raw(in_q), data.y, in_q,
                        spec_p=spec_p, name=name)

@@ -24,8 +24,8 @@ from pdsseries.dictionary import DesignMatrices
 from pdsseries.lasso import (
     ConvergenceError,
     DegenerateLoadingsError,
-    GramRows,
     LassoConfig,
+    LassoDesign,
     LassoFit,
     initial_loadings,
     lasso_solve,
@@ -176,22 +176,19 @@ def workspace_of(Q: np.ndarray) -> DesignMatrices:
 
     ``build_design`` standardizes and rejects constant columns; this hands
     the selection layer any matrix, a degenerate one included, with unit
-    scales, its own ``Q*Q`` and a Gram row store over it.
+    scales and a ``LassoDesign`` over it.
     """
     Q = np.asarray(Q, dtype=float)
     n, m = Q.shape
-    sq = Q * Q
     return DesignMatrices(P=np.empty((n, 0)), Q=Q, p_scales=np.empty(0),
-                          q_scales=np.ones(m), gram=GramRows(Q, sq), sq=sq)
+                          q_scales=np.ones(m), lasso_design=LassoDesign(Q))
 
 
 def iterated_lasso(
-    X: np.ndarray,
+    design: LassoDesign,
     y: np.ndarray,
     lam: float,
     config: LassoConfig | None = None,
-    gram: GramRows | None = None,
-    sq: np.ndarray | None = None,
 ) -> LassoFit:
     """Lasso with iterated penalty loadings.
 
@@ -202,21 +199,15 @@ def iterated_lasso(
     returned), or when the loadings reach a fixed point, after which every
     further round would reproduce the same solution.
 
-    ``gram`` (a ``GramRows`` store over ``X``) and ``sq`` (``X*X``) may be
-    supplied to share them across calls on the same design; each is built
-    once when omitted.
+    ``design`` is a ``LassoDesign`` over the regressors ``X``.
     Raises ``ConvergenceError`` when the solve behind the returned fit hit
     ``cd_max_iter``.
     """
     cfg = config if config is not None else LassoConfig()
-    X = np.asarray(X, dtype=float)
+    X = design.X
     y = np.asarray(y, dtype=float)
-    if gram is None:
-        gram = GramRows(X)
-    if sq is None:
-        sq = X * X
     xty = X.T @ y
-    fit = lasso_solve(X, y, lam, initial_loadings(X, y, sq), cfg, gram=gram, xty=xty)
+    fit = lasso_solve(design, xty, lam, initial_loadings(design, y), cfg)
     sd_y = float(y.std())
     for _ in range(1, cfg.n_loadings):
         coef = post_lasso(X, y, fit.active_set)
@@ -228,13 +219,13 @@ def iterated_lasso(
             fit = replace(fit, perfect_fit=True)
             break
         try:
-            loadings = refined_loadings(X, resid, sq)
+            loadings = refined_loadings(design, resid)
         except DegenerateLoadingsError:
             fit = replace(fit, loadings_degenerate=True)
             break
         if np.array_equal(loadings, fit.loadings):
             break
-        fit = lasso_solve(X, y, lam, loadings, cfg, gram=gram, xty=xty)
+        fit = lasso_solve(design, xty, lam, loadings, cfg)
     if not fit.converged:
         raise ConvergenceError(
             f"coordinate descent did not converge within cd_max_iter="

@@ -31,6 +31,7 @@ from pdsseries.inference import (
 )
 from pdsseries.lasso import (
     LassoConfig,
+    LassoDesign,
     initial_loadings,
     kkt_max_violation,
     lasso_solve,
@@ -92,7 +93,8 @@ def test_criterion_1_kkt_invariant_suite():
             lam = penalty_level(50, 1, 20, LassoConfig(gamma=0.1))
         else:
             lam = (0.1 + 0.08 * (i % 10)) * float(np.abs(2 * X.T @ y).max())
-        fit = lasso_solve(X, y, lam, initial_loadings(X, y))
+        design = LassoDesign(X)
+        fit = lasso_solve(design, X.T @ y, lam, initial_loadings(design, y))
         worst = max(worst, kkt_max_violation(X, y, fit))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 10.0
@@ -111,8 +113,9 @@ def test_criterion_2_sign_enumeration_oracle():
         m = 2 + i % 3
         X, y = random_instance(rng, 30, m, n_nonzero=m)
         lam = (0.1 + 0.2 * (i % 5)) * float(np.abs(2 * X.T @ y).max())
-        loadings = initial_loadings(X, y)
-        fit = lasso_solve(X, y, lam, loadings,
+        design = LassoDesign(X)
+        loadings = initial_loadings(design, y)
+        fit = lasso_solve(design, X.T @ y, lam, loadings,
                           LassoConfig(cd_tol=1e-12, cd_max_iter=100_000))
         want = lasso_sign_enumeration(X, y, lam, loadings)
         worst = max(worst, float(np.abs(fit.coefficients - want).max()))
@@ -131,7 +134,7 @@ def test_criterion_3_ols_limit():
     worst = 0.0
     for _ in range(20):
         X, y = random_instance(rng, 60, 8)
-        fit = lasso_solve(X, y, 0.0, np.ones(8),
+        fit = lasso_solve(LassoDesign(X), X.T @ y, 0.0, np.ones(8),
                           LassoConfig(cd_tol=1e-12, cd_max_iter=200_000))
         ols = np.linalg.pinv(X) @ y
         worst = max(worst, float(np.abs(fit.coefficients - ols).max()))

@@ -61,6 +61,23 @@ def test_load_csv_non_numeric_names_row_and_column(tmp_path):
         load_csv(str(path), "y", "x", ["z1"])
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999"])
+def test_load_csv_non_finite_names_row_and_column(tmp_path, cell):
+    path = tmp_path / "inf.csv"
+    path.write_text(f"y,x,z1\n1.0,2.0,3.0\n1.5,0.5,{cell}\n")
+    with pytest.raises(ValueError, match=f"non-finite value '{cell}' in row 3, column 'z1'"):
+        load_csv(str(path), "y", "x", ["z1"])
+
+
+def test_main_exit_code_1_on_non_finite_cell(capsys, tmp_path):
+    path = tmp_path / "inf.csv"
+    path.write_text("y,x,z1\n1.0,2.0,3.0\n1.5,0.5,inf\n2.0,1.0,0.1\n")
+    rc = main(["fit", "--input", str(path), "--y", "y", "--x", "x", "--z", "z1",
+               "--k", "1", "--out", str(tmp_path / "o.txt")])
+    assert rc == 1
+    assert "non-finite value 'inf'" in capsys.readouterr().err
+
+
 def test_load_csv_empty_and_all_missing(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -154,6 +171,21 @@ def test_resolve_fit_options_and_validation():
     assert "--c must be positive" in joined
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_numbers_are_configuration_errors(capsys, tmp_path, value):
+    fit = ["fit", "--input", "a.csv", "--y", "y", "--x", "x", "--z", "z1",
+           "--out", "o"]
+    sim = ["simulate", "--design", "low", "--n", "60", "--out", "o.csv"]
+    # "--c=-inf": argparse reads a separate "-inf" as an option
+    for argv, name in ((fit + [f"--c={value}"], "--c"),
+                       (fit + [f"--gamma={value}"], "--gamma"),
+                       (fit + [f"--functional=point:{value}"], "--functional point"),
+                       (sim + [f"--sigma-v={value}"], "--sigma-v"),
+                       (sim + [f"--sigma-eps={value}"], "--sigma-eps")):
+        assert main(argv) == 2
+        assert f"{name} must be a finite number, got {value!r}" in capsys.readouterr().err
+
+
 def test_config_file_merge_with_flag_priority(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(
@@ -188,6 +220,28 @@ def test_config_file_unknown_section_key_and_bad_boolean_are_problems(tmp_path):
     ini.write_text("[fit]\ninput = a.csv\ny = y\nx = x\nz = z1\nout = o\n"
                    "extended-fs = On\n")
     assert resolve_config(["fit", "--config", str(ini)]).extended_fs is True
+
+
+def test_config_file_values_are_read_literally(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[simulate]\ndesign = low\nn = 150\nout = res%.txt\n")
+    assert resolve_config(["simulate", "--config", str(ini)]).out == "res%.txt"
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("design = low\nn = 150\n", "no section headers"),
+    ("[simulate]\ndesign = low\nn = 150\nn = 200\n", "option 'n' in section 'simulate' already exists"),
+])
+def test_config_file_that_does_not_parse_is_a_configuration_error(capsys, tmp_path,
+                                                                   text, reason):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    argv = ["simulate", "--config", str(ini), "--out", "o.csv"]
+    with pytest.raises(ConfigError, match="does not parse") as err:
+        resolve_config(argv)
+    assert reason in err.value.problems[0]
+    assert main(argv) == 2
+    assert "configuration errors:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--estimators", "--functionals"])

@@ -219,12 +219,13 @@ def test_build_design_shapes_and_scales(rng):
     np.testing.assert_allclose(d.q_raw(np.arange(spec_q.n_terms)), Q_raw, rtol=1e-12)
     np.testing.assert_allclose(d.q_raw([4, 1]), Q_raw[:, [4, 1]], rtol=1e-12)
     assert d.q_raw([]).shape == (n, 0)
-    # the Gram store covers Q and forms no row before a solve asks for one
-    assert d.gram.X is d.Q and d.gram.rows_formed == 0
-    np.testing.assert_allclose(d.gram.rows(np.arange(spec_q.n_terms)), d.Q.T @ d.Q,
+    # the Lasso design covers Q and forms no Gram row before a solve asks
+    ld = d.lasso_design
+    assert ld.X is d.Q and ld.rows_formed == 0
+    np.testing.assert_allclose(ld.rows(np.arange(spec_q.n_terms)), d.Q.T @ d.Q,
                                rtol=1e-13, atol=1e-13 * n)
-    np.testing.assert_array_equal(d.gram.diag, d.sq.sum(axis=0))
-    np.testing.assert_array_equal(d.sq, d.Q * d.Q)
+    np.testing.assert_array_equal(ld.diag, ld.sq.sum(axis=0))
+    np.testing.assert_array_equal(ld.sq, d.Q * d.Q)
     assert d.n_p == 4
     assert d.spec_p == spec_p and d.spec_q == spec_q
 

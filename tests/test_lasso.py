@@ -22,8 +22,9 @@ from pdsseries.dictionary import build_design
 from pdsseries.lasso import (
     ConvergenceError,
     DegenerateLoadingsError,
-    GramRows,
     LassoConfig,
+    LassoDesign,
+    TargetBank,
     default_gamma,
     initial_loadings,
     iterated_lasso,
@@ -43,6 +44,17 @@ from pdsseries.selection import (
 )
 
 scipy_stats = pytest.importorskip("scipy.stats")
+
+
+def solve(X, y, lam, loadings, config=None):
+    """``lasso_solve`` of ``y`` on a fresh design over ``X``."""
+    X = np.asarray(X, dtype=float)
+    return lasso_solve(LassoDesign(X), X.T @ y, lam, loadings, config)
+
+
+def iterate(X, y, lam, config=None):
+    """``iterated_lasso`` of ``y`` on a fresh design over ``X``."""
+    return iterated_lasso(TargetBank.of(y, LassoDesign(X)), 0, lam, config)
 
 
 # ---------------------------------------------------------------- quantile
@@ -80,7 +92,7 @@ def test_penalty_level_formula_and_frozen_value():
     want = 2.0 * 1.1 * 10.0 * normal_quantile(1.0 - 0.1 / 100.0)
     assert lam == pytest.approx(want, rel=1e-15)
     assert lam == pytest.approx(67.98511073569189, abs=1e-10)
-    fs = penalty_level(200, 5, 40, LassoConfig(gamma=0.2), stage="first_stage")
+    fs = penalty_level(200, 5, 40, LassoConfig(gamma=0.2))
     assert fs == pytest.approx(102.37716568259604, abs=1e-10)
 
 
@@ -101,10 +113,6 @@ def test_penalty_level_monotone_in_dictionary_size():
 
 
 def test_penalty_level_validation():
-    with pytest.raises(ValueError, match="unknown stage"):
-        penalty_level(100, 1, 10, stage="third_stage")
-    with pytest.raises(ValueError, match="single target"):
-        penalty_level(100, 3, 10, stage="reduced_form")
     with pytest.raises(ValueError):
         penalty_level(0, 1, 10)
     with pytest.raises(ValueError):
@@ -118,8 +126,9 @@ def test_default_gamma():
 
 
 def test_lasso_config_validation():
-    with pytest.raises(ValueError, match="c must be positive"):
-        LassoConfig(c=0.0)
+    for c in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            LassoConfig(c=c)
     with pytest.raises(ValueError, match="gamma"):
         LassoConfig(gamma=1.5)
     with pytest.raises(ValueError, match="n_loadings"):
@@ -134,7 +143,7 @@ def test_initial_loadings_worked_example():
     X = np.array([[1.0, 2.0], [-1.0, 0.0], [1.0, -2.0], [-1.0, 0.0]])
     t = np.array([1.0, 2.0, 3.0, 4.0])
     # psi_j = sqrt(mean(x_j^2 (t - tbar)^2)), tbar = 2.5
-    np.testing.assert_allclose(initial_loadings(X, t),
+    np.testing.assert_allclose(initial_loadings(LassoDesign(X), t),
                                [math.sqrt(1.25), math.sqrt(2.5)], rtol=1e-12)
 
 
@@ -142,15 +151,15 @@ def test_refined_loadings_worked_example():
     X = np.array([[1.0], [2.0], [3.0]])
     r = np.array([3.0, 0.0, -1.0])
     want = math.sqrt((9.0 + 0.0 + 9.0) / 3.0)
-    np.testing.assert_allclose(refined_loadings(X, r), [want], rtol=1e-12)
+    np.testing.assert_allclose(refined_loadings(LassoDesign(X), r), [want], rtol=1e-12)
 
 
 def test_loadings_degenerate_raises():
     X = np.ones((5, 2))
     with pytest.raises(DegenerateLoadingsError):
-        initial_loadings(X, np.full(5, 3.0))  # constant target
+        initial_loadings(LassoDesign(X), np.full(5, 3.0))  # constant target
     with pytest.raises(DegenerateLoadingsError):
-        refined_loadings(X, np.zeros(5))
+        refined_loadings(LassoDesign(X), np.zeros(5))
 
 
 # ---------------------------------------------------------------- solver
@@ -160,7 +169,7 @@ def test_all_zero_solution_above_threshold(rng):
     grad0 = np.abs(2.0 * X.T @ y)
     loadings = np.ones(6)
     lam = 2.0 * grad0.max()
-    fit = lasso_solve(X, y, lam, loadings)
+    fit = solve(X, y, lam, loadings)
     assert fit.active_set.size == 0
     np.testing.assert_array_equal(fit.coefficients, np.zeros(6))
     assert fit.converged
@@ -170,9 +179,9 @@ def test_single_column_closed_form():
     X = np.ones((4, 1))
     y = np.full(4, 2.5)
     # X'X = 4, X'y = 10; soft threshold at lam*psi/2 = 2 -> (10 - 2)/4 = 2
-    fit = lasso_solve(X, y, 4.0, np.ones(1))
+    fit = solve(X, y, 4.0, np.ones(1))
     assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-12)
-    fit_neg = lasso_solve(X, -y, 4.0, np.ones(1))
+    fit_neg = solve(X, -y, 4.0, np.ones(1))
     assert fit_neg.coefficients[0] == pytest.approx(-2.0, abs=1e-12)
 
 
@@ -181,8 +190,8 @@ def test_kkt_invariant_random_instances():
     for i in range(25):
         X, y = random_instance(rng, 50, 20)
         lam = penalty_level(50, 1, 20, LassoConfig(gamma=0.1))
-        loadings = initial_loadings(X, y)
-        fit = lasso_solve(X, y, lam, loadings)
+        loadings = initial_loadings(LassoDesign(X), y)
+        fit = solve(X, y, lam, loadings)
         assert fit.converged
         assert kkt_max_violation(X, y, fit) <= 1e-6
 
@@ -191,8 +200,8 @@ def test_objective_never_worse_than_endpoints(rng):
     for _ in range(10):
         X, y = random_instance(rng, 60, 8)
         lam = 0.4 * np.abs(2 * X.T @ y).max()
-        loadings = initial_loadings(X, y)
-        fit = lasso_solve(X, y, lam, loadings)
+        loadings = initial_loadings(LassoDesign(X), y)
+        fit = solve(X, y, lam, loadings)
         obj = lasso_objective(X, y, fit.coefficients, lam, loadings)
         assert obj <= lasso_objective(X, y, np.zeros(8), lam, loadings) + 1e-9
         ols = np.linalg.lstsq(X, y, rcond=None)[0]
@@ -202,14 +211,14 @@ def test_objective_never_worse_than_endpoints(rng):
 def test_column_scaling_covariance(rng):
     X, y = random_instance(rng, 50, 5)
     lam = 0.3 * np.abs(2 * X.T @ y).max()
-    loadings = initial_loadings(X, y)
-    base = lasso_solve(X, y, lam, loadings)
+    loadings = initial_loadings(LassoDesign(X), y)
+    base = solve(X, y, lam, loadings)
     c = 3.7
     X2 = X.copy()
     X2[:, 2] *= c
     load2 = loadings.copy()
     load2[2] *= c
-    fit2 = lasso_solve(X2, y, lam, load2)
+    fit2 = solve(X2, y, lam, load2)
     want = base.coefficients.copy()
     want[2] /= c
     np.testing.assert_allclose(fit2.coefficients, want, atol=1e-8)
@@ -218,7 +227,7 @@ def test_column_scaling_covariance(rng):
 def test_lambda_zero_reproduces_ols(rng):
     for _ in range(5):
         X, y = random_instance(rng, 80, 6)
-        fit = lasso_solve(X, y, 0.0, np.ones(6),
+        fit = solve(X, y, 0.0, np.ones(6),
                           LassoConfig(cd_tol=1e-12, cd_max_iter=100_000))
         ols = np.linalg.lstsq(X, y, rcond=None)[0]
         np.testing.assert_allclose(fit.coefficients, ols, atol=1e-6)
@@ -229,9 +238,9 @@ def test_matches_sign_enumeration_oracle():
     for i in range(25):
         m = 2 + i % 3
         X, y = random_instance(rng, 30, m, n_nonzero=m)
-        loadings = initial_loadings(X, y)
+        loadings = initial_loadings(LassoDesign(X), y)
         lam = (0.1 + 0.2 * (i % 5)) * np.abs(2 * X.T @ y).max()
-        fit = lasso_solve(X, y, lam, loadings,
+        fit = solve(X, y, lam, loadings,
                           LassoConfig(cd_tol=1e-12, cd_max_iter=100_000))
         want = lasso_sign_enumeration(X, y, lam, loadings)
         np.testing.assert_allclose(fit.coefficients, want, atol=1e-6)
@@ -240,20 +249,11 @@ def test_matches_sign_enumeration_oracle():
 def test_lasso_solve_validation(rng):
     X, y = random_instance(rng, 20, 3)
     with pytest.raises(ValueError, match="nonnegative"):
-        lasso_solve(X, y, -1.0, np.ones(3))
+        solve(X, y, -1.0, np.ones(3))
     with pytest.raises(ValueError, match="length"):
-        lasso_solve(X, y, 1.0, np.ones(4))
+        solve(X, y, 1.0, np.ones(4))
     with pytest.raises(ValueError, match="positive"):
-        lasso_solve(X, y, 1.0, np.array([1.0, 0.0, 1.0]))
-
-
-def test_gram_shortcut_matches_direct(rng):
-    X, y = random_instance(rng, 40, 7)
-    lam = 0.5 * np.abs(2 * X.T @ y).max()
-    loadings = initial_loadings(X, y)
-    direct = lasso_solve(X, y, lam, loadings)
-    via_gram = lasso_solve(X, y, lam, loadings, gram=GramRows(X), xty=X.T @ y)
-    np.testing.assert_array_equal(direct.coefficients, via_gram.coefficients)
+        solve(X, y, 1.0, np.array([1.0, 0.0, 1.0]))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
@@ -263,8 +263,8 @@ def test_kkt_property(seed, frac):
     rng = np.random.default_rng(seed)
     X, y = random_instance(rng, 30, 8)
     lam = frac * np.abs(2 * X.T @ y).max()
-    loadings = initial_loadings(X, y)
-    fit = lasso_solve(X, y, lam, loadings)
+    loadings = initial_loadings(LassoDesign(X), y)
+    fit = solve(X, y, lam, loadings)
     assert kkt_max_violation(X, y, fit) <= 1e-6
 
 
@@ -292,8 +292,8 @@ def test_post_lasso_empty_set(rng):
 def test_iterated_single_round_equals_initial_loadings_solve(rng):
     X, y = random_instance(rng, 60, 10)
     lam = penalty_level(60, 1, 10, LassoConfig(gamma=0.1))
-    one = iterated_lasso(X, y, lam, LassoConfig(gamma=0.1, n_loadings=1))
-    direct = lasso_solve(X, y, lam, initial_loadings(X, y))
+    one = iterate(X, y, lam, LassoConfig(gamma=0.1, n_loadings=1))
+    direct = solve(X, y, lam, initial_loadings(LassoDesign(X), y))
     np.testing.assert_array_equal(one.coefficients, direct.coefficients)
 
 
@@ -302,10 +302,10 @@ def test_iterated_perfect_fit_flag(rng):
     X = np.linalg.qr(rng.standard_normal((n, 4)))[0]
     y = 5.0 * X[:, 0]
     lam = 0.1 * abs(2 * X[:, 0] @ y)
-    fit = iterated_lasso(X, y, lam, LassoConfig(gamma=0.1))
+    fit = iterate(X, y, lam, LassoConfig(gamma=0.1))
     assert fit.perfect_fit
     assert 0 in fit.active_set
-    assert_same_fit(fit, iterated_lasso_oracle(X, y, lam, LassoConfig(gamma=0.1)))
+    assert_same_fit(fit, iterated_lasso_oracle(LassoDesign(X), y, lam, LassoConfig(gamma=0.1)))
 
 
 def test_iterated_degenerate_refined_loadings_flag():
@@ -316,17 +316,17 @@ def test_iterated_degenerate_refined_loadings_flag():
     y[6] = 1.0
     # selection stays empty, residual lives where every column is zero
     lam = 10.0 * np.abs(2 * X.T @ y).max()
-    fit = iterated_lasso(X, y, lam, LassoConfig(gamma=0.1))
+    fit = iterate(X, y, lam, LassoConfig(gamma=0.1))
     assert fit.loadings_degenerate
     assert fit.active_set.size == 0
-    assert_same_fit(fit, iterated_lasso_oracle(X, y, lam, LassoConfig(gamma=0.1)))
+    assert_same_fit(fit, iterated_lasso_oracle(LassoDesign(X), y, lam, LassoConfig(gamma=0.1)))
 
 
 def test_iterated_constant_target_raises():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((20, 4))
     with pytest.raises(DegenerateLoadingsError):
-        iterated_lasso(X, np.full(20, 2.0), 1.0)
+        iterate(X, np.full(20, 2.0), 1.0)
 
 
 def test_iterated_support_recovery():
@@ -337,7 +337,7 @@ def test_iterated_support_recovery():
     beta[[3, 17, 40]] = [4.0, -3.0, 5.0]
     y = X @ beta + 0.5 * rng.standard_normal(n)
     lam = penalty_level(n, 1, m)
-    fit = iterated_lasso(X, y, lam)
+    fit = iterate(X, y, lam)
     assert {3, 17, 40} <= set(fit.active_set.tolist())
     coef = post_lasso(X, y, fit.active_set)
     assert np.max(np.abs(coef[[3, 17, 40]] - beta[[3, 17, 40]])) < 0.2
@@ -362,7 +362,7 @@ def pipeline_problems():
     spec_p, spec_q = default_specs(cfg)
     d = build_design(spec_p, spec_q, data.x, data.Z)
     n, k = d.P.shape
-    lam_fs = penalty_level(n, k, d.Q.shape[1], stage="first_stage")
+    lam_fs = penalty_level(n, k, d.Q.shape[1])
     lam_rf = penalty_level(n, 1, d.Q.shape[1])
     problems = [(d.P[:, j], lam_fs) for j in (0, 1, k - 1)] + [(data.y, lam_rf)]
     return d, problems
@@ -397,19 +397,21 @@ def test_stopping_rule_matches_loadings_fixed_point_oracle(monkeypatch):
     monkeypatch.setattr(lasso_module, "lasso_solve", counting("lib"))
     monkeypatch.setattr(_oracles, "lasso_solve", counting("oracle"))
     for X, y, lam in oracle_problems():
-        memo = {}
+        design = LassoDesign(X)
+        shared = TargetBank.of(y, design)
         for n_loadings in (1, 2, 15):
             cfg = LassoConfig(gamma=0.1, n_loadings=n_loadings)
             solves.update(lib=0, oracle=0)
-            want = iterated_lasso_oracle(X, y, lam, cfg)
-            assert_same_fit(iterated_lasso(X, y, lam, cfg), want)
+            want = iterated_lasso_oracle(LassoDesign(X), y, lam, cfg)
+            assert_same_fit(iterate(X, y, lam, cfg), want)
             # the rule stops in the round where the oracle's loadings repeat
             assert solves["lib"] == solves["oracle"]
-            # a memo shared across calls that differ in lam gives the same fits
-            assert_same_fit(iterated_lasso(X, y, lam, cfg, memo=memo), want)
+            # a bank, and so its memo, shared across calls that differ in
+            # lam gives the same fits
+            assert_same_fit(iterated_lasso(shared, 0, lam, cfg), want)
             lam2 = 0.8 * lam
-            assert_same_fit(iterated_lasso(X, y, lam2, cfg, memo=memo),
-                            iterated_lasso_oracle(X, y, lam2, cfg))
+            assert_same_fit(iterated_lasso(shared, 0, lam2, cfg),
+                            iterated_lasso_oracle(design, y, lam2, cfg))
 
 
 def test_stopping_rule_matches_oracle_on_pipeline_problems():
@@ -417,8 +419,8 @@ def test_stopping_rule_matches_oracle_on_pipeline_problems():
     for target, lam in problems:
         for n_loadings in (1, 2, 15):
             cfg = LassoConfig(n_loadings=n_loadings)
-            want = iterated_lasso_oracle(d.Q, target, lam, cfg, gram=d.gram, sq=d.sq)
-            got = iterated_lasso(d.Q, target, lam, cfg, gram=d.gram, sq=d.sq)
+            want = iterated_lasso_oracle(d.lasso_design, target, lam, cfg)
+            got = iterated_lasso(TargetBank.of(target, d.lasso_design), 0, lam, cfg)
             assert_same_fit(got, want)
 
 
@@ -429,13 +431,14 @@ TIGHT = LassoConfig(cd_tol=1e-13, cd_max_iter=100_000)
 KKT_TOL = 1e-6
 
 
-def assert_matches_full_sweep(X, y, lam, loadings, gram=None, xty=None, full=None):
-    """The active-set kernel, on the Gram row store ``gram``, against the
-    former full-sweep kernel on the full Gram ``full = X'X``."""
-    gram = GramRows(X) if gram is None else gram
+def assert_matches_full_sweep(X, y, lam, loadings, design=None, full=None):
+    """The active-set kernel, on the Gram row store of ``design`` (a fresh
+    one over ``X`` if None), against the former full-sweep kernel on the
+    full Gram ``full = X'X``."""
+    design = LassoDesign(X) if design is None else design
     full = X.T @ X if full is None else full
-    xty = X.T @ y if xty is None else xty
-    fit = lasso_solve(X, y, lam, loadings, TIGHT, gram=gram, xty=xty)
+    xty = X.T @ y
+    fit = lasso_solve(design, xty, lam, loadings, TIGHT)
     want, _, ok = cd_solve(full, xty, lam, loadings, TIGHT.cd_max_iter, TIGHT.cd_tol)
     assert ok and fit.converged
     np.testing.assert_allclose(fit.coefficients, want, rtol=0, atol=1e-10)
@@ -449,7 +452,7 @@ def test_kernel_matches_full_sweep_random_problems():
         n, m = 40 + 5 * (i % 4), 10 + 3 * i
         X, y = random_instance(rng, n, m, n_nonzero=1 + i % 6)
         lam = (0.02 + 0.03 * (i % 10)) * np.abs(2 * X.T @ y).max()
-        assert_matches_full_sweep(X, y, lam, initial_loadings(X, y))
+        assert_matches_full_sweep(X, y, lam, initial_loadings(LassoDesign(X), y))
 
 
 def test_kernel_skips_zero_variance_column(rng):
@@ -469,7 +472,7 @@ def test_kernel_lambda_zero_admits_every_column(rng):
 
 def test_kernel_above_lambda_max_takes_no_sweep(rng):
     X, y = random_instance(rng, 40, 9)
-    loadings = initial_loadings(X, y)
+    loadings = initial_loadings(LassoDesign(X), y)
     lam = 1.01 * np.max(np.abs(2 * X.T @ y) / loadings)
     fit = assert_matches_full_sweep(X, y, lam, loadings)
     assert fit.active_set.size == 0
@@ -482,10 +485,9 @@ def test_kernel_matches_full_sweep_on_pipeline_problems():
     full = d.Q.T @ d.Q
     selected = 0
     for target, lam in problems:
-        xty = d.Q.T @ target
-        final = iterated_lasso(d.Q, target, lam, gram=d.gram, sq=d.sq)
-        for loadings in (initial_loadings(d.Q, target), final.loadings):
-            fit = assert_matches_full_sweep(d.Q, target, lam, loadings, d.gram, xty, full)
+        final = iterated_lasso(TargetBank.of(target, d.lasso_design), 0, lam)
+        for loadings in (initial_loadings(d.lasso_design, target), final.loadings):
+            fit = assert_matches_full_sweep(d.Q, target, lam, loadings, d.lasso_design, full)
             assert kkt_max_violation(d.Q, target, fit) <= KKT_TOL
             selected += fit.active_set.size
     assert selected > 0
@@ -500,7 +502,7 @@ def test_gram_rows_match_the_full_product(rng):
     full = X.T @ X
     # a dot product's rounding error scales with the norms of its factors
     scale = np.sqrt(np.outer(np.diagonal(full), np.diagonal(full)))
-    store = GramRows(X)
+    store = LassoDesign(X)
     for idx in ([3], [9, 3, 40], [8, 7], list(range(50))):
         got = store.rows(idx)
         assert got.shape == (len(idx), 50)
@@ -510,7 +512,7 @@ def test_gram_rows_match_the_full_product(rng):
 
 def test_gram_rows_are_formed_once_and_kept(rng):
     X = rng.standard_normal((60, 30))
-    store = GramRows(X)
+    store = LassoDesign(X)
     assert store.rows_formed == 0
     first = store.rows([4, 2])
     assert store.rows_formed == 2
@@ -522,16 +524,16 @@ def test_gram_rows_are_formed_once_and_kept(rng):
     with pytest.raises(AttributeError):
         store.rows_formed = 0
     # a row's bits depend only on X and its column, not on what came before
-    np.testing.assert_array_equal(GramRows(X).rows([11, 4]), store.rows([11, 4]))
+    np.testing.assert_array_equal(LassoDesign(X).rows([11, 4]), store.rows([11, 4]))
 
 
 def test_gram_rows_diagonal_is_the_squared_design_sum(rng):
     X = rng.standard_normal((70, 25))
     X[:, 3] = 0.0
-    sq = X * X
-    np.testing.assert_array_equal(GramRows(X).diag, sq.sum(axis=0))
-    np.testing.assert_array_equal(GramRows(X, sq).diag, sq.sum(axis=0))
-    assert GramRows(X).diag[3] == 0.0
+    design = LassoDesign(X)
+    np.testing.assert_array_equal(design.sq, X * X)
+    np.testing.assert_array_equal(design.diag, (X * X).sum(axis=0))
+    assert design.diag[3] == 0.0
 
 
 def test_fit_is_the_same_with_or_without_a_store():
@@ -541,26 +543,27 @@ def test_fit_is_the_same_with_or_without_a_store():
     y = X[:, [1, 7, 50]] @ np.array([1.5, -2.0, 1.0]) + rng.standard_normal(n)
     other = X[:, [3, 60]] @ np.array([2.0, 1.0]) + rng.standard_normal(n)
     lam = penalty_level(n, 1, m)
-    store = GramRows(X)
+    store = LassoDesign(X)
     # another target's solves fill the store first
-    iterated_lasso(X, other, lam, gram=store)
+    iterated_lasso(TargetBank.of(other, store), 0, lam)
     formed = store.rows_formed
     assert formed > 0
-    loadings = initial_loadings(X, y)
-    assert_same_fit(lasso_solve(X, y, lam, loadings, gram=store),
-                    lasso_solve(X, y, lam, loadings))
-    fit = iterated_lasso(X, y, lam, gram=store)
+    loadings = initial_loadings(store, y)
+    assert_same_fit(lasso_solve(store, X.T @ y, lam, loadings),
+                    solve(X, y, lam, loadings))
+    fit = iterated_lasso(TargetBank.of(y, store), 0, lam)
     assert fit.active_set.size > 0
-    assert_same_fit(fit, iterated_lasso(X, y, lam))
+    assert_same_fit(fit, iterate(X, y, lam))
     assert formed < store.rows_formed < m
 
 
-def test_lasso_solve_rejects_a_foreign_gram(rng):
+def test_lasso_solve_rejects_a_misshapen_xty(rng):
     X, y = random_instance(rng, 30, 5)
-    with pytest.raises(TypeError, match="GramRows"):
-        lasso_solve(X, y, 1.0, np.ones(5), gram=X.T @ X)
-    with pytest.raises(ValueError, match="column count"):
-        lasso_solve(X, y, 1.0, np.ones(5), gram=GramRows(X[:, :4]))
+    design = LassoDesign(X)
+    # a length-1 xty would broadcast against the five columns
+    for xty in (np.ones(1), np.ones(4), np.ones((5, 1)), (X.T @ y)[None]):
+        with pytest.raises(ValueError, match="xty has shape"):
+            lasso_solve(design, xty, 1.0, np.ones(5))
 
 
 # ---------------------------------------------------------------- shared X*X
@@ -570,27 +573,31 @@ def test_loadings_matvec_matches_elementwise(rng):
     X[:, 5] *= 1e3
     e = y - X[:, :3] @ np.ones(3)
     dev2 = (y - y.mean()) ** 2
-    np.testing.assert_allclose(initial_loadings(X, y) ** 2,
+    np.testing.assert_allclose(initial_loadings(LassoDesign(X), y) ** 2,
                                (X * X * dev2[:, None]).mean(0), rtol=1e-12)
-    np.testing.assert_allclose(refined_loadings(X, e) ** 2,
+    np.testing.assert_allclose(refined_loadings(LassoDesign(X), e) ** 2,
                                (X * X * (e * e)[:, None]).mean(0), rtol=1e-12)
-    sq = X * X
-    np.testing.assert_array_equal(initial_loadings(X, y, sq), initial_loadings(X, y))
-    np.testing.assert_array_equal(refined_loadings(X, e, sq), refined_loadings(X, e))
 
 
-def test_iterated_lasso_same_fit_with_supplied_sq():
+def test_bank_of_a_vector_is_a_one_row_bank():
     rng = np.random.default_rng(8)
     n, m = 200, 60
     X = rng.standard_normal((n, m))
     y = X[:, [2, 9, 30]] @ np.array([2.0, -1.5, 1.0]) + rng.standard_normal(n)
     lam = penalty_level(n, 1, m)
-    own = iterated_lasso(X, y, lam)
-    shared = iterated_lasso(X, y, lam, gram=GramRows(X), sq=X * X)
-    assert own.active_set.size > 0
-    np.testing.assert_array_equal(own.coefficients, shared.coefficients)
-    np.testing.assert_array_equal(own.loadings, shared.loadings)
-    assert own.iterations == shared.iterations
+    design = LassoDesign(X)
+    vec, block = TargetBank.of(y, design), TargetBank.of(y[None], design)
+    for bank in (vec, block):
+        assert len(bank) == 1 and bank.n == n and bank.design is design
+        np.testing.assert_array_equal(bank.rows, y[None])
+        np.testing.assert_allclose(bank.xty[0], X.T @ y, rtol=1e-12)
+        np.testing.assert_allclose(bank.loadings0[0], initial_loadings(design, y),
+                                   rtol=1e-12)
+    np.testing.assert_array_equal(vec.xty, block.xty)
+    np.testing.assert_array_equal(vec.loadings0, block.loadings0)
+    fit = iterated_lasso(vec, 0, lam)
+    assert fit.active_set.size > 0
+    assert_same_fit(fit, iterated_lasso(block, 0, lam))
 
 
 # ---------------------------------------------------------------- non-convergence
@@ -603,10 +610,10 @@ def test_sweep_cap_reported_by_solve_and_raised_by_iteration():
     y = X[:, 0] - X[:, 1] + rng.standard_normal(n)
     capped = LassoConfig(cd_max_iter=1)
     lam = penalty_level(n, 1, m)
-    fit = lasso_solve(X, y, lam, initial_loadings(X, y), capped)
+    fit = solve(X, y, lam, initial_loadings(LassoDesign(X), y), capped)
     assert fit.iterations == 1 and not fit.converged
     with pytest.raises(ConvergenceError, match="cd_max_iter=1"):
-        iterated_lasso(X, y, lam, capped)
+        iterate(X, y, lam, capped)
     design = workspace_of(X)
     with pytest.raises(SelectionError, match="first-stage equation 0.*cd_max_iter"):
         first_stage_select(P, design, capped)

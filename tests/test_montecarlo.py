@@ -64,8 +64,11 @@ def test_dgp_config_defaults_and_validation():
         DgpConfig("medium_dim", 100)
     with pytest.raises(ValueError, match="n must be"):
         DgpConfig("low_dim", 1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        DgpConfig("low_dim", 100, sigma_v=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            DgpConfig("low_dim", 100, sigma_v=bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            DgpConfig("low_dim", 100, sigma_eps=bad)
     with pytest.raises(ValueError, match="rho"):
         DgpConfig("low_dim", 100, rho=1.0)
     with pytest.raises(ValueError, match="dim_z"):

@@ -1,6 +1,5 @@
 """Selection stages, the final OLS, and the comparison estimators."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,8 +16,9 @@ from pdsseries.dictionary import (
     standardize_columns,
 )
 from pdsseries.lasso import (
-    GramRows,
     LassoConfig,
+    LassoDesign,
+    TargetBank,
     default_gamma,
     iterated_lasso,
     kkt_max_violation,
@@ -279,8 +279,10 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
         ref = pds_fit(hermite_design(data.x, k), d.q_raw(want.union_set), data.y, want)
         np.testing.assert_allclose(res.fits[k].beta_hat, ref.beta_hat, rtol=1e-12)
         assert res.bics[k] == pytest.approx(selection._bic(ref), rel=1e-12, abs=0)
+    # a bank belongs to the workspace whose design it was built on
+    other = build_design(*default_specs(cfg), data.x, data.Z)
     with pytest.raises(ValueError, match="another workspace"):
-        first_stage_select(fs_bank, dataclasses.replace(d))
+        first_stage_select(fs_bank, other)
 
 
 # ---------------------------------------------------------------- estimators
@@ -349,7 +351,7 @@ def test_post_single_2_is_one_joint_lasso_on_both_blocks():
     d = build_design(spec_p, spec_q, data.x, data.Z)
     X = np.concatenate([d.P, d.Q], axis=1)
     lam = penalty_level(data.n, 1, d.n_p + d.Q.shape[1])
-    fit = iterated_lasso(X, data.y, lam)
+    fit = iterated_lasso(TargetBank.of(data.y, LassoDesign(X)), 0, lam)
     want = fit.active_set[fit.active_set >= d.n_p] - d.n_p
     assert want.size > 0
     fits, failures = comparison_estimators(data, spec_p, spec_q,
@@ -458,10 +460,10 @@ def test_one_workspace_serves_every_estimator(monkeypatch):
 
 
 def gram_rows_of_a_run(monkeypatch, data, spec_p, spec_q, estimators):
-    """Run ``comparison_estimators``; return every Gram row store it built,
+    """Run ``comparison_estimators``; return every ``LassoDesign`` it built,
     the workspace, and the traced peak of the memory it allocated."""
     stores, designs = [], []
-    real_init, real_build = GramRows.__init__, selection.build_design
+    real_init, real_build = LassoDesign.__init__, selection.build_design
 
     def recording_init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
@@ -471,7 +473,7 @@ def gram_rows_of_a_run(monkeypatch, data, spec_p, spec_q, estimators):
         designs.append(real_build(*args))
         return designs[-1]
 
-    monkeypatch.setattr(GramRows, "__init__", recording_init)
+    monkeypatch.setattr(LassoDesign, "__init__", recording_init)
     monkeypatch.setattr(selection, "build_design", recording_build)
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -505,13 +507,14 @@ def test_gram_rows_are_formed_only_for_entering_columns(monkeypatch):
         stores, d, peak = gram_rows_of_a_run(monkeypatch, data, spec_p, spec_q,
                                              estimators)
         L = d.Q.shape[1]
-        assert L >= 1000 and len(stores) == n_stores and stores[0] is d.gram
+        assert L >= 1000 and len(stores) == n_stores and stores[0] is d.lasso_design
         for store in stores:
             if data is noise:
                 assert store.rows_formed == 0
             else:
                 assert 0 < store.rows_formed < 0.02 * store.X.shape[1]
-        assert {k for k, v in vars(d).items() if np.ndim(v) == 2} == {"P", "Q", "sq"}
+        assert {k for k, v in vars(d).items() if np.ndim(v) == 2} == {"P", "Q"}
+        assert d.lasso_design.X is d.Q
         # the traced peak exceeds the arrays the run must hold at once (Q
         # and Q*Q, and for Post-Single II the joint [P, Q] and its square)
         # by less than half an L x L Gram
