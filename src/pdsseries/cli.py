@@ -6,10 +6,11 @@ Two subcommands:
   and write the aggregated metrics as CSV (plus an aligned text table).
 - ``pds-series fit``: estimate a functional of g on a user CSV.
 
-A ``--config FILE`` in INI format can supply any long option (section named
-after the subcommand); explicit flags win. The resolved configuration is
-echoed into the text outputs. Exit codes: 0 success, 2 invalid
-configuration (all problems listed), 1 runtime failure.
+Each long option is declared once, as a ``RunConfig`` field. A ``--config
+FILE`` in INI format can supply any of them (section named after the
+subcommand); explicit flags win. The resolved configuration is echoed into
+the text outputs. Exit codes: 0 success, 2 invalid configuration (all
+problems listed), 1 runtime failure, such as a CSV column in two roles.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import csv
 import fnmatch
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,6 +49,9 @@ from .selection import (
 
 __all__ = ["RunConfig", "ConfigError", "load_csv", "write_sample_csv", "run", "main"]
 
+_COMMANDS = {"simulate": "run the Monte Carlo harness",
+             "fit": "fit one sample from a CSV file"}
+
 
 class ConfigError(ValueError):
     """Invalid CLI configuration; ``problems`` lists every issue found."""
@@ -57,56 +61,154 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+# Parsers of an option's raw text (a flag's value or an INI value). Each
+# returns the parsed value or raises a ValueError whose text follows
+# "--<option> " in the problem list.
+
+def _integer(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {raw!r}") from None
+
+
+def _number(raw: str) -> float:
+    try:
+        val = float(raw)
+    except ValueError:
+        raise ValueError(f"must be a number, got {raw!r}") from None
+    if not math.isfinite(val):
+        raise ValueError(f"must be a finite number, got {raw!r}")
+    return val
+
+
+def _within(parse, ok, rule: str):
+    """``parse``, then refuse a value for which ``ok`` is false."""
+    def check(raw: str):
+        val = parse(raw)
+        if not ok(val):
+            raise ValueError(f"{rule}, got {val}")
+        return val
+    return check
+
+
+def _at_least(parse, minimum):
+    return _within(parse, lambda val: val >= minimum, f"must be >= {minimum}")
+
+
+def _choice(values: dict, words: str):
+    """Map an accepted text to its value; ``words`` lists the choices."""
+    def parse(raw: str):
+        if raw not in values:
+            raise ValueError(f"must be {words}, got {raw!r}")
+        return values[raw]
+    return parse
+
+
+def _names(noun: str, valid=None, everything: bool = False):
+    """A non-empty comma-separated list of names (in ``valid`` if given)."""
+    def parse(raw: str) -> list:
+        names = [s.strip() for s in raw.split(",") if s.strip()]
+        if everything and names == ["all"]:
+            return list(valid)
+        if not names:
+            raise ValueError(f"must list at least one {noun}")
+        bad = [s for s in names if valid is not None and s not in valid]
+        if bad:
+            raise ValueError(f"contains unknown names {bad}; valid: {', '.join(valid)}")
+        return names
+    return parse
+
+
+def _boolean(raw: str) -> bool:
+    flag = raw.strip().lower()
+    if flag not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"must be true or false, got {raw!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[flag]
+
+
+_K_ROOTS = {"auto13": 3, "auto14": 4}  # --k auto1r: the degree is n^(1/r)
+
+
+def _degree(raw: str):
+    """``--k``: a degree of at least 1, auto13, auto14 or bic."""
+    if raw in _K_ROOTS or raw == "bic":
+        return raw
+    return _at_least(_integer, 1)(raw)
+
+
+def _functional(raw: str) -> str:
+    if raw in FUNCTIONALS:
+        return raw
+    if raw.startswith("point:"):
+        try:
+            _number(raw[6:])
+        except ValueError as exc:
+            raise ValueError(f"point {exc}") from None
+        return raw
+    raise ValueError(
+        f"must be avg_deriv, quantile_contrast or point:VALUE, got {raw!r}")
+
+
+def _option(commands, parse=str, default=None, required=False):
+    """Declare the option ``--<field name>`` of ``commands``; ``parse`` checks
+    its raw text; ``required`` is True or a note for the missing-option problem."""
+    meta = {"commands": commands, "parse": parse, "required": required}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+_SIM, _FIT = ("simulate",), ("fit",)
+_DESIGN_ALIASES = {"low": "low_dim", "high": "high_dim",
+                   "low_dim": "low_dim", "high_dim": "high_dim"}
+
+
 @dataclass
 class RunConfig:
-    """Validated knobs for one invocation."""
+    """Validated knobs for one invocation. Each field after ``command`` is one
+    option; the parser, the config-file keys, the checks and ``echo`` follow them."""
 
     command: str
-    # simulate
-    design: str | None = None
-    n: int | None = None
-    sigma_v: float = 1.0
-    sigma_eps: float = 1.0
-    reps: int = 100
-    seed: int = 0
-    estimators: list = field(default_factory=lambda: list(ESTIMATORS))
-    functionals: list = field(default_factory=lambda: list(FUNCTIONALS))
-    dump_sample: str | None = None
-    # fit
-    input: str | None = None
-    y: str | None = None
-    x: str | None = None
-    z: list = field(default_factory=list)
-    k: str = "auto13"
-    extended_fs: bool = False
-    q_dict: str = "raw"
-    functional: str = "avg_deriv"
-    c: float = 1.1
-    gamma: float | None = None
-    n_loadings: int = 15
-    # shared
-    out: str | None = None
+    design: str | None = _option(_SIM, _choice(_DESIGN_ALIASES, "low or high"),
+                                 required="low or high")
+    n: int | None = _option(_SIM, _at_least(_integer, 2), required=True)
+    sigma_v: float = _option(_SIM, _at_least(_number, 0.0), 1.0)
+    sigma_eps: float = _option(_SIM, _at_least(_number, 0.0), 1.0)
+    reps: int = _option(_SIM, _at_least(_integer, 1), 100)
+    seed: int = _option(_SIM, _at_least(_integer, 0), 0)
+    estimators: list = _option(_SIM, _names("estimator", ESTIMATORS, everything=True),
+                               list(ESTIMATORS))
+    functionals: list = _option(_SIM, _names("functional", FUNCTIONALS), list(FUNCTIONALS))
+    dump_sample: str | None = _option(_SIM)
+    input: str | None = _option(_FIT, required=True)
+    y: str | None = _option(_FIT, required=True)
+    x: str | None = _option(_FIT, required=True)
+    z: list = _option(_FIT, _names("column"), [], required=True)
+    k: int | str = _option(_FIT, _degree, "auto13")
+    extended_fs: bool = _option(_FIT, _boolean, False)
+    q_dict: str = _option(_FIT, _choice({"raw": "raw", "tensor": "tensor"}, "raw or tensor"),
+                          "raw")
+    functional: str = _option(_FIT, _functional, "avg_deriv")
+    c: float = _option(_FIT, _within(_number, lambda val: val > 0, "must be positive"), 1.1)
+    gamma: float | None = _option(
+        _FIT, _within(_number, lambda val: 0.0 < val < 1.0, "must lie in (0, 1)"))
+    n_loadings: int = _option(_FIT, _at_least(_integer, 1), 15)
+    out: str | None = _option(_SIM + _FIT, required=True)
 
     def echo(self) -> str:
-        pairs = [("command", self.command)]
-        if self.command == "simulate":
-            keys = ("design", "n", "sigma_v", "sigma_eps", "reps", "seed",
-                    "estimators", "functionals", "dump_sample", "out")
-        else:
-            keys = ("input", "y", "x", "z", "k", "extended_fs", "q_dict",
-                    "functional", "c", "gamma", "n_loadings", "out")
-        for key in keys:
-            val = getattr(self, key)
+        lines = ["[resolved config]", f"command = {self.command}"]
+        for opt in _options(self.command):
+            val = getattr(self, opt.name)
             if isinstance(val, list):
                 val = ",".join(str(v) for v in val)
-            pairs.append((key, val))
-        lines = ["[resolved config]"]
-        lines += [f"{k} = {v}" for k, v in pairs]
+            lines.append(f"{opt.name} = {val}")
         return "\n".join(lines)
 
 
-_DESIGN_ALIASES = {"low": "low_dim", "high": "high_dim",
-                   "low_dim": "low_dim", "high_dim": "high_dim"}
+def _options(command: str) -> list:
+    """The declared options of ``command``, in declaration order."""
+    return [f for f in fields(RunConfig) if command in f.metadata.get("commands", ())]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,39 +217,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Post-double-selection series estimation",
     )
     sub = parser.add_subparsers(dest="command")
-
-    sim = sub.add_parser("simulate", help="run the Monte Carlo harness")
-    sim.add_argument("--config")
-    sim.add_argument("--design")
-    sim.add_argument("--n")
-    sim.add_argument("--sigma-v", dest="sigma_v")
-    sim.add_argument("--sigma-eps", dest="sigma_eps")
-    sim.add_argument("--reps")
-    sim.add_argument("--seed")
-    sim.add_argument("--estimators")
-    sim.add_argument("--functionals")
-    sim.add_argument("--dump-sample", dest="dump_sample")
-    sim.add_argument("--out")
-
-    fit = sub.add_parser("fit", help="fit one sample from a CSV file")
-    fit.add_argument("--config")
-    fit.add_argument("--input")
-    fit.add_argument("--y")
-    fit.add_argument("--x")
-    fit.add_argument("--z")
-    fit.add_argument("--k")
-    fit.add_argument("--extended-fs", dest="extended_fs", action="store_const", const="true")
-    fit.add_argument("--q-dict", dest="q_dict")
-    fit.add_argument("--functional")
-    fit.add_argument("--c")
-    fit.add_argument("--gamma")
-    fit.add_argument("--n-loadings", dest="n_loadings")
-    fit.add_argument("--out")
+    for command, help_text in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        cmd.add_argument("--config")
+        for opt in _options(command):
+            flag = "--" + opt.name.replace("_", "-")
+            if opt.metadata["parse"] is _boolean:
+                cmd.add_argument(flag, action="store_const", const="true")
+            else:
+                cmd.add_argument(flag)
     return parser
 
 
-def _merge_config_file(command: str, path: str, values: dict, problems: list) -> dict:
-    """Fill unset options from an INI file; explicit flags keep priority.
+def _merge_config_file(command: str, path: str, values: dict, problems: list) -> None:
+    """Fill unset ``values`` from an INI file; explicit flags keep priority.
 
     A section that names no subcommand, or a key that names no option of
     the subcommand, is a problem. Values are read literally (no ``%``
@@ -162,170 +245,44 @@ def _merge_config_file(command: str, path: str, values: dict, problems: list) ->
     if not read:
         raise ConfigError([f"config file {path!r} not found or unreadable"])
     for section in parser.sections():
-        if section not in ("simulate", "fit"):
+        if section not in _COMMANDS:
             problems.append(f"config file {path!r}: unknown section [{section}]")
-    merged = dict(values)
+    names = {opt.name for opt in _options(command)}
     if parser.has_section(command):
         for key, val in parser.items(command):
             dest = key.replace("-", "_")
-            if dest not in values or dest == "config":
+            if dest not in names:
                 problems.append(f"config file {path!r}: unknown key {key!r} in [{command}]")
-            elif merged[dest] is None:
-                merged[dest] = val
-    return merged
-
-
-def _coerce_int(name, raw, problems, minimum=None):
-    try:
-        val = int(str(raw))
-    except ValueError:
-        problems.append(f"--{name} must be an integer, got {raw!r}")
-        return None
-    if minimum is not None and val < minimum:
-        problems.append(f"--{name} must be >= {minimum}, got {val}")
-        return None
-    return val
-
-
-def _coerce_float(name, raw, problems, minimum=None):
-    try:
-        val = float(str(raw))
-    except ValueError:
-        problems.append(f"--{name} must be a number, got {raw!r}")
-        return None
-    if not math.isfinite(val):
-        problems.append(f"--{name} must be a finite number, got {raw!r}")
-        return None
-    if minimum is not None and val < minimum:
-        problems.append(f"--{name} must be >= {minimum}, got {val}")
-        return None
-    return val
+            elif values[dest] is None:
+                values[dest] = val
 
 
 def resolve_config(argv) -> RunConfig:
     """Parse argv, merge any config file, validate everything at once."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command not in ("simulate", "fit"):
+    args = _build_parser().parse_args(argv)
+    if args.command not in _COMMANDS:
         raise ConfigError(["a subcommand is required: simulate or fit"])
-    values = {k: v for k, v in vars(args).items() if k != "command"}
+    values = vars(args)
     problems: list[str] = []
-    if values.get("config"):
-        values = _merge_config_file(args.command, values["config"], values, problems)
-    cfg = RunConfig(command=args.command)
-
-    if args.command == "simulate":
-        design = values.get("design")
-        if design is None:
-            problems.append("--design is required (low or high)")
-        elif str(design) not in _DESIGN_ALIASES:
-            problems.append(f"--design must be low or high, got {design!r}")
-        else:
-            cfg.design = _DESIGN_ALIASES[str(design)]
-        if values.get("n") is None:
-            problems.append("--n is required")
-        else:
-            cfg.n = _coerce_int("n", values["n"], problems, minimum=2)
-        if values.get("sigma_v") is not None:
-            cfg.sigma_v = _coerce_float("sigma-v", values["sigma_v"], problems, minimum=0.0)
-        if values.get("sigma_eps") is not None:
-            cfg.sigma_eps = _coerce_float("sigma-eps", values["sigma_eps"], problems, minimum=0.0)
-        if values.get("reps") is not None:
-            cfg.reps = _coerce_int("reps", values["reps"], problems, minimum=1)
-        if values.get("seed") is not None:
-            cfg.seed = _coerce_int("seed", values["seed"], problems)
-        if values.get("estimators") is not None:
-            names = [s.strip() for s in str(values["estimators"]).split(",") if s.strip()]
-            if names == ["all"]:
-                names = list(ESTIMATORS)
-            bad = [s for s in names if s not in ESTIMATORS]
-            if not names:
-                problems.append("--estimators must list at least one estimator")
-            elif bad:
-                problems.append(
-                    f"--estimators contains unknown names {bad}; valid: {', '.join(ESTIMATORS)}"
-                )
-            else:
-                cfg.estimators = names
-        if values.get("functionals") is not None:
-            fns = [s.strip() for s in str(values["functionals"]).split(",") if s.strip()]
-            bad = [s for s in fns if s not in FUNCTIONALS]
-            if not fns:
-                problems.append("--functionals must list at least one functional")
-            elif bad:
-                problems.append(
-                    f"--functionals contains unknown names {bad}; valid: {', '.join(FUNCTIONALS)}"
-                )
-            else:
-                cfg.functionals = fns
-        cfg.dump_sample = values.get("dump_sample")
-        if values.get("out") is None:
-            problems.append("--out is required")
-        else:
-            cfg.out = str(values["out"])
-    else:
-        for req in ("input", "y", "x", "z", "out"):
-            if values.get(req) is None:
-                problems.append(f"--{req} is required")
-        cfg.input = values.get("input")
-        cfg.y = values.get("y")
-        cfg.x = values.get("x")
-        if values.get("z") is not None:
-            cfg.z = [s.strip() for s in str(values["z"]).split(",") if s.strip()]
-            if not cfg.z:
-                problems.append("--z must list at least one column")
-        if values.get("k") is not None:
-            k = str(values["k"])
-            if k not in ("auto13", "auto14", "bic"):
-                kv = _coerce_int("k", k, problems, minimum=1)
-                if kv is not None:
-                    k = str(kv)
-            cfg.k = k
-        if values.get("extended_fs") is not None:
-            flag = str(values["extended_fs"]).strip().lower()
-            if flag in configparser.ConfigParser.BOOLEAN_STATES:
-                cfg.extended_fs = configparser.ConfigParser.BOOLEAN_STATES[flag]
-            else:
-                problems.append(f"--extended-fs must be true or false, got {values['extended_fs']!r}")
-        if values.get("q_dict") is not None:
-            if str(values["q_dict"]) not in ("raw", "tensor"):
-                problems.append(f"--q-dict must be raw or tensor, got {values['q_dict']!r}")
-            else:
-                cfg.q_dict = str(values["q_dict"])
-        if values.get("functional") is not None:
-            fn = str(values["functional"])
-            if fn in FUNCTIONALS:
-                cfg.functional = fn
-            elif fn.startswith("point:"):
-                if _coerce_float("functional point", fn[6:], problems) is not None:
-                    cfg.functional = fn
-            else:
-                problems.append(
-                    f"--functional must be avg_deriv, quantile_contrast or point:VALUE, got {fn!r}"
-                )
-        if values.get("c") is not None:
-            val = _coerce_float("c", values["c"], problems)
-            if val is not None:
-                if val <= 0:
-                    problems.append(f"--c must be positive, got {val}")
-                else:
-                    cfg.c = val
-        if values.get("gamma") is not None:
-            val = _coerce_float("gamma", values["gamma"], problems)
-            if val is not None:
-                if not 0.0 < val < 1.0:
-                    problems.append(f"--gamma must lie in (0, 1), got {val}")
-                else:
-                    cfg.gamma = val
-        if values.get("n_loadings") is not None:
-            val = _coerce_int("n-loadings", values["n_loadings"], problems, minimum=1)
-            if val is not None:
-                cfg.n_loadings = val
-        cfg.out = values.get("out")
-
+    if args.config:
+        _merge_config_file(args.command, args.config, values, problems)
+    parsed = {}
+    for opt in _options(args.command):
+        flag = "--" + opt.name.replace("_", "-")
+        raw = values[opt.name]
+        required = opt.metadata["required"]
+        if raw is None:
+            if required:
+                note = f" ({required})" if isinstance(required, str) else ""
+                problems.append(f"{flag} is required{note}")
+            continue
+        try:
+            parsed[opt.name] = opt.metadata["parse"](raw)
+        except ValueError as exc:
+            problems.append(f"{flag} {exc}")
     if problems:
         raise ConfigError(problems)
-    return cfg
+    return RunConfig(command=args.command, **parsed)
 
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
@@ -338,7 +295,7 @@ def load_csv(path: str, y_col: str, x_col: str, z_patterns):
     wildcards; matches keep header order. Rows with a missing value in any
     used column are dropped (the count is reported). A non-numeric or
     infinite cell that is not a missing token raises a ValueError naming the
-    row and column.
+    row and column; a column in two roles (y, x or z) raises one naming it.
 
     Returns (Dataset, z_column_names, n_dropped).
     """
@@ -354,19 +311,20 @@ def load_csv(path: str, y_col: str, x_col: str, z_patterns):
     missing_cols = [c for c in (y_col, x_col) if c not in header]
     z_cols: list[str] = []
     for pat in z_patterns:
-        if any(ch in pat for ch in "*?["):
-            hits = [h for h in header if fnmatch.fnmatchcase(h, pat)]
-            if not hits:
-                missing_cols.append(pat)
-            z_cols.extend(hits)
-        elif pat in header:
-            z_cols.append(pat)
-        else:
+        # a name without *, ? or [ matches only itself
+        hits = [h for h in header if fnmatch.fnmatchcase(h, pat)]
+        if not hits:
             missing_cols.append(pat)
+        z_cols.extend(hits)
     if missing_cols:
         raise ValueError(f"{path}: missing columns: {', '.join(missing_cols)}")
     seen = set()
     z_cols = [c for c in z_cols if not (c in seen or seen.add(c))]
+    roles = {y_col: "y"}
+    for col, role in [(x_col, "x")] + [(c, "z") for c in z_cols]:
+        if col in roles:
+            raise ValueError(f"{path}: column {col!r} is given as both {roles[col]} and {role}")
+        roles[col] = role
 
     used = [y_col, x_col] + z_cols
     pos = {c: header.index(c) for c in used}
@@ -417,17 +375,6 @@ def write_sample_csv(data: Dataset, path: str) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def _resolve_k(k: str, n: int):
-    """Return (mode, value): a fixed degree or the BIC grid marker."""
-    if k == "auto13":
-        return "fixed", integer_root(n, 3)
-    if k == "auto14":
-        return "fixed", integer_root(n, 4)
-    if k == "bic":
-        return "bic", None
-    return "fixed", int(k)
-
-
 def _functional_spec(cfg: RunConfig, spec_p, x):
     if cfg.functional == "avg_deriv":
         return average_derivative(spec_p, x)
@@ -439,7 +386,7 @@ def _functional_spec(cfg: RunConfig, spec_p, x):
 def _run_fit(cfg: RunConfig) -> str:
     data, z_names, n_dropped = load_csv(cfg.input, cfg.y, cfg.x, cfg.z)
     lasso_cfg = LassoConfig(c=cfg.c, gamma=cfg.gamma, n_loadings=cfg.n_loadings)
-    mode, k_val = _resolve_k(cfg.k, data.n)
+    bic = cfg.k == "bic"
 
     lines = [cfg.echo(), ""]
     lines.append(f"rows used: {data.n} (dropped {n_dropped} with missing values)")
@@ -450,11 +397,14 @@ def _run_fit(cfg: RunConfig) -> str:
                                   input_dim=data.Z.shape[1])
         return DictionarySpec("raw_coordinates", input_dim=data.Z.shape[1])
 
-    degree = default_degree(data.n) if mode == "bic" else k_val
+    if bic:
+        degree = default_degree(data.n)
+    else:
+        degree = integer_root(data.n, _K_ROOTS[cfg.k]) if cfg.k in _K_ROOTS else cfg.k
     spec_p = DictionarySpec("hermite_univariate", degree=degree)
     spec_q = q_spec(degree)
     design = build_design(spec_p, spec_q, data.x, data.Z)
-    if mode == "bic":
+    if bic:
         grid = default_k_grid(data.n)
         res: KGridResult = choose_k_bic(data, design, grid, lasso_cfg,
                                         extended_fs=cfg.extended_fs)
@@ -467,7 +417,7 @@ def _run_fit(cfg: RunConfig) -> str:
         sel = post_double_select(P_fs, design, data.y, lasso_cfg)
         fit = pds_fit(design.p_raw, design.q_raw(sel.union_set), data.y, sel,
                       spec_p=spec_p)
-        lines.append(f"dictionary degree K: {k_val}")
+        lines.append(f"dictionary degree K: {degree}")
 
     labels = dictionary_labels(spec_q, prefix="q",
                                names=z_names if cfg.q_dict == "raw" else None)

@@ -1,11 +1,14 @@
 """Command-line interface: config resolution, CSV IO, end-to-end runs."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from pdsseries import cli
 from pdsseries.cli import (
     ConfigError,
+    RunConfig,
     load_csv,
     main,
     resolve_config,
@@ -76,6 +79,21 @@ def test_main_exit_code_1_on_non_finite_cell(capsys, tmp_path):
                "--k", "1", "--out", str(tmp_path / "o.txt")])
     assert rc == 1
     assert "non-finite value 'inf'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x_col, z, col, roles", [
+    ("y", "z1", "y", "y and x"),
+    ("x", "*", "y", "y and z"),
+    ("x", "z1,x", "x", "x and z"),
+])
+def test_fit_refuses_a_column_in_two_roles(capsys, sample_csv, tmp_path,
+                                           x_col, z, col, roles):
+    rc = main(["fit", "--input", sample_csv, "--y", "y", "--x", x_col, "--z", z,
+               "--k", "1", "--out", str(tmp_path / "o.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"column {col!r} is given as both {roles}" in err
+    assert not (tmp_path / "o.txt").exists()
 
 
 def test_load_csv_empty_and_all_missing(tmp_path):
@@ -184,6 +202,69 @@ def test_non_finite_numbers_are_configuration_errors(capsys, tmp_path, value):
                        (sim + [f"--sigma-eps={value}"], "--sigma-eps")):
         assert main(argv) == 2
         assert f"{name} must be a finite number, got {value!r}" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_configuration_error(capsys, tmp_path):
+    argv = ["simulate", "--design", "low", "--n", "60", "--reps", "1", "--seed=-1",
+            "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+# one valid non-default value per option, spelled as on the command line
+NON_DEFAULT = {
+    "simulate": {"design": "high", "n": "50", "sigma-v": "2", "sigma-eps": "0.5",
+                 "reps": "3", "seed": "7", "estimators": "oracle,post_double",
+                 "functionals": "quantile_contrast", "dump-sample": "s.csv",
+                 "out": "o.csv"},
+    "fit": {"input": "a.csv", "y": "yy", "x": "xx", "z": "z1,z2", "k": "4",
+            "extended-fs": "yes", "q-dict": "tensor", "functional": "point:0.5",
+            "c": "2.0", "gamma": "0.05", "n-loadings": "3", "out": "o.txt"},
+}
+
+
+def _declared(command):
+    return {f.name for f in fields(RunConfig) if command in f.metadata.get("commands", ())}
+
+
+def _config_keys(tmp_path, command, candidates):
+    """The candidates that a [command] section accepts as keys."""
+    ini = tmp_path / "probe.ini"
+    accepted = set()
+    for name in candidates:
+        ini.write_text(f"[{command}]\n{name.replace('_', '-')} = 1\n")
+        try:
+            resolve_config([command, "--config", str(ini)])
+        except ConfigError as err:
+            if any("unknown key" in p for p in err.problems):
+                continue
+        accepted.add(name)
+    return accepted
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_option_declarations_drive_parser_config_file_and_echo(tmp_path, command):
+    dests = set(vars(cli._build_parser().parse_args([command]))) - {"command", "config"}
+    echoed = {line.split(" = ")[0] for line in RunConfig(command).echo().splitlines()[2:]}
+    candidates = {f.name for f in fields(RunConfig)} | {"config"}
+    assert dests == _config_keys(tmp_path, command, candidates) == echoed == _declared(command)
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_every_option_reads_the_same_from_a_flag_and_a_config_key(tmp_path, command):
+    values = NON_DEFAULT[command]
+    assert {key.replace("-", "_") for key in values} == _declared(command)
+    argv = [command]
+    for key, val in values.items():
+        argv += [f"--{key}"] if key == "extended-fs" else [f"--{key}", val]
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    by_flag = resolve_config(argv)
+    assert by_flag == resolve_config([command, "--config", str(ini)])
+    default = RunConfig(command)
+    for name in _declared(command):
+        assert getattr(by_flag, name) != getattr(default, name), name
 
 
 def test_config_file_merge_with_flag_priority(tmp_path):
