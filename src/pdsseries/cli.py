@@ -233,11 +233,14 @@ def _merge_config_file(command: str, path: str, values: dict, problems: list) ->
     """Fill unset ``values`` from an INI file; explicit flags keep priority.
 
     A section that names no subcommand, or a key that names no option of
-    the subcommand, is a problem. Values are read literally (no ``%``
-    interpolation); a file that does not parse, such as one with no section
-    header or a key given twice in a section, is a configuration error.
+    the subcommand, is a problem. So is ``[DEFAULT]``: configparser would
+    fold its keys into every section, so it is read as an ordinary section
+    and refused by name. Values are read literally (no ``%`` interpolation);
+    a file that does not parse, such as one with no section header or a key
+    given twice in a section, is a configuration error.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section header can be empty, so no section is the default one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -245,7 +248,9 @@ def _merge_config_file(command: str, path: str, values: dict, problems: list) ->
     if not read:
         raise ConfigError([f"config file {path!r} not found or unreadable"])
     for section in parser.sections():
-        if section not in _COMMANDS:
+        if section == "DEFAULT":
+            problems.append(f"config file {path!r}: [DEFAULT] is not a subcommand section")
+        elif section not in _COMMANDS:
             problems.append(f"config file {path!r}: unknown section [{section}]")
     names = {opt.name for opt in _options(command)}
     if parser.has_section(command):

@@ -19,6 +19,15 @@ active set, so the iteration stops as soon as a round selects the same set
 as the round before, and every equation on the same target reuses them.
 ``iterated_lasso(bank, k, lam)`` fits the bank's ``k``-th target.
 
+Most equations of post-double selection select nothing. The bank also
+evaluates every target's refined loadings for the empty set in one product,
+and pre-fills each memo with them, so ``TargetBank.settled_empty`` can
+decide for the whole bank at once which equations select nothing in their
+first two rounds, and so end empty, at a given penalty level: two
+elementwise comparisons over ``X'T``, one per loading round, against the
+thresholds of the solver's first screen. Those equations need no
+``iterated_lasso`` call, and the rest read the same pre-filled loadings.
+
 The solver is active-set cyclic coordinate descent on the Gram system: the
 covariance-update scheme of glmnet (Friedman, Hastie & Tibshirani 2010,
 J. Stat. Softw. 33(1)), where sweeps run over the active coordinates only
@@ -232,9 +241,21 @@ def initial_loadings(design: LassoDesign, targets: np.ndarray) -> np.ndarray:
 
 
 def refined_loadings(design: LassoDesign, residuals: np.ndarray) -> np.ndarray:
-    """Residual-based loadings psi_j = sqrt(mean(x_j^2 e_i^2))."""
+    """Residual-based loadings psi_j = sqrt(mean(x_j^2 e_i^2)).
+
+    ``residuals`` is one residual vector, or a (k, n) block with one residual
+    per row, as in ``initial_loadings``: ``TargetBank.of`` passes its targets,
+    the Post-Lasso residuals of the empty set. A block gets one row of
+    loadings per residual, from one matrix product against ``design.sq``, and
+    no row is checked for degeneracy here.
+    """
     e2 = np.asarray(residuals, dtype=float) ** 2
-    return _nonzero(np.sqrt(e2 @ design.sq / e2.shape[0]), "refined")
+    n, block = e2.shape[-1], e2.ndim > 1
+    loadings = e2 @ design.sq
+    del e2
+    loadings /= n
+    np.sqrt(loadings, out=loadings)
+    return loadings if block else _nonzero(loadings, "refined")
 
 
 class LassoDesign:
@@ -294,12 +315,21 @@ class TargetBank:
     of some of them that shares every array and memo, so a degree grid
     indexes each degree's equations into one bank instead of rebuilding its
     targets.
+
+    The empty set's Post-Lasso residual is the target itself, so its refined
+    loadings ``loadings1[j]`` are one more matrix product for the whole bank.
+    Each memo starts with them under the empty-set key ``b""``, or with the
+    flag ``_refine`` would return instead, which ``empty_flagged[j]`` marks.
+    With both rounds' loadings at hand, ``settled_empty`` decides for every
+    equation at once whether it ends with an empty active set.
     """
 
     design: LassoDesign
     rows: np.ndarray
     xty: np.ndarray
     loadings0: np.ndarray
+    loadings1: np.ndarray
+    empty_flagged: np.ndarray
     memos: list
     cols: tuple
 
@@ -307,9 +337,16 @@ class TargetBank:
     def of(cls, rows, design: LassoDesign) -> TargetBank:
         """Bank of the targets in ``rows`` (one per row, or one vector)."""
         rows = np.ascontiguousarray(np.atleast_2d(rows), dtype=float)
+        loadings1 = refined_loadings(design, rows)
+        # _refine's flags, on the empty set's residual
+        perfect = np.abs(rows).max(axis=1) < 1e-12 * rows.std(axis=1)
+        degenerate = ~loadings1.any(axis=1)
+        memos = [{b"": "perfect_fit" if p else "loadings_degenerate" if d else psi}
+                 for p, d, psi in zip(perfect.tolist(), degenerate.tolist(), loadings1)]
         return cls(design=design, rows=rows, xty=rows @ design.X,
-                   loadings0=initial_loadings(design, rows),
-                   memos=[{} for _ in rows], cols=tuple(range(len(rows))))
+                   loadings0=initial_loadings(design, rows), loadings1=loadings1,
+                   empty_flagged=perfect | degenerate, memos=memos,
+                   cols=tuple(range(len(rows))))
 
     @property
     def n(self) -> int:
@@ -321,6 +358,46 @@ class TargetBank:
     def subset(self, cols) -> TargetBank:
         """The targets ``cols`` of this bank, sharing its arrays and memos."""
         return replace(self, cols=tuple(int(j) for j in cols))
+
+    def settled_empty(self, lam: float, config: LassoConfig | None = None) -> np.ndarray:
+        """Which equations in ``cols`` end with an empty active set at ``lam``.
+
+        Entry k is True when the first two solves of ``iterated_lasso(self,
+        k, lam, config)`` admit nothing, so that the call would return an
+        empty set without raising: a caller can take the empty set and skip
+        the call. (An equation that ends empty after a round that selected
+        something is not settled.) The first solve starts from t = 0 and
+        admits nothing when no column has |x_j't| > lam psi0_j / 2, the first
+        screen of ``_cd_solve``; this is the lam >= lam_max test behind the
+        SAFE rules (El Ghaoui, Viallon & Rabbani 2012) and the strong rules
+        (Tibshirani et al. 2012). The second solve, run when
+        ``n_loadings > 1`` and the empty-set memo is not a flag, is the same
+        test with ``loadings1``; a third would repeat the empty set and stop.
+        Both are elementwise comparisons over the bank's ``xty`` with the
+        solver's own thresholds, so they agree with the solves bit for bit.
+
+        An equation whose loadings are not all positive is never settled:
+        its ``iterated_lasso`` call raises. A positive loading needs a
+        positive entry of ``X*X`` in its column, whose sum is the Gram
+        diagonal, so the solver's screen skips no column of a settled
+        equation.
+        """
+        cfg = config if config is not None else LassoConfig()
+        j = list(self.cols)
+        half = 0.5 * float(lam)
+        abs_xty = self.xty[j]
+        np.abs(abs_xty, out=abs_xty)
+
+        def admits_none(loadings):
+            thr = loadings[j]
+            positive = (thr > 0.0).all(axis=1)
+            thr *= half
+            return positive & ~(abs_xty > thr).any(axis=1)
+
+        settled = admits_none(self.loadings0)
+        if cfg.n_loadings > 1:
+            settled &= self.empty_flagged[j] | admits_none(self.loadings1)
+        return settled
 
 
 def _cd_solve(design: LassoDesign, xty: np.ndarray, thr: np.ndarray,
@@ -480,10 +557,7 @@ def _refine(design: LassoDesign, y: np.ndarray, active_set: np.ndarray):
     """
     X = design.X
     coef = post_lasso(X, y, active_set)
-    if active_set.size:
-        resid = y - X[:, active_set] @ coef[active_set]
-    else:
-        resid = y.copy()
+    resid = y - X[:, active_set] @ coef[active_set]
     if np.max(np.abs(resid)) < 1e-12 * float(y.std()):
         return "perfect_fit"
     try:
@@ -507,8 +581,11 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
     The target's ``X'y``, initial loadings and memo of refined loadings come
     from the bank, and every solve reads the Gram rows of the bank's
     design, so calls on the same bank that differ only in ``lam`` or
-    ``config`` reuse them. Raises ``ConvergenceError`` when the solve
-    behind the returned fit hit ``cd_max_iter``.
+    ``config`` reuse them. The memo starts with the empty set's loadings
+    (or flag), computed for the whole bank at once; an equation that
+    ``TargetBank.settled_empty`` marks would return an empty set here and
+    can skip the call. Raises ``ConvergenceError`` when the solve behind the
+    returned fit hit ``cd_max_iter``.
     """
     cfg = config if config is not None else LassoConfig()
     j, design = bank.cols[k], bank.design

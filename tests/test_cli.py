@@ -303,6 +303,25 @@ def test_config_file_unknown_section_key_and_bad_boolean_are_problems(tmp_path):
     assert resolve_config(["fit", "--config", str(ini)]).extended_fs is True
 
 
+@pytest.mark.parametrize("command, section, flags", [
+    # configparser would fold reps into [fit], reported as a key of [fit]
+    ("fit", "[fit]\ninput = a.csv\ny = y\nx = x\nz = z1\nout = o\n", []),
+    # with no [simulate] section, reps would be dropped without a word
+    ("simulate", "", ["--design", "low", "--n", "50", "--out", "o.csv"]),
+], ids=["fit", "simulate"])
+def test_config_file_default_section_is_refused_by_name(capsys, tmp_path, command,
+                                                        section, flags):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[DEFAULT]\nreps = 3\n" + section)
+    argv = [command, "--config", str(ini), *flags]
+    with pytest.raises(ConfigError) as err:
+        resolve_config(argv)
+    assert err.value.problems == [
+        f"config file {str(ini)!r}: [DEFAULT] is not a subcommand section"]
+    assert main(argv) == 2
+    assert "[DEFAULT] is not a subcommand section" in capsys.readouterr().err
+
+
 def test_config_file_values_are_read_literally(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[simulate]\ndesign = low\nn = 150\nout = res%.txt\n")

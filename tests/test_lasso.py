@@ -24,6 +24,7 @@ from pdsseries.lasso import (
     DegenerateLoadingsError,
     LassoConfig,
     LassoDesign,
+    LassoFit,
     TargetBank,
     default_gamma,
     initial_loadings,
@@ -37,6 +38,7 @@ from pdsseries.lasso import (
 )
 from pdsseries.montecarlo import DgpConfig, default_specs, generate_sample
 from pdsseries.selection import (
+    FIT_ERRORS,
     SelectionError,
     first_stage_select,
     post_double_select,
@@ -598,6 +600,160 @@ def test_bank_of_a_vector_is_a_one_row_bank():
     fit = iterated_lasso(vec, 0, lam)
     assert fit.active_set.size > 0
     assert_same_fit(fit, iterated_lasso(block, 0, lam))
+
+
+# ---------------------------------------------------------------- empty-set screen
+
+def screen_problem(seed):
+    """A small design with five zero rows at the end, and its targets by kind.
+
+    Column 4 is nonzero only on rows 0-4, where the ``zero_loading`` target
+    has zero deviation from its mean (exactly: its values are integers that
+    sum to zero), so that column's loadings are zero.
+    """
+    rng = np.random.default_rng(seed)
+    n, m = 40, 8
+    X = rng.standard_normal((n, m))
+    X[5:, 4] = 0.0
+    X[-5:] = 0.0
+    signal = [X[:, [0, 2]] @ np.array([1.5, -1.0]) + s * rng.standard_normal(n)
+              for s in (0.5, 3.0)]
+    noise = list(rng.standard_normal((3, n)))
+    # its mean sits on the zero rows, so the empty set's refined loadings are
+    # far below the initial ones: the second round admits what the first did not
+    shifted = np.zeros(n)
+    shifted[:-5] = 0.5 * (X[:-5, 0] + rng.standard_normal(n - 5))
+    shifted[-5:] = 40.0
+    one_row = np.zeros(n)
+    one_row[-1] = 1.0
+    zero_loading = np.zeros(n)
+    zero_loading[5:-1] = rng.permutation(np.repeat([-1.0, 1.0], 17))
+    kinds = {
+        "regular": signal + noise + [
+            shifted,
+            X[:, 3].copy(),  # sets perfect_fit once column 3 enters
+            one_row,  # lives on a zero row: loadings_degenerate on the empty set
+        ],
+        "constant": [np.full(n, 2.0)],  # all-zero initial loadings
+        "zero_loading": [zero_loading],
+    }
+    return X, kinds
+
+
+def per_equation(bank, lam, cfg):
+    """The route without the screen: one ``iterated_lasso`` call per equation.
+
+    Returns each equation's fit, or the class of the exception it raised.
+    """
+    out = []
+    for k in range(len(bank)):
+        try:
+            out.append(iterated_lasso(bank, k, lam, cfg))
+        except FIT_ERRORS as exc:
+            out.append(type(exc))
+    return out
+
+
+def test_screen_settles_only_equations_that_end_empty():
+    seen = {"settled": 0, "left": 0, "perfect_fit": 0, "flagged_settled": 0,
+            "second_round_admits": 0}
+    for seed in range(3):
+        X, kinds = screen_problem(seed)
+        n, m = X.shape
+        banks = {
+            "regular": kinds["regular"],
+            "constant": kinds["regular"] + kinds["constant"],
+            "zero_loading": kinds["zero_loading"] + kinds["regular"],
+        }
+        for name, rows in banks.items():
+            for n_loadings in (1, 2, 15):
+                # c from near 0 up to a level where every screen admits nothing
+                for c in np.geomspace(1e-4, 30.0, 9):
+                    cfg = LassoConfig(c=c, gamma=0.1, n_loadings=n_loadings)
+                    lam = penalty_level(n, len(rows), m, cfg)
+                    screened, plain = workspace_of(X), workspace_of(X)
+                    bank = TargetBank.of(np.array(rows), screened.lasso_design)
+                    want = per_equation(TargetBank.of(np.array(rows), plain.lasso_design),
+                                        lam, cfg)
+                    settled = bank.settled_empty(lam, cfg)
+                    first = bank.settled_empty(lam, dataclasses.replace(cfg, n_loadings=1))
+                    seen["second_round_admits"] += int((first & ~settled).sum())
+                    for k, fit in enumerate(want):
+                        if settled[k]:
+                            assert isinstance(fit, LassoFit) and fit.active_set.size == 0
+                            seen["settled"] += 1
+                            seen["flagged_settled"] += fit.loadings_degenerate
+                        elif isinstance(fit, LassoFit):
+                            seen["left"] += 1
+                            seen["perfect_fit"] += fit.perfect_fit
+                    errors = [f for f in want if isinstance(f, type)]
+                    if name == "regular":
+                        assert not errors
+                        got = first_stage_select(bank, screened, cfg)
+                        assert len(got) == len(want)
+                        for g, w in zip(got, want):
+                            np.testing.assert_array_equal(g, w.active_set)
+                        # settled equations form no Gram rows, as their solves did not
+                        assert screened.lasso_design.rows_formed == plain.lasso_design.rows_formed
+                        if settled.all():
+                            assert screened.lasso_design.rows_formed == 0
+                        continue
+                    expected = DegenerateLoadingsError if name == "constant" else ValueError
+                    assert errors[0] is expected
+                    with pytest.raises(SelectionError) as err:
+                        first_stage_select(bank, screened, cfg)
+                    assert type(err.value.__cause__) is errors[0]
+    # every branch of the screen was taken
+    assert all(seen.values()), seen
+
+
+def test_screen_agrees_with_the_solver_at_its_threshold():
+    # +-1 entries make every loading exactly 1 and every x_j't an integer, so
+    # at lam = 2 max |x_j't| the top column sits exactly on the threshold
+    rng = np.random.default_rng(5)
+    n, m = 8, 3
+    X = rng.choice([-1.0, 1.0], size=(n, m))
+    t = rng.permutation(np.repeat([-1.0, 1.0], n // 2))
+    bank = TargetBank.of(np.array([t, -t]), LassoDesign(X))
+    np.testing.assert_array_equal(bank.loadings0, 1.0)
+    np.testing.assert_array_equal(bank.loadings1, 1.0)
+    top = np.abs(bank.xty).max()
+    assert top > 0
+    for n_loadings in (1, 15):
+        cfg = LassoConfig(n_loadings=n_loadings)
+        assert bank.settled_empty(2 * top, cfg).tolist() == [True, True]
+        assert bank.settled_empty(np.nextafter(2 * top, 0.0), cfg).tolist() == [False, False]
+        for k in range(2):
+            assert iterated_lasso(bank, k, 2 * top, cfg).active_set.size == 0
+            first = iterated_lasso(bank, k, np.nextafter(2 * top, 0.0), LassoConfig(n_loadings=1))
+            assert first.active_set.size > 0
+
+
+def test_prefilled_empty_set_memo_matches_refine():
+    X, kinds = screen_problem(1)
+    # the empty set's residual is the target, so max |t| < 1e-12 sd(t) holds
+    # only when sd(t) overflows
+    overflowing = np.zeros(X.shape[0])
+    overflowing[:20] = 1e160
+    rows = np.array(kinds["regular"] + kinds["constant"] + kinds["zero_loading"]
+                    + [overflowing])
+    design = LassoDesign(X)
+    empty = np.array([], dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bank = TargetBank.of(rows, design)
+        refs = [lasso_module._refine(design, t, empty) for t in rows]
+    flags = []
+    for j, ref in enumerate(refs):
+        memo = bank.memos[j]
+        assert list(memo) == [b""]
+        assert bank.empty_flagged[j] == isinstance(ref, str)
+        if isinstance(ref, str):
+            assert memo[b""] == ref
+            flags.append(ref)
+        else:
+            np.testing.assert_allclose(memo[b""], ref, rtol=1e-12)
+            np.testing.assert_array_equal(memo[b""], bank.loadings1[j])
+    assert sorted(flags) == ["loadings_degenerate", "perfect_fit"]
 
 
 # ---------------------------------------------------------------- non-convergence
