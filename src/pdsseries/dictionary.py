@@ -7,10 +7,21 @@ so coefficients can be mapped back to the raw basis. ``build_design``
 returns them as one per-sample workspace, ``DesignMatrices``, with a single
 ``LassoDesign`` over the conditioning dictionary ``Q`` that every Lasso on
 the sample shares.
+
+A Hermite tensor column is the left-to-right product of its univariate
+factors, and columns that share leading factors share those products: at
+d = 4, K = 10 the 1000 columns come from 11, 66 and 286 distinct prefixes.
+``evaluate_dictionary`` forms each level of prefixes with one gather and
+one multiply, 64 rows at a time, straight into the (n, L) output, from an
+index plan cached per (d, K). The column scales have the bits of
+``std(axis=0)``, but the centred squares are summed a row block at a time
+in the rows of the output, so standardizing allocates no n x L array but
+its output.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +46,8 @@ __all__ = [
 ]
 
 KINDS = ("hermite_univariate", "hermite_tensor", "raw_coordinates")
+# rows per block of the tensor evaluation and of the column scales
+_ROW_BLOCK = 64
 
 
 class DegenerateColumnError(ValueError):
@@ -171,6 +184,73 @@ def tensor_index_set(d: int, kmax: int) -> list[tuple[int, ...]]:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _tensor_plan(d: int, kmax: int):
+    """How ``_hermite_tensor`` forms the columns of one (d, K).
+
+    Column (m_1, ..., m_d) is the left-to-right product
+    He_{m_1}(z_1) He_{m_2}(z_2) ... He_{m_d}(z_d). A j-prefix is the product
+    of its first j factors; the 1-prefixes are He_0..He_K(z_1). Level j
+    stacks He_0..He_K(z_j) under the ``n_prev`` distinct (j-1)-prefixes and
+    forms every distinct j-prefix with one gather and one multiply: the
+    first half of ``gather`` picks each one's (j-1)-prefix, the second half
+    its factor He_{m_j}(z_j) at ``n_prev + m_j``. The last level's
+    j-prefixes are the columns, in ``indices`` order.
+
+    Returns ``indices`` (``tensor_index_set`` as a tuple) and, for levels
+    2..d, the pairs ``(n_prev, gather)``.
+    """
+    indices = tuple(tensor_index_set(d, kmax))
+    slot = {(m,): m for m in range(kmax + 1)}  # level 1: the rows He_m(z_1)
+    levels = []
+    for j in range(2, d + 1):
+        targets = indices if j == d else sorted({mi[:j] for mi in indices})
+        n_prev = len(slot)
+        gather = np.array([slot[t[:-1]] for t in targets]
+                          + [n_prev + t[-1] for t in targets], dtype=np.intp)
+        gather.setflags(write=False)
+        levels.append((n_prev, gather))
+        slot = {t: i for i, t in enumerate(targets)}
+    return indices, tuple(levels)
+
+
+def _hermite_tensor(Z: np.ndarray, kmax: int) -> np.ndarray:
+    """The Hermite tensor columns of Z by ``_tensor_plan``, ``_ROW_BLOCK``
+    rows at a time.
+
+    Each block's prefixes are held one per row, so every gather copies
+    contiguous rows; the last multiply writes the block's rows of the
+    (n, L) output. A factor He_0 = 1.0 is exact, so every column has the
+    bits of its product over the nonzero degrees alone.
+    """
+    n, d = Z.shape
+    if d == 1:
+        return hermite_design(Z[:, 0], kmax)
+    indices, levels = _tensor_plan(d, kmax)
+    uni = np.empty((d, kmax + 1, n))  # uni[j, m] = He_m(z_j)
+    for j in range(d):
+        uni[j, 0] = 1.0
+        uni[j, 1:] = hermite_design(Z[:, j], kmax).T
+    out = np.empty((n, len(indices)))
+    block = max(1, min(_ROW_BLOCK, n))
+    n_last, last = levels[-1]  # the largest level
+    n_src, n_pairs = n_last + kmax + 1, len(last)
+    src_buf, pairs_buf = np.empty(n_src * block), np.empty(n_pairs * block)
+    for r0 in range(0, n, block):
+        r1 = min(r0 + block, n)
+        src = src_buf[:n_src * (r1 - r0)].reshape(n_src, r1 - r0)
+        pairs = pairs_buf[:n_pairs * (r1 - r0)].reshape(n_pairs, r1 - r0)
+        src[:kmax + 1] = uni[0, :, r0:r1]
+        for j, (n_prev, gather) in enumerate(levels, start=2):
+            src[n_prev:n_prev + kmax + 1] = uni[j - 1, :, r0:r1]
+            w = len(gather) // 2
+            # mode "clip": the default "raise" copies through a buffer
+            np.take(src[:n_prev + kmax + 1], gather, axis=0, out=pairs[:2 * w], mode="clip")
+            dest = out[r0:r1].T if j == d else src[:w]
+            np.multiply(pairs[:w], pairs[w:2 * w], out=dest)
+    return out
+
+
 def evaluate_dictionary(spec: DictionarySpec, data) -> np.ndarray:
     """Evaluate a dictionary on a sample, returning the raw (unscaled) matrix.
 
@@ -186,21 +266,7 @@ def evaluate_dictionary(spec: DictionarySpec, data) -> np.ndarray:
         )
     if spec.kind == "raw_coordinates":
         return Z.copy()
-    # hermite_tensor: per-coordinate univariate designs including He_0
-    n, d = Z.shape
-    uni = np.empty((d, n, spec.degree + 1))
-    for j in range(d):
-        uni[j, :, 0] = 1.0
-        uni[j, :, 1:] = hermite_design(Z[:, j], spec.degree)
-    indices = tensor_index_set(d, spec.degree)
-    out = np.empty((n, len(indices)))
-    for c, mi in enumerate(indices):
-        col = np.ones(n)
-        for j, m in enumerate(mi):
-            if m:
-                col = col * uni[j, :, m]
-        out[:, c] = col
-    return out
+    return _hermite_tensor(Z, spec.degree)
 
 
 def dictionary_labels(spec: DictionarySpec, prefix: str = "q", names=None) -> list[str]:
@@ -212,7 +278,7 @@ def dictionary_labels(spec: DictionarySpec, prefix: str = "q", names=None) -> li
     if spec.kind == "hermite_univariate":
         return [f"{prefix}[{k}]" for k in range(1, spec.degree + 1)]
     if spec.kind == "hermite_tensor":
-        idx = tensor_index_set(spec.input_dim, spec.degree)
+        idx, _ = _tensor_plan(spec.input_dim, spec.degree)
         return [f"{prefix}[{','.join(map(str, mi))}]" for mi in idx]
     if names is not None:
         if len(names) != spec.input_dim:
@@ -221,20 +287,53 @@ def dictionary_labels(spec: DictionarySpec, prefix: str = "q", names=None) -> li
     return [f"{prefix}{j + 1}" for j in range(spec.input_dim)]
 
 
+def _column_sd(mat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``mat.std(axis=0)`` with its bits, summing in ``scratch`` (an array
+    of ``mat``'s shape) instead of an n x L centred copy.
+
+    NumPy's ``std`` sums the columns, divides by n, centres, squares and
+    sums again; over axis 0 of a C-ordered matrix with two or more rows and
+    columns, each sum adds the rows one by one in order. Here the squares
+    are formed a row block at a time in ``scratch``, under a first row that
+    holds the running sum, so each block's sum continues the same sequence.
+    (The first block starts from 0.0, and 0.0 + s is s for every square s.)
+    Other layouts sum in another order and go to ``std`` itself.
+    """
+    if mat.ndim != 2 or min(mat.shape) < 2 or not mat.flags.c_contiguous:
+        return mat.std(axis=0)
+    n = mat.shape[0]
+    mean = np.add.reduce(mat, axis=0)
+    np.true_divide(mean, n, out=mean)
+    total = np.zeros(mat.shape[1])
+    step = min(_ROW_BLOCK, n - 1)  # a block and its first row fit in scratch
+    for r0 in range(0, n, step):
+        rows = mat[r0:r0 + step]
+        part = scratch[:len(rows) + 1]
+        part[0] = total
+        np.subtract(rows, mean, out=part[1:])
+        np.square(part[1:], out=part[1:])
+        np.add.reduce(part, axis=0, out=total)
+    np.true_divide(total, n, out=total)
+    return np.sqrt(total, out=total)
+
+
 def standardize_columns(mat: np.ndarray, what: str = "column"):
     """Scale each column to unit sample standard deviation (no centering).
 
-    Returns the scaled matrix and the vector of original scales. Raises
+    Returns a new scaled matrix and the vector of original scales; ``mat``
+    is not written. The scales have the bits of ``mat.std(axis=0)``, and
+    the scaled matrix is the only n x L array allocated. Raises
     ``DegenerateColumnError`` if any column is constant on the sample.
     """
     mat = np.asarray(mat, dtype=float)
-    scales = mat.std(axis=0)
+    out = np.empty_like(mat)
+    scales = _column_sd(mat, out)
     bad = np.flatnonzero(scales == 0.0)
     if bad.size:
         raise DegenerateColumnError(
             f"{what} {bad[0]} has zero variance on this sample"
         )
-    return mat / scales, scales
+    return np.divide(mat, scales, out=out), scales
 
 
 @dataclass

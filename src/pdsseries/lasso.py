@@ -302,6 +302,18 @@ class LassoDesign:
         return self._buf[self._slot[idx]]
 
 
+# design entries per row block of ``TargetBank.settled_empty``
+_SCREEN_CELLS = 1 << 14
+
+
+def _admits_none(abs_xty: np.ndarray, thr: np.ndarray, half: float) -> np.ndarray:
+    """Rows whose loadings ``thr`` are all positive and whose first screen,
+    |x_j't| > half * thr_j, admits no column. Scales ``thr`` in place."""
+    positive = (thr > 0.0).all(axis=1)
+    thr *= half
+    return positive & ~(abs_xty > thr).any(axis=1)
+
+
 @dataclass
 class TargetBank:
     """Lasso targets on one ``LassoDesign``, each evaluated once.
@@ -383,20 +395,19 @@ class TargetBank:
         equation.
         """
         cfg = config if config is not None else LassoConfig()
-        j = list(self.cols)
+        cols = np.asarray(self.cols, dtype=np.intp)
         half = 0.5 * float(lam)
-        abs_xty = self.xty[j]
-        np.abs(abs_xty, out=abs_xty)
-
-        def admits_none(loadings):
-            thr = loadings[j]
-            positive = (thr > 0.0).all(axis=1)
-            thr *= half
-            return positive & ~(abs_xty > thr).any(axis=1)
-
-        settled = admits_none(self.loadings0)
-        if cfg.n_loadings > 1:
-            settled &= self.empty_flagged[j] | admits_none(self.loadings1)
+        settled = np.empty(len(cols), dtype=bool)
+        # a block of rows at a time, so the copies stay small beside the bank
+        step = max(1, _SCREEN_CELLS // max(1, self.xty.shape[1]))
+        for start in range(0, len(cols), step):
+            j = cols[start:start + step]
+            abs_xty = self.xty[j]
+            np.abs(abs_xty, out=abs_xty)
+            block = _admits_none(abs_xty, self.loadings0[j], half)
+            if cfg.n_loadings > 1:
+                block &= self.empty_flagged[j] | _admits_none(abs_xty, self.loadings1[j], half)
+            settled[start:start + step] = block
         return settled
 
 

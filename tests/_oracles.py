@@ -9,7 +9,9 @@ unchanged: it stopped when the refined loadings repeated the previous
 round's, which the library's rule (stop when the active set repeats)
 must match in every field of the returned fit.
 ``workspace_of`` builds the selection workspace by hand for a matrix that
-``build_design`` would standardize or reject.
+``build_design`` would standardize or reject. ``hermite_tensor_design`` is
+the library's former column-by-column tensor evaluation, kept unchanged as
+the reference for the prefix-product evaluation that replaced it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from pdsseries.dictionary import DesignMatrices
+from pdsseries.dictionary import DesignMatrices, hermite_design, tensor_index_set
 from pdsseries.lasso import (
     ConvergenceError,
     DegenerateLoadingsError,
@@ -45,6 +47,25 @@ def hermite_monomial(x: float, k: int) -> float:
                 / (math.factorial(m) * math.factorial(k - 2 * m) * 2**m))
         total += coef * x ** (k - 2 * m)
     return total
+
+
+def hermite_tensor_design(Z: np.ndarray, kmax: int) -> np.ndarray:
+    """Hermite tensor columns prod_j He_{m_j}(z_j), one column at a time,
+    in ``tensor_index_set`` order."""
+    n, d = Z.shape
+    uni = np.empty((d, n, kmax + 1))
+    for j in range(d):
+        uni[j, :, 0] = 1.0
+        uni[j, :, 1:] = hermite_design(Z[:, j], kmax)
+    indices = tensor_index_set(d, kmax)
+    out = np.empty((n, len(indices)))
+    for c, mi in enumerate(indices):
+        col = np.ones(n)
+        for j, m in enumerate(mi):
+            if m:
+                col = col * uni[j, :, m]
+        out[:, c] = col
+    return out
 
 
 def lasso_objective(X: np.ndarray, y: np.ndarray, coef: np.ndarray,

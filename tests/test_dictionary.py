@@ -1,13 +1,14 @@
 """Dictionary construction: Hermite bases, tensor indices, standardization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import hermite_monomial
+from _oracles import hermite_monomial, hermite_tensor_design
 from pdsseries.dictionary import (
     DegenerateColumnError,
     DictionarySpec,
@@ -133,6 +134,18 @@ def test_tensor_evaluation_is_product_of_univariates():
         np.testing.assert_allclose(Q[:, col], manual, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("n, d, kmax", [
+    (1000, 4, 10), (500, 4, 7),  # the acceptance-8 and high_dim tensors
+    (200, 1, 6), (150, 2, 9), (97, 5, 4),  # d = 1, 2 and 5
+    (1, 4, 3), (3, 3, 5), (65, 4, 5), (64, 3, 1), (130, 3, 4),  # rows vs block
+])
+def test_tensor_matches_column_by_column_reference(n, d, kmax):
+    Z = 1.5 * np.random.default_rng(n + d + kmax).standard_normal((n, d))
+    Q = evaluate_dictionary(DictionarySpec("hermite_tensor", degree=kmax, input_dim=d), Z)
+    assert Q.flags.c_contiguous
+    np.testing.assert_array_equal(Q, hermite_tensor_design(Z, kmax))
+
+
 # ---------------------------------------------------------------- specs
 
 def test_spec_n_terms():
@@ -202,6 +215,29 @@ def test_standardize_columns_names_offender(rng):
         standardize_columns(M, what="Q column")
 
 
+def scale_test_matrix(n, m, seed):
+    """Columns from 1e-6 to 1e6 in size, offset from zero, so that the bits
+    of their standard deviations depend on the order of the sums."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, m)) * np.geomspace(1e-6, 1e6, m) + rng.standard_normal(m)
+    M[rng.random((n, m)) < 0.02] *= 1e4
+    return M
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided rows", "strided columns"])
+@pytest.mark.parametrize("n, m", [(1000, 40), (129, 7), (64, 3), (65, 1), (2, 5)])
+def test_standardize_columns_has_the_bits_of_std(layout, n, m):
+    M = scale_test_matrix(2 * n, 2 * m, seed=n + m)
+    M = {"C": M[:n, :m].copy(), "F": np.asfortranarray(M[:n, :m]),
+         "strided rows": M[::2, :m], "strided columns": M[:n, ::2]}[layout]
+    before = M.copy()
+    S, scales = standardize_columns(M)
+    np.testing.assert_array_equal(scales, M.std(axis=0))
+    np.testing.assert_array_equal(S, M / M.std(axis=0))
+    assert not np.shares_memory(S, M)
+    np.testing.assert_array_equal(M, before)
+
+
 # ---------------------------------------------------------------- designs
 
 def test_build_design_shapes_and_scales(rng):
@@ -236,6 +272,42 @@ def test_build_design_sample_size_mismatch(rng):
     with pytest.raises(ValueError, match="sample size"):
         build_design(spec_p, spec_q, rng.standard_normal(10),
                      rng.standard_normal((11, 2)))
+
+
+@pytest.mark.parametrize("spec_q", [
+    DictionarySpec("hermite_univariate", degree=5),
+    DictionarySpec("hermite_tensor", degree=3, input_dim=3),
+    DictionarySpec("raw_coordinates", input_dim=3),
+], ids=lambda spec: spec.kind)
+def test_build_design_leaves_its_inputs_unchanged(rng, spec_q):
+    n = 150
+    x = rng.standard_normal(n)
+    Z = rng.standard_normal((n, 3))
+    if spec_q.kind == "hermite_univariate":
+        Z = Z[:, 0].copy()
+    x0, Z0 = x.copy(), Z.copy()
+    d = build_design(DictionarySpec("hermite_univariate", degree=4), spec_q, x, Z)
+    np.testing.assert_array_equal(x, x0)
+    np.testing.assert_array_equal(Z, Z0)
+    assert not np.shares_memory(d.Q, Z) and not np.shares_memory(d.P, x)
+
+
+def test_build_design_keeps_at_most_two_dictionary_sized_blocks():
+    # the acceptance-8 shape: n = L = 1000. Raw Q and standardized Q, then
+    # standardized Q and Q*Q, are alive together; a third n x L block is not
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(1000)
+    Z = rng.standard_normal((1000, 4))
+    spec_p = DictionarySpec("hermite_univariate", degree=10)
+    spec_q = DictionarySpec("hermite_tensor", degree=10, input_dim=4)
+    assert spec_q.n_terms == 1000
+    tracemalloc.start()
+    try:
+        build_design(spec_p, spec_q, x, Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 1000 * 1000 * 8
 
 
 def test_build_extended_fs_content(rng):

@@ -707,6 +707,28 @@ def test_screen_settles_only_equations_that_end_empty():
     assert all(seen.values()), seen
 
 
+def test_screen_in_row_blocks_matches_one_block(monkeypatch):
+    X, kinds = screen_problem(2)
+    n, m = X.shape
+    rows = np.array(kinds["regular"] + kinds["constant"] + kinds["zero_loading"])
+    bank = TargetBank.of(rows, LassoDesign(X))
+    # every target, some twice, out of order
+    cols = np.random.default_rng(0).permutation(np.r_[np.arange(len(rows)), 0, 3, 5])
+    banks = (bank, bank.subset(cols), bank.subset([]))
+    for n_loadings in (1, 15):
+        for c in np.geomspace(1e-2, 30.0, 7):
+            cfg = LassoConfig(c=c, gamma=0.1, n_loadings=n_loadings)
+            lam = penalty_level(n, len(rows), m, cfg)
+            monkeypatch.setattr(lasso_module, "_SCREEN_CELLS", 1 << 30)
+            whole = [b.settled_empty(lam, cfg) for b in banks]
+            for cells in (1, m, 2 * m + 1, 5 * m):
+                monkeypatch.setattr(lasso_module, "_SCREEN_CELLS", cells)
+                for b, want in zip(banks, whole):
+                    np.testing.assert_array_equal(b.settled_empty(lam, cfg), want)
+    # the bank's own arrays are left as they were
+    np.testing.assert_array_equal(bank.xty, rows @ X)
+
+
 def test_screen_agrees_with_the_solver_at_its_threshold():
     # +-1 entries make every loading exactly 1 and every x_j't an integer, so
     # at lam = 2 max |x_j't| the top column sits exactly on the threshold
