@@ -16,7 +16,8 @@ one multiply, 64 rows at a time, straight into the (n, L) output, from an
 index plan cached per (d, K). The column scales have the bits of
 ``std(axis=0)``, but the centred squares are summed a row block at a time
 in the rows of the output, so standardizing allocates no n x L array but
-its output.
+its output. Raw coordinates are standardized straight from ``Z``, without
+the copy that ``evaluate_dictionary`` returns.
 """
 
 from __future__ import annotations
@@ -259,14 +260,20 @@ def evaluate_dictionary(spec: DictionarySpec, data) -> np.ndarray:
     """
     if spec.kind == "hermite_univariate":
         return hermite_design(data, spec.degree)
+    Z = _coordinates(spec, data)
+    if spec.kind == "raw_coordinates":
+        return Z.copy()
+    return _hermite_tensor(Z, spec.degree)
+
+
+def _coordinates(spec: DictionarySpec, data) -> np.ndarray:
+    """``data`` as the float (n, d) matrix a multivariate ``spec`` takes."""
     Z = np.asarray(data, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != spec.input_dim:
         raise ValueError(
             f"expected an (n, {spec.input_dim}) matrix, got shape {Z.shape}"
         )
-    if spec.kind == "raw_coordinates":
-        return Z.copy()
-    return _hermite_tensor(Z, spec.degree)
+    return Z
 
 
 def dictionary_labels(spec: DictionarySpec, prefix: str = "q", names=None) -> list[str]:
@@ -348,7 +355,9 @@ class DesignMatrices:
     loadings, and a store of the rows of ``Q'Q``, each formed the first
     time its column enters any solve on the sample and kept for every
     later equation, estimator and degree grid, so ``Q'Q`` is never formed
-    whole. No raw copy of ``Q`` is kept: ``q_raw(idx)`` rebuilds only the
+    whole. Post-Single II's design, ``LassoDesign(P, lasso_design)``, reads
+    ``P`` and this design as column blocks, reusing ``Q*Q`` and the stored
+    rows. No raw copy of ``Q`` is kept: ``q_raw(idx)`` rebuilds only the
     selected columns the final OLS needs.
     """
 
@@ -378,18 +387,24 @@ def build_design(spec_p: DictionarySpec, spec_q: DictionarySpec, x, Z) -> Design
     """Evaluate both dictionaries, standardize every column, and wrap the
     standardized ``Q`` in the workspace's ``LassoDesign``.
 
-    The design's Gram row store starts empty: its rows are formed as
-    columns enter the solves that use it. Raises
+    Raw coordinates are standardized straight from ``Z``, which
+    ``standardize_columns`` never writes, so no raw n x L copy is made. The
+    design's Gram row store starts empty: its rows are formed as columns
+    enter the solves that use it. Raises
     ``DegenerateColumnError`` when any column is constant, naming the
     offending block and column.
     """
     P_raw = evaluate_dictionary(spec_p, x)
-    Q_raw = evaluate_dictionary(spec_q, Z)
+    if spec_q.kind == "raw_coordinates":
+        # C order, as evaluate_dictionary's copy has, keeps the scales' bits
+        Q_raw = np.ascontiguousarray(_coordinates(spec_q, Z))
+    else:
+        Q_raw = evaluate_dictionary(spec_q, Z)
     if P_raw.shape[0] != Q_raw.shape[0]:
         raise ValueError("x and Z have different sample sizes")
     P, p_scales = standardize_columns(P_raw, what="P column")
     Q, q_scales = standardize_columns(Q_raw, what="Q column")
-    # release the raw n x L block before the design squares Q
+    # release the raw block, when it is not Z itself, before the design squares Q
     del Q_raw
     return DesignMatrices(
         P=P,

@@ -10,13 +10,16 @@ Loadings are refined iteratively from Post-Lasso residuals.
 
 Every Lasso of post-double selection regresses some target on one design,
 so what those Lassos share lives in two objects. A ``LassoDesign`` holds
-the design ``X``, its square ``X*X`` (both loadings formulas are one
-product against it) and a store of the rows of ``X'X``. A ``TargetBank``
-holds targets on one ``LassoDesign``, each with its ``X't`` and initial
-loadings, evaluated for all targets at once, and a memo of its refined
-loadings by active set: refined loadings depend on a fit only through its
-active set, so the iteration stops as soon as a round selects the same set
-as the round before, and every equation on the same target reuses them.
+the design ``X`` as a row of column blocks, each block's square (both
+loadings formulas are one product against them) and a store of the rows
+of ``X'X``; a block may be another design, whose square and stored rows
+are then reused, so Post-Single II's ``[P | Q]`` is never concatenated.
+A ``TargetBank`` holds targets on one ``LassoDesign``, each with its
+``X't`` and initial loadings, evaluated for all targets at once, and a
+memo of its refined loadings by active set: refined loadings depend on a
+fit only through its active set, so the iteration stops as soon as a round
+selects the same set as the round before, and every equation on the same
+target reuses them.
 ``iterated_lasso(bank, k, lam)`` fits the bank's ``k``-th target.
 
 Most equations of post-double selection select nothing. The bank also
@@ -40,8 +43,8 @@ sweep tolerance.
 
 The solver reads the Gram system only through the rows of its active
 coordinates, so ``X'X`` is never formed whole: the ``LassoDesign`` forms
-row j, ``x_j'X``, the first time column j enters a solve and keeps it for
-every later solve on the same design.
+row j, ``x_j'X``, block by block, the first time column j enters a solve
+and keeps it for every later solve on the same design.
 """
 
 from __future__ import annotations
@@ -227,13 +230,13 @@ def initial_loadings(design: LassoDesign, targets: np.ndarray) -> np.ndarray:
 
     ``targets`` is one target vector, or a (k, n) block with one target per
     row: the result then has one row of loadings per target, from one
-    matrix product against ``design.sq``, and no row is checked for
+    product against the design's squares, and no row is checked for
     degeneracy here (``iterated_lasso`` checks the row it fits).
     """
     t = np.asarray(targets, dtype=float)
     dev2 = t - t.mean(axis=-1, keepdims=True)
     np.square(dev2, out=dev2)
-    loadings = dev2 @ design.sq
+    loadings = design.sq_product(dev2)
     del dev2
     loadings /= t.shape[-1]
     np.sqrt(loadings, out=loadings)
@@ -246,12 +249,12 @@ def refined_loadings(design: LassoDesign, residuals: np.ndarray) -> np.ndarray:
     ``residuals`` is one residual vector, or a (k, n) block with one residual
     per row, as in ``initial_loadings``: ``TargetBank.of`` passes its targets,
     the Post-Lasso residuals of the empty set. A block gets one row of
-    loadings per residual, from one matrix product against ``design.sq``, and
-    no row is checked for degeneracy here.
+    loadings per residual, from one product against the design's squares,
+    and no row is checked for degeneracy here.
     """
     e2 = np.asarray(residuals, dtype=float) ** 2
     n, block = e2.shape[-1], e2.ndim > 1
-    loadings = e2 @ design.sq
+    loadings = design.sq_product(e2)
     del e2
     loadings /= n
     np.sqrt(loadings, out=loadings)
@@ -261,21 +264,63 @@ def refined_loadings(design: LassoDesign, residuals: np.ndarray) -> np.ndarray:
 class LassoDesign:
     """One design ``X`` and what every Lasso on it shares.
 
-    ``sq = X*X`` feeds both loadings formulas and ``diag``, the Gram
-    diagonal, is its column sums. ``rows(idx)`` returns rows ``idx`` of
-    ``X'X``. A row missing from the store is formed then, as ``x_j'X``, and
-    kept, so each row is formed at most once however many solves on ``X``
-    ask for it. Each row is formed on its own, so its bits depend only on
-    ``X`` and j, not on which rows were asked for before or alongside it: a
-    fit is the same on a fresh design and on one that earlier solves have
-    filled. ``rows_formed`` counts the rows formed so far.
+    ``X`` is a row of column blocks, ``[X_1 | X_2 | ...]``, and is never
+    concatenated: ``LassoDesign(X)`` is the one-block case, and Post-Single
+    II's ``LassoDesign(P, workspace_design)`` puts the columns of ``P``
+    before those of the workspace's ``Q``. A block given as a one-block
+    ``LassoDesign`` brings its array, its square and its store of Gram rows.
+
+    ``squares`` holds each block's ``X_b*X_b``: both loadings formulas are
+    one product against them, ``sq_product``, and ``diag``, the Gram
+    diagonal, is their column sums. ``product`` (``a @ X``) and ``columns``
+    (a gather of columns) write each block's part into slices of one output.
+
+    ``rows(idx)`` returns rows ``idx`` of ``X'X``. A row missing from the
+    store is formed then, as ``x_j'X_b`` for every block b, and kept, so
+    each row is formed at most once however many solves on ``X`` ask for
+    it. The part on column j's own block, when that block came with a store,
+    is that store's row: a row an earlier solve on the workspace formed is
+    reused, and only the other blocks' parts are new. Each row is formed on
+    its own, so its bits depend only on ``X`` and j, not on which rows were
+    asked for before or alongside it: a fit is the same on a fresh design
+    and on one that earlier solves have filled. ``rows_formed`` counts the
+    rows formed in this design's own store so far.
     """
 
-    def __init__(self, X: np.ndarray):
-        self.X = np.asarray(X, dtype=float)
-        self.sq = self.X * self.X
-        self.diag = self.sq.sum(axis=0)
-        m = self.X.shape[1]
+    def __init__(self, *blocks):
+        if not blocks:
+            raise ValueError("a design needs at least one block")
+        arrays, squares, stores = [], [], []
+        for block in blocks:
+            if isinstance(block, LassoDesign):
+                if len(block.blocks) != 1:
+                    raise ValueError("a design block must be an array or a one-block design")
+                arrays += block.blocks
+                squares += block.squares
+                stores.append(block)
+            else:
+                X = np.asarray(block, dtype=float)
+                if X.ndim != 2:
+                    raise ValueError("a design block must be a 2-d matrix")
+                arrays.append(X)
+                squares.append(X * X)
+                stores.append(None)
+        n = arrays[0].shape[0]
+        if any(X.shape[0] != n for X in arrays):
+            raise ValueError("the design blocks have different row counts")
+        self.blocks, self.squares = tuple(arrays), tuple(squares)
+        self._stores = tuple(stores)
+        widths = [X.shape[1] for X in arrays]
+        self._stops = np.cumsum(widths)
+        self._spans = [(int(stop) - w, int(stop)) for w, stop in zip(widths, self._stops)]
+        m = int(self._stops[-1])
+        self.shape = (n, m)
+        self.diag = np.empty(m)
+        for sq, (a, b), store in zip(squares, self._spans, stores):
+            if store is None:
+                np.add.reduce(sq, axis=0, out=self.diag[a:b])
+            else:
+                self.diag[a:b] = store.diag
         self._slot = np.full(m, -1)  # row of _buf holding each column's row
         self._buf = np.empty((0, m))
         self._count = 0
@@ -284,22 +329,61 @@ class LassoDesign:
     def rows_formed(self) -> int:
         return self._count
 
+    def _blockwise(self, a: np.ndarray, mats) -> np.ndarray:
+        out = np.empty(a.shape[:-1] + (self.shape[1],))
+        for mat, (start, stop) in zip(mats, self._spans):
+            np.matmul(a, mat, out=out[..., start:stop])
+        return out
+
+    def product(self, a: np.ndarray) -> np.ndarray:
+        """``a @ X`` for a vector or a (k, n) block ``a``."""
+        return self._blockwise(a, self.blocks)
+
+    def sq_product(self, a: np.ndarray) -> np.ndarray:
+        """``a @ (X*X)`` for a vector or a (k, n) block ``a``."""
+        return self._blockwise(a, self.squares)
+
+    def columns(self, idx) -> np.ndarray:
+        """Columns ``idx`` of ``X``, as an (n, len(idx)) array.
+
+        The array is in F order, as ``X[:, idx]`` gives, so a product with it
+        has the bits of one with the columns of a concatenated ``X``.
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        out = np.empty((self.shape[0], idx.size), order="F")
+        for X, (start, stop) in zip(self.blocks, self._spans):
+            mine = (idx >= start) & (idx < stop)
+            out[:, mine] = X[:, idx[mine] - start]
+        return out
+
     def rows(self, idx) -> np.ndarray:
         """Rows ``idx`` of ``X'X``, as a (len(idx), m) array."""
         idx = np.asarray(idx, dtype=int)
         new = np.unique(idx[self._slot[idx] < 0])
         if new.size:
-            m, need = self.X.shape[1], self._count + new.size
+            m, need = self.shape[1], self._count + new.size
             if need > len(self._buf):
                 # grow by doubling, to at most one row per column
                 grown = np.empty((min(m, max(need, 2 * len(self._buf))), m))
                 grown[:self._count] = self._buf[:self._count]
                 self._buf = grown
             for j in new.tolist():
-                np.matmul(self.X[:, j], self.X, out=self._buf[self._count])
+                self._form(j, self._buf[self._count])
                 self._slot[j] = self._count
                 self._count += 1
         return self._buf[self._slot[idx]]
+
+    def _form(self, j: int, row: np.ndarray) -> None:
+        """Row j of ``X'X`` into ``row``, one block's part at a time."""
+        own = int(np.searchsorted(self._stops, j, side="right"))
+        local = j - self._spans[own][0]
+        col = self.blocks[own][:, local]
+        for b, (X, (start, stop), store) in enumerate(
+                zip(self.blocks, self._spans, self._stores)):
+            if b == own and store is not None:
+                row[start:stop] = store.rows([local])[0]
+            else:
+                np.matmul(col, X, out=row[start:stop])
 
 
 # design entries per row block of ``TargetBank.settled_empty``
@@ -355,7 +439,7 @@ class TargetBank:
         degenerate = ~loadings1.any(axis=1)
         memos = [{b"": "perfect_fit" if p else "loadings_degenerate" if d else psi}
                  for p, d, psi in zip(perfect.tolist(), degenerate.tolist(), loadings1)]
-        return cls(design=design, rows=rows, xty=rows @ design.X,
+        return cls(design=design, rows=rows, xty=design.product(rows),
                    loadings0=initial_loadings(design, rows), loadings1=loadings1,
                    empty_flagged=perfect | degenerate, memos=memos,
                    cols=tuple(range(len(rows))))
@@ -499,7 +583,7 @@ def lasso_solve(
     cfg = config if config is not None else LassoConfig()
     xty = np.asarray(xty, dtype=float)
     loadings = np.asarray(loadings, dtype=float)
-    m = design.X.shape[1]
+    m = design.shape[1]
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if xty.shape != (m,):
@@ -566,9 +650,9 @@ def _refine(design: LassoDesign, y: np.ndarray, active_set: np.ndarray):
     iteration instead: ``perfect_fit`` when max |residual| is below
     1e-12 sd(y), ``loadings_degenerate`` when every loading is zero.
     """
-    X = design.X
-    coef = post_lasso(X, y, active_set)
-    resid = y - X[:, active_set] @ coef[active_set]
+    # the Post-Lasso fit of post_lasso, on the active columns gathered once
+    X_active = design.columns(active_set)
+    resid = y - X_active @ np.linalg.lstsq(X_active, y, rcond=None)[0]
     if np.max(np.abs(resid)) < 1e-12 * float(y.std()):
         return "perfect_fit"
     try:

@@ -138,14 +138,22 @@ def draw_toeplitz_gaussian(n: int, d: int, rho: float, rng: np.random.Generator)
 
     z_1 = e_1 and z_j = rho z_{j-1} + sqrt(1 - rho^2) e_j gives exactly the
     Toeplitz correlation structure for standard normal e.
+
+    The map runs in place over the draw, so the (n, d) draw is the only
+    n x d array: its columns 2..d are scaled by s = sqrt(1 - rho^2) in one
+    pass, then each column adds rho times the column before it. Every entry
+    has the bits of fl(fl(rho z_{j-1}) + fl(s e_j)), as a column-by-column
+    recurrence into a second array gives, and the generator's stream is
+    consumed the same way.
     """
-    e = rng.standard_normal((n, d))
-    out = np.empty_like(e)
-    out[:, 0] = e[:, 0]
-    scale = np.sqrt(1.0 - rho * rho)
-    for j in range(1, d):
-        out[:, j] = rho * out[:, j - 1] + scale * e[:, j]
-    return out
+    z = rng.standard_normal((n, d))
+    np.multiply(z[:, 1:], np.sqrt(1.0 - rho * rho), out=z[:, 1:])
+    cols = [z[:, j] for j in range(d)]
+    prev = np.empty(n)
+    for left, col in zip(cols, cols[1:]):
+        np.multiply(left, rho, out=prev)
+        np.add(col, prev, out=col)
+    return z
 
 
 def generate_sample(cfg: DgpConfig, rng: np.random.Generator) -> Dataset:

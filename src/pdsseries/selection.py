@@ -17,7 +17,10 @@ fits its targets from a ``lasso.TargetBank`` on that design, which
 evaluates each target's ``Q't`` and initial loadings once and memoizes its
 refined loadings by active set; the BIC grid builds one bank at its largest
 degree and indexes every degree into it. Post-Single II, the one Lasso on
-another design, builds its own ``LassoDesign`` over ``[P, Q]``.
+another design, runs on a ``LassoDesign`` of two blocks, ``P`` and the
+workspace's design: ``[P, Q]`` is never concatenated, ``Q*Q`` is the
+workspace's, and a ``Q`` column's Gram row reuses the workspace's stored
+row of ``Q'Q``, so only its ``P`` part is new.
 
 Most first-stage equations select nothing. Before solving, each stage asks
 its bank which equations end with an empty active set at its penalty level
@@ -495,9 +498,10 @@ def _fit_one(name, data: Dataset, design: DesignMatrices, cfg, rng, k_grid) -> P
                        spec_p=spec_p, name=name)
 
     if name == "post_single_2":
-        # one Lasso of y on the joint [P, Q], its own design
-        joint = LassoDesign(np.concatenate([design.P, design.Q], axis=1))
-        lam = penalty_level(data.n, 1, joint.X.shape[1], cfg)
+        # one Lasso of y on [P, Q]: the blocks P and the workspace's design,
+        # whose Q*Q and stored rows of Q'Q it reuses
+        joint = LassoDesign(design.P, design.lasso_design)
+        lam = penalty_level(data.n, 1, joint.shape[1], cfg)
         fit = iterated_lasso(TargetBank.of(data.y, joint), 0, lam, cfg)
         in_q = fit.active_set[fit.active_set >= design.n_p] - design.n_p
         return pds_fit(design.p_raw, design.q_raw(in_q), data.y, in_q,

@@ -12,6 +12,9 @@ must match in every field of the returned fit.
 ``build_design`` would standardize or reject. ``hermite_tensor_design`` is
 the library's former column-by-column tensor evaluation, kept unchanged as
 the reference for the prefix-product evaluation that replaced it.
+``toeplitz_column_loop`` is the library's former AR(1) draw, column by
+column into a second array, kept unchanged as the reference for the
+in-place draw that replaced it.
 """
 
 from __future__ import annotations
@@ -65,6 +68,19 @@ def hermite_tensor_design(Z: np.ndarray, kmax: int) -> np.ndarray:
             if m:
                 col = col * uni[j, :, m]
         out[:, c] = col
+    return out
+
+
+def toeplitz_column_loop(n: int, d: int, rho: float,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Gaussian rows with correlation rho^|j-k| by the AR(1) map, one
+    column at a time into a second array."""
+    e = rng.standard_normal((n, d))
+    out = np.empty_like(e)
+    out[:, 0] = e[:, 0]
+    scale = np.sqrt(1.0 - rho * rho)
+    for j in range(1, d):
+        out[:, j] = rho * out[:, j - 1] + scale * e[:, j]
     return out
 
 
@@ -220,12 +236,12 @@ def iterated_lasso(
     returned), or when the loadings reach a fixed point, after which every
     further round would reproduce the same solution.
 
-    ``design`` is a ``LassoDesign`` over the regressors ``X``.
+    ``design`` is a one-block ``LassoDesign`` over the regressors ``X``.
     Raises ``ConvergenceError`` when the solve behind the returned fit hit
     ``cd_max_iter``.
     """
     cfg = config if config is not None else LassoConfig()
-    X = design.X
+    (X,) = design.blocks
     y = np.asarray(y, dtype=float)
     xty = X.T @ y
     fit = lasso_solve(design, xty, lam, initial_loadings(design, y), cfg)

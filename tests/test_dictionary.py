@@ -257,11 +257,11 @@ def test_build_design_shapes_and_scales(rng):
     assert d.q_raw([]).shape == (n, 0)
     # the Lasso design covers Q and forms no Gram row before a solve asks
     ld = d.lasso_design
-    assert ld.X is d.Q and ld.rows_formed == 0
+    assert len(ld.blocks) == 1 and ld.blocks[0] is d.Q and ld.rows_formed == 0
     np.testing.assert_allclose(ld.rows(np.arange(spec_q.n_terms)), d.Q.T @ d.Q,
                                rtol=1e-13, atol=1e-13 * n)
-    np.testing.assert_array_equal(ld.diag, ld.sq.sum(axis=0))
-    np.testing.assert_array_equal(ld.sq, d.Q * d.Q)
+    np.testing.assert_array_equal(ld.diag, ld.squares[0].sum(axis=0))
+    np.testing.assert_array_equal(ld.squares[0], d.Q * d.Q)
     assert d.n_p == 4
     assert d.spec_p == spec_p and d.spec_q == spec_q
 
@@ -290,6 +290,21 @@ def test_build_design_leaves_its_inputs_unchanged(rng, spec_q):
     np.testing.assert_array_equal(x, x0)
     np.testing.assert_array_equal(Z, Z0)
     assert not np.shares_memory(d.Q, Z) and not np.shares_memory(d.P, x)
+
+
+def test_raw_coordinates_design_has_the_same_bits_for_any_layout(rng):
+    # raw coordinates are standardized straight from Z: a strided or
+    # F-ordered Z gives the bits of its C-ordered copy
+    n = 130
+    Z = rng.standard_normal((n, 12)) * rng.uniform(0.5, 3.0, 12)
+    x = rng.standard_normal(n)
+    spec_p = DictionarySpec("hermite_univariate", degree=3)
+    spec_q = DictionarySpec("raw_coordinates", input_dim=6)
+    want = build_design(spec_p, spec_q, x, Z[:, ::2].copy())
+    for layout in (Z[:, ::2], np.asfortranarray(Z[:, ::2])):
+        got = build_design(spec_p, spec_q, x, layout)
+        np.testing.assert_array_equal(got.q_scales, want.q_scales)
+        np.testing.assert_array_equal(got.Q, want.Q)
 
 
 def test_build_design_keeps_at_most_two_dictionary_sized_blocks():

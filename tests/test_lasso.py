@@ -533,9 +533,48 @@ def test_gram_rows_diagonal_is_the_squared_design_sum(rng):
     X = rng.standard_normal((70, 25))
     X[:, 3] = 0.0
     design = LassoDesign(X)
-    np.testing.assert_array_equal(design.sq, X * X)
+    np.testing.assert_array_equal(design.squares[0], X * X)
     np.testing.assert_array_equal(design.diag, (X * X).sum(axis=0))
     assert design.diag[3] == 0.0
+
+
+def test_block_design_reads_its_blocks_as_one_design(rng):
+    A = rng.standard_normal((90, 4))
+    B = rng.standard_normal((90, 30))
+    B[:, 5] = 0.0
+    X = np.concatenate([A, B], axis=1)
+    inner = LassoDesign(B)
+    design, whole = LassoDesign(A, inner), LassoDesign(X)
+    assert design.shape == whole.shape == (90, 34)
+    assert design.blocks[0] is A
+    assert design.blocks[1] is B and design.squares[1] is inner.squares[0]
+    np.testing.assert_array_equal(np.concatenate(design.squares, axis=1), X * X)
+    np.testing.assert_array_equal(design.diag, whole.diag)
+    idx = np.array([33, 0, 4, 3, 9, 4])
+    for got in (design.columns(idx), whole.columns(idx)):
+        np.testing.assert_array_equal(got, X[:, idx])
+        assert got.strides == X[:, idx].strides
+    assert design.columns([]).shape == (90, 0)
+    # block products: each block's part is one product, so an entry may
+    # move only within the rounding bound of a sum of n terms
+    tol = 90 * np.finfo(float).eps
+    T = rng.standard_normal((3, 90))
+    for got, a, M in [(design.product(T), T, X), (design.product(T[0]), T[0], X),
+                      (design.sq_product(T ** 2), T ** 2, X * X)]:
+        assert got.shape == (a @ M).shape
+        assert np.all(np.abs(got - a @ M) <= tol * (np.abs(a) @ np.abs(M)))
+    # a B column's row takes its B part from the inner store, which keeps it
+    got = design.rows([9, 2])
+    np.testing.assert_allclose(got, X[:, [9, 2]].T @ X, rtol=1e-12, atol=1e-12 * 90)
+    np.testing.assert_array_equal(got[0, 4:], inner.rows([5])[0])
+    np.testing.assert_array_equal(got[1, :4], A[:, 2] @ A)
+    assert design.rows_formed == 2 and inner.rows_formed == 1
+    design.rows([9, 33])
+    assert design.rows_formed == 3 and inner.rows_formed == 2
+    with pytest.raises(ValueError, match="row counts"):
+        LassoDesign(A, B[:80])
+    with pytest.raises(ValueError, match="one-block"):
+        LassoDesign(A, design)
 
 
 def test_fit_is_the_same_with_or_without_a_store():

@@ -1,10 +1,13 @@
 """Simulation designs, the truth oracle, and the replication harness."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from _oracles import toeplitz_column_loop
 from pdsseries.dictionary import evaluate_dictionary
 from pdsseries.inference import average_derivative, functional_estimate
 from pdsseries.montecarlo import (
@@ -41,14 +44,15 @@ FROZEN_THETA = {
 
 
 class FixedMatrixRng:
-    """Stand-in rng whose standard_normal returns a preset matrix."""
+    """Stand-in rng whose standard_normal returns a copy of a preset matrix,
+    which a draw may then write in place."""
 
     def __init__(self, mat):
         self.mat = np.asarray(mat, dtype=float)
 
     def standard_normal(self, size):
         assert tuple(size) == self.mat.shape
-        return self.mat
+        return self.mat.copy()
 
 
 # ---------------------------------------------------------------- config
@@ -116,6 +120,32 @@ def test_ar1_map_induces_exact_toeplitz_covariance():
         M = draw_toeplitz_gaussian(d, d, rho, FixedMatrixRng(np.eye(d)))
         S = rho ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
         assert np.abs(M.T @ M - S).max() < 1e-12
+
+
+def test_in_place_draw_matches_the_column_recurrence():
+    # the same bits as the former column-by-column draw into a second
+    # array, and the generator left where that draw left it
+    for k, (n, d, rho) in enumerate(itertools.product(
+            (1, 3, 500), (1, 2, 1000), (0.0, 0.5, -0.3, 0.9))):
+        got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
+        got = draw_toeplitz_gaussian(n, d, rho, got_rng)
+        want = toeplitz_column_loop(n, d, rho, want_rng)
+        assert got.shape == (n, d) and np.array_equal(got, want), (n, d, rho)
+        assert np.array_equal(got_rng.standard_normal(3), want_rng.standard_normal(3))
+
+
+def test_high_dim_sample_holds_one_draw_sized_block():
+    # the AR(1) map runs in place over the draw: no second n x d array
+    cfg = DgpConfig("high_dim", 500)
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        data = generate_sample(cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.Z.shape == (500, 1000)
+    assert peak < 1.2 * cfg.n * cfg.dim_z * 8
 
 
 def test_toeplitz_quad_form_matches_direct():

@@ -341,6 +341,35 @@ def test_post_single_2_keeps_full_g_dictionary():
     assert np.all(fit.selected < spec_q.n_terms)
 
 
+def test_post_single_2_block_design_matches_the_concatenated_one():
+    # Post-Single II's design reads P and the workspace's Q as two blocks.
+    # Its fit is the one on the concatenated [P, Q]: the same active set,
+    # sweeps and flags, with coefficients and loadings equal up to the last
+    # bits that a product taken block by block may move
+    eps = np.finfo(float).eps
+    for design, n, seed in [("high_dim", 200, 5), ("high_dim", 500, 2),
+                            ("high_dim", 500, 6), ("low_dim", 500, 0),
+                            ("low_dim", 500, 7)]:
+        cfg = DgpConfig(design, n, sigma_eps=2.0)
+        data = generate_sample(cfg, np.random.default_rng(seed))
+        d = build_design(*default_specs(cfg), data.x, data.Z)
+        lam = penalty_level(n, 1, d.n_p + d.Q.shape[1])
+        whole = LassoDesign(np.concatenate([d.P, d.Q], axis=1))
+        want = iterated_lasso(TargetBank.of(data.y, whole), 0, lam)
+        blocks = LassoDesign(d.P, d.lasso_design)
+        got = iterated_lasso(TargetBank.of(data.y, blocks), 0, lam)
+        assert want.active_set.size > 0
+        np.testing.assert_array_equal(got.active_set, want.active_set)
+        assert (got.iterations, got.converged, got.perfect_fit, got.loadings_degenerate) \
+            == (want.iterations, want.converged, want.perfect_fit, want.loadings_degenerate)
+        np.testing.assert_allclose(got.coefficients, want.coefficients, rtol=1e-10)
+        np.testing.assert_allclose(got.loadings, want.loadings, rtol=n * eps)
+        # the Q columns' rows went into the workspace's store, for later solves
+        in_q = got.active_set[got.active_set >= d.n_p] - d.n_p
+        assert d.lasso_design.rows_formed >= in_q.size
+        assert blocks.rows_formed == whole.rows_formed
+
+
 def test_post_single_2_is_one_joint_lasso_on_both_blocks():
     # Post-Single II penalises every column of the standardised [P, Q] at
     # the single-equation level with M = K + L; rebuild that problem here
@@ -512,13 +541,13 @@ def test_gram_rows_are_formed_only_for_entering_columns(monkeypatch):
             if data is noise:
                 assert store.rows_formed == 0
             else:
-                assert 0 < store.rows_formed < 0.02 * store.X.shape[1]
+                assert 0 < store.rows_formed < 0.02 * store.shape[1]
         assert {k for k, v in vars(d).items() if np.ndim(v) == 2} == {"P", "Q"}
-        assert d.lasso_design.X is d.Q
-        # the traced peak exceeds the arrays the run must hold at once (Q
-        # and Q*Q, and for Post-Single II the joint [P, Q] and its square)
-        # by less than half an L x L Gram
-        held = 2 * d.Q.nbytes * (1 + ("post_single_2" in estimators))
+        assert len(d.lasso_design.blocks) == 1 and d.lasso_design.blocks[0] is d.Q
+        # the traced peak exceeds the arrays the run must hold at once, Q
+        # and Q*Q, by less than half an L x L Gram: Post-Single II's design
+        # reads the workspace's blocks and copies neither
+        held = 2 * d.Q.nbytes
         assert peak - held < 0.5 * 8 * L * L
         monkeypatch.undo()
 
