@@ -21,6 +21,7 @@ import csv
 import fnmatch
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -300,7 +301,16 @@ def load_csv(path: str, y_col: str, x_col: str, z_patterns):
     wildcards; matches keep header order. Rows with a missing value in any
     used column are dropped (the count is reported). A non-numeric or
     infinite cell that is not a missing token raises a ValueError naming the
-    row and column; a column in two roles (y, x or z) raises one naming it.
+    row and column; a column in two roles (y, x or z), or a used name that
+    the header repeats, raises one naming it.
+
+    Two readers keep one contract. The header is parsed once; NumPy's C
+    reader (``np.loadtxt``) then reads the used columns of a clean file,
+    where every used cell is a finite number. When it raises or warns,
+    finds no row or reads a value that is not finite, the file is read
+    again cell by cell, and only that loop drops rows and names bad cells.
+    Both readers round each number correctly, so a clean file gives the
+    same bits from either.
 
     Returns (Dataset, z_column_names, n_dropped).
     """
@@ -311,8 +321,19 @@ def load_csv(path: str, y_col: str, x_col: str, z_patterns):
         except StopIteration:
             raise ValueError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        used = _used_columns(path, header, y_col, x_col, z_patterns)
+        pos = [header.index(c) for c in used]
+        arr, n_dropped = _read_clean(fh, pos), 0
+        if arr is None:
+            fh.seek(0)
+            next(reader)
+            arr, n_dropped = _read_cells(path, reader, used, pos)
+    data = Dataset(y=arr[:, 0], x=arr[:, 1], Z=arr[:, 2:])
+    return data, used[2:], n_dropped
 
+
+def _used_columns(path: str, header: list, y_col: str, x_col: str, z_patterns) -> list:
+    """The names ``load_csv`` reads, y and x first, checked against ``header``."""
     missing_cols = [c for c in (y_col, x_col) if c not in header]
     z_cols: list[str] = []
     for pat in z_patterns:
@@ -330,16 +351,39 @@ def load_csv(path: str, y_col: str, x_col: str, z_patterns):
         if col in roles:
             raise ValueError(f"{path}: column {col!r} is given as both {roles[col]} and {role}")
         roles[col] = role
-
     used = [y_col, x_col] + z_cols
-    pos = {c: header.index(c) for c in used}
+    for col in used:
+        count = header.count(col)
+        if count > 1:
+            raise ValueError(f"{path}: column {col!r} appears {count} times in the header")
+    return used
+
+
+def _read_clean(fh, pos: list):
+    """Columns ``pos`` of the rest of ``fh`` by NumPy's C reader, or None
+    when it raises or warns, finds no row or reads a non-finite value."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arr = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                             usecols=pos, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if not len(arr) or not np.isfinite(arr).all():
+        return None
+    return arr
+
+
+def _read_cells(path: str, reader, used: list, pos: list):
+    """The used columns of the rows of ``reader``, cell by cell: rows with a
+    missing value dropped, bad cells named. Returns (array, n_dropped)."""
+    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     parsed: list[list[float]] = []
     n_dropped = 0
     for i, row in enumerate(rows):
         vals = []
         drop = False
-        for col in used:
-            j = pos[col]
+        for col, j in zip(used, pos):
             cell = row[j].strip() if j < len(row) else ""
             if cell.lower() in _MISSING_TOKENS:
                 drop = True
@@ -363,9 +407,7 @@ def load_csv(path: str, y_col: str, x_col: str, z_patterns):
         parsed.append(vals)
     if not parsed:
         raise ValueError(f"{path}: no usable rows after dropping missing values")
-    arr = np.asarray(parsed)
-    data = Dataset(y=arr[:, 0], x=arr[:, 1], Z=arr[:, 2:])
-    return data, z_cols, n_dropped
+    return np.asarray(parsed), n_dropped
 
 
 def write_sample_csv(data: Dataset, path: str) -> None:

@@ -26,9 +26,11 @@ Most equations of post-double selection select nothing. The bank also
 evaluates every target's refined loadings for the empty set in one product,
 and pre-fills each memo with them, so ``TargetBank.settled_empty`` can
 decide for the whole bank at once which equations select nothing in their
-first two rounds, and so end empty, at a given penalty level: two
-elementwise comparisons over ``X'T``, one per loading round, against the
-thresholds of the solver's first screen. Those equations need no
+first two rounds, and so end empty, at a given penalty level. The bank
+keeps each target's level for both loading rounds, half its lam_max, so
+the decision costs two comparisons per target; only a target whose level
+lies within a relative 1e-12 of lam / 2 is compared column by column with
+the thresholds of the solver's first screen. Those equations need no
 ``iterated_lasso`` call, and the rest read the same pre-filled loadings.
 
 The solver is active-set cyclic coordinate descent on the Gram system: the
@@ -39,7 +41,8 @@ inactive coordinates decides which enter, as in the strong rules of
 Tibshirani et al. (2012, J. R. Stat. Soc. B 74(2)). The solve ends when a
 screen finds no violator, so at a converged solution every inactive
 coordinate meets its KKT condition exactly and every active one to the
-sweep tolerance.
+sweep tolerance. Active sets are small, so the sweeps run on plain Python
+floats, with the same IEEE operations, and so the same bits, as NumPy's.
 
 The solver reads the Gram system only through the rows of its active
 coordinates, so ``X'X`` is never formed whole: the ``LassoDesign`` forms
@@ -359,8 +362,9 @@ class LassoDesign:
     def rows(self, idx) -> np.ndarray:
         """Rows ``idx`` of ``X'X``, as a (len(idx), m) array."""
         idx = np.asarray(idx, dtype=int)
-        new = np.unique(idx[self._slot[idx] < 0])
+        new = idx[self._slot[idx] < 0]
         if new.size:
+            new = np.unique(new)
             m, need = self.shape[1], self._count + new.size
             if need > len(self._buf):
                 # grow by doubling, to at most one row per column
@@ -386,8 +390,15 @@ class LassoDesign:
                 np.matmul(col, X, out=row[start:stop])
 
 
-# design entries per row block of ``TargetBank.settled_empty``
+# design entries per row block of ``TargetBank.of``'s levels and
+# ``TargetBank.settled_empty``'s band
 _SCREEN_CELLS = 1 << 14
+
+# relative half-width of the band of levels that ``settled_empty`` compares
+# column by column
+_BAND = 1e-12
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
 
 
 def _admits_none(abs_xty: np.ndarray, thr: np.ndarray, half: float) -> np.ndarray:
@@ -396,6 +407,37 @@ def _admits_none(abs_xty: np.ndarray, thr: np.ndarray, half: float) -> np.ndarra
     positive = (thr > 0.0).all(axis=1)
     thr *= half
     return positive & ~(abs_xty > thr).any(axis=1)
+
+
+def _levels(xty: np.ndarray, *loadings) -> np.ndarray:
+    """Each row's level max_l |x_l't| / psi_l, half its lam_max, under each
+    of ``loadings``: one row of levels per loadings array.
+
+    ``inf`` when a loading is not positive. NaN when rounding cannot vouch
+    for the level: when it is not a finite normal number, or when the
+    |x_l't| it is read from is subnormal.
+    """
+    k, m = xty.shape
+    levels = np.full((len(loadings), k), np.nan)
+    if not m:
+        return levels
+    at_top = np.empty_like(levels)  # the |x_l't| each level is read from
+    step = max(1, _SCREEN_CELLS // m)
+    for start in range(0, k, step):
+        rows = slice(start, start + step)
+        abs_xty = np.abs(xty[rows])
+        at = np.arange(len(abs_xty))
+        for r, psi in enumerate(loadings):
+            with np.errstate(divide="ignore", over="ignore", under="ignore",
+                             invalid="ignore"):
+                ratio = abs_xty / psi[rows]
+            top = ratio.argmax(axis=1)
+            levels[r, rows] = ratio[at, top]
+            at_top[r, rows] = abs_xty[at, top]
+    levels[~((levels >= _TINY) & (levels <= _HUGE) & (at_top >= _TINY))] = np.nan
+    for level, psi in zip(levels, loadings):
+        level[~(psi.min(axis=1) > 0.0)] = np.inf
+    return levels
 
 
 @dataclass
@@ -416,8 +458,11 @@ class TargetBank:
     loadings ``loadings1[j]`` are one more matrix product for the whole bank.
     Each memo starts with them under the empty-set key ``b""``, or with the
     flag ``_refine`` would return instead, which ``empty_flagged[j]`` marks.
-    With both rounds' loadings at hand, ``settled_empty`` decides for every
-    equation at once whether it ends with an empty active set.
+    ``level0[j]`` and ``level1[j]`` are the target's levels for the two
+    rounds, max_l |x_l't| / psi_l with the loadings of each: the first
+    screen of a round admits nothing exactly when lam / 2 reaches the level.
+    With both rounds at hand, ``settled_empty`` decides for every equation
+    at once whether it ends with an empty active set.
     """
 
     design: LassoDesign
@@ -425,6 +470,8 @@ class TargetBank:
     xty: np.ndarray
     loadings0: np.ndarray
     loadings1: np.ndarray
+    level0: np.ndarray
+    level1: np.ndarray
     empty_flagged: np.ndarray
     memos: list
     cols: tuple
@@ -433,14 +480,17 @@ class TargetBank:
     def of(cls, rows, design: LassoDesign) -> TargetBank:
         """Bank of the targets in ``rows`` (one per row, or one vector)."""
         rows = np.ascontiguousarray(np.atleast_2d(rows), dtype=float)
+        xty = design.product(rows)
+        loadings0 = initial_loadings(design, rows)
         loadings1 = refined_loadings(design, rows)
         # _refine's flags, on the empty set's residual
         perfect = np.abs(rows).max(axis=1) < 1e-12 * rows.std(axis=1)
         degenerate = ~loadings1.any(axis=1)
         memos = [{b"": "perfect_fit" if p else "loadings_degenerate" if d else psi}
                  for p, d, psi in zip(perfect.tolist(), degenerate.tolist(), loadings1)]
-        return cls(design=design, rows=rows, xty=design.product(rows),
-                   loadings0=initial_loadings(design, rows), loadings1=loadings1,
+        level0, level1 = _levels(xty, loadings0, loadings1)
+        return cls(design=design, rows=rows, xty=xty,
+                   loadings0=loadings0, loadings1=loadings1, level0=level0, level1=level1,
                    empty_flagged=perfect | degenerate, memos=memos,
                    cols=tuple(range(len(rows))))
 
@@ -469,29 +519,54 @@ class TargetBank:
         (Tibshirani et al. 2012). The second solve, run when
         ``n_loadings > 1`` and the empty-set memo is not a flag, is the same
         test with ``loadings1``; a third would repeat the empty set and stop.
-        Both are elementwise comparisons over the bank's ``xty`` with the
-        solver's own thresholds, so they agree with the solves bit for bit.
+
+        Each round's test reads the target's level for that round, with
+        ``half = lam / 2``: a round admits nothing when ``half >= level *
+        (1 + 1e-12)`` and admits a column when ``half < level * (1 -
+        1e-12)``, and a flagged target skips round 2. The bounds are taken
+        on ``half``, once per call. Only the targets left between, in the
+        band, are compared column by column, with the solver's own
+        thresholds, in blocks of rows. So the answer is the solver's bit for
+        bit: a finite normal level is the ratio |x_l't| / psi_l rounded
+        once, and the solver's threshold ``fl(half * psi_l)`` is the product
+        rounded once, each with relative error at most 2^-53 where the
+        result is normal, and the 1e-12 margin is far wider than both
+        together. A settled round needs only that rounding is monotone, so
+        an underflowed threshold is no exception; an unsettled one needs the
+        |x_l't| its level is read from to be normal, so that the threshold
+        rounds below it. A level these bounds cannot vouch for is NaN, which
+        both tests reject, so its target is always in the band.
 
         An equation whose loadings are not all positive is never settled:
-        its ``iterated_lasso`` call raises. A positive loading needs a
-        positive entry of ``X*X`` in its column, whose sum is the Gram
-        diagonal, so the solver's screen skips no column of a settled
-        equation.
+        its level is inf, and its ``iterated_lasso`` call raises. A positive
+        loading needs a positive entry of ``X*X`` in its column, whose sum
+        is the Gram diagonal, so the solver's screen skips no column of a
+        settled equation.
         """
         cfg = config if config is not None else LassoConfig()
         cols = np.asarray(self.cols, dtype=np.intp)
         half = 0.5 * float(lam)
-        settled = np.empty(len(cols), dtype=bool)
+        # the band's edges as bounds on a level: at or below low, a round
+        # admits nothing; above high, it admits a column
+        low, high = min(half / (1.0 + _BAND), _HUGE), half / (1.0 - _BAND)
+        level = self.level0[cols]
+        settled, unsettled = level <= low, level > high
+        if cfg.n_loadings > 1:
+            flagged, level = self.empty_flagged[cols], self.level1[cols]
+            settled &= flagged | (level <= low)
+            unsettled |= ~flagged & (level > high)
+        band = np.flatnonzero(~(settled | unsettled))
         # a block of rows at a time, so the copies stay small beside the bank
         step = max(1, _SCREEN_CELLS // max(1, self.xty.shape[1]))
-        for start in range(0, len(cols), step):
-            j = cols[start:start + step]
+        for start in range(0, band.size, step):
+            k = band[start:start + step]
+            j = cols[k]
             abs_xty = self.xty[j]
             np.abs(abs_xty, out=abs_xty)
             block = _admits_none(abs_xty, self.loadings0[j], half)
             if cfg.n_loadings > 1:
                 block &= self.empty_flagged[j] | _admits_none(abs_xty, self.loadings1[j], half)
-            settled[start:start + step] = block
+            settled[k] = block
         return settled
 
 
@@ -514,6 +589,12 @@ def _cd_solve(design: LassoDesign, xty: np.ndarray, thr: np.ndarray,
     runs. The solve ends when a screen admits nothing, so only rows of
     columns that entered are ever formed.
 
+    The sweeps hold q on the active block and the active Gram block as
+    lists of Python floats: a coordinate's update ``q_a[i] += delta *
+    row[i]`` is the same two IEEE double operations, rounded the same way,
+    as NumPy's ``q_a += delta * row``, so the coefficients and the sweep
+    count are NumPy's bit for bit, without a NumPy call per update.
+
     Returns (coef, sweeps, converged). ``sweeps`` counts active-set sweeps
     over all rounds and is capped at ``max_iter``; ``converged`` is False
     when the cap stopped a round before its sweeps met ``tol``.
@@ -532,12 +613,13 @@ def _cd_solve(design: LassoDesign, xty: np.ndarray, thr: np.ndarray,
         idx = np.flatnonzero(active)
         active_rows = design.rows(idx)
         block = active_rows[:, idx]
-        rows = list(block)
-        q_a = q[idx]
+        rows = block.tolist()
+        q_a = q[idx].tolist()
         c_a = coef[idx].tolist()
         d_a = np.diagonal(block).tolist()
         t_a = thr[idx].tolist()
         b_a = xty[idx].tolist()
+        span = range(len(d_a))
         while True:
             if sweeps == max_iter:
                 coef[idx] = c_a
@@ -555,7 +637,9 @@ def _cd_solve(design: LassoDesign, xty: np.ndarray, thr: np.ndarray,
                     new = 0.0
                 delta = new - c_a[k]
                 if delta != 0.0:
-                    q_a += delta * rows[k]
+                    row = rows[k]
+                    for i in span:
+                        q_a[i] += delta * row[i]
                     c_a[k] = new
                     if abs(delta) > max_change:
                         max_change = abs(delta)

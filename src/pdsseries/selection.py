@@ -24,9 +24,11 @@ row of ``Q'Q``, so only its ``P`` part is new.
 
 Most first-stage equations select nothing. Before solving, each stage asks
 its bank which equations end with an empty active set at its penalty level
-(``TargetBank.settled_empty``: two elementwise comparisons over the bank's
-``Q'T``, with the empty set's refined loadings pre-filled in each memo) and
-runs ``iterated_lasso`` only for the rest. The sets, and the exceptions of
+(``TargetBank.settled_empty``: two comparisons per equation with the
+levels the bank keeps, and the solver's own comparisons over ``Q't`` for an
+equation whose level lies within a relative 1e-12 of lam / 2, with the
+empty set's refined loadings pre-filled in each memo) and runs
+``iterated_lasso`` only for the rest. The sets, and the exceptions of
 equations that fail, are those of one ``iterated_lasso`` call per equation.
 """
 
@@ -117,6 +119,10 @@ class SelectionError(RuntimeError):
 # cd_max_iter, and a failed selection step. Anything else is a programming
 # error and propagates instead of being counted as an estimator failure.
 FIT_ERRORS = (ValueError, np.linalg.LinAlgError, ConvergenceError, SelectionError)
+
+# the active set of every settled equation: shared, so read-only
+_EMPTY_SET = np.empty(0, dtype=np.intp)
+_EMPTY_SET.flags.writeable = False
 
 
 @dataclass
@@ -256,7 +262,8 @@ def _active_sets(bank: TargetBank, lam: float, cfg: LassoConfig, label: str) -> 
     """Active set of each equation of ``bank`` at ``lam``.
 
     In a bank of two or more equations, an equation that
-    ``bank.settled_empty`` settles gets the empty set with no solve. Every
+    ``bank.settled_empty`` settles gets the empty set with no solve (one
+    read-only empty array, shared by every settled equation). Every
     other equation runs ``iterated_lasso``, and a failure is raised as a
     ``SelectionError`` naming the equation by ``label.format(k)``.
     """
@@ -264,17 +271,14 @@ def _active_sets(bank: TargetBank, lam: float, cfg: LassoConfig, label: str) -> 
     # would save ~20 us per reduced form, and the traced benchmark's repeat check on
     # mc_noise_controls, where every other equation is settled, needs at
     # least one iterated_lasso call to count.
-    settled = bank.settled_empty(lam, cfg).tolist() if len(bank) > 1 else [False]
-    sets = []
-    for k, done in enumerate(settled):
-        if done:
-            sets.append(np.empty(0, dtype=np.intp))
-            continue
+    left = np.flatnonzero(~bank.settled_empty(lam, cfg)).tolist() if len(bank) > 1 else [0]
+    sets = [_EMPTY_SET] * len(bank)
+    for k in left:
         try:
             fit = iterated_lasso(bank, k, lam, cfg)
         except FIT_ERRORS as exc:
             raise SelectionError(f"{label.format(k)} failed: {exc}") from exc
-        sets.append(fit.active_set)
+        sets[k] = fit.active_set
     return sets
 
 

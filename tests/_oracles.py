@@ -15,6 +15,9 @@ the reference for the prefix-product evaluation that replaced it.
 ``toeplitz_column_loop`` is the library's former AR(1) draw, column by
 column into a second array, kept unchanged as the reference for the
 in-place draw that replaced it.
+``_cd_solve`` is the library's former active-set kernel, whose sweeps
+updated a NumPy vector per coordinate, kept unchanged as the reference for
+the plain-float sweeps that replaced it: their bits must be the same.
 """
 
 from __future__ import annotations
@@ -195,6 +198,76 @@ def cd_solve(gram, xty, lam, penalty, max_iter, tol):
             converged = True
             break
     return coef, n_sweeps, converged
+
+
+def _cd_solve(design: LassoDesign, xty: np.ndarray, thr: np.ndarray,
+              max_iter: int, tol: float):
+    """Active-set cyclic coordinate descent on the Gram system.
+
+    The covariance-update scheme of Friedman, Hastie & Tibshirani (2010),
+    with each screen a full KKT check as in Tibshirani et al. (2012).
+    Minimizes sum (y - X t)^2 + 2 sum_j thr_j |t_j| given ``design``, which
+    holds the rows of X'X, and ``xty = X'y``, starting from t = 0. Each round
+    screens the inactive coordinates at once: j enters when
+    |xty_j - q_j| > thr_j, with q = X'X t, which is exactly when its
+    coordinate update would move it off zero. Columns with a zero Gram
+    diagonal never enter. The active rows are then read from the store,
+    which forms those of the entering columns it does not hold yet. Sweeps
+    run over the active coordinates only, updating q on the active block,
+    until the largest coefficient change in a sweep is at most ``tol``;
+    q is then refreshed in full from the active rows and the next screen
+    runs. The solve ends when a screen admits nothing, so only rows of
+    columns that entered are ever formed.
+
+    Returns (coef, sweeps, converged). ``sweeps`` counts active-set sweeps
+    over all rounds and is capped at ``max_iter``; ``converged`` is False
+    when the cap stopped a round before its sweeps met ``tol``.
+    """
+    m = xty.shape[0]
+    coef = np.zeros(m)
+    q = np.zeros(m)
+    usable = design.diag > 0.0
+    active = np.zeros(m, dtype=bool)
+    sweeps = 0
+    while True:
+        entering = usable & ~active & (np.abs(xty - q) > thr)
+        if not entering.any():
+            return coef, sweeps, True
+        active |= entering
+        idx = np.flatnonzero(active)
+        active_rows = design.rows(idx)
+        block = active_rows[:, idx]
+        rows = list(block)
+        q_a = q[idx]
+        c_a = coef[idx].tolist()
+        d_a = np.diagonal(block).tolist()
+        t_a = thr[idx].tolist()
+        b_a = xty[idx].tolist()
+        while True:
+            if sweeps == max_iter:
+                coef[idx] = c_a
+                return coef, sweeps, False
+            sweeps += 1
+            max_change = 0.0
+            for k, dk in enumerate(d_a):
+                z = b_a[k] - q_a[k] + dk * c_a[k]
+                t = t_a[k]
+                if z > t:
+                    new = (z - t) / dk
+                elif z < -t:
+                    new = (z + t) / dk
+                else:
+                    new = 0.0
+                delta = new - c_a[k]
+                if delta != 0.0:
+                    q_a += delta * rows[k]
+                    c_a[k] = new
+                    if abs(delta) > max_change:
+                        max_change = abs(delta)
+            if max_change <= tol:
+                break
+        coef[idx] = c_a
+        q = coef[idx] @ active_rows
 
 
 def random_instance(rng: np.random.Generator, n: int, m: int,

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdsseries import cli
 from pdsseries.cli import (
@@ -116,6 +118,128 @@ def test_write_sample_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.y, data.y)
     np.testing.assert_array_equal(back.x, data.x)
     np.testing.assert_array_equal(back.Z, data.Z)
+
+
+# (text, whether NumPy's C reader takes it); every other file is read cell by cell
+READER_CASES = {
+    "crlf": ("y,x,z1\r\n1.5,2,3\r\n-4,5e-3,6\r\n", True),
+    "cr_only": ("y,x,z1\r1,2,3\r4,5,6\r", True),
+    "quoted": ('y,x,z1\n"1.5","2",3\n4,"-5",6\n', True),
+    "padded": ("y , x,z1\n 1.5 ,\t2, 3 \n4,5 ,6\n", True),
+    "trailing_delimiter": ("y,x,z1,\n1,2,3,\n4,5,6,\n", True),
+    "extra_columns": ("y,w,x,z1\n1,a,2,3\n4,b,5,6,7\n", True),
+    "reordered_columns": ("z1,x,y\n3,2,1\n6,5,4\n", True),
+    "blank_lines": ("y,x,z1\n\n1,2,3\n\n4,5,6\n\n", True),
+    "short_row": ("y,x,z1\n1,2,3\n4,5\n", False),
+    "na_and_empty_cells": ("y,x,z1\n1,na,3\n4,,6\n7,8,9\n", False),
+    "nan": ("y,x,z1\n1,nan,3\n4,5,6\n", False),
+    "inf": ("y,x,z1\n1,2,3\n1,-inf,3\n", False),
+    "whitespace_only_lines": ("y,x,z1\n1,2,3\n   \n\t\n4,5,6\n", False),
+    "delimiters_only_line": ("y,x,z1\n1,2,3\n,,\n4,5,6\n", False),
+    "header_only": ("y,x,z1\n", False),
+    "underscore_digits": ("y,x,z1\n1_000,2,3\n4,5,6\n", False),
+    "non_numeric": ("y,x,z1\n1,2,3\n4,5,abc\n", False),
+}
+
+
+def read_both(path, z=("z*",), y="y", x="x"):
+    """``load_csv``'s reading and the cell-by-cell loop's alone: each the
+    (data, z names, n_dropped) triple or the error text."""
+    def attempt():
+        try:
+            return load_csv(str(path), y, x, list(z))
+        except ValueError as exc:
+            return str(exc)
+
+    got = attempt()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_read_clean", lambda fh, pos: None)
+        want = attempt()
+    return got, want
+
+
+def assert_same_reading(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    (got_data, *got_rest), (want_data, *want_rest) = got, want
+    assert got_rest == want_rest
+    for name in ("y", "x", "Z"):
+        a, b = getattr(got_data, name), getattr(want_data, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_load_csv_readers_agree(tmp_path, case):
+    path = tmp_path / "in.csv"
+    path.write_bytes(READER_CASES[case][0].encode())
+    got, want = read_both(path)
+    assert_same_reading(got, want)
+
+
+@pytest.mark.parametrize("token", [
+    "1.", "+.5", "-0", "1.e5", "00001", "4.9e-324", "2.4703282292062328e-324", "1e-400",
+    "\u20051", "infinity", "nan(123)", "0x1p3", "1_0", "\u0663", "\uff11.\uff15",
+    "1.5\u200b", "1.0d0",
+])
+def test_load_csv_readers_agree_on_odd_numbers(tmp_path, token):
+    # float() accepts some of these (underscores, non-ASCII digits) and NumPy
+    # does not; the file must then be read cell by cell
+    path = tmp_path / "in.csv"
+    path.write_text(f"y,x,z1\n{token},2,3\n4,5,6\n", encoding="utf-8")
+    got, want = read_both(path)
+    assert_same_reading(got, want)
+
+
+def test_a_clean_file_takes_the_c_reader(tmp_path, monkeypatch):
+    def no_loop(*args):
+        raise AssertionError("read cell by cell")
+
+    monkeypatch.setattr(cli, "_read_cells", no_loop)
+    for case, (text, clean) in READER_CASES.items():
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes(text.encode())
+        if clean:
+            data, z_cols, n_dropped = load_csv(str(path), "y", "x", ["z*"])
+            assert z_cols == ["z1"] and n_dropped == 0 and data.n == 2
+        else:
+            with pytest.raises(AssertionError, match="cell by cell"):
+                load_csv(str(path), "y", "x", ["z*"])
+
+
+@pytest.mark.parametrize("header, z, col", [
+    ("y,x,z1,z1", "z*", "z1"),
+    ("y,x,y,z1", "z1", "y"),
+])
+def test_fit_refuses_a_used_name_the_header_repeats(capsys, tmp_path, header, z, col):
+    path = tmp_path / "dup.csv"
+    path.write_text(header + "\n1,2,3,4\n5,6,7,8\n4,3,2,1\n")
+    got, want = read_both(path, [z])
+    assert got == want == f"{path}: column {col!r} appears 2 times in the header"
+    rc = main(["fit", "--input", str(path), "--y", "y", "--x", "x", "--z", z,
+               "--k", "1", "--out", str(tmp_path / "o.txt")])
+    assert rc == 1
+    assert f"column {col!r} appears 2 times" in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), d=st.integers(1, 3), draw=st.data())
+def test_write_sample_round_trip_through_both_readers(tmp_path_factory, n, d, draw):
+    cells = np.array(draw.draw(st.lists(_FINITE, min_size=n * (d + 2),
+                                        max_size=n * (d + 2)))).reshape(n, d + 2)
+    data = Dataset(y=cells[:, 0], x=cells[:, 1], Z=cells[:, 2:])
+    path = tmp_path_factory.mktemp("round_trip") / "s.csv"
+    write_sample_csv(data, str(path))
+    got, want = read_both(path)
+    assert_same_reading(got, want)
+    back, z_cols, n_dropped = got
+    assert z_cols == [f"z{j + 1}" for j in range(d)] and n_dropped == 0
+    for name in ("y", "x", "Z"):
+        assert getattr(back, name).tobytes() == getattr(data, name).tobytes(), name
 
 
 # ---------------------------------------------------------------- resolve

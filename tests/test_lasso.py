@@ -495,6 +495,28 @@ def test_kernel_matches_full_sweep_on_pipeline_problems():
     assert selected > 0
 
 
+def test_kernel_sweeps_match_the_vector_sweep_kernel_bit_for_bit():
+    """Plain-float sweeps give the former kernel's bits, capped or not."""
+    rng = np.random.default_rng(21)
+    sizes = []
+    # from one active column, near lam_max, to about 150, near OLS
+    for n, m, frac in [(40, 6, 0.97), (60, 20, 0.6), (120, 50, 0.2),
+                       (200, 100, 0.04), (300, 160, 0.004)]:
+        X = rng.standard_normal((n, m))
+        y = X @ rng.standard_normal(m) + rng.standard_normal(n)
+        xty = X.T @ y
+        psi = rng.uniform(0.5, 2.0, m)
+        thr = frac * np.max(np.abs(xty) / psi) * psi
+        for max_iter in (1, 2, 5, LassoConfig().cd_max_iter):
+            got = lasso_module._cd_solve(LassoDesign(X), xty, thr, max_iter, 1e-8)
+            want = _oracles._cd_solve(LassoDesign(X), xty, thr, max_iter, 1e-8)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+        sizes.append(np.count_nonzero(got[0]))
+        assert got[2]
+    assert sizes[0] == 1 and sizes[-1] >= 130
+
+
 # ---------------------------------------------------------------- Gram rows
 
 def test_gram_rows_match_the_full_product(rng):
@@ -788,6 +810,179 @@ def test_screen_agrees_with_the_solver_at_its_threshold():
             assert iterated_lasso(bank, k, 2 * top, cfg).active_set.size == 0
             first = iterated_lasso(bank, k, np.nextafter(2 * top, 0.0), LassoConfig(n_loadings=1))
             assert first.active_set.size > 0
+
+
+def screen_by_columns(bank, lam, cfg):
+    """The screen without levels: each round's first-screen comparison over
+    every column of every equation, with the solver's thresholds."""
+    half = 0.5 * float(lam)
+
+    def admits_none(a, psi):
+        return bool((psi > 0.0).all()) and not (a > half * psi).any()
+
+    out = []
+    for j in bank.cols:
+        a = np.abs(bank.xty[j])
+        done = admits_none(a, bank.loadings0[j])
+        if cfg.n_loadings > 1 and not bank.empty_flagged[j]:
+            done = done and admits_none(a, bank.loadings1[j])
+        out.append(done)
+    return np.array(out, dtype=bool)
+
+
+def solver_settles(bank, lam, cfg):
+    """The screen by the solver: do the first solve of each equation, and the
+    second unless its empty-set memo is a flag, admit nothing?"""
+    capped = LassoConfig(cd_max_iter=1)
+
+    def admits_none(xty, psi):
+        # an equation with a loading that is not positive (or NaN) is never
+        # settled; a solve whose first screen admits nothing takes no sweep
+        return bool((psi > 0.0).all()) and lasso_solve(
+            bank.design, xty, lam, psi, capped).iterations == 0
+
+    out = []
+    for j in bank.cols:
+        done = admits_none(bank.xty[j], bank.loadings0[j])
+        if cfg.n_loadings > 1 and not bank.empty_flagged[j]:
+            done = done and admits_none(bank.xty[j], bank.loadings1[j])
+        out.append(done)
+    return np.array(out, dtype=bool)
+
+
+def near_each_level(levels):
+    """Penalty levels at 2 * level, one float to each side of it, and
+    1e-12 and 3e-12 relative to each side, for every finite level."""
+    lams = []
+    for level in levels[np.isfinite(levels)].tolist():
+        lam = 2.0 * level
+        lams += [lam, np.nextafter(lam, 0.0), np.nextafter(lam, np.inf)]
+        lams += [lam * (1.0 + r) for r in (-3e-12, -1e-12, 1e-12, 3e-12)]
+    return lams
+
+
+def with_arrays(bank, xty, loadings0, loadings1):
+    """``bank`` with other cross products and loadings, and their levels."""
+    level0, level1 = lasso_module._levels(xty, loadings0, loadings1)
+    return dataclasses.replace(bank, xty=xty, loadings0=loadings0, loadings1=loadings1,
+                               level0=level0, level1=level1)
+
+
+def test_levels_are_each_rounds_half_lam_max():
+    X, kinds = screen_problem(0)
+    rows = np.array(kinds["regular"] + kinds["constant"] + kinds["zero_loading"])
+    bank = TargetBank.of(rows, LassoDesign(X))
+    for level, psi in ((bank.level0, bank.loadings0), (bank.level1, bank.loadings1)):
+        positive = (psi > 0.0).all(axis=1)
+        np.testing.assert_array_equal(level[~positive], np.inf)
+        want = (np.abs(bank.xty[positive]) / psi[positive]).max(axis=1)
+        # the one-row target has X't = 0: a level below the normal range is NaN
+        want[want < np.finfo(float).tiny] = np.nan
+        np.testing.assert_array_equal(level[positive], want)
+    assert np.isnan(bank.level0).sum() == 1
+    # the constant target's initial loadings and the zero-loading target's
+    # column 4 are zero; so are the one-row target's refined loadings
+    assert np.isinf(bank.level0).sum() == 2 and np.isinf(bank.level1).sum() >= 2
+    sub = bank.subset([3, 0])
+    assert sub.level0 is bank.level0 and sub.level1 is bank.level1
+
+
+def test_level_screen_matches_the_columns_and_the_solver_near_each_level():
+    X, kinds = screen_problem(1)
+    n, m = X.shape
+    # max |t| < 1e-12 sd(t) holds on the empty set only when sd(t) overflows
+    overflowing = np.zeros(n)
+    overflowing[:20] = 1e160
+    rows = np.array(kinds["regular"] + kinds["constant"] + kinds["zero_loading"]
+                    + [overflowing])
+    with np.errstate(over="ignore", invalid="ignore"):
+        bank = TargetBank.of(rows, LassoDesign(X))
+    assert bank.empty_flagged.sum() == 2  # loadings_degenerate and perfect_fit
+    lams = near_each_level(np.r_[bank.level0, bank.level1])
+    seen = {"settled": 0, "left": 0}
+    for n_loadings in (1, 15):
+        cfg = LassoConfig(n_loadings=n_loadings)
+        for lam in lams:
+            got = bank.settled_empty(lam, cfg)
+            np.testing.assert_array_equal(got, screen_by_columns(bank, lam, cfg))
+            np.testing.assert_array_equal(got, solver_settles(bank, lam, cfg))
+            for k in np.flatnonzero(got):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert iterated_lasso(bank, k, lam, cfg).active_set.size == 0
+            seen["settled"] += int(got.sum())
+            seen["left"] += int((~got).sum())
+    assert all(seen.values()), seen
+
+
+def test_level_screen_matches_the_columns_at_the_ends_of_the_float_range():
+    rng = np.random.default_rng(3)
+    n, m = 20, 4
+    X = rng.standard_normal((n, m))
+    tiny = np.finfo(float).tiny
+    # (|x't|, psi) per row: loadings near and in the subnormal range, a zero
+    # loading, subnormal cross products (one with two significant bits, whose
+    # threshold rounds onto it), a subnormal ratio, zero cross products,
+    # ratios that overflow
+    # and an infinite cross product, whose threshold overflows at lam = max
+    cases = [
+        ([1e-300, 3e-301, 0.0, 2e-300], [tiny, 2 * tiny, 0.5 * tiny, tiny]),
+        ([1e-300, 1e-300, 5e-301, 1e-300], [1e-310, 1e-310, 3e-311, 5e-324]),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 1.0, 1.0]),
+        ([1e-310, 3e-312, 5e-324, 0.0], [1.0, 1.0, 1.0, 1.0]),
+        ([1e-310, 1e-312, 2e-310, 0.0], [1e-20, 1e-20, 1e-21, 1e-20]),
+        ([1.5e-323, 0.0, 0.0, 0.0], [1e-20, 1.0, 1.0, 1.0]),
+        ([1e-300, 0.0, 0.0, 0.0], [1e20, 1.0, 1.0, 1.0]),  # a subnormal ratio
+        ([0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]),
+        ([1e10, 1.0, 2.0, 3.0], [1e-300, 1.0, 1.0, 1.0]),
+        ([1e300, 1.0, 2.0, 3.0], [1e-10, 1.0, 1.0, 1.0]),
+        ([np.inf, 1.0, 2.0, 3.0], [4.0, 1.0, 1.0, 1.0]),
+        ([3.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0]),
+    ]
+    xty = np.array([c[0] for c in cases])
+    psi = np.array([c[1] for c in cases])
+    # round 2 reads the same loadings scaled, so its levels differ
+    bank = with_arrays(TargetBank.of(rng.standard_normal((len(cases), n)), LassoDesign(X)),
+                       xty, psi, 0.5 * psi)
+    levels = np.r_[bank.level0, bank.level1]
+    assert np.isnan(levels).any() and np.isinf(levels).any()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratios = (np.abs(xty) / np.where(psi > 0.0, psi, np.nan)).ravel()
+        every = np.r_[ratios, 2.0 * ratios]
+    lams = near_each_level(np.unique(every[every <= np.finfo(float).max / 2]))
+    lams += [0.0, 5e-324, 2 * tiny, 1e-300, 1.0, np.finfo(float).max, np.inf]
+    for n_loadings in (1, 2):
+        cfg = LassoConfig(n_loadings=n_loadings)
+        for lam in lams:
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                got = bank.settled_empty(lam, cfg)
+                np.testing.assert_array_equal(got, screen_by_columns(bank, lam, cfg),
+                                              err_msg=f"lam={lam!r}")
+                np.testing.assert_array_equal(got, solver_settles(bank, lam, cfg),
+                                              err_msg=f"lam={lam!r}")
+
+
+def test_level_screen_compares_columns_only_in_the_band(monkeypatch):
+    X, kinds = screen_problem(0)
+    n, m = X.shape
+    # every level finite: the one-row target, whose X't is zero, is left out
+    bank = TargetBank.of(np.array(kinds["regular"][:-1]), LassoDesign(X))
+    levels = np.r_[bank.level0, bank.level1]
+    assert np.isfinite(levels).all()
+    compared = []
+
+    def counting(abs_xty, thr, half):
+        compared.append(len(abs_xty))
+        return real(abs_xty, thr, half)
+
+    real = lasso_module._admits_none
+    monkeypatch.setattr(lasso_module, "_admits_none", counting)
+    cfg = LassoConfig()
+    for lam in np.geomspace(0.1, 100.0, 50) * levels.min():
+        if np.abs(2.0 * levels / lam - 1.0).min() > 1e-9:
+            bank.settled_empty(lam, cfg)
+    assert compared == []
+    bank.settled_empty(2.0 * bank.level0[2], LassoConfig(n_loadings=1))
+    assert compared == [1]
 
 
 def test_prefilled_empty_set_memo_matches_refine():
