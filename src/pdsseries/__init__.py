@@ -16,8 +16,6 @@ from .dictionary import (
     DictionarySpec,
     build_design,
     build_extended_fs,
-    hermite_deriv,
-    hermite_eval,
     tensor_index_set,
 )
 from .inference import (

@@ -300,9 +300,9 @@ def load_csv(path: str, y_col: str, x_col: str, z_patterns):
     ``z_patterns`` may contain exact column names or fnmatch-style
     wildcards; matches keep header order. Rows with a missing value in any
     used column are dropped (the count is reported). A non-numeric or
-    infinite cell that is not a missing token raises a ValueError naming the
-    row and column; a column in two roles (y, x or z), or a used name that
-    the header repeats, raises one naming it.
+    infinite cell that is not a missing token raises a ValueError naming its
+    row (its line in the file) and column; a column in two roles (y, x or
+    z), or a used name that the header repeats, raises one naming it.
 
     Two readers keep one contract. The header is parsed once; NumPy's C
     reader (``np.loadtxt``) then reads the used columns of a clean file,
@@ -326,6 +326,7 @@ def load_csv(path: str, y_col: str, x_col: str, z_patterns):
         arr, n_dropped = _read_clean(fh, pos), 0
         if arr is None:
             fh.seek(0)
+            reader = csv.reader(fh)  # a fresh count of file lines
             next(reader)
             arr, n_dropped = _read_cells(path, reader, used, pos)
     data = Dataset(y=arr[:, 0], x=arr[:, 1], Z=arr[:, 2:])
@@ -375,12 +376,15 @@ def _read_clean(fh, pos: list):
 
 
 def _read_cells(path: str, reader, used: list, pos: list):
-    """The used columns of the rows of ``reader``, cell by cell: rows with a
-    missing value dropped, bad cells named. Returns (array, n_dropped)."""
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    """The used columns of the rows of ``reader``, cell by cell: blank rows
+    skipped, rows with a missing value dropped, bad cells named by their
+    line in the file. Returns (array, n_dropped)."""
     parsed: list[list[float]] = []
     n_dropped = 0
-    for i, row in enumerate(rows):
+    for row in reader:
+        if not any(cell.strip() for cell in row):
+            continue
+        line = reader.line_num
         vals = []
         drop = False
         for col, j in zip(used, pos):
@@ -392,12 +396,12 @@ def _read_cells(path: str, reader, used: list, pos: list):
                 val = float(cell)
             except ValueError:
                 raise ValueError(
-                    f"{path}: non-numeric value {cell!r} in row {i + 2}, "
+                    f"{path}: non-numeric value {cell!r} in row {line}, "
                     f"column {col!r}"
                 ) from None
             if not math.isfinite(val):
                 raise ValueError(
-                    f"{path}: non-finite value {cell!r} in row {i + 2}, "
+                    f"{path}: non-finite value {cell!r} in row {line}, "
                     f"column {col!r}"
                 )
             vals.append(val)

@@ -34,8 +34,6 @@ __all__ = [
     "DictionarySpec",
     "DesignMatrices",
     "DegenerateColumnError",
-    "hermite_eval",
-    "hermite_deriv",
     "hermite_design",
     "hermite_deriv_design",
     "tensor_index_set",
@@ -98,37 +96,6 @@ class DictionarySpec:
         if self.kind == "hermite_tensor":
             return math.comb(self.degree + self.input_dim, self.input_dim) - 1
         return self.input_dim
-
-
-def hermite_eval(x, k: int):
-    """Probabilists' Hermite polynomial He_k(x).
-
-    Uses the three-term recurrence He_{k+1}(x) = x He_k(x) - k He_{k-1}(x)
-    with He_0 = 1 and He_1 = x. Accepts scalars or arrays.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    prev = np.ones_like(arr)
-    if k == 0:
-        return float(prev[0]) if scalar else prev
-    cur = arr.copy()
-    for m in range(1, k):
-        prev, cur = cur, arr * cur - m * prev
-    return float(cur[0]) if scalar else cur
-
-
-def hermite_deriv(x, k: int):
-    """Derivative He_k'(x) = k He_{k-1}(x)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        arr = np.asarray(x, dtype=float)
-        return 0.0 if arr.ndim == 0 else np.zeros_like(arr)
-    out = hermite_eval(x, k - 1)
-    return k * out
 
 
 def hermite_design(x, kmax: int) -> np.ndarray:

@@ -7,7 +7,10 @@ theta_hat = A' beta_hat. Its variance uses the series sandwich
 
 where Omega averages outer products of the g dictionary residualized on the
 retained controls and Sigma additionally weights by squared final-OLS
-residuals. The reported standard error is sqrt(V_hat / n).
+residuals. The residualized dictionary is the one the final OLS made: by
+Frisch-Waugh-Lovell, ``pds_fit`` regresses y on it after the same
+projection and keeps it as ``PdsFit.P_resid``, so inference runs no least
+squares of its own. The reported standard error is sqrt(V_hat / n).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "average_derivative",
     "quantile_contrast",
     "point_eval",
-    "residualize_p",
     "sandwich_variance",
     "functional_estimate",
     "rejection_test",
@@ -62,8 +64,6 @@ class InferenceResult:
     ci_lower: float
     ci_upper: float
     V_hat: float
-    Omega_hat: np.ndarray
-    Sigma_hat: np.ndarray
     n: int
 
 
@@ -103,26 +103,14 @@ def point_eval(spec_p: DictionarySpec, x0: float) -> FunctionalSpec:
     )
 
 
-def residualize_p(P: np.ndarray, Q_sel: np.ndarray) -> np.ndarray:
-    """Least-squares residuals of each g column on [1, retained controls]."""
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    Q_sel = np.asarray(Q_sel, dtype=float) if Q_sel is not None else np.empty((n, 0))
-    if Q_sel.size == 0:
-        Q_sel = Q_sel.reshape(n, 0)
-    design = np.concatenate([np.ones((n, 1)), Q_sel], axis=1)
-    coef, *_ = np.linalg.lstsq(design, P, rcond=None)
-    return P - design @ coef
-
-
 def sandwich_variance(P_resid: np.ndarray, residuals: np.ndarray,
                       A: np.ndarray):
     """Variance of A' beta_hat on the per-observation scale.
 
-    Returns (V_hat, Omega_hat, Sigma_hat). V_hat is assembled as a sum of
-    squares, so it cannot go negative in floating point. Raises
-    ``SingularOmegaError`` when Omega_hat is numerically singular, naming
-    the offending eigenvalue.
+    Returns (V_hat, Omega, Sigma). V_hat is assembled as a sum of squares,
+    so it cannot go negative in floating point. Raises
+    ``SingularOmegaError`` when Omega is numerically singular, naming the
+    offending eigenvalue.
     """
     U = np.asarray(P_resid, dtype=float)
     r = np.asarray(residuals, dtype=float)
@@ -150,8 +138,7 @@ def functional_estimate(fit: PdsFit, functional: FunctionalSpec) -> InferenceRes
     if A.shape[0] != fit.beta_hat.shape[0]:
         raise ValueError("functional loadings do not match the g dictionary")
     theta = float(A @ fit.beta_hat)
-    P_resid = residualize_p(fit.P, fit.Q_sel)
-    v_hat, omega, sigma = sandwich_variance(P_resid, fit.residuals, A)
+    v_hat, _, _ = sandwich_variance(fit.P_resid, fit.residuals, A)
     n = fit.n
     se = float(np.sqrt(v_hat / n))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -163,8 +150,6 @@ def functional_estimate(fit: PdsFit, functional: FunctionalSpec) -> InferenceRes
         ci_lower=theta - Z_CRITICAL * se,
         ci_upper=theta + Z_CRITICAL * se,
         V_hat=v_hat,
-        Omega_hat=omega,
-        Sigma_hat=sigma,
         n=n,
     )
 

@@ -401,21 +401,28 @@ _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 
 
+def _proper(loadings: np.ndarray) -> np.ndarray:
+    """Whether every loading of each row is positive and finite (False for a
+    row with a NaN): an overflowing target's loadings are not."""
+    return ((loadings > 0.0) & (loadings <= _HUGE)).all(axis=-1)
+
+
 def _admits_none(abs_xty: np.ndarray, thr: np.ndarray, half: float) -> np.ndarray:
-    """Rows whose loadings ``thr`` are all positive and whose first screen,
-    |x_j't| > half * thr_j, admits no column. Scales ``thr`` in place."""
-    positive = (thr > 0.0).all(axis=1)
+    """Rows whose loadings ``thr`` are all positive and finite and whose
+    first screen, |x_j't| > half * thr_j, admits no column. Scales ``thr``
+    in place."""
+    proper = _proper(thr)
     thr *= half
-    return positive & ~(abs_xty > thr).any(axis=1)
+    return proper & ~(abs_xty > thr).any(axis=1)
 
 
 def _levels(xty: np.ndarray, *loadings) -> np.ndarray:
     """Each row's level max_l |x_l't| / psi_l, half its lam_max, under each
     of ``loadings``: one row of levels per loadings array.
 
-    ``inf`` when a loading is not positive. NaN when rounding cannot vouch
-    for the level: when it is not a finite normal number, or when the
-    |x_l't| it is read from is subnormal.
+    ``inf`` when a loading is not positive and finite. NaN when rounding
+    cannot vouch for the level: when it is not a finite normal number, or
+    when the |x_l't| it is read from is subnormal.
     """
     k, m = xty.shape
     levels = np.full((len(loadings), k), np.nan)
@@ -436,7 +443,7 @@ def _levels(xty: np.ndarray, *loadings) -> np.ndarray:
             at_top[r, rows] = abs_xty[at, top]
     levels[~((levels >= _TINY) & (levels <= _HUGE) & (at_top >= _TINY))] = np.nan
     for level, psi in zip(levels, loadings):
-        level[~(psi.min(axis=1) > 0.0)] = np.inf
+        level[~_proper(psi)] = np.inf
     return levels
 
 
@@ -537,11 +544,11 @@ class TargetBank:
         rounds below it. A level these bounds cannot vouch for is NaN, which
         both tests reject, so its target is always in the band.
 
-        An equation whose loadings are not all positive is never settled:
-        its level is inf, and its ``iterated_lasso`` call raises. A positive
-        loading needs a positive entry of ``X*X`` in its column, whose sum
-        is the Gram diagonal, so the solver's screen skips no column of a
-        settled equation.
+        An equation whose loadings are not all positive and finite is never
+        settled: its level is inf, and its ``iterated_lasso`` call raises. A
+        positive loading needs a positive entry of ``X*X`` in its column,
+        whose sum is the Gram diagonal, so the solver's screen skips no
+        column of a settled equation.
         """
         cfg = config if config is not None else LassoConfig()
         cols = np.asarray(self.cols, dtype=np.intp)
@@ -674,8 +681,8 @@ def lasso_solve(
         raise ValueError(f"xty has shape {xty.shape}, expected ({m},)")
     if loadings.shape[0] != m:
         raise ValueError("loadings length does not match column count")
-    if np.any(loadings <= 0.0):
-        raise ValueError("loadings must be positive; degenerate columns upstream")
+    if not _proper(loadings):
+        raise ValueError("loadings must be positive and finite; degenerate columns upstream")
     coef, sweeps, converged = _cd_solve(
         design, xty, 0.5 * float(lam) * loadings, cfg.cd_max_iter, cfg.cd_tol,
     )

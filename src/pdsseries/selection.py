@@ -144,18 +144,19 @@ class PdsFit:
     """Final OLS fit shared by every estimator.
 
     ``beta_hat`` sits in raw dictionary units, so the g estimate at a sample
-    point is ``p(x) @ beta_hat`` up to the intercept in ``eta_hat[0]``.
-    ``P`` and ``Q_sel`` are the raw regressor blocks actually used, kept for
-    the variance step. ``selected`` indexes the estimator's own control
-    matrix (the conditioning dictionary for selection-based fits).
+    point is ``p(x) @ beta_hat`` up to the intercept in ``eta_hat[0]``;
+    ``eta_hat[1:]`` are the coefficients of the selected controls.
+    ``P_resid`` is the raw g dictionary residualized on ``[1, selected
+    controls]``, the projection the fit itself made, kept for the variance
+    step. ``selected`` indexes the estimator's own control matrix (the
+    conditioning dictionary for selection-based fits).
     """
 
     beta_hat: np.ndarray
     eta_hat: np.ndarray
     selected: np.ndarray
     residuals: np.ndarray
-    P: np.ndarray
-    Q_sel: np.ndarray
+    P_resid: np.ndarray
     spec_p: DictionarySpec | None = None
     rank_deficient: bool = False
     name: str = "post_double"
@@ -309,13 +310,20 @@ def post_double_select(P_fs, design: DesignMatrices, y,
 def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
             spec_p: DictionarySpec | None = None, name: str = "post_double",
             k_chosen: int | None = None) -> PdsFit:
-    """Final OLS of y on [1, P, Q_sel] in raw column units.
+    """Final OLS of y on [1, P, Q_sel] in raw column units, by one projection.
 
     ``Q_sel`` holds only the selected control columns, in raw units (from a
     workspace, ``design.q_raw(idx)``). ``sel`` names them: a SelectionResult
     (its ``union_set``) or a plain index array into the estimator's control
-    matrix, one index per column of ``Q_sel``. Rank deficiency is handled by
-    the minimum-norm solution and flagged.
+    matrix, one index per column of ``Q_sel``.
+
+    One least squares of ``[P | y]`` on ``W = [1, Q_sel]`` residualizes the
+    g dictionary and the outcome on the controls; by Frisch-Waugh-Lovell,
+    ``beta_hat`` is then the least squares of the residualized y on the
+    residualized P, and ``eta_hat`` the controls' coefficients recovered
+    from both. The fit is flagged ``rank_deficient`` when ``W`` or the
+    residualized P loses rank; ``beta_hat`` is then the minimum-norm
+    solution of the residualized regression.
     """
     P = np.asarray(P, dtype=float)
     Q_sel = np.asarray(Q_sel, dtype=float)
@@ -327,18 +335,20 @@ def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
             f"Q_sel has shape {Q_sel.shape}, expected ({n}, {idx.size}): "
             "one raw column per selected index"
         )
-    X = np.concatenate([np.ones((n, 1)), P, Q_sel], axis=1)
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ coef
+    W = np.concatenate([np.ones((n, 1)), Q_sel], axis=1)
+    Py = np.concatenate([P, y[:, None]], axis=1)
+    coef_w, _, rank_w, _ = np.linalg.lstsq(W, Py, rcond=None)
+    Py_resid = Py - W @ coef_w
+    P_resid, y_resid = Py_resid[:, :k], Py_resid[:, k]
+    beta, _, rank_p, _ = np.linalg.lstsq(P_resid, y_resid, rcond=None)
     return PdsFit(
-        beta_hat=coef[1 : 1 + k],
-        eta_hat=np.concatenate([coef[:1], coef[1 + k :]]),
+        beta_hat=beta,
+        eta_hat=coef_w[:, k] - coef_w[:, :k] @ beta,
         selected=idx,
-        residuals=resid,
-        P=P,
-        Q_sel=Q_sel,
+        residuals=y_resid - P_resid @ beta,
+        P_resid=P_resid,
         spec_p=spec_p,
-        rank_deficient=bool(rank < X.shape[1]),
+        rank_deficient=bool(rank_w < W.shape[1] or rank_p < k),
         name=name,
         k_chosen=k_chosen,
     )
@@ -347,7 +357,7 @@ def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
 def _bic(fit: PdsFit) -> float:
     n = fit.n
     rss = float(fit.residuals @ fit.residuals)
-    ncols = 1 + fit.P.shape[1] + fit.Q_sel.shape[1]
+    ncols = fit.beta_hat.size + fit.eta_hat.size
     return n * math.log(max(rss, 1e-300) / n) + ncols * math.log(n)
 
 
@@ -409,7 +419,7 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
                 raise DegenerateColumnError(
                     f"P column {k_ok} has zero variance on this sample")
             sel = post_double_select(bank.subset(fs_rows), design, y_bank, cfg)
-            fit = pds_fit(P_raw[:, :k].copy(), design.q_raw(sel.union_set), data.y,
+            fit = pds_fit(P_raw[:, :k], design.q_raw(sel.union_set), data.y,
                           sel, spec_p=specs[k], k_chosen=k)
         except FIT_ERRORS as exc:
             errors[k] = str(exc)

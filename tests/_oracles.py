@@ -18,6 +18,11 @@ in-place draw that replaced it.
 ``_cd_solve`` is the library's former active-set kernel, whose sweeps
 updated a NumPy vector per coordinate, kept unchanged as the reference for
 the plain-float sweeps that replaced it: their bits must be the same.
+``hermite_eval`` and ``hermite_deriv`` are the library's former one-degree
+Hermite evaluators, kept unchanged as the references for its design-matrix
+evaluators. ``residualize_p`` is the library's former second least squares
+of the g dictionary on [1, retained controls], kept unchanged as the
+reference for the residualized dictionary that the final OLS returns.
 """
 
 from __future__ import annotations
@@ -53,6 +58,49 @@ def hermite_monomial(x: float, k: int) -> float:
                 / (math.factorial(m) * math.factorial(k - 2 * m) * 2**m))
         total += coef * x ** (k - 2 * m)
     return total
+
+
+def hermite_eval(x, k: int):
+    """Probabilists' Hermite polynomial He_k(x).
+
+    Uses the three-term recurrence He_{k+1}(x) = x He_k(x) - k He_{k-1}(x)
+    with He_0 = 1 and He_1 = x. Accepts scalars or arrays.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    prev = np.ones_like(arr)
+    if k == 0:
+        return float(prev[0]) if scalar else prev
+    cur = arr.copy()
+    for m in range(1, k):
+        prev, cur = cur, arr * cur - m * prev
+    return float(cur[0]) if scalar else cur
+
+
+def hermite_deriv(x, k: int):
+    """Derivative He_k'(x) = k He_{k-1}(x)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        arr = np.asarray(x, dtype=float)
+        return 0.0 if arr.ndim == 0 else np.zeros_like(arr)
+    out = hermite_eval(x, k - 1)
+    return k * out
+
+
+def residualize_p(P: np.ndarray, Q_sel: np.ndarray) -> np.ndarray:
+    """Least-squares residuals of each g column on [1, retained controls]."""
+    P = np.asarray(P, dtype=float)
+    n = P.shape[0]
+    Q_sel = np.asarray(Q_sel, dtype=float) if Q_sel is not None else np.empty((n, 0))
+    if Q_sel.size == 0:
+        Q_sel = Q_sel.reshape(n, 0)
+    design = np.concatenate([np.ones((n, 1)), Q_sel], axis=1)
+    coef, *_ = np.linalg.lstsq(design, P, rcond=None)
+    return P - design @ coef
 
 
 def hermite_tensor_design(Z: np.ndarray, kmax: int) -> np.ndarray:

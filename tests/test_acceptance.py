@@ -19,14 +19,13 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import hermite_monomial, lasso_sign_enumeration, random_instance
+from _oracles import hermite_monomial, lasso_sign_enumeration, random_instance, residualize_p
 from pdsseries.data import Dataset
-from pdsseries.dictionary import DictionarySpec, hermite_deriv, hermite_eval
+from pdsseries.dictionary import DictionarySpec, hermite_deriv_design, hermite_design
 from pdsseries.inference import (
     Z_CRITICAL,
     average_derivative,
     functional_estimate,
-    residualize_p,
     sandwich_variance,
 )
 from pdsseries.lasso import (
@@ -146,22 +145,29 @@ def test_criterion_3_ols_limit():
 
 # ------------------------------------------------------------ criterion 4
 
+def hermite_columns(x):
+    """He_0..He_8 of x, one column each, from the library's design."""
+    return np.concatenate([np.ones((x.size, 1)), hermite_design(x, 8)], axis=1)
+
+
 def test_criterion_4_basis_identities():
     x = np.linspace(-3.0, 3.0, 41)
     worst_mono = worst_rec = worst_fd = 0.0
     h = 1e-5
+    He, He_hi, He_lo = hermite_columns(x), hermite_columns(x + h), hermite_columns(x - h)
+    dHe = np.concatenate([np.zeros((x.size, 1)), hermite_deriv_design(x, 8)], axis=1)
     for k in range(9):
         want = np.array([hermite_monomial(v, k) for v in x])
-        got = hermite_eval(x, k)
+        got = He[:, k]
         scale = np.maximum(1.0, np.abs(want))
         worst_mono = max(worst_mono, float(np.max(np.abs(got - want) / scale)))
         if 1 <= k <= 7:
-            rec = x * hermite_eval(x, k) - k * hermite_eval(x, k - 1)
-            nxt = hermite_eval(x, k + 1)
+            rec = x * He[:, k] - k * He[:, k - 1]
+            nxt = He[:, k + 1]
             sc = np.maximum(1.0, np.abs(nxt))
             worst_rec = max(worst_rec, float(np.max(np.abs(rec - nxt) / sc)))
-        dwant = hermite_deriv(x, k)
-        fd = (hermite_eval(x + h, k) - hermite_eval(x - h, k)) / (2 * h)
+        dwant = dHe[:, k]
+        fd = (He_hi[:, k] - He_lo[:, k]) / (2 * h)
         dsc = np.maximum(1.0, np.abs(dwant))
         worst_fd = max(worst_fd, float(np.max(np.abs(fd - dwant) / dsc)))
     ok = worst_mono <= 1e-9 and worst_rec <= 1e-12 and worst_fd <= 1e-5

@@ -66,6 +66,17 @@ def test_load_csv_non_numeric_names_row_and_column(tmp_path):
         load_csv(str(path), "y", "x", ["z1"])
 
 
+def test_load_csv_names_the_file_line_of_a_bad_cell(tmp_path):
+    # blank lines count: the bad cell sits on line 5 of the file
+    path = tmp_path / "blank.csv"
+    path.write_text("y,x,z1\n\n\n1,2,3\n4,5,abc\n")
+    with pytest.raises(ValueError, match="non-numeric value 'abc' in row 5, column 'z1'"):
+        load_csv(str(path), "y", "x", ["z1"])
+    path.write_text("y,x,z1\r\n \r\n1,2,3\r\n\"4\",5,inf\r\n")
+    with pytest.raises(ValueError, match="non-finite value 'inf' in row 4, column 'z1'"):
+        load_csv(str(path), "y", "x", ["z1"])
+
+
 @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999"])
 def test_load_csv_non_finite_names_row_and_column(tmp_path, cell):
     path = tmp_path / "inf.csv"

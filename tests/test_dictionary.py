@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import hermite_monomial, hermite_tensor_design
+from _oracles import hermite_deriv, hermite_eval, hermite_monomial, hermite_tensor_design
 from pdsseries.dictionary import (
     DegenerateColumnError,
     DictionarySpec,
@@ -17,9 +17,7 @@ from pdsseries.dictionary import (
     dictionary_labels,
     evaluate_dictionary,
     hermite_design,
-    hermite_deriv,
     hermite_deriv_design,
-    hermite_eval,
     standardize_columns,
     tensor_index_set,
 )

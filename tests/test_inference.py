@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _oracles import residualize_p
 from pdsseries.dictionary import DictionarySpec, hermite_design
 from pdsseries.inference import (
     Z_CRITICAL,
@@ -14,19 +15,24 @@ from pdsseries.inference import (
     point_eval,
     quantile_contrast,
     rejection_test,
-    residualize_p,
     sandwich_variance,
 )
 from pdsseries.selection import pds_fit
 
 
-def small_fit(seed=0, n=120, k=3, n_q=2, y_shift=0.0):
+def small_sample(seed=0, n=120, k=3, n_q=2, y_shift=0.0):
+    """(P, Q, y, x): a Hermite g dictionary, controls and outcome."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     P = hermite_design(x, k)
     Q = rng.standard_normal((n, n_q))
     y = x - 0.2 * (x**2 - 1) + Q @ np.arange(1.0, n_q + 1) \
         + rng.standard_normal(n) + y_shift
+    return P, Q, y, x
+
+
+def small_fit(seed=0, n=120, k=3, n_q=2, y_shift=0.0):
+    P, Q, y, x = small_sample(seed, n, k, n_q, y_shift)
     fit = pds_fit(P, Q, y, np.arange(n_q),
                   spec_p=DictionarySpec("hermite_univariate", degree=k))
     return fit, x
@@ -96,21 +102,91 @@ def test_avg_deriv_matches_finite_difference_of_g_hat():
 
 
 # ---------------------------------------------------------------- residualize
+# The final OLS residualizes the g dictionary on [1, retained controls] and
+# keeps the result as ``P_resid``; the oracle is the former separate step.
 
 def test_residualize_p_orthogonality(rng):
     n = 80
     P = rng.standard_normal((n, 3))
     Q = rng.standard_normal((n, 2))
-    U = residualize_p(P, Q)
+    U = pds_fit(P, Q, rng.standard_normal(n), np.arange(2)).P_resid
     assert U.shape == P.shape
     np.testing.assert_allclose(U.sum(axis=0), 0.0, atol=1e-9)
     np.testing.assert_allclose(Q.T @ U, 0.0, atol=1e-8)
+    np.testing.assert_allclose(U, residualize_p(P, Q), rtol=1e-12, atol=1e-12)
 
 
 def test_residualize_p_empty_controls_demeans(rng):
     P = rng.standard_normal((50, 2)) + 5.0
-    U = residualize_p(P, np.empty((50, 0)))
+    U = pds_fit(P, np.empty((50, 0)), rng.standard_normal(50),
+                np.array([], dtype=int)).P_resid
     np.testing.assert_allclose(U, P - P.mean(axis=0), atol=1e-10)
+
+
+def test_final_ols_is_the_joint_regression():
+    # Frisch-Waugh-Lovell: the fit is OLS of y on [1, P, Q] in one piece
+    for seed in range(5):
+        P, Q, y, _ = small_sample(seed=seed, n_q=4)
+        fit = pds_fit(P, Q, y, np.arange(4))
+        X = np.concatenate([np.ones((P.shape[0], 1)), P, Q], axis=1)
+        coef = np.linalg.lstsq(X, y, rcond=None)[0]
+        np.testing.assert_allclose(fit.beta_hat, coef[1:4], rtol=1e-10)
+        np.testing.assert_allclose(fit.eta_hat, np.r_[coef[:1], coef[4:]], rtol=1e-10)
+        np.testing.assert_allclose(fit.residuals, y - X @ coef, atol=1e-10)
+        assert not fit.rank_deficient
+
+
+def test_g_column_in_the_span_of_the_controls_is_singular(rng):
+    n = 100
+    x = rng.standard_normal(n)
+    P = hermite_design(x, 3)
+    Q = np.column_stack([rng.standard_normal(n), 2.0 * P[:, 1] - 0.5])
+    y = x + Q[:, 0] + rng.standard_normal(n)
+    fit = pds_fit(P, Q, y, np.arange(2),
+                  spec_p=DictionarySpec("hermite_univariate", degree=3))
+    assert fit.rank_deficient
+    assert np.all(np.isfinite(fit.beta_hat)) and np.all(np.isfinite(fit.eta_hat))
+    np.testing.assert_allclose(fit.P_resid[:, 1], 0.0, atol=1e-10)
+    with pytest.raises(SingularOmegaError, match="singular"):
+        functional_estimate(fit, average_derivative(fit.spec_p, x))
+
+
+def test_near_collinear_g_column_and_control(rng):
+    # a control that nearly copies a g column: a full-rank fit whose
+    # residualized column is small but kept, and which matches the joint OLS
+    n = 200
+    x = rng.standard_normal(n)
+    P = hermite_design(x, 3)
+    Q = np.column_stack([P[:, 0] + 1e-5 * rng.standard_normal(n),
+                         rng.standard_normal(n)])
+    y = x - 0.2 * P[:, 1] + Q[:, 1] + rng.standard_normal(n)
+    fit = pds_fit(P, Q, y, np.arange(2),
+                  spec_p=DictionarySpec("hermite_univariate", degree=3))
+    assert not fit.rank_deficient
+    X = np.concatenate([np.ones((n, 1)), P, Q], axis=1)
+    coef = np.linalg.lstsq(X, y, rcond=None)[0]
+    np.testing.assert_allclose(fit.beta_hat, coef[1:4], rtol=1e-6)
+    np.testing.assert_allclose(fit.residuals, y - X @ coef, atol=1e-8)
+    np.testing.assert_allclose(fit.P_resid, residualize_p(P, Q), rtol=1e-6, atol=1e-12)
+    assert 0.0 < np.linalg.norm(fit.P_resid[:, 0]) < 1e-3 * np.sqrt(n)
+    res = functional_estimate(fit, average_derivative(fit.spec_p, x))
+    assert np.isfinite(res.se) and res.se > 0
+
+
+def test_functional_estimate_runs_no_least_squares(monkeypatch):
+    fit, x = small_fit(seed=4)
+    f = average_derivative(fit.spec_p, x)
+    calls = []
+    real = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    res = functional_estimate(fit, f)
+    assert calls == []
+    assert np.isfinite(res.se)
 
 
 # ---------------------------------------------------------------- sandwich
@@ -149,13 +225,11 @@ def test_sandwich_singular_omega(rng):
 
 def test_duplication_shrinks_se_by_root_two():
     fit, x = small_fit(seed=8)
+    P, Q, y, _ = small_sample(seed=8)
     f = average_derivative(fit.spec_p, x)
     res1 = functional_estimate(fit, f)
-    fit2 = pds_fit(np.vstack([fit.P, fit.P]),
-                   np.vstack([fit.Q_sel, fit.Q_sel]),
-                   np.concatenate([fit.P @ fit.beta_hat + fit.Q_sel @ fit.eta_hat[1:]
-                                   + fit.eta_hat[0] + fit.residuals] * 2),
-                   np.arange(fit.Q_sel.shape[1]), spec_p=fit.spec_p)
+    fit2 = pds_fit(np.vstack([P, P]), np.vstack([Q, Q]), np.concatenate([y, y]),
+                   np.arange(Q.shape[1]), spec_p=fit.spec_p)
     res2 = functional_estimate(fit2, f)
     assert res2.theta_hat == pytest.approx(res1.theta_hat, rel=1e-10)
     assert res2.se == pytest.approx(res1.se / np.sqrt(2.0), rel=1e-8)
@@ -173,7 +247,7 @@ def test_functional_estimate_fields():
     assert res.t_stat == pytest.approx(res.theta_hat / res.se, rel=1e-12)
     assert res.ci_lower == pytest.approx(res.theta_hat - Z_CRITICAL * res.se)
     assert res.ci_upper == pytest.approx(res.theta_hat + Z_CRITICAL * res.se)
-    assert res.Omega_hat.shape == (3, 3) and res.Sigma_hat.shape == (3, 3)
+    assert res.V_hat == pytest.approx(res.se**2 * res.n, rel=1e-12)
 
 
 def test_functional_estimate_length_mismatch():
@@ -206,8 +280,7 @@ def test_rejection_rule_strict_inequality():
         return InferenceResult(theta_hat=theta, se=1.0, t_stat=theta,
                                ci_lower=theta - Z_CRITICAL,
                                ci_upper=theta + Z_CRITICAL,
-                               V_hat=1.0, Omega_hat=np.eye(1),
-                               Sigma_hat=np.eye(1), n=50)
+                               V_hat=1.0, n=50)
 
     assert not rejection_test(res_at(0.0), 0.0)
     # exactly at the critical value: not rejected (strict inequality)
@@ -220,7 +293,6 @@ def test_rejection_undefined_when_se_zero():
     from pdsseries.inference import InferenceResult
     res = InferenceResult(theta_hat=1.0, se=0.0, t_stat=np.inf,
                           ci_lower=1.0, ci_upper=1.0,
-                          V_hat=0.0, Omega_hat=np.eye(1), Sigma_hat=np.zeros((1, 1)),
-                          n=10)
+                          V_hat=0.0, n=10)
     with pytest.raises(ValueError, match="zero"):
         rejection_test(res, 0.0)

@@ -256,6 +256,11 @@ def test_lasso_solve_validation(rng):
         solve(X, y, 1.0, np.ones(4))
     with pytest.raises(ValueError, match="positive"):
         solve(X, y, 1.0, np.array([1.0, 0.0, 1.0]))
+    # a NaN loading fails every comparison, so it must be refused, not
+    # left to keep its column out; an infinite one would do the same
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lasso_solve(LassoDesign(X), X.T @ X[:, 0], 1.0, np.array([bad, 1.0, 1.0]))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import workspace_of
+from _oracles import residualize_p, workspace_of
 from pdsseries import dictionary, selection
 from pdsseries.data import Dataset
 from pdsseries.dictionary import (
@@ -57,6 +57,13 @@ def make_specs(data, degree=3, q_degree=3):
     spec_q = DictionarySpec("hermite_tensor", degree=q_degree,
                             input_dim=data.Z.shape[1])
     return spec_p, spec_q
+
+
+def assert_same_fit(got, want):
+    """Two final fits agree bit for bit."""
+    for field in ("beta_hat", "eta_hat", "residuals", "P_resid", "selected"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    assert got.rank_deficient == want.rank_deficient
 
 
 # ---------------------------------------------------------------- helpers
@@ -157,6 +164,30 @@ def test_selection_error_names_equation():
         reduced_form_select(design, rng.standard_normal(n))
 
 
+@pytest.mark.parametrize("zero_entry", [False, True])
+def test_overflowing_target_fails_its_equation(zero_entry):
+    # a target whose sd overflows gets infinite initial loadings, or NaN
+    # ones where a design entry is zero: its equation must fail, not end
+    # with an empty set flagged perfect_fit
+    rng = np.random.default_rng(7)
+    n = 60
+    Q = rng.standard_normal((n, 4))
+    if zero_entry:
+        Q[3, 2] = 0.0
+    design = workspace_of(Q)
+    P = rng.standard_normal((n, 3))
+    P[:, 1] = 1e160 * rng.standard_normal(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bank = TargetBank.of(P.T, design.lasso_design)
+        assert not np.isfinite(bank.loadings0[1]).all()
+        assert bank.memos[1][b""] == "perfect_fit"
+        with pytest.raises(SelectionError, match="first-stage equation 1") as err:
+            first_stage_select(P, design)
+        assert "positive and finite" in str(err.value)
+        with pytest.raises(SelectionError, match="reduced-form equation"):
+            reduced_form_select(design, P[:, 1])
+
+
 # ---------------------------------------------------------------- final OLS
 
 def test_pds_fit_accepts_selection_or_indices():
@@ -170,7 +201,8 @@ def test_pds_fit_accepts_selection_or_indices():
     np.testing.assert_array_equal(via_sel.beta_hat, via_idx.beta_hat)
     np.testing.assert_array_equal(via_sel.selected, via_idx.selected)
     assert via_sel.n == data.n
-    assert via_sel.Q_sel.shape == (data.n, sel.union_set.size)
+    assert via_sel.eta_hat.size == 1 + sel.union_set.size
+    assert via_sel.P_resid.shape == d.p_raw.shape
     # the whole raw block is not a selection of its columns
     full = d.q_raw(np.arange(d.Q.shape[1]))
     with pytest.raises(ValueError, match="one raw column per selected index"):
@@ -304,8 +336,8 @@ def test_comparison_estimators_low_dim_catalog():
         assert fit.name == name
         assert np.all(np.isfinite(fit.beta_hat))
     # tensor conditioning: series_1 uses additive univariate blocks
-    assert fits["series_1"].Q_sel.shape[1] == 4 * spec_q.degree
-    assert fits["series_2"].Q_sel.shape[1] == spec_q.n_terms
+    assert fits["series_1"].eta_hat.size == 1 + 4 * spec_q.degree
+    assert fits["series_2"].eta_hat.size == 1 + spec_q.n_terms
     assert fits["post_double_set"].k_chosen is not None
     assert fits["post_double"].k_chosen is None
     # the extended first stage can only widen the union
@@ -337,7 +369,7 @@ def test_post_single_2_keeps_full_g_dictionary():
     assert failures == {}
     fit = fits["post_single_2"]
     assert fit.beta_hat.size == spec_p.degree
-    assert fit.P.shape[1] == spec_p.degree
+    assert fit.P_resid.shape == (data.n, spec_p.degree)
     assert np.all(fit.selected < spec_q.n_terms)
 
 
@@ -401,7 +433,10 @@ def test_oracle_matches_direct_regression():
     X = np.concatenate([np.ones((data.n, 1)), P], axis=1)
     coef = np.linalg.lstsq(X, data.y - data.h_true, rcond=None)[0]
     np.testing.assert_allclose(fits["oracle"].beta_hat, coef[1:], rtol=1e-10)
-    assert fits["oracle"].Q_sel.shape == (data.n, 0)
+    # no controls: one intercept, and the g dictionary is only demeaned
+    assert fits["oracle"].eta_hat.size == 1
+    np.testing.assert_allclose(fits["oracle"].P_resid, P - P.mean(axis=0),
+                               atol=1e-10 * np.abs(P).max())
 
 
 def test_failures_are_isolated():
@@ -432,12 +467,40 @@ def test_raw_coordinate_series_benchmarks():
         rng=np.random.default_rng(7))
     assert failures == {}
     n_keep = (4 * n) // 5
-    np.testing.assert_array_equal(fits["series_1"].Q_sel, Z[:, :n_keep])
-    assert fits["series_2"].Q_sel.shape == (n, n_keep)
+    d = build_design(spec_p, spec_q, x, Z)
+    want = pds_fit(d.p_raw, Z[:, :n_keep], y, np.arange(n_keep))
+    assert_same_fit(fits["series_1"], want)
+    assert fits["series_2"].eta_hat.size == 1 + n_keep
     # series_2 without an rng is a recorded failure, not a crash
     _, failures2 = comparison_estimators(data, spec_p, spec_q,
                                          estimators=("series_2",))
     assert "needs an RNG" in failures2["series_2"]
+
+
+@pytest.mark.parametrize("design, n, seed", [("low_dim", 500, 0), ("high_dim", 200, 0)])
+def test_every_estimator_keeps_its_residualized_g_dictionary(monkeypatch, design, n, seed):
+    # each final fit's P_resid is the separate residualization of its own
+    # g dictionary on [1, its controls], as the variance step once made it
+    cfg = DgpConfig(design, n, sigma_eps=2.0)
+    rng = np.random.default_rng(seed)
+    data = generate_sample(cfg, rng)
+    inputs = {}
+    real = selection.pds_fit
+
+    def recording(P, Q_sel, *args, **kwargs):
+        fit = real(P, Q_sel, *args, **kwargs)
+        inputs[id(fit)] = (P, Q_sel)
+        return fit
+
+    monkeypatch.setattr(selection, "pds_fit", recording)
+    fits, failures = comparison_estimators(data, *default_specs(cfg), rng=rng)
+    assert failures == {} and set(fits) == set(ESTIMATORS)
+    for name, fit in fits.items():
+        P, Q_sel = inputs[id(fit)]
+        want = residualize_p(P, Q_sel)
+        np.testing.assert_allclose(fit.P_resid, want, rtol=0,
+                                   atol=1e-9 * np.abs(P).max(), err_msg=name)
+        assert fit.eta_hat.size == 1 + Q_sel.shape[1]
 
 
 def test_comparison_estimators_deterministic():
@@ -483,7 +546,7 @@ def test_one_workspace_serves_every_estimator(monkeypatch):
     np.testing.assert_array_equal(got.eta_hat, want.eta_hat)
     # series_2 on a tensor dictionary takes every raw column of the workspace
     idx = np.arange(d.Q.shape[1])
-    np.testing.assert_array_equal(fits["series_2"].Q_sel, d.q_raw(idx))
+    assert_same_fit(fits["series_2"], pds_fit(d.p_raw, d.q_raw(idx), data.y, idx))
     for idx in (idx, got.selected, np.array([5, 0, 5]), np.array([], dtype=int)):
         np.testing.assert_array_equal(d.q_raw(idx), (d.Q * d.q_scales)[:, idx])
 
