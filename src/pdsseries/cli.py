@@ -243,7 +243,7 @@ def _merge_config_file(command: str, path: str, values: dict, problems: list) ->
     # no section header can be empty, so no section is the default one
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8-sig")
     except configparser.Error as exc:
         raise ConfigError([f"config file {path!r} does not parse: {exc}"]) from None
     if not read:
@@ -314,7 +314,8 @@ def load_csv(path: str, y_col: str, x_col: str, z_patterns):
 
     Returns (Dataset, z_column_names, n_dropped).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig skips the byte-order mark that Excel's "CSV UTF-8" writes
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

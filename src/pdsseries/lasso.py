@@ -25,13 +25,14 @@ target reuses them.
 Most equations of post-double selection select nothing. The bank also
 evaluates every target's refined loadings for the empty set in one product,
 and pre-fills each memo with them, so ``TargetBank.settled_empty`` can
-decide for the whole bank at once which equations select nothing in their
-first two rounds, and so end empty, at a given penalty level. The bank
-keeps each target's level for both loading rounds, half its lam_max, so
-the decision costs two comparisons per target; only a target whose level
-lies within a relative 1e-12 of lam / 2 is compared column by column with
-the thresholds of the solver's first screen. Those equations need no
-``iterated_lasso`` call, and the rest read the same pre-filled loadings.
+settle for the whole bank at once the equations that select nothing in
+their first two rounds, and so end empty, at a given penalty level. The
+bank keeps each target's level for both loading rounds, half its lam_max,
+so the test is two comparisons per target: a level at or below
+(lam / 2) / (1 + 1e-12) settles its round. The screen may leave an
+equation that ends empty unsettled, never the other way; every equation
+it leaves runs ``iterated_lasso``, which reads the same pre-filled
+loadings.
 
 The solver is active-set cyclic coordinate descent on the Gram system: the
 covariance-update scheme of glmnet (Friedman, Hastie & Tibshirani 2010,
@@ -106,6 +107,8 @@ class LassoConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if self.n_loadings < 1:
             raise ValueError("n_loadings must be >= 1")
+        if not 0.0 <= self.cd_tol < math.inf:
+            raise ValueError("cd_tol must be nonnegative and finite")
         if self.cd_max_iter < 1:
             raise ValueError("cd_max_iter must be >= 1")
 
@@ -390,13 +393,11 @@ class LassoDesign:
                 np.matmul(col, X, out=row[start:stop])
 
 
-# design entries per row block of ``TargetBank.of``'s levels and
-# ``TargetBank.settled_empty``'s band
+# design entries per row block of ``TargetBank.of``'s levels
 _SCREEN_CELLS = 1 << 14
 
-# relative half-width of the band of levels that ``settled_empty`` compares
-# column by column
-_BAND = 1e-12
+# relative margin between a level that ``settled_empty`` settles and lam / 2
+_MARGIN = 1e-12
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 
@@ -407,43 +408,28 @@ def _proper(loadings: np.ndarray) -> np.ndarray:
     return ((loadings > 0.0) & (loadings <= _HUGE)).all(axis=-1)
 
 
-def _admits_none(abs_xty: np.ndarray, thr: np.ndarray, half: float) -> np.ndarray:
-    """Rows whose loadings ``thr`` are all positive and finite and whose
-    first screen, |x_j't| > half * thr_j, admits no column. Scales ``thr``
-    in place."""
-    proper = _proper(thr)
-    thr *= half
-    return proper & ~(abs_xty > thr).any(axis=1)
-
-
 def _levels(xty: np.ndarray, *loadings) -> np.ndarray:
     """Each row's level max_l |x_l't| / psi_l, half its lam_max, under each
     of ``loadings``: one row of levels per loadings array.
 
-    ``inf`` when a loading is not positive and finite. NaN when rounding
-    cannot vouch for the level: when it is not a finite normal number, or
-    when the |x_l't| it is read from is subnormal.
+    NaN, which means "cannot settle", when a loading is not positive and
+    finite or when the level is not a finite normal number.
     """
     k, m = xty.shape
     levels = np.full((len(loadings), k), np.nan)
     if not m:
         return levels
-    at_top = np.empty_like(levels)  # the |x_l't| each level is read from
     step = max(1, _SCREEN_CELLS // m)
     for start in range(0, k, step):
         rows = slice(start, start + step)
         abs_xty = np.abs(xty[rows])
-        at = np.arange(len(abs_xty))
         for r, psi in enumerate(loadings):
             with np.errstate(divide="ignore", over="ignore", under="ignore",
                              invalid="ignore"):
-                ratio = abs_xty / psi[rows]
-            top = ratio.argmax(axis=1)
-            levels[r, rows] = ratio[at, top]
-            at_top[r, rows] = abs_xty[at, top]
-    levels[~((levels >= _TINY) & (levels <= _HUGE) & (at_top >= _TINY))] = np.nan
+                levels[r, rows] = (abs_xty / psi[rows]).max(axis=1)
+    levels[~((levels >= _TINY) & (levels <= _HUGE))] = np.nan
     for level, psi in zip(levels, loadings):
-        level[~_proper(psi)] = np.inf
+        level[~_proper(psi)] = np.nan
     return levels
 
 
@@ -464,12 +450,12 @@ class TargetBank:
     The empty set's Post-Lasso residual is the target itself, so its refined
     loadings ``loadings1[j]`` are one more matrix product for the whole bank.
     Each memo starts with them under the empty-set key ``b""``, or with the
-    flag ``_refine`` would return instead, which ``empty_flagged[j]`` marks.
-    ``level0[j]`` and ``level1[j]`` are the target's levels for the two
-    rounds, max_l |x_l't| / psi_l with the loadings of each: the first
-    screen of a round admits nothing exactly when lam / 2 reaches the level.
-    With both rounds at hand, ``settled_empty`` decides for every equation
-    at once whether it ends with an empty active set.
+    flag ``_refine`` would return instead. ``level0[j]`` and ``level1[j]``
+    are the target's levels for the two rounds, max_l |x_l't| / psi_l with
+    the loadings of each, or NaN where rounding cannot vouch for one: the
+    first screen of a round admits nothing exactly when lam / 2 reaches the
+    level. With both rounds at hand, ``settled_empty`` settles at once the
+    equations that plainly end with an empty active set.
     """
 
     design: LassoDesign
@@ -479,7 +465,6 @@ class TargetBank:
     loadings1: np.ndarray
     level0: np.ndarray
     level1: np.ndarray
-    empty_flagged: np.ndarray
     memos: list
     cols: tuple
 
@@ -498,8 +483,7 @@ class TargetBank:
         level0, level1 = _levels(xty, loadings0, loadings1)
         return cls(design=design, rows=rows, xty=xty,
                    loadings0=loadings0, loadings1=loadings1, level0=level0, level1=level1,
-                   empty_flagged=perfect | degenerate, memos=memos,
-                   cols=tuple(range(len(rows))))
+                   memos=memos, cols=tuple(range(len(rows))))
 
     @property
     def n(self) -> int:
@@ -513,67 +497,36 @@ class TargetBank:
         return replace(self, cols=tuple(int(j) for j in cols))
 
     def settled_empty(self, lam: float, config: LassoConfig | None = None) -> np.ndarray:
-        """Which equations in ``cols`` end with an empty active set at ``lam``.
+        """Which equations in ``cols`` surely end with an empty active set at ``lam``.
 
-        Entry k is True when the first two solves of ``iterated_lasso(self,
-        k, lam, config)`` admit nothing, so that the call would return an
-        empty set without raising: a caller can take the empty set and skip
-        the call. (An equation that ends empty after a round that selected
-        something is not settled.) The first solve starts from t = 0 and
-        admits nothing when no column has |x_j't| > lam psi0_j / 2, the first
-        screen of ``_cd_solve``; this is the lam >= lam_max test behind the
-        SAFE rules (El Ghaoui, Viallon & Rabbani 2012) and the strong rules
-        (Tibshirani et al. 2012). The second solve, run when
-        ``n_loadings > 1`` and the empty-set memo is not a flag, is the same
-        test with ``loadings1``; a third would repeat the empty set and stop.
+        Entry k is True only when the first two solves of
+        ``iterated_lasso(self, k, lam, config)`` admit nothing, so that the
+        call would return an empty set without raising: a caller can take
+        the empty set and skip the call. An entry may be False for an
+        equation that does end empty; its call decides, as the KKT check
+        decides what the strong rules (Tibshirani et al. 2012) leave. The
+        first solve starts from t = 0 and admits nothing when no column has
+        |x_l't| > lam psi0_l / 2, the first screen of ``_cd_solve``; the
+        second, run when ``n_loadings > 1``, is the same test with
+        ``loadings1`` (or is skipped for a flagged memo, which ends the call
+        empty as well); a third would repeat the empty set and stop.
 
-        Each round's test reads the target's level for that round, with
-        ``half = lam / 2``: a round admits nothing when ``half >= level *
-        (1 + 1e-12)`` and admits a column when ``half < level * (1 -
-        1e-12)``, and a flagged target skips round 2. The bounds are taken
-        on ``half``, once per call. Only the targets left between, in the
-        band, are compared column by column, with the solver's own
-        thresholds, in blocks of rows. So the answer is the solver's bit for
-        bit: a finite normal level is the ratio |x_l't| / psi_l rounded
-        once, and the solver's threshold ``fl(half * psi_l)`` is the product
-        rounded once, each with relative error at most 2^-53 where the
-        result is normal, and the 1e-12 margin is far wider than both
-        together. A settled round needs only that rounding is monotone, so
-        an underflowed threshold is no exception; an unsettled one needs the
-        |x_l't| its level is read from to be normal, so that the threshold
-        rounds below it. A level these bounds cannot vouch for is NaN, which
-        both tests reject, so its target is always in the band.
-
-        An equation whose loadings are not all positive and finite is never
-        settled: its level is inf, and its ``iterated_lasso`` call raises. A
-        positive loading needs a positive entry of ``X*X`` in its column,
-        whose sum is the Gram diagonal, so the solver's screen skips no
-        column of a settled equation.
+        A round is settled when its level is at or below ``low = (lam / 2)
+        / (1 + 1e-12)``: two comparisons per equation. A normal level at or
+        below ``low`` is each ratio |x_l't| / psi_l rounded once, with
+        relative error at most 2^-53, so every ``|x_l't| < lam / 2 * psi_l``
+        exactly; rounding is monotone, so the solver's threshold ``fl(lam /
+        2 * psi_l) >= |x_l't|`` and its screen admits nothing, whatever the
+        size of |x_l't|. A NaN level is never settled, so neither is an
+        equation whose loadings are not all positive and finite, whose
+        ``iterated_lasso`` call raises.
         """
         cfg = config if config is not None else LassoConfig()
         cols = np.asarray(self.cols, dtype=np.intp)
-        half = 0.5 * float(lam)
-        # the band's edges as bounds on a level: at or below low, a round
-        # admits nothing; above high, it admits a column
-        low, high = min(half / (1.0 + _BAND), _HUGE), half / (1.0 - _BAND)
-        level = self.level0[cols]
-        settled, unsettled = level <= low, level > high
+        low = min(0.5 * float(lam) / (1.0 + _MARGIN), _HUGE)
+        settled = self.level0[cols] <= low
         if cfg.n_loadings > 1:
-            flagged, level = self.empty_flagged[cols], self.level1[cols]
-            settled &= flagged | (level <= low)
-            unsettled |= ~flagged & (level > high)
-        band = np.flatnonzero(~(settled | unsettled))
-        # a block of rows at a time, so the copies stay small beside the bank
-        step = max(1, _SCREEN_CELLS // max(1, self.xty.shape[1]))
-        for start in range(0, band.size, step):
-            k = band[start:start + step]
-            j = cols[k]
-            abs_xty = self.xty[j]
-            np.abs(abs_xty, out=abs_xty)
-            block = _admits_none(abs_xty, self.loadings0[j], half)
-            if cfg.n_loadings > 1:
-                block &= self.empty_flagged[j] | _admits_none(abs_xty, self.loadings1[j], half)
-            settled[k] = block
+            settled &= self.level1[cols] <= low
         return settled
 
 

@@ -23,13 +23,13 @@ workspace's, and a ``Q`` column's Gram row reuses the workspace's stored
 row of ``Q'Q``, so only its ``P`` part is new.
 
 Most first-stage equations select nothing. Before solving, each stage asks
-its bank which equations end with an empty active set at its penalty level
-(``TargetBank.settled_empty``: two comparisons per equation with the
-levels the bank keeps, and the solver's own comparisons over ``Q't`` for an
-equation whose level lies within a relative 1e-12 of lam / 2, with the
-empty set's refined loadings pre-filled in each memo) and runs
-``iterated_lasso`` only for the rest. The sets, and the exceptions of
-equations that fail, are those of one ``iterated_lasso`` call per equation.
+its bank which equations surely end with an empty active set at its
+penalty level (``TargetBank.settled_empty``: two comparisons per equation
+with the levels the bank keeps, the empty set's refined loadings being
+pre-filled in each memo) and runs ``iterated_lasso`` for the rest,
+including any the screen cannot vouch for. The sets, and the exceptions
+of equations that fail, are those of one ``iterated_lasso`` call per
+equation.
 """
 
 from __future__ import annotations

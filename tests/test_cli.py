@@ -150,6 +150,9 @@ READER_CASES = {
     "header_only": ("y,x,z1\n", False),
     "underscore_digits": ("y,x,z1\n1_000,2,3\n4,5,6\n", False),
     "non_numeric": ("y,x,z1\n1,2,3\n4,5,abc\n", False),
+    # the byte-order mark that Excel's "CSV UTF-8" writes
+    "bom": ("\ufeffy,x,z1\n1.5,2,3\n4,5,6\n", True),
+    "bom_na": ("\ufeffy,x,z1\n1,na,3\n4,5,6\n7,8,9\n", False),
 }
 
 
@@ -216,6 +219,18 @@ def test_a_clean_file_takes_the_c_reader(tmp_path, monkeypatch):
         else:
             with pytest.raises(AssertionError, match="cell by cell"):
                 load_csv(str(path), "y", "x", ["z*"])
+
+
+@pytest.mark.parametrize("case", ["bom", "bom_na"])
+def test_a_byte_order_mark_reads_as_the_file_without_it(tmp_path, case):
+    text = READER_CASES[case][0]
+    with_mark, without = tmp_path / "bom.csv", tmp_path / "plain.csv"
+    with_mark.write_bytes(text.encode())
+    without.write_bytes(text.removeprefix("\ufeff").encode())
+    assert with_mark.read_bytes().startswith(b"\xef\xbb\xbf")
+    got, plain = load_csv(str(with_mark), "y", "x", ["z*"]), load_csv(str(without), "y", "x", ["z*"])
+    assert_same_reading(got, plain)
+    assert got[0].n == 2
 
 
 @pytest.mark.parametrize("header, z, col", [
@@ -412,6 +427,13 @@ def test_config_file_merge_with_flag_priority(tmp_path):
     assert cfg.out == "flag_out.csv"  # explicit flag wins
     with pytest.raises(ConfigError, match="not found"):
         resolve_config(["simulate", "--config", str(tmp_path / "nope.ini")])
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_bytes("\ufeff[simulate]\ndesign = low\nn = 150\nout = o.csv\n".encode())
+    cfg = resolve_config(["simulate", "--config", str(ini)])
+    assert cfg.design == "low_dim" and cfg.n == 150 and cfg.out == "o.csv"
 
 
 def test_config_file_unknown_section_key_and_bad_boolean_are_problems(tmp_path):

@@ -18,6 +18,7 @@ from _oracles import (
     workspace_of,
 )
 from pdsseries import lasso as lasso_module
+from pdsseries import selection as selection_module
 from pdsseries.dictionary import build_design
 from pdsseries.lasso import (
     ConvergenceError,
@@ -137,6 +138,12 @@ def test_lasso_config_validation():
         LassoConfig(n_loadings=0)
     with pytest.raises(ValueError, match="cd_max_iter"):
         LassoConfig(cd_max_iter=0)
+    # NaN or a negative tolerance would run every solve to cd_max_iter, and
+    # inf would stop after one sweep and report convergence
+    for tol in (math.nan, -1e-8, -math.inf, math.inf):
+        with pytest.raises(ValueError, match="cd_tol must be nonnegative and finite"):
+            LassoConfig(cd_tol=tol)
+    assert LassoConfig(cd_tol=0.0).cd_tol == 0.0
 
 
 # ---------------------------------------------------------------- loadings
@@ -721,8 +728,7 @@ def per_equation(bank, lam, cfg):
 
 
 def test_screen_settles_only_equations_that_end_empty():
-    seen = {"settled": 0, "left": 0, "perfect_fit": 0, "flagged_settled": 0,
-            "second_round_admits": 0}
+    seen = {"settled": 0, "left": 0, "perfect_fit": 0, "second_round_admits": 0}
     for seed in range(3):
         X, kinds = screen_problem(seed)
         n, m = X.shape
@@ -748,7 +754,6 @@ def test_screen_settles_only_equations_that_end_empty():
                         if settled[k]:
                             assert isinstance(fit, LassoFit) and fit.active_set.size == 0
                             seen["settled"] += 1
-                            seen["flagged_settled"] += fit.loadings_degenerate
                         elif isinstance(fit, LassoFit):
                             seen["left"] += 1
                             seen["perfect_fit"] += fit.perfect_fit
@@ -777,22 +782,31 @@ def test_screen_in_row_blocks_matches_one_block(monkeypatch):
     X, kinds = screen_problem(2)
     n, m = X.shape
     rows = np.array(kinds["regular"] + kinds["constant"] + kinds["zero_loading"])
-    bank = TargetBank.of(rows, LassoDesign(X))
     # every target, some twice, out of order
     cols = np.random.default_rng(0).permutation(np.r_[np.arange(len(rows)), 0, 3, 5])
-    banks = (bank, bank.subset(cols), bank.subset([]))
-    for n_loadings in (1, 15):
-        for c in np.geomspace(1e-2, 30.0, 7):
-            cfg = LassoConfig(c=c, gamma=0.1, n_loadings=n_loadings)
-            lam = penalty_level(n, len(rows), m, cfg)
-            monkeypatch.setattr(lasso_module, "_SCREEN_CELLS", 1 << 30)
-            whole = [b.settled_empty(lam, cfg) for b in banks]
-            for cells in (1, m, 2 * m + 1, 5 * m):
-                monkeypatch.setattr(lasso_module, "_SCREEN_CELLS", cells)
-                for b, want in zip(banks, whole):
-                    np.testing.assert_array_equal(b.settled_empty(lam, cfg), want)
-    # the bank's own arrays are left as they were
-    np.testing.assert_array_equal(bank.xty, rows @ X)
+
+    def banks():
+        bank = TargetBank.of(rows, LassoDesign(X))
+        return bank, (bank, bank.subset(cols), bank.subset([]))
+
+    monkeypatch.setattr(lasso_module, "_SCREEN_CELLS", 1 << 30)
+    whole, whole_banks = banks()
+    lams = [penalty_level(n, len(rows), m, LassoConfig(c=c, gamma=0.1))
+            for c in np.geomspace(1e-2, 30.0, 7)]
+    # rebuilt under each block size, so the levels are read in row blocks
+    for cells in (1, m, 2 * m + 1, 5 * m):
+        monkeypatch.setattr(lasso_module, "_SCREEN_CELLS", cells)
+        bank, blocked = banks()
+        for name in ("level0", "level1"):
+            assert getattr(bank, name).tobytes() == getattr(whole, name).tobytes(), name
+        for n_loadings in (1, 15):
+            cfg = LassoConfig(n_loadings=n_loadings)
+            for lam in lams:
+                for b, want in zip(blocked, whole_banks):
+                    np.testing.assert_array_equal(b.settled_empty(lam, cfg),
+                                                  want.settled_empty(lam, cfg))
+        # the bank's own arrays are left as they were
+        np.testing.assert_array_equal(bank.xty, rows @ X)
 
 
 def test_screen_agrees_with_the_solver_at_its_threshold():
@@ -809,30 +823,16 @@ def test_screen_agrees_with_the_solver_at_its_threshold():
     assert top > 0
     for n_loadings in (1, 15):
         cfg = LassoConfig(n_loadings=n_loadings)
-        assert bank.settled_empty(2 * top, cfg).tolist() == [True, True]
+        # beyond the margin the screen settles; on the threshold it leaves the
+        # equation to the solver, which admits nothing there; just below, the
+        # solver admits a column
+        assert bank.settled_empty(2 * top * (1 + 2e-12), cfg).tolist() == [True, True]
+        assert bank.settled_empty(2 * top, cfg).tolist() == [False, False]
         assert bank.settled_empty(np.nextafter(2 * top, 0.0), cfg).tolist() == [False, False]
         for k in range(2):
             assert iterated_lasso(bank, k, 2 * top, cfg).active_set.size == 0
             first = iterated_lasso(bank, k, np.nextafter(2 * top, 0.0), LassoConfig(n_loadings=1))
             assert first.active_set.size > 0
-
-
-def screen_by_columns(bank, lam, cfg):
-    """The screen without levels: each round's first-screen comparison over
-    every column of every equation, with the solver's thresholds."""
-    half = 0.5 * float(lam)
-
-    def admits_none(a, psi):
-        return bool((psi > 0.0).all()) and not (a > half * psi).any()
-
-    out = []
-    for j in bank.cols:
-        a = np.abs(bank.xty[j])
-        done = admits_none(a, bank.loadings0[j])
-        if cfg.n_loadings > 1 and not bank.empty_flagged[j]:
-            done = done and admits_none(a, bank.loadings1[j])
-        out.append(done)
-    return np.array(out, dtype=bool)
 
 
 def solver_settles(bank, lam, cfg):
@@ -841,15 +841,15 @@ def solver_settles(bank, lam, cfg):
     capped = LassoConfig(cd_max_iter=1)
 
     def admits_none(xty, psi):
-        # an equation with a loading that is not positive (or NaN) is never
+        # an equation with a loading that is not positive and finite is never
         # settled; a solve whose first screen admits nothing takes no sweep
-        return bool((psi > 0.0).all()) and lasso_solve(
+        return bool(((psi > 0.0) & np.isfinite(psi)).all()) and lasso_solve(
             bank.design, xty, lam, psi, capped).iterations == 0
 
     out = []
     for j in bank.cols:
         done = admits_none(bank.xty[j], bank.loadings0[j])
-        if cfg.n_loadings > 1 and not bank.empty_flagged[j]:
+        if cfg.n_loadings > 1 and not isinstance(bank.memos[j][b""], str):
             done = done and admits_none(bank.xty[j], bank.loadings1[j])
         out.append(done)
     return np.array(out, dtype=bool)
@@ -879,51 +879,76 @@ def test_levels_are_each_rounds_half_lam_max():
     bank = TargetBank.of(rows, LassoDesign(X))
     for level, psi in ((bank.level0, bank.loadings0), (bank.level1, bank.loadings1)):
         positive = (psi > 0.0).all(axis=1)
-        np.testing.assert_array_equal(level[~positive], np.inf)
+        assert np.isnan(level[~positive]).all()
         want = (np.abs(bank.xty[positive]) / psi[positive]).max(axis=1)
         # the one-row target has X't = 0: a level below the normal range is NaN
         want[want < np.finfo(float).tiny] = np.nan
         np.testing.assert_array_equal(level[positive], want)
-    assert np.isnan(bank.level0).sum() == 1
-    # the constant target's initial loadings and the zero-loading target's
-    # column 4 are zero; so are the one-row target's refined loadings
-    assert np.isinf(bank.level0).sum() == 2 and np.isinf(bank.level1).sum() >= 2
+    # NaN, never settled: the one-row target (X't = 0, and zero refined
+    # loadings), the constant target (zero initial loadings) and the
+    # zero-loading target (column 4)
+    assert np.isnan(bank.level0).sum() == 3 and np.isnan(bank.level1).sum() == 2
     sub = bank.subset([3, 0])
     assert sub.level0 is bank.level0 and sub.level1 is bank.level1
 
 
-def test_level_screen_matches_the_columns_and_the_solver_near_each_level():
+def test_route_matches_one_solve_per_equation_near_each_level(monkeypatch):
     X, kinds = screen_problem(1)
     n, m = X.shape
-    # max |t| < 1e-12 sd(t) holds on the empty set only when sd(t) overflows
+    # max |t| < 1e-12 sd(t) holds on the empty set only when sd(t) overflows:
+    # a perfect_fit memo on a target whose loadings overflow
     overflowing = np.zeros(n)
     overflowing[:20] = 1e160
-    rows = np.array(kinds["regular"] + kinds["constant"] + kinds["zero_loading"]
-                    + [overflowing])
-    with np.errstate(over="ignore", invalid="ignore"):
-        bank = TargetBank.of(rows, LassoDesign(X))
-    assert bank.empty_flagged.sum() == 2  # loadings_degenerate and perfect_fit
-    lams = near_each_level(np.r_[bank.level0, bank.level1])
-    seen = {"settled": 0, "left": 0}
-    for n_loadings in (1, 15):
-        cfg = LassoConfig(n_loadings=n_loadings)
-        for lam in lams:
-            got = bank.settled_empty(lam, cfg)
-            np.testing.assert_array_equal(got, screen_by_columns(bank, lam, cfg))
-            np.testing.assert_array_equal(got, solver_settles(bank, lam, cfg))
-            for k in np.flatnonzero(got):
+    banks = {
+        "regular": kinds["regular"],
+        "constant": kinds["regular"] + kinds["constant"],
+        "zero_loading": kinds["zero_loading"] + kinds["regular"],
+        "overflowing": kinds["regular"] + [overflowing],
+    }
+    seen = {"settled": 0, "left_empty": 0, "left": 0, "flagged": 0, "failed": 0}
+    for name, rows in banks.items():
+        rows = np.array(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            probe = TargetBank.of(rows, LassoDesign(X))
+        lams = near_each_level(np.r_[probe.level0, probe.level1])
+        for n_loadings in (1, 15):
+            cfg = LassoConfig(gamma=0.1, n_loadings=n_loadings)
+            for lam in lams:
+                screened, plain = workspace_of(X), workspace_of(X)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    assert iterated_lasso(bank, k, lam, cfg).active_set.size == 0
-            seen["settled"] += int(got.sum())
-            seen["left"] += int((~got).sum())
+                    bank = TargetBank.of(rows, screened.lasso_design)
+                    want = per_equation(TargetBank.of(rows, plain.lasso_design), lam, cfg)
+                settled = bank.settled_empty(lam, cfg)
+                # sound: the screen settles only what the solver settles
+                assert not (settled & ~solver_settles(bank, lam, cfg)).any()
+                for k, fit in enumerate(want):
+                    if isinstance(fit, type):
+                        seen["failed"] += 1
+                    elif settled[k]:
+                        seen["settled"] += 1
+                    else:
+                        seen["left_empty" if fit.active_set.size == 0 else "left"] += 1
+                        seen["flagged"] += fit.perfect_fit or fit.loadings_degenerate
+                errors = [f for f in want if isinstance(f, type)]
+                monkeypatch.setattr(selection_module, "penalty_level", lambda *a, **k: lam)
+                if not errors:
+                    got = first_stage_select(bank, screened, cfg)
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        np.testing.assert_array_equal(g, w.active_set)
+                else:
+                    with pytest.raises(SelectionError) as err:
+                        first_stage_select(bank, screened, cfg)
+                    assert type(err.value.__cause__) is errors[0]
+                monkeypatch.undo()
     assert all(seen.values()), seen
 
 
-def test_level_screen_matches_the_columns_at_the_ends_of_the_float_range():
+def test_level_screen_is_sound_and_complete_at_the_ends_of_the_float_range():
     rng = np.random.default_rng(3)
     n, m = 20, 4
     X = rng.standard_normal((n, m))
-    tiny = np.finfo(float).tiny
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
     # (|x't|, psi) per row: loadings near and in the subnormal range, a zero
     # loading, subnormal cross products (one with two significant bits, whose
     # threshold rounds onto it), a subnormal ratio, zero cross products,
@@ -948,46 +973,39 @@ def test_level_screen_matches_the_columns_at_the_ends_of_the_float_range():
     # round 2 reads the same loadings scaled, so its levels differ
     bank = with_arrays(TargetBank.of(rng.standard_normal((len(cases), n)), LassoDesign(X)),
                        xty, psi, 0.5 * psi)
-    levels = np.r_[bank.level0, bank.level1]
-    assert np.isnan(levels).any() and np.isinf(levels).any()
+
+    def vouched(loadings):
+        """Each row's level where it is normal and its loadings proper, else NaN."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            level = (np.abs(xty) / loadings).max(axis=1)
+        proper = ((loadings > 0.0) & (loadings <= huge)).all(axis=1)
+        return np.where(proper & (level >= tiny) & (level <= huge), level, np.nan)
+
+    rounds = (vouched(psi), vouched(0.5 * psi))
+    assert all(np.isnan(r).any() and np.isfinite(r).any() for r in rounds)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratios = (np.abs(xty) / np.where(psi > 0.0, psi, np.nan)).ravel()
         every = np.r_[ratios, 2.0 * ratios]
-    lams = near_each_level(np.unique(every[every <= np.finfo(float).max / 2]))
-    lams += [0.0, 5e-324, 2 * tiny, 1e-300, 1.0, np.finfo(float).max, np.inf]
+    lams = near_each_level(np.unique(every[every <= huge / 2]))
+    lams += [0.0, 5e-324, 2 * tiny, 1e-300, 1.0, huge, np.inf]
+    seen = {"settled": 0, "left_to_the_solver": 0}
     for n_loadings in (1, 2):
         cfg = LassoConfig(n_loadings=n_loadings)
         for lam in lams:
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 got = bank.settled_empty(lam, cfg)
-                np.testing.assert_array_equal(got, screen_by_columns(bank, lam, cfg),
-                                              err_msg=f"lam={lam!r}")
-                np.testing.assert_array_equal(got, solver_settles(bank, lam, cfg),
-                                              err_msg=f"lam={lam!r}")
-
-
-def test_level_screen_compares_columns_only_in_the_band(monkeypatch):
-    X, kinds = screen_problem(0)
-    n, m = X.shape
-    # every level finite: the one-row target, whose X't is zero, is left out
-    bank = TargetBank.of(np.array(kinds["regular"][:-1]), LassoDesign(X))
-    levels = np.r_[bank.level0, bank.level1]
-    assert np.isfinite(levels).all()
-    compared = []
-
-    def counting(abs_xty, thr, half):
-        compared.append(len(abs_xty))
-        return real(abs_xty, thr, half)
-
-    real = lasso_module._admits_none
-    monkeypatch.setattr(lasso_module, "_admits_none", counting)
-    cfg = LassoConfig()
-    for lam in np.geomspace(0.1, 100.0, 50) * levels.min():
-        if np.abs(2.0 * levels / lam - 1.0).min() > 1e-9:
-            bank.settled_empty(lam, cfg)
-    assert compared == []
-    bank.settled_empty(2.0 * bank.level0[2], LassoConfig(n_loadings=1))
-    assert compared == [1]
+                solver = solver_settles(bank, lam, cfg)
+                # sound: the screen settles only what the solver settles
+                assert not (got & ~solver).any(), f"lam={lam!r}"
+                # complete: it settles every round whose level is vouched for
+                # and below lam / 2 by more than the margin
+                sure = rounds[0] <= 0.5 * lam / (1.0 + 3e-12)
+                if n_loadings > 1:
+                    sure &= rounds[1] <= 0.5 * lam / (1.0 + 3e-12)
+            assert not (sure & ~got).any(), f"lam={lam!r}"
+            seen["settled"] += int(got.sum())
+            seen["left_to_the_solver"] += int((solver & ~got).sum())
+    assert all(seen.values()), seen
 
 
 def test_prefilled_empty_set_memo_matches_refine():
@@ -1007,7 +1025,6 @@ def test_prefilled_empty_set_memo_matches_refine():
     for j, ref in enumerate(refs):
         memo = bank.memos[j]
         assert list(memo) == [b""]
-        assert bank.empty_flagged[j] == isinstance(ref, str)
         if isinstance(ref, str):
             assert memo[b""] == ref
             flags.append(ref)
