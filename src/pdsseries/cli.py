@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import Dataset
-from .dictionary import DictionarySpec, build_design, build_extended_fs, dictionary_labels
+from .dictionary import DictionarySpec, build_design, dictionary_labels
 from .inference import average_derivative, functional_estimate, point_eval, quantile_contrast
 from .lasso import LassoConfig
 from .montecarlo import (
@@ -39,13 +39,10 @@ from .montecarlo import (
 from .selection import (
     ESTIMATORS,
     FIT_ERRORS,
-    KGridResult,
     choose_k_bic,
     default_degree,
     default_k_grid,
     integer_root,
-    pds_fit,
-    post_double_select,
 )
 
 __all__ = ["RunConfig", "ConfigError", "load_csv", "write_sample_csv", "run", "main"]
@@ -237,14 +234,15 @@ def _merge_config_file(command: str, path: str, values: dict, problems: list) ->
     the subcommand, is a problem. So is ``[DEFAULT]``: configparser would
     fold its keys into every section, so it is read as an ordinary section
     and refused by name. Values are read literally (no ``%`` interpolation);
-    a file that does not parse, such as one with no section header or a key
-    given twice in a section, is a configuration error.
+    a file that does not parse, such as one with no section header, a key
+    given twice in a section or bytes that are not UTF-8, is a configuration
+    error.
     """
     # no section header can be empty, so no section is the default one
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path, encoding="utf-8-sig")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError([f"config file {path!r} does not parse: {exc}"]) from None
     if not read:
         raise ConfigError([f"config file {path!r} not found or unreadable"])
@@ -443,40 +441,35 @@ def _run_fit(cfg: RunConfig) -> str:
     lines = [cfg.echo(), ""]
     lines.append(f"rows used: {data.n} (dropped {n_dropped} with missing values)")
 
-    def q_spec(degree: int) -> DictionarySpec:
-        if cfg.q_dict == "tensor":
-            return DictionarySpec("hermite_tensor", degree=degree,
-                                  input_dim=data.Z.shape[1])
-        return DictionarySpec("raw_coordinates", input_dim=data.Z.shape[1])
-
     if bic:
         degree = default_degree(data.n)
     else:
         degree = integer_root(data.n, _K_ROOTS[cfg.k]) if cfg.k in _K_ROOTS else cfg.k
-    spec_p = DictionarySpec("hermite_univariate", degree=degree)
-    spec_q = q_spec(degree)
-    design = build_design(spec_p, spec_q, data.x, data.Z)
+    if cfg.q_dict == "tensor":
+        spec_q = DictionarySpec("hermite_tensor", degree=degree, input_dim=data.Z.shape[1])
+    else:
+        spec_q = DictionarySpec("raw_coordinates", input_dim=data.Z.shape[1])
+    design = build_design(DictionarySpec("hermite_univariate", degree=degree), spec_q,
+                          data.x, data.Z)
+    # a fixed degree is the one-degree grid
+    grid = default_k_grid(data.n) if bic else [degree]
+    res = choose_k_bic(data, design, grid, lasso_cfg, extended_fs=cfg.extended_fs)
+    fit = res.fits[res.k_hat]
     if bic:
-        grid = default_k_grid(data.n)
-        res: KGridResult = choose_k_bic(data, design, grid, lasso_cfg,
-                                        extended_fs=cfg.extended_fs)
-        fit = res.fits[res.k_hat]
-        spec_p = fit.spec_p
         lines.append(f"degree grid: {min(grid)}..{max(grid)}")
         lines.append(f"BIC minimizer: {res.k_bic}; chosen K: {res.k_hat}")
     else:
-        P_fs = build_extended_fs(design.P) if cfg.extended_fs else design.P
-        sel = post_double_select(P_fs, design, data.y, lasso_cfg)
-        fit = pds_fit(design.p_raw, design.q_raw(sel.union_set), data.y, sel,
-                      spec_p=spec_p)
         lines.append(f"dictionary degree K: {degree}")
+    if fit.rank_deficient:
+        lines.append("warning: the final OLS is rank-deficient; "
+                     "beta_hat is a minimum-norm solution")
 
     labels = dictionary_labels(spec_q, prefix="q",
                                names=z_names if cfg.q_dict == "raw" else None)
     chosen = [labels[j] for j in fit.selected]
     lines.append(f"selected conditioning terms ({len(chosen)}): "
                  + (", ".join(chosen) if chosen else "(none)"))
-    fspec = _functional_spec(cfg, spec_p, data.x)
+    fspec = _functional_spec(cfg, fit.spec_p, data.x)
     res_inf = functional_estimate(fit, fspec)
     lines.append("")
     lines.append(f"functional: {cfg.functional}")

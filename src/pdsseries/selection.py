@@ -4,9 +4,11 @@ The estimator of interest regresses each approximating term for g on the
 conditioning dictionary (first stage) and the outcome on the conditioning
 dictionary (reduced form), both by iterated-loadings Lasso; the final step
 is OLS of y on an intercept, the full g dictionary, and the union of the
-selected conditioning terms. The benchmarking alternatives (single-selection
-variants, plain series fits, an infeasible oracle) share the final-OLS
-plumbing so downstream inference treats every fit uniformly.
+selected conditioning terms. It runs at a fixed degree K or with K chosen
+by BIC over a grid, and both are one route: ``choose_k_bic``, with the
+one-degree grid ``[K]`` for a fixed degree. The benchmarking alternatives
+(single-selection variants, plain series fits, an infeasible oracle) share
+the final-OLS plumbing so downstream inference treats every fit uniformly.
 
 Every one of these Lassos runs on the same conditioning dictionary, so the
 selection functions take the sample's ``DesignMatrices`` workspace from
@@ -15,17 +17,17 @@ holds ``Q*Q`` and the Gram rows formed so far, and is shared by every
 equation, every estimator and every degree of the BIC grid. Each stage
 fits its targets from a ``lasso.TargetBank`` on that design, which
 evaluates each target's ``Q't`` and initial loadings once and memoizes its
-refined loadings by active set; the BIC grid builds one bank at its largest
-degree and indexes every degree into it. Post-Single II, the one Lasso on
-another design, runs on a ``LassoDesign`` of two blocks, ``P`` and the
-workspace's design: ``[P, Q]`` is never concatenated, ``Q*Q`` is the
-workspace's, and a ``Q`` column's Gram row reuses the workspace's stored
-row of ``Q'Q``, so only its ``P`` part is new.
+refined loadings by active set; ``choose_k_bic`` builds one bank at the
+grid's largest degree and indexes every degree into it. Post-Single II,
+the one Lasso on another design, runs on a ``LassoDesign`` of two blocks,
+``P`` and the workspace's design: ``[P, Q]`` is never concatenated,
+``Q*Q`` is the workspace's, and a ``Q`` column's Gram row reuses the
+workspace's stored row of ``Q'Q``, so only its ``P`` part is new.
 
 Most first-stage equations select nothing. Before solving, each stage asks
 its bank which equations surely end with an empty active set at its
-penalty level (``TargetBank.settled_empty``: two comparisons per equation
-with the levels the bank keeps, the empty set's refined loadings being
+penalty level (``TargetBank.settled_empty``: one comparison per loading
+round with the levels the bank keeps, the empty set's refined loadings being
 pre-filled in each memo) and runs ``iterated_lasso`` for the rest,
 including any the screen cannot vouch for. The sets, and the exceptions
 of equations that fail, are those of one ``iterated_lasso`` call per
@@ -45,7 +47,6 @@ from .dictionary import (
     DesignMatrices,
     DictionarySpec,
     build_design,
-    build_extended_fs,
     evaluate_dictionary,
     hermite_design,
 )
@@ -160,7 +161,6 @@ class PdsFit:
     spec_p: DictionarySpec | None = None
     rank_deficient: bool = False
     name: str = "post_double"
-    k_chosen: int | None = None
 
     @property
     def n(self) -> int:
@@ -308,8 +308,7 @@ def post_double_select(P_fs, design: DesignMatrices, y,
 
 
 def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
-            spec_p: DictionarySpec | None = None, name: str = "post_double",
-            k_chosen: int | None = None) -> PdsFit:
+            spec_p: DictionarySpec | None = None, name: str = "post_double") -> PdsFit:
     """Final OLS of y on [1, P, Q_sel] in raw column units, by one projection.
 
     ``Q_sel`` holds only the selected control columns, in raw units (from a
@@ -350,7 +349,6 @@ def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
         spec_p=spec_p,
         rank_deficient=bool(rank_w < W.shape[1] or rank_p < k),
         name=name,
-        k_chosen=k_chosen,
     )
 
 
@@ -399,7 +397,9 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     its rows of that bank, at its own penalty level. The chosen degree is
     the BIC minimizer plus one, clamped to the grid maximum; a degree whose
     fit fails, for instance on a constant term of its g dictionary, is
-    skipped and recorded.
+    skipped and recorded. When every degree fails, the ``SelectionError``
+    names each degree's reason. A one-degree grid is the fit at a fixed
+    degree: every Post-Double estimator, and ``pds-series fit``, runs here.
     """
     cfg = config if config is not None else LassoConfig()
     k_grid = sorted(set(int(k) for k in k_grid))
@@ -420,14 +420,14 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
                     f"P column {k_ok} has zero variance on this sample")
             sel = post_double_select(bank.subset(fs_rows), design, y_bank, cfg)
             fit = pds_fit(P_raw[:, :k], design.q_raw(sel.union_set), data.y,
-                          sel, spec_p=specs[k], k_chosen=k)
+                          sel, spec_p=specs[k])
         except FIT_ERRORS as exc:
             errors[k] = str(exc)
             continue
         fits[k] = fit
         bics[k] = _bic(fit)
     if not bics:
-        raise SelectionError("every degree in the grid failed")
+        raise SelectionError("; ".join(f"K={k}: {errors[k]}" for k in k_grid))
     # ties break toward the smaller degree
     k_bic = min(bics, key=lambda k: (bics[k], k))
     k_hat = min(k_bic + 1, max(k_grid))
@@ -493,15 +493,10 @@ def _series_controls(data: Dataset, design: DesignMatrices, which: str, rng):
 
 def _fit_one(name, data: Dataset, design: DesignMatrices, cfg, rng, k_grid) -> PdsFit:
     spec_p = design.spec_p
-    if name in ("post_double", "post_double_ext"):
-        P_fs = build_extended_fs(design.P) if name == "post_double_ext" else design.P
-        sel = post_double_select(P_fs, design, data.y, cfg)
-        return pds_fit(design.p_raw, design.q_raw(sel.union_set), data.y, sel,
-                       spec_p=spec_p, name=name)
-
-    if name in ("post_double_set", "post_double_set_ext"):
-        res = choose_k_bic(data, design, k_grid, cfg,
-                           extended_fs=name.endswith("_ext"))
+    if name.startswith("post_double"):
+        # a fixed degree is the one-degree grid
+        grid = k_grid if name.startswith("post_double_set") else [design.n_p]
+        res = choose_k_bic(data, design, grid, cfg, extended_fs=name.endswith("_ext"))
         fit = res.fits[res.k_hat]
         fit.name = name
         return fit

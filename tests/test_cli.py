@@ -1,13 +1,13 @@
 """Command-line interface: config resolution, CSV IO, end-to-end runs."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdsseries import cli
+from pdsseries import cli, selection
 from pdsseries.cli import (
     ConfigError,
     RunConfig,
@@ -501,6 +501,18 @@ def test_config_file_that_does_not_parse_is_a_configuration_error(capsys, tmp_pa
     assert "configuration errors:" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_is_a_configuration_error(capsys, tmp_path):
+    ini = tmp_path / "fit.ini"
+    ini.write_bytes("[fit]\ninput = caf\u00e9.csv\n".encode("latin-1"))
+    argv = ["fit", "--config", str(ini)]
+    with pytest.raises(ConfigError, match="does not parse") as err:
+        resolve_config(argv)
+    assert repr(str(ini)) in err.value.problems[0]
+    assert "can't decode byte 0xe9" in err.value.problems[0]
+    assert main(argv) == 2
+    assert repr(str(ini)) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--estimators", "--functionals"])
 def test_main_rejects_an_empty_name_list(capsys, tmp_path, flag):
     rc = main(["simulate", "--design", "low", "--n", "60", "--reps", "1",
@@ -540,12 +552,50 @@ def test_main_reports_fit_errors_and_propagates_programming_errors(
             raise exc
         return stage
 
-    monkeypatch.setattr(cli, "post_double_select", failing(SelectionError("no fit")))
+    monkeypatch.setattr(selection, "post_double_select", failing(SelectionError("no fit")))
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: no fit\n"
-    monkeypatch.setattr(cli, "post_double_select", failing(TypeError("bug in fit")))
+    assert capsys.readouterr().err == "error: K=2: no fit\n"
+    monkeypatch.setattr(selection, "post_double_select", failing(TypeError("bug in fit")))
     with pytest.raises(TypeError, match="bug in fit"):
         main(argv)
+
+
+def test_main_fit_names_the_degree_and_the_equation_that_failed(capsys, tmp_path):
+    # x in {-1, 0, 1}: standardized He_3 = -He_1, so the extended target
+    # p_1 + p_3 is constant and its first-stage equation fails
+    rng = np.random.default_rng(5)
+    n = 120
+    x = rng.choice((-1.0, 0.0, 1.0), size=n)
+    Z = rng.standard_normal((n, 30))
+    dump = tmp_path / "sample.csv"
+    write_sample_csv(Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z), str(dump))
+    argv = ["fit", "--input", str(dump), "--y", "y", "--x", "x", "--z", "z*",
+            "--k", "3", "--extended-fs", "--out", str(tmp_path / "fit.txt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: K=3: first-stage equation 4 failed: all initial loadings are zero\n")
+
+
+def test_main_fit_reports_a_rank_deficient_final_fit(monkeypatch, capsys, tmp_path):
+    dump = tmp_path / "sample.csv"
+    write_sample_csv(
+        generate_sample(DgpConfig("low_dim", 80), np.random.default_rng(2)),
+        str(dump))
+    argv = ["fit", "--input", str(dump), "--y", "y", "--x", "x", "--z", "z*",
+            "--k", "3", "--out", str(tmp_path / "fit.txt")]
+    flag = "warning: the final OLS is rank-deficient"
+    assert main(argv) == 0
+    assert flag not in capsys.readouterr().out
+    real = selection.pds_fit
+
+    def flagged(*args, **kwargs):
+        return replace(real(*args, **kwargs), rank_deficient=True)
+
+    monkeypatch.setattr(selection, "pds_fit", flagged)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert flag in lines[lines.index("dictionary degree K: 3") + 1]
+    assert any(line.startswith("theta_hat = ") for line in lines)
 
 
 def test_main_simulate_end_to_end(capsys, tmp_path):

@@ -81,8 +81,28 @@ def test_normal_quantile_against_scipy():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def test_normal_quantile_has_the_bits_of_the_hand_coded_as241():
+    rng = np.random.default_rng(0)
+    ps = set(rng.uniform(0.0, 1.0, 300_000).tolist())
+    # both tails, down to 1e-299 and 2^-989
+    ps |= {10.0 ** -e for e in range(1, 300)} | {2.0 ** -e for e in range(1, 990)}
+    ps |= {1.0 - 10.0 ** -e for e in range(1, 17)} | {1.0 - 2.0 ** -e for e in range(1, 54)}
+    # every 1 - gamma / (2M) of the default penalties: up to 20 targets, the
+    # extended first stage's k^2 at k <= 20, and up to 1000 regressors
+    for n in (50, 100, 200, 500, 1000, 2000, 5000):
+        for targets in {*range(1, 21), *(k * k for k in range(1, 21))}:
+            for regressors in range(1, 1001):
+                m = targets * regressors
+                ps.add(1.0 - default_gamma(n, targets, regressors) / (2.0 * m))
+    ps = sorted(ps - {0.0, 1.0})
+    assert len(ps) > 300_000
+    got = np.array([normal_quantile(p) for p in ps])
+    want = np.array([_oracles.normal_quantile(p) for p in ps])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_normal_quantile_domain():
-    for p in (0.0, 1.0, -0.1, 1.1):
+    for p in (0.0, 1.0, -0.1, 1.1, math.nan):
         with pytest.raises(ValueError):
             normal_quantile(p)
 

@@ -240,7 +240,7 @@ def test_choose_k_bic_rule():
     want_k_bic = min(res.bics, key=lambda k: (res.bics[k], k))
     assert res.k_bic == want_k_bic
     assert res.k_hat == min(res.k_bic + 1, 5)
-    assert res.fits[res.k_hat].k_chosen == res.k_hat
+    assert res.fits[res.k_hat].spec_p.degree == res.k_hat
     assert res.fits[res.k_hat].beta_hat.size == res.k_hat
 
 
@@ -317,6 +317,67 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
         first_stage_select(fs_bank, other)
 
 
+@pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
+def test_fixed_degree_post_double_is_the_one_degree_grid(monkeypatch, design_name):
+    # post_double and post_double_ext run through choose_k_bic at [K]: their
+    # sets are those of post_double_select on the workspace's P (or its
+    # extended dictionary), and the final OLS reads the exact He_k(x)
+    cfg = DgpConfig(design_name, 200)
+    spec_p, spec_q = default_specs(cfg)
+    for seed in range(10):
+        data = generate_sample(cfg, np.random.default_rng(seed))
+        d = build_design(spec_p, spec_q, data.x, data.Z)
+        for name in ("post_double", "post_double_ext"):
+            seen = []
+            real = selection.post_double_select
+
+            def spy(*args, **kwargs):
+                seen.append(real(*args, **kwargs))
+                return seen[-1]
+
+            monkeypatch.setattr(selection, "post_double_select", spy)
+            fits, failures = comparison_estimators(data, spec_p, spec_q, estimators=[name])
+            monkeypatch.undo()
+            assert failures == {} and len(seen) == 1
+            got = seen[0]
+            P_fs = build_extended_fs(d.P) if name == "post_double_ext" else d.P
+            want = post_double_select(P_fs, d, data.y)
+            assert len(got.fs_sets) == len(want.fs_sets) == P_fs.shape[1]
+            for got_set, want_set in zip(got.fs_sets, want.fs_sets):
+                np.testing.assert_array_equal(got_set, want_set)
+            np.testing.assert_array_equal(got.rf_set, want.rf_set)
+            fit = fits[name]
+            np.testing.assert_array_equal(fit.selected, want.union_set)
+            ref = pds_fit(hermite_design(data.x, d.n_p), d.q_raw(want.union_set),
+                          data.y, want)
+            np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=1e-12)
+            assert fit.name == name and fit.spec_p == spec_p
+
+
+def test_a_fit_whose_every_degree_fails_names_each_reason():
+    # x in {-1, 0, 1}: standardized He_3 = -He_1, so the extended target
+    # p_1 + p_3 is constant; x in {-1, 1}: He_2 is constant
+    rng = np.random.default_rng(5)
+    n = 120
+    Z = rng.standard_normal((n, 30))
+    spec_q = DictionarySpec("raw_coordinates", input_dim=30)
+    x = rng.choice((-1.0, 0.0, 1.0), size=n)
+    data = Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z)
+    fits, failures = comparison_estimators(
+        data, DictionarySpec("hermite_univariate", degree=3), spec_q,
+        estimators=("post_double", "post_double_ext"))
+    assert set(fits) == {"post_double"}
+    assert failures == {"post_double_ext": "SelectionError: K=3: first-stage equation 4 "
+                                           "failed: all initial loadings are zero"}
+    x = rng.choice((-1.0, 1.0), size=n)
+    data = Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z)
+    d = build_design(DictionarySpec("hermite_univariate", degree=1), spec_q, x, Z)
+    reason = "P column 1 has zero variance on this sample"
+    with pytest.raises(SelectionError) as err:
+        choose_k_bic(data, d, [3, 2])
+    assert str(err.value) == f"K=2: {reason}; K=3: {reason}"
+
+
 # ---------------------------------------------------------------- estimators
 
 def test_estimator_catalog():
@@ -338,8 +399,8 @@ def test_comparison_estimators_low_dim_catalog():
     # tensor conditioning: series_1 uses additive univariate blocks
     assert fits["series_1"].eta_hat.size == 1 + 4 * spec_q.degree
     assert fits["series_2"].eta_hat.size == 1 + spec_q.n_terms
-    assert fits["post_double_set"].k_chosen is not None
-    assert fits["post_double"].k_chosen is None
+    assert fits["post_double_set"].spec_p.degree in (2, 3, 4)
+    assert fits["post_double"].spec_p == spec_p
     # the extended first stage can only widen the union
     assert set(fits["post_double"].selected.tolist()) <= \
         set(fits["post_double_ext"].selected.tolist()) | \
@@ -540,7 +601,7 @@ def test_one_workspace_serves_every_estimator(monkeypatch):
     res = choose_k_bic(data, d, [2, 3, 4])
     want = res.fits[res.k_hat]
     got = fits["post_double_set"]
-    assert got.k_chosen == want.k_chosen
+    assert got.spec_p == want.spec_p
     np.testing.assert_array_equal(got.selected, want.selected)
     np.testing.assert_array_equal(got.beta_hat, want.beta_hat)
     np.testing.assert_array_equal(got.eta_hat, want.eta_hat)
