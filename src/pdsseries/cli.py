@@ -449,8 +449,7 @@ def _run_fit(cfg: RunConfig) -> str:
         spec_q = DictionarySpec("hermite_tensor", degree=degree, input_dim=data.Z.shape[1])
     else:
         spec_q = DictionarySpec("raw_coordinates", input_dim=data.Z.shape[1])
-    design = build_design(DictionarySpec("hermite_univariate", degree=degree), spec_q,
-                          data.x, data.Z)
+    design = build_design(spec_q, data.Z)
     # a fixed degree is the one-degree grid
     grid = default_k_grid(data.n) if bic else [degree]
     res = choose_k_bic(data, design, grid, lasso_cfg, extended_fs=cfg.extended_fs)

@@ -4,9 +4,11 @@ Dictionaries never include a constant term; the estimation step adds a single
 explicit intercept instead. Design columns handed to the selection machinery
 are standardized to unit sample standard deviation, with the scales recorded
 so coefficients can be mapped back to the raw basis. ``build_design``
-returns them as one per-sample workspace, ``DesignMatrices``, with a single
-``LassoDesign`` over the conditioning dictionary ``Q`` that every Lasso on
-the sample shares.
+returns the conditioning dictionary ``Q`` as one per-sample workspace,
+``DesignMatrices``, with a single ``LassoDesign`` over ``Q`` that every
+Lasso on the sample shares. The g dictionary is not part of it: its degree
+changes from fit to fit, so each estimator evaluates He_1..He_K of ``x`` at
+the degree it fits.
 
 A Hermite tensor column is the left-to-right product of its univariate
 factors, and columns that share leading factors share those products: at
@@ -98,8 +100,15 @@ class DictionarySpec:
         return self.input_dim
 
 
+# an overflow is reported once, by the ValueError below, not warned per degree
+@np.errstate(over="ignore", invalid="ignore")
 def hermite_design(x, kmax: int) -> np.ndarray:
-    """Design matrix with columns He_1(x), ..., He_kmax(x)."""
+    """Design matrix with columns He_1(x), ..., He_kmax(x).
+
+    Raises ``ValueError`` naming the first degree whose column is not
+    finite or has a sum of squares that overflows, as at a high degree:
+    no fit can standardize or regress on such a column.
+    """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     xv = np.asarray(x, dtype=float).reshape(-1)
@@ -111,6 +120,11 @@ def hermite_design(x, kmax: int) -> np.ndarray:
             nxt = xv * out[:, k - 1] - k * prev
             prev = out[:, k - 1]
             out[:, k] = nxt
+    finite = np.isfinite(np.einsum("ij,ij->j", out, out))
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        raise ValueError(
+            f"Hermite term He_{k} is out of floating-point range on this sample")
     return out
 
 
@@ -312,37 +326,27 @@ def standardize_columns(mat: np.ndarray, what: str = "column"):
 
 @dataclass
 class DesignMatrices:
-    """Per-sample design workspace, built once by ``build_design``.
+    """Per-sample workspace of the conditioning dictionary, built once by
+    ``build_design``.
 
-    ``P`` (n, K) approximates g and ``Q`` (n, L) approximates h; both are
-    unit-variance column-wise, and ``p_scales`` / ``q_scales`` map back to
-    raw columns: raw = standardized * scale. Every Lasso of post-double
-    selection runs on the same ``Q``, so the workspace holds one
-    ``LassoDesign`` over it, ``lasso_design``: ``Q*Q`` for the penalty
-    loadings, and a store of the rows of ``Q'Q``, each formed the first
-    time its column enters any solve on the sample and kept for every
-    later equation, estimator and degree grid, so ``Q'Q`` is never formed
-    whole. Post-Single II's design, ``LassoDesign(P, lasso_design)``, reads
-    ``P`` and this design as column blocks, reusing ``Q*Q`` and the stored
-    rows. No raw copy of ``Q`` is kept: ``q_raw(idx)`` rebuilds only the
-    selected columns the final OLS needs.
+    ``Q`` (n, L) approximates h, unit-variance column-wise, and
+    ``q_scales`` maps back to raw columns: raw = standardized * scale.
+    Every Lasso of post-double selection runs on the same ``Q``, so the
+    workspace holds one ``LassoDesign`` over it, ``lasso_design``: ``Q*Q``
+    for the penalty loadings, and a store of the rows of ``Q'Q``, each
+    formed the first time its column enters any solve on the sample and
+    kept for every later equation, estimator and degree grid, so ``Q'Q``
+    is never formed whole. Post-Single II's design, ``LassoDesign(P,
+    lasso_design)``, reads its standardized g dictionary ``P`` and this
+    design as column blocks, reusing ``Q*Q`` and the stored rows. No raw
+    copy of ``Q`` is kept: ``q_raw(idx)`` rebuilds only the selected
+    columns the final OLS needs.
     """
 
-    P: np.ndarray
     Q: np.ndarray
-    p_scales: np.ndarray
     q_scales: np.ndarray
     lasso_design: LassoDesign
-    spec_p: DictionarySpec | None = None
     spec_q: DictionarySpec | None = None
-
-    @property
-    def n_p(self) -> int:
-        return self.P.shape[1]
-
-    @property
-    def p_raw(self) -> np.ndarray:
-        return self.P * self.p_scales
 
     def q_raw(self, idx) -> np.ndarray:
         """Columns ``idx`` of the conditioning dictionary in raw units."""
@@ -350,38 +354,26 @@ class DesignMatrices:
         return self.Q[:, idx] * self.q_scales[idx]
 
 
-def build_design(spec_p: DictionarySpec, spec_q: DictionarySpec, x, Z) -> DesignMatrices:
-    """Evaluate both dictionaries, standardize every column, and wrap the
-    standardized ``Q`` in the workspace's ``LassoDesign``.
+def build_design(spec_q: DictionarySpec, Z) -> DesignMatrices:
+    """Evaluate the conditioning dictionary, standardize its columns, and
+    wrap the standardized ``Q`` in the workspace's ``LassoDesign``.
 
     Raw coordinates are standardized straight from ``Z``, which
     ``standardize_columns`` never writes, so no raw n x L copy is made. The
     design's Gram row store starts empty: its rows are formed as columns
-    enter the solves that use it. Raises
-    ``DegenerateColumnError`` when any column is constant, naming the
-    offending block and column.
+    enter the solves that use it. Raises ``DegenerateColumnError`` when a
+    column is constant, naming it.
     """
-    P_raw = evaluate_dictionary(spec_p, x)
     if spec_q.kind == "raw_coordinates":
         # C order, as evaluate_dictionary's copy has, keeps the scales' bits
         Q_raw = np.ascontiguousarray(_coordinates(spec_q, Z))
     else:
         Q_raw = evaluate_dictionary(spec_q, Z)
-    if P_raw.shape[0] != Q_raw.shape[0]:
-        raise ValueError("x and Z have different sample sizes")
-    P, p_scales = standardize_columns(P_raw, what="P column")
     Q, q_scales = standardize_columns(Q_raw, what="Q column")
     # release the raw block, when it is not Z itself, before the design squares Q
     del Q_raw
-    return DesignMatrices(
-        P=P,
-        Q=Q,
-        p_scales=p_scales,
-        q_scales=q_scales,
-        lasso_design=LassoDesign(Q),
-        spec_p=spec_p,
-        spec_q=spec_q,
-    )
+    return DesignMatrices(Q=Q, q_scales=q_scales, lasso_design=LassoDesign(Q),
+                          spec_q=spec_q)
 
 
 def build_extended_fs(P: np.ndarray) -> np.ndarray:

@@ -10,7 +10,11 @@ retained controls and Sigma additionally weights by squared final-OLS
 residuals. The residualized dictionary is the one the final OLS made: by
 Frisch-Waugh-Lovell, ``pds_fit`` regresses y on it after the same
 projection and keeps it as ``PdsFit.P_resid``, so inference runs no least
-squares of its own. The reported standard error is sqrt(V_hat / n).
+squares of its own. The sandwich reads each column, and its loading, in
+units of that raw column's root mean square (``PdsFit.p_rms``): V_hat does
+not change, but the test for a singular Omega no longer reads the raw
+Hermite scales, which grow like sqrt(k!). The reported standard error is
+sqrt(V_hat / n).
 """
 
 from __future__ import annotations
@@ -138,7 +142,15 @@ def functional_estimate(fit: PdsFit, functional: FunctionalSpec) -> InferenceRes
     if A.shape[0] != fit.beta_hat.shape[0]:
         raise ValueError("functional loadings do not match the g dictionary")
     theta = float(A @ fit.beta_hat)
-    v_hat, _, _ = sandwich_variance(fit.P_resid, fit.residuals, A)
+    rms = fit.p_rms
+    zero = np.flatnonzero(rms == 0.0)
+    if zero.size:
+        raise SingularOmegaError(
+            f"residualized second-moment matrix is singular: "
+            f"g column {zero[0]} is zero on this sample"
+        )
+    # unit-RMS raw columns: V_hat is unchanged, Omega's scales are not sqrt(k!)
+    v_hat, _, _ = sandwich_variance(fit.P_resid / rms, fit.residuals, A / rms)
     n = fit.n
     se = float(np.sqrt(v_hat / n))
     with np.errstate(divide="ignore", invalid="ignore"):

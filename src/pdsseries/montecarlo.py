@@ -226,7 +226,11 @@ def true_theta(cfg: DgpConfig, functional: str) -> float:
 
 @dataclass
 class McRow:
-    """Aggregated metrics for one (estimator, functional) cell."""
+    """Aggregated metrics for one (estimator, functional) cell.
+
+    ``failure_reasons`` counts the failed replications by their message,
+    ``"Type: message"``; its counts add up to ``failures``.
+    """
 
     estimator: str
     functional: str
@@ -236,6 +240,7 @@ class McRow:
     rp5: float
     n_reps: int
     failures: int
+    failure_reasons: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -270,7 +275,11 @@ class McReport:
             fh.write(self.to_csv())
 
     def to_table(self) -> str:
-        """Aligned text table, one row per estimator, one block per functional."""
+        """Aligned text table, one row per estimator, one block per functional.
+
+        Under a block with failed replications, one line per estimator and
+        reason gives the count and the message.
+        """
         by_fn: dict[str, dict[str, McRow]] = {}
         for row in self.rows:
             by_fn.setdefault(row.functional, {})[row.estimator] = row
@@ -297,6 +306,13 @@ class McReport:
                     f"{label:<{width}}  {row.med_bias:>9.3f}  {row.mad:>7.3f}  "
                     f"{row.rp5:>7.3f}  {row.failures:>4d}"
                 )
+            reasons = [(ESTIMATOR_LABELS.get(est, est), count, msg)
+                       for est in self.estimators if est in rows
+                       for msg, count in rows[est].failure_reasons.items()]
+            if reasons:
+                out.append("failures:")
+                out.extend(f"  {label}: {count} failed with {msg}"
+                           for label, count, msg in reasons)
         return "\n".join(out) + "\n"
 
 
@@ -396,15 +412,13 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
                       estimators=estimators, functionals=functionals)
     for fn in functionals:
         for est in estimators:
-            thetas, rejects, failures = [], [], 0
+            thetas, rejects, reasons = [], [], {}
             for _, rep in results:
                 cell = rep[est]
-                if "error" in cell:
-                    failures += 1
-                    continue
-                entry = cell[fn]
+                # the estimator's failure, else this functional's
+                entry = cell if "error" in cell else cell[fn]
                 if isinstance(entry, dict):
-                    failures += 1
+                    reasons[entry["error"]] = reasons.get(entry["error"], 0) + 1
                     continue
                 th, _, rj = entry
                 thetas.append(th)
@@ -413,6 +427,7 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
             report.rows.append(
                 McRow(estimator=est, functional=fn, theta_true=theta[fn],
                       med_bias=med_bias, mad=mad, rp5=rp5,
-                      n_reps=len(thetas), failures=failures)
+                      n_reps=len(thetas), failures=sum(reasons.values()),
+                      failure_reasons=reasons)
             )
     return report

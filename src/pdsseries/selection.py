@@ -14,15 +14,18 @@ Every one of these Lassos runs on the same conditioning dictionary, so the
 selection functions take the sample's ``DesignMatrices`` workspace from
 ``build_design`` in place of ``Q``. Its one ``LassoDesign`` over ``Q``
 holds ``Q*Q`` and the Gram rows formed so far, and is shared by every
-equation, every estimator and every degree of the BIC grid. Each stage
-fits its targets from a ``lasso.TargetBank`` on that design, which
+equation, every estimator and every degree of the BIC grid. The g
+dictionary is not in the workspace: each fit evaluates He_1..He_K of ``x``
+at its own degree, and every final OLS reads those exact raw columns. Each
+stage fits its targets from a ``lasso.TargetBank`` on that design, which
 evaluates each target's ``Q't`` and initial loadings once and memoizes its
 refined loadings by active set; ``choose_k_bic`` builds one bank at the
 grid's largest degree and indexes every degree into it. Post-Single II,
 the one Lasso on another design, runs on a ``LassoDesign`` of two blocks,
-``P`` and the workspace's design: ``[P, Q]`` is never concatenated,
-``Q*Q`` is the workspace's, and a ``Q`` column's Gram row reuses the
-workspace's stored row of ``Q'Q``, so only its ``P`` part is new.
+its standardized g dictionary ``P`` and the workspace's design: ``[P, Q]``
+is never concatenated, ``Q*Q`` is the workspace's, and a ``Q`` column's
+Gram row reuses the workspace's stored row of ``Q'Q``, so only its ``P``
+part is new.
 
 Most first-stage equations select nothing. Before solving, each stage asks
 its bank which equations surely end with an empty active set at its
@@ -49,6 +52,7 @@ from .dictionary import (
     build_design,
     evaluate_dictionary,
     hermite_design,
+    standardize_columns,
 )
 from .lasso import (
     ConvergenceError,
@@ -149,8 +153,10 @@ class PdsFit:
     ``eta_hat[1:]`` are the coefficients of the selected controls.
     ``P_resid`` is the raw g dictionary residualized on ``[1, selected
     controls]``, the projection the fit itself made, kept for the variance
-    step. ``selected`` indexes the estimator's own control matrix (the
-    conditioning dictionary for selection-based fits).
+    step; ``p_rms`` is the root mean square of each raw g column, the unit
+    in which that step tests Omega for singularity. ``selected`` indexes
+    the estimator's own control matrix (the conditioning dictionary for
+    selection-based fits).
     """
 
     beta_hat: np.ndarray
@@ -158,6 +164,7 @@ class PdsFit:
     selected: np.ndarray
     residuals: np.ndarray
     P_resid: np.ndarray
+    p_rms: np.ndarray
     spec_p: DictionarySpec | None = None
     rank_deficient: bool = False
     name: str = "post_double"
@@ -346,6 +353,7 @@ def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
         selected=idx,
         residuals=y_resid - P_resid @ beta,
         P_resid=P_resid,
+        p_rms=np.sqrt(np.mean(P * P, axis=0)),
         spec_p=spec_p,
         rank_deficient=bool(rank_w < W.shape[1] or rank_p < k),
         name=name,
@@ -398,8 +406,10 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     the BIC minimizer plus one, clamped to the grid maximum; a degree whose
     fit fails, for instance on a constant term of its g dictionary, is
     skipped and recorded. When every degree fails, the ``SelectionError``
-    names each degree's reason. A one-degree grid is the fit at a fixed
-    degree: every Post-Double estimator, and ``pds-series fit``, runs here.
+    names each degree's reason; when a constant term fails them all,
+    its ``DegenerateColumnError`` is raised once instead. A one-degree grid
+    is the fit at a fixed degree: every Post-Double estimator, and
+    ``pds-series fit``, runs here.
     """
     cfg = config if config is not None else LassoConfig()
     k_grid = sorted(set(int(k) for k in k_grid))
@@ -407,6 +417,9 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
         raise ValueError("k_grid is empty")
     specs = {k: DictionarySpec("hermite_univariate", degree=k) for k in k_grid}
     bank, P_raw, k_ok, pair_j = _grid_bank(data, design, k_grid[-1], extended_fs)
+    degenerate = f"P column {k_ok} has zero variance on this sample"
+    if k_ok < k_grid[0]:
+        raise DegenerateColumnError(degenerate)
     y_bank = bank.subset([len(bank.rows) - 1])
     fits: dict[int, PdsFit] = {}
     bics: dict[int, float] = {}
@@ -416,8 +429,7 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
         fs_rows = [*range(k), *(k_ok + pairs), *(k_ok + pair_j.size + pairs)]
         try:
             if k > k_ok:
-                raise DegenerateColumnError(
-                    f"P column {k_ok} has zero variance on this sample")
+                raise DegenerateColumnError(degenerate)
             sel = post_double_select(bank.subset(fs_rows), design, y_bank, cfg)
             fit = pds_fit(P_raw[:, :k], design.q_raw(sel.union_set), data.y,
                           sel, spec_p=specs[k])
@@ -442,7 +454,9 @@ def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
                           rng=None, k_grid=None):
     """Fit the requested estimators on one sample.
 
-    The sample's workspace is built once and handed to every estimator.
+    The sample's workspace over the conditioning dictionary ``spec_q`` is
+    built once and handed to every estimator; each evaluates its g
+    dictionary, ``spec_p`` or a degree of the BIC grid, from ``data.x``.
     Returns (fits, failures): a dict of PdsFit by estimator name, and a dict
     of error messages for estimators that failed on this sample with one of
     ``FIT_ERRORS``; any other exception propagates. When the workspace
@@ -460,12 +474,12 @@ def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
     fits: dict[str, PdsFit] = {}
     failures: dict[str, str] = {}
     try:
-        design = build_design(spec_p, spec_q, data.x, data.Z)
+        design = build_design(spec_q, data.Z)
     except FIT_ERRORS as exc:
         return fits, {name: f"{type(exc).__name__}: {exc}" for name in names}
     for name in names:
         try:
-            fits[name] = _fit_one(name, data, design, cfg, rng, k_grid)
+            fits[name] = _fit_one(name, data, design, spec_p, cfg, rng, k_grid)
         except FIT_ERRORS as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"
     return fits, failures
@@ -491,42 +505,46 @@ def _series_controls(data: Dataset, design: DesignMatrices, which: str, rng):
     return data.Z[:, cols]
 
 
-def _fit_one(name, data: Dataset, design: DesignMatrices, cfg, rng, k_grid) -> PdsFit:
-    spec_p = design.spec_p
+def _fit_one(name, data: Dataset, design: DesignMatrices, spec_p: DictionarySpec,
+             cfg, rng, k_grid) -> PdsFit:
     if name.startswith("post_double"):
         # a fixed degree is the one-degree grid
-        grid = k_grid if name.startswith("post_double_set") else [design.n_p]
+        grid = k_grid if name.startswith("post_double_set") else [spec_p.degree]
         res = choose_k_bic(data, design, grid, cfg, extended_fs=name.endswith("_ext"))
         fit = res.fits[res.k_hat]
         fit.name = name
         return fit
 
+    P_raw = evaluate_dictionary(spec_p, data.x)
+    # standardizing refuses a constant column, as the Post-Double route does
+    P, _ = standardize_columns(P_raw, what="P column")
     if name == "post_single_1":
         rf_set = reduced_form_select(design, data.y, cfg)
-        return pds_fit(design.p_raw, design.q_raw(rf_set), data.y, rf_set,
+        return pds_fit(P_raw, design.q_raw(rf_set), data.y, rf_set,
                        spec_p=spec_p, name=name)
 
     if name == "post_single_2":
         # one Lasso of y on [P, Q]: the blocks P and the workspace's design,
         # whose Q*Q and stored rows of Q'Q it reuses
-        joint = LassoDesign(design.P, design.lasso_design)
+        joint = LassoDesign(P, design.lasso_design)
         lam = penalty_level(data.n, 1, joint.shape[1], cfg)
         fit = iterated_lasso(TargetBank.of(data.y, joint), 0, lam, cfg)
-        in_q = fit.active_set[fit.active_set >= design.n_p] - design.n_p
-        return pds_fit(design.p_raw, design.q_raw(in_q), data.y, in_q,
+        n_p = P.shape[1]
+        in_q = fit.active_set[fit.active_set >= n_p] - n_p
+        return pds_fit(P_raw, design.q_raw(in_q), data.y, in_q,
                        spec_p=spec_p, name=name)
 
     if name in ("series_1", "series_2"):
         controls = _series_controls(data, design, name, rng)
         sel = np.arange(controls.shape[1])
-        return pds_fit(design.p_raw, controls, data.y, sel, spec_p=spec_p, name=name)
+        return pds_fit(P_raw, controls, data.y, sel, spec_p=spec_p, name=name)
 
     if name == "oracle":
         if data.h_true is None:
             raise ValueError("oracle estimator requires the true h values")
         y_adj = data.y - data.h_true
         empty = np.array([], dtype=int)
-        return pds_fit(design.p_raw, np.empty((data.n, 0)), y_adj, empty,
+        return pds_fit(P_raw, np.empty((data.n, 0)), y_adj, empty,
                        spec_p=spec_p, name=name)
 
     raise ValueError(f"unknown estimator {name!r}")

@@ -9,7 +9,9 @@ unchanged: it stopped when the refined loadings repeated the previous
 round's, which the library's rule (stop when the active set repeats)
 must match in every field of the returned fit.
 ``workspace_of`` builds the selection workspace by hand for a matrix that
-``build_design`` would standardize or reject. ``hermite_tensor_design`` is
+``build_design`` would standardize or reject. ``g_columns`` is the g
+dictionary as the estimators evaluate it: raw, and standardized for the
+Lassos. ``hermite_tensor_design`` is
 the library's former column-by-column tensor evaluation, kept unchanged as
 the reference for the prefix-product evaluation that replaced it.
 ``toeplitz_column_loop`` is the library's former AR(1) draw, column by
@@ -36,7 +38,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from pdsseries.dictionary import DesignMatrices, hermite_design, tensor_index_set
+from pdsseries.dictionary import (
+    DesignMatrices,
+    hermite_design,
+    standardize_columns,
+    tensor_index_set,
+)
 from pdsseries.lasso import (
     ConvergenceError,
     DegenerateLoadingsError,
@@ -399,9 +406,14 @@ def workspace_of(Q: np.ndarray) -> DesignMatrices:
     scales and a ``LassoDesign`` over it.
     """
     Q = np.asarray(Q, dtype=float)
-    n, m = Q.shape
-    return DesignMatrices(P=np.empty((n, 0)), Q=Q, p_scales=np.empty(0),
-                          q_scales=np.ones(m), lasso_design=LassoDesign(Q))
+    return DesignMatrices(Q=Q, q_scales=np.ones(Q.shape[1]), lasso_design=LassoDesign(Q))
+
+
+def g_columns(x, k: int):
+    """He_1..He_k of ``x``: the raw columns every final OLS reads, and the
+    standardized ones that the first stage and Post-Single II select on."""
+    raw = hermite_design(x, k)
+    return raw, standardize_columns(raw, what="P column")[0]
 
 
 def iterated_lasso(

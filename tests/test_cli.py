@@ -1,5 +1,6 @@
 """Command-line interface: config resolution, CSV IO, end-to-end runs."""
 
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -576,6 +577,44 @@ def test_main_fit_names_the_degree_and_the_equation_that_failed(capsys, tmp_path
         "error: K=3: first-stage equation 4 failed: all initial loadings are zero\n")
 
 
+@pytest.mark.parametrize("values, column", [((1.5,), 0), ((-1.0, 1.0), 1)])
+@pytest.mark.parametrize("k", ["5", "bic"])
+def test_main_fit_names_a_constant_g_column_once(capsys, tmp_path, values, column, k):
+    # a constant x (He_1) or x = +-1 (He_2 = x^2 - 1): one line, at a fixed
+    # degree and over the whole BIC grid alike
+    rng = np.random.default_rng(5)
+    n = 120
+    x = rng.choice(values, size=n)
+    Z = rng.standard_normal((n, 30))
+    dump = tmp_path / "sample.csv"
+    write_sample_csv(Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z), str(dump))
+    argv = ["fit", "--input", str(dump), "--y", "y", "--x", "x", "--z", "z*",
+            "--k", k, "--out", str(tmp_path / "fit.txt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: P column {column} has zero variance on this sample\n")
+
+
+def test_main_fit_at_a_degree_that_overflows_fails_in_one_line(capsys, tmp_path):
+    # replication zero's sample of simulate --design low --n 500 --seed 0
+    dump = tmp_path / "sample.csv"
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0,)))
+    write_sample_csv(generate_sample(DgpConfig("low_dim", 500), rng), str(dump))
+    argv = ["fit", "--input", str(dump), "--y", "y", "--x", "x", "--z", "z*",
+            "--out", str(tmp_path / "fit.txt")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--k", "400"]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: Hermite term He_") and err.endswith(
+        " is out of floating-point range on this sample\n")
+    assert err.count("\n") == 1
+    # a degree the raw Hermite units once made look singular
+    assert main([*argv, "--k", "12"]) == 0
+    assert "se        = " in capsys.readouterr().out
+
+
 def test_main_fit_reports_a_rank_deficient_final_fit(monkeypatch, capsys, tmp_path):
     dump = tmp_path / "sample.csv"
     write_sample_csv(
@@ -664,6 +703,8 @@ def test_main_fit_bic_mode_reports_grid(capsys, tmp_path):
 def test_dataset_validation():
     with pytest.raises(ValueError, match="sample dimension"):
         Dataset(y=np.ones(3), x=np.ones(4), Z=np.ones((3, 2)))
+    with pytest.raises(ValueError, match="sample dimension"):
+        Dataset(y=np.ones(3), x=np.ones(3), Z=np.ones((4, 2)))
     with pytest.raises(ValueError, match="h_true"):
         Dataset(y=np.ones(3), x=np.ones(3), Z=np.ones((3, 2)), h_true=np.ones(5))
     d = Dataset(y=np.ones(3), x=np.ones(3), Z=np.ones(3))

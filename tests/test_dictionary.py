@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from _oracles import hermite_deriv, hermite_eval, hermite_monomial, hermite_tensor_design
 from pdsseries.dictionary import (
     DegenerateColumnError,
+    DesignMatrices,
     DictionarySpec,
     build_design,
     build_extended_fs,
@@ -86,6 +89,25 @@ def test_hermite_design_rejects_zero_degree():
         hermite_design(GRID, 0)
     with pytest.raises(ValueError):
         hermite_eval(GRID, -1)
+
+
+def test_hermite_design_names_the_first_degree_out_of_range():
+    # He_k grows like sqrt(k!): on a standard normal sample of 500 the sum of
+    # squares of a column overflows before K = 400, and then the recurrence
+    x = np.random.default_rng(0).standard_normal(500)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="is out of floating-point range") as err:
+            hermite_design(x, 400)
+    assert caught == []
+    k = int(str(err.value).split()[2][3:])
+    assert 100 < k < 400
+    assert np.isfinite(hermite_design(x, k - 1)).all()
+    with pytest.raises(ValueError, match=f"He_{k} is out"):
+        hermite_design(x, k)
+    # a non-finite input fails at the first degree
+    with pytest.raises(ValueError, match="He_1 is out"):
+        hermite_design(np.array([0.0, np.nan]), 3)
 
 
 @given(st.integers(min_value=0, max_value=8),
@@ -240,15 +262,14 @@ def test_standardize_columns_has_the_bits_of_std(layout, n, m):
 
 def test_build_design_shapes_and_scales(rng):
     n = 60
-    x = rng.standard_normal(n)
     Z = rng.standard_normal((n, 3))
-    spec_p = DictionarySpec("hermite_univariate", degree=4)
     spec_q = DictionarySpec("hermite_tensor", degree=2, input_dim=3)
-    d = build_design(spec_p, spec_q, x, Z)
-    assert d.P.shape == (n, 4) and d.Q.shape == (n, spec_q.n_terms)
-    np.testing.assert_allclose(d.P.std(axis=0), 1.0, rtol=1e-12)
+    d = build_design(spec_q, Z)
+    # the workspace is the conditioning dictionary alone
+    assert [f.name for f in fields(DesignMatrices)] == ["Q", "q_scales", "lasso_design",
+                                                       "spec_q"]
+    assert d.Q.shape == (n, spec_q.n_terms)
     np.testing.assert_allclose(d.Q.std(axis=0), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(d.p_raw, evaluate_dictionary(spec_p, x), rtol=1e-12)
     Q_raw = evaluate_dictionary(spec_q, Z)
     np.testing.assert_allclose(d.q_raw(np.arange(spec_q.n_terms)), Q_raw, rtol=1e-12)
     np.testing.assert_allclose(d.q_raw([4, 1]), Q_raw[:, [4, 1]], rtol=1e-12)
@@ -260,16 +281,7 @@ def test_build_design_shapes_and_scales(rng):
                                rtol=1e-13, atol=1e-13 * n)
     np.testing.assert_array_equal(ld.diag, ld.squares[0].sum(axis=0))
     np.testing.assert_array_equal(ld.squares[0], d.Q * d.Q)
-    assert d.n_p == 4
-    assert d.spec_p == spec_p and d.spec_q == spec_q
-
-
-def test_build_design_sample_size_mismatch(rng):
-    spec_p = DictionarySpec("hermite_univariate", degree=2)
-    spec_q = DictionarySpec("raw_coordinates", input_dim=2)
-    with pytest.raises(ValueError, match="sample size"):
-        build_design(spec_p, spec_q, rng.standard_normal(10),
-                     rng.standard_normal((11, 2)))
+    assert d.spec_q == spec_q
 
 
 @pytest.mark.parametrize("spec_q", [
@@ -279,15 +291,13 @@ def test_build_design_sample_size_mismatch(rng):
 ], ids=lambda spec: spec.kind)
 def test_build_design_leaves_its_inputs_unchanged(rng, spec_q):
     n = 150
-    x = rng.standard_normal(n)
     Z = rng.standard_normal((n, 3))
     if spec_q.kind == "hermite_univariate":
         Z = Z[:, 0].copy()
-    x0, Z0 = x.copy(), Z.copy()
-    d = build_design(DictionarySpec("hermite_univariate", degree=4), spec_q, x, Z)
-    np.testing.assert_array_equal(x, x0)
+    Z0 = Z.copy()
+    d = build_design(spec_q, Z)
     np.testing.assert_array_equal(Z, Z0)
-    assert not np.shares_memory(d.Q, Z) and not np.shares_memory(d.P, x)
+    assert not np.shares_memory(d.Q, Z)
 
 
 def test_raw_coordinates_design_has_the_same_bits_for_any_layout(rng):
@@ -295,12 +305,10 @@ def test_raw_coordinates_design_has_the_same_bits_for_any_layout(rng):
     # F-ordered Z gives the bits of its C-ordered copy
     n = 130
     Z = rng.standard_normal((n, 12)) * rng.uniform(0.5, 3.0, 12)
-    x = rng.standard_normal(n)
-    spec_p = DictionarySpec("hermite_univariate", degree=3)
     spec_q = DictionarySpec("raw_coordinates", input_dim=6)
-    want = build_design(spec_p, spec_q, x, Z[:, ::2].copy())
+    want = build_design(spec_q, Z[:, ::2].copy())
     for layout in (Z[:, ::2], np.asfortranarray(Z[:, ::2])):
-        got = build_design(spec_p, spec_q, x, layout)
+        got = build_design(spec_q, layout)
         np.testing.assert_array_equal(got.q_scales, want.q_scales)
         np.testing.assert_array_equal(got.Q, want.Q)
 
@@ -309,14 +317,12 @@ def test_build_design_keeps_at_most_two_dictionary_sized_blocks():
     # the acceptance-8 shape: n = L = 1000. Raw Q and standardized Q, then
     # standardized Q and Q*Q, are alive together; a third n x L block is not
     rng = np.random.default_rng(8)
-    x = rng.standard_normal(1000)
     Z = rng.standard_normal((1000, 4))
-    spec_p = DictionarySpec("hermite_univariate", degree=10)
     spec_q = DictionarySpec("hermite_tensor", degree=10, input_dim=4)
     assert spec_q.n_terms == 1000
     tracemalloc.start()
     try:
-        build_design(spec_p, spec_q, x, Z)
+        build_design(spec_q, Z)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -17,6 +17,7 @@ from pdsseries.inference import (
     rejection_test,
     sandwich_variance,
 )
+from pdsseries.montecarlo import DgpConfig, generate_sample
 from pdsseries.selection import pds_fit
 
 
@@ -149,6 +150,54 @@ def test_g_column_in_the_span_of_the_controls_is_singular(rng):
     np.testing.assert_allclose(fit.P_resid[:, 1], 0.0, atol=1e-10)
     with pytest.raises(SingularOmegaError, match="singular"):
         functional_estimate(fit, average_derivative(fit.spec_p, x))
+
+
+@pytest.mark.parametrize("design", ["low_dim", "high_dim"])
+def test_high_degrees_at_unit_scale_give_a_finite_se(design):
+    # He_k's scale grows like sqrt(k!), but these fits are not singular: the
+    # sandwich reads each column in units of its raw RMS. V_hat agrees with
+    # U (U'U)^-1 A formed from a QR of those columns, with no Omega at all,
+    # to the accuracy that Omega's condition number (up to 1e11 here) allows
+    cfg = DgpConfig(design, 500)
+    for seed in range(3):
+        data = generate_sample(cfg, np.random.default_rng(seed))
+        for k in (12, 13, 15):
+            spec = DictionarySpec("hermite_univariate", degree=k)
+            fit = pds_fit(hermite_design(data.x, k), data.Z[:, :4], data.y,
+                          np.arange(4), spec_p=spec)
+            A = average_derivative(spec, data.x).A
+            res = functional_estimate(fit, FunctionalSpec("avg_deriv", A))
+            assert np.isfinite(res.se) and res.se > 0
+            Qf, R = np.linalg.qr(fit.P_resid / fit.p_rms)
+            z = fit.n * (Qf @ np.linalg.solve(R.T, A / fit.p_rms))
+            assert res.V_hat == pytest.approx(np.mean(z**2 * fit.residuals**2), rel=1e-4)
+
+
+def test_the_rms_scaling_leaves_the_variance_as_it_is():
+    for seed in range(5):
+        fit, x = small_fit(seed=seed, k=5)
+        A = average_derivative(fit.spec_p, x).A
+        res = functional_estimate(fit, FunctionalSpec("avg_deriv", A))
+        v_raw, _, _ = sandwich_variance(fit.P_resid, fit.residuals, A)
+        assert res.V_hat == pytest.approx(v_raw, rel=1e-12)
+        np.testing.assert_allclose(fit.p_rms, np.sqrt(np.mean(hermite_design(x, 5) ** 2,
+                                                              axis=0)), rtol=1e-15)
+
+
+def test_a_duplicated_or_zero_g_column_is_singular(rng):
+    n = 100
+    x = rng.standard_normal(n)
+    Q = rng.standard_normal((n, 2))
+    y = x + Q[:, 0] + rng.standard_normal(n)
+    A = np.ones(4)
+    P = hermite_design(x, 3)
+    dup = pds_fit(np.column_stack([P, P[:, 1]]), Q, y, np.arange(2))
+    assert dup.rank_deficient
+    with pytest.raises(SingularOmegaError, match="smallest eigenvalue"):
+        functional_estimate(dup, FunctionalSpec("avg_deriv", A))
+    zero = pds_fit(np.column_stack([P, np.zeros(n)]), Q, y, np.arange(2))
+    with pytest.raises(SingularOmegaError, match="g column 3 is zero"):
+        functional_estimate(zero, FunctionalSpec("avg_deriv", A))
 
 
 def test_near_collinear_g_column_and_control(rng):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import _oracles
 from _oracles import (
     cd_solve,
+    g_columns,
     iterated_lasso as iterated_lasso_oracle,
     lasso_objective,
     lasso_sign_enumeration,
@@ -394,11 +395,12 @@ def pipeline_problems():
     cfg = DgpConfig("high_dim", 500)
     data = generate_sample(cfg, np.random.default_rng(2024))
     spec_p, spec_q = default_specs(cfg)
-    d = build_design(spec_p, spec_q, data.x, data.Z)
-    n, k = d.P.shape
+    d = build_design(spec_q, data.Z)
+    _, P = g_columns(data.x, spec_p.degree)
+    n, k = P.shape
     lam_fs = penalty_level(n, k, d.Q.shape[1])
     lam_rf = penalty_level(n, 1, d.Q.shape[1])
-    problems = [(d.P[:, j], lam_fs) for j in (0, 1, k - 1)] + [(data.y, lam_rf)]
+    problems = [(P[:, j], lam_fs) for j in (0, 1, k - 1)] + [(data.y, lam_rf)]
     return d, problems
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from _oracles import toeplitz_column_loop
+from pdsseries import montecarlo
 from pdsseries.dictionary import evaluate_dictionary
 from pdsseries.inference import average_derivative, functional_estimate
 from pdsseries.montecarlo import (
@@ -376,6 +377,33 @@ def test_to_table_header_and_labels(tiny_report):
                   "sigma_eps=1", "reps=4", "seed=123"):
         assert token in head
     assert "Post-Double" in table and "Oracle" in table
+
+
+def test_the_table_names_each_failure_reason_and_its_count(monkeypatch, tiny_report):
+    assert "failures:" not in tiny_report.to_table()
+    # every other replication draws a constant x, which every estimator refuses
+    real = montecarlo.generate_sample
+    draws = []
+
+    def constant_x_every_other_draw(cfg, rng):
+        data = real(cfg, rng)
+        draws.append(data)
+        if len(draws) % 2 == 0:
+            data.x = np.full(data.n, 0.5)
+        return data
+
+    monkeypatch.setattr(montecarlo, "generate_sample", constant_x_every_other_draw)
+    report = run_monte_carlo(DgpConfig("low_dim", 80), estimators=("post_double", "oracle"),
+                             n_reps=4, base_seed=123, functionals=("avg_deriv",))
+    reason = "DegenerateColumnError: P column 0 has zero variance on this sample"
+    for row in report.rows:
+        assert (row.n_reps, row.failures) == (2, 2)
+        assert row.failure_reasons == {reason: 2}
+    assert report.to_csv().splitlines()[1].endswith(",2,2")
+    lines = report.to_table().splitlines()
+    at = lines.index("failures:")
+    assert lines[at + 1:] == [f"  Post-Double: 2 failed with {reason}",
+                              f"  Oracle: 2 failed with {reason}"]
 
 
 def test_run_monte_carlo_validation():

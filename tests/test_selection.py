@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import residualize_p, workspace_of
+from _oracles import g_columns, residualize_p, workspace_of
 from pdsseries import dictionary, selection
 from pdsseries.data import Dataset
 from pdsseries.dictionary import (
+    DegenerateColumnError,
     DictionarySpec,
     build_design,
     build_extended_fs,
@@ -104,26 +105,28 @@ def test_resolve_gamma():
 def test_union_is_union_of_stage_sets():
     data = make_low_dim_like()
     spec_p, spec_q = make_specs(data)
-    d = build_design(spec_p, spec_q, data.x, data.Z)
-    sel = post_double_select(d.P, d, data.y)
+    d = build_design(spec_q, data.Z)
+    _, P = g_columns(data.x, spec_p.degree)
+    sel = post_double_select(P, d, data.y)
     pieces = [s for s in sel.fs_sets if s.size]
     if sel.rf_set.size:
         pieces.append(sel.rf_set)
     want = np.unique(np.concatenate(pieces)) if pieces else np.array([], int)
     np.testing.assert_array_equal(sel.union_set, want)
-    assert len(sel.fs_sets) == d.n_p
+    assert len(sel.fs_sets) == spec_p.degree
 
 
 def test_double_selection_contains_single_and_fits_tighter():
     data = make_low_dim_like(seed=4)
     spec_p, spec_q = make_specs(data)
-    d = build_design(spec_p, spec_q, data.x, data.Z)
-    cfg = resolve_gamma(LassoConfig(), data.n, d.n_p, d.Q.shape[1])
-    sel = post_double_select(d.P, d, data.y, cfg)
+    d = build_design(spec_q, data.Z)
+    P_raw, P = g_columns(data.x, spec_p.degree)
+    cfg = resolve_gamma(LassoConfig(), data.n, P.shape[1], d.Q.shape[1])
+    sel = post_double_select(P, d, data.y, cfg)
     rf_set = reduced_form_select(d, data.y, cfg)
     assert set(rf_set.tolist()) <= set(sel.union_set.tolist())
-    fit_pd = pds_fit(d.p_raw, d.q_raw(sel.union_set), data.y, sel)
-    fit_ps = pds_fit(d.p_raw, d.q_raw(rf_set), data.y, rf_set)
+    fit_pd = pds_fit(P_raw, d.q_raw(sel.union_set), data.y, sel)
+    fit_ps = pds_fit(P_raw, d.q_raw(rf_set), data.y, rf_set)
     rss_pd = fit_pd.residuals @ fit_pd.residuals
     rss_ps = fit_ps.residuals @ fit_ps.residuals
     assert rss_pd <= rss_ps + 1e-9
@@ -138,10 +141,11 @@ def test_noiseless_linear_model_recovered_exactly():
     data = Dataset(y=y, x=x, Z=Z)
     spec_p = DictionarySpec("hermite_univariate", degree=2)
     spec_q = DictionarySpec("raw_coordinates", input_dim=6)
-    d = build_design(spec_p, spec_q, data.x, data.Z)
-    sel = post_double_select(d.P, d, data.y)
+    d = build_design(spec_q, data.Z)
+    P_raw, P = g_columns(data.x, spec_p.degree)
+    sel = post_double_select(P, d, data.y)
     assert {0, 3} <= set(sel.union_set.tolist())
-    fit = pds_fit(d.p_raw, d.q_raw(sel.union_set), data.y, sel, spec_p=spec_p)
+    fit = pds_fit(P_raw, d.q_raw(sel.union_set), data.y, sel, spec_p=spec_p)
     assert fit.beta_hat[0] == pytest.approx(2.0, abs=1e-8)
     assert fit.beta_hat[1] == pytest.approx(0.0, abs=1e-8)
     assert fit.eta_hat[0] == pytest.approx(3.0, abs=1e-8)
@@ -193,20 +197,21 @@ def test_overflowing_target_fails_its_equation(zero_entry):
 def test_pds_fit_accepts_selection_or_indices():
     data = make_low_dim_like(seed=6)
     spec_p, spec_q = make_specs(data)
-    d = build_design(spec_p, spec_q, data.x, data.Z)
-    sel = post_double_select(d.P, d, data.y)
+    d = build_design(spec_q, data.Z)
+    P_raw, P = g_columns(data.x, spec_p.degree)
+    sel = post_double_select(P, d, data.y)
     Q_sel = d.q_raw(sel.union_set)
-    via_sel = pds_fit(d.p_raw, Q_sel, data.y, sel)
-    via_idx = pds_fit(d.p_raw, Q_sel, data.y, sel.union_set)
+    via_sel = pds_fit(P_raw, Q_sel, data.y, sel)
+    via_idx = pds_fit(P_raw, Q_sel, data.y, sel.union_set)
     np.testing.assert_array_equal(via_sel.beta_hat, via_idx.beta_hat)
     np.testing.assert_array_equal(via_sel.selected, via_idx.selected)
     assert via_sel.n == data.n
     assert via_sel.eta_hat.size == 1 + sel.union_set.size
-    assert via_sel.P_resid.shape == d.p_raw.shape
+    assert via_sel.P_resid.shape == P_raw.shape
     # the whole raw block is not a selection of its columns
     full = d.q_raw(np.arange(d.Q.shape[1]))
     with pytest.raises(ValueError, match="one raw column per selected index"):
-        pds_fit(d.p_raw, full, data.y, sel)
+        pds_fit(P_raw, full, data.y, sel)
 
 
 def test_pds_fit_flags_rank_deficiency(rng):
@@ -233,7 +238,7 @@ def test_predict_g_requires_spec(rng):
 
 def test_choose_k_bic_rule():
     data = make_low_dim_like(n=300, seed=12)
-    d = build_design(*make_specs(data), data.x, data.Z)
+    d = build_design(make_specs(data)[1], data.Z)
     res = choose_k_bic(data, d, [2, 3, 4, 5])
     assert res.errors == {}
     assert set(res.bics) == {2, 3, 4, 5}
@@ -246,7 +251,7 @@ def test_choose_k_bic_rule():
 
 def test_choose_k_bic_clamps_to_grid_max():
     data = make_low_dim_like(n=150, seed=13)
-    d = build_design(*make_specs(data), data.x, data.Z)
+    d = build_design(make_specs(data)[1], data.Z)
     res = choose_k_bic(data, d, [3])
     assert res.k_bic == 3 and res.k_hat == 3
     with pytest.raises(ValueError, match="empty"):
@@ -269,8 +274,7 @@ def test_choose_k_bic_degenerate_term_fails_only_its_degrees(values, grid, faili
     x = rng.choice(values, size=n)
     Z = rng.standard_normal((n, 30))
     data = Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z)
-    d = build_design(DictionarySpec("hermite_univariate", degree=1),
-                     DictionarySpec("raw_coordinates", input_dim=30), x, Z)
+    d = build_design(DictionarySpec("raw_coordinates", input_dim=30), Z)
     for extended_fs in (False, True):
         res = choose_k_bic(data, d, grid, extended_fs=extended_fs)
         ok = [k for k in grid if k not in failing[extended_fs]]
@@ -283,7 +287,7 @@ def test_choose_k_bic_degenerate_term_fails_only_its_degrees(values, grid, faili
 def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extended_fs):
     cfg = DgpConfig(design_name, 200)
     data = generate_sample(cfg, np.random.default_rng(7))
-    d = build_design(*default_specs(cfg), data.x, data.Z)
+    d = build_design(default_specs(cfg)[1], data.Z)
     grid = default_k_grid(data.n)
     calls = []
     real = selection.post_double_select
@@ -298,7 +302,7 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
     monkeypatch.undo()
     assert res.errors == {} and len(calls) == len(grid)
     for k, (fs_bank, y_bank, sel) in zip(grid, calls):
-        P, _ = standardize_columns(hermite_design(data.x, k))
+        P_raw, P = g_columns(data.x, k)
         P_fs = build_extended_fs(P) if extended_fs else P
         np.testing.assert_array_equal(fs_bank.rows[list(fs_bank.cols)], P_fs.T)
         np.testing.assert_array_equal(y_bank.rows[list(y_bank.cols)], data.y[None])
@@ -308,11 +312,11 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
             np.testing.assert_array_equal(got_set, want_set)
         np.testing.assert_array_equal(sel.rf_set, want.rf_set)
         np.testing.assert_array_equal(sel.union_set, want.union_set)
-        ref = pds_fit(hermite_design(data.x, k), d.q_raw(want.union_set), data.y, want)
+        ref = pds_fit(P_raw, d.q_raw(want.union_set), data.y, want)
         np.testing.assert_allclose(res.fits[k].beta_hat, ref.beta_hat, rtol=1e-12)
         assert res.bics[k] == pytest.approx(selection._bic(ref), rel=1e-12, abs=0)
     # a bank belongs to the workspace whose design it was built on
-    other = build_design(*default_specs(cfg), data.x, data.Z)
+    other = build_design(default_specs(cfg)[1], data.Z)
     with pytest.raises(ValueError, match="another workspace"):
         first_stage_select(fs_bank, other)
 
@@ -320,13 +324,14 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
 @pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
 def test_fixed_degree_post_double_is_the_one_degree_grid(monkeypatch, design_name):
     # post_double and post_double_ext run through choose_k_bic at [K]: their
-    # sets are those of post_double_select on the workspace's P (or its
-    # extended dictionary), and the final OLS reads the exact He_k(x)
+    # sets are those of post_double_select on the standardized He_1..He_K (or
+    # its extended dictionary), and the final OLS reads the exact He_k(x)
     cfg = DgpConfig(design_name, 200)
     spec_p, spec_q = default_specs(cfg)
     for seed in range(10):
         data = generate_sample(cfg, np.random.default_rng(seed))
-        d = build_design(spec_p, spec_q, data.x, data.Z)
+        d = build_design(spec_q, data.Z)
+        P_raw, P = g_columns(data.x, spec_p.degree)
         for name in ("post_double", "post_double_ext"):
             seen = []
             real = selection.post_double_select
@@ -340,7 +345,7 @@ def test_fixed_degree_post_double_is_the_one_degree_grid(monkeypatch, design_nam
             monkeypatch.undo()
             assert failures == {} and len(seen) == 1
             got = seen[0]
-            P_fs = build_extended_fs(d.P) if name == "post_double_ext" else d.P
+            P_fs = build_extended_fs(P) if name == "post_double_ext" else P
             want = post_double_select(P_fs, d, data.y)
             assert len(got.fs_sets) == len(want.fs_sets) == P_fs.shape[1]
             for got_set, want_set in zip(got.fs_sets, want.fs_sets):
@@ -348,8 +353,7 @@ def test_fixed_degree_post_double_is_the_one_degree_grid(monkeypatch, design_nam
             np.testing.assert_array_equal(got.rf_set, want.rf_set)
             fit = fits[name]
             np.testing.assert_array_equal(fit.selected, want.union_set)
-            ref = pds_fit(hermite_design(data.x, d.n_p), d.q_raw(want.union_set),
-                          data.y, want)
+            ref = pds_fit(P_raw, d.q_raw(want.union_set), data.y, want)
             np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=1e-12)
             assert fit.name == name and fit.spec_p == spec_p
 
@@ -367,15 +371,19 @@ def test_a_fit_whose_every_degree_fails_names_each_reason():
         data, DictionarySpec("hermite_univariate", degree=3), spec_q,
         estimators=("post_double", "post_double_ext"))
     assert set(fits) == {"post_double"}
-    assert failures == {"post_double_ext": "SelectionError: K=3: first-stage equation 4 "
-                                           "failed: all initial loadings are zero"}
+    reason = "first-stage equation {} failed: all initial loadings are zero"
+    assert failures == {"post_double_ext": "SelectionError: K=3: " + reason.format(4)}
+    d = build_design(spec_q, Z)
+    with pytest.raises(SelectionError) as err:
+        choose_k_bic(data, d, [5, 3, 4], extended_fs=True)
+    assert str(err.value) == "; ".join(f"K={k}: {reason.format(k + 1)}" for k in (3, 4, 5))
+    # a constant term that every degree has fails them all for one reason,
+    # raised once
     x = rng.choice((-1.0, 1.0), size=n)
     data = Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z)
-    d = build_design(DictionarySpec("hermite_univariate", degree=1), spec_q, x, Z)
-    reason = "P column 1 has zero variance on this sample"
-    with pytest.raises(SelectionError) as err:
+    with pytest.raises(DegenerateColumnError) as err:
         choose_k_bic(data, d, [3, 2])
-    assert str(err.value) == f"K=2: {reason}; K=3: {reason}"
+    assert str(err.value) == "P column 1 has zero variance on this sample"
 
 
 # ---------------------------------------------------------------- estimators
@@ -410,10 +418,10 @@ def test_comparison_estimators_low_dim_catalog():
 def test_post_single_1_matches_reduced_form_refit():
     data = make_low_dim_like(seed=30)
     spec_p, spec_q = make_specs(data)
-    d = build_design(spec_p, spec_q, data.x, data.Z)
+    d = build_design(spec_q, data.Z)
     cfg = resolve_gamma(LassoConfig(), data.n, 1, d.Q.shape[1])
     rf_set = reduced_form_select(d, data.y, cfg)
-    want = pds_fit(d.p_raw, d.q_raw(rf_set), data.y, rf_set)
+    want = pds_fit(g_columns(data.x, spec_p.degree)[0], d.q_raw(rf_set), data.y, rf_set)
     fits, failures = comparison_estimators(data, spec_p, spec_q,
                                            estimators=("post_single_1",))
     assert failures == {}
@@ -445,11 +453,14 @@ def test_post_single_2_block_design_matches_the_concatenated_one():
                             ("low_dim", 500, 7)]:
         cfg = DgpConfig(design, n, sigma_eps=2.0)
         data = generate_sample(cfg, np.random.default_rng(seed))
-        d = build_design(*default_specs(cfg), data.x, data.Z)
-        lam = penalty_level(n, 1, d.n_p + d.Q.shape[1])
-        whole = LassoDesign(np.concatenate([d.P, d.Q], axis=1))
+        spec_p, spec_q = default_specs(cfg)
+        d = build_design(spec_q, data.Z)
+        _, P = g_columns(data.x, spec_p.degree)
+        n_p = P.shape[1]
+        lam = penalty_level(n, 1, n_p + d.Q.shape[1])
+        whole = LassoDesign(np.concatenate([P, d.Q], axis=1))
         want = iterated_lasso(TargetBank.of(data.y, whole), 0, lam)
-        blocks = LassoDesign(d.P, d.lasso_design)
+        blocks = LassoDesign(P, d.lasso_design)
         got = iterated_lasso(TargetBank.of(data.y, blocks), 0, lam)
         assert want.active_set.size > 0
         np.testing.assert_array_equal(got.active_set, want.active_set)
@@ -458,7 +469,7 @@ def test_post_single_2_block_design_matches_the_concatenated_one():
         np.testing.assert_allclose(got.coefficients, want.coefficients, rtol=1e-10)
         np.testing.assert_allclose(got.loadings, want.loadings, rtol=n * eps)
         # the Q columns' rows went into the workspace's store, for later solves
-        in_q = got.active_set[got.active_set >= d.n_p] - d.n_p
+        in_q = got.active_set[got.active_set >= n_p] - n_p
         assert d.lasso_design.rows_formed >= in_q.size
         assert blocks.rows_formed == whole.rows_formed
 
@@ -470,11 +481,12 @@ def test_post_single_2_is_one_joint_lasso_on_both_blocks():
     cfg = DgpConfig("high_dim", 200, sigma_eps=2.0)
     data = generate_sample(cfg, np.random.default_rng(60))
     spec_p, spec_q = default_specs(cfg)
-    d = build_design(spec_p, spec_q, data.x, data.Z)
-    X = np.concatenate([d.P, d.Q], axis=1)
-    lam = penalty_level(data.n, 1, d.n_p + d.Q.shape[1])
+    d = build_design(spec_q, data.Z)
+    _, P = g_columns(data.x, spec_p.degree)
+    X = np.concatenate([P, d.Q], axis=1)
+    lam = penalty_level(data.n, 1, X.shape[1])
     fit = iterated_lasso(TargetBank.of(data.y, LassoDesign(X)), 0, lam)
-    want = fit.active_set[fit.active_set >= d.n_p] - d.n_p
+    want = fit.active_set[fit.active_set >= P.shape[1]] - P.shape[1]
     assert want.size > 0
     fits, failures = comparison_estimators(data, spec_p, spec_q,
                                            estimators=("post_single_2",))
@@ -490,7 +502,7 @@ def test_oracle_matches_direct_regression():
     fits, failures = comparison_estimators(data, spec_p, spec_q,
                                            estimators=("oracle",))
     assert failures == {}
-    P = build_design(spec_p, spec_q, data.x, data.Z).p_raw
+    P, _ = g_columns(data.x, spec_p.degree)
     X = np.concatenate([np.ones((data.n, 1)), P], axis=1)
     coef = np.linalg.lstsq(X, data.y - data.h_true, rcond=None)[0]
     np.testing.assert_allclose(fits["oracle"].beta_hat, coef[1:], rtol=1e-10)
@@ -528,8 +540,7 @@ def test_raw_coordinate_series_benchmarks():
         rng=np.random.default_rng(7))
     assert failures == {}
     n_keep = (4 * n) // 5
-    d = build_design(spec_p, spec_q, x, Z)
-    want = pds_fit(d.p_raw, Z[:, :n_keep], y, np.arange(n_keep))
+    want = pds_fit(g_columns(x, 3)[0], Z[:, :n_keep], y, np.arange(n_keep))
     assert_same_fit(fits["series_1"], want)
     assert fits["series_2"].eta_hat.size == 1 + n_keep
     # series_2 without an rng is a recorded failure, not a crash
@@ -562,6 +573,61 @@ def test_every_estimator_keeps_its_residualized_g_dictionary(monkeypatch, design
         np.testing.assert_allclose(fit.P_resid, want, rtol=0,
                                    atol=1e-9 * np.abs(P).max(), err_msg=name)
         assert fit.eta_hat.size == 1 + Q_sel.shape[1]
+
+
+@pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
+def test_every_other_estimator_reads_the_exact_g_dictionary(monkeypatch, design_name):
+    # the five estimators outside the Post-Double route evaluate He_1..He_K
+    # of x themselves: each final OLS reads those raw columns, and Post-Single
+    # II selects on their standardized copy next to the workspace's design
+    cfg = DgpConfig(design_name, 200)
+    spec_p, spec_q = default_specs(cfg)
+    names = ("post_single_1", "post_single_2", "series_1", "series_2", "oracle")
+    real = selection.pds_fit
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        data = generate_sample(cfg, rng)
+        inputs = {}
+
+        def recording(P, Q_sel, y, sel, **kwargs):
+            fit = real(P, Q_sel, y, sel, **kwargs)
+            inputs[fit.name] = (Q_sel, y, sel)
+            return fit
+
+        monkeypatch.setattr(selection, "pds_fit", recording)
+        fits, failures = comparison_estimators(data, spec_p, spec_q, estimators=names,
+                                               rng=rng)
+        monkeypatch.undo()
+        assert failures == {} and set(fits) == set(names)
+        P_raw = hermite_design(data.x, spec_p.degree)
+        for name in names:
+            ref = pds_fit(P_raw, *inputs[name])
+            np.testing.assert_allclose(fits[name].beta_hat, ref.beta_hat, rtol=1e-12,
+                                       err_msg=name)
+        d = build_design(spec_q, data.Z)
+        P = standardize_columns(hermite_design(data.x, spec_p.degree))[0]
+        joint = LassoDesign(P, d.lasso_design)
+        lam = penalty_level(data.n, 1, joint.shape[1])
+        active = iterated_lasso(TargetBank.of(data.y, joint), 0, lam).active_set
+        in_q = active[active >= spec_p.degree] - spec_p.degree
+        np.testing.assert_array_equal(fits["post_single_2"].selected, in_q)
+
+
+@pytest.mark.parametrize("values, column", [((1.5,), 0), ((-1.0, 1.0), 1)])
+def test_a_constant_g_column_fails_every_estimator_with_one_reason(values, column):
+    # a constant x makes He_1 constant, and x = +-1 makes He_2 = x^2 - 1
+    # constant: every estimator, on either route, refuses it by that column
+    rng = np.random.default_rng(3)
+    n = 120
+    Z = rng.standard_normal((n, 30))
+    x = rng.choice(values, size=n)
+    data = Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z, h_true=Z[:, 0])
+    fits, failures = comparison_estimators(
+        data, DictionarySpec("hermite_univariate", degree=3),
+        DictionarySpec("raw_coordinates", input_dim=30), rng=rng)
+    assert fits == {}
+    reason = f"DegenerateColumnError: P column {column} has zero variance on this sample"
+    assert failures == {name: reason for name in ESTIMATORS}
 
 
 def test_comparison_estimators_deterministic():
@@ -597,7 +663,7 @@ def test_one_workspace_serves_every_estimator(monkeypatch):
     assert evaluated.count(spec_q) == 1
     monkeypatch.undo()
 
-    d = build_design(spec_p, spec_q, data.x, data.Z)
+    d = build_design(spec_q, data.Z)
     res = choose_k_bic(data, d, [2, 3, 4])
     want = res.fits[res.k_hat]
     got = fits["post_double_set"]
@@ -607,7 +673,8 @@ def test_one_workspace_serves_every_estimator(monkeypatch):
     np.testing.assert_array_equal(got.eta_hat, want.eta_hat)
     # series_2 on a tensor dictionary takes every raw column of the workspace
     idx = np.arange(d.Q.shape[1])
-    assert_same_fit(fits["series_2"], pds_fit(d.p_raw, d.q_raw(idx), data.y, idx))
+    P_raw, _ = g_columns(data.x, spec_p.degree)
+    assert_same_fit(fits["series_2"], pds_fit(P_raw, d.q_raw(idx), data.y, idx))
     for idx in (idx, got.selected, np.array([5, 0, 5]), np.array([], dtype=int)):
         np.testing.assert_array_equal(d.q_raw(idx), (d.Q * d.q_scales)[:, idx])
 
@@ -666,7 +733,7 @@ def test_gram_rows_are_formed_only_for_entering_columns(monkeypatch):
                 assert store.rows_formed == 0
             else:
                 assert 0 < store.rows_formed < 0.02 * store.shape[1]
-        assert {k for k, v in vars(d).items() if np.ndim(v) == 2} == {"P", "Q"}
+        assert {k for k, v in vars(d).items() if np.ndim(v) == 2} == {"Q"}
         assert len(d.lasso_design.blocks) == 1 and d.lasso_design.blocks[0] is d.Q
         # the traced peak exceeds the arrays the run must hold at once, Q
         # and Q*Q, by less than half an L x L Gram: Post-Single II's design
