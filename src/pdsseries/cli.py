@@ -457,6 +457,11 @@ def _run_fit(cfg: RunConfig) -> str:
     if bic:
         lines.append(f"degree grid: {min(grid)}..{max(grid)}")
         lines.append(f"BIC minimizer: {res.k_bic}; chosen K: {res.k_hat}")
+        lines.append("BIC by degree: "
+                     + "; ".join(f"K={k}: {bic_k:.10g}" for k, bic_k in res.bics.items()))
+        if res.errors:
+            lines.append("failed degrees: "
+                         + "; ".join(f"K={k}: {why}" for k, why in res.errors.items()))
     else:
         lines.append(f"dictionary degree K: {degree}")
     if fit.rank_deficient:

@@ -49,6 +49,10 @@ __all__ = [
 KINDS = ("hermite_univariate", "hermite_tensor", "raw_coordinates")
 # rows per block of the tensor evaluation and of the column scales
 _ROW_BLOCK = 64
+# the largest L * d**2 of a Hermite tensor (L columns on d inputs) that is
+# built: its index plan takes about that many steps, about 2 s at the bound
+# on a 2-vCPU host with Python 3.11
+_TENSOR_WORK = 10**8
 
 
 class DegenerateColumnError(ValueError):
@@ -156,10 +160,18 @@ def tensor_index_set(d: int, kmax: int) -> list[tuple[int, ...]]:
     """Multi-indices with 1 <= total degree <= kmax.
 
     Graded order: lower total degree first; within a grade, descending
-    lexicographic. The zero index (constant term) is excluded.
+    lexicographic. The zero index (constant term) is excluded. A set of L
+    indices with L * d**2 above ``_TENSOR_WORK`` is refused by a
+    ``ValueError`` before any index is enumerated.
     """
     if d < 1 or kmax < 1:
         raise ValueError("d and kmax must be >= 1")
+    n_terms = math.comb(kmax + d, d) - 1
+    if n_terms * d * d > _TENSOR_WORK:
+        raise ValueError(
+            f"a Hermite tensor of degree K={kmax} on d={d} inputs has L={n_terms} "
+            f"columns, and L*d^2 exceeds {_TENSOR_WORK:.0e}; "
+            "use the raw coordinates as the conditioning dictionary")
     out: list[tuple[int, ...]] = []
     for deg in range(1, kmax + 1):
         out.extend(_compositions(deg, d))

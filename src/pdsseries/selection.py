@@ -10,31 +10,32 @@ one-degree grid ``[K]`` for a fixed degree. The benchmarking alternatives
 (single-selection variants, plain series fits, an infeasible oracle) share
 the final-OLS plumbing so downstream inference treats every fit uniformly.
 
-Every one of these Lassos runs on the same conditioning dictionary, so the
-selection functions take the sample's ``DesignMatrices`` workspace from
-``build_design`` in place of ``Q``. Its one ``LassoDesign`` over ``Q``
-holds ``Q*Q`` and the Gram rows formed so far, and is shared by every
-equation, every estimator and every degree of the BIC grid. The g
-dictionary is not in the workspace: each fit evaluates He_1..He_K of ``x``
-at its own degree, and every final OLS reads those exact raw columns. Each
-stage fits its targets from a ``lasso.TargetBank`` on that design, which
-evaluates each target's ``Q't`` and initial loadings once and memoizes its
-refined loadings by active set; ``choose_k_bic`` builds one bank at the
-grid's largest degree and indexes every degree into it. Post-Single II,
-the one Lasso on another design, runs on a ``LassoDesign`` of two blocks,
-its standardized g dictionary ``P`` and the workspace's design: ``[P, Q]``
-is never concatenated, ``Q*Q`` is the workspace's, and a ``Q`` column's
-Gram row reuses the workspace's stored row of ``Q'Q``, so only its ``P``
-part is new.
+Every selection step is one Lasso equation, and every equation reaches the
+solver by one route: a stage function (``first_stage_select``,
+``reduced_form_select``, or both through ``post_double_select``) takes a
+``lasso.TargetBank`` of its targets, which holds their design, and
+``_active_sets`` fits each equation of the bank, raising a failure as a
+``SelectionError`` that names the equation. A bank evaluates each target's
+``X't`` and initial loadings once and memoizes its refined loadings by
+active set; ``choose_k_bic`` builds one bank at the grid's largest degree
+and indexes every degree into it.
 
-Most first-stage equations select nothing. Before solving, each stage asks
-its bank which equations surely end with an empty active set at its
-penalty level (``TargetBank.settled_empty``: one comparison per loading
-round with the levels the bank keeps, the empty set's refined loadings being
-pre-filled in each memo) and runs ``iterated_lasso`` for the rest,
-including any the screen cannot vouch for. The sets, and the exceptions
-of equations that fail, are those of one ``iterated_lasso`` call per
-equation.
+The sample's ``DesignMatrices`` workspace from ``build_design`` has one
+``LassoDesign`` over the conditioning dictionary ``Q``, holding ``Q*Q`` and
+the Gram rows formed so far, shared by every equation, estimator and
+degree. The g dictionary is not in it: each fit evaluates He_1..He_K of
+``x`` at its own degree, and every final OLS reads those raw columns.
+Post-Single I is the reduced form on the workspace's design; Post-Single
+II is the reduced form on a ``LassoDesign`` of two blocks, its
+standardized g dictionary ``P`` and the workspace's design, which reuses
+``Q*Q`` and the stored rows of ``Q'Q``, so only their ``P`` parts are new.
+
+Most first-stage equations select nothing. A bank of two or more
+equations is first asked which surely end with an empty active set
+(``TargetBank.settled_empty``: one comparison per loading round), and
+``iterated_lasso`` runs for the rest, including any the screen cannot
+vouch for. The sets, and the exceptions of equations that fail, are those
+of one ``iterated_lasso`` call per equation.
 """
 
 from __future__ import annotations
@@ -191,16 +192,6 @@ class KGridResult:
     errors: dict
 
 
-def _as_bank(targets, design: DesignMatrices) -> TargetBank:
-    """A TargetBank on the workspace's design as it is; else a bank of the
-    columns of an (n, k) matrix, or of one vector."""
-    if isinstance(targets, TargetBank):
-        if targets.design is not design.lasso_design:
-            raise ValueError("the target bank belongs to another workspace")
-        return targets
-    return TargetBank.of(np.asarray(targets, dtype=float).T, design.lasso_design)
-
-
 def integer_root(m: int, r: int) -> int:
     """Exact floor(m ** (1/r)) for nonnegative integer m."""
     if m < 0 or r < 1:
@@ -237,32 +228,25 @@ def resolve_gamma(config: LassoConfig, n: int, n_fs_targets: int,
     return replace(config, gamma=default_gamma(n, n_fs_targets, n_regressors))
 
 
-def first_stage_select(P_fs, design: DesignMatrices,
-                       config: LassoConfig | None = None) -> list:
-    """Lasso of each g-dictionary column on the conditioning dictionary.
+def first_stage_select(bank: TargetBank, config: LassoConfig | None = None) -> list:
+    """Lasso of each target of ``bank``, the standardized g-dictionary
+    columns, on the bank's design; one active set per target.
 
-    ``P_fs`` is an (n, k) matrix, expected column-standardized, or a
-    ``TargetBank`` of its columns; every equation shares the workspace's
-    ``LassoDesign``, whose Gram rows are each formed on the first entry of
-    their column into any equation. Returns one active set per target.
+    Every equation shares the design, whose Gram rows are each formed on
+    the first entry of their column into any equation.
     """
     cfg = config if config is not None else LassoConfig()
-    bank = _as_bank(P_fs, design)
-    lam = penalty_level(bank.n, len(bank), design.Q.shape[1], cfg)
+    lam = penalty_level(bank.n, len(bank), bank.design.shape[1], cfg)
     return _active_sets(bank, lam, cfg, "first-stage equation {}")
 
 
-def reduced_form_select(design: DesignMatrices, y,
-                        config: LassoConfig | None = None) -> np.ndarray:
-    """Lasso of the outcome on the conditioning dictionary; its active set.
-
-    ``y`` is the outcome vector or a one-target ``TargetBank`` of it.
-    """
+def reduced_form_select(bank: TargetBank, config: LassoConfig | None = None) -> np.ndarray:
+    """Lasso of the outcome, the one target of ``bank``, on the bank's
+    design; its active set."""
     cfg = config if config is not None else LassoConfig()
-    bank = _as_bank(y, design)
     if len(bank) != 1:
         raise ValueError("the reduced form has one target")
-    lam = penalty_level(bank.n, 1, design.Q.shape[1], cfg)
+    lam = penalty_level(bank.n, 1, bank.design.shape[1], cfg)
     return _active_sets(bank, lam, cfg, "reduced-form equation")[0]
 
 
@@ -275,7 +259,7 @@ def _active_sets(bank: TargetBank, lam: float, cfg: LassoConfig, label: str) -> 
     other equation runs ``iterated_lasso``, and a failure is raised as a
     ``SelectionError`` naming the equation by ``label.format(k)``.
     """
-    # A one-equation bank (the reduced form) runs its solve: screening it
+    # A one-equation bank (a reduced form) runs its solve: screening it
     # would save ~20 us per reduced form, and the traced benchmark's repeat check on
     # mc_noise_controls, where every other equation is settled, needs at
     # least one iterated_lasso call to count.
@@ -290,22 +274,20 @@ def _active_sets(bank: TargetBank, lam: float, cfg: LassoConfig, label: str) -> 
     return sets
 
 
-def post_double_select(P_fs, design: DesignMatrices, y,
+def post_double_select(fs_bank: TargetBank, rf_bank: TargetBank,
                        config: LassoConfig | None = None) -> SelectionResult:
-    """Run both selection stages and form the union of selected terms.
-
-    ``P_fs`` and ``y`` are arrays or ``TargetBank``s, as in the two stages.
-    """
-    fs_bank = _as_bank(P_fs, design)
-    rf_bank = _as_bank(y, design)
+    """Run both selection stages, on banks over one design, and form the
+    union of selected terms."""
+    if fs_bank.design is not rf_bank.design:
+        raise ValueError("the first-stage and reduced-form banks are on different designs")
     cfg = resolve_gamma(
         config if config is not None else LassoConfig(),
         rf_bank.n,
         len(fs_bank),
-        design.Q.shape[1],
+        rf_bank.design.shape[1],
     )
-    fs_sets = first_stage_select(fs_bank, design, cfg)
-    rf_set = reduced_form_select(design, rf_bank, cfg)
+    fs_sets = first_stage_select(fs_bank, cfg)
+    rf_set = reduced_form_select(rf_bank, cfg)
     pieces = [s for s in fs_sets if s.size] + ([rf_set] if rf_set.size else [])
     if pieces:
         union = np.unique(np.concatenate(pieces)).astype(int)
@@ -430,7 +412,7 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
         try:
             if k > k_ok:
                 raise DegenerateColumnError(degenerate)
-            sel = post_double_select(bank.subset(fs_rows), design, y_bank, cfg)
+            sel = post_double_select(bank.subset(fs_rows), y_bank, cfg)
             fit = pds_fit(P_raw[:, :k], design.q_raw(sel.union_set), data.y,
                           sel, spec_p=specs[k])
         except FIT_ERRORS as exc:
@@ -519,7 +501,7 @@ def _fit_one(name, data: Dataset, design: DesignMatrices, spec_p: DictionarySpec
     # standardizing refuses a constant column, as the Post-Double route does
     P, _ = standardize_columns(P_raw, what="P column")
     if name == "post_single_1":
-        rf_set = reduced_form_select(design, data.y, cfg)
+        rf_set = reduced_form_select(TargetBank.of(data.y, design.lasso_design), cfg)
         return pds_fit(P_raw, design.q_raw(rf_set), data.y, rf_set,
                        spec_p=spec_p, name=name)
 
@@ -527,10 +509,9 @@ def _fit_one(name, data: Dataset, design: DesignMatrices, spec_p: DictionarySpec
         # one Lasso of y on [P, Q]: the blocks P and the workspace's design,
         # whose Q*Q and stored rows of Q'Q it reuses
         joint = LassoDesign(P, design.lasso_design)
-        lam = penalty_level(data.n, 1, joint.shape[1], cfg)
-        fit = iterated_lasso(TargetBank.of(data.y, joint), 0, lam, cfg)
+        active = reduced_form_select(TargetBank.of(data.y, joint), cfg)
         n_p = P.shape[1]
-        in_q = fit.active_set[fit.active_set >= n_p] - n_p
+        in_q = active[active >= n_p] - n_p
         return pds_fit(P_raw, design.q_raw(in_q), data.y, in_q,
                        spec_p=spec_p, name=name)
 

@@ -9,7 +9,8 @@ unchanged: it stopped when the refined loadings repeated the previous
 round's, which the library's rule (stop when the active set repeats)
 must match in every field of the returned fit.
 ``workspace_of`` builds the selection workspace by hand for a matrix that
-``build_design`` would standardize or reject. ``g_columns`` is the g
+``build_design`` would standardize or reject, and ``bank_of`` banks the
+columns of a target matrix on a workspace's design. ``g_columns`` is the g
 dictionary as the estimators evaluate it: raw, and standardized for the
 Lassos. ``hermite_tensor_design`` is
 the library's former column-by-column tensor evaluation, kept unchanged as
@@ -50,6 +51,7 @@ from pdsseries.lasso import (
     LassoConfig,
     LassoDesign,
     LassoFit,
+    TargetBank,
     initial_loadings,
     lasso_solve,
     post_lasso,
@@ -407,6 +409,12 @@ def workspace_of(Q: np.ndarray) -> DesignMatrices:
     """
     Q = np.asarray(Q, dtype=float)
     return DesignMatrices(Q=Q, q_scales=np.ones(Q.shape[1]), lasso_design=LassoDesign(Q))
+
+
+def bank_of(T, design: DesignMatrices) -> TargetBank:
+    """A ``TargetBank`` of the columns of an (n, k) matrix, or of one vector,
+    on the workspace's design."""
+    return TargetBank.of(np.asarray(T, dtype=float).T, design.lasso_design)
 
 
 def g_columns(x, k: int):

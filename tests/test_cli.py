@@ -575,6 +575,15 @@ def test_main_fit_names_the_degree_and_the_equation_that_failed(capsys, tmp_path
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         "error: K=3: first-stage equation 4 failed: all initial loadings are zero\n")
+    # over the grid 2..9 only K = 2 fits; the report names each failed degree
+    argv[argv.index("--k") + 1] = "bic"
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("BIC minimizer: 2; chosen K: 2")
+    assert lines[at + 1].startswith("BIC by degree: K=2: ")
+    assert lines[at + 2] == "failed degrees: " + "; ".join(
+        f"K={k}: first-stage equation {k + 1} failed: all initial loadings are zero"
+        for k in range(3, 10))
 
 
 @pytest.mark.parametrize("values, column", [((1.5,), 0), ((-1.0, 1.0), 1)])
@@ -612,6 +621,28 @@ def test_main_fit_at_a_degree_that_overflows_fails_in_one_line(capsys, tmp_path)
     assert err.count("\n") == 1
     # a degree the raw Hermite units once made look singular
     assert main([*argv, "--k", "12"]) == 0
+    assert "se        = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k", ["1", "auto14"])
+def test_main_fit_refuses_a_tensor_on_many_inputs_in_one_line(capsys, tmp_path, k):
+    # 1000 z columns, as in a high_dim dump at n = 500: the tensor is refused
+    # by its size, not by a RecursionError; raw coordinates still fit
+    rng = np.random.default_rng(8)
+    n, d = 40, 1000
+    x = rng.standard_normal(n)
+    Z = rng.standard_normal((n, d))
+    dump = tmp_path / "sample.csv"
+    write_sample_csv(Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z), str(dump))
+    argv = ["fit", "--input", str(dump), "--y", "y", "--x", "x", "--z", "z*",
+            "--k", k, "--out", str(tmp_path / "fit.txt")]
+    assert main([*argv, "--q-dict", "tensor"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: a Hermite tensor of degree K={1 if k == '1' else 2} "
+                          f"on d={d} inputs has L=")
+    assert err.endswith("use the raw coordinates as the conditioning dictionary\n")
+    assert err.count("\n") == 1
+    assert main([*argv, "--q-dict", "raw"]) == 0
     assert "se        = " in capsys.readouterr().out
 
 
@@ -698,6 +729,15 @@ def test_main_fit_bic_mode_reports_grid(capsys, tmp_path):
     assert "degree grid: 2..8" in stdout
     assert "BIC minimizer: " in stdout and "chosen K: " in stdout
     assert "selected conditioning terms" in stdout
+    # each degree's BIC, after the choice; no degree failed
+    lines = stdout.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("BIC minimizer: "))
+    head, _, cells = lines[at + 1].partition(": ")
+    assert head == "BIC by degree" and "failed degrees" not in stdout
+    bics = {int(k): float(b) for k, b in
+            (cell.removeprefix("K=").split(": ") for cell in cells.split("; "))}
+    assert list(bics) == list(range(2, 9))
+    assert lines[at].startswith(f"BIC minimizer: {min(bics, key=bics.get)};")
 
 
 def test_dataset_validation():

@@ -1,6 +1,7 @@
 """Dictionary construction: Hermite bases, tensor indices, standardization."""
 
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -138,6 +139,37 @@ def test_tensor_index_set_order_and_cardinality():
         for g in range(1, kmax + 1):
             block = [i for i in idx if sum(i) == g]
             assert block == sorted(block, reverse=True)
+
+
+@pytest.mark.parametrize("d, kmax", [(1000, 1), (400, 5), (465, 1), (150, 2)])
+def test_an_oversized_tensor_is_refused_before_any_index(d, kmax):
+    # the high_dim dumps at n = 500 and 200 (d = 1000 and 400), and the
+    # first tensors past L * d^2 = 1e8: each entry point refuses at once,
+    # naming d, K and L, with no index set or plan built
+    L = math.comb(kmax + d, d) - 1
+    spec = DictionarySpec("hermite_tensor", degree=kmax, input_dim=d)
+    Z = np.zeros((3, d))
+    message = f"degree K={kmax} on d={d} inputs has L={L} columns.*raw coordinates"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        for refused in (lambda: tensor_index_set(d, kmax), lambda: build_design(spec, Z),
+                        lambda: evaluate_dictionary(spec, Z),
+                        lambda: dictionary_labels(spec)):
+            with pytest.raises(ValueError, match=message):
+                refused()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 1e6
+
+
+def test_the_largest_admitted_k1_tensor_builds():
+    # d^3 <= 1e8 up to d = 464: the unit vectors, built without hitting the
+    # recursion limit
+    idx = tensor_index_set(464, 1)
+    assert idx == [tuple(int(i == j) for i in range(464)) for j in range(464)]
 
 
 def test_tensor_evaluation_is_product_of_univariates():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import (
+    bank_of,
     cd_solve,
     g_columns,
     iterated_lasso as iterated_lasso_oracle,
@@ -782,7 +783,7 @@ def test_screen_settles_only_equations_that_end_empty():
                     errors = [f for f in want if isinstance(f, type)]
                     if name == "regular":
                         assert not errors
-                        got = first_stage_select(bank, screened, cfg)
+                        got = first_stage_select(bank, cfg)
                         assert len(got) == len(want)
                         for g, w in zip(got, want):
                             np.testing.assert_array_equal(g, w.active_set)
@@ -794,7 +795,7 @@ def test_screen_settles_only_equations_that_end_empty():
                     expected = DegenerateLoadingsError if name == "constant" else ValueError
                     assert errors[0] is expected
                     with pytest.raises(SelectionError) as err:
-                        first_stage_select(bank, screened, cfg)
+                        first_stage_select(bank, cfg)
                     assert type(err.value.__cause__) is errors[0]
     # every branch of the screen was taken
     assert all(seen.values()), seen
@@ -954,13 +955,13 @@ def test_route_matches_one_solve_per_equation_near_each_level(monkeypatch):
                 errors = [f for f in want if isinstance(f, type)]
                 monkeypatch.setattr(selection_module, "penalty_level", lambda *a, **k: lam)
                 if not errors:
-                    got = first_stage_select(bank, screened, cfg)
+                    got = first_stage_select(bank, cfg)
                     assert len(got) == len(want)
                     for g, w in zip(got, want):
                         np.testing.assert_array_equal(g, w.active_set)
                 else:
                     with pytest.raises(SelectionError) as err:
-                        first_stage_select(bank, screened, cfg)
+                        first_stage_select(bank, cfg)
                     assert type(err.value.__cause__) is errors[0]
                 monkeypatch.undo()
     assert all(seen.values()), seen
@@ -1072,8 +1073,8 @@ def test_sweep_cap_reported_by_solve_and_raised_by_iteration():
         iterate(X, y, lam, capped)
     design = workspace_of(X)
     with pytest.raises(SelectionError, match="first-stage equation 0.*cd_max_iter"):
-        first_stage_select(P, design, capped)
+        first_stage_select(bank_of(P, design), capped)
     with pytest.raises(SelectionError, match="reduced-form equation.*cd_max_iter"):
-        reduced_form_select(design, y, capped)
+        reduced_form_select(bank_of(y, design), capped)
     with pytest.raises(SelectionError):
-        post_double_select(P, design, y, capped)
+        post_double_select(bank_of(P, design), bank_of(y, design), capped)

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import g_columns, residualize_p, workspace_of
-from pdsseries import dictionary, selection
+from _oracles import bank_of, g_columns, residualize_p, workspace_of
+from pdsseries import dictionary, lasso, selection
 from pdsseries.data import Dataset
 from pdsseries.dictionary import (
     DegenerateColumnError,
@@ -14,7 +14,6 @@ from pdsseries.dictionary import (
     build_design,
     build_extended_fs,
     hermite_design,
-    standardize_columns,
 )
 from pdsseries.lasso import (
     LassoConfig,
@@ -107,7 +106,7 @@ def test_union_is_union_of_stage_sets():
     spec_p, spec_q = make_specs(data)
     d = build_design(spec_q, data.Z)
     _, P = g_columns(data.x, spec_p.degree)
-    sel = post_double_select(P, d, data.y)
+    sel = post_double_select(bank_of(P, d), bank_of(data.y, d))
     pieces = [s for s in sel.fs_sets if s.size]
     if sel.rf_set.size:
         pieces.append(sel.rf_set)
@@ -122,8 +121,8 @@ def test_double_selection_contains_single_and_fits_tighter():
     d = build_design(spec_q, data.Z)
     P_raw, P = g_columns(data.x, spec_p.degree)
     cfg = resolve_gamma(LassoConfig(), data.n, P.shape[1], d.Q.shape[1])
-    sel = post_double_select(P, d, data.y, cfg)
-    rf_set = reduced_form_select(d, data.y, cfg)
+    sel = post_double_select(bank_of(P, d), bank_of(data.y, d), cfg)
+    rf_set = reduced_form_select(bank_of(data.y, d), cfg)
     assert set(rf_set.tolist()) <= set(sel.union_set.tolist())
     fit_pd = pds_fit(P_raw, d.q_raw(sel.union_set), data.y, sel)
     fit_ps = pds_fit(P_raw, d.q_raw(rf_set), data.y, rf_set)
@@ -143,7 +142,7 @@ def test_noiseless_linear_model_recovered_exactly():
     spec_q = DictionarySpec("raw_coordinates", input_dim=6)
     d = build_design(spec_q, data.Z)
     P_raw, P = g_columns(data.x, spec_p.degree)
-    sel = post_double_select(P, d, data.y)
+    sel = post_double_select(bank_of(P, d), bank_of(data.y, d))
     assert {0, 3} <= set(sel.union_set.tolist())
     fit = pds_fit(P_raw, d.q_raw(sel.union_set), data.y, sel, spec_p=spec_p)
     assert fit.beta_hat[0] == pytest.approx(2.0, abs=1e-8)
@@ -163,9 +162,9 @@ def test_selection_error_names_equation():
     P = rng.standard_normal((n, 2))
     design = workspace_of(Q)
     with pytest.raises(SelectionError, match="first-stage equation 0"):
-        first_stage_select(P, design)
+        first_stage_select(bank_of(P, design))
     with pytest.raises(SelectionError, match="reduced-form equation"):
-        reduced_form_select(design, rng.standard_normal(n))
+        reduced_form_select(bank_of(rng.standard_normal(n), design))
 
 
 @pytest.mark.parametrize("zero_entry", [False, True])
@@ -186,10 +185,10 @@ def test_overflowing_target_fails_its_equation(zero_entry):
         assert not np.isfinite(bank.loadings0[1]).all()
         assert bank.memos[1][b""] == "perfect_fit"
         with pytest.raises(SelectionError, match="first-stage equation 1") as err:
-            first_stage_select(P, design)
+            first_stage_select(bank_of(P, design))
         assert "positive and finite" in str(err.value)
         with pytest.raises(SelectionError, match="reduced-form equation"):
-            reduced_form_select(design, P[:, 1])
+            reduced_form_select(bank_of(P[:, 1], design))
 
 
 # ---------------------------------------------------------------- final OLS
@@ -199,7 +198,7 @@ def test_pds_fit_accepts_selection_or_indices():
     spec_p, spec_q = make_specs(data)
     d = build_design(spec_q, data.Z)
     P_raw, P = g_columns(data.x, spec_p.degree)
-    sel = post_double_select(P, d, data.y)
+    sel = post_double_select(bank_of(P, d), bank_of(data.y, d))
     Q_sel = d.q_raw(sel.union_set)
     via_sel = pds_fit(P_raw, Q_sel, data.y, sel)
     via_idx = pds_fit(P_raw, Q_sel, data.y, sel.union_set)
@@ -292,9 +291,9 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
     calls = []
     real = selection.post_double_select
 
-    def spy(P_fs, design, y, config=None):
-        sel = real(P_fs, design, y, config)
-        calls.append((P_fs, y, sel))
+    def spy(fs_bank, rf_bank, config=None):
+        sel = real(fs_bank, rf_bank, config)
+        calls.append((fs_bank, rf_bank, sel))
         return sel
 
     monkeypatch.setattr(selection, "post_double_select", spy)
@@ -306,7 +305,7 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
         P_fs = build_extended_fs(P) if extended_fs else P
         np.testing.assert_array_equal(fs_bank.rows[list(fs_bank.cols)], P_fs.T)
         np.testing.assert_array_equal(y_bank.rows[list(y_bank.cols)], data.y[None])
-        want = post_double_select(P_fs, d, data.y)
+        want = post_double_select(bank_of(P_fs, d), bank_of(data.y, d))
         assert len(sel.fs_sets) == len(want.fs_sets) == P_fs.shape[1]
         for got_set, want_set in zip(sel.fs_sets, want.fs_sets):
             np.testing.assert_array_equal(got_set, want_set)
@@ -315,10 +314,10 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
         ref = pds_fit(P_raw, d.q_raw(want.union_set), data.y, want)
         np.testing.assert_allclose(res.fits[k].beta_hat, ref.beta_hat, rtol=1e-12)
         assert res.bics[k] == pytest.approx(selection._bic(ref), rel=1e-12, abs=0)
-    # a bank belongs to the workspace whose design it was built on
+    # both stages run on one design: banks on two designs are refused
     other = build_design(default_specs(cfg)[1], data.Z)
-    with pytest.raises(ValueError, match="another workspace"):
-        first_stage_select(fs_bank, other)
+    with pytest.raises(ValueError, match="on different designs"):
+        post_double_select(fs_bank, bank_of(data.y, other))
 
 
 @pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
@@ -346,7 +345,7 @@ def test_fixed_degree_post_double_is_the_one_degree_grid(monkeypatch, design_nam
             assert failures == {} and len(seen) == 1
             got = seen[0]
             P_fs = build_extended_fs(P) if name == "post_double_ext" else P
-            want = post_double_select(P_fs, d, data.y)
+            want = post_double_select(bank_of(P_fs, d), bank_of(data.y, d))
             assert len(got.fs_sets) == len(want.fs_sets) == P_fs.shape[1]
             for got_set, want_set in zip(got.fs_sets, want.fs_sets):
                 np.testing.assert_array_equal(got_set, want_set)
@@ -420,7 +419,7 @@ def test_post_single_1_matches_reduced_form_refit():
     spec_p, spec_q = make_specs(data)
     d = build_design(spec_q, data.Z)
     cfg = resolve_gamma(LassoConfig(), data.n, 1, d.Q.shape[1])
-    rf_set = reduced_form_select(d, data.y, cfg)
+    rf_set = reduced_form_select(bank_of(data.y, d), cfg)
     want = pds_fit(g_columns(data.x, spec_p.degree)[0], d.q_raw(rf_set), data.y, rf_set)
     fits, failures = comparison_estimators(data, spec_p, spec_q,
                                            estimators=("post_single_1",))
@@ -578,8 +577,8 @@ def test_every_estimator_keeps_its_residualized_g_dictionary(monkeypatch, design
 @pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
 def test_every_other_estimator_reads_the_exact_g_dictionary(monkeypatch, design_name):
     # the five estimators outside the Post-Double route evaluate He_1..He_K
-    # of x themselves: each final OLS reads those raw columns, and Post-Single
-    # II selects on their standardized copy next to the workspace's design
+    # of x themselves, and each final OLS reads those raw columns (what
+    # Post-Single II selects on is checked by the route test below)
     cfg = DgpConfig(design_name, 200)
     spec_p, spec_q = default_specs(cfg)
     names = ("post_single_1", "post_single_2", "series_1", "series_2", "oracle")
@@ -604,13 +603,55 @@ def test_every_other_estimator_reads_the_exact_g_dictionary(monkeypatch, design_
             ref = pds_fit(P_raw, *inputs[name])
             np.testing.assert_allclose(fits[name].beta_hat, ref.beta_hat, rtol=1e-12,
                                        err_msg=name)
+
+
+@pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
+def test_every_lasso_equation_goes_through_active_sets(monkeypatch, design_name):
+    # one route into the solver: each estimator's iterated_lasso calls are
+    # made inside _active_sets, and the single-selection sets are those of
+    # one direct iterated_lasso call at the single-equation penalty level
+    cfg = DgpConfig(design_name, 200)
+    spec_p, spec_q = default_specs(cfg)
+    depth, calls = [0], []
+
+    def route(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_route(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def solve(*args, **kwargs):
+        calls.append(depth[0])
+        return real_solve(*args, **kwargs)
+
+    real_route, real_solve = selection._active_sets, selection.iterated_lasso
+    for seed in range(10):
+        data = generate_sample(cfg, np.random.default_rng(seed))
+        monkeypatch.setattr(selection, "_active_sets", route)
+        monkeypatch.setattr(selection, "iterated_lasso", solve)
+        monkeypatch.setattr(lasso, "iterated_lasso", solve)
+        fits = {}
+        for name in ESTIMATORS:
+            calls.clear()
+            got, failures = comparison_estimators(data, spec_p, spec_q, estimators=[name],
+                                                  rng=np.random.default_rng(seed))
+            assert failures == {}
+            fits.update(got)
+            selects = not name.startswith(("series", "oracle"))
+            assert (len(calls) > 0) == selects, name
+            assert all(calls), name
+        monkeypatch.undo()
         d = build_design(spec_q, data.Z)
-        P = standardize_columns(hermite_design(data.x, spec_p.degree))[0]
-        joint = LassoDesign(P, d.lasso_design)
-        lam = penalty_level(data.n, 1, joint.shape[1])
-        active = iterated_lasso(TargetBank.of(data.y, joint), 0, lam).active_set
-        in_q = active[active >= spec_p.degree] - spec_p.degree
-        np.testing.assert_array_equal(fits["post_single_2"].selected, in_q)
+        _, P = g_columns(data.x, spec_p.degree)
+        for name, design in (("post_single_1", d.lasso_design),
+                             ("post_single_2", LassoDesign(P, d.lasso_design))):
+            lam = penalty_level(data.n, 1, design.shape[1], LassoConfig())
+            active = iterated_lasso(TargetBank.of(data.y, design), 0, lam,
+                                    LassoConfig()).active_set
+            n_p = design.shape[1] - d.Q.shape[1]  # the g columns ahead of Q
+            np.testing.assert_array_equal(fits[name].selected,
+                                          active[active >= n_p] - n_p, err_msg=name)
 
 
 @pytest.mark.parametrize("values, column", [((1.5,), 0), ((-1.0, 1.0), 1)])
@@ -747,13 +788,15 @@ def test_programming_errors_propagate(monkeypatch):
     data = make_low_dim_like(seed=34)
     spec_p, spec_q = make_specs(data)
 
-    # a sweep cap is a fit failure, counted per estimator
+    # a sweep cap is a fit failure, counted per estimator, and reported as
+    # the failed equation on every route into the solver
     capped = LassoConfig(cd_max_iter=1)
     fits, failures = comparison_estimators(
         data, spec_p, spec_q, capped,
         estimators=("post_double", "post_single_2", "oracle"))
     assert failures["post_double"].startswith("SelectionError")
-    assert failures["post_single_2"].startswith("ConvergenceError")
+    assert failures["post_single_2"].startswith(
+        "SelectionError: reduced-form equation failed: coordinate descent did not converge")
     assert set(fits) == {"oracle"}
 
     def broken(*args, **kwargs):
