@@ -19,7 +19,10 @@ A ``TargetBank`` holds targets on one ``LassoDesign``, each with its
 memo of its refined loadings by active set: refined loadings depend on a
 fit only through its active set, so the iteration stops as soon as a round
 selects the same set as the round before, and every equation on the same
-target reuses them.
+target reuses them. A bank of rows and their pairwise sums and differences
+(the BIC grid's extended first stage) derives each pair's ``X't`` and
+loadings from products over the rows and the pairs' cross products, by
+linearity, instead of a product over every target.
 ``iterated_lasso(bank, k, lam)`` fits the bank's ``k``-th target.
 
 Most equations of post-double selection select nothing. The bank also
@@ -33,6 +36,16 @@ so the test is two comparisons per target: a level at or below
 equation that ends empty unsettled, never the other way; every equation
 it leaves runs ``iterated_lasso``, which reads the same pre-filled
 loadings.
+
+A degree grid solves the same equations again at nearby penalty levels,
+and their sets rarely change. ``iterated_lasso`` records each round's
+active set and signs in the bank, and ``TargetBank.replay`` settles a
+later equation on the same target by replaying those rounds at the new
+level, each under a KKT certificate with margin that the recorded set and
+signs are the exact Lasso solution (the homotopy view of the Lasso path,
+Osborne, Presnell & Turlach 2000). A round that does not certify leaves
+the equation to ``iterated_lasso``, so the sets are those of one solve per
+equation.
 
 The solver is active-set cyclic coordinate descent on the Gram system: the
 covariance-update scheme of glmnet (Friedman, Hastie & Tibshirani 2010,
@@ -291,6 +304,12 @@ class LassoDesign:
     def rows_formed(self) -> int:
         return self._count
 
+    def stored(self, idx):
+        """Rows ``idx`` of ``X'X`` when the store holds them all, else None;
+        forms no row."""
+        slots = self._slot[idx]
+        return self._buf[slots] if (slots >= 0).all() else None
+
     def _blockwise(self, a: np.ndarray, mats) -> np.ndarray:
         out = np.empty(a.shape[:-1] + (self.shape[1],))
         for mat, (start, stop) in zip(mats, self._spans):
@@ -354,6 +373,14 @@ _SCREEN_CELLS = 1 << 14
 
 # relative margin between a level that ``settled_empty`` settles and lam / 2
 _MARGIN = 1e-12
+# the gap between a coordinate's input and its threshold that a replay
+# certificate demands: this share of the threshold, for rounding, plus this
+# many times the input's reach under the solver's stopping rule, cd_tol
+# times the column's Gram entries on the set (``TargetBank._span``)
+_REPLAY_MARGIN = 1e-6
+_REPLAY_REACH = 1000.0
+# the span of a round that certifies at no penalty level
+_NO_SPAN = (math.inf, -math.inf)
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 
@@ -389,6 +416,98 @@ def _levels(xty: np.ndarray, *loadings) -> np.ndarray:
     return levels
 
 
+# A pair target's derived squared loading, (S_ii + S_jj +- 2 S_ij) / n, is
+# kept when it exceeds 1 / _PAIR_CANCELLATION of S_ii + S_jj + 2 |S_ij|,
+# the larger of the pair's two; a row with a smaller (or no positive) one is
+# computed from the row itself (``_pair_loadings``).
+_PAIR_CANCELLATION = 1e3
+
+
+def _paired(a: np.ndarray, ii: np.ndarray, jj: np.ndarray, stop: int) -> np.ndarray:
+    """Rows of ``a`` with, after row ``stop - 1``, the sums ``a[ii] + a[jj]``
+    and then the differences ``a[ii] - a[jj]``."""
+    p = ii.size
+    out = np.empty((len(a) + 2 * p,) + a.shape[1:])
+    out[:stop] = a[:stop]
+    sums, diffs = out[stop:stop + p], out[stop + p:stop + 2 * p]
+    sums[...] = a[ii]
+    diffs[...] = sums
+    second = a[jj]
+    sums += second
+    diffs -= second
+    out[stop + 2 * p:] = a[stop:]
+    return out
+
+
+def _pair_loadings(design: LassoDesign, rows: np.ndarray, targets: np.ndarray,
+                   ii: np.ndarray, jj: np.ndarray, stop: int, centred: bool,
+                   block: np.ndarray, out: np.ndarray) -> None:
+    """Loadings of every target of a paired bank, as ``initial_loadings``
+    (``centred``) or ``refined_loadings`` of the empty set give them.
+
+    ``rows`` are the given rows and ``targets`` the bank's, ``_paired(rows,
+    ii, jj, stop)``; the loadings are written into ``out``. A pair's squared loading on column l is
+    ``(S_ii + S_jj +- 2 S_ij) / n`` with ``S_ab = (x_l*x_l)'(d_a*d_b)`` and
+    ``d`` the (centred) rows, so one product of the rows' squares and the
+    pairs' cross products, into ``block``, gives every row's.
+
+    The sum or difference carries the rounding error of its terms, a few
+    units in the last place of ``S_ii + S_jj + 2 |S_ij|``; relative to the
+    result, that error grows by the ratio of the two. Up to a ratio of
+    ``_PAIR_CANCELLATION`` = 1e3 it stays near 1e-12, the agreement with a
+    direct product that the tests hold (4e-13 was the largest seen on the
+    simulation designs). A row with a larger ratio on any column, or a
+    result that is not positive, is computed from its target instead, as a
+    bank without pairs computes every row: so a pair target that is
+    constant gets the exact zero loadings that flag it, not rounding noise.
+    On those designs at n = 500 that is about 1 of 210 pair rows on
+    low_dim and 14 on high_dim.
+    """
+    k, p, n = len(rows), ii.size, rows.shape[1]
+    d = rows - rows.mean(axis=1, keepdims=True) if centred else rows
+    np.square(d, out=block[:k])
+    block[k:] = d[ii]
+    block[k:] *= d[jj]
+    S = design.sq_product(block)
+    own, cross = S[:k], S[k:]
+    cross *= 2.0
+    out[:stop] = own[:stop]
+    out[stop + 2 * p:] = own[stop:]
+    sums, diffs = out[stop:stop + p], out[stop + p:stop + 2 * p]
+    sums[...] = own[ii]
+    sums += own[jj]
+    np.subtract(sums, cross, out=diffs)
+    sums += cross
+    # S_ii + S_jj + 2 |S_ij|, the larger of the two
+    bound = np.maximum(sums, diffs)
+    bound /= _PAIR_CANCELLATION
+    exact = stop + np.flatnonzero(~np.concatenate([
+        (sums > bound).all(axis=1), (diffs > bound).all(axis=1)]))
+    out[exact] = 0.0
+    out /= n
+    np.sqrt(out, out=out)
+    if exact.size:
+        direct = initial_loadings if centred else refined_loadings
+        out[exact] = direct(design, targets[exact])
+
+
+def _with_pairs(rows: np.ndarray, design: LassoDesign, ii, jj) -> tuple:
+    """The targets, ``X't`` and both loadings of ``TargetBank.of(rows,
+    design, (ii, jj))``, from products over ``rows`` and their pairs'
+    cross products only."""
+    ii, jj = np.asarray(ii, dtype=np.intp), np.asarray(jj, dtype=np.intp)
+    stop = int(max(ii.max(), jj.max())) + 1
+    targets = _paired(rows, ii, jj, stop)
+    xty = _paired(design.product(rows), ii, jj, stop)
+    # the bank's arrays first, then one buffer for both loadings' products:
+    # the working arrays, freed last, leave no holes among the kept ones
+    loadings0, loadings1 = np.empty((2,) + xty.shape)
+    block = np.empty((len(rows) + ii.size, rows.shape[1]))
+    for centred, out in ((True, loadings0), (False, loadings1)):
+        _pair_loadings(design, rows, targets, ii, jj, stop, centred, block, out)
+    return targets, xty, loadings0, loadings1
+
+
 @dataclass
 class TargetBank:
     """Lasso targets on one ``LassoDesign``, each evaluated once.
@@ -412,6 +531,13 @@ class TargetBank:
     first screen of a round admits nothing exactly when lam / 2 reaches the
     level. With both rounds at hand, ``settled_empty`` settles at once the
     equations that plainly end with an empty active set.
+
+    ``records[j]`` holds the active set and signs of each round of the last
+    ``iterated_lasso`` call on target j that returned, the most sweeps one
+    of its solves took, and the spans of penalty levels that ``replay`` has
+    certified for its rounds, or None;
+    ``replay`` replays them at another penalty level. Like the memos, the
+    records are kept by target and shared by ``subset``.
     """
 
     design: LassoDesign
@@ -423,14 +549,26 @@ class TargetBank:
     level1: np.ndarray
     memos: list
     cols: tuple
+    records: list
 
     @classmethod
-    def of(cls, rows, design: LassoDesign) -> TargetBank:
-        """Bank of the targets in ``rows`` (one per row, or one vector)."""
+    def of(cls, rows, design: LassoDesign, pairs=None) -> TargetBank:
+        """Bank of the targets in ``rows`` (one per row, or one vector).
+
+        With ``pairs = (ii, jj)``, the bank also holds, for each pair p, the
+        sum and then the difference of rows ``ii[p]`` and ``jj[p]``: all the
+        sums, then all the differences, right after the last row a pair
+        reads, so rows after it (the BIC grid's outcome) stay last. Their
+        ``X't`` and loadings are derived from those of the rows, by
+        linearity (``_pair_loadings``), not from products of their own.
+        """
         rows = np.ascontiguousarray(np.atleast_2d(rows), dtype=float)
-        xty = design.product(rows)
-        loadings0 = initial_loadings(design, rows)
-        loadings1 = refined_loadings(design, rows)
+        if pairs is not None and len(pairs[0]):
+            rows, xty, loadings0, loadings1 = _with_pairs(rows, design, *pairs)
+        else:
+            xty = design.product(rows)
+            loadings0 = initial_loadings(design, rows)
+            loadings1 = refined_loadings(design, rows)
         # _refine's flags, on the empty set's residual
         perfect = np.abs(rows).max(axis=1) < 1e-12 * rows.std(axis=1)
         degenerate = ~loadings1.any(axis=1)
@@ -439,7 +577,7 @@ class TargetBank:
         level0, level1 = _levels(xty, loadings0, loadings1)
         return cls(design=design, rows=rows, xty=xty,
                    loadings0=loadings0, loadings1=loadings1, level0=level0, level1=level1,
-                   memos=memos, cols=tuple(range(len(rows))))
+                   memos=memos, cols=tuple(range(len(rows))), records=[None] * len(rows))
 
     @property
     def n(self) -> int:
@@ -484,6 +622,123 @@ class TargetBank:
         if cfg.n_loadings > 1:
             settled &= self.level1[cols] <= low
         return settled
+
+    def replay(self, k: int, lam: float, config: LassoConfig | None = None):
+        """The active set of ``iterated_lasso(self, k, lam, config)``, from the
+        rounds of the target's last call, or None when they cannot vouch for it.
+
+        ``iterated_lasso`` records, for each target, the active set and signs
+        of each round of its last call that returned. The replay runs that
+        call's loop again at ``lam``: round 1 under the initial loadings,
+        each later round under the memo's loadings of the set before, and
+        the same stops (a repeated set, a flagged memo, ``n_loadings``
+        solves). Each round's solve is replaced by a KKT certificate that
+        the recorded set and signs are the exact Lasso solution at ``lam``
+        under that round's loadings, with margin: ``lam`` lies in the
+        round's span (``_span``). So when every round certifies, the call
+        would select the same sets round by round and end where the
+        recorded call ended, with the same set. Any round that does not
+        certify, or a loop that needs a round or a memo the record lacks,
+        returns None and leaves the equation to ``iterated_lasso``. Every
+        row a span reads was formed by the recorded call's solves, so a
+        replay forms no Gram row.
+        """
+        cfg = config if config is not None else LassoConfig()
+        j = self.cols[k]
+        if self.records[j] is None or not 0.0 <= lam < math.inf:
+            return None
+        rounds, sweeps, spans = self.records[j]
+        # a replay stands for solves at a nearby lam, which must converge
+        # too: a call whose solves took over half the sweep cap is solved
+        if 2 * sweeps > cfg.cd_max_iter:
+            return None
+        memo, loadings, previous = self.memos[j], self.loadings0[j], None
+        for r in range(cfg.n_loadings):
+            if r:  # iterated_lasso's steps between two solves
+                key = active.tobytes()
+                if key == previous:
+                    break
+                previous = key
+                loadings = memo.get(key)
+                if loadings is None:
+                    return None
+                if isinstance(loadings, str):
+                    break
+                if r == len(rounds):
+                    return None
+            active, signs = rounds[r]
+            # a round's span depends on its loadings, set and signs, and on
+            # cd_tol: it is formed once and serves every later lam
+            step = (previous, active.tobytes(), signs.tobytes(), cfg.cd_tol)
+            span = spans.get(step)
+            if span is None:
+                span = spans[step] = self._span(j, active, signs, loadings, cfg.cd_tol)
+            if not span[0] <= lam <= span[1]:
+                return None
+        return active
+
+    def _span(self, j: int, active: np.ndarray, signs: np.ndarray,
+              psi: np.ndarray, tol: float) -> tuple:
+        """The penalty levels at which target j's Lasso under loadings ``psi``
+        surely ends with the set ``active`` and coefficient signs ``signs``:
+        an interval ``(lo, hi)``, empty when ``lo > hi``.
+
+        On A = ``active`` with signs s, the solution at lam is ``t_A =
+        G_AA^-1 (X_A'y - (lam/2) psi_A s) = u - lam v``, read from the
+        stored rows of A. It is the Lasso solution when its signs are s and
+        every column j off A meets ``|x_j'y - G_jA t_A| <= (lam/2) psi_j``:
+        the subgradient (KKT) conditions, and the solver's own tests at a
+        fixed point, where a coordinate's input exceeds its threshold by
+        ``G_aa |t_a|`` on A and a column enters only when its input exceeds
+        its threshold. Each condition is linear in lam, so together they
+        hold on an interval (the homotopy view of the Lasso path; Osborne,
+        Presnell & Turlach 2000). Every column of a recorded equation has a
+        positive loading, so every column off A is checked.
+
+        The solver stops near the solution, not on it: once a sweep moves no
+        coefficient by more than ``tol`` (``cd_tol``), so each input it reads
+        may be off by about ``tol * sum_a |G_ja|``, the column's reach. Each
+        condition therefore demands a gap between the input and its
+        threshold of ``_REPLAY_REACH`` reaches, which widens with ``cd_tol``,
+        plus ``_REPLAY_MARGIN`` of the threshold for the rounding of the
+        solve on A and of the interval's ends (rows formed as ``x_a'X`` are
+        symmetric only to rounding). Over 32 BIC-grid fits at n = 500 (both
+        designs, extended first stage on and off; 1106 solves that selected
+        a column), the inputs at the solver's stop were at most 6.3 reaches,
+        and 3.1e-7 of the threshold, from those at the exact solution. The
+        gap demanded is 1000 reaches, at the default ``cd_tol = 1e-8`` about
+        5e-3 for n = 500 and |A| = 10, against thresholds of 10 to 100 there.
+        """
+        design, xty = self.design, self.xty[j]
+        G = design.stored(active) if active.size else np.empty((0, xty.size))
+        if G is None:
+            return _NO_SPAN
+        # lam * q >= p, one row per condition: each input off A below its
+        # threshold from above and from below, then each input on A above it
+        c = (0.5 * (1.0 - _REPLAY_MARGIN)) * psi
+        reach = np.abs(G).sum(axis=0)
+        reach *= _REPLAY_REACH * tol
+        G_AA = G[:, active]
+        rhs = np.stack([xty[active], 0.5 * psi[active] * signs], axis=1)
+        with np.errstate(all="ignore"):
+            try:
+                u, v = np.linalg.solve(G_AA, rhs).T if active.size else rhs.T
+            except np.linalg.LinAlgError:
+                return _NO_SPAN
+            Gu, Gv = np.stack([u, v]) @ G
+            a = xty - Gu
+            lower, upper = a + reach, reach - a
+            lower[active] = upper[active] = -math.inf
+            gain = signs * np.diagonal(G_AA)
+            q = np.concatenate([c - Gv, c + Gv,
+                                -(gain * v + (0.5 * _REPLAY_MARGIN) * psi[active])])
+            p = np.concatenate([lower, upper, reach[active] - gain * u])
+            if np.isnan(q).any() or np.isnan(p).any() or (p[q == 0.0] > 0.0).any():
+                return _NO_SPAN
+            ratio = p / q
+            lo = ratio[q > 0.0].max(initial=0.0)
+            hi = ratio[q < 0.0].min(initial=math.inf)
+        return float(lo), float(hi)
 
 
 def _cd_solve(design: LassoDesign, xty: np.ndarray, thr: np.ndarray,
@@ -681,12 +936,17 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
     ``TargetBank.settled_empty`` marks would return an empty set here and
     can skip the call. Raises ``ConvergenceError`` when the solve behind the
     returned fit hit ``cd_max_iter``.
+
+    A call that returns records each round's active set and signs, and its
+    most sweeps, in the bank, for ``TargetBank.replay``; one that raises
+    leaves no record.
     """
     cfg = config if config is not None else LassoConfig()
     j, design = bank.cols[k], bank.design
     y, xty, memo = bank.rows[j], bank.xty[j], bank.memos[j]
+    bank.records[j] = None
     fit = lasso_solve(design, xty, lam, _nonzero(bank.loadings0[j], "initial"), cfg)
-    previous = None
+    fits, previous = [fit], None
     for _ in range(1, cfg.n_loadings):
         key = fit.active_set.tobytes()
         if key == previous:
@@ -699,9 +959,12 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
             fit = replace(fit, **{loadings: True})
             break
         fit = lasso_solve(design, xty, lam, loadings, cfg)
+        fits.append(fit)
     if not fit.converged:
         raise ConvergenceError(
             f"coordinate descent did not converge within cd_max_iter="
             f"{cfg.cd_max_iter} sweeps"
         )
+    rounds = [(f.active_set, np.sign(f.coefficients[f.active_set])) for f in fits]
+    bank.records[j] = (rounds, max(f.iterations for f in fits), {})
     return fit

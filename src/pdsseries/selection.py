@@ -18,7 +18,8 @@ solver by one route: a stage function (``first_stage_select``,
 ``SelectionError`` that names the equation. A bank evaluates each target's
 ``X't`` and initial loadings once and memoizes its refined loadings by
 active set; ``choose_k_bic`` builds one bank at the grid's largest degree
-and indexes every degree into it.
+and indexes every degree into it, with the extended first stage's pair
+targets derived from the base rows.
 
 The sample's ``DesignMatrices`` workspace from ``build_design`` has one
 ``LassoDesign`` over the conditioning dictionary ``Q``, holding ``Q*Q`` and
@@ -32,10 +33,12 @@ standardized g dictionary ``P`` and the workspace's design, which reuses
 
 Most first-stage equations select nothing. A bank of two or more
 equations is first asked which surely end with an empty active set
-(``TargetBank.settled_empty``: one comparison per loading round), and
-``iterated_lasso`` runs for the rest, including any the screen cannot
-vouch for. The sets, and the exceptions of equations that fail, are those
-of one ``iterated_lasso`` call per equation.
+(``TargetBank.settled_empty``: one comparison per loading round). An
+equation left that a grid solved at an earlier degree replays that call's
+rounds under a KKT certificate (``TargetBank.replay``), and
+``iterated_lasso`` runs for the rest, including any the screen or the
+certificate cannot vouch for. The sets, and the exceptions of equations
+that fail, are those of one ``iterated_lasso`` call per equation.
 """
 
 from __future__ import annotations
@@ -255,22 +258,27 @@ def _active_sets(bank: TargetBank, lam: float, cfg: LassoConfig, label: str) -> 
 
     In a bank of two or more equations, an equation that
     ``bank.settled_empty`` settles gets the empty set with no solve (one
-    read-only empty array, shared by every settled equation). Every
-    other equation runs ``iterated_lasso``, and a failure is raised as a
-    ``SelectionError`` naming the equation by ``label.format(k)``.
+    read-only empty array, shared by every settled equation). An equation
+    left whose target has a recorded call gets the set of
+    ``bank.replay`` when its certificate holds. Every other equation runs
+    ``iterated_lasso``, and a failure is raised as a ``SelectionError``
+    naming the equation by ``label.format(k)``.
     """
-    # A one-equation bank (a reduced form) runs its solve: screening it
-    # would save ~20 us per reduced form, and the traced benchmark's repeat check on
-    # mc_noise_controls, where every other equation is settled, needs at
-    # least one iterated_lasso call to count.
+    # A one-equation bank (a reduced form) is never screened: screening it
+    # would save ~20 us per reduced form, and the traced benchmark's repeat
+    # check on mc_noise_controls, where every other equation is settled,
+    # needs at least one iterated_lasso call to count. Its first degree
+    # solves it; later degrees of a grid may replay that solve.
     left = np.flatnonzero(~bank.settled_empty(lam, cfg)).tolist() if len(bank) > 1 else [0]
     sets = [_EMPTY_SET] * len(bank)
     for k in left:
-        try:
-            fit = iterated_lasso(bank, k, lam, cfg)
-        except FIT_ERRORS as exc:
-            raise SelectionError(f"{label.format(k)} failed: {exc}") from exc
-        sets[k] = fit.active_set
+        active = bank.replay(k, lam, cfg)
+        if active is None:
+            try:
+                active = iterated_lasso(bank, k, lam, cfg).active_set
+            except FIT_ERRORS as exc:
+                raise SelectionError(f"{label.format(k)} failed: {exc}") from exc
+        sets[k] = active
     return sets
 
 
@@ -355,24 +363,22 @@ def _grid_bank(data: Dataset, design: DesignMatrices, k_max: int,
 
     The rows are the standardized He_1..He_k_ok of ``data.x``, where k_ok
     stops before the first constant column; with ``extended_fs``, their
-    pairwise sums and then differences in ``build_extended_fs`` order; and
-    ``data.y`` last. A standardized column, and a sum or difference of two,
-    is the same at every degree that has it, so every degree's targets are
-    rows of this bank. Returns the bank, the raw He_1..He_k_max, k_ok and
-    the second index of each bank pair.
+    pairwise sums and then differences in ``build_extended_fs`` order,
+    whose ``Q't`` and loadings the bank derives from those of the base
+    rows; and ``data.y`` last. A standardized column, and a sum or
+    difference of two, is the same at every degree that has it, so every
+    degree's targets are rows of this bank. Returns the bank, the raw
+    He_1..He_k_max, k_ok and the second index of each bank pair.
     """
     P_raw = hermite_design(data.x, k_max)
     scales = P_raw.std(axis=0)
     bad = np.flatnonzero(scales == 0.0)
     k_ok = int(bad[0]) if bad.size else k_max
     ii, jj = np.triu_indices(k_ok, 1) if extended_fs else (np.empty(0, int),) * 2
-    rows = np.empty((k_ok + 2 * ii.size + 1, data.n))
-    base = rows[:k_ok]
-    np.divide(P_raw[:, :k_ok].T, scales[:k_ok, None], out=base)
-    np.add(base[ii], base[jj], out=rows[k_ok : k_ok + ii.size])
-    np.subtract(base[ii], base[jj], out=rows[k_ok + ii.size : -1])
+    rows = np.empty((k_ok + 1, data.n))
+    np.divide(P_raw[:, :k_ok].T, scales[:k_ok, None], out=rows[:k_ok])
     rows[-1] = data.y
-    return TargetBank.of(rows, design.lasso_design), P_raw, k_ok, jj
+    return TargetBank.of(rows, design.lasso_design, pairs=(ii, jj)), P_raw, k_ok, jj
 
 
 def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
@@ -384,7 +390,9 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     with its Gram rows (formed on first entry and kept), stays fixed across
     the grid, and every Lasso target of the grid is evaluated once, in one
     ``TargetBank`` at the largest degree: each degree runs its equations on
-    its rows of that bank, at its own penalty level. The chosen degree is
+    its rows of that bank, at its own penalty level, and an equation that
+    an earlier degree solved is first replayed from that solve's rounds
+    (``TargetBank.replay``). The chosen degree is
     the BIC minimizer plus one, clamped to the grid maximum; a degree whose
     fit fails, for instance on a constant term of its g dictionary, is
     skipped and recorded. When every degree fails, the ``SelectionError``

@@ -967,6 +967,74 @@ def test_route_matches_one_solve_per_equation_near_each_level(monkeypatch):
     assert all(seen.values()), seen
 
 
+def test_replay_returns_a_set_only_where_a_fresh_call_returns_it():
+    # each equation is solved at one penalty level, then replayed at levels
+    # near it and further off: a replay gives the set of a fresh call, or
+    # None, and reads only Gram rows that its recorded call formed
+    seen = {"replayed": 0, "refused": 0, "unrecorded": 0, "capped": 0}
+    for seed in range(3):
+        X, kinds = screen_problem(seed)
+        n, m = X.shape
+        rows = np.array(kinds["regular"] + kinds["constant"] + kinds["zero_loading"])
+        for n_loadings in (1, 2, 15):
+            for c in np.geomspace(0.05, 3.0, 5):
+                cfg = LassoConfig(c=c, gamma=0.1, n_loadings=n_loadings)
+                lam = penalty_level(n, len(rows), m, cfg)
+                bank = TargetBank.of(rows, LassoDesign(X))
+                for k, fit in enumerate(per_equation(bank, lam, cfg)):
+                    # a call that raised leaves no record
+                    assert (bank.records[k] is None) == isinstance(fit, type)
+                formed = bank.design.rows_formed
+                for other in (lam, np.nextafter(lam, 0.0), np.nextafter(lam, np.inf),
+                              lam * (1.0 - 1e-12), lam * (1.0 + 1e-12),
+                              0.97 * lam, 1.03 * lam, 0.5 * lam):
+                    want = per_equation(TargetBank.of(rows, LassoDesign(X)), other, cfg)
+                    for k, fit in enumerate(want):
+                        got = bank.replay(k, other, cfg)
+                        if bank.records[k] is None:
+                            assert got is None
+                            seen["unrecorded"] += 1
+                        elif got is None:
+                            seen["refused"] += 1
+                        else:
+                            assert isinstance(fit, LassoFit)
+                            np.testing.assert_array_equal(got, fit.active_set)
+                            seen["replayed"] += 1
+                assert bank.design.rows_formed == formed
+                # a call whose solves took more than half a smaller sweep cap
+                # is not replayed under it
+                capped = dataclasses.replace(cfg, cd_max_iter=1)
+                for k, record in enumerate(bank.records):
+                    if record is not None and record[1] > 0:
+                        assert bank.replay(k, lam, capped) is None
+                        seen["capped"] += 1
+    assert all(seen.values()), seen
+
+
+def test_replay_refuses_a_set_at_the_solvers_threshold():
+    # as in the level screen's test: every loading is 1 and every x_j't an
+    # integer, so at lam = 2 max |x_j't| the top column sits on the threshold,
+    # where the solver admits nothing; a set recorded just below it does not
+    # certify there, nor at its own level, where its coefficient is one
+    # rounding step from zero
+    rng = np.random.default_rng(5)
+    n, m = 8, 3
+    X = rng.choice([-1.0, 1.0], size=(n, m))
+    t = rng.permutation(np.repeat([-1.0, 1.0], n // 2))
+    bank = TargetBank.of(np.array([t, -t]), LassoDesign(X))
+    top = 2 * np.abs(bank.xty).max()
+    cfg = LassoConfig(n_loadings=1)
+    for k in range(2):
+        below = np.nextafter(top, 0.0)
+        assert iterated_lasso(bank, k, below, cfg).active_set.size > 0
+        assert bank.replay(k, below, cfg) is None
+        assert bank.replay(k, top, cfg) is None
+        # the empty set recorded on the threshold certifies only beyond the margin
+        assert iterated_lasso(bank, k, top, cfg).active_set.size == 0
+        assert bank.replay(k, top, cfg) is None
+        assert bank.replay(k, 1.01 * top, cfg).size == 0
+
+
 def test_level_screen_is_sound_and_complete_at_the_ends_of_the_float_range():
     rng = np.random.default_rng(3)
     n, m = 20, 4

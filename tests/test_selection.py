@@ -1,5 +1,6 @@
 """Selection stages, the final OLS, and the comparison estimators."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -321,6 +322,64 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
 
 
 @pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
+@pytest.mark.parametrize("n", [200, 500])
+def test_derived_pair_targets_match_the_direct_bank(design_name, n):
+    # the extended bank derives each pair target's X't and loadings from
+    # those of the base rows; a bank of the same rows, each evaluated
+    # directly, agrees to rounding (X't entries that cancel to near zero are
+    # held to the scale of the row's largest)
+    cfg = DgpConfig(design_name, n)
+    data = generate_sample(cfg, np.random.default_rng(11))
+    d = build_design(default_specs(cfg)[1], data.Z)
+    k = default_k_grid(n)[-1]
+    bank, _, k_ok, _ = selection._grid_bank(data, d, k, extended_fs=True)
+    assert k_ok == k
+    _, P = g_columns(data.x, k)
+    direct = TargetBank.of(np.vstack([build_extended_fs(P).T, data.y]), d.lasso_design)
+    np.testing.assert_array_equal(bank.rows, direct.rows)
+    err = np.abs(bank.xty - direct.xty) / np.abs(direct.xty).max(axis=1, keepdims=True)
+    assert err.max() < 1e-12
+    for name in ("loadings0", "loadings1", "level0", "level1"):
+        np.testing.assert_allclose(getattr(bank, name), getattr(direct, name), rtol=1e-12,
+                                   atol=0, err_msg=name)
+
+    def flags(b):
+        return [m[b""] if isinstance(m[b""], str) else None for m in b.memos]
+
+    assert flags(bank) == flags(direct)
+    # without pairs, the bank is the one of direct products, bit for bit
+    plain = TargetBank.of(direct.rows, d.lasso_design, pairs=(np.empty(0, int),) * 2)
+    for name in ("rows", "xty", "loadings0", "loadings1", "level0", "level1"):
+        np.testing.assert_array_equal(getattr(plain, name), getattr(direct, name), err_msg=name)
+    np.testing.assert_array_equal(direct.xty, d.lasso_design.product(direct.rows))
+    np.testing.assert_array_equal(direct.loadings0, lasso.initial_loadings(d.lasso_design,
+                                                                          direct.rows))
+    np.testing.assert_array_equal(direct.loadings1, lasso.refined_loadings(d.lasso_design,
+                                                                          direct.rows))
+
+
+def test_a_constant_pair_target_gets_the_loadings_of_its_own_row():
+    # x in {-1, 0, 1}: standardized He_3 = -He_1, so p_1 + p_3 is exactly
+    # zero; its derived loadings cancel to rounding noise, and the bank
+    # computes them from the row instead: exactly zero, as a direct bank has
+    rng = np.random.default_rng(5)
+    n = 120
+    Z = rng.standard_normal((n, 30))
+    x = rng.choice((-1.0, 0.0, 1.0), size=n)
+    data = Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z)
+    d = build_design(DictionarySpec("raw_coordinates", input_dim=30), Z)
+    bank, _, k_ok, _ = selection._grid_bank(data, d, 5, extended_fs=True)
+    _, P = g_columns(x, k_ok)
+    direct = TargetBank.of(np.vstack([build_extended_fs(P).T, data.y]), d.lasso_design)
+    zero = np.flatnonzero(~bank.rows.any(axis=1))
+    assert k_ok + 1 in zero  # p_1 + p_3, the second pair target
+    for name in ("loadings0", "loadings1"):
+        np.testing.assert_array_equal(getattr(bank, name)[zero], 0.0)
+        np.testing.assert_array_equal(getattr(bank, name)[zero], getattr(direct, name)[zero])
+    assert [bank.memos[j][b""] for j in zero] == [direct.memos[j][b""] for j in zero]
+
+
+@pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
 def test_fixed_degree_post_double_is_the_one_degree_grid(monkeypatch, design_name):
     # post_double and post_double_ext run through choose_k_bic at [K]: their
     # sets are those of post_double_select on the standardized He_1..He_K (or
@@ -355,6 +414,115 @@ def test_fixed_degree_post_double_is_the_one_degree_grid(monkeypatch, design_nam
             ref = pds_fit(P_raw, d.q_raw(want.union_set), data.y, want)
             np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=1e-12)
             assert fit.name == name and fit.spec_p == spec_p
+
+
+def one_call_per_equation(bank, lam, config):
+    """Each equation of ``bank`` by one ``iterated_lasso`` call on a fresh
+    copy: the bank's arrays, a new store of Gram rows, its memos as built
+    and nothing recorded. Returns each active set, or the class of the
+    exception the call raised."""
+    fresh = dataclasses.replace(bank, design=LassoDesign(*bank.design.blocks),
+                                memos=[{b"": memo[b""]} for memo in bank.memos],
+                                records=[None] * len(bank.rows))
+    out = []
+    for k in range(len(fresh)):
+        try:
+            out.append(iterated_lasso(fresh, k, lam, config).active_set)
+        except selection.FIT_ERRORS as exc:
+            out.append(type(exc))
+    return out
+
+
+# the grid's penalty levels, one float to each side, and 1e-12 relative to each side
+LAM_SHIFTS = (
+    lambda lam: lam,
+    lambda lam: float(np.nextafter(lam, 0.0)),
+    lambda lam: float(np.nextafter(lam, np.inf)),
+    lambda lam: lam * (1.0 - 1e-12),
+    lambda lam: lam * (1.0 + 1e-12),
+)
+
+
+def check_every_route(monkeypatch, shift, seen):
+    """Run ``_active_sets`` at ``shift(lam)`` and check it against one fresh
+    ``iterated_lasso`` call per equation: its sets, or the exception of its
+    first failed equation; check each replay against a fresh call too, and
+    that it forms no Gram row. ``seen`` counts replays and solves."""
+    real_route, real_replay = selection._active_sets, TargetBank.replay
+
+    def replay(self, k, lam, config=None):
+        formed = self.design.rows_formed
+        active = real_replay(self, k, lam, config)
+        assert self.design.rows_formed == formed
+        if active is None:
+            seen["solved"] += 1
+        else:
+            # a replayed equation is never a failed one
+            want = one_call_per_equation(self.subset([self.cols[k]]), lam, config)[0]
+            assert not isinstance(want, type)
+            np.testing.assert_array_equal(active, want)
+            seen["replayed"] += 1
+        return active
+
+    def route(bank, lam, config, label):
+        lam = shift(lam)
+        want = one_call_per_equation(bank, lam, config)
+        try:
+            got = real_route(bank, lam, config, label)
+        except SelectionError as exc:
+            failed = [w for w in want if isinstance(w, type)]
+            assert failed and type(exc.__cause__) is failed[0]
+            seen["failed"] += 1
+            raise
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert not isinstance(w, type)
+            np.testing.assert_array_equal(g, w)
+        return got
+
+    monkeypatch.setattr(selection, "_active_sets", route)
+    monkeypatch.setattr(TargetBank, "replay", replay)
+
+
+@pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
+@pytest.mark.parametrize("extended_fs", [False, True])
+def test_replayed_grid_gives_one_solve_per_equation(monkeypatch, design_name, extended_fs):
+    # a degree of the BIC grid replays an equation's last call under a KKT
+    # certificate instead of solving it again: every degree's sets are those
+    # of one fresh iterated_lasso call per equation. 2 samples x 5 penalty
+    # shifts here, 40 fits over the four cases.
+    cfg = DgpConfig(design_name, 200)
+    grid = default_k_grid(200)
+    seen = {"replayed": 0, "solved": 0, "failed": 0}
+    for shift in LAM_SHIFTS:
+        check_every_route(monkeypatch, shift, seen)
+        for seed in range(2):
+            data = generate_sample(cfg, np.random.default_rng(seed))
+            d = build_design(default_specs(cfg)[1], data.Z)
+            choose_k_bic(data, d, grid, extended_fs=extended_fs)
+        monkeypatch.undo()
+    # most repeated equations are replayed
+    assert seen["replayed"] > seen["solved"] > 0 and seen["failed"] == 0, seen
+
+
+def test_replayed_grid_fails_an_equation_as_one_solve_would(monkeypatch):
+    # x in {-1, 0, 1}: the extended target p_1 + p_3 is constant, so from
+    # K = 3 on its first-stage equation fails; the degrees before it are
+    # replayed into the failing ones, and every failure is that of a fresh
+    # call, at every penalty shift
+    rng = np.random.default_rng(5)
+    n = 120
+    Z = rng.standard_normal((n, 30))
+    x = rng.choice((-1.0, 0.0, 1.0), size=n)
+    data = Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z)
+    d = build_design(DictionarySpec("raw_coordinates", input_dim=30), Z)
+    seen = {"replayed": 0, "solved": 0, "failed": 0}
+    for shift in LAM_SHIFTS:
+        check_every_route(monkeypatch, shift, seen)
+        res = choose_k_bic(data, d, [1, 2, 3, 4, 5], extended_fs=True)
+        monkeypatch.undo()
+        assert sorted(res.errors) == [3, 4, 5] and sorted(res.fits) == [1, 2]
+    assert seen["failed"] == 3 * len(LAM_SHIFTS) and seen["replayed"] > 0, seen
 
 
 def test_a_fit_whose_every_degree_fails_names_each_reason():
