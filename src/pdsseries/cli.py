@@ -19,6 +19,7 @@ import argparse
 import configparser
 import csv
 import fnmatch
+import functools
 import math
 import sys
 import warnings
@@ -209,7 +210,10 @@ def _options(command: str) -> list:
     return [f for f in fields(RunConfig) if command in f.metadata.get("commands", ())]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand's flags, built once per process: each
+    parse returns a new namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="pds-series",
         description="Post-double-selection series estimation",
@@ -468,9 +472,9 @@ def _run_fit(cfg: RunConfig) -> str:
         lines.append("warning: the final OLS is rank-deficient; "
                      "beta_hat is a minimum-norm solution")
 
-    labels = dictionary_labels(spec_q, prefix="q",
-                               names=z_names if cfg.q_dict == "raw" else None)
-    chosen = [labels[j] for j in fit.selected]
+    chosen = dictionary_labels(spec_q, prefix="q",
+                               names=z_names if cfg.q_dict == "raw" else None,
+                               columns=fit.selected)
     lines.append(f"selected conditioning terms ({len(chosen)}): "
                  + (", ".join(chosen) if chosen else "(none)"))
     fspec = _functional_spec(cfg, fit.spec_p, data.x)

@@ -269,22 +269,28 @@ def _coordinates(spec: DictionarySpec, data) -> np.ndarray:
     return Z
 
 
-def dictionary_labels(spec: DictionarySpec, prefix: str = "q", names=None) -> list[str]:
+def dictionary_labels(spec: DictionarySpec, prefix: str = "q", names=None,
+                      columns=None) -> list[str]:
     """Column labels for reporting.
 
     Tensor terms are named by their multi-index, e.g. ``q[2,0,1,0]``. Raw
-    coordinates use ``names`` when given, else ``q1, q2, ...``.
+    coordinates use ``names`` when given, else ``q1, q2, ...``. With
+    ``columns``, only those columns are labelled, in that order.
     """
-    if spec.kind == "hermite_univariate":
-        return [f"{prefix}[{k}]" for k in range(1, spec.degree + 1)]
     if spec.kind == "hermite_tensor":
-        idx, _ = _tensor_plan(spec.input_dim, spec.degree)
-        return [f"{prefix}[{','.join(map(str, mi))}]" for mi in idx]
-    if names is not None:
+        terms, _ = _tensor_plan(spec.input_dim, spec.degree)
+        if columns is not None:
+            terms = [terms[j] for j in columns]
+        return [f"{prefix}[{','.join(map(str, mi))}]" for mi in terms]
+    if spec.kind == "hermite_univariate":
+        labels = [f"{prefix}[{k}]" for k in range(1, spec.degree + 1)]
+    elif names is not None:
         if len(names) != spec.input_dim:
             raise ValueError("names length does not match input_dim")
-        return list(names)
-    return [f"{prefix}{j + 1}" for j in range(spec.input_dim)]
+        labels = list(names)
+    else:
+        labels = [f"{prefix}{j + 1}" for j in range(spec.input_dim)]
+    return labels if columns is None else [labels[j] for j in columns]
 
 
 def _column_sd(mat: np.ndarray, scratch: np.ndarray) -> np.ndarray:

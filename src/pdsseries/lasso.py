@@ -508,6 +508,24 @@ def _with_pairs(rows: np.ndarray, design: LassoDesign, ii, jj) -> tuple:
     return targets, xty, loadings0, loadings1
 
 
+def _perfect_fit(rows: np.ndarray) -> np.ndarray:
+    """``max|t| < 1e-12 sd(t)`` for each row t, the perfect-fit test of
+    ``_refine`` on the empty set, whose residual is the target.
+
+    A finite sd is at most 2 max|t|, so the test can hold only where the sd
+    overflows. When max|t| <= sqrt(HUGE / n) / 4, every squared deviation
+    from the mean is at most HUGE / (4 n) and the sd is finite, so the row
+    is False without its sd; the test runs on the other rows, NaN ones
+    included.
+    """
+    amax = np.abs(rows).max(axis=1)
+    perfect = np.zeros(len(rows), dtype=bool)
+    wide = np.flatnonzero(~(amax <= math.sqrt(_HUGE / rows.shape[1]) / 4.0))
+    if wide.size:
+        perfect[wide] = amax[wide] < 1e-12 * rows[wide].std(axis=1)
+    return perfect
+
+
 @dataclass
 class TargetBank:
     """Lasso targets on one ``LassoDesign``, each evaluated once.
@@ -570,7 +588,7 @@ class TargetBank:
             loadings0 = initial_loadings(design, rows)
             loadings1 = refined_loadings(design, rows)
         # _refine's flags, on the empty set's residual
-        perfect = np.abs(rows).max(axis=1) < 1e-12 * rows.std(axis=1)
+        perfect = _perfect_fit(rows)
         degenerate = ~loadings1.any(axis=1)
         memos = [{b"": "perfect_fit" if p else "loadings_degenerate" if d else psi}
                  for p, d, psi in zip(perfect.tolist(), degenerate.tolist(), loadings1)]

@@ -6,7 +6,13 @@ dictionary (reduced form), both by iterated-loadings Lasso; the final step
 is OLS of y on an intercept, the full g dictionary, and the union of the
 selected conditioning terms. It runs at a fixed degree K or with K chosen
 by BIC over a grid, and both are one route: ``choose_k_bic``, with the
-one-degree grid ``[K]`` for a fixed degree. The benchmarking alternatives
+one-degree grid ``[K]`` for a fixed degree. The final OLS is one least
+squares of the g dictionary and the outcome on the selected controls; a
+grid runs every degree's selection first and then makes one such
+projection per distinct control set, at the largest degree that selects
+it, from which each degree of the set fits its own columns
+(``_final_fits``). ``pds_fit`` is its one-degree case, so a one-degree
+grid's fit is ``pds_fit``'s, bit for bit. The benchmarking alternatives
 (single-selection variants, plain series fits, an infeasible oracle) share
 the final-OLS plumbing so downstream inference treats every fit uniformly.
 
@@ -319,13 +325,34 @@ def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
     residualized P, and ``eta_hat`` the controls' coefficients recovered
     from both. The fit is flagged ``rank_deficient`` when ``W`` or the
     residualized P loses rank; ``beta_hat`` is then the minimum-norm
-    solution of the residualized regression.
+    solution of the residualized regression. It is the one-degree case of
+    the final fits a BIC grid makes (``_final_fits``).
+    """
+    P = np.asarray(P, dtype=float)
+    fit, = _final_fits(P, Q_sel, y, sel, [P.shape[1]])
+    fit.spec_p, fit.name = spec_p, name
+    return fit
+
+
+def _final_fits(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel, degrees) -> list:
+    """The final OLS of ``pds_fit`` on the first k columns of ``P``, for
+    each k of ``degrees``, from one projection.
+
+    One least squares of ``[P | y]`` on ``W = [1, Q_sel]`` residualizes
+    every column of ``P`` and the outcome; each degree k then reads the
+    first k residualized columns and runs its own least squares of the
+    residualized y on them. A degree's fit reads nothing of another degree,
+    so it is the same bit for bit whichever degrees share the projection;
+    the projection's width, that of ``P``, moves its low bits. Returns one
+    ``PdsFit`` per degree, in the order of ``degrees``, each without
+    ``spec_p`` and named by the default; its ``P_resid`` is a view of the
+    shared projection.
     """
     P = np.asarray(P, dtype=float)
     Q_sel = np.asarray(Q_sel, dtype=float)
     y = np.asarray(y, dtype=float)
     idx = np.asarray(getattr(sel, "union_set", sel), dtype=int)
-    n, k = P.shape
+    n, width = P.shape
     if Q_sel.shape != (n, idx.size):
         raise ValueError(
             f"Q_sel has shape {Q_sel.shape}, expected ({n}, {idx.size}): "
@@ -335,19 +362,22 @@ def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
     Py = np.concatenate([P, y[:, None]], axis=1)
     coef_w, _, rank_w, _ = np.linalg.lstsq(W, Py, rcond=None)
     Py_resid = Py - W @ coef_w
-    P_resid, y_resid = Py_resid[:, :k], Py_resid[:, k]
-    beta, _, rank_p, _ = np.linalg.lstsq(P_resid, y_resid, rcond=None)
-    return PdsFit(
-        beta_hat=beta,
-        eta_hat=coef_w[:, k] - coef_w[:, :k] @ beta,
-        selected=idx,
-        residuals=y_resid - P_resid @ beta,
-        P_resid=P_resid,
-        p_rms=np.sqrt(np.mean(P * P, axis=0)),
-        spec_p=spec_p,
-        rank_deficient=bool(rank_w < W.shape[1] or rank_p < k),
-        name=name,
-    )
+    y_resid = Py_resid[:, width]
+    fits = []
+    for k in degrees:
+        P_resid = Py_resid[:, :k]
+        beta, _, rank_p, _ = np.linalg.lstsq(P_resid, y_resid, rcond=None)
+        P_k = P[:, :k]
+        fits.append(PdsFit(
+            beta_hat=beta,
+            eta_hat=coef_w[:, width] - coef_w[:, :k] @ beta,
+            selected=idx,
+            residuals=y_resid - P_resid @ beta,
+            P_resid=P_resid,
+            p_rms=np.sqrt(np.mean(P_k * P_k, axis=0)),
+            rank_deficient=bool(rank_w < W.shape[1] or rank_p < k),
+        ))
+    return fits
 
 
 def _bic(fit: PdsFit) -> float:
@@ -392,10 +422,15 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     ``TargetBank`` at the largest degree: each degree runs its equations on
     its rows of that bank, at its own penalty level, and an equation that
     an earlier degree solved is first replayed from that solve's rounds
-    (``TargetBank.replay``). The chosen degree is
-    the BIC minimizer plus one, clamped to the grid maximum; a degree whose
-    fit fails, for instance on a constant term of its g dictionary, is
-    skipped and recorded. When every degree fails, the ``SelectionError``
+    (``TargetBank.replay``). Every degree's selection runs first; the
+    degrees that select the same controls then share one projection of
+    their final OLS (``_final_fits``), made at the group's largest degree,
+    so a degree's fit agrees with its one-degree fit to rounding, not bit
+    for bit, unless it is its group's largest. The chosen degree is the BIC
+    minimizer plus one, clamped to the grid maximum; a degree whose fit
+    fails, for instance on a constant term of its g dictionary, is skipped
+    and recorded, and ``fits``, ``bics`` and ``errors`` run in ascending
+    degree. When every degree fails, the ``SelectionError``
     names each degree's reason; when a constant term fails them all,
     its ``DegenerateColumnError`` is raised once instead. A one-degree grid
     is the fit at a fixed degree: every Post-Double estimator, and
@@ -411,23 +446,36 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     if k_ok < k_grid[0]:
         raise DegenerateColumnError(degenerate)
     y_bank = bank.subset([len(bank.rows) - 1])
-    fits: dict[int, PdsFit] = {}
-    bics: dict[int, float] = {}
-    errors: dict[int, str] = {}
+    sels: dict[int, SelectionResult] = {}
+    failed: dict[int, str] = {}
     for k in k_grid:
         pairs = np.flatnonzero(pair_j < k)
         fs_rows = [*range(k), *(k_ok + pairs), *(k_ok + pair_j.size + pairs)]
         try:
             if k > k_ok:
                 raise DegenerateColumnError(degenerate)
-            sel = post_double_select(bank.subset(fs_rows), y_bank, cfg)
-            fit = pds_fit(P_raw[:, :k], design.q_raw(sel.union_set), data.y,
-                          sel, spec_p=specs[k])
+            sels[k] = post_double_select(bank.subset(fs_rows), y_bank, cfg)
         except FIT_ERRORS as exc:
-            errors[k] = str(exc)
+            failed[k] = str(exc)
+    # the degrees of one control set share one projection, at the largest
+    groups: dict[bytes, list] = {}
+    for k, sel in sels.items():
+        groups.setdefault(sel.union_set.tobytes(), []).append(k)
+    fitted: dict[int, PdsFit] = {}
+    for ks in groups.values():
+        sel = sels[ks[0]]
+        try:
+            group = _final_fits(P_raw[:, :ks[-1]], design.q_raw(sel.union_set), data.y,
+                                sel, ks)
+        except FIT_ERRORS as exc:
+            failed.update(dict.fromkeys(ks, str(exc)))
             continue
-        fits[k] = fit
-        bics[k] = _bic(fit)
+        for k, fit in zip(ks, group):
+            fit.spec_p = specs[k]
+            fitted[k] = fit
+    fits = {k: fitted[k] for k in k_grid if k in fitted}
+    bics = {k: _bic(fit) for k, fit in fits.items()}
+    errors = {k: failed[k] for k in k_grid if k in failed}
     if not bics:
         raise SelectionError("; ".join(f"K={k}: {errors[k]}" for k in k_grid))
     # ties break toward the smaller degree

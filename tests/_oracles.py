@@ -29,6 +29,10 @@ reference for the residualized dictionary that the final OLS returns.
 ``normal_quantile`` is the library's former hand-coded AS 241, kept
 unchanged as the reference for ``statistics.NormalDist().inv_cdf``, which
 replaced it: their bits must be the same.
+``choose_k_bic_per_degree`` is the library's former BIC grid, which made one
+``pds_fit`` projection per degree, kept as it was (its library names read
+through the ``selection`` module) as the reference for the grid that
+projects once per distinct control set.
 """
 
 from __future__ import annotations
@@ -39,8 +43,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from pdsseries import selection
 from pdsseries.dictionary import (
+    DegenerateColumnError,
     DesignMatrices,
+    DictionarySpec,
     hermite_design,
     standardize_columns,
     tensor_index_set,
@@ -472,3 +479,44 @@ def iterated_lasso(
             f"{cfg.cd_max_iter} sweeps"
         )
     return fit
+
+
+def choose_k_bic_per_degree(data, design: DesignMatrices, k_grid,
+                            config: LassoConfig | None = None,
+                            extended_fs: bool = False):
+    """The BIC grid with one final-OLS projection per degree: each degree's
+    selection on its rows of one bank, then its own ``pds_fit``."""
+    cfg = config if config is not None else LassoConfig()
+    k_grid = sorted(set(int(k) for k in k_grid))
+    if not k_grid:
+        raise ValueError("k_grid is empty")
+    specs = {k: DictionarySpec("hermite_univariate", degree=k) for k in k_grid}
+    bank, P_raw, k_ok, pair_j = selection._grid_bank(data, design, k_grid[-1], extended_fs)
+    degenerate = f"P column {k_ok} has zero variance on this sample"
+    if k_ok < k_grid[0]:
+        raise DegenerateColumnError(degenerate)
+    y_bank = bank.subset([len(bank.rows) - 1])
+    fits, bics, errors = {}, {}, {}
+    for k in k_grid:
+        pairs = np.flatnonzero(pair_j < k)
+        fs_rows = [*range(k), *(k_ok + pairs), *(k_ok + pair_j.size + pairs)]
+        try:
+            if k > k_ok:
+                raise DegenerateColumnError(degenerate)
+            sel = selection.post_double_select(bank.subset(fs_rows), y_bank, cfg)
+            fit = selection.pds_fit(P_raw[:, :k], design.q_raw(sel.union_set), data.y,
+                                    sel, spec_p=specs[k])
+        except selection.FIT_ERRORS as exc:
+            errors[k] = str(exc)
+            continue
+        fits[k] = fit
+        bics[k] = selection._bic(fit)
+    if not bics:
+        raise selection.SelectionError("; ".join(f"K={k}: {errors[k]}" for k in k_grid))
+    # ties break toward the smaller degree
+    k_bic = min(bics, key=lambda k: (bics[k], k))
+    k_hat = min(k_bic + 1, max(k_grid))
+    if k_hat not in fits:
+        k_hat = k_bic
+    return selection.KGridResult(k_hat=k_hat, k_bic=k_bic, fits=fits, bics=bics,
+                                 errors=errors)

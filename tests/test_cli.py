@@ -430,6 +430,34 @@ def test_config_file_merge_with_flag_priority(tmp_path):
         resolve_config(["simulate", "--config", str(tmp_path / "nope.ini")])
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys, tmp_path):
+    # the parser is built once per process: what one call reads from its
+    # config file leaves nothing behind for the next, and --help still works
+    dump = tmp_path / "sample.csv"
+    write_sample_csv(
+        generate_sample(DgpConfig("low_dim", 80), np.random.default_rng(2)),
+        str(dump))
+    ini = tmp_path / "fit.ini"
+    ini.write_text(f"[fit]\ninput = {dump}\ny = y\nx = x\nz = z*\nk = 4\n"
+                   f"extended-fs = yes\nout = {tmp_path / 'ini.txt'}\n")
+    assert main(["fit", "--config", str(ini)]) == 0
+    first = capsys.readouterr().out.splitlines()
+    argv = ["fit", "--input", str(dump), "--y", "y", "--x", "x", "--z", "z*",
+            "--out", str(tmp_path / "flags.txt")]
+    assert main(argv) == 0
+    second = capsys.readouterr().out.splitlines()
+    assert {"k = 4", "extended_fs = True", "dictionary degree K: 4"} <= set(first)
+    assert {"k = auto13", "extended_fs = False", "dictionary degree K: 4"} <= set(second)
+    assert resolve_config(argv) == RunConfig(
+        "fit", input=str(dump), y="y", x="x", z=["z*"], out=str(tmp_path / "flags.txt"))
+    assert cli._build_parser() is cli._build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            main(["fit", "--help"])
+        assert stop.value.code == 0
+        assert "--extended-fs" in capsys.readouterr().out
+
+
 def test_config_file_with_a_byte_order_mark(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_bytes("\ufeff[simulate]\ndesign = low\nn = 150\nout = o.csv\n".encode())
@@ -656,12 +684,12 @@ def test_main_fit_reports_a_rank_deficient_final_fit(monkeypatch, capsys, tmp_pa
     flag = "warning: the final OLS is rank-deficient"
     assert main(argv) == 0
     assert flag not in capsys.readouterr().out
-    real = selection.pds_fit
+    real = selection._final_fits
 
     def flagged(*args, **kwargs):
-        return replace(real(*args, **kwargs), rank_deficient=True)
+        return [replace(fit, rank_deficient=True) for fit in real(*args, **kwargs)]
 
-    monkeypatch.setattr(selection, "pds_fit", flagged)
+    monkeypatch.setattr(selection, "_final_fits", flagged)
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert flag in lines[lines.index("dictionary degree K: 3") + 1]

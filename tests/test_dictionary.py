@@ -249,6 +249,19 @@ def test_labels_raw_coordinates():
         dictionary_labels(spec, names=["a"])
 
 
+def test_labels_of_some_columns_are_read_off_the_full_list():
+    cols = np.array([3, 0, 3])
+    for spec, names in ((DictionarySpec("hermite_univariate", degree=5), None),
+                        (DictionarySpec("hermite_tensor", degree=3, input_dim=3), None),
+                        (DictionarySpec("raw_coordinates", input_dim=4), None),
+                        (DictionarySpec("raw_coordinates", input_dim=4), list("abcd"))):
+        full = dictionary_labels(spec, names=names)
+        assert dictionary_labels(spec, names=names, columns=cols) == [full[j] for j in cols]
+        assert dictionary_labels(spec, names=names, columns=[]) == []
+    with pytest.raises(ValueError, match="names length"):
+        dictionary_labels(spec, names=["a"], columns=[0])
+
+
 # ---------------------------------------------------------------- scaling
 
 def test_standardize_columns_unit_sd_no_centering(rng):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import bank_of, g_columns, residualize_p, workspace_of
+from _oracles import bank_of, choose_k_bic_per_degree, g_columns, residualize_p, workspace_of
 from pdsseries import dictionary, lasso, selection
 from pdsseries.data import Dataset
 from pdsseries.dictionary import (
@@ -16,6 +16,7 @@ from pdsseries.dictionary import (
     build_extended_fs,
     hermite_design,
 )
+from pdsseries.inference import average_derivative, functional_estimate
 from pdsseries.lasso import (
     LassoConfig,
     LassoDesign,
@@ -312,13 +313,112 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
             np.testing.assert_array_equal(got_set, want_set)
         np.testing.assert_array_equal(sel.rf_set, want.rf_set)
         np.testing.assert_array_equal(sel.union_set, want.union_set)
+        # the final OLS projects once per control set, at the largest degree
+        # that selects it: the shared routine on that degree's columns gives
+        # this degree's fit bit for bit, and the one-degree fit its BIC
+        width = max(j for j in grid
+                    if np.array_equal(res.fits[j].selected, want.union_set))
+        shared, = selection._final_fits(hermite_design(data.x, width),
+                                        d.q_raw(want.union_set), data.y, want, [k])
+        assert_same_fit(res.fits[k], shared)
         ref = pds_fit(P_raw, d.q_raw(want.union_set), data.y, want)
-        np.testing.assert_allclose(res.fits[k].beta_hat, ref.beta_hat, rtol=1e-12)
         assert res.bics[k] == pytest.approx(selection._bic(ref), rel=1e-12, abs=0)
     # both stages run on one design: banks on two designs are refused
     other = build_design(default_specs(cfg)[1], data.Z)
     with pytest.raises(ValueError, match="on different designs"):
         post_double_select(fs_bank, bank_of(data.y, other))
+
+
+@pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
+@pytest.mark.parametrize("extended_fs", [False, True])
+def test_grid_projecting_once_per_control_set_matches_one_projection_per_degree(
+        monkeypatch, design_name, extended_fs):
+    # against the former grid, one pds_fit per degree: the same choice, sets
+    # and errors, and BIC, theta and se at the chosen degree to 1e-12
+    cfg = DgpConfig(design_name, 500)
+    spec_q = default_specs(cfg)[1]
+    grid = default_k_grid(cfg.n)
+    real = selection.post_double_select
+    for seed in range(10):
+        data = generate_sample(cfg, np.random.default_rng(seed))
+        runs = []
+        for route in (choose_k_bic, choose_k_bic_per_degree):
+            sels = []
+
+            def spy(*args, **kwargs):
+                sels.append(real(*args, **kwargs))
+                return sels[-1]
+
+            monkeypatch.setattr(selection, "post_double_select", spy)
+            runs.append((route(data, build_design(spec_q, data.Z), grid,
+                               extended_fs=extended_fs), sels))
+            monkeypatch.undo()
+        (res, sels), (want, want_sels) = runs
+        assert (res.k_hat, res.k_bic) == (want.k_hat, want.k_bic)
+        assert list(res.errors.items()) == list(want.errors.items())
+        assert list(res.fits) == list(res.bics) == list(want.fits)
+        assert len(sels) == len(want_sels)
+        for got, ref in zip(sels, want_sels):
+            for a, b in zip([*got.fs_sets, got.rf_set, got.union_set],
+                            [*ref.fs_sets, ref.rf_set, ref.union_set], strict=True):
+                np.testing.assert_array_equal(a, b)
+        for k, fit in res.fits.items():
+            np.testing.assert_array_equal(fit.selected, want.fits[k].selected)
+            assert fit.rank_deficient == want.fits[k].rank_deficient
+            assert fit.spec_p == want.fits[k].spec_p
+            assert res.bics[k] == pytest.approx(want.bics[k], rel=1e-12, abs=0)
+        got, ref = (functional_estimate(r.fits[r.k_hat],
+                                        average_derivative(r.fits[r.k_hat].spec_p, data.x))
+                    for r in (res, want))
+        assert got.theta_hat == pytest.approx(ref.theta_hat, rel=1e-12, abs=0)
+        assert got.se == pytest.approx(ref.se, rel=1e-12, abs=0)
+
+
+def test_grid_fits_run_in_ascending_degree_when_the_controls_change_mid_grid():
+    # K = 3 and K = 7..15 select one control set and K = 4..6 another, so
+    # the projections run out of degree order; the result is in degree order
+    cfg = DgpConfig("low_dim", 500)
+    spec_q = default_specs(cfg)[1]
+    data = generate_sample(cfg, np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,))))
+    grid = default_k_grid(cfg.n)
+    res = choose_k_bic(data, build_design(spec_q, data.Z), grid, extended_fs=True)
+    unions = [res.fits[k].selected.tolist() for k in grid]
+    assert unions[0] == unions[-1] != unions[1]
+    assert list(res.fits) == list(res.bics) == list(grid) and res.errors == {}
+    # the x in {-1, 0, 1} grid fails K >= 3; its errors run in degree order too
+    rng = np.random.default_rng(5)
+    Z = rng.standard_normal((120, 30))
+    x = rng.choice((-1.0, 0.0, 1.0), size=120)
+    small = Dataset(y=x + Z[:, 0] + rng.standard_normal(120), x=x, Z=Z)
+    d = build_design(DictionarySpec("raw_coordinates", input_dim=30), Z)
+    res = choose_k_bic(small, d, [1, 2, 3, 4, 5], extended_fs=True)
+    assert list(res.fits) == list(res.bics) == [1, 2] and list(res.errors) == [3, 4, 5]
+
+
+def test_a_group_whose_controls_lose_rank_flags_every_degree(rng):
+    # a duplicated control column: W = [1, Q_sel] loses rank, and every
+    # degree of the group is flagged; each is the one-degree fit projected
+    # at the same width, bit for bit, and agrees with the narrower one-degree
+    # fit and with the fit on the controls without the duplicate
+    n = 200
+    x = rng.standard_normal(n)
+    P = hermite_design(x, 6)
+    Q = rng.standard_normal((n, 3))
+    y = P[:, :2] @ [1.0, -0.5] + Q @ [0.5, 1.0, -1.0] + rng.standard_normal(n)
+    Q_dup = np.column_stack([Q, Q[:, 1]])
+    degrees = [2, 4, 6]
+    group = selection._final_fits(P, Q_dup, y, np.arange(4), degrees)
+    for k, fit in zip(degrees, group, strict=True):
+        assert fit.rank_deficient
+        alone, = selection._final_fits(P, Q_dup, y, np.arange(4), [k])
+        assert_same_fit(fit, alone)
+        narrow = pds_fit(P[:, :k], Q_dup, y, np.arange(4))
+        full = pds_fit(P[:, :k], Q, y, np.arange(3))
+        assert narrow.rank_deficient and not full.rank_deficient
+        for ref in (narrow, full):
+            np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=1e-9)
+            np.testing.assert_allclose(fit.residuals, ref.residuals, rtol=0,
+                                       atol=1e-9 * np.abs(y).max())
 
 
 @pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
@@ -724,14 +824,15 @@ def test_every_estimator_keeps_its_residualized_g_dictionary(monkeypatch, design
     rng = np.random.default_rng(seed)
     data = generate_sample(cfg, rng)
     inputs = {}
-    real = selection.pds_fit
+    real = selection._final_fits
 
-    def recording(P, Q_sel, *args, **kwargs):
-        fit = real(P, Q_sel, *args, **kwargs)
-        inputs[id(fit)] = (P, Q_sel)
-        return fit
+    def recording(P, Q_sel, y, sel, degrees):
+        fits = real(P, Q_sel, y, sel, degrees)
+        for k, fit in zip(degrees, fits):
+            inputs[id(fit)] = (P[:, :k], Q_sel)
+        return fits
 
-    monkeypatch.setattr(selection, "pds_fit", recording)
+    monkeypatch.setattr(selection, "_final_fits", recording)
     fits, failures = comparison_estimators(data, *default_specs(cfg), rng=rng)
     assert failures == {} and set(fits) == set(ESTIMATORS)
     for name, fit in fits.items():
