@@ -39,13 +39,12 @@ loadings.
 
 A degree grid solves the same equations again at nearby penalty levels,
 and their sets rarely change. ``iterated_lasso`` records each round's
-active set and signs in the bank, and ``TargetBank.replay`` settles a
-later equation on the same target by replaying those rounds at the new
-level, each under a KKT certificate with margin that the recorded set and
-signs are the exact Lasso solution (the homotopy view of the Lasso path,
-Osborne, Presnell & Turlach 2000). A round that does not certify leaves
-the equation to ``iterated_lasso``, so the sets are those of one solve per
-equation.
+active set and signs in the bank, and a later call on the same target
+settles each of its rounds that has a recorded round at that position by
+a KKT certificate with margin that the recorded set and signs are the
+exact Lasso solution at the new level (the homotopy view of the Lasso
+path, Osborne, Presnell & Turlach 2000), and solves the rounds that do
+not certify, so the sets are those of one solve per round.
 
 The solver is active-set cyclic coordinate descent on the Gram system: the
 covariance-update scheme of glmnet (Friedman, Hastie & Tibshirani 2010,
@@ -136,10 +135,12 @@ class LassoFit:
     of cyclic coordinate descent over the coordinates admitted so far by
     the KKT screen, not over all columns (the glmnet active-set scheme of
     Friedman, Hastie & Tibshirani 2010, screened as in Tibshirani et al.
-    2012); a solve whose first screen admits nothing takes 0.
+    2012); a solve whose first screen admits nothing takes 0, and so does
+    a round of ``iterated_lasso`` that a KKT certificate settles without a
+    solve, whose coefficients are the exact solution on its set.
     ``converged`` means the last sweep moved no coefficient by more than
     ``cd_tol`` and the screen after it found no inactive coordinate
-    violating its KKT condition.
+    violating its KKT condition; a certified round is converged.
     """
 
     coefficients: np.ndarray
@@ -373,14 +374,14 @@ _SCREEN_CELLS = 1 << 14
 
 # relative margin between a level that ``settled_empty`` settles and lam / 2
 _MARGIN = 1e-12
-# the gap between a coordinate's input and its threshold that a replay
+# the gap between a coordinate's input and its threshold that a round's
 # certificate demands: this share of the threshold, for rounding, plus this
 # many times the input's reach under the solver's stopping rule, cd_tol
 # times the column's Gram entries on the set (``TargetBank._span``)
-_REPLAY_MARGIN = 1e-6
-_REPLAY_REACH = 1000.0
+_CERTIFY_MARGIN = 1e-6
+_CERTIFY_REACH = 1000.0
 # the span of a round that certifies at no penalty level
-_NO_SPAN = (math.inf, -math.inf)
+_NO_SPAN = (math.inf, -math.inf, None, None)
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 
@@ -552,10 +553,10 @@ class TargetBank:
 
     ``records[j]`` holds the active set and signs of each round of the last
     ``iterated_lasso`` call on target j that returned, the most sweeps one
-    of its solves took, and the spans of penalty levels that ``replay`` has
-    certified for its rounds, or None;
-    ``replay`` replays them at another penalty level. Like the memos, the
-    records are kept by target and shared by ``subset``.
+    of the solves behind them took, and the cache of certificate spans
+    (``_span``) that every call on the target keeps adding to, or None; the
+    next call on the target certifies those rounds where it can. Like the
+    memos, the records are kept by target and shared by ``subset``.
     """
 
     design: LassoDesign
@@ -641,65 +642,12 @@ class TargetBank:
             settled &= self.level1[cols] <= low
         return settled
 
-    def replay(self, k: int, lam: float, config: LassoConfig | None = None):
-        """The active set of ``iterated_lasso(self, k, lam, config)``, from the
-        rounds of the target's last call, or None when they cannot vouch for it.
-
-        ``iterated_lasso`` records, for each target, the active set and signs
-        of each round of its last call that returned. The replay runs that
-        call's loop again at ``lam``: round 1 under the initial loadings,
-        each later round under the memo's loadings of the set before, and
-        the same stops (a repeated set, a flagged memo, ``n_loadings``
-        solves). Each round's solve is replaced by a KKT certificate that
-        the recorded set and signs are the exact Lasso solution at ``lam``
-        under that round's loadings, with margin: ``lam`` lies in the
-        round's span (``_span``). So when every round certifies, the call
-        would select the same sets round by round and end where the
-        recorded call ended, with the same set. Any round that does not
-        certify, or a loop that needs a round or a memo the record lacks,
-        returns None and leaves the equation to ``iterated_lasso``. Every
-        row a span reads was formed by the recorded call's solves, so a
-        replay forms no Gram row.
-        """
-        cfg = config if config is not None else LassoConfig()
-        j = self.cols[k]
-        if self.records[j] is None or not 0.0 <= lam < math.inf:
-            return None
-        rounds, sweeps, spans = self.records[j]
-        # a replay stands for solves at a nearby lam, which must converge
-        # too: a call whose solves took over half the sweep cap is solved
-        if 2 * sweeps > cfg.cd_max_iter:
-            return None
-        memo, loadings, previous = self.memos[j], self.loadings0[j], None
-        for r in range(cfg.n_loadings):
-            if r:  # iterated_lasso's steps between two solves
-                key = active.tobytes()
-                if key == previous:
-                    break
-                previous = key
-                loadings = memo.get(key)
-                if loadings is None:
-                    return None
-                if isinstance(loadings, str):
-                    break
-                if r == len(rounds):
-                    return None
-            active, signs = rounds[r]
-            # a round's span depends on its loadings, set and signs, and on
-            # cd_tol: it is formed once and serves every later lam
-            step = (previous, active.tobytes(), signs.tobytes(), cfg.cd_tol)
-            span = spans.get(step)
-            if span is None:
-                span = spans[step] = self._span(j, active, signs, loadings, cfg.cd_tol)
-            if not span[0] <= lam <= span[1]:
-                return None
-        return active
-
     def _span(self, j: int, active: np.ndarray, signs: np.ndarray,
               psi: np.ndarray, tol: float) -> tuple:
         """The penalty levels at which target j's Lasso under loadings ``psi``
         surely ends with the set ``active`` and coefficient signs ``signs``:
-        an interval ``(lo, hi)``, empty when ``lo > hi``.
+        ``(lo, hi, u, v)``, an interval that is empty when ``lo > hi``, and
+        the solution ``u - lam v`` on the set at any lam in it.
 
         On A = ``active`` with signs s, the solution at lam is ``t_A =
         G_AA^-1 (X_A'y - (lam/2) psi_A s) = u - lam v``, read from the
@@ -717,8 +665,8 @@ class TargetBank:
         coefficient by more than ``tol`` (``cd_tol``), so each input it reads
         may be off by about ``tol * sum_a |G_ja|``, the column's reach. Each
         condition therefore demands a gap between the input and its
-        threshold of ``_REPLAY_REACH`` reaches, which widens with ``cd_tol``,
-        plus ``_REPLAY_MARGIN`` of the threshold for the rounding of the
+        threshold of ``_CERTIFY_REACH`` reaches, which widens with ``cd_tol``,
+        plus ``_CERTIFY_MARGIN`` of the threshold for the rounding of the
         solve on A and of the interval's ends (rows formed as ``x_a'X`` are
         symmetric only to rounding). Over 32 BIC-grid fits at n = 500 (both
         designs, extended first stage on and off; 1106 solves that selected
@@ -733,9 +681,9 @@ class TargetBank:
             return _NO_SPAN
         # lam * q >= p, one row per condition: each input off A below its
         # threshold from above and from below, then each input on A above it
-        c = (0.5 * (1.0 - _REPLAY_MARGIN)) * psi
+        c = (0.5 * (1.0 - _CERTIFY_MARGIN)) * psi
         reach = np.abs(G).sum(axis=0)
-        reach *= _REPLAY_REACH * tol
+        reach *= _CERTIFY_REACH * tol
         G_AA = G[:, active]
         rhs = np.stack([xty[active], 0.5 * psi[active] * signs], axis=1)
         with np.errstate(all="ignore"):
@@ -749,14 +697,14 @@ class TargetBank:
             lower[active] = upper[active] = -math.inf
             gain = signs * np.diagonal(G_AA)
             q = np.concatenate([c - Gv, c + Gv,
-                                -(gain * v + (0.5 * _REPLAY_MARGIN) * psi[active])])
+                                -(gain * v + (0.5 * _CERTIFY_MARGIN) * psi[active])])
             p = np.concatenate([lower, upper, reach[active] - gain * u])
             if np.isnan(q).any() or np.isnan(p).any() or (p[q == 0.0] > 0.0).any():
                 return _NO_SPAN
             ratio = p / q
             lo = ratio[q > 0.0].max(initial=0.0)
             hi = ratio[q < 0.0].min(initial=math.inf)
-        return float(lo), float(hi)
+        return float(lo), float(hi), u, v
 
 
 def _cd_solve(design: LassoDesign, xty: np.ndarray, thr: np.ndarray,
@@ -857,8 +805,10 @@ def lasso_solve(
     xty = np.asarray(xty, dtype=float)
     loadings = np.asarray(loadings, dtype=float)
     m = design.shape[1]
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    # NaN fails every comparison, so it would admit nothing and pass for a
+    # converged empty fit; inf is legal, and its solution is the empty set
+    if not lam >= 0.0:
+        raise ValueError(f"lam must be nonnegative, got {lam!r}")
     if xty.shape != (m,):
         raise ValueError(f"xty has shape {xty.shape}, expected ({m},)")
     if loadings.shape[0] != m:
@@ -940,7 +890,7 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
 
     Solves once with the conservative initial loadings, then alternates
     Post-Lasso residuals and refined loadings, for at most ``n_loadings``
-    solves in total. Stops early on a perfect Post-Lasso fit (max |residual|
+    rounds in total. Stops early on a perfect Post-Lasso fit (max |residual|
     below 1e-12 sd(y), flagged), on degenerate refined loadings (flagged,
     last fit returned), or when a round selects the same active set as the
     round before: the refined loadings depend on a fit only through its
@@ -955,19 +905,51 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
     can skip the call. Raises ``ConvergenceError`` when the solve behind the
     returned fit hit ``cd_max_iter``.
 
-    A call that returns records each round's active set and signs, and its
-    most sweeps, in the bank, for ``TargetBank.replay``; one that raises
-    leaves no record.
+    A call that returns records each round's active set and signs in the
+    bank, and the most sweeps a solve behind them took; one that raises
+    leaves no record. The target's next call (a grid's next degree, at a
+    nearby lam) certifies each round that has a recorded round at its
+    position when lam lies in that round's span under this round's
+    loadings (``TargetBank._span``): the recorded set and signs are then
+    the exact Lasso solution, and the round's fit is that solution with
+    ``iterations`` 0, read from Gram rows the recorded solves formed. Any
+    other round is solved, so every set is that of a call without a
+    record. A record whose solves took over half of ``cd_max_iter``
+    sweeps certifies nothing: a certified round stands for a solve at a
+    nearby lam, which must converge too.
     """
     cfg = config if config is not None else LassoConfig()
     j, design = bank.cols[k], bank.design
     y, xty, memo = bank.rows[j], bank.xty[j], bank.memos[j]
-    bank.records[j] = None
-    fit = lasso_solve(design, xty, lam, _nonzero(bank.loadings0[j], "initial"), cfg)
-    fits, previous = [fit], None
-    for _ in range(1, cfg.n_loadings):
+    record, bank.records[j] = bank.records[j], None
+    recorded, sweeps, spans = record if record is not None else ([], 0, {})
+    if 2 * sweeps > cfg.cd_max_iter or not 0.0 <= lam < math.inf:
+        recorded = []
+    loadings = _nonzero(bank.loadings0[j], "initial")
+    rounds, most, previous = [], 0, None
+    while True:
+        r, fit = len(rounds), None
+        if r < len(recorded):
+            active, signs = recorded[r]
+            # a round's span depends on its loadings, set and signs, and on
+            # cd_tol: it is formed once and serves every later call
+            step = (previous, active.tobytes(), signs.tobytes(), cfg.cd_tol)
+            if step not in spans:
+                spans[step] = bank._span(j, active, signs, loadings, cfg.cd_tol)
+            lo, hi, u, v = spans[step]
+            if lo <= lam <= hi:
+                coef = np.zeros(design.shape[1])
+                coef[active] = u - lam * v
+                fit = LassoFit(coefficients=coef, active_set=active, lam=float(lam),
+                               loadings=loadings, iterations=0, converged=True)
+                rounds.append(recorded[r])
+                most = max(most, sweeps)
+        if fit is None:
+            fit = lasso_solve(design, xty, lam, loadings, cfg)
+            rounds.append((fit.active_set, np.sign(fit.coefficients[fit.active_set])))
+            most = max(most, fit.iterations)
         key = fit.active_set.tobytes()
-        if key == previous:
+        if len(rounds) == cfg.n_loadings or key == previous:
             break
         previous = key
         if key not in memo:
@@ -976,13 +958,10 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
         if isinstance(loadings, str):
             fit = replace(fit, **{loadings: True})
             break
-        fit = lasso_solve(design, xty, lam, loadings, cfg)
-        fits.append(fit)
     if not fit.converged:
         raise ConvergenceError(
             f"coordinate descent did not converge within cd_max_iter="
             f"{cfg.cd_max_iter} sweeps"
         )
-    rounds = [(f.active_set, np.sign(f.coefficients[f.active_set])) for f in fits]
-    bank.records[j] = (rounds, max(f.iterations for f in fits), {})
+    bank.records[j] = (rounds, most, spans)
     return fit

@@ -39,12 +39,13 @@ standardized g dictionary ``P`` and the workspace's design, which reuses
 
 Most first-stage equations select nothing. A bank of two or more
 equations is first asked which surely end with an empty active set
-(``TargetBank.settled_empty``: one comparison per loading round). An
-equation left that a grid solved at an earlier degree replays that call's
-rounds under a KKT certificate (``TargetBank.replay``), and
-``iterated_lasso`` runs for the rest, including any the screen or the
-certificate cannot vouch for. The sets, and the exceptions of equations
-that fail, are those of one ``iterated_lasso`` call per equation.
+(``TargetBank.settled_empty``: one comparison per loading round), and
+``iterated_lasso`` runs for the rest, including any the screen cannot
+vouch for. In a grid, that call settles each loading round that an
+earlier degree's call on the same target recorded by a KKT certificate
+where it holds, and solves the others. The sets, and the exceptions of
+equations that fail, are those of one ``iterated_lasso`` call per
+equation on a bank without records.
 """
 
 from __future__ import annotations
@@ -264,27 +265,23 @@ def _active_sets(bank: TargetBank, lam: float, cfg: LassoConfig, label: str) -> 
 
     In a bank of two or more equations, an equation that
     ``bank.settled_empty`` settles gets the empty set with no solve (one
-    read-only empty array, shared by every settled equation). An equation
-    left whose target has a recorded call gets the set of
-    ``bank.replay`` when its certificate holds. Every other equation runs
-    ``iterated_lasso``, and a failure is raised as a ``SelectionError``
-    naming the equation by ``label.format(k)``.
+    read-only empty array, shared by every settled equation). Every other
+    equation runs ``iterated_lasso``, which certifies the rounds of its
+    target's last call where it can, and a failure is raised as a
+    ``SelectionError`` naming the equation by ``label.format(k)``.
     """
     # A one-equation bank (a reduced form) is never screened: screening it
     # would save ~20 us per reduced form, and the traced benchmark's repeat
     # check on mc_noise_controls, where every other equation is settled,
     # needs at least one iterated_lasso call to count. Its first degree
-    # solves it; later degrees of a grid may replay that solve.
+    # solves it; later degrees of a grid may certify that solve's rounds.
     left = np.flatnonzero(~bank.settled_empty(lam, cfg)).tolist() if len(bank) > 1 else [0]
     sets = [_EMPTY_SET] * len(bank)
     for k in left:
-        active = bank.replay(k, lam, cfg)
-        if active is None:
-            try:
-                active = iterated_lasso(bank, k, lam, cfg).active_set
-            except FIT_ERRORS as exc:
-                raise SelectionError(f"{label.format(k)} failed: {exc}") from exc
-        sets[k] = active
+        try:
+            sets[k] = iterated_lasso(bank, k, lam, cfg).active_set
+        except FIT_ERRORS as exc:
+            raise SelectionError(f"{label.format(k)} failed: {exc}") from exc
     return sets
 
 
@@ -421,8 +418,8 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     the grid, and every Lasso target of the grid is evaluated once, in one
     ``TargetBank`` at the largest degree: each degree runs its equations on
     its rows of that bank, at its own penalty level, and an equation that
-    an earlier degree solved is first replayed from that solve's rounds
-    (``TargetBank.replay``). Every degree's selection runs first; the
+    an earlier degree solved certifies that solve's rounds where it can
+    (``iterated_lasso``). Every degree's selection runs first; the
     degrees that select the same controls then share one projection of
     their final OLS (``_final_fits``), made at the group's largest degree,
     so a degree's fit agrees with its one-degree fit to rounding, not bit

@@ -292,6 +292,25 @@ def test_lasso_solve_validation(rng):
             lasso_solve(LassoDesign(X), X.T @ X[:, 0], 1.0, np.array([bad, 1.0, 1.0]))
 
 
+def test_nan_lam_is_refused_and_inf_selects_nothing(rng):
+    # a NaN level fails every comparison, so it would admit nothing and pass
+    # for a converged empty fit; at lam = inf the Lasso solution is empty
+    X, y = random_instance(rng, 30, 4, n_nonzero=2)
+    bank = TargetBank.of(y, LassoDesign(X))
+    lam = penalty_level(30, 1, 4, LassoConfig(gamma=0.1))
+    assert iterated_lasso(bank, 0, lam).active_set.size > 0
+    for nan in (math.nan, np.float64("nan")):
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            solve(X, y, nan, np.ones(4))
+        # with the record of a call that returned, and without one
+        for _ in range(2):
+            with pytest.raises(ValueError, match="lam must be nonnegative"):
+                iterated_lasso(bank, 0, nan)
+    for fit in (solve(X, y, math.inf, np.ones(4)), iterated_lasso(bank, 0, math.inf)):
+        assert fit.active_set.size == 0 and fit.converged and fit.iterations == 0
+        np.testing.assert_array_equal(fit.coefficients, np.zeros(4))
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.floats(min_value=0.05, max_value=0.95))
 @settings(max_examples=40, deadline=None)
@@ -444,9 +463,12 @@ def test_stopping_rule_matches_loadings_fixed_point_oracle(monkeypatch):
             # the rule stops in the round where the oracle's loadings repeat
             assert solves["lib"] == solves["oracle"]
             # a bank, and so its memo, shared across calls that differ in
-            # lam gives the same fits
+            # lam gives the same fits; its records are cleared, since a
+            # certified round carries the exact solution, not the solver's
+            shared.records[0] = None
             assert_same_fit(iterated_lasso(shared, 0, lam, cfg), want)
             lam2 = 0.8 * lam
+            shared.records[0] = None
             assert_same_fit(iterated_lasso(shared, 0, lam2, cfg),
                             iterated_lasso_oracle(design, y, lam2, cfg))
 
@@ -967,16 +989,53 @@ def test_route_matches_one_solve_per_equation_near_each_level(monkeypatch):
     assert all(seen.values()), seen
 
 
-def test_replay_returns_a_set_only_where_a_fresh_call_returns_it():
-    # each equation is solved at one penalty level, then replayed at levels
-    # near it and further off: a replay gives the set of a fresh call, or
-    # None, and reads only Gram rows that its recorded call formed
-    seen = {"replayed": 0, "refused": 0, "unrecorded": 0, "capped": 0}
+def solve_spy(monkeypatch):
+    """Record each ``lasso_solve`` call that ``iterated_lasso`` makes, as
+    (its loadings, the Gram rows it formed); the caller clears the list."""
+    calls = []
+
+    def spy(design, xty, lam, loadings, config=None):
+        formed = design.rows_formed
+        fit = lasso_solve(design, xty, lam, loadings, config)
+        calls.append((loadings, design.rows_formed - formed))
+        return fit
+
+    monkeypatch.setattr(lasso_module, "lasso_solve", spy)
+    return calls
+
+
+def call(bank, k, lam, cfg):
+    """``iterated_lasso(bank, k, lam, cfg)``, or the class of its exception."""
+    try:
+        return iterated_lasso(bank, k, lam, cfg)
+    except FIT_ERRORS as exc:
+        return type(exc)
+
+
+def assert_same_selection(got, want):
+    """Two fits of one equation with the same set, signs, loadings and flags."""
+    assert isinstance(got, LassoFit)
+    np.testing.assert_array_equal(got.active_set, want.active_set)
+    np.testing.assert_array_equal(np.sign(got.coefficients), np.sign(want.coefficients))
+    np.testing.assert_array_equal(got.loadings, want.loadings)
+    for flag in ("converged", "perfect_fit", "loadings_degenerate"):
+        assert getattr(got, flag) == getattr(want, flag), flag
+
+
+def recorded_calls(n_loadings_grid, shifts):
+    """Each equation of the ``screen_problem`` banks, solved at one penalty
+    level and then due to be called at another from that call's record.
+
+    Yields (bank, k, cfg, lam, other, want, rounds): ``bank.records[k]``
+    is the record of the call at ``lam``; ``want`` is the fit (or exception
+    class) at ``other`` on a bank without records, and ``rounds`` its
+    number of rounds.
+    """
     for seed in range(3):
         X, kinds = screen_problem(seed)
         n, m = X.shape
         rows = np.array(kinds["regular"] + kinds["constant"] + kinds["zero_loading"])
-        for n_loadings in (1, 2, 15):
+        for n_loadings in n_loadings_grid:
             for c in np.geomspace(0.05, 3.0, 5):
                 cfg = LassoConfig(c=c, gamma=0.1, n_loadings=n_loadings)
                 lam = penalty_level(n, len(rows), m, cfg)
@@ -984,34 +1043,49 @@ def test_replay_returns_a_set_only_where_a_fresh_call_returns_it():
                 for k, fit in enumerate(per_equation(bank, lam, cfg)):
                     # a call that raised leaves no record
                     assert (bank.records[k] is None) == isinstance(fit, type)
-                formed = bank.design.rows_formed
-                for other in (lam, np.nextafter(lam, 0.0), np.nextafter(lam, np.inf),
-                              lam * (1.0 - 1e-12), lam * (1.0 + 1e-12),
-                              0.97 * lam, 1.03 * lam, 0.5 * lam):
-                    want = per_equation(TargetBank.of(rows, LassoDesign(X)), other, cfg)
-                    for k, fit in enumerate(want):
-                        got = bank.replay(k, other, cfg)
-                        if bank.records[k] is None:
-                            assert got is None
-                            seen["unrecorded"] += 1
-                        elif got is None:
-                            seen["refused"] += 1
-                        else:
-                            assert isinstance(fit, LassoFit)
-                            np.testing.assert_array_equal(got, fit.active_set)
-                            seen["replayed"] += 1
-                assert bank.design.rows_formed == formed
-                # a call whose solves took more than half a smaller sweep cap
-                # is not replayed under it
-                capped = dataclasses.replace(cfg, cd_max_iter=1)
-                for k, record in enumerate(bank.records):
-                    if record is not None and record[1] > 0:
-                        assert bank.replay(k, lam, capped) is None
-                        seen["capped"] += 1
+                records = list(bank.records)
+                for other in shifts(lam):
+                    fresh = TargetBank.of(rows, LassoDesign(X))
+                    for k, want in enumerate(per_equation(fresh, other, cfg)):
+                        bank.records[:] = records
+                        rounds = len(fresh.records[k][0]) if fresh.records[k] else None
+                        yield bank, k, cfg, lam, other, want, rounds
+
+
+def test_replay_returns_a_set_only_where_a_fresh_call_returns_it(monkeypatch):
+    # each equation is solved at one penalty level, then called again from
+    # that call's record at levels near it and further off: the call gives
+    # the set, signs and flags of a call on a bank without records, or its
+    # exception, and forms only the Gram rows that its solves form
+    def shifts(lam):
+        return (lam, np.nextafter(lam, 0.0), np.nextafter(lam, np.inf),
+                lam * (1.0 - 1e-12), lam * (1.0 + 1e-12), 0.97 * lam, 1.03 * lam, 0.5 * lam)
+
+    calls = solve_spy(monkeypatch)
+    seen = {"certified": 0, "solved": 0, "unrecorded": 0, "capped": 0}
+    for bank, k, cfg, lam, other, want, _ in recorded_calls((1, 2, 15), shifts):
+        record = bank.records[k]
+        calls.clear()
+        formed = bank.design.rows_formed
+        got = call(bank, k, other, cfg)
+        assert bank.design.rows_formed - formed == sum(rows for _, rows in calls)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert_same_selection(got, want)
+        seen["unrecorded" if record is None else "solved" if calls else "certified"] += 1
+        # a call whose solves took more than half a smaller sweep cap
+        # certifies no round under it: its first round is solved
+        if other == lam and record is not None and record[1] > 0:
+            bank.records[k] = record
+            calls.clear()
+            call(bank, k, lam, dataclasses.replace(cfg, cd_max_iter=1))
+            assert np.shares_memory(calls[0][0], bank.loadings0)
+            seen["capped"] += 1
     assert all(seen.values()), seen
 
 
-def test_replay_refuses_a_set_at_the_solvers_threshold():
+def test_replay_refuses_a_set_at_the_solvers_threshold(monkeypatch):
     # as in the level screen's test: every loading is 1 and every x_j't an
     # integer, so at lam = 2 max |x_j't| the top column sits on the threshold,
     # where the solver admits nothing; a set recorded just below it does not
@@ -1024,15 +1098,84 @@ def test_replay_refuses_a_set_at_the_solvers_threshold():
     bank = TargetBank.of(np.array([t, -t]), LassoDesign(X))
     top = 2 * np.abs(bank.xty).max()
     cfg = LassoConfig(n_loadings=1)
+    calls = solve_spy(monkeypatch)
+    below = np.nextafter(top, 0.0)
     for k in range(2):
-        below = np.nextafter(top, 0.0)
-        assert iterated_lasso(bank, k, below, cfg).active_set.size > 0
-        assert bank.replay(k, below, cfg) is None
-        assert bank.replay(k, top, cfg) is None
-        # the empty set recorded on the threshold certifies only beyond the margin
-        assert iterated_lasso(bank, k, top, cfg).active_set.size == 0
-        assert bank.replay(k, top, cfg) is None
-        assert bank.replay(k, 1.01 * top, cfg).size == 0
+        # (lam, whether the call's one round is solved, its set's size)
+        steps = [(below, True, 1), (below, True, 1), (top, True, 0),
+                 # the empty set recorded on the threshold certifies only
+                 # beyond the margin
+                 (top, True, 0), (1.01 * top, False, 0)]
+        for lam, solved, size in steps:
+            calls.clear()
+            assert iterated_lasso(bank, k, lam, cfg).active_set.size == size
+            assert len(calls) == solved
+
+
+def test_a_partly_certified_call_solves_only_what_does_not_certify(monkeypatch):
+    # a recorded equation whose round 1 certifies at a shifted lam and whose
+    # round 2 does not, and whose call on a bank without records ends after
+    # round 2: the call solves round 2 alone, under round 1's refined
+    # loadings, forms no Gram row for round 1, and ends where that call ends
+    def shifts(lam):
+        return (0.8 * lam, 0.9 * lam, 1.1 * lam, 1.2 * lam)
+
+    calls = solve_spy(monkeypatch)
+    found = 0
+    for bank, k, cfg, lam, other, want, rounds in recorded_calls((15,), shifts):
+        record = bank.records[k]
+        if record is None or rounds != 2 or len(record[0]) < 2:
+            continue
+        j, tol = bank.cols[k], cfg.cd_tol
+        (active1, signs1), (active2, signs2) = record[0][:2]
+        psi = bank.memos[j].get(active1.tobytes())
+        if isinstance(psi, str) or psi is None:
+            continue
+        lo1, hi1, _, _ = bank._span(j, active1, signs1, bank.loadings0[j], tol)
+        lo2, hi2, _, _ = bank._span(j, active2, signs2, psi, tol)
+        if not lo1 <= other <= hi1 or lo2 <= other <= hi2:
+            continue
+        calls.clear()
+        formed = bank.design.rows_formed
+        got = iterated_lasso(bank, k, other, cfg)
+        assert len(calls) == 1
+        solved_loadings, solved_rows = calls[0]
+        assert solved_loadings is psi
+        assert bank.design.rows_formed - formed == solved_rows
+        assert_same_selection(got, want)
+        found += 1
+    assert found
+
+
+def test_a_fully_certified_call_returns_the_exact_solution(monkeypatch):
+    # a recorded call every round of which certifies at a nearby lam makes no
+    # solve; its fit has the set and loadings of a call on a bank without
+    # records, and coefficients that meet the KKT conditions at least as
+    # closely as that call's coordinate descent
+    def shifts(lam):
+        return (lam, 0.99 * lam, 1.01 * lam)
+
+    calls = solve_spy(monkeypatch)
+    seen = {"empty": 0, "selected": 0, "descent_off": 0}
+    for bank, k, cfg, lam, other, want, _ in recorded_calls((1, 15), shifts):
+        if bank.records[k] is None:
+            continue
+        calls.clear()
+        got = iterated_lasso(bank, k, other, cfg)
+        if calls:
+            continue
+        assert got.iterations == 0 and got.converged
+        np.testing.assert_array_equal(got.active_set, want.active_set)
+        np.testing.assert_array_equal(got.loadings, want.loadings)
+        X, y = bank.design.blocks[0], bank.rows[bank.cols[k]]
+        # up to the rounding of the scores themselves, which is all that is
+        # left where coordinate descent stopped on the solution as well
+        rounding = 64 * np.finfo(float).eps * other * got.loadings.max()
+        exact, descent = kkt_max_violation(X, y, got), kkt_max_violation(X, y, want)
+        assert exact <= max(descent, rounding)
+        seen["selected" if got.active_set.size else "empty"] += 1
+        seen["descent_off"] += descent > rounding
+    assert all(seen.values()), seen
 
 
 def test_level_screen_is_sound_and_complete_at_the_ends_of_the_float_range():

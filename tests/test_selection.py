@@ -546,23 +546,28 @@ LAM_SHIFTS = (
 def check_every_route(monkeypatch, shift, seen):
     """Run ``_active_sets`` at ``shift(lam)`` and check it against one fresh
     ``iterated_lasso`` call per equation: its sets, or the exception of its
-    first failed equation; check each replay against a fresh call too, and
-    that it forms no Gram row. ``seen`` counts replays and solves."""
-    real_route, real_replay = selection._active_sets, TargetBank.replay
+    first failed equation. ``seen`` counts the calls that certify every
+    round, and so make no solve and form no Gram row, and the calls that
+    solve a round."""
+    real_route, real_call, real_solve = (
+        selection._active_sets, selection.iterated_lasso, lasso.lasso_solve)
+    solves = []
 
-    def replay(self, k, lam, config=None):
-        formed = self.design.rows_formed
-        active = real_replay(self, k, lam, config)
-        assert self.design.rows_formed == formed
-        if active is None:
+    def solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    def call(bank, k, lam, config=None):
+        formed = bank.design.rows_formed
+        solves.clear()
+        fit = real_call(bank, k, lam, config)
+        if solves:
             seen["solved"] += 1
         else:
-            # a replayed equation is never a failed one
-            want = one_call_per_equation(self.subset([self.cols[k]]), lam, config)[0]
-            assert not isinstance(want, type)
-            np.testing.assert_array_equal(active, want)
+            # a certified call forms no Gram row, and is never a failed one
+            assert bank.design.rows_formed == formed
             seen["replayed"] += 1
-        return active
+        return fit
 
     def route(bank, lam, config, label):
         lam = shift(lam)
@@ -581,16 +586,17 @@ def check_every_route(monkeypatch, shift, seen):
         return got
 
     monkeypatch.setattr(selection, "_active_sets", route)
-    monkeypatch.setattr(TargetBank, "replay", replay)
+    monkeypatch.setattr(selection, "iterated_lasso", call)
+    monkeypatch.setattr(lasso, "lasso_solve", solve)
 
 
 @pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
 @pytest.mark.parametrize("extended_fs", [False, True])
 def test_replayed_grid_gives_one_solve_per_equation(monkeypatch, design_name, extended_fs):
-    # a degree of the BIC grid replays an equation's last call under a KKT
-    # certificate instead of solving it again: every degree's sets are those
-    # of one fresh iterated_lasso call per equation. 2 samples x 5 penalty
-    # shifts here, 40 fits over the four cases.
+    # a degree of the BIC grid certifies the rounds of an equation's last
+    # call under a KKT certificate instead of solving them again: every
+    # degree's sets are those of one fresh iterated_lasso call per equation.
+    # 2 samples x 5 penalty shifts here, 40 fits over the four cases.
     cfg = DgpConfig(design_name, 200)
     grid = default_k_grid(200)
     seen = {"replayed": 0, "solved": 0, "failed": 0}
@@ -601,14 +607,14 @@ def test_replayed_grid_gives_one_solve_per_equation(monkeypatch, design_name, ex
             d = build_design(default_specs(cfg)[1], data.Z)
             choose_k_bic(data, d, grid, extended_fs=extended_fs)
         monkeypatch.undo()
-    # most repeated equations are replayed
+    # most repeated equations certify every round
     assert seen["replayed"] > seen["solved"] > 0 and seen["failed"] == 0, seen
 
 
 def test_replayed_grid_fails_an_equation_as_one_solve_would(monkeypatch):
     # x in {-1, 0, 1}: the extended target p_1 + p_3 is constant, so from
     # K = 3 on its first-stage equation fails; the degrees before it are
-    # replayed into the failing ones, and every failure is that of a fresh
+    # certified into the failing ones, and every failure is that of a fresh
     # call, at every penalty shift
     rng = np.random.default_rng(5)
     n = 120
