@@ -11,18 +11,19 @@ Loadings are refined iteratively from Post-Lasso residuals.
 Every Lasso of post-double selection regresses some target on one design,
 so what those Lassos share lives in two objects. A ``LassoDesign`` holds
 the design ``X`` as a row of column blocks, each block's square (both
-loadings formulas are one product against them) and a store of the rows
-of ``X'X``; a block may be another design, whose square and stored rows
-are then reused, so Post-Single II's ``[P | Q]`` is never concatenated.
-A ``TargetBank`` holds targets on one ``LassoDesign``, each with its
-``X't`` and initial loadings, evaluated for all targets at once, and a
-memo of its refined loadings by active set: refined loadings depend on a
-fit only through its active set, so the iteration stops as soon as a round
-selects the same set as the round before, and every equation on the same
-target reuses them. A bank of rows and their pairwise sums and differences
-(the BIC grid's extended first stage) derives each pair's ``X't`` and
-loadings from products over the rows and the pairs' cross products, by
-linearity, instead of a product over every target.
+loadings formulas are one product against them) and a dict of the rows of
+``X'X`` by column; a block may be another design, whose square and stored
+rows are then reused, so Post-Single II's ``[P | Q]`` is never
+concatenated. A ``TargetBank`` holds targets on one ``LassoDesign``, each
+with its ``X't`` and initial loadings, evaluated for all targets at once,
+and a memo of its refined loadings by active set: refined loadings depend
+on a fit only through its active set, so the iteration stops as soon as a
+round selects the same set as the round before, and every equation on the
+same target reuses them. Every bank is built as rows and their pairwise
+sums and differences, with no pairs but in the BIC grid's extended first
+stage: each pair's ``X't`` and loadings are derived from products over the
+rows and the pairs' cross products, by linearity, instead of a product over
+every target.
 ``iterated_lasso(bank, k, lam)`` fits the bank's ``k``-th target.
 
 Most equations of post-double selection select nothing. The bank also
@@ -60,7 +61,8 @@ floats, with the same IEEE operations, and so the same bits, as NumPy's.
 The solver reads the Gram system only through the rows of its active
 coordinates, so ``X'X`` is never formed whole: the ``LassoDesign`` forms
 row j, ``x_j'X``, block by block, the first time column j enters a solve
-and keeps it for every later solve on the same design.
+and keeps it in its store for every later solve on the same design, and
+for the certificates of the sets those solves recorded.
 """
 
 from __future__ import annotations
@@ -201,6 +203,16 @@ def _nonzero(loadings: np.ndarray, which: str) -> np.ndarray:
     return loadings
 
 
+def _loadings(design: LassoDesign, w: np.ndarray) -> np.ndarray:
+    """sqrt(mean(x_j^2 w_i^2)) for each column j, one row per row of ``w``:
+    one product of ``w*w`` against the design's squares. ``w`` may be
+    overwritten."""
+    np.square(w, out=w)
+    loadings = design.sq_product(w)
+    loadings /= w.shape[-1]
+    return np.sqrt(loadings, out=loadings)
+
+
 def initial_loadings(design: LassoDesign, targets: np.ndarray) -> np.ndarray:
     """Conservative start psi_j = sqrt(mean(x_j^2 (t_i - tbar)^2)).
 
@@ -210,12 +222,7 @@ def initial_loadings(design: LassoDesign, targets: np.ndarray) -> np.ndarray:
     degeneracy here (``iterated_lasso`` checks the row it fits).
     """
     t = np.asarray(targets, dtype=float)
-    dev2 = t - t.mean(axis=-1, keepdims=True)
-    np.square(dev2, out=dev2)
-    loadings = design.sq_product(dev2)
-    del dev2
-    loadings /= t.shape[-1]
-    np.sqrt(loadings, out=loadings)
+    loadings = _loadings(design, t - t.mean(axis=-1, keepdims=True))
     return loadings if t.ndim > 1 else _nonzero(loadings, "initial")
 
 
@@ -223,18 +230,13 @@ def refined_loadings(design: LassoDesign, residuals: np.ndarray) -> np.ndarray:
     """Residual-based loadings psi_j = sqrt(mean(x_j^2 e_i^2)).
 
     ``residuals`` is one residual vector, or a (k, n) block with one residual
-    per row, as in ``initial_loadings``: ``TargetBank.of`` passes its targets,
-    the Post-Lasso residuals of the empty set. A block gets one row of
-    loadings per residual, from one product against the design's squares,
-    and no row is checked for degeneracy here.
+    per row, as in ``initial_loadings``: a block gets one row of loadings per
+    residual, from one product against the design's squares, and no row is
+    checked for degeneracy here.
     """
-    e2 = np.asarray(residuals, dtype=float) ** 2
-    n, block = e2.shape[-1], e2.ndim > 1
-    loadings = design.sq_product(e2)
-    del e2
-    loadings /= n
-    np.sqrt(loadings, out=loadings)
-    return loadings if block else _nonzero(loadings, "refined")
+    e = np.array(residuals, dtype=float)  # a copy: the kernel squares it in place
+    loadings = _loadings(design, e)
+    return loadings if e.ndim > 1 else _nonzero(loadings, "refined")
 
 
 class LassoDesign:
@@ -251,16 +253,18 @@ class LassoDesign:
     diagonal, is their column sums. ``product`` (``a @ X``) and ``columns``
     (a gather of columns) write each block's part into slices of one output.
 
-    ``rows(idx)`` returns rows ``idx`` of ``X'X``. A row missing from the
-    store is formed then, as ``x_j'X_b`` for every block b, and kept, so
-    each row is formed at most once however many solves on ``X`` ask for
-    it. The part on column j's own block, when that block came with a store,
-    is that store's row: a row an earlier solve on the workspace formed is
-    reused, and only the other blocks' parts are new. Each row is formed on
-    its own, so its bits depend only on ``X`` and j, not on which rows were
-    asked for before or alongside it: a fit is the same on a fresh design
-    and on one that earlier solves have filled. ``rows_formed`` counts the
-    rows formed in this design's own store so far.
+    ``rows(idx)`` returns rows ``idx`` of ``X'X``. The store is a dict
+    from column j to its row, an array of its own, so it holds the rows
+    formed and nothing more. A row missing from it is formed then, as
+    ``x_j'X_b`` for every block b, and kept, so each row is formed at most
+    once however many solves on ``X`` ask for it. The part on column j's
+    own block, when that block came with a store, is that store's row: a
+    row an earlier solve on the workspace formed is reused, and only the
+    other blocks' parts are new. Each row is formed on its own, so its bits
+    depend only on ``X`` and j, not on which rows were asked for before or
+    alongside it: a fit is the same on a fresh design and on one that
+    earlier solves have filled. ``rows_formed`` is the size of this
+    design's own store.
     """
 
     def __init__(self, *blocks):
@@ -297,19 +301,11 @@ class LassoDesign:
                 np.add.reduce(sq, axis=0, out=self.diag[a:b])
             else:
                 self.diag[a:b] = store.diag
-        self._slot = np.full(m, -1)  # row of _buf holding each column's row
-        self._buf = np.empty((0, m))
-        self._count = 0
+        self._rows: dict = {}  # column -> its row of X'X
 
     @property
     def rows_formed(self) -> int:
-        return self._count
-
-    def stored(self, idx):
-        """Rows ``idx`` of ``X'X`` when the store holds them all, else None;
-        forms no row."""
-        slots = self._slot[idx]
-        return self._buf[slots] if (slots >= 0).all() else None
+        return len(self._rows)
 
     def _blockwise(self, a: np.ndarray, mats) -> np.ndarray:
         out = np.empty(a.shape[:-1] + (self.shape[1],))
@@ -340,33 +336,29 @@ class LassoDesign:
 
     def rows(self, idx) -> np.ndarray:
         """Rows ``idx`` of ``X'X``, as a (len(idx), m) array."""
-        idx = np.asarray(idx, dtype=int)
-        new = idx[self._slot[idx] < 0]
-        if new.size:
-            new = np.unique(new)
-            m, need = self.shape[1], self._count + new.size
-            if need > len(self._buf):
-                # grow by doubling, to at most one row per column
-                grown = np.empty((min(m, max(need, 2 * len(self._buf))), m))
-                grown[:self._count] = self._buf[:self._count]
-                self._buf = grown
-            for j in new.tolist():
-                self._form(j, self._buf[self._count])
-                self._slot[j] = self._count
-                self._count += 1
-        return self._buf[self._slot[idx]]
+        idx = np.asarray(idx, dtype=int).tolist()
+        out = np.empty((len(idx), self.shape[1]))
+        for r, j in enumerate(idx):
+            out[r] = self._row(j)
+        return out
 
-    def _form(self, j: int, row: np.ndarray) -> None:
-        """Row j of ``X'X`` into ``row``, one block's part at a time."""
-        own = int(np.searchsorted(self._stops, j, side="right"))
-        local = j - self._spans[own][0]
-        col = self.blocks[own][:, local]
-        for b, (X, (start, stop), store) in enumerate(
-                zip(self.blocks, self._spans, self._stores)):
-            if b == own and store is not None:
-                row[start:stop] = store.rows([local])[0]
-            else:
-                np.matmul(col, X, out=row[start:stop])
+    def _row(self, j: int) -> np.ndarray:
+        """Row j of ``X'X`` from the store, formed one block's part at a time
+        when the store lacks it."""
+        row = self._rows.get(j)
+        if row is None:
+            own = int(np.searchsorted(self._stops, j, side="right"))
+            local = j - self._spans[own][0]
+            col = self.blocks[own][:, local]
+            row = np.empty(self.shape[1])
+            for b, (X, (start, stop), store) in enumerate(
+                    zip(self.blocks, self._spans, self._stores)):
+                if b == own and store is not None:
+                    row[start:stop] = store._row(local)
+                else:
+                    np.matmul(col, X, out=row[start:stop])
+            self._rows[j] = row
+        return row
 
 
 # design entries per row block of ``TargetBank.of``'s levels
@@ -447,10 +439,12 @@ def _pair_loadings(design: LassoDesign, rows: np.ndarray, targets: np.ndarray,
     (``centred``) or ``refined_loadings`` of the empty set give them.
 
     ``rows`` are the given rows and ``targets`` the bank's, ``_paired(rows,
-    ii, jj, stop)``; the loadings are written into ``out``. A pair's squared loading on column l is
-    ``(S_ii + S_jj +- 2 S_ij) / n`` with ``S_ab = (x_l*x_l)'(d_a*d_b)`` and
-    ``d`` the (centred) rows, so one product of the rows' squares and the
-    pairs' cross products, into ``block``, gives every row's.
+    ii, jj, stop)``; the loadings are written into ``out``. With no pairs,
+    that is the loadings formula on the rows, one product for all of them.
+    A pair's squared loading on column l is ``(S_ii + S_jj +- 2 S_ij) / n``
+    with ``S_ab = (x_l*x_l)'(d_a*d_b)`` and ``d`` the (centred) rows, so one
+    product of the rows' squares and the pairs' cross products, into
+    ``block``, gives every row's.
 
     The sum or difference carries the rounding error of its terms, a few
     units in the last place of ``S_ii + S_jj + 2 |S_ij|``; relative to the
@@ -458,9 +452,9 @@ def _pair_loadings(design: LassoDesign, rows: np.ndarray, targets: np.ndarray,
     ``_PAIR_CANCELLATION`` = 1e3 it stays near 1e-12, the agreement with a
     direct product that the tests hold (4e-13 was the largest seen on the
     simulation designs). A row with a larger ratio on any column, or a
-    result that is not positive, is computed from its target instead, as a
-    bank without pairs computes every row: so a pair target that is
-    constant gets the exact zero loadings that flag it, not rounding noise.
+    result that is not positive, is computed from its target instead, by
+    the loadings formula: so a pair target that is constant gets the exact
+    zero loadings that flag it, not rounding noise.
     On those designs at n = 500 that is about 1 of 210 pair rows on
     low_dim and 14 on high_dim.
     """
@@ -488,16 +482,16 @@ def _pair_loadings(design: LassoDesign, rows: np.ndarray, targets: np.ndarray,
     out /= n
     np.sqrt(out, out=out)
     if exact.size:
-        direct = initial_loadings if centred else refined_loadings
-        out[exact] = direct(design, targets[exact])
+        t = targets[exact]
+        out[exact] = _loadings(design, t - t.mean(axis=1, keepdims=True) if centred else t)
 
 
 def _with_pairs(rows: np.ndarray, design: LassoDesign, ii, jj) -> tuple:
     """The targets, ``X't`` and both loadings of ``TargetBank.of(rows,
     design, (ii, jj))``, from products over ``rows`` and their pairs'
-    cross products only."""
+    cross products only; ``ii`` and ``jj`` may be empty."""
     ii, jj = np.asarray(ii, dtype=np.intp), np.asarray(jj, dtype=np.intp)
-    stop = int(max(ii.max(), jj.max())) + 1
+    stop = int(max(ii.max(), jj.max())) + 1 if ii.size else len(rows)
     targets = _paired(rows, ii, jj, stop)
     xty = _paired(design.product(rows), ii, jj, stop)
     # the bank's arrays first, then one buffer for both loadings' products:
@@ -571,7 +565,7 @@ class TargetBank:
     records: list
 
     @classmethod
-    def of(cls, rows, design: LassoDesign, pairs=None) -> TargetBank:
+    def of(cls, rows, design: LassoDesign, pairs=((), ())) -> TargetBank:
         """Bank of the targets in ``rows`` (one per row, or one vector).
 
         With ``pairs = (ii, jj)``, the bank also holds, for each pair p, the
@@ -582,12 +576,7 @@ class TargetBank:
         linearity (``_pair_loadings``), not from products of their own.
         """
         rows = np.ascontiguousarray(np.atleast_2d(rows), dtype=float)
-        if pairs is not None and len(pairs[0]):
-            rows, xty, loadings0, loadings1 = _with_pairs(rows, design, *pairs)
-        else:
-            xty = design.product(rows)
-            loadings0 = initial_loadings(design, rows)
-            loadings1 = refined_loadings(design, rows)
+        rows, xty, loadings0, loadings1 = _with_pairs(rows, design, *pairs)
         # _refine's flags, on the empty set's residual
         perfect = _perfect_fit(rows)
         degenerate = ~loadings1.any(axis=1)
@@ -650,16 +639,17 @@ class TargetBank:
         the solution ``u - lam v`` on the set at any lam in it.
 
         On A = ``active`` with signs s, the solution at lam is ``t_A =
-        G_AA^-1 (X_A'y - (lam/2) psi_A s) = u - lam v``, read from the
-        stored rows of A. It is the Lasso solution when its signs are s and
-        every column j off A meets ``|x_j'y - G_jA t_A| <= (lam/2) psi_j``:
-        the subgradient (KKT) conditions, and the solver's own tests at a
-        fixed point, where a coordinate's input exceeds its threshold by
-        ``G_aa |t_a|`` on A and a column enters only when its input exceeds
-        its threshold. Each condition is linear in lam, so together they
-        hold on an interval (the homotopy view of the Lasso path; Osborne,
-        Presnell & Turlach 2000). Every column of a recorded equation has a
-        positive loading, so every column off A is checked.
+        G_AA^-1 (X_A'y - (lam/2) psi_A s) = u - lam v``, read from the rows
+        of A in the design's store: the solve that recorded A formed them,
+        so reading them forms no row. It is the Lasso solution when its
+        signs are s and every column j off A meets ``|x_j'y - G_jA t_A| <=
+        (lam/2) psi_j``: the subgradient (KKT) conditions, and the solver's
+        own tests at a fixed point, where a coordinate's input exceeds its
+        threshold by ``G_aa |t_a|`` on A and a column enters only when its
+        input exceeds its threshold. Each condition is linear in lam, so
+        together they hold on an interval (the homotopy view of the Lasso
+        path; Osborne, Presnell & Turlach 2000). Every column of a recorded
+        equation has a positive loading, so every column off A is checked.
 
         The solver stops near the solution, not on it: once a sweep moves no
         coefficient by more than ``tol`` (``cd_tol``), so each input it reads
@@ -676,9 +666,7 @@ class TargetBank:
         5e-3 for n = 500 and |A| = 10, against thresholds of 10 to 100 there.
         """
         design, xty = self.design, self.xty[j]
-        G = design.stored(active) if active.size else np.empty((0, xty.size))
-        if G is None:
-            return _NO_SPAN
+        G = design.rows(active)
         # lam * q >= p, one row per condition: each input off A below its
         # threshold from above and from below, then each input on A above it
         c = (0.5 * (1.0 - _CERTIFY_MARGIN)) * psi

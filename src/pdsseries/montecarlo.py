@@ -14,13 +14,16 @@ The population values of the functionals are computed by quadrature.
 
 Replications are seeded by spawning one child sequence per replication
 index from the base seed, so results do not depend on worker scheduling.
+Worker processes are started by ``spawn``, each with BLAS on one thread.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -362,6 +365,34 @@ def _run_replication(args):
     return r, out
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _worker_pool(n_jobs: int):
+    """A pool of ``n_jobs`` spawned worker processes, each on one BLAS thread.
+
+    A BLAS library reads its thread count from the environment once, when
+    it loads; a forked worker inherits the parent's loaded library, and
+    with it as many BLAS threads as cores, which then compete across the
+    workers. A spawned worker imports NumPy afresh, so the BLAS variables,
+    set to 1 while the pool runs, pin it. The parent's own values, or their
+    absence, are restored when the pool closes.
+    """
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=n_jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
                     base_seed: int = 0, functionals=FUNCTIONALS,
                     n_jobs: int | None = None,
@@ -372,7 +403,9 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
     unset); either must be a positive integer, and a non-integer
     PDS_THREADS or a count below 1 raises ``ValueError``. The worker count
     is capped at ``n_reps``. Aggregation is keyed by replication index, so
-    the report is identical for any worker count.
+    the report is identical for any worker count. Two or more workers run
+    in spawned processes (``_worker_pool``), so a script that calls this
+    with ``n_jobs > 1`` needs an ``if __name__ == "__main__":`` guard.
     """
     estimators = list(estimators) if estimators is not None else list(ESTIMATORS)
     if not estimators:
@@ -404,7 +437,7 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
     if n_jobs == 1:
         results = [_run_replication(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with _worker_pool(n_jobs) as pool:
             results = list(pool.map(_run_replication, tasks, chunksize=1))
     results.sort(key=lambda pair: pair[0])
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -353,6 +354,30 @@ def test_run_monte_carlo_deterministic_and_parallel_invariant(tiny_report):
                                  n_reps=4, base_seed=124,
                                  functionals=("avg_deriv",))
     assert other_seed.to_csv() != tiny_report.to_csv()
+    # all nine estimators on high_dim, where a worker's fits carry the most
+    # controls: the spawned workers' CSV is the serial one, byte for byte
+    high = DgpConfig("high_dim", 200)
+    serial, pooled = (run_monte_carlo(high, n_reps=4, base_seed=7, n_jobs=w) for w in (1, 2))
+    assert serial.to_csv().encode() == pooled.to_csv().encode()
+
+
+def test_pool_workers_run_blas_on_one_thread_and_the_environment_is_restored(monkeypatch):
+    blas = montecarlo._BLAS_THREAD_VARS
+    assert set(blas) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "")
+    before = {var: os.environ.get(var) for var in blas}
+    with montecarlo._worker_pool(2) as pool:
+        # os.getenv runs in a worker, on the environment it was spawned with
+        assert list(pool.map(os.getenv, blas, timeout=120)) == ["1", "1", "1"]
+        assert pool._mp_context.get_start_method() == "spawn"
+    assert {var: os.environ.get(var) for var in blas} == before
+    # restored when the pool's work raises, too
+    with pytest.raises(ZeroDivisionError):
+        with montecarlo._worker_pool(1):
+            1 / 0
+    assert {var: os.environ.get(var) for var in blas} == before
 
 
 def test_csv_schema_and_formatting(tiny_report, tmp_path):
