@@ -24,6 +24,7 @@ from .inference import (
     SingularOmegaError,
     Z_CRITICAL,
     average_derivative,
+    functional_by_name,
     functional_estimate,
     point_eval,
     quantile_contrast,

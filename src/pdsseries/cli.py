@@ -29,11 +29,12 @@ import numpy as np
 
 from .data import Dataset
 from .dictionary import DictionarySpec, build_design, dictionary_labels
-from .inference import average_derivative, functional_estimate, point_eval, quantile_contrast
+from .inference import functional_by_name, functional_estimate
 from .lasso import LassoConfig
 from .montecarlo import (
     DgpConfig,
     FUNCTIONALS,
+    _replication_seed,
     generate_sample,
     run_monte_carlo,
 )
@@ -105,16 +106,22 @@ def _choice(values: dict, words: str):
 
 
 def _names(noun: str, valid=None, everything: bool = False):
-    """A non-empty comma-separated list of names (in ``valid`` if given)."""
+    """A non-empty comma-separated list of names; with ``valid``, each is one
+    of them and none repeats."""
     def parse(raw: str) -> list:
         names = [s.strip() for s in raw.split(",") if s.strip()]
         if everything and names == ["all"]:
             return list(valid)
         if not names:
             raise ValueError(f"must list at least one {noun}")
-        bad = [s for s in names if valid is not None and s not in valid]
+        if valid is None:
+            return names
+        bad = [s for s in names if s not in valid]
         if bad:
             raise ValueError(f"contains unknown names {bad}; valid: {', '.join(valid)}")
+        repeated = sorted({s for s in names if names.count(s) > 1})
+        if repeated:
+            raise ValueError(f"repeats the names {repeated}")
         return names
     return parse
 
@@ -429,14 +436,6 @@ def write_sample_csv(data: Dataset, path: str) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def _functional_spec(cfg: RunConfig, spec_p, x):
-    if cfg.functional == "avg_deriv":
-        return average_derivative(spec_p, x)
-    if cfg.functional == "quantile_contrast":
-        return quantile_contrast(spec_p, x)
-    return point_eval(spec_p, float(cfg.functional[6:]))
-
-
 def _run_fit(cfg: RunConfig) -> str:
     data, z_names, n_dropped = load_csv(cfg.input, cfg.y, cfg.x, cfg.z)
     lasso_cfg = LassoConfig(c=cfg.c, gamma=cfg.gamma, n_loadings=cfg.n_loadings)
@@ -477,8 +476,7 @@ def _run_fit(cfg: RunConfig) -> str:
                                columns=fit.selected)
     lines.append(f"selected conditioning terms ({len(chosen)}): "
                  + (", ".join(chosen) if chosen else "(none)"))
-    fspec = _functional_spec(cfg, fit.spec_p, data.x)
-    res_inf = functional_estimate(fit, fspec)
+    res_inf = functional_estimate(fit, functional_by_name(cfg.functional, fit.spec_p, data.x))
     lines.append("")
     lines.append(f"functional: {cfg.functional}")
     lines.append(f"theta_hat = {res_inf.theta_hat:.10g}")
@@ -496,9 +494,8 @@ def _run_simulate(cfg: RunConfig) -> str:
     dgp = DgpConfig(design=cfg.design, n=cfg.n, sigma_v=cfg.sigma_v,
                     sigma_eps=cfg.sigma_eps)
     if cfg.dump_sample:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
-        )
+        # replication 0's sample
+        rng = np.random.default_rng(_replication_seed(cfg.seed, 0))
         write_sample_csv(generate_sample(dgp, rng), cfg.dump_sample)
     report = run_monte_carlo(dgp, estimators=cfg.estimators, n_reps=cfg.reps,
                              base_seed=cfg.seed, functionals=cfg.functionals)

@@ -15,6 +15,10 @@ units of that raw column's root mean square (``PdsFit.p_rms``): V_hat does
 not change, but the test for a singular Omega no longer reads the raw
 Hermite scales, which grow like sqrt(k!). The reported standard error is
 sqrt(V_hat / n).
+
+A functional is chosen by name (``avg_deriv``, ``quantile_contrast`` or
+``point:VALUE``) through ``functional_by_name`` alone, by the command line
+and the Monte Carlo harness alike.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "average_derivative",
     "quantile_contrast",
     "point_eval",
+    "functional_by_name",
     "sandwich_variance",
     "functional_estimate",
     "rejection_test",
@@ -105,6 +110,20 @@ def point_eval(spec_p: DictionarySpec, x0: float) -> FunctionalSpec:
     return FunctionalSpec(
         kind="point_eval", A=evaluate_dictionary(spec_p, np.array([float(x0)]))[0]
     )
+
+
+def functional_by_name(name: str, spec_p: DictionarySpec, x) -> FunctionalSpec:
+    """The functional named ``avg_deriv``, ``quantile_contrast`` (between the
+    quartiles of ``x``) or ``point:VALUE`` (g at VALUE), for the g
+    dictionary ``spec_p`` fitted on the sample ``x``."""
+    if name == "avg_deriv":
+        return average_derivative(spec_p, x)
+    if name == "quantile_contrast":
+        return quantile_contrast(spec_p, x)
+    if name.startswith("point:"):
+        return point_eval(spec_p, float(name[6:]))
+    raise ValueError(
+        f"unknown functional {name!r}: expected avg_deriv, quantile_contrast or point:VALUE")
 
 
 def sandwich_variance(P_resid: np.ndarray, residuals: np.ndarray,

@@ -13,8 +13,16 @@ y = g(x) + h(z) + sigma_eps e with standard normal v and e.
 The population values of the functionals are computed by quadrature.
 
 Replications are seeded by spawning one child sequence per replication
-index from the base seed, so results do not depend on worker scheduling.
-Worker processes are started by ``spawn``, each with BLAS on one thread.
+index from the base seed (``_replication_seed``, which also seeds the
+sample that ``pds-series simulate --dump-sample`` writes), so results do
+not depend on worker scheduling. Worker processes are started by
+``spawn``, each with BLAS on one thread.
+
+A replication returns one record per (estimator, functional): the
+estimate and the test's verdict, or the failure text, that of the fit or
+of the functional on it. ``run_monte_carlo`` aggregates the records in one
+loop over those pairs; the functionals are built by
+``inference.functional_by_name``.
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -30,12 +40,7 @@ import numpy as np
 
 from .data import Dataset
 from .dictionary import DictionarySpec
-from .inference import (
-    average_derivative,
-    functional_estimate,
-    quantile_contrast,
-    rejection_test,
-)
+from .inference import functional_by_name, functional_estimate, rejection_test
 from .lasso import LassoConfig, normal_quantile
 from .selection import (
     ESTIMATORS,
@@ -335,7 +340,9 @@ def _replication_seed(base_seed: int, r: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(r,))
 
 
-def _run_replication(args):
+def _run_replication(args) -> dict:
+    """One replication's records, one per (estimator, functional):
+    ``(theta_hat, reject)`` or the failure text ``"Type: message"``."""
     cfg, estimators, functionals, base_seed, r, theta, lasso_config = args
     rng = np.random.default_rng(_replication_seed(base_seed, r))
     data = generate_sample(cfg, rng)
@@ -343,26 +350,15 @@ def _run_replication(args):
     fits, failures = comparison_estimators(
         data, spec_p, spec_q, lasso_config, estimators=estimators, rng=rng
     )
-    out: dict = {}
-    for name in estimators:
-        if name in failures:
-            out[name] = {"error": failures[name]}
-            continue
-        fit = fits[name]
-        cell: dict = {}
+    out = {(name, fn): why for name, why in failures.items() for fn in functionals}
+    for name, fit in fits.items():
         for fn in functionals:
             try:
-                if fn == "avg_deriv":
-                    fspec = average_derivative(fit.spec_p, data.x)
-                else:
-                    fspec = quantile_contrast(fit.spec_p, data.x)
-                res = functional_estimate(fit, fspec)
-                reject = rejection_test(res, theta[fn])
-                cell[fn] = (res.theta_hat, res.se, reject)
+                res = functional_estimate(fit, functional_by_name(fn, fit.spec_p, data.x))
+                out[name, fn] = (res.theta_hat, rejection_test(res, theta[fn]))
             except FIT_ERRORS as exc:
-                cell[fn] = {"error": f"{type(exc).__name__}: {exc}"}
-        out[name] = cell
-    return r, out
+                out[name, fn] = f"{type(exc).__name__}: {exc}"
+    return out
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -402,10 +398,13 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
     ``n_jobs`` defaults to the PDS_THREADS environment variable (1 when
     unset); either must be a positive integer, and a non-integer
     PDS_THREADS or a count below 1 raises ``ValueError``. The worker count
-    is capped at ``n_reps``. Aggregation is keyed by replication index, so
-    the report is identical for any worker count. Two or more workers run
-    in spawned processes (``_worker_pool``), so a script that calls this
-    with ``n_jobs > 1`` needs an ``if __name__ == "__main__":`` guard.
+    is capped at ``n_reps``. Records are aggregated in replication order,
+    which ``pool.map`` keeps, so the report is identical for any worker
+    count. Two or more workers run in spawned processes (``_worker_pool``),
+    so a script that calls this with ``n_jobs > 1`` needs an ``if __name__
+    == "__main__":`` guard; without one, the workers end early and a
+    ``RuntimeError`` says so. A name repeated in ``estimators`` or
+    ``functionals`` is refused.
     """
     estimators = list(estimators) if estimators is not None else list(ESTIMATORS)
     if not estimators:
@@ -419,6 +418,10 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
     for fn in functionals:
         if fn not in FUNCTIONALS:
             raise ValueError(f"unknown functional {fn!r}")
+    for kind, names in (("estimator", estimators), ("functional", functionals)):
+        repeated = sorted({s for s in names if names.count(s) > 1})
+        if repeated:
+            raise ValueError(f"repeated {kind} names: {repeated}")
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     if n_jobs is None:
@@ -438,29 +441,27 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
         results = [_run_replication(t) for t in tasks]
     else:
         with _worker_pool(n_jobs) as pool:
-            results = list(pool.map(_run_replication, tasks, chunksize=1))
-    results.sort(key=lambda pair: pair[0])
+            try:
+                results = list(pool.map(_run_replication, tasks, chunksize=1))
+            except BrokenProcessPool as exc:
+                raise RuntimeError(
+                    "a worker process ended before returning a result; spawned workers "
+                    "re-run the calling script, which needs an "
+                    'if __name__ == "__main__": guard') from exc
 
     report = McReport(cfg=cfg, n_reps=n_reps, base_seed=base_seed,
                       estimators=estimators, functionals=functionals)
     for fn in functionals:
         for est in estimators:
-            thetas, rejects, reasons = [], [], {}
-            for _, rep in results:
-                cell = rep[est]
-                # the estimator's failure, else this functional's
-                entry = cell if "error" in cell else cell[fn]
-                if isinstance(entry, dict):
-                    reasons[entry["error"]] = reasons.get(entry["error"], 0) + 1
-                    continue
-                th, _, rj = entry
-                thetas.append(th)
-                rejects.append(rj)
-            med_bias, mad, rp5 = aggregate_metrics(thetas, rejects, theta[fn])
+            entries = [rep[est, fn] for rep in results]
+            fitted = [e for e in entries if not isinstance(e, str)]
+            reasons = Counter(e for e in entries if isinstance(e, str))
+            med_bias, mad, rp5 = aggregate_metrics(
+                [th for th, _ in fitted], [rj for _, rj in fitted], theta[fn])
             report.rows.append(
                 McRow(estimator=est, functional=fn, theta_true=theta[fn],
                       med_bias=med_bias, mad=mad, rp5=rp5,
-                      n_reps=len(thetas), failures=sum(reasons.values()),
-                      failure_reasons=reasons)
+                      n_reps=len(fitted), failures=sum(reasons.values()),
+                      failure_reasons=dict(reasons))
             )
     return report

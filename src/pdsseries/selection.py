@@ -13,8 +13,9 @@ projection per distinct control set, at the largest degree that selects
 it, from which each degree of the set fits its own columns
 (``_final_fits``). ``pds_fit`` is its one-degree case, so a one-degree
 grid's fit is ``pds_fit``'s, bit for bit. The benchmarking alternatives
-(single-selection variants, plain series fits, an infeasible oracle) share
-the final-OLS plumbing so downstream inference treats every fit uniformly.
+(single-selection variants, plain series fits, an infeasible oracle) each
+choose their controls, and the oracle its outcome y - h, and then end in
+one ``pds_fit`` call, so downstream inference treats every fit uniformly.
 
 Every selection step is one Lasso equation, and every equation reaches the
 solver by one route: a stage function (``first_stage_select``,
@@ -30,12 +31,17 @@ targets derived from the base rows.
 The sample's ``DesignMatrices`` workspace from ``build_design`` has one
 ``LassoDesign`` over the conditioning dictionary ``Q``, holding ``Q*Q`` and
 the Gram rows formed so far, shared by every equation, estimator and
-degree. The g dictionary is not in it: each fit evaluates He_1..He_K of
-``x`` at its own degree, and every final OLS reads those raw columns.
-Post-Single I is the reduced form on the workspace's design; Post-Single
-II is the reduced form on a ``LassoDesign`` of two blocks, its
-standardized g dictionary ``P`` and the workspace's design, which reuses
-``Q*Q`` and the stored rows of ``Q'Q``, so only their ``P`` parts are new.
+degree. The g dictionary is not in it: each fit builds its g block,
+He_1..He_K of ``x`` at its own degree, by one function (``_g_block``),
+which also gives the standardized columns and refuses a constant one by
+one message. Every final OLS reads the raw columns; the grid bank's first
+stage and Post-Single II select on the standardized ones. The g dictionary
+is always the univariate Hermite one, and ``comparison_estimators``
+refuses any other. Post-Single I is the reduced form on the workspace's
+design; Post-Single II is the reduced form on a ``LassoDesign`` of two
+blocks, its standardized g dictionary ``P`` and the workspace's design,
+which reuses ``Q*Q`` and the stored rows of ``Q'Q``, so only their ``P``
+parts are new.
 
 Most first-stage equations select nothing. A bank of two or more
 equations is first asked which surely end with an empty active set
@@ -51,6 +57,7 @@ equation on a bank without records.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,7 +70,6 @@ from .dictionary import (
     build_design,
     evaluate_dictionary,
     hermite_design,
-    standardize_columns,
 )
 from .lasso import (
     ConvergenceError,
@@ -384,28 +390,55 @@ def _bic(fit: PdsFit) -> float:
     return n * math.log(max(rss, 1e-300) / n) + ncols * math.log(n)
 
 
+def _g_block(x, k: int):
+    """He_1..He_k of ``x``: the raw columns every final OLS reads, and the
+    standardized columns (by the ``std(axis=0)`` scales) that the first
+    stage and Post-Single II select on.
+
+    Returns ``(P_raw, P, k_ok)``: ``P`` holds the first ``k_ok`` columns,
+    those before the first constant one (``_degenerate(k_ok)`` names it).
+    """
+    P_raw = hermite_design(x, k)
+    scales = P_raw.std(axis=0)
+    bad = np.flatnonzero(scales == 0.0)
+    k_ok = int(bad[0]) if bad.size else k
+    return P_raw, P_raw[:, :k_ok] / scales[:k_ok], k_ok
+
+
+def _degenerate(j: int) -> DegenerateColumnError:
+    return DegenerateColumnError(f"P column {j} has zero variance on this sample")
+
+
 def _grid_bank(data: Dataset, design: DesignMatrices, k_max: int,
                extended_fs: bool):
     """One bank of every target of a degree grid, built at its largest degree.
 
-    The rows are the standardized He_1..He_k_ok of ``data.x``, where k_ok
-    stops before the first constant column; with ``extended_fs``, their
-    pairwise sums and then differences in ``build_extended_fs`` order,
-    whose ``Q't`` and loadings the bank derives from those of the base
-    rows; and ``data.y`` last. A standardized column, and a sum or
-    difference of two, is the same at every degree that has it, so every
-    degree's targets are rows of this bank. Returns the bank, the raw
-    He_1..He_k_max, k_ok and the second index of each bank pair.
+    The rows are the standardized g block of ``_g_block`` at ``k_max``;
+    with ``extended_fs``, their pairwise sums and then differences in
+    ``build_extended_fs`` order, whose ``Q't`` and loadings the bank
+    derives from those of the base rows; and ``data.y`` last. A
+    standardized column, and a sum or difference of two, is the same at
+    every degree that has it, so every degree's targets are rows of this
+    bank. Returns the bank, the raw He_1..He_k_max, k_ok and the second
+    index of each bank pair.
     """
-    P_raw = hermite_design(data.x, k_max)
-    scales = P_raw.std(axis=0)
-    bad = np.flatnonzero(scales == 0.0)
-    k_ok = int(bad[0]) if bad.size else k_max
+    P_raw, P, k_ok = _g_block(data.x, k_max)
     ii, jj = np.triu_indices(k_ok, 1) if extended_fs else (np.empty(0, int),) * 2
-    rows = np.empty((k_ok + 1, data.n))
-    np.divide(P_raw[:, :k_ok].T, scales[:k_ok, None], out=rows[:k_ok])
-    rows[-1] = data.y
+    rows = np.vstack([P.T, data.y])
     return TargetBank.of(rows, design.lasso_design, pairs=(ii, jj)), P_raw, k_ok, jj
+
+
+def _degree_grid(k_grid) -> list:
+    """The distinct degrees of ``k_grid``, ascending; a degree that is not
+    a whole number >= 1 is refused by name."""
+    degrees = set()
+    for k in k_grid:
+        if not (isinstance(k, numbers.Real) and k >= 1 and float(k).is_integer()):
+            raise ValueError(f"k_grid holds {k!r}: a degree must be a whole number >= 1")
+        degrees.add(int(k))
+    if not degrees:
+        raise ValueError("k_grid is empty")
+    return sorted(degrees)
 
 
 def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
@@ -434,14 +467,11 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     ``pds-series fit``, runs here.
     """
     cfg = config if config is not None else LassoConfig()
-    k_grid = sorted(set(int(k) for k in k_grid))
-    if not k_grid:
-        raise ValueError("k_grid is empty")
+    k_grid = _degree_grid(k_grid)
     specs = {k: DictionarySpec("hermite_univariate", degree=k) for k in k_grid}
     bank, P_raw, k_ok, pair_j = _grid_bank(data, design, k_grid[-1], extended_fs)
-    degenerate = f"P column {k_ok} has zero variance on this sample"
     if k_ok < k_grid[0]:
-        raise DegenerateColumnError(degenerate)
+        raise _degenerate(k_ok)
     y_bank = bank.subset([len(bank.rows) - 1])
     sels: dict[int, SelectionResult] = {}
     failed: dict[int, str] = {}
@@ -450,7 +480,7 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
         fs_rows = [*range(k), *(k_ok + pairs), *(k_ok + pair_j.size + pairs)]
         try:
             if k > k_ok:
-                raise DegenerateColumnError(degenerate)
+                raise _degenerate(k_ok)
             sels[k] = post_double_select(bank.subset(fs_rows), y_bank, cfg)
         except FIT_ERRORS as exc:
             failed[k] = str(exc)
@@ -503,8 +533,12 @@ def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
     unknown = [s for s in names if s not in ESTIMATORS]
     if unknown:
         raise ValueError(f"unknown estimator names: {unknown}")
-    if k_grid is None:
-        k_grid = default_k_grid(data.n)
+    repeated = sorted({s for s in names if names.count(s) > 1})
+    if repeated:
+        raise ValueError(f"repeated estimator names: {repeated}")
+    if spec_p.kind != "hermite_univariate":
+        raise ValueError(f"the g dictionary must be hermite_univariate, got {spec_p.kind!r}")
+    k_grid = _degree_grid(k_grid if k_grid is not None else default_k_grid(data.n))
 
     fits: dict[str, PdsFit] = {}
     failures: dict[str, str] = {}
@@ -550,35 +584,28 @@ def _fit_one(name, data: Dataset, design: DesignMatrices, spec_p: DictionarySpec
         fit.name = name
         return fit
 
-    P_raw = evaluate_dictionary(spec_p, data.x)
-    # standardizing refuses a constant column, as the Post-Double route does
-    P, _ = standardize_columns(P_raw, what="P column")
+    P_raw, P, k_ok = _g_block(data.x, spec_p.degree)
+    if k_ok < spec_p.degree:
+        raise _degenerate(k_ok)
+    y = data.y
     if name == "post_single_1":
-        rf_set = reduced_form_select(TargetBank.of(data.y, design.lasso_design), cfg)
-        return pds_fit(P_raw, design.q_raw(rf_set), data.y, rf_set,
-                       spec_p=spec_p, name=name)
-
-    if name == "post_single_2":
+        sel = reduced_form_select(TargetBank.of(data.y, design.lasso_design), cfg)
+        controls = design.q_raw(sel)
+    elif name == "post_single_2":
         # one Lasso of y on [P, Q]: the blocks P and the workspace's design,
         # whose Q*Q and stored rows of Q'Q it reuses
         joint = LassoDesign(P, design.lasso_design)
         active = reduced_form_select(TargetBank.of(data.y, joint), cfg)
-        n_p = P.shape[1]
-        in_q = active[active >= n_p] - n_p
-        return pds_fit(P_raw, design.q_raw(in_q), data.y, in_q,
-                       spec_p=spec_p, name=name)
-
-    if name in ("series_1", "series_2"):
+        sel = active[active >= k_ok] - k_ok
+        controls = design.q_raw(sel)
+    elif name in ("series_1", "series_2"):
         controls = _series_controls(data, design, name, rng)
         sel = np.arange(controls.shape[1])
-        return pds_fit(P_raw, controls, data.y, sel, spec_p=spec_p, name=name)
-
-    if name == "oracle":
+    elif name == "oracle":
         if data.h_true is None:
             raise ValueError("oracle estimator requires the true h values")
-        y_adj = data.y - data.h_true
-        empty = np.array([], dtype=int)
-        return pds_fit(P_raw, np.empty((data.n, 0)), y_adj, empty,
-                       spec_p=spec_p, name=name)
-
-    raise ValueError(f"unknown estimator {name!r}")
+        y = data.y - data.h_true
+        sel, controls = np.array([], dtype=int), np.empty((data.n, 0))
+    else:
+        raise ValueError(f"unknown estimator {name!r}")
+    return pds_fit(P_raw, controls, y, sel, spec_p=spec_p, name=name)

@@ -355,6 +355,19 @@ def test_non_finite_numbers_are_configuration_errors(capsys, tmp_path, value):
         assert f"{name} must be a finite number, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,names,repeated", [
+    ("--estimators", "oracle,oracle", "['oracle']"),
+    ("--estimators", "post_double,oracle,post_double,oracle", "['oracle', 'post_double']"),
+    ("--functionals", "avg_deriv,quantile_contrast,avg_deriv", "['avg_deriv']"),
+])
+def test_a_repeated_name_is_a_configuration_error(capsys, tmp_path, flag, names, repeated):
+    argv = ["simulate", "--design", "low", "--n", "60", "--reps", "1", flag, names,
+            "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    assert f"{flag} repeats the names {repeated}" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_negative_seed_is_a_configuration_error(capsys, tmp_path):
     argv = ["simulate", "--design", "low", "--n", "60", "--reps", "1", "--seed=-1",
             "--out", str(tmp_path / "o.csv")]

@@ -11,6 +11,7 @@ from pdsseries.inference import (
     SingularOmegaError,
     average_derivative,
     empirical_quantile,
+    functional_by_name,
     functional_estimate,
     point_eval,
     quantile_contrast,
@@ -91,6 +92,26 @@ def test_point_eval_loadings():
     spec = DictionarySpec("hermite_univariate", degree=3)
     f = point_eval(spec, 2.0)
     np.testing.assert_allclose(f.A, [2.0, 3.0, 2.0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("name,make", [
+    ("avg_deriv", average_derivative),
+    ("quantile_contrast", quantile_contrast),
+    ("point:0.5", lambda spec, x: point_eval(spec, 0.5)),
+    ("point:-1.25e0", lambda spec, x: point_eval(spec, -1.25)),
+])
+def test_a_functional_by_name_has_the_loadings_of_its_function(rng, name, make):
+    spec = DictionarySpec("hermite_univariate", degree=5)
+    x = rng.standard_normal(77)
+    got, want = functional_by_name(name, spec, x), make(spec, x)
+    assert got.kind == want.kind
+    assert got.A.tobytes() == want.A.tobytes()
+
+
+@pytest.mark.parametrize("name", ["mystery", "avg-deriv", "point", ""])
+def test_an_unknown_functional_name_is_refused(name):
+    with pytest.raises(ValueError, match="unknown functional"):
+        functional_by_name(name, DictionarySpec("hermite_univariate", degree=3), np.zeros(5))
 
 
 def test_avg_deriv_matches_finite_difference_of_g_hat():

@@ -3,13 +3,15 @@
 import itertools
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from _oracles import toeplitz_column_loop
-from pdsseries import montecarlo
+from pdsseries import inference, montecarlo
 from pdsseries.dictionary import evaluate_dictionary
 from pdsseries.inference import average_derivative, functional_estimate
 from pdsseries.montecarlo import (
@@ -429,6 +431,59 @@ def test_the_table_names_each_failure_reason_and_its_count(monkeypatch, tiny_rep
     at = lines.index("failures:")
     assert lines[at + 1:] == [f"  Post-Double: 2 failed with {reason}",
                               f"  Oracle: 2 failed with {reason}"]
+
+
+def test_a_failed_functional_is_counted_apart_from_its_fit(monkeypatch, tiny_report):
+    # quantile_contrast fails on every replication while every fit, and
+    # avg_deriv on it, succeeds
+    def refuse(spec_p, x):
+        raise ValueError("no quartiles here")
+
+    monkeypatch.setattr(inference, "quantile_contrast", refuse)
+    report = run_monte_carlo(DgpConfig("low_dim", 80), estimators=("post_double", "oracle"),
+                             n_reps=4, base_seed=123,
+                             functionals=("avg_deriv", "quantile_contrast"))
+    rows = {(r.functional, r.estimator): r for r in report.rows}
+    for est in ("post_double", "oracle"):
+        failed = rows["quantile_contrast", est]
+        assert (failed.n_reps, failed.failures) == (0, 4)
+        assert failed.failure_reasons == {"ValueError: no quartiles here": 4}
+        assert math.isnan(failed.med_bias)
+    # the avg_deriv rows are those of the run without the failing functional
+    assert [rows["avg_deriv", est] for est in ("post_double", "oracle")] == tiny_report.rows
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"estimators": ("oracle", "oracle")}, "oracle"),
+    ({"estimators": ("oracle", "post_double", "oracle")}, "oracle"),
+    ({"estimators": ("oracle",), "functionals": ("avg_deriv", "avg_deriv")}, "avg_deriv"),
+])
+def test_run_monte_carlo_refuses_a_repeated_name(kwargs, name):
+    with pytest.raises(ValueError, match=f"repeated .* names: \\['{name}'\\]"):
+        run_monte_carlo(DgpConfig("low_dim", 60), n_reps=2, **kwargs)
+
+
+UNGUARDED_SCRIPT = """\
+from pdsseries.montecarlo import DgpConfig, run_monte_carlo
+
+run_monte_carlo(DgpConfig("low_dim", 60), estimators=["oracle"], n_reps=2, n_jobs=2)
+"""
+
+
+def test_a_script_without_a_main_guard_gets_a_named_error(tmp_path):
+    # the two spawned workers re-run the script, whose pool refuses to start
+    # while they are still importing it, so each ends before its first task
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_SCRIPT, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("RuntimeError: a worker process ended before returning a result")
+    assert 'if __name__ == "__main__": guard' in last
 
 
 def test_run_monte_carlo_validation():

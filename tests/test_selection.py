@@ -798,6 +798,38 @@ def test_failures_are_isolated():
         comparison_estimators(data, spec_p, spec_q, estimators=("bogus",))
 
 
+def test_comparison_estimators_refuses_repeated_names_and_a_non_hermite_g():
+    data = make_low_dim_like(seed=33)
+    spec_p, spec_q = make_specs(data)
+    with pytest.raises(ValueError, match=r"repeated estimator names: \['oracle'\]"):
+        comparison_estimators(data, spec_p, spec_q, estimators=("oracle", "series_1", "oracle"))
+    # one refusal for every estimator, before any is fitted
+    for kind in ("raw_coordinates", "hermite_tensor"):
+        with pytest.raises(ValueError, match=f"must be hermite_univariate, got '{kind}'"):
+            comparison_estimators(data, DictionarySpec(kind, degree=3), spec_q)
+
+
+@pytest.mark.parametrize("grid,bad", [([2.7, 3], "2.7"), ([0, 3], "0"), ([3, -1], "-1"),
+                                      ([float("nan")], "nan"), ([2, float("inf")], "inf"),
+                                      (["3"], "'3'")])
+def test_choose_k_bic_refuses_a_degree_that_is_not_a_whole_number_from_one(
+        monkeypatch, grid, bad):
+    data = make_low_dim_like(seed=5)
+    d = build_design(make_specs(data)[1], data.Z)
+    monkeypatch.setattr(selection, "_grid_bank", None)  # refused before the bank
+    with pytest.raises(ValueError, match=f"k_grid holds {bad}: a degree must be a whole"):
+        choose_k_bic(data, d, grid)
+    with pytest.raises(ValueError, match=f"k_grid holds {bad}"):
+        comparison_estimators(data, *make_specs(data), estimators=("oracle",), k_grid=grid)
+
+
+def test_choose_k_bic_reads_whole_float_degrees_as_integers():
+    data = make_low_dim_like(seed=5)
+    d = build_design(make_specs(data)[1], data.Z)
+    as_float, as_int = choose_k_bic(data, d, [3.0, 2.0]), choose_k_bic(data, d, [2, 3])
+    assert list(as_float.fits) == [2, 3] and as_float.bics == as_int.bics
+
+
 def test_raw_coordinate_series_benchmarks():
     rng = np.random.default_rng(44)
     n, dz = 100, 200
