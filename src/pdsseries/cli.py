@@ -6,7 +6,11 @@ Two subcommands:
   and write the aggregated metrics as CSV (plus an aligned text table).
 - ``pds-series fit``: estimate a functional of g on a user CSV.
 
-Each long option is declared once, as a ``RunConfig`` field. A ``--config
+Each long option is declared once, as a ``RunConfig`` field. The names
+an option takes are not owned here: ``--functional`` is read by
+``inference.parse_functional`` and ``--estimators``/``--functionals`` are
+checked by ``data.check_names``, so the library refuses the same names
+with the same text that follows the flag in the problem list. A ``--config
 FILE`` in INI format can supply any of them (section named after the
 subcommand); explicit flags win. The resolved configuration is echoed into
 the text outputs. Exit codes: 0 success, 2 invalid configuration (all
@@ -27,13 +31,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_names
 from .dictionary import DictionarySpec, build_design, dictionary_labels
-from .inference import functional_by_name, functional_estimate
+from .inference import FUNCTIONALS, functional_by_name, functional_estimate, parse_functional
 from .lasso import LassoConfig
 from .montecarlo import (
     DgpConfig,
-    FUNCTIONALS,
     _replication_seed,
     generate_sample,
     run_monte_carlo,
@@ -106,23 +109,16 @@ def _choice(values: dict, words: str):
 
 
 def _names(noun: str, valid=None, everything: bool = False):
-    """A non-empty comma-separated list of names; with ``valid``, each is one
-    of them and none repeats."""
+    """A comma-separated list of names, checked by ``check_names`` against
+    ``valid``; without ``valid``, any non-empty list (``--z`` patterns may
+    repeat)."""
     def parse(raw: str) -> list:
         names = [s.strip() for s in raw.split(",") if s.strip()]
         if everything and names == ["all"]:
             return list(valid)
-        if not names:
-            raise ValueError(f"must list at least one {noun}")
-        if valid is None:
+        if valid is None and names:
             return names
-        bad = [s for s in names if s not in valid]
-        if bad:
-            raise ValueError(f"contains unknown names {bad}; valid: {', '.join(valid)}")
-        repeated = sorted({s for s in names if names.count(s) > 1})
-        if repeated:
-            raise ValueError(f"repeats the names {repeated}")
-        return names
+        return check_names(names, valid or (), noun)
     return parse
 
 
@@ -141,19 +137,6 @@ def _degree(raw: str):
     if raw in _K_ROOTS or raw == "bic":
         return raw
     return _at_least(_integer, 1)(raw)
-
-
-def _functional(raw: str) -> str:
-    if raw in FUNCTIONALS:
-        return raw
-    if raw.startswith("point:"):
-        try:
-            _number(raw[6:])
-        except ValueError as exc:
-            raise ValueError(f"point {exc}") from None
-        return raw
-    raise ValueError(
-        f"must be avg_deriv, quantile_contrast or point:VALUE, got {raw!r}")
 
 
 def _option(commands, parse=str, default=None, required=False):
@@ -195,7 +178,7 @@ class RunConfig:
     extended_fs: bool = _option(_FIT, _boolean, False)
     q_dict: str = _option(_FIT, _choice({"raw": "raw", "tensor": "tensor"}, "raw or tensor"),
                           "raw")
-    functional: str = _option(_FIT, _functional, "avg_deriv")
+    functional: str = _option(_FIT, parse_functional, "avg_deriv")
     c: float = _option(_FIT, _within(_number, lambda val: val > 0, "must be positive"), 1.1)
     gamma: float | None = _option(
         _FIT, _within(_number, lambda val: 0.0 < val < 1.0, "must lie in (0, 1)"))

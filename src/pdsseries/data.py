@@ -1,7 +1,16 @@
-"""Shared sample container."""
+"""Shared sample container, and two input rules that several modules share.
+
+``check_names`` is the one check of a list of estimator or functional
+names, for ``selection.comparison_estimators``,
+``montecarlo.run_monte_carlo`` and the command line alike.
+``_whole_number`` is the one rule for a count or a degree (of
+``LassoConfig``, ``DictionarySpec``, ``DgpConfig`` and a BIC degree grid):
+a whole number at or above its minimum, where 3.0 is read as 3.
+"""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,3 +47,29 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.y.size
+
+
+def _whole_number(value, minimum: int):
+    """``value`` as an int when it is a whole number >= ``minimum`` (a float
+    such as 3.0 too), else None: a fraction, NaN, infinity, a string or a
+    number below ``minimum``."""
+    if (isinstance(value, numbers.Real) and value >= minimum
+            and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        return int(value)
+    return None
+
+
+def check_names(names, valid, noun: str) -> list:
+    """``names`` as a list, when it is non-empty, each name is one of
+    ``valid`` and none repeats; otherwise a ValueError saying which rule
+    fails."""
+    names = list(names)
+    if not names:
+        raise ValueError(f"must list at least one {noun}")
+    unknown = [s for s in names if s not in valid]
+    if unknown:
+        raise ValueError(f"unknown {noun} names: {unknown}; valid: {', '.join(valid)}")
+    repeated = sorted({s for s in names if names.count(s) > 1})
+    if repeated:
+        raise ValueError(f"repeated {noun} names: {repeated}")
+    return names

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _whole_number
 from .lasso import LassoDesign
 
 __all__ = [
@@ -85,12 +86,17 @@ class DictionarySpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown dictionary kind {self.kind!r}")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
+        input_dim = _whole_number(self.input_dim, 1)
+        if input_dim is None:
+            raise ValueError(f"input_dim must be a whole number >= 1, got {self.input_dim!r}")
+        object.__setattr__(self, "input_dim", input_dim)
         if self.kind == "raw_coordinates":
             return
-        if self.degree < 1:
-            raise ValueError(f"{self.kind} requires degree >= 1")
+        degree = _whole_number(self.degree, 1)
+        if degree is None:
+            raise ValueError(
+                f"{self.kind} requires a degree that is a whole number >= 1, got {self.degree!r}")
+        object.__setattr__(self, "degree", degree)
         if self.kind == "hermite_univariate" and self.input_dim != 1:
             raise ValueError(f"{self.kind} takes a scalar input")
 

@@ -16,13 +16,17 @@ not change, but the test for a singular Omega no longer reads the raw
 Hermite scales, which grow like sqrt(k!). The reported standard error is
 sqrt(V_hat / n).
 
-A functional is chosen by name (``avg_deriv``, ``quantile_contrast`` or
-``point:VALUE``) through ``functional_by_name`` alone, by the command line
-and the Monte Carlo harness alike.
+A functional is chosen by name through ``functional_by_name`` alone, by
+the command line and the Monte Carlo harness alike. This module owns the
+names: ``FUNCTIONALS`` (``avg_deriv`` and ``quantile_contrast``, the
+functionals with a population value) and one parser, ``parse_functional``,
+which also accepts ``point:VALUE`` with a finite VALUE and refuses any
+other name with one message.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,7 @@ from .selection import PdsFit
 
 __all__ = [
     "Z_CRITICAL",
+    "FUNCTIONALS",
     "FunctionalSpec",
     "InferenceResult",
     "SingularOmegaError",
@@ -43,6 +48,7 @@ __all__ = [
     "average_derivative",
     "quantile_contrast",
     "point_eval",
+    "parse_functional",
     "functional_by_name",
     "sandwich_variance",
     "functional_estimate",
@@ -51,6 +57,9 @@ __all__ = [
 
 # two-sided 5 percent normal critical value, fixed at this precision
 Z_CRITICAL = 1.959964
+
+# the functionals named without a value; point:VALUE is the other name
+FUNCTIONALS = ("avg_deriv", "quantile_contrast")
 
 
 class SingularOmegaError(np.linalg.LinAlgError):
@@ -96,11 +105,10 @@ def average_derivative(spec_p: DictionarySpec, x) -> FunctionalSpec:
     return FunctionalSpec(kind="avg_deriv", A=D.mean(axis=0))
 
 
-def quantile_contrast(spec_p: DictionarySpec, x, q_lo: float = 0.25,
-                      q_hi: float = 0.75) -> FunctionalSpec:
-    """Loadings for g evaluated between two empirical quantiles of x."""
-    x_lo = empirical_quantile(x, q_lo)
-    x_hi = empirical_quantile(x, q_hi)
+def quantile_contrast(spec_p: DictionarySpec, x) -> FunctionalSpec:
+    """Loadings for g(x_0.75) - g(x_0.25) at the empirical quartiles of x."""
+    x_lo = empirical_quantile(x, 0.25)
+    x_hi = empirical_quantile(x, 0.75)
     pts = evaluate_dictionary(spec_p, np.array([x_hi, x_lo]))
     return FunctionalSpec(kind="quantile_contrast", A=pts[0] - pts[1])
 
@@ -112,18 +120,35 @@ def point_eval(spec_p: DictionarySpec, x0: float) -> FunctionalSpec:
     )
 
 
+def parse_functional(name: str) -> str:
+    """``name`` when it names a functional: one of ``FUNCTIONALS``, or
+    ``point:VALUE`` with a finite VALUE; otherwise a ValueError saying why."""
+    if name in FUNCTIONALS:
+        return name
+    if not name.startswith("point:"):
+        raise ValueError(
+            f"unknown functional {name!r}: expected avg_deriv, quantile_contrast or point:VALUE")
+    raw = name[6:]
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"point must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"point must be a finite number, got {raw!r}")
+    return name
+
+
 def functional_by_name(name: str, spec_p: DictionarySpec, x) -> FunctionalSpec:
     """The functional named ``avg_deriv``, ``quantile_contrast`` (between the
     quartiles of ``x``) or ``point:VALUE`` (g at VALUE), for the g
-    dictionary ``spec_p`` fitted on the sample ``x``."""
+    dictionary ``spec_p`` fitted on the sample ``x``; ``parse_functional``
+    checks the name."""
+    name = parse_functional(name)
     if name == "avg_deriv":
         return average_derivative(spec_p, x)
     if name == "quantile_contrast":
         return quantile_contrast(spec_p, x)
-    if name.startswith("point:"):
-        return point_eval(spec_p, float(name[6:]))
-    raise ValueError(
-        f"unknown functional {name!r}: expected avg_deriv, quantile_contrast or point:VALUE")
+    return point_eval(spec_p, float(name[6:]))
 
 
 def sandwich_variance(P_resid: np.ndarray, residuals: np.ndarray,

@@ -73,6 +73,8 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .data import _whole_number
+
 __all__ = [
     "LassoConfig",
     "LassoFit",
@@ -120,12 +122,15 @@ class LassoConfig:
             raise ValueError("c must be positive and finite")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.n_loadings < 1:
-            raise ValueError("n_loadings must be >= 1")
+        # a fraction would never equal the count of rounds or sweeps, so no cap
+        for name in ("n_loadings", "cd_max_iter"):
+            value = _whole_number(getattr(self, name), 1)
+            if value is None:
+                raise ValueError(
+                    f"{name} must be a whole number >= 1, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if not 0.0 <= self.cd_tol < math.inf:
             raise ValueError("cd_tol must be nonnegative and finite")
-        if self.cd_max_iter < 1:
-            raise ValueError("cd_max_iter must be >= 1")
 
 
 @dataclass

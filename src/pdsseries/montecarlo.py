@@ -22,7 +22,9 @@ A replication returns one record per (estimator, functional): the
 estimate and the test's verdict, or the failure text, that of the fit or
 of the functional on it. ``run_monte_carlo`` aggregates the records in one
 loop over those pairs; the functionals are built by
-``inference.functional_by_name``.
+``inference.functional_by_name``. The names are not owned here:
+``FUNCTIONALS`` is ``inference``'s, re-exported, the estimators are
+``selection.ESTIMATORS``, and ``data.check_names`` checks both lists.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _whole_number, check_names
 from .dictionary import DictionarySpec
-from .inference import functional_by_name, functional_estimate, rejection_test
-from .lasso import LassoConfig, normal_quantile
+from .inference import FUNCTIONALS, functional_by_name, functional_estimate, rejection_test
+from .lasso import normal_quantile
 from .selection import (
     ESTIMATORS,
     ESTIMATOR_LABELS,
@@ -69,7 +71,6 @@ __all__ = [
 ]
 
 DESIGNS = ("low_dim", "high_dim")
-FUNCTIONALS = ("avg_deriv", "quantile_contrast")
 
 # Gauss-Hermite order of true_theta: within 2.3e-12 of adaptive quadrature
 # at sigma_v = 0 and from 0.3 to 3 (README, "Simulation designs")
@@ -94,8 +95,10 @@ class DgpConfig:
     def __post_init__(self) -> None:
         if self.design not in DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        n = _whole_number(self.n, 2)
+        if n is None:
+            raise ValueError(f"n must be a whole number >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         if not (0.0 <= self.sigma_v < math.inf and 0.0 <= self.sigma_eps < math.inf):
             raise ValueError("noise scales must be finite and nonnegative")
         if not -1.0 < self.rho < 1.0:
@@ -104,8 +107,10 @@ class DgpConfig:
             object.__setattr__(
                 self, "dim_z", 4 if self.design == "low_dim" else 2 * self.n
             )
-        if self.dim_z < 1:
-            raise ValueError("dim_z must be >= 1")
+        dim_z = _whole_number(self.dim_z, 1)
+        if dim_z is None:
+            raise ValueError(f"dim_z must be a whole number >= 1, got {self.dim_z!r}")
+        object.__setattr__(self, "dim_z", dim_z)
 
 
 def _logistic(t) -> np.ndarray:
@@ -291,7 +296,7 @@ class McReport:
         by_fn: dict[str, dict[str, McRow]] = {}
         for row in self.rows:
             by_fn.setdefault(row.functional, {})[row.estimator] = row
-        width = max(len(ESTIMATOR_LABELS.get(e, e)) for e in self.estimators)
+        width = max(len(ESTIMATOR_LABELS[e]) for e in self.estimators)
         out = [
             f"design={self.cfg.design} n={self.cfg.n} dim_z={self.cfg.dim_z} "
             f"sigma_v={self.cfg.sigma_v:g} sigma_eps={self.cfg.sigma_eps:g} "
@@ -306,7 +311,7 @@ class McReport:
             out.append(head)
             for est in self.estimators:
                 row = rows.get(est)
-                label = ESTIMATOR_LABELS.get(est, est)
+                label = ESTIMATOR_LABELS[est]
                 if row is None:
                     out.append(f"{label:<{width}}  {'--':>9}  {'--':>7}  {'--':>7}  {'--':>4}")
                     continue
@@ -314,7 +319,7 @@ class McReport:
                     f"{label:<{width}}  {row.med_bias:>9.3f}  {row.mad:>7.3f}  "
                     f"{row.rp5:>7.3f}  {row.failures:>4d}"
                 )
-            reasons = [(ESTIMATOR_LABELS.get(est, est), count, msg)
+            reasons = [(ESTIMATOR_LABELS[est], count, msg)
                        for est in self.estimators if est in rows
                        for msg, count in rows[est].failure_reasons.items()]
             if reasons:
@@ -343,13 +348,12 @@ def _replication_seed(base_seed: int, r: int) -> np.random.SeedSequence:
 def _run_replication(args) -> dict:
     """One replication's records, one per (estimator, functional):
     ``(theta_hat, reject)`` or the failure text ``"Type: message"``."""
-    cfg, estimators, functionals, base_seed, r, theta, lasso_config = args
+    cfg, estimators, functionals, base_seed, r, theta = args
     rng = np.random.default_rng(_replication_seed(base_seed, r))
     data = generate_sample(cfg, rng)
     spec_p, spec_q = default_specs(cfg)
-    fits, failures = comparison_estimators(
-        data, spec_p, spec_q, lasso_config, estimators=estimators, rng=rng
-    )
+    fits, failures = comparison_estimators(data, spec_p, spec_q, estimators=estimators,
+                                           rng=rng)
     out = {(name, fn): why for name, why in failures.items() for fn in functionals}
     for name, fit in fits.items():
         for fn in functionals:
@@ -391,8 +395,7 @@ def _worker_pool(n_jobs: int):
 
 def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
                     base_seed: int = 0, functionals=FUNCTIONALS,
-                    n_jobs: int | None = None,
-                    lasso_config: LassoConfig | None = None) -> McReport:
+                    n_jobs: int | None = None) -> McReport:
     """Run the replication loop and aggregate.
 
     ``n_jobs`` defaults to the PDS_THREADS environment variable (1 when
@@ -403,25 +406,14 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
     count. Two or more workers run in spawned processes (``_worker_pool``),
     so a script that calls this with ``n_jobs > 1`` needs an ``if __name__
     == "__main__":`` guard; without one, the workers end early and a
-    ``RuntimeError`` says so. A name repeated in ``estimators`` or
-    ``functionals`` is refused.
+    ``RuntimeError`` says so. ``estimators`` (all nine by default) and
+    ``functionals`` are checked by ``data.check_names``: an empty list, an
+    unknown name or a repeated one is refused. Every fit uses the default
+    ``LassoConfig``.
     """
-    estimators = list(estimators) if estimators is not None else list(ESTIMATORS)
-    if not estimators:
-        raise ValueError("estimators must name at least one estimator")
-    unknown = [e for e in estimators if e not in ESTIMATORS]
-    if unknown:
-        raise ValueError(f"unknown estimator names: {unknown}")
-    functionals = list(functionals)
-    if not functionals:
-        raise ValueError("functionals must name at least one functional")
-    for fn in functionals:
-        if fn not in FUNCTIONALS:
-            raise ValueError(f"unknown functional {fn!r}")
-    for kind, names in (("estimator", estimators), ("functional", functionals)):
-        repeated = sorted({s for s in names if names.count(s) > 1})
-        if repeated:
-            raise ValueError(f"repeated {kind} names: {repeated}")
+    estimators = check_names(estimators if estimators is not None else ESTIMATORS,
+                             ESTIMATORS, "estimator")
+    functionals = check_names(functionals, FUNCTIONALS, "functional")
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     if n_jobs is None:
@@ -433,10 +425,8 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     n_jobs = min(n_jobs, n_reps)
 
-    lcfg = lasso_config if lasso_config is not None else LassoConfig()
     theta = {fn: true_theta(cfg, fn) for fn in functionals}
-    tasks = [(cfg, estimators, functionals, base_seed, r, theta, lcfg)
-             for r in range(n_reps)]
+    tasks = [(cfg, estimators, functionals, base_seed, r, theta) for r in range(n_reps)]
     if n_jobs == 1:
         results = [_run_replication(t) for t in tasks]
     else:

@@ -52,17 +52,21 @@ earlier degree's call on the same target recorded by a KKT certificate
 where it holds, and solves the others. The sets, and the exceptions of
 equations that fail, are those of one ``iterated_lasso`` call per
 equation on a bank without records.
+
+``ESTIMATOR_LABELS`` owns the nine estimator names, with the label each
+prints under; ``ESTIMATORS`` is its keys, in order. ``comparison_estimators``
+checks a list of them by ``data.check_names``, as ``run_monte_carlo`` and
+the command line do.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _whole_number, check_names
 from .dictionary import (
     DegenerateColumnError,
     DesignMatrices,
@@ -101,18 +105,6 @@ __all__ = [
     "comparison_estimators",
 ]
 
-ESTIMATORS = (
-    "post_double",
-    "post_double_set",
-    "post_double_ext",
-    "post_double_set_ext",
-    "post_single_1",
-    "post_single_2",
-    "series_1",
-    "series_2",
-    "oracle",
-)
-
 ESTIMATOR_LABELS = {
     "post_double": "Post-Double",
     "post_double_set": "Post-Double Set",
@@ -124,6 +116,7 @@ ESTIMATOR_LABELS = {
     "series_2": "Series II",
     "oracle": "Oracle",
 }
+ESTIMATORS = tuple(ESTIMATOR_LABELS)
 
 # share of z columns used by the plain series benchmarks when the
 # conditioning dictionary is the raw coordinates
@@ -433,9 +426,10 @@ def _degree_grid(k_grid) -> list:
     a whole number >= 1 is refused by name."""
     degrees = set()
     for k in k_grid:
-        if not (isinstance(k, numbers.Real) and k >= 1 and float(k).is_integer()):
+        degree = _whole_number(k, 1)
+        if degree is None:
             raise ValueError(f"k_grid holds {k!r}: a degree must be a whole number >= 1")
-        degrees.add(int(k))
+        degrees.add(degree)
     if not degrees:
         raise ValueError("k_grid is empty")
     return sorted(degrees)
@@ -529,13 +523,8 @@ def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
     reason. ``rng`` is consumed only by the randomized series benchmark.
     """
     cfg = config if config is not None else LassoConfig()
-    names = list(estimators) if estimators is not None else list(ESTIMATORS)
-    unknown = [s for s in names if s not in ESTIMATORS]
-    if unknown:
-        raise ValueError(f"unknown estimator names: {unknown}")
-    repeated = sorted({s for s in names if names.count(s) > 1})
-    if repeated:
-        raise ValueError(f"repeated estimator names: {repeated}")
+    names = check_names(estimators if estimators is not None else ESTIMATORS,
+                        ESTIMATORS, "estimator")
     if spec_p.kind != "hermite_univariate":
         raise ValueError(f"the g dictionary must be hermite_univariate, got {spec_p.kind!r}")
     k_grid = _degree_grid(k_grid if k_grid is not None else default_k_grid(data.n))
@@ -601,11 +590,9 @@ def _fit_one(name, data: Dataset, design: DesignMatrices, spec_p: DictionarySpec
     elif name in ("series_1", "series_2"):
         controls = _series_controls(data, design, name, rng)
         sel = np.arange(controls.shape[1])
-    elif name == "oracle":
+    else:  # oracle
         if data.h_true is None:
             raise ValueError("oracle estimator requires the true h values")
         y = data.y - data.h_true
         sel, controls = np.array([], dtype=int), np.empty((data.n, 0))
-    else:
-        raise ValueError(f"unknown estimator {name!r}")
     return pds_fit(P_raw, controls, y, sel, spec_p=spec_p, name=name)

@@ -18,8 +18,10 @@ from pdsseries.cli import (
     write_sample_csv,
 )
 from pdsseries.data import Dataset
-from pdsseries.montecarlo import DgpConfig, generate_sample
-from pdsseries.selection import ESTIMATORS, SelectionError
+from pdsseries.dictionary import DictionarySpec
+from pdsseries.inference import FUNCTIONALS, functional_by_name
+from pdsseries.montecarlo import DgpConfig, default_specs, generate_sample, run_monte_carlo
+from pdsseries.selection import ESTIMATORS, SelectionError, comparison_estimators
 
 SAMPLE = """y,x,z1,z2,z3,w
 1.0,0.5,0.1,0.2,0.3,9
@@ -306,7 +308,7 @@ def test_resolve_reports_every_problem_at_once():
     assert "--design is required" in joined
     assert "--n must be an integer" in joined
     assert "--reps must be >= 1" in joined
-    assert "unknown names ['psii']" in joined
+    assert "--estimators unknown estimator names: ['psii']" in joined
     assert "--out is required" in joined
 
 
@@ -355,6 +357,59 @@ def test_non_finite_numbers_are_configuration_errors(capsys, tmp_path, value):
         assert f"{name} must be a finite number, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,refusal", [
+    ("avg_deriv", None),
+    ("quantile_contrast", None),
+    ("point:0.5", None),
+    ("point:-1.25e0", None),
+    ("mystery", "unknown functional 'mystery'"),
+    ("point", "unknown functional 'point'"),
+    ("point:abc", "point must be a number, got 'abc'"),
+    ("point:nan", "point must be a finite number, got 'nan'"),
+    ("point:inf", "point must be a finite number, got 'inf'"),
+    ("point:1e400", "point must be a finite number, got '1e400'"),
+])
+def test_the_command_line_and_the_library_read_a_functional_name_alike(name, refusal):
+    argv = ["fit", "--input", "a.csv", "--y", "y", "--x", "x", "--z", "z1", "--out", "o",
+            f"--functional={name}"]
+    spec, x = DictionarySpec("hermite_univariate", degree=3), np.linspace(-1.0, 1.0, 9)
+    if refusal is None:
+        assert resolve_config(argv).functional == name
+        assert functional_by_name(name, spec, x).A.shape == (3,)
+        return
+    with pytest.raises(ValueError, match=refusal) as lib:
+        functional_by_name(name, spec, x)
+    with pytest.raises(ConfigError) as err:
+        resolve_config(argv)
+    assert err.value.problems == [f"--functional {lib.value}"]
+
+
+@pytest.mark.parametrize("flag,names,message", [
+    ("--estimators", [], "must list at least one estimator"),
+    ("--estimators", ["psii"],
+     f"unknown estimator names: ['psii']; valid: {', '.join(ESTIMATORS)}"),
+    ("--estimators", ["oracle", "series_1", "oracle"], "repeated estimator names: ['oracle']"),
+    ("--functionals", [], "must list at least one functional"),
+    ("--functionals", ["mystery"],
+     f"unknown functional names: ['mystery']; valid: {', '.join(FUNCTIONALS)}"),
+    ("--functionals", ["avg_deriv", "avg_deriv"], "repeated functional names: ['avg_deriv']"),
+])
+def test_every_caller_refuses_a_bad_name_list_with_one_message(capsys, flag, names, message):
+    cfg = DgpConfig("low_dim", 60)
+    argv = ["simulate", "--design", "low", "--n", "60", flag, ",".join(names) or ",",
+            "--out", "o.csv"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"configuration errors:\n  - {flag} {message}\n"
+    with pytest.raises(ValueError) as lib:
+        run_monte_carlo(cfg, n_reps=1, **{flag[2:]: names})
+    assert str(lib.value) == message
+    if flag == "--estimators":
+        data = generate_sample(cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError) as lib:
+            comparison_estimators(data, *default_specs(cfg), estimators=names)
+        assert str(lib.value) == message
+
+
 @pytest.mark.parametrize("flag,names,repeated", [
     ("--estimators", "oracle,oracle", "['oracle']"),
     ("--estimators", "post_double,oracle,post_double,oracle", "['oracle', 'post_double']"),
@@ -364,7 +419,7 @@ def test_a_repeated_name_is_a_configuration_error(capsys, tmp_path, flag, names,
     argv = ["simulate", "--design", "low", "--n", "60", "--reps", "1", flag, names,
             "--out", str(tmp_path / "o.csv")]
     assert main(argv) == 2
-    assert f"{flag} repeats the names {repeated}" in capsys.readouterr().err
+    assert f"{flag} repeated {flag[2:-1]} names: {repeated}" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -218,6 +218,27 @@ def test_spec_validation():
         DictionarySpec("hermite_univariate", degree=2, input_dim=3)
 
 
+@pytest.mark.parametrize("bad", [2.5, 0, 0.0, math.nan, math.inf, "3", None])
+def test_spec_counts_are_whole_numbers(bad):
+    with pytest.raises(ValueError, match="requires a degree that is a whole number >= 1"):
+        DictionarySpec("hermite_univariate", degree=bad)
+    with pytest.raises(ValueError, match="input_dim must be a whole number >= 1"):
+        DictionarySpec("hermite_tensor", degree=2, input_dim=bad)
+    with pytest.raises(ValueError, match="input_dim must be a whole number >= 1"):
+        DictionarySpec("raw_coordinates", input_dim=bad)
+
+
+def test_spec_reads_whole_floats_as_integers():
+    spec = DictionarySpec("hermite_tensor", degree=3.0, input_dim=2.0)
+    assert spec == DictionarySpec("hermite_tensor", degree=3, input_dim=2)
+    assert type(spec.degree) is int and type(spec.input_dim) is int
+    Z = np.linspace(-1.0, 1.0, 14).reshape(7, 2)
+    assert spec.n_terms == 9
+    np.testing.assert_array_equal(
+        evaluate_dictionary(spec, Z),
+        evaluate_dictionary(DictionarySpec("hermite_tensor", degree=3, input_dim=2), Z))
+
+
 def test_raw_coordinates_passthrough(rng):
     Z = rng.standard_normal((11, 5))
     spec = DictionarySpec("raw_coordinates", input_dim=5)

@@ -168,6 +168,25 @@ def test_lasso_config_validation():
     assert LassoConfig(cd_tol=0.0).cd_tol == 0.0
 
 
+@pytest.mark.parametrize("name", ["n_loadings", "cd_max_iter"])
+def test_lasso_config_caps_are_whole_numbers(name):
+    # a fraction never equals a count of rounds or sweeps, so it would cap nothing
+    for bad in (1.5, 2.5, 0, 0.0, -1, math.nan, math.inf, "3", None):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number >= 1, got "):
+            LassoConfig(**{name: bad})
+    value = getattr(LassoConfig(**{name: 3.0}), name)
+    assert value == 3 and type(value) is int
+
+
+def test_a_whole_float_sweep_cap_caps_like_its_integer():
+    rng = np.random.default_rng(12)
+    n, m = 100, 20
+    X = rng.standard_normal((n, m))
+    y = X[:, 0] - X[:, 1] + rng.standard_normal(n)
+    with pytest.raises(ConvergenceError, match="cd_max_iter=1"):
+        iterate(X, y, penalty_level(n, 1, m), LassoConfig(cd_max_iter=1.0))
+
+
 # ---------------------------------------------------------------- loadings
 
 def test_initial_loadings_worked_example():

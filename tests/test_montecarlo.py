@@ -83,6 +83,29 @@ def test_dgp_config_defaults_and_validation():
         DgpConfig("low_dim", 100, dim_z=0)
 
 
+@pytest.mark.parametrize("bad", [60.5, 1, 1.0, math.nan, math.inf, "60", None])
+def test_dgp_config_n_is_a_whole_number(bad):
+    with pytest.raises(ValueError, match="n must be a whole number >= 2, got "):
+        DgpConfig("low_dim", bad)
+
+
+@pytest.mark.parametrize("bad", [4.5, 0, 0.0, math.nan, math.inf, "4"])
+def test_dgp_config_dim_z_is_a_whole_number(bad):
+    with pytest.raises(ValueError, match="dim_z must be a whole number >= 1, got "):
+        DgpConfig("low_dim", 60, dim_z=bad)
+
+
+def test_whole_float_sizes_draw_the_integer_sample():
+    cfg = DgpConfig("high_dim", 60.0, dim_z=7.0)
+    assert cfg == DgpConfig("high_dim", 60, dim_z=7)
+    assert type(cfg.n) is int and type(cfg.dim_z) is int
+    assert DgpConfig("high_dim", 60.0).dim_z == 120
+    a = generate_sample(cfg, np.random.default_rng(3))
+    b = generate_sample(DgpConfig("high_dim", 60, dim_z=7), np.random.default_rng(3))
+    for got, want in zip((a.y, a.x, a.Z), (b.y, b.x, b.Z)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_default_specs_follow_cube_root():
     cfg = DgpConfig("low_dim", 500)
     spec_p, spec_q = default_specs(cfg)
