@@ -19,7 +19,6 @@ from .dictionary import (
     tensor_index_set,
 )
 from .inference import (
-    FunctionalSpec,
     InferenceResult,
     SingularOmegaError,
     Z_CRITICAL,

@@ -4,8 +4,10 @@
 names, for ``selection.comparison_estimators``,
 ``montecarlo.run_monte_carlo`` and the command line alike.
 ``_whole_number`` is the one rule for a count or a degree (of
-``LassoConfig``, ``DictionarySpec``, ``DgpConfig`` and a BIC degree grid):
-a whole number at or above its minimum, where 3.0 is read as 3.
+``LassoConfig``, ``DictionarySpec``, ``DgpConfig``, a BIC degree grid,
+the Hermite builders and ``run_monte_carlo``): a whole number at or above
+its minimum, where 3.0 is read as 3. ``_require_whole`` refuses any other
+value by a ValueError that names the parameter.
 """
 
 from __future__ import annotations
@@ -57,6 +59,14 @@ def _whole_number(value, minimum: int):
             and (isinstance(value, numbers.Integral) or float(value).is_integer())):
         return int(value)
     return None
+
+
+def _require_whole(name: str, value, minimum: int) -> int:
+    """``value`` by ``_whole_number``, or a ValueError naming ``name``."""
+    whole = _whole_number(value, minimum)
+    if whole is None:
+        raise ValueError(f"{name} must be >= {minimum} and a whole number, got {value!r}")
+    return whole
 
 
 def check_names(names, valid, noun: str) -> list:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _whole_number
+from .data import _require_whole, _whole_number
 from .lasso import LassoDesign
 
 __all__ = [
@@ -119,8 +119,7 @@ def hermite_design(x, kmax: int) -> np.ndarray:
     finite or has a sum of squares that overflows, as at a high degree:
     no fit can standardize or regress on such a column.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    kmax = _require_whole("kmax", kmax, 1)
     xv = np.asarray(x, dtype=float).reshape(-1)
     out = np.empty((xv.size, kmax))
     out[:, 0] = xv
@@ -140,8 +139,7 @@ def hermite_design(x, kmax: int) -> np.ndarray:
 
 def hermite_deriv_design(x, kmax: int) -> np.ndarray:
     """Matrix of derivatives He_1'(x), ..., He_kmax'(x)."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    kmax = _require_whole("kmax", kmax, 1)
     xv = np.asarray(x, dtype=float).reshape(-1)
     out = np.empty((xv.size, kmax))
     out[:, 0] = 1.0
@@ -170,8 +168,11 @@ def tensor_index_set(d: int, kmax: int) -> list[tuple[int, ...]]:
     indices with L * d**2 above ``_TENSOR_WORK`` is refused by a
     ``ValueError`` before any index is enumerated.
     """
-    if d < 1 or kmax < 1:
-        raise ValueError("d and kmax must be >= 1")
+    whole = _whole_number(d, 1), _whole_number(kmax, 1)
+    if None in whole:
+        raise ValueError(f"d and kmax must be >= 1 and whole numbers, got d={d!r}, "
+                         f"kmax={kmax!r}")
+    d, kmax = whole
     n_terms = math.comb(kmax + d, d) - 1
     if n_terms * d * d > _TENSOR_WORK:
         raise ValueError(

@@ -16,12 +16,15 @@ not change, but the test for a singular Omega no longer reads the raw
 Hermite scales, which grow like sqrt(k!). The reported standard error is
 sqrt(V_hat / n).
 
-A functional is chosen by name through ``functional_by_name`` alone, by
-the command line and the Monte Carlo harness alike. This module owns the
-names: ``FUNCTIONALS`` (``avg_deriv`` and ``quantile_contrast``, the
-functionals with a population value) and one parser, ``parse_functional``,
-which also accepts ``point:VALUE`` with a finite VALUE and refuses any
-other name with one message.
+A functional is its loading vector A, a plain array: ``average_derivative``,
+``quantile_contrast`` and ``point_eval`` return it, and
+``functional_estimate(fit, A)`` reads it. A functional is chosen by name
+through ``functional_by_name`` alone, by the command line and the Monte
+Carlo harness alike. This module owns the names: ``FUNCTIONALS``
+(``avg_deriv`` and ``quantile_contrast``, the functionals with a
+population value) and one parser, ``parse_functional``, which also
+accepts ``point:VALUE`` with a finite VALUE and refuses any other name
+with one message.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .selection import PdsFit
 __all__ = [
     "Z_CRITICAL",
     "FUNCTIONALS",
-    "FunctionalSpec",
     "InferenceResult",
     "SingularOmegaError",
     "empirical_quantile",
@@ -64,14 +66,6 @@ FUNCTIONALS = ("avg_deriv", "quantile_contrast")
 
 class SingularOmegaError(np.linalg.LinAlgError):
     """The residualized second-moment matrix is numerically singular."""
-
-
-@dataclass(frozen=True)
-class FunctionalSpec:
-    """A linear functional of g represented by its loading vector A."""
-
-    kind: str
-    A: np.ndarray
 
 
 @dataclass
@@ -97,27 +91,24 @@ def empirical_quantile(x: np.ndarray, q: float) -> float:
     return float(xv[max(rank, 1) - 1])
 
 
-def average_derivative(spec_p: DictionarySpec, x) -> FunctionalSpec:
+def average_derivative(spec_p: DictionarySpec, x) -> np.ndarray:
     """Average-derivative loadings A_k = mean over the sample of p_k'(x)."""
     if spec_p.kind != "hermite_univariate":
         raise ValueError("average derivative needs the univariate Hermite dictionary")
-    D = hermite_deriv_design(x, spec_p.degree)
-    return FunctionalSpec(kind="avg_deriv", A=D.mean(axis=0))
+    return hermite_deriv_design(x, spec_p.degree).mean(axis=0)
 
 
-def quantile_contrast(spec_p: DictionarySpec, x) -> FunctionalSpec:
+def quantile_contrast(spec_p: DictionarySpec, x) -> np.ndarray:
     """Loadings for g(x_0.75) - g(x_0.25) at the empirical quartiles of x."""
     x_lo = empirical_quantile(x, 0.25)
     x_hi = empirical_quantile(x, 0.75)
     pts = evaluate_dictionary(spec_p, np.array([x_hi, x_lo]))
-    return FunctionalSpec(kind="quantile_contrast", A=pts[0] - pts[1])
+    return pts[0] - pts[1]
 
 
-def point_eval(spec_p: DictionarySpec, x0: float) -> FunctionalSpec:
+def point_eval(spec_p: DictionarySpec, x0: float) -> np.ndarray:
     """Loadings for the level of g at one point (intercept excluded)."""
-    return FunctionalSpec(
-        kind="point_eval", A=evaluate_dictionary(spec_p, np.array([float(x0)]))[0]
-    )
+    return evaluate_dictionary(spec_p, np.array([float(x0)]))[0]
 
 
 def parse_functional(name: str) -> str:
@@ -138,11 +129,11 @@ def parse_functional(name: str) -> str:
     return name
 
 
-def functional_by_name(name: str, spec_p: DictionarySpec, x) -> FunctionalSpec:
-    """The functional named ``avg_deriv``, ``quantile_contrast`` (between the
-    quartiles of ``x``) or ``point:VALUE`` (g at VALUE), for the g
-    dictionary ``spec_p`` fitted on the sample ``x``; ``parse_functional``
-    checks the name."""
+def functional_by_name(name: str, spec_p: DictionarySpec, x) -> np.ndarray:
+    """The loadings of the functional named ``avg_deriv``,
+    ``quantile_contrast`` (between the quartiles of ``x``) or
+    ``point:VALUE`` (g at VALUE), for the g dictionary ``spec_p`` fitted on
+    the sample ``x``; ``parse_functional`` checks the name."""
     name = parse_functional(name)
     if name == "avg_deriv":
         return average_derivative(spec_p, x)
@@ -180,9 +171,10 @@ def sandwich_variance(P_resid: np.ndarray, residuals: np.ndarray,
     return v_hat, omega, sigma
 
 
-def functional_estimate(fit: PdsFit, functional: FunctionalSpec) -> InferenceResult:
-    """Point estimate, standard error and 95 percent interval for A' beta."""
-    A = np.asarray(functional.A, dtype=float)
+def functional_estimate(fit: PdsFit, A) -> InferenceResult:
+    """Point estimate, standard error and 95 percent interval for A' beta,
+    with ``A`` the functional's loadings on the g dictionary."""
+    A = np.asarray(A, dtype=float)
     if A.shape[0] != fit.beta_hat.shape[0]:
         raise ValueError("functional loadings do not match the g dictionary")
     theta = float(A @ fit.beta_hat)

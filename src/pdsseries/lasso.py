@@ -21,9 +21,10 @@ on a fit only through its active set, so the iteration stops as soon as a
 round selects the same set as the round before, and every equation on the
 same target reuses them. Every bank is built as rows and their pairwise
 sums and differences, with no pairs but in the BIC grid's extended first
-stage: each pair's ``X't`` and loadings are derived from products over the
-rows and the pairs' cross products, by linearity, instead of a product over
-every target.
+stage, and lays them out itself: the given rows, then every sum, then
+every difference. Each pair's ``X't`` and loadings are derived from
+products over the rows and the pairs' cross products, by linearity, instead
+of a product over every target.
 ``iterated_lasso(bank, k, lam)`` fits the bank's ``k``-th target.
 
 Most equations of post-double selection select nothing. The bank also
@@ -421,30 +422,29 @@ def _levels(xty: np.ndarray, *loadings) -> np.ndarray:
 _PAIR_CANCELLATION = 1e3
 
 
-def _paired(a: np.ndarray, ii: np.ndarray, jj: np.ndarray, stop: int) -> np.ndarray:
-    """Rows of ``a`` with, after row ``stop - 1``, the sums ``a[ii] + a[jj]``
-    and then the differences ``a[ii] - a[jj]``."""
-    p = ii.size
-    out = np.empty((len(a) + 2 * p,) + a.shape[1:])
-    out[:stop] = a[:stop]
-    sums, diffs = out[stop:stop + p], out[stop + p:stop + 2 * p]
+def _paired(a: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Rows of ``a``, then the sums ``a[ii] + a[jj]``, then the differences
+    ``a[ii] - a[jj]``."""
+    k, p = len(a), ii.size
+    out = np.empty((k + 2 * p,) + a.shape[1:])
+    out[:k] = a
+    sums, diffs = out[k:k + p], out[k + p:]
     sums[...] = a[ii]
     diffs[...] = sums
     second = a[jj]
     sums += second
     diffs -= second
-    out[stop + 2 * p:] = a[stop:]
     return out
 
 
 def _pair_loadings(design: LassoDesign, rows: np.ndarray, targets: np.ndarray,
-                   ii: np.ndarray, jj: np.ndarray, stop: int, centred: bool,
+                   ii: np.ndarray, jj: np.ndarray, centred: bool,
                    block: np.ndarray, out: np.ndarray) -> None:
     """Loadings of every target of a paired bank, as ``initial_loadings``
     (``centred``) or ``refined_loadings`` of the empty set give them.
 
     ``rows`` are the given rows and ``targets`` the bank's, ``_paired(rows,
-    ii, jj, stop)``; the loadings are written into ``out``. With no pairs,
+    ii, jj)``; the loadings are written into ``out``. With no pairs,
     that is the loadings formula on the rows, one product for all of them.
     A pair's squared loading on column l is ``(S_ii + S_jj +- 2 S_ij) / n``
     with ``S_ab = (x_l*x_l)'(d_a*d_b)`` and ``d`` the (centred) rows, so one
@@ -471,9 +471,8 @@ def _pair_loadings(design: LassoDesign, rows: np.ndarray, targets: np.ndarray,
     S = design.sq_product(block)
     own, cross = S[:k], S[k:]
     cross *= 2.0
-    out[:stop] = own[:stop]
-    out[stop + 2 * p:] = own[stop:]
-    sums, diffs = out[stop:stop + p], out[stop + p:stop + 2 * p]
+    out[:k] = own
+    sums, diffs = out[k:k + p], out[k + p:]
     sums[...] = own[ii]
     sums += own[jj]
     np.subtract(sums, cross, out=diffs)
@@ -481,7 +480,7 @@ def _pair_loadings(design: LassoDesign, rows: np.ndarray, targets: np.ndarray,
     # S_ii + S_jj + 2 |S_ij|, the larger of the two
     bound = np.maximum(sums, diffs)
     bound /= _PAIR_CANCELLATION
-    exact = stop + np.flatnonzero(~np.concatenate([
+    exact = k + np.flatnonzero(~np.concatenate([
         (sums > bound).all(axis=1), (diffs > bound).all(axis=1)]))
     out[exact] = 0.0
     out /= n
@@ -496,15 +495,14 @@ def _with_pairs(rows: np.ndarray, design: LassoDesign, ii, jj) -> tuple:
     design, (ii, jj))``, from products over ``rows`` and their pairs'
     cross products only; ``ii`` and ``jj`` may be empty."""
     ii, jj = np.asarray(ii, dtype=np.intp), np.asarray(jj, dtype=np.intp)
-    stop = int(max(ii.max(), jj.max())) + 1 if ii.size else len(rows)
-    targets = _paired(rows, ii, jj, stop)
-    xty = _paired(design.product(rows), ii, jj, stop)
+    targets = _paired(rows, ii, jj)
+    xty = _paired(design.product(rows), ii, jj)
     # the bank's arrays first, then one buffer for both loadings' products:
     # the working arrays, freed last, leave no holes among the kept ones
     loadings0, loadings1 = np.empty((2,) + xty.shape)
     block = np.empty((len(rows) + ii.size, rows.shape[1]))
     for centred, out in ((True, loadings0), (False, loadings1)):
-        _pair_loadings(design, rows, targets, ii, jj, stop, centred, block, out)
+        _pair_loadings(design, rows, targets, ii, jj, centred, block, out)
     return targets, xty, loadings0, loadings1
 
 
@@ -574,9 +572,8 @@ class TargetBank:
         """Bank of the targets in ``rows`` (one per row, or one vector).
 
         With ``pairs = (ii, jj)``, the bank also holds, for each pair p, the
-        sum and then the difference of rows ``ii[p]`` and ``jj[p]``: all the
-        sums, then all the differences, right after the last row a pair
-        reads, so rows after it (the BIC grid's outcome) stay last. Their
+        sum and then the difference of rows ``ii[p]`` and ``jj[p]``: after
+        the given rows, all the sums, then all the differences. Their
         ``X't`` and loadings are derived from those of the rows, by
         linearity (``_pair_loadings``), not from products of their own.
         """

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _whole_number, check_names
+from .data import Dataset, _require_whole, _whole_number, check_names
 from .dictionary import DictionarySpec
 from .inference import FUNCTIONALS, functional_by_name, functional_estimate, rejection_test
 from .lasso import normal_quantile
@@ -378,7 +378,17 @@ def _worker_pool(n_jobs: int):
     workers. A spawned worker imports NumPy afresh, so the BLAS variables,
     set to 1 while the pool runs, pin it. The parent's own values, or their
     absence, are restored when the pool closes.
+
+    A spawned worker imports the calling script again; when the script has
+    no main guard, that import calls here before the worker has started.
+    The pool is then refused at once, by the same test that ``multiprocessing``
+    makes when a process is started, but before the pool makes the
+    semaphores of its queues, which the ending worker would leak.
     """
+    if getattr(multiprocessing.current_process(), "_inheriting", False):
+        raise RuntimeError(
+            "a spawned worker is re-running the calling script, which needs an "
+            'if __name__ == "__main__": guard')
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
@@ -401,12 +411,15 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
     ``n_jobs`` defaults to the PDS_THREADS environment variable (1 when
     unset); either must be a positive integer, and a non-integer
     PDS_THREADS or a count below 1 raises ``ValueError``. The worker count
-    is capped at ``n_reps``. Records are aggregated in replication order,
-    which ``pool.map`` keeps, so the report is identical for any worker
-    count. Two or more workers run in spawned processes (``_worker_pool``),
-    so a script that calls this with ``n_jobs > 1`` needs an ``if __name__
-    == "__main__":`` guard; without one, the workers end early and a
-    ``RuntimeError`` says so. ``estimators`` (all nine by default) and
+    is capped at ``n_reps``. ``n_reps``, ``n_jobs`` and ``base_seed`` (>= 0)
+    are read by ``data._whole_number``, so 1e1 is 10, and a fraction, NaN
+    or a string is refused by a ``ValueError`` naming the parameter.
+    Records are aggregated in replication order, which ``pool.map`` keeps,
+    so the report is identical for any worker count. Two or more workers
+    run in spawned processes (``_worker_pool``), so a script that calls
+    this with ``n_jobs > 1`` needs an ``if __name__ == "__main__":``
+    guard; without one, the workers end early and a ``RuntimeError`` says
+    so. ``estimators`` (all nine by default) and
     ``functionals`` are checked by ``data.check_names``: an empty list, an
     unknown name or a repeated one is refused. Every fit uses the default
     ``LassoConfig``.
@@ -414,16 +427,14 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
     estimators = check_names(estimators if estimators is not None else ESTIMATORS,
                              ESTIMATORS, "estimator")
     functionals = check_names(functionals, FUNCTIONALS, "functional")
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
+    n_reps = _require_whole("n_reps", n_reps, 1)
+    base_seed = _require_whole("base_seed", base_seed, 0)
     if n_jobs is None:
         raw = os.environ.get("PDS_THREADS", "1")
         if not raw.strip().isdecimal() or int(raw) < 1:
             raise ValueError(f"PDS_THREADS must be a positive integer, got {raw!r}")
         n_jobs = int(raw)
-    elif n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    n_jobs = min(n_jobs, n_reps)
+    n_jobs = min(_require_whole("n_jobs", n_jobs, 1), n_reps)
 
     theta = {fn: true_theta(cfg, fn) for fn in functionals}
     tasks = [(cfg, estimators, functionals, base_seed, r, theta) for r in range(n_reps)]

@@ -11,11 +11,15 @@ squares of the g dictionary and the outcome on the selected controls; a
 grid runs every degree's selection first and then makes one such
 projection per distinct control set, at the largest degree that selects
 it, from which each degree of the set fits its own columns
-(``_final_fits``). ``pds_fit`` is its one-degree case, so a one-degree
-grid's fit is ``pds_fit``'s, bit for bit. The benchmarking alternatives
-(single-selection variants, plain series fits, an infeasible oracle) each
-choose their controls, and the oracle its outcome y - h, and then end in
-one ``pds_fit`` call, so downstream inference treats every fit uniformly.
+(``_final_fits``, given each degree's g dictionary). ``pds_fit`` is its
+one-degree case, so a one-degree grid's fit is ``pds_fit``'s, bit for bit.
+A ``PdsFit`` is finished where it is projected, its ``spec_p`` included,
+and no caller changes it afterwards; an estimator's fit carries no name,
+as the dict ``comparison_estimators`` returns is keyed by it. The
+benchmarking alternatives (single-selection variants, plain series fits,
+an infeasible oracle) each choose their controls, and the oracle its
+outcome y - h, and then end in one ``pds_fit`` call, so downstream
+inference treats every fit uniformly.
 
 Every selection step is one Lasso equation, and every equation reaches the
 solver by one route: a stage function (``first_stage_select``,
@@ -25,8 +29,9 @@ solver by one route: a stage function (``first_stage_select``,
 ``SelectionError`` that names the equation. A bank evaluates each target's
 ``X't`` and initial loadings once and memoizes its refined loadings by
 active set; ``choose_k_bic`` builds one bank at the grid's largest degree
-and indexes every degree into it, with the extended first stage's pair
-targets derived from the base rows.
+and indexes every degree into it: the g rows, then the outcome, then the
+extended first stage's pair targets, which the bank lays out and derives
+from the g rows.
 
 The sample's ``DesignMatrices`` workspace from ``build_design`` has one
 ``LassoDesign`` over the conditioning dictionary ``Q``, holding ``Q*Q`` and
@@ -177,7 +182,6 @@ class PdsFit:
     p_rms: np.ndarray
     spec_p: DictionarySpec | None = None
     rank_deficient: bool = False
-    name: str = "post_double"
 
     @property
     def n(self) -> int:
@@ -298,16 +302,12 @@ def post_double_select(fs_bank: TargetBank, rf_bank: TargetBank,
     )
     fs_sets = first_stage_select(fs_bank, cfg)
     rf_set = reduced_form_select(rf_bank, cfg)
-    pieces = [s for s in fs_sets if s.size] + ([rf_set] if rf_set.size else [])
-    if pieces:
-        union = np.unique(np.concatenate(pieces)).astype(int)
-    else:
-        union = np.array([], dtype=int)
+    union = np.unique(np.concatenate([*fs_sets, rf_set]))
     return SelectionResult(fs_sets=fs_sets, rf_set=rf_set, union_set=union)
 
 
 def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
-            spec_p: DictionarySpec | None = None, name: str = "post_double") -> PdsFit:
+            spec_p: DictionarySpec | None = None) -> PdsFit:
     """Final OLS of y on [1, P, Q_sel] in raw column units, by one projection.
 
     ``Q_sel`` holds only the selected control columns, in raw units (from a
@@ -324,15 +324,14 @@ def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
     solution of the residualized regression. It is the one-degree case of
     the final fits a BIC grid makes (``_final_fits``).
     """
-    P = np.asarray(P, dtype=float)
-    fit, = _final_fits(P, Q_sel, y, sel, [P.shape[1]])
-    fit.spec_p, fit.name = spec_p, name
+    fit, = _final_fits(P, Q_sel, y, sel, {np.shape(P)[1]: spec_p})
     return fit
 
 
-def _final_fits(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel, degrees) -> list:
+def _final_fits(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel, specs: dict) -> list:
     """The final OLS of ``pds_fit`` on the first k columns of ``P``, for
-    each k of ``degrees``, from one projection.
+    each degree k of ``specs``, a dict of the g dictionary by degree, from
+    one projection.
 
     One least squares of ``[P | y]`` on ``W = [1, Q_sel]`` residualizes
     every column of ``P`` and the outcome; each degree k then reads the
@@ -340,9 +339,8 @@ def _final_fits(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel, degrees) -
     residualized y on them. A degree's fit reads nothing of another degree,
     so it is the same bit for bit whichever degrees share the projection;
     the projection's width, that of ``P``, moves its low bits. Returns one
-    ``PdsFit`` per degree, in the order of ``degrees``, each without
-    ``spec_p`` and named by the default; its ``P_resid`` is a view of the
-    shared projection.
+    ``PdsFit`` per degree, in the order of ``specs``, each with its
+    ``spec_p``; its ``P_resid`` is a view of the shared projection.
     """
     P = np.asarray(P, dtype=float)
     Q_sel = np.asarray(Q_sel, dtype=float)
@@ -360,7 +358,7 @@ def _final_fits(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel, degrees) -
     Py_resid = Py - W @ coef_w
     y_resid = Py_resid[:, width]
     fits = []
-    for k in degrees:
+    for k, spec_p in specs.items():
         P_resid = Py_resid[:, :k]
         beta, _, rank_p, _ = np.linalg.lstsq(P_resid, y_resid, rcond=None)
         P_k = P[:, :k]
@@ -371,6 +369,7 @@ def _final_fits(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel, degrees) -
             residuals=y_resid - P_resid @ beta,
             P_resid=P_resid,
             p_rms=np.sqrt(np.mean(P_k * P_k, axis=0)),
+            spec_p=spec_p,
             rank_deficient=bool(rank_w < W.shape[1] or rank_p < k),
         ))
     return fits
@@ -406,10 +405,10 @@ def _grid_bank(data: Dataset, design: DesignMatrices, k_max: int,
                extended_fs: bool):
     """One bank of every target of a degree grid, built at its largest degree.
 
-    The rows are the standardized g block of ``_g_block`` at ``k_max``;
-    with ``extended_fs``, their pairwise sums and then differences in
-    ``build_extended_fs`` order, whose ``Q't`` and loadings the bank
-    derives from those of the base rows; and ``data.y`` last. A
+    The rows are the standardized g block of ``_g_block`` at ``k_max``,
+    then ``data.y`` at row k_ok; with ``extended_fs``, the g rows' pairwise
+    sums and then differences follow, in ``build_extended_fs`` order, and
+    the bank derives their ``Q't`` and loadings from those of the g rows. A
     standardized column, and a sum or difference of two, is the same at
     every degree that has it, so every degree's targets are rows of this
     bank. Returns the bank, the raw He_1..He_k_max, k_ok and the second
@@ -462,16 +461,15 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     """
     cfg = config if config is not None else LassoConfig()
     k_grid = _degree_grid(k_grid)
-    specs = {k: DictionarySpec("hermite_univariate", degree=k) for k in k_grid}
     bank, P_raw, k_ok, pair_j = _grid_bank(data, design, k_grid[-1], extended_fs)
     if k_ok < k_grid[0]:
         raise _degenerate(k_ok)
-    y_bank = bank.subset([len(bank.rows) - 1])
+    y_bank = bank.subset([k_ok])
     sels: dict[int, SelectionResult] = {}
     failed: dict[int, str] = {}
     for k in k_grid:
         pairs = np.flatnonzero(pair_j < k)
-        fs_rows = [*range(k), *(k_ok + pairs), *(k_ok + pair_j.size + pairs)]
+        fs_rows = [*range(k), *(k_ok + 1 + pairs), *(k_ok + 1 + pair_j.size + pairs)]
         try:
             if k > k_ok:
                 raise _degenerate(k_ok)
@@ -487,13 +485,12 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
         sel = sels[ks[0]]
         try:
             group = _final_fits(P_raw[:, :ks[-1]], design.q_raw(sel.union_set), data.y,
-                                sel, ks)
+                                sel, {k: DictionarySpec("hermite_univariate", degree=k)
+                                      for k in ks})
         except FIT_ERRORS as exc:
             failed.update(dict.fromkeys(ks, str(exc)))
             continue
-        for k, fit in zip(ks, group):
-            fit.spec_p = specs[k]
-            fitted[k] = fit
+        fitted.update(zip(ks, group))
     fits = {k: fitted[k] for k in k_grid if k in fitted}
     bics = {k: _bic(fit) for k, fit in fits.items()}
     errors = {k: failed[k] for k in k_grid if k in failed}
@@ -569,9 +566,7 @@ def _fit_one(name, data: Dataset, design: DesignMatrices, spec_p: DictionarySpec
         # a fixed degree is the one-degree grid
         grid = k_grid if name.startswith("post_double_set") else [spec_p.degree]
         res = choose_k_bic(data, design, grid, cfg, extended_fs=name.endswith("_ext"))
-        fit = res.fits[res.k_hat]
-        fit.name = name
-        return fit
+        return res.fits[res.k_hat]
 
     P_raw, P, k_ok = _g_block(data.x, spec_p.degree)
     if k_ok < spec_p.degree:
@@ -595,4 +590,4 @@ def _fit_one(name, data: Dataset, design: DesignMatrices, spec_p: DictionarySpec
             raise ValueError("oracle estimator requires the true h values")
         y = data.y - data.h_true
         sel, controls = np.array([], dtype=int), np.empty((data.n, 0))
-    return pds_fit(P_raw, controls, y, sel, spec_p=spec_p, name=name)
+    return pds_fit(P_raw, controls, y, sel, spec_p=spec_p)

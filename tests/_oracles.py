@@ -495,11 +495,11 @@ def choose_k_bic_per_degree(data, design: DesignMatrices, k_grid,
     degenerate = f"P column {k_ok} has zero variance on this sample"
     if k_ok < k_grid[0]:
         raise DegenerateColumnError(degenerate)
-    y_bank = bank.subset([len(bank.rows) - 1])
+    y_bank = bank.subset([k_ok])
     fits, bics, errors = {}, {}, {}
     for k in k_grid:
         pairs = np.flatnonzero(pair_j < k)
-        fs_rows = [*range(k), *(k_ok + pairs), *(k_ok + pair_j.size + pairs)]
+        fs_rows = [*range(k), *(k_ok + 1 + pairs), *(k_ok + 1 + pair_j.size + pairs)]
         try:
             if k > k_ok:
                 raise DegenerateColumnError(degenerate)

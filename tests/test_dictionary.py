@@ -120,6 +120,19 @@ def test_hermite_property_matches_oracle(k, x):
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "3", None])
+def test_the_hermite_builders_refuse_a_degree_that_is_not_whole(bad):
+    for build in (hermite_design, hermite_deriv_design):
+        with pytest.raises(ValueError, match="kmax must be >= 1 and a whole number, got "):
+            build(GRID, bad)
+
+
+def test_the_hermite_builders_read_whole_floats_as_integers():
+    for build in (hermite_design, hermite_deriv_design):
+        assert build(GRID, 3.0).tobytes() == build(GRID, 3).tobytes()
+        assert build(GRID, 1e1).shape == (GRID.size, 10)
+
+
 # ---------------------------------------------------------------- tensor index
 
 def test_tensor_index_set_small_case_exact():
@@ -139,6 +152,16 @@ def test_tensor_index_set_order_and_cardinality():
         for g in range(1, kmax + 1):
             block = [i for i in idx if sum(i) == g]
             assert block == sorted(block, reverse=True)
+
+
+@pytest.mark.parametrize("d, kmax", [(4, 2.5), (2.5, 3), (0, 2), (2, math.nan), ("2", 2)])
+def test_a_tensor_index_set_needs_whole_counts(d, kmax):
+    with pytest.raises(ValueError, match="d and kmax must be >= 1 and whole numbers"):
+        tensor_index_set(d, kmax)
+
+
+def test_a_tensor_index_set_reads_whole_floats_as_integers():
+    assert tensor_index_set(2.0, 3.0) == tensor_index_set(2, 3)
 
 
 @pytest.mark.parametrize("d, kmax", [(1000, 1), (400, 5), (465, 1), (150, 2)])

@@ -7,7 +7,6 @@ from _oracles import residualize_p
 from pdsseries.dictionary import DictionarySpec, hermite_design
 from pdsseries.inference import (
     Z_CRITICAL,
-    FunctionalSpec,
     SingularOmegaError,
     average_derivative,
     empirical_quantile,
@@ -66,13 +65,12 @@ def test_average_derivative_loadings(rng):
     x = rng.standard_normal(200)
     spec = DictionarySpec("hermite_univariate", degree=4)
     f = average_derivative(spec, x)
-    assert f.kind == "avg_deriv"
     # A_k = mean He_k'(x) = k * mean He_{k-1}(x)
     want = [np.mean(1.0 + 0 * x),
             np.mean(2.0 * x),
             np.mean(3.0 * (x**2 - 1)),
             np.mean(4.0 * (x**3 - 3 * x))]
-    np.testing.assert_allclose(f.A, want, rtol=1e-12)
+    np.testing.assert_allclose(f, want, rtol=1e-12)
     with pytest.raises(ValueError, match="univariate"):
         average_derivative(DictionarySpec("raw_coordinates", input_dim=2), x)
 
@@ -84,14 +82,13 @@ def test_quantile_contrast_loadings(rng):
     lo = empirical_quantile(x, 0.25)
     hi = empirical_quantile(x, 0.75)
     want = hermite_design(np.array([hi]), 3)[0] - hermite_design(np.array([lo]), 3)[0]
-    np.testing.assert_allclose(f.A, want, rtol=1e-12)
-    assert f.kind == "quantile_contrast"
+    np.testing.assert_allclose(f, want, rtol=1e-12)
 
 
 def test_point_eval_loadings():
     spec = DictionarySpec("hermite_univariate", degree=3)
     f = point_eval(spec, 2.0)
-    np.testing.assert_allclose(f.A, [2.0, 3.0, 2.0], rtol=1e-12)
+    np.testing.assert_allclose(f, [2.0, 3.0, 2.0], rtol=1e-12)
 
 
 @pytest.mark.parametrize("name,make", [
@@ -104,8 +101,16 @@ def test_a_functional_by_name_has_the_loadings_of_its_function(rng, name, make):
     spec = DictionarySpec("hermite_univariate", degree=5)
     x = rng.standard_normal(77)
     got, want = functional_by_name(name, spec, x), make(spec, x)
-    assert got.kind == want.kind
-    assert got.A.tobytes() == want.A.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["avg_deriv", "quantile_contrast", "point:0.5"])
+def test_a_functional_is_its_loadings(name):
+    fit, x = small_fit(seed=2)
+    A = functional_by_name(name, fit.spec_p, x)
+    assert type(A) is np.ndarray and A.shape == fit.beta_hat.shape
+    res = functional_estimate(fit, A)
+    assert res.theta_hat == float(A @ fit.beta_hat)
 
 
 @pytest.mark.parametrize("name", ["mystery", "avg-deriv", "point", ""])
@@ -117,7 +122,7 @@ def test_an_unknown_functional_name_is_refused(name):
 def test_avg_deriv_matches_finite_difference_of_g_hat():
     fit, x = small_fit(seed=3)
     f = average_derivative(fit.spec_p, x)
-    theta = float(f.A @ fit.beta_hat)
+    theta = float(f @ fit.beta_hat)
     h = 1e-6
     fd = (fit.predict_g(x + h) - fit.predict_g(x - h)) / (2 * h)
     assert theta == pytest.approx(float(fd.mean()), abs=1e-6)
@@ -186,8 +191,8 @@ def test_high_degrees_at_unit_scale_give_a_finite_se(design):
             spec = DictionarySpec("hermite_univariate", degree=k)
             fit = pds_fit(hermite_design(data.x, k), data.Z[:, :4], data.y,
                           np.arange(4), spec_p=spec)
-            A = average_derivative(spec, data.x).A
-            res = functional_estimate(fit, FunctionalSpec("avg_deriv", A))
+            A = average_derivative(spec, data.x)
+            res = functional_estimate(fit, A)
             assert np.isfinite(res.se) and res.se > 0
             Qf, R = np.linalg.qr(fit.P_resid / fit.p_rms)
             z = fit.n * (Qf @ np.linalg.solve(R.T, A / fit.p_rms))
@@ -197,8 +202,8 @@ def test_high_degrees_at_unit_scale_give_a_finite_se(design):
 def test_the_rms_scaling_leaves_the_variance_as_it_is():
     for seed in range(5):
         fit, x = small_fit(seed=seed, k=5)
-        A = average_derivative(fit.spec_p, x).A
-        res = functional_estimate(fit, FunctionalSpec("avg_deriv", A))
+        A = average_derivative(fit.spec_p, x)
+        res = functional_estimate(fit, A)
         v_raw, _, _ = sandwich_variance(fit.P_resid, fit.residuals, A)
         assert res.V_hat == pytest.approx(v_raw, rel=1e-12)
         np.testing.assert_allclose(fit.p_rms, np.sqrt(np.mean(hermite_design(x, 5) ** 2,
@@ -215,10 +220,10 @@ def test_a_duplicated_or_zero_g_column_is_singular(rng):
     dup = pds_fit(np.column_stack([P, P[:, 1]]), Q, y, np.arange(2))
     assert dup.rank_deficient
     with pytest.raises(SingularOmegaError, match="smallest eigenvalue"):
-        functional_estimate(dup, FunctionalSpec("avg_deriv", A))
+        functional_estimate(dup, A)
     zero = pds_fit(np.column_stack([P, np.zeros(n)]), Q, y, np.arange(2))
     with pytest.raises(SingularOmegaError, match="g column 3 is zero"):
-        functional_estimate(zero, FunctionalSpec("avg_deriv", A))
+        functional_estimate(zero, A)
 
 
 def test_near_collinear_g_column_and_control(rng):
@@ -312,7 +317,7 @@ def test_functional_estimate_fields():
     f = average_derivative(fit.spec_p, x)
     res = functional_estimate(fit, f)
     assert res.n == fit.n
-    assert res.theta_hat == pytest.approx(float(f.A @ fit.beta_hat), rel=1e-12)
+    assert res.theta_hat == pytest.approx(float(f @ fit.beta_hat), rel=1e-12)
     assert res.se > 0
     assert res.t_stat == pytest.approx(res.theta_hat / res.se, rel=1e-12)
     assert res.ci_lower == pytest.approx(res.theta_hat - Z_CRITICAL * res.se)
@@ -323,7 +328,7 @@ def test_functional_estimate_fields():
 def test_functional_estimate_length_mismatch():
     fit, _ = small_fit(seed=5)
     with pytest.raises(ValueError, match="loadings"):
-        functional_estimate(fit, FunctionalSpec(kind="avg_deriv", A=np.ones(7)))
+        functional_estimate(fit, np.ones(7))
 
 
 def test_theta_invariant_to_outcome_shift():

@@ -718,6 +718,30 @@ def test_loadings_matvec_matches_elementwise(rng):
                                (X * X * (e * e)[:, None]).mean(0), rtol=1e-12)
 
 
+def test_a_paired_bank_holds_its_rows_then_the_sums_then_the_differences():
+    # pairs read rows 0..2 only, so rows 3 and 4 follow the last paired row;
+    # they stay with the given rows, before every pair target
+    rng = np.random.default_rng(12)
+    n, m = 90, 25
+    design = LassoDesign(rng.standard_normal((n, m)))
+    rows = rng.standard_normal((5, n))
+    ii, jj = np.array([0, 0, 1]), np.array([1, 2, 2])
+    bank = TargetBank.of(rows, design, (ii, jj))
+    targets = np.vstack([rows, rows[ii] + rows[jj], rows[ii] - rows[jj]])
+    np.testing.assert_array_equal(bank.rows, targets)
+    xty = design.product(rows)
+    np.testing.assert_array_equal(bank.xty, np.vstack([xty, xty[ii] + xty[jj],
+                                                       xty[ii] - xty[jj]]))
+    # each level is its own row's, max_l |x_l't| / psi_l, bit for bit
+    for level, psi in ((bank.level0, bank.loadings0), (bank.level1, bank.loadings1)):
+        np.testing.assert_array_equal(level, (np.abs(bank.xty) / psi).max(axis=1))
+    # and agrees with the bank of the same targets, each evaluated directly
+    direct = TargetBank.of(targets, design)
+    for name in ("loadings0", "loadings1", "level0", "level1"):
+        np.testing.assert_allclose(getattr(bank, name), getattr(direct, name), rtol=1e-12,
+                                   atol=0, err_msg=name)
+
+
 def test_bank_of_a_vector_is_a_one_row_bank():
     rng = np.random.default_rng(8)
     n, m = 200, 60

@@ -495,7 +495,8 @@ run_monte_carlo(DgpConfig("low_dim", 60), estimators=["oracle"], n_reps=2, n_job
 
 def test_a_script_without_a_main_guard_gets_a_named_error(tmp_path):
     # the two spawned workers re-run the script, whose pool refuses to start
-    # while they are still importing it, so each ends before its first task
+    # while they are still importing it, so each ends before its first task,
+    # and the parent's error is the last line
     script = tmp_path / "unguarded.py"
     script.write_text(UNGUARDED_SCRIPT, encoding="utf-8")
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
@@ -507,6 +508,9 @@ def test_a_script_without_a_main_guard_gets_a_named_error(tmp_path):
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("RuntimeError: a worker process ended before returning a result")
     assert 'if __name__ == "__main__": guard' in last
+    # each worker refuses its pool before making a semaphore, so none leaks
+    assert "RuntimeError: a spawned worker is re-running the calling script" in proc.stderr
+    assert "leaked semaphore" not in proc.stderr
 
 
 def test_run_monte_carlo_validation():
@@ -530,6 +534,24 @@ def test_run_monte_carlo_rejects_a_bad_pds_threads(monkeypatch, value):
     monkeypatch.setenv("PDS_THREADS", value)
     with pytest.raises(ValueError, match="PDS_THREADS must be a positive integer"):
         run_monte_carlo(DgpConfig("low_dim", 60), estimators=("oracle",), n_reps=2)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_reps", 2.5), ("n_reps", math.nan), ("n_reps", "2"), ("n_jobs", 1.5),
+    ("n_jobs", math.inf), ("base_seed", 1.5), ("base_seed", -1),
+])
+def test_run_monte_carlo_counts_are_whole_numbers(name, value):
+    kwargs = {"n_reps": 2, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be >= [01] and a whole number, got "):
+        run_monte_carlo(DgpConfig("low_dim", 60), estimators=("oracle",), **kwargs)
+
+
+def test_run_monte_carlo_reads_whole_floats_as_integers():
+    cfg = DgpConfig("low_dim", 60)
+    got = run_monte_carlo(cfg, estimators=("oracle",), n_reps=2.0, base_seed=1e1, n_jobs=1.0)
+    want = run_monte_carlo(cfg, estimators=("oracle",), n_reps=2, base_seed=10, n_jobs=1)
+    assert type(got.n_reps) is int and type(got.base_seed) is int
+    assert got.to_csv() == want.to_csv() and got.to_table() == want.to_table()
 
 
 def test_run_monte_carlo_rejects_n_jobs_below_one(monkeypatch):

@@ -319,7 +319,7 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
         width = max(j for j in grid
                     if np.array_equal(res.fits[j].selected, want.union_set))
         shared, = selection._final_fits(hermite_design(data.x, width),
-                                        d.q_raw(want.union_set), data.y, want, [k])
+                                        d.q_raw(want.union_set), data.y, want, {k: None})
         assert_same_fit(res.fits[k], shared)
         ref = pds_fit(P_raw, d.q_raw(want.union_set), data.y, want)
         assert res.bics[k] == pytest.approx(selection._bic(ref), rel=1e-12, abs=0)
@@ -407,10 +407,10 @@ def test_a_group_whose_controls_lose_rank_flags_every_degree(rng):
     y = P[:, :2] @ [1.0, -0.5] + Q @ [0.5, 1.0, -1.0] + rng.standard_normal(n)
     Q_dup = np.column_stack([Q, Q[:, 1]])
     degrees = [2, 4, 6]
-    group = selection._final_fits(P, Q_dup, y, np.arange(4), degrees)
+    group = selection._final_fits(P, Q_dup, y, np.arange(4), dict.fromkeys(degrees))
     for k, fit in zip(degrees, group, strict=True):
         assert fit.rank_deficient
-        alone, = selection._final_fits(P, Q_dup, y, np.arange(4), [k])
+        alone, = selection._final_fits(P, Q_dup, y, np.arange(4), {k: None})
         assert_same_fit(fit, alone)
         narrow = pds_fit(P[:, :k], Q_dup, y, np.arange(4))
         full = pds_fit(P[:, :k], Q, y, np.arange(3))
@@ -435,7 +435,8 @@ def test_derived_pair_targets_match_the_direct_bank(design_name, n):
     bank, _, k_ok, _ = selection._grid_bank(data, d, k, extended_fs=True)
     assert k_ok == k
     _, P = g_columns(data.x, k)
-    direct = TargetBank.of(np.vstack([build_extended_fs(P).T, data.y]), d.lasso_design)
+    direct = TargetBank.of(np.vstack([P.T, data.y, build_extended_fs(P)[:, k:].T]),
+                           d.lasso_design)
     np.testing.assert_array_equal(bank.rows, direct.rows)
     err = np.abs(bank.xty - direct.xty) / np.abs(direct.xty).max(axis=1, keepdims=True)
     assert err.max() < 1e-12
@@ -470,9 +471,10 @@ def test_a_constant_pair_target_gets_the_loadings_of_its_own_row():
     d = build_design(DictionarySpec("raw_coordinates", input_dim=30), Z)
     bank, _, k_ok, _ = selection._grid_bank(data, d, 5, extended_fs=True)
     _, P = g_columns(x, k_ok)
-    direct = TargetBank.of(np.vstack([build_extended_fs(P).T, data.y]), d.lasso_design)
+    direct = TargetBank.of(np.vstack([P.T, data.y, build_extended_fs(P)[:, k_ok:].T]),
+                           d.lasso_design)
     zero = np.flatnonzero(~bank.rows.any(axis=1))
-    assert k_ok + 1 in zero  # p_1 + p_3, the second pair target
+    assert k_ok + 2 in zero  # p_1 + p_3, the second pair target, after y
     for name in ("loadings0", "loadings1"):
         np.testing.assert_array_equal(getattr(bank, name)[zero], 0.0)
         np.testing.assert_array_equal(getattr(bank, name)[zero], getattr(direct, name)[zero])
@@ -513,7 +515,7 @@ def test_fixed_degree_post_double_is_the_one_degree_grid(monkeypatch, design_nam
             np.testing.assert_array_equal(fit.selected, want.union_set)
             ref = pds_fit(P_raw, d.q_raw(want.union_set), data.y, want)
             np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=1e-12)
-            assert fit.name == name and fit.spec_p == spec_p
+            assert fit.spec_p == spec_p
 
 
 def one_call_per_equation(bank, lam, config):
@@ -674,8 +676,7 @@ def test_comparison_estimators_low_dim_catalog():
         rng=np.random.default_rng(0), k_grid=[2, 3, 4])
     assert failures == {}
     assert set(fits) == set(ESTIMATORS)
-    for name, fit in fits.items():
-        assert fit.name == name
+    for fit in fits.values():
         assert np.all(np.isfinite(fit.beta_hat))
     # tensor conditioning: series_1 uses additive univariate blocks
     assert fits["series_1"].eta_hat.size == 1 + 4 * spec_q.degree
@@ -897,7 +898,7 @@ def test_every_other_estimator_reads_the_exact_g_dictionary(monkeypatch, design_
 
         def recording(P, Q_sel, y, sel, **kwargs):
             fit = real(P, Q_sel, y, sel, **kwargs)
-            inputs[fit.name] = (Q_sel, y, sel)
+            inputs[id(fit)] = (Q_sel, y, sel)
             return fit
 
         monkeypatch.setattr(selection, "pds_fit", recording)
@@ -907,7 +908,7 @@ def test_every_other_estimator_reads_the_exact_g_dictionary(monkeypatch, design_
         assert failures == {} and set(fits) == set(names)
         P_raw = hermite_design(data.x, spec_p.degree)
         for name in names:
-            ref = pds_fit(P_raw, *inputs[name])
+            ref = pds_fit(P_raw, *inputs[id(fits[name])])
             np.testing.assert_allclose(fits[name].beta_hat, ref.beta_hat, rtol=1e-12,
                                        err_msg=name)
 
