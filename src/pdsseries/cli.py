@@ -75,6 +75,13 @@ def _integer(raw: str) -> int:
         raise ValueError(f"must be an integer, got {raw!r}") from None
 
 
+def _text(raw: str) -> str:
+    """A path or a column name: any text but the empty one."""
+    if not raw:
+        raise ValueError("must not be empty")
+    return raw
+
+
 def _number(raw: str) -> float:
     try:
         val = float(raw)
@@ -139,9 +146,10 @@ def _degree(raw: str):
     return _at_least(_integer, 1)(raw)
 
 
-def _option(commands, parse=str, default=None, required=False):
+def _option(commands, parse=_text, default=None, required=False):
     """Declare the option ``--<field name>`` of ``commands``; ``parse`` checks
-    its raw text; ``required`` is True or a note for the missing-option problem."""
+    its raw text (by default, a path or a column name, which must not be
+    empty); ``required`` is True or a note for the missing-option problem."""
     meta = {"commands": commands, "parse": parse, "required": required}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=meta)
@@ -467,9 +475,8 @@ def _run_fit(cfg: RunConfig) -> str:
     lines.append(f"t_stat    = {res_inf.t_stat:.10g}")
     lines.append(f"ci95      = [{res_inf.ci_lower:.10g}, {res_inf.ci_upper:.10g}]")
     text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
     return text
 
 

@@ -1,13 +1,18 @@
 """Shared sample container, and two input rules that several modules share.
 
+A ``Dataset`` holds only finite numbers: a NaN or an infinity in ``y``,
+``x``, ``Z`` or ``h_true`` is refused when the sample is made, by a
+ValueError that names the array and the first bad index.
+
 ``check_names`` is the one check of a list of estimator or functional
 names, for ``selection.comparison_estimators``,
 ``montecarlo.run_monte_carlo`` and the command line alike.
-``_whole_number`` is the one rule for a count or a degree (of
+``_require_whole`` is the one reader of a count or a degree (of
 ``LassoConfig``, ``DictionarySpec``, ``DgpConfig``, a BIC degree grid,
-the Hermite builders and ``run_monte_carlo``): a whole number at or above
-its minimum, where 3.0 is read as 3. ``_require_whole`` refuses any other
-value by a ValueError that names the parameter.
+``tensor_index_set``, the Hermite builders and ``run_monte_carlo``): a
+whole number at or above its minimum, where 3.0 is read as 3. Any other
+value is refused by one message, ``{name} must be a whole number >=
+{minimum}, got {value!r}``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ class Dataset:
 
     ``h_true`` is the confounding component evaluated at the sample points;
     it is only available for simulated data and is required by the oracle
-    estimator.
+    estimator. Every entry of ``y``, ``x``, ``Z`` and ``h_true`` must be
+    finite.
     """
 
     y: np.ndarray
@@ -45,28 +51,26 @@ class Dataset:
             self.h_true = np.asarray(self.h_true, dtype=float).reshape(-1)
             if self.h_true.size != n:
                 raise ValueError("h_true length does not match the sample")
+        for name in ("y", "x", "Z", "h_true"):
+            arr = getattr(self, name)
+            if arr is not None and not np.isfinite(arr).all():
+                first = np.argwhere(~np.isfinite(arr))[0].tolist()
+                raise ValueError(f"{name} must hold finite numbers, got "
+                                 f"{float(arr[tuple(first)])!r} at {name}{first}")
 
     @property
     def n(self) -> int:
         return self.y.size
 
 
-def _whole_number(value, minimum: int):
+def _require_whole(name: str, value, minimum: int) -> int:
     """``value`` as an int when it is a whole number >= ``minimum`` (a float
-    such as 3.0 too), else None: a fraction, NaN, infinity, a string or a
-    number below ``minimum``."""
+    such as 3.0 too); a fraction, NaN, infinity, a string or a number below
+    ``minimum`` is refused by a ValueError naming ``name``."""
     if (isinstance(value, numbers.Real) and value >= minimum
             and (isinstance(value, numbers.Integral) or float(value).is_integer())):
         return int(value)
-    return None
-
-
-def _require_whole(name: str, value, minimum: int) -> int:
-    """``value`` by ``_whole_number``, or a ValueError naming ``name``."""
-    whole = _whole_number(value, minimum)
-    if whole is None:
-        raise ValueError(f"{name} must be >= {minimum} and a whole number, got {value!r}")
-    return whole
+    raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
 
 
 def check_names(names, valid, noun: str) -> list:

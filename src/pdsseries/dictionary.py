@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _require_whole, _whole_number
+from .data import _require_whole
 from .lasso import LassoDesign
 
 __all__ = [
@@ -86,17 +86,10 @@ class DictionarySpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown dictionary kind {self.kind!r}")
-        input_dim = _whole_number(self.input_dim, 1)
-        if input_dim is None:
-            raise ValueError(f"input_dim must be a whole number >= 1, got {self.input_dim!r}")
-        object.__setattr__(self, "input_dim", input_dim)
+        object.__setattr__(self, "input_dim", _require_whole("input_dim", self.input_dim, 1))
         if self.kind == "raw_coordinates":
             return
-        degree = _whole_number(self.degree, 1)
-        if degree is None:
-            raise ValueError(
-                f"{self.kind} requires a degree that is a whole number >= 1, got {self.degree!r}")
-        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "degree", _require_whole("degree", self.degree, 1))
         if self.kind == "hermite_univariate" and self.input_dim != 1:
             raise ValueError(f"{self.kind} takes a scalar input")
 
@@ -168,11 +161,7 @@ def tensor_index_set(d: int, kmax: int) -> list[tuple[int, ...]]:
     indices with L * d**2 above ``_TENSOR_WORK`` is refused by a
     ``ValueError`` before any index is enumerated.
     """
-    whole = _whole_number(d, 1), _whole_number(kmax, 1)
-    if None in whole:
-        raise ValueError(f"d and kmax must be >= 1 and whole numbers, got d={d!r}, "
-                         f"kmax={kmax!r}")
-    d, kmax = whole
+    d, kmax = _require_whole("d", d, 1), _require_whole("kmax", kmax, 1)
     n_terms = math.comb(kmax + d, d) - 1
     if n_terms * d * d > _TENSOR_WORK:
         raise ValueError(

@@ -74,7 +74,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import _whole_number
+from .data import _require_whole
 
 __all__ = [
     "LassoConfig",
@@ -125,11 +125,7 @@ class LassoConfig:
             raise ValueError("gamma must lie in (0, 1)")
         # a fraction would never equal the count of rounds or sweeps, so no cap
         for name in ("n_loadings", "cd_max_iter"):
-            value = _whole_number(getattr(self, name), 1)
-            if value is None:
-                raise ValueError(
-                    f"{name} must be a whole number >= 1, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _require_whole(name, getattr(self, name), 1))
         if not 0.0 <= self.cd_tol < math.inf:
             raise ValueError("cd_tol must be nonnegative and finite")
 
@@ -184,7 +180,7 @@ def penalty_level(
     n: int,
     n_targets: int,
     n_regressors: int,
-    config: LassoConfig | None = None,
+    config: LassoConfig = LassoConfig(),
 ) -> float:
     """Penalty level 2 c sqrt(n) Phi^{-1}(1 - gamma / (2 M)).
 
@@ -195,12 +191,13 @@ def penalty_level(
     """
     if n < 1 or n_targets < 1 or n_regressors < 1:
         raise ValueError("n, n_targets and n_regressors must be >= 1")
-    cfg = config if config is not None else LassoConfig()
-    gamma = cfg.gamma if cfg.gamma is not None else default_gamma(n, n_targets, n_regressors)
+    gamma = config.gamma
+    if gamma is None:
+        gamma = default_gamma(n, n_targets, n_regressors)
     tail = gamma / (2.0 * n_targets * n_regressors)
     if tail >= 1.0:
         raise ValueError("gamma / (2 M) must be below 1")
-    return 2.0 * cfg.c * math.sqrt(n) * normal_quantile(1.0 - tail)
+    return 2.0 * config.c * math.sqrt(n) * normal_quantile(1.0 - tail)
 
 
 def _nonzero(loadings: np.ndarray, which: str) -> np.ndarray:
@@ -600,7 +597,7 @@ class TargetBank:
         """The targets ``cols`` of this bank, sharing its arrays and memos."""
         return replace(self, cols=tuple(int(j) for j in cols))
 
-    def settled_empty(self, lam: float, config: LassoConfig | None = None) -> np.ndarray:
+    def settled_empty(self, lam: float, config: LassoConfig = LassoConfig()) -> np.ndarray:
         """Which equations in ``cols`` surely end with an empty active set at ``lam``.
 
         Entry k is True only when the first two solves of
@@ -625,11 +622,10 @@ class TargetBank:
         equation whose loadings are not all positive and finite, whose
         ``iterated_lasso`` call raises.
         """
-        cfg = config if config is not None else LassoConfig()
         cols = np.asarray(self.cols, dtype=np.intp)
         low = min(0.5 * float(lam) / (1.0 + _MARGIN), _HUGE)
         settled = self.level0[cols] <= low
-        if cfg.n_loadings > 1:
+        if config.n_loadings > 1:
             settled &= self.level1[cols] <= low
         return settled
 
@@ -781,7 +777,7 @@ def lasso_solve(
     xty: np.ndarray,
     lam: float,
     loadings: np.ndarray,
-    config: LassoConfig | None = None,
+    config: LassoConfig = LassoConfig(),
 ) -> LassoFit:
     """Solve one weighted-penalty Lasso by active-set coordinate descent.
 
@@ -791,7 +787,6 @@ def lasso_solve(
     were not enough; ``iterated_lasso`` turns that into a
     ``ConvergenceError``.
     """
-    cfg = config if config is not None else LassoConfig()
     xty = np.asarray(xty, dtype=float)
     loadings = np.asarray(loadings, dtype=float)
     m = design.shape[1]
@@ -806,7 +801,7 @@ def lasso_solve(
     if not _proper(loadings):
         raise ValueError("loadings must be positive and finite; degenerate columns upstream")
     coef, sweeps, converged = _cd_solve(
-        design, xty, 0.5 * float(lam) * loadings, cfg.cd_max_iter, cfg.cd_tol,
+        design, xty, 0.5 * float(lam) * loadings, config.cd_max_iter, config.cd_tol,
     )
     return LassoFit(
         coefficients=coef,
@@ -875,7 +870,7 @@ def _refine(design: LassoDesign, y: np.ndarray, active_set: np.ndarray):
 
 
 def iterated_lasso(bank: TargetBank, k: int, lam: float,
-                   config: LassoConfig | None = None) -> LassoFit:
+                   config: LassoConfig = LassoConfig()) -> LassoFit:
     """Lasso of the bank's ``k``-th target with iterated penalty loadings.
 
     Solves once with the conservative initial loadings, then alternates
@@ -908,12 +903,11 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
     sweeps certifies nothing: a certified round stands for a solve at a
     nearby lam, which must converge too.
     """
-    cfg = config if config is not None else LassoConfig()
     j, design = bank.cols[k], bank.design
     y, xty, memo = bank.rows[j], bank.xty[j], bank.memos[j]
     record, bank.records[j] = bank.records[j], None
     recorded, sweeps, spans = record if record is not None else ([], 0, {})
-    if 2 * sweeps > cfg.cd_max_iter or not 0.0 <= lam < math.inf:
+    if 2 * sweeps > config.cd_max_iter or not 0.0 <= lam < math.inf:
         recorded = []
     loadings = _nonzero(bank.loadings0[j], "initial")
     rounds, most, previous = [], 0, None
@@ -923,9 +917,9 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
             active, signs = recorded[r]
             # a round's span depends on its loadings, set and signs, and on
             # cd_tol: it is formed once and serves every later call
-            step = (previous, active.tobytes(), signs.tobytes(), cfg.cd_tol)
+            step = (previous, active.tobytes(), signs.tobytes(), config.cd_tol)
             if step not in spans:
-                spans[step] = bank._span(j, active, signs, loadings, cfg.cd_tol)
+                spans[step] = bank._span(j, active, signs, loadings, config.cd_tol)
             lo, hi, u, v = spans[step]
             if lo <= lam <= hi:
                 coef = np.zeros(design.shape[1])
@@ -935,11 +929,11 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
                 rounds.append(recorded[r])
                 most = max(most, sweeps)
         if fit is None:
-            fit = lasso_solve(design, xty, lam, loadings, cfg)
+            fit = lasso_solve(design, xty, lam, loadings, config)
             rounds.append((fit.active_set, np.sign(fit.coefficients[fit.active_set])))
             most = max(most, fit.iterations)
         key = fit.active_set.tobytes()
-        if len(rounds) == cfg.n_loadings or key == previous:
+        if len(rounds) == config.n_loadings or key == previous:
             break
         previous = key
         if key not in memo:
@@ -951,7 +945,7 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
     if not fit.converged:
         raise ConvergenceError(
             f"coordinate descent did not converge within cd_max_iter="
-            f"{cfg.cd_max_iter} sweeps"
+            f"{config.cd_max_iter} sweeps"
         )
     bank.records[j] = (rounds, most, spans)
     return fit

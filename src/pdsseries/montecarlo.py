@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _require_whole, _whole_number, check_names
+from .data import Dataset, _require_whole, check_names
 from .dictionary import DictionarySpec
 from .inference import FUNCTIONALS, functional_by_name, functional_estimate, rejection_test
 from .lasso import normal_quantile
@@ -95,22 +95,15 @@ class DgpConfig:
     def __post_init__(self) -> None:
         if self.design not in DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
-        n = _whole_number(self.n, 2)
-        if n is None:
-            raise ValueError(f"n must be a whole number >= 2, got {self.n!r}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _require_whole("n", self.n, 2))
         if not (0.0 <= self.sigma_v < math.inf and 0.0 <= self.sigma_eps < math.inf):
             raise ValueError("noise scales must be finite and nonnegative")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
-        if self.dim_z is None:
-            object.__setattr__(
-                self, "dim_z", 4 if self.design == "low_dim" else 2 * self.n
-            )
-        dim_z = _whole_number(self.dim_z, 1)
+        dim_z = self.dim_z
         if dim_z is None:
-            raise ValueError(f"dim_z must be a whole number >= 1, got {self.dim_z!r}")
-        object.__setattr__(self, "dim_z", dim_z)
+            dim_z = 4 if self.design == "low_dim" else 2 * self.n
+        object.__setattr__(self, "dim_z", _require_whole("dim_z", dim_z, 1))
 
 
 def _logistic(t) -> np.ndarray:
@@ -412,7 +405,7 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
     unset); either must be a positive integer, and a non-integer
     PDS_THREADS or a count below 1 raises ``ValueError``. The worker count
     is capped at ``n_reps``. ``n_reps``, ``n_jobs`` and ``base_seed`` (>= 0)
-    are read by ``data._whole_number``, so 1e1 is 10, and a fraction, NaN
+    are read by ``data._require_whole``, so 1e1 is 10, and a fraction, NaN
     or a string is refused by a ``ValueError`` naming the parameter.
     Records are aggregated in replication order, which ``pool.map`` keeps,
     so the report is identical for any worker count. Two or more workers

@@ -71,7 +71,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, _whole_number, check_names
+from .data import Dataset, _require_whole, check_names
 from .dictionary import (
     DegenerateColumnError,
     DesignMatrices,
@@ -241,29 +241,27 @@ def resolve_gamma(config: LassoConfig, n: int, n_fs_targets: int,
     return replace(config, gamma=default_gamma(n, n_fs_targets, n_regressors))
 
 
-def first_stage_select(bank: TargetBank, config: LassoConfig | None = None) -> list:
+def first_stage_select(bank: TargetBank, config: LassoConfig = LassoConfig()) -> list:
     """Lasso of each target of ``bank``, the standardized g-dictionary
     columns, on the bank's design; one active set per target.
 
     Every equation shares the design, whose Gram rows are each formed on
     the first entry of their column into any equation.
     """
-    cfg = config if config is not None else LassoConfig()
-    lam = penalty_level(bank.n, len(bank), bank.design.shape[1], cfg)
-    return _active_sets(bank, lam, cfg, "first-stage equation {}")
+    lam = penalty_level(bank.n, len(bank), bank.design.shape[1], config)
+    return _active_sets(bank, lam, config, "first-stage equation {}")
 
 
-def reduced_form_select(bank: TargetBank, config: LassoConfig | None = None) -> np.ndarray:
+def reduced_form_select(bank: TargetBank, config: LassoConfig = LassoConfig()) -> np.ndarray:
     """Lasso of the outcome, the one target of ``bank``, on the bank's
     design; its active set."""
-    cfg = config if config is not None else LassoConfig()
     if len(bank) != 1:
         raise ValueError("the reduced form has one target")
-    lam = penalty_level(bank.n, 1, bank.design.shape[1], cfg)
-    return _active_sets(bank, lam, cfg, "reduced-form equation")[0]
+    lam = penalty_level(bank.n, 1, bank.design.shape[1], config)
+    return _active_sets(bank, lam, config, "reduced-form equation")[0]
 
 
-def _active_sets(bank: TargetBank, lam: float, cfg: LassoConfig, label: str) -> list:
+def _active_sets(bank: TargetBank, lam: float, config: LassoConfig, label: str) -> list:
     """Active set of each equation of ``bank`` at ``lam``.
 
     In a bank of two or more equations, an equation that
@@ -278,30 +276,25 @@ def _active_sets(bank: TargetBank, lam: float, cfg: LassoConfig, label: str) -> 
     # check on mc_noise_controls, where every other equation is settled,
     # needs at least one iterated_lasso call to count. Its first degree
     # solves it; later degrees of a grid may certify that solve's rounds.
-    left = np.flatnonzero(~bank.settled_empty(lam, cfg)).tolist() if len(bank) > 1 else [0]
+    left = np.flatnonzero(~bank.settled_empty(lam, config)).tolist() if len(bank) > 1 else [0]
     sets = [_EMPTY_SET] * len(bank)
     for k in left:
         try:
-            sets[k] = iterated_lasso(bank, k, lam, cfg).active_set
+            sets[k] = iterated_lasso(bank, k, lam, config).active_set
         except FIT_ERRORS as exc:
             raise SelectionError(f"{label.format(k)} failed: {exc}") from exc
     return sets
 
 
 def post_double_select(fs_bank: TargetBank, rf_bank: TargetBank,
-                       config: LassoConfig | None = None) -> SelectionResult:
+                       config: LassoConfig = LassoConfig()) -> SelectionResult:
     """Run both selection stages, on banks over one design, and form the
     union of selected terms."""
     if fs_bank.design is not rf_bank.design:
         raise ValueError("the first-stage and reduced-form banks are on different designs")
-    cfg = resolve_gamma(
-        config if config is not None else LassoConfig(),
-        rf_bank.n,
-        len(fs_bank),
-        rf_bank.design.shape[1],
-    )
-    fs_sets = first_stage_select(fs_bank, cfg)
-    rf_set = reduced_form_select(rf_bank, cfg)
+    config = resolve_gamma(config, rf_bank.n, len(fs_bank), rf_bank.design.shape[1])
+    fs_sets = first_stage_select(fs_bank, config)
+    rf_set = reduced_form_select(rf_bank, config)
     union = np.unique(np.concatenate([*fs_sets, rf_set]))
     return SelectionResult(fs_sets=fs_sets, rf_set=rf_set, union_set=union)
 
@@ -423,19 +416,14 @@ def _grid_bank(data: Dataset, design: DesignMatrices, k_max: int,
 def _degree_grid(k_grid) -> list:
     """The distinct degrees of ``k_grid``, ascending; a degree that is not
     a whole number >= 1 is refused by name."""
-    degrees = set()
-    for k in k_grid:
-        degree = _whole_number(k, 1)
-        if degree is None:
-            raise ValueError(f"k_grid holds {k!r}: a degree must be a whole number >= 1")
-        degrees.add(degree)
+    degrees = {_require_whole("k_grid degree", k, 1) for k in k_grid}
     if not degrees:
         raise ValueError("k_grid is empty")
     return sorted(degrees)
 
 
 def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
-                 config: LassoConfig | None = None,
+                 config: LassoConfig = LassoConfig(),
                  extended_fs: bool = False) -> KGridResult:
     """Refit over a grid of g-dictionary degrees and pick by BIC.
 
@@ -459,7 +447,6 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     is the fit at a fixed degree: every Post-Double estimator, and
     ``pds-series fit``, runs here.
     """
-    cfg = config if config is not None else LassoConfig()
     k_grid = _degree_grid(k_grid)
     bank, P_raw, k_ok, pair_j = _grid_bank(data, design, k_grid[-1], extended_fs)
     if k_ok < k_grid[0]:
@@ -473,7 +460,7 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
         try:
             if k > k_ok:
                 raise _degenerate(k_ok)
-            sels[k] = post_double_select(bank.subset(fs_rows), y_bank, cfg)
+            sels[k] = post_double_select(bank.subset(fs_rows), y_bank, config)
         except FIT_ERRORS as exc:
             failed[k] = str(exc)
     # the degrees of one control set share one projection, at the largest
@@ -506,7 +493,7 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
 
 def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
                           spec_q: DictionarySpec,
-                          config: LassoConfig | None = None, estimators=None,
+                          config: LassoConfig = LassoConfig(), estimators=None,
                           rng=None, k_grid=None):
     """Fit the requested estimators on one sample.
 
@@ -519,7 +506,6 @@ def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
     itself cannot be built, every requested estimator fails with that
     reason. ``rng`` is consumed only by the randomized series benchmark.
     """
-    cfg = config if config is not None else LassoConfig()
     names = check_names(estimators if estimators is not None else ESTIMATORS,
                         ESTIMATORS, "estimator")
     if spec_p.kind != "hermite_univariate":
@@ -534,7 +520,7 @@ def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
         return fits, {name: f"{type(exc).__name__}: {exc}" for name in names}
     for name in names:
         try:
-            fits[name] = _fit_one(name, data, design, spec_p, cfg, rng, k_grid)
+            fits[name] = _fit_one(name, data, design, spec_p, config, rng, k_grid)
         except FIT_ERRORS as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"
     return fits, failures
@@ -561,11 +547,11 @@ def _series_controls(data: Dataset, design: DesignMatrices, which: str, rng):
 
 
 def _fit_one(name, data: Dataset, design: DesignMatrices, spec_p: DictionarySpec,
-             cfg, rng, k_grid) -> PdsFit:
+             config, rng, k_grid) -> PdsFit:
     if name.startswith("post_double"):
         # a fixed degree is the one-degree grid
         grid = k_grid if name.startswith("post_double_set") else [spec_p.degree]
-        res = choose_k_bic(data, design, grid, cfg, extended_fs=name.endswith("_ext"))
+        res = choose_k_bic(data, design, grid, config, extended_fs=name.endswith("_ext"))
         return res.fits[res.k_hat]
 
     P_raw, P, k_ok = _g_block(data.x, spec_p.degree)
@@ -573,13 +559,13 @@ def _fit_one(name, data: Dataset, design: DesignMatrices, spec_p: DictionarySpec
         raise _degenerate(k_ok)
     y = data.y
     if name == "post_single_1":
-        sel = reduced_form_select(TargetBank.of(data.y, design.lasso_design), cfg)
+        sel = reduced_form_select(TargetBank.of(data.y, design.lasso_design), config)
         controls = design.q_raw(sel)
     elif name == "post_single_2":
         # one Lasso of y on [P, Q]: the blocks P and the workspace's design,
         # whose Q*Q and stored rows of Q'Q it reuses
         joint = LassoDesign(P, design.lasso_design)
-        active = reduced_form_select(TargetBank.of(data.y, joint), cfg)
+        active = reduced_form_select(TargetBank.of(data.y, joint), config)
         sel = active[active >= k_ok] - k_ok
         controls = design.q_raw(sel)
     elif name in ("series_1", "series_2"):

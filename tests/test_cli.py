@@ -312,6 +312,36 @@ def test_resolve_reports_every_problem_at_once():
     assert "--out is required" in joined
 
 
+def test_resolve_refuses_an_empty_path_or_column_with_the_other_problems(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        resolve_config(["fit", "--input", "", "--y", "", "--x", "", "--z", "z*",
+                        "--k", "0", "--out", ""])
+    assert err.value.problems == [
+        "--input must not be empty", "--y must not be empty", "--x must not be empty",
+        "--k must be >= 1, got 0", "--out must not be empty"]
+    with pytest.raises(ConfigError) as err:
+        resolve_config(["simulate", "--design", "low", "--n", "1", "--dump-sample", "",
+                        "--out", ""])
+    assert err.value.problems == [
+        "--n must be >= 2, got 1", "--dump-sample must not be empty",
+        "--out must not be empty"]
+    # an empty value in a config file is the same problem
+    ini = tmp_path / "empty_out.ini"
+    ini.write_text("[simulate]\ndesign = low\nn = 60\nout =\n")
+    with pytest.raises(ConfigError) as err:
+        resolve_config(["simulate", "--config", str(ini)])
+    assert err.value.problems == ["--out must not be empty"]
+
+
+def test_an_empty_out_path_exits_2_before_any_work(sample_csv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_monte_carlo", None)  # refused before any replication
+    assert main(["simulate", "--design", "low", "--n", "60", "--reps", "2",
+                 "--out", ""]) == 2
+    assert main(["fit", "--input", sample_csv, "--y", "y", "--x", "x", "--z", "z*",
+                 "--out", ""]) == 2
+    assert capsys.readouterr().err.count("--out must not be empty") == 2
+
+
 def test_resolve_requires_subcommand():
     with pytest.raises(ConfigError, match="subcommand"):
         resolve_config([])

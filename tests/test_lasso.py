@@ -1,6 +1,7 @@
 """Weighted-penalty Lasso: solver, penalty levels, loadings, iteration."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -43,6 +44,8 @@ from pdsseries.montecarlo import DgpConfig, default_specs, generate_sample
 from pdsseries.selection import (
     FIT_ERRORS,
     SelectionError,
+    choose_k_bic,
+    comparison_estimators,
     first_stage_select,
     post_double_select,
     reduced_form_select,
@@ -51,13 +54,13 @@ from pdsseries.selection import (
 scipy_stats = pytest.importorskip("scipy.stats")
 
 
-def solve(X, y, lam, loadings, config=None):
+def solve(X, y, lam, loadings, config=LassoConfig()):
     """``lasso_solve`` of ``y`` on a fresh design over ``X``."""
     X = np.asarray(X, dtype=float)
     return lasso_solve(LassoDesign(X), X.T @ y, lam, loadings, config)
 
 
-def iterate(X, y, lam, config=None):
+def iterate(X, y, lam, config=LassoConfig()):
     """``iterated_lasso`` of ``y`` on a fresh design over ``X``."""
     return iterated_lasso(TargetBank.of(y, LassoDesign(X)), 0, lam, config)
 
@@ -176,6 +179,16 @@ def test_lasso_config_caps_are_whole_numbers(name):
             LassoConfig(**{name: bad})
     value = getattr(LassoConfig(**{name: 3.0}), name)
     assert value == 3 and type(value) is int
+
+
+@pytest.mark.parametrize("entry", [
+    penalty_level, TargetBank.settled_empty, lasso_solve, iterated_lasso,
+    first_stage_select, reduced_form_select, post_double_select, choose_k_bic,
+    comparison_estimators,
+], ids=lambda f: f.__qualname__)
+def test_every_lasso_entry_point_defaults_to_one_config(entry):
+    default = inspect.signature(entry).parameters["config"].default
+    assert type(default) is LassoConfig and default == LassoConfig()
 
 
 def test_a_whole_float_sweep_cap_caps_like_its_integer():

@@ -542,7 +542,7 @@ def test_run_monte_carlo_rejects_a_bad_pds_threads(monkeypatch, value):
 ])
 def test_run_monte_carlo_counts_are_whole_numbers(name, value):
     kwargs = {"n_reps": 2, name: value}
-    with pytest.raises(ValueError, match=f"{name} must be >= [01] and a whole number, got "):
+    with pytest.raises(ValueError, match=f"{name} must be a whole number >= [01], got "):
         run_monte_carlo(DgpConfig("low_dim", 60), estimators=("oracle",), **kwargs)
 
 
@@ -558,7 +558,7 @@ def test_run_monte_carlo_rejects_n_jobs_below_one(monkeypatch):
     monkeypatch.setenv("PDS_THREADS", "nonsense")  # ignored when n_jobs is given
     cfg = DgpConfig("low_dim", 60)
     for n_jobs in (0, -1):
-        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+        with pytest.raises(ValueError, match="n_jobs must be a whole number >= 1, got "):
             run_monte_carlo(cfg, estimators=("oracle",), n_reps=2, n_jobs=n_jobs)
     rep = run_monte_carlo(cfg, estimators=("oracle",), n_reps=2,
                           functionals=("avg_deriv",), n_jobs=1)

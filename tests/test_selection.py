@@ -818,9 +818,9 @@ def test_choose_k_bic_refuses_a_degree_that_is_not_a_whole_number_from_one(
     data = make_low_dim_like(seed=5)
     d = build_design(make_specs(data)[1], data.Z)
     monkeypatch.setattr(selection, "_grid_bank", None)  # refused before the bank
-    with pytest.raises(ValueError, match=f"k_grid holds {bad}: a degree must be a whole"):
+    with pytest.raises(ValueError, match=f"k_grid degree must be a whole number >= 1, got {bad}"):
         choose_k_bic(data, d, grid)
-    with pytest.raises(ValueError, match=f"k_grid holds {bad}"):
+    with pytest.raises(ValueError, match=f"k_grid degree must be a whole number >= 1, got {bad}"):
         comparison_estimators(data, *make_specs(data), estimators=("oracle",), k_grid=grid)
 
 
