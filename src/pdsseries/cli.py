@@ -12,7 +12,8 @@ an option takes are not owned here: ``--functional`` is read by
 checked by ``data.check_names``, so the library refuses the same names
 with the same text that follows the flag in the problem list. A ``--config
 FILE`` in INI format can supply any of them (section named after the
-subcommand); explicit flags win. The resolved configuration is echoed into
+subcommand); explicit flags win, and an empty ``--config`` is a problem
+like an empty path. The resolved configuration is echoed into
 the text outputs. Exit codes: 0 success, 2 invalid configuration (all
 problems listed), 1 runtime failure, such as a CSV column in two roles.
 """
@@ -270,7 +271,9 @@ def resolve_config(argv) -> RunConfig:
         raise ConfigError(["a subcommand is required: simulate or fit"])
     values = vars(args)
     problems: list[str] = []
-    if args.config:
+    if args.config == "":
+        problems.append("--config must not be empty")
+    elif args.config is not None:
         _merge_config_file(args.command, args.config, values, problems)
     parsed = {}
     for opt in _options(args.command):

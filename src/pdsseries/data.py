@@ -6,13 +6,14 @@ ValueError that names the array and the first bad index.
 
 ``check_names`` is the one check of a list of estimator or functional
 names, for ``selection.comparison_estimators``,
-``montecarlo.run_monte_carlo`` and the command line alike.
-``_require_whole`` is the one reader of a count or a degree (of
-``LassoConfig``, ``DictionarySpec``, ``DgpConfig``, a BIC degree grid,
-``tensor_index_set``, the Hermite builders and ``run_monte_carlo``): a
-whole number at or above its minimum, where 3.0 is read as 3. Any other
-value is refused by one message, ``{name} must be a whole number >=
-{minimum}, got {value!r}``.
+``montecarlo.run_monte_carlo`` and the command line alike; a bare string
+is refused, not read letter by letter. ``_require_whole`` is the one
+reader of a count or a degree (of ``LassoConfig``, ``DictionarySpec``,
+``DgpConfig``, a BIC degree grid, ``tensor_index_set``, the Hermite
+builders and ``run_monte_carlo``): a whole number at or above its minimum,
+where 3.0 is read as 3 and a bool is not a number. Any other value is
+refused by one message, ``{name} must be a whole number >= {minimum}, got
+{value!r}``.
 """
 
 from __future__ import annotations
@@ -65,18 +66,21 @@ class Dataset:
 
 def _require_whole(name: str, value, minimum: int) -> int:
     """``value`` as an int when it is a whole number >= ``minimum`` (a float
-    such as 3.0 too); a fraction, NaN, infinity, a string or a number below
-    ``minimum`` is refused by a ValueError naming ``name``."""
-    if (isinstance(value, numbers.Real) and value >= minimum
+    such as 3.0 too); a fraction, NaN, infinity, a string, a bool or a
+    number below ``minimum`` is refused by a ValueError naming ``name``."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and value >= minimum
             and (isinstance(value, numbers.Integral) or float(value).is_integer())):
         return int(value)
     raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
 
 
 def check_names(names, valid, noun: str) -> list:
-    """``names`` as a list, when it is non-empty, each name is one of
-    ``valid`` and none repeats; otherwise a ValueError saying which rule
-    fails."""
+    """``names`` as a list, when it is a non-empty collection (not a bare
+    string), each name is one of ``valid`` and none repeats; otherwise a
+    ValueError saying which rule fails."""
+    if isinstance(names, str):
+        raise ValueError(f"{noun} names must be a list of names, not the string {names!r}")
     names = list(names)
     if not names:
         raise ValueError(f"must list at least one {noun}")

@@ -27,13 +27,14 @@ products over the rows and the pairs' cross products, by linearity, instead
 of a product over every target.
 ``iterated_lasso(bank, k, lam)`` fits the bank's ``k``-th target.
 
-Most equations of post-double selection select nothing. The bank also
-evaluates every target's refined loadings for the empty set in one product,
-and pre-fills each memo with them, so ``TargetBank.settled_empty`` can
-settle for the whole bank at once the equations that select nothing in
-their first two rounds, and so end empty, at a given penalty level. The
-bank keeps each target's level for both loading rounds, half its lam_max,
-so the test is two comparisons per target: a level at or below
+Most equations of post-double selection select nothing. The bank keeps
+its first two loading rounds as one array: the initial loadings, then every
+target's refined loadings for the empty set, one product for the whole
+bank, which also pre-fill each memo. From them it keeps each target's level
+in each round, half its lam_max, as one (2, k) array, so
+``TargetBank.settled_empty`` settles for the whole bank at once, in one
+comparison, the equations that select nothing in their first two rounds,
+and so end empty, at a given penalty level: a level at or below
 (lam / 2) / (1 + 1e-12) settles its round. The screen may leave an
 equation that ends empty unsettled, never the other way; every equation
 it leaves runs ``iterated_lasso``, which reads the same pre-filled
@@ -364,9 +365,6 @@ class LassoDesign:
         return row
 
 
-# design entries per row block of ``TargetBank.of``'s levels
-_SCREEN_CELLS = 1 << 14
-
 # relative margin between a level that ``settled_empty`` settles and lam / 2
 _MARGIN = 1e-12
 # the gap between a coordinate's input and its threshold that a round's
@@ -387,28 +385,21 @@ def _proper(loadings: np.ndarray) -> np.ndarray:
     return ((loadings > 0.0) & (loadings <= _HUGE)).all(axis=-1)
 
 
-def _levels(xty: np.ndarray, *loadings) -> np.ndarray:
+def _levels(xty: np.ndarray, loadings: np.ndarray) -> np.ndarray:
     """Each row's level max_l |x_l't| / psi_l, half its lam_max, under each
-    of ``loadings``: one row of levels per loadings array.
+    loading round of ``loadings`` (r, k, m): an (r, k) array, one pass over
+    the bank per round.
 
     NaN, which means "cannot settle", when a loading is not positive and
-    finite or when the level is not a finite normal number.
+    finite or when the level is not a finite normal number; a design with
+    no columns has no level.
     """
-    k, m = xty.shape
-    levels = np.full((len(loadings), k), np.nan)
-    if not m:
-        return levels
-    step = max(1, _SCREEN_CELLS // m)
-    for start in range(0, k, step):
-        rows = slice(start, start + step)
-        abs_xty = np.abs(xty[rows])
-        for r, psi in enumerate(loadings):
-            with np.errstate(divide="ignore", over="ignore", under="ignore",
-                             invalid="ignore"):
-                levels[r, rows] = (abs_xty / psi[rows]).max(axis=1)
-    levels[~((levels >= _TINY) & (levels <= _HUGE))] = np.nan
-    for level, psi in zip(levels, loadings):
-        level[~_proper(psi)] = np.nan
+    abs_xty = np.abs(xty)
+    levels = np.empty(loadings.shape[:-1])
+    with np.errstate(all="ignore"):
+        for level, psi in zip(levels, loadings):
+            np.max(abs_xty / psi, axis=1, out=level, initial=-math.inf)
+    levels[~((levels >= _TINY) & (levels <= _HUGE) & _proper(loadings))] = np.nan
     return levels
 
 
@@ -488,7 +479,7 @@ def _pair_loadings(design: LassoDesign, rows: np.ndarray, targets: np.ndarray,
 
 
 def _with_pairs(rows: np.ndarray, design: LassoDesign, ii, jj) -> tuple:
-    """The targets, ``X't`` and both loadings of ``TargetBank.of(rows,
+    """The targets, ``X't`` and both loading rounds of ``TargetBank.of(rows,
     design, (ii, jj))``, from products over ``rows`` and their pairs'
     cross products only; ``ii`` and ``jj`` may be empty."""
     ii, jj = np.asarray(ii, dtype=np.intp), np.asarray(jj, dtype=np.intp)
@@ -496,11 +487,11 @@ def _with_pairs(rows: np.ndarray, design: LassoDesign, ii, jj) -> tuple:
     xty = _paired(design.product(rows), ii, jj)
     # the bank's arrays first, then one buffer for both loadings' products:
     # the working arrays, freed last, leave no holes among the kept ones
-    loadings0, loadings1 = np.empty((2,) + xty.shape)
+    loadings = np.empty((2,) + xty.shape)
     block = np.empty((len(rows) + ii.size, rows.shape[1]))
-    for centred, out in ((True, loadings0), (False, loadings1)):
+    for centred, out in zip((True, False), loadings):
         _pair_loadings(design, rows, targets, ii, jj, centred, block, out)
-    return targets, xty, loadings0, loadings1
+    return targets, xty, loadings
 
 
 def _perfect_fit(rows: np.ndarray) -> np.ndarray:
@@ -527,7 +518,7 @@ class TargetBank:
 
     Row j of ``rows`` is one target, regressed on ``design``. Its cross
     products ``xty[j]`` (a row of ``T'X``) and initial loadings
-    ``loadings0[j]`` come from one matrix product each for the whole bank,
+    ``loadings[0, j]`` come from one matrix product each for the whole bank,
     and ``memos[j]`` keeps its refined loadings by active set for every
     equation that regresses this target on the design. ``cols`` names the
     targets the bank stands for, in equation order: ``subset`` gives a bank
@@ -536,14 +527,15 @@ class TargetBank:
     targets.
 
     The empty set's Post-Lasso residual is the target itself, so its refined
-    loadings ``loadings1[j]`` are one more matrix product for the whole bank.
-    Each memo starts with them under the empty-set key ``b""``, or with the
-    flag ``_refine`` would return instead. ``level0[j]`` and ``level1[j]``
-    are the target's levels for the two rounds, max_l |x_l't| / psi_l with
-    the loadings of each, or NaN where rounding cannot vouch for one: the
-    first screen of a round admits nothing exactly when lam / 2 reaches the
-    level. With both rounds at hand, ``settled_empty`` settles at once the
-    equations that plainly end with an empty active set.
+    loadings ``loadings[1, j]`` are one more matrix product for the whole
+    bank: ``loadings`` is (2, k, m), row r the loadings of round r. Each
+    memo starts with round 1's under the empty-set key ``b""``, or with the
+    flag ``_refine`` would return instead. ``levels[r, j]`` is the target's
+    level in round r, max_l |x_l't| / psi_l with that round's loadings, or
+    NaN where rounding cannot vouch for one: the first screen of a round
+    admits nothing exactly when lam / 2 reaches the level. With both rounds
+    at hand, ``settled_empty`` settles at once the equations that plainly
+    end with an empty active set.
 
     ``records[j]`` holds the active set and signs of each round of the last
     ``iterated_lasso`` call on target j that returned, the most sweeps one
@@ -556,10 +548,8 @@ class TargetBank:
     design: LassoDesign
     rows: np.ndarray
     xty: np.ndarray
-    loadings0: np.ndarray
-    loadings1: np.ndarray
-    level0: np.ndarray
-    level1: np.ndarray
+    loadings: np.ndarray
+    levels: np.ndarray
     memos: list
     cols: tuple
     records: list
@@ -575,16 +565,15 @@ class TargetBank:
         linearity (``_pair_loadings``), not from products of their own.
         """
         rows = np.ascontiguousarray(np.atleast_2d(rows), dtype=float)
-        rows, xty, loadings0, loadings1 = _with_pairs(rows, design, *pairs)
+        rows, xty, loadings = _with_pairs(rows, design, *pairs)
         # _refine's flags, on the empty set's residual
         perfect = _perfect_fit(rows)
-        degenerate = ~loadings1.any(axis=1)
+        degenerate = ~loadings[1].any(axis=1)
         memos = [{b"": "perfect_fit" if p else "loadings_degenerate" if d else psi}
-                 for p, d, psi in zip(perfect.tolist(), degenerate.tolist(), loadings1)]
-        level0, level1 = _levels(xty, loadings0, loadings1)
-        return cls(design=design, rows=rows, xty=xty,
-                   loadings0=loadings0, loadings1=loadings1, level0=level0, level1=level1,
-                   memos=memos, cols=tuple(range(len(rows))), records=[None] * len(rows))
+                 for p, d, psi in zip(perfect.tolist(), degenerate.tolist(), loadings[1])]
+        return cls(design=design, rows=rows, xty=xty, loadings=loadings,
+                   levels=_levels(xty, loadings), memos=memos,
+                   cols=tuple(range(len(rows))), records=[None] * len(rows))
 
     @property
     def n(self) -> int:
@@ -594,8 +583,9 @@ class TargetBank:
         return len(self.cols)
 
     def subset(self, cols) -> TargetBank:
-        """The targets ``cols`` of this bank, sharing its arrays and memos."""
-        return replace(self, cols=tuple(int(j) for j in cols))
+        """The targets ``cols`` (ints or an index array) of this bank,
+        sharing its arrays and memos."""
+        return replace(self, cols=tuple(np.asarray(cols, dtype=np.intp).tolist()))
 
     def settled_empty(self, lam: float, config: LassoConfig = LassoConfig()) -> np.ndarray:
         """Which equations in ``cols`` surely end with an empty active set at ``lam``.
@@ -609,11 +599,12 @@ class TargetBank:
         first solve starts from t = 0 and admits nothing when no column has
         |x_l't| > lam psi0_l / 2, the first screen of ``_cd_solve``; the
         second, run when ``n_loadings > 1``, is the same test with
-        ``loadings1`` (or is skipped for a flagged memo, which ends the call
-        empty as well); a third would repeat the empty set and stop.
+        ``loadings[1]`` (or is skipped for a flagged memo, which ends the
+        call empty as well); a third would repeat the empty set and stop.
 
         A round is settled when its level is at or below ``low = (lam / 2)
-        / (1 + 1e-12)``: two comparisons per equation. A normal level at or
+        / (1 + 1e-12)``: one comparison of the rounds' levels, and an
+        equation is settled when each of its rounds is. A normal level at or
         below ``low`` is each ratio |x_l't| / psi_l rounded once, with
         relative error at most 2^-53, so every ``|x_l't| < lam / 2 * psi_l``
         exactly; rounding is monotone, so the solver's threshold ``fl(lam /
@@ -622,12 +613,10 @@ class TargetBank:
         equation whose loadings are not all positive and finite, whose
         ``iterated_lasso`` call raises.
         """
-        cols = np.asarray(self.cols, dtype=np.intp)
+        cols = list(self.cols)
+        rounds = 1 if config.n_loadings == 1 else 2
         low = min(0.5 * float(lam) / (1.0 + _MARGIN), _HUGE)
-        settled = self.level0[cols] <= low
-        if config.n_loadings > 1:
-            settled &= self.level1[cols] <= low
-        return settled
+        return (self.levels[:rounds, cols] <= low).all(axis=0)
 
     def _span(self, j: int, active: np.ndarray, signs: np.ndarray,
               psi: np.ndarray, tol: float) -> tuple:
@@ -909,7 +898,7 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
     recorded, sweeps, spans = record if record is not None else ([], 0, {})
     if 2 * sweeps > config.cd_max_iter or not 0.0 <= lam < math.inf:
         recorded = []
-    loadings = _nonzero(bank.loadings0[j], "initial")
+    loadings = _nonzero(bank.loadings[0, j], "initial")
     rounds, most, previous = [], 0, None
     while True:
         r, fit = len(rounds), None

@@ -413,9 +413,9 @@ def run_monte_carlo(cfg: DgpConfig, estimators=None, n_reps: int = 100,
     this with ``n_jobs > 1`` needs an ``if __name__ == "__main__":``
     guard; without one, the workers end early and a ``RuntimeError`` says
     so. ``estimators`` (all nine by default) and
-    ``functionals`` are checked by ``data.check_names``: an empty list, an
-    unknown name or a repeated one is refused. Every fit uses the default
-    ``LassoConfig``.
+    ``functionals`` are checked by ``data.check_names``: a bare string, an
+    empty list, an unknown name or a repeated one is refused. Every fit
+    uses the default ``LassoConfig``.
     """
     estimators = check_names(estimators if estimators is not None else ESTIMATORS,
                              ESTIMATORS, "estimator")

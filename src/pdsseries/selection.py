@@ -50,7 +50,7 @@ parts are new.
 
 Most first-stage equations select nothing. A bank of two or more
 equations is first asked which surely end with an empty active set
-(``TargetBank.settled_empty``: one comparison per loading round), and
+(``TargetBank.settled_empty``: one comparison of the rounds' levels), and
 ``iterated_lasso`` runs for the rest, including any the screen cannot
 vouch for. In a grid, that call settles each loading round that an
 earlier degree's call on the same target recorded by a KKT certificate
@@ -455,8 +455,8 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     sels: dict[int, SelectionResult] = {}
     failed: dict[int, str] = {}
     for k in k_grid:
-        pairs = np.flatnonzero(pair_j < k)
-        fs_rows = [*range(k), *(k_ok + 1 + pairs), *(k_ok + 1 + pair_j.size + pairs)]
+        sums = k_ok + 1 + np.flatnonzero(pair_j < k)
+        fs_rows = np.concatenate([np.arange(k), sums, sums + pair_j.size])
         try:
             if k > k_ok:
                 raise _degenerate(k_ok)

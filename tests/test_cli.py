@@ -333,6 +333,19 @@ def test_resolve_refuses_an_empty_path_or_column_with_the_other_problems(tmp_pat
     assert err.value.problems == ["--out must not be empty"]
 
 
+def test_an_empty_config_path_is_a_configuration_problem(sample_csv, tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        resolve_config(["simulate", "--config", "", "--n", "1", "--out", "o.csv"])
+    assert err.value.problems == [
+        "--config must not be empty", "--design is required (low or high)",
+        "--n must be >= 2, got 1"]
+    out = tmp_path / "f.txt"
+    assert main(["fit", "--config", "", "--input", sample_csv, "--y", "y", "--x", "x",
+                 "--z", "z*", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "configuration errors:\n  - --config must not be empty\n"
+    assert not out.exists()
+
+
 def test_an_empty_out_path_exits_2_before_any_work(sample_csv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_monte_carlo", None)  # refused before any replication
     assert main(["simulate", "--design", "low", "--n", "60", "--reps", "2",
@@ -423,13 +436,20 @@ def test_the_command_line_and_the_library_read_a_functional_name_alike(name, ref
     ("--functionals", ["mystery"],
      f"unknown functional names: ['mystery']; valid: {', '.join(FUNCTIONALS)}"),
     ("--functionals", ["avg_deriv", "avg_deriv"], "repeated functional names: ['avg_deriv']"),
+    # a bare string is one name too many to read letter by letter; the
+    # command line splits its lists, so only the library can be given one
+    ("--estimators", "oracle",
+     "estimator names must be a list of names, not the string 'oracle'"),
+    ("--functionals", "avg_deriv",
+     "functional names must be a list of names, not the string 'avg_deriv'"),
 ])
 def test_every_caller_refuses_a_bad_name_list_with_one_message(capsys, flag, names, message):
     cfg = DgpConfig("low_dim", 60)
-    argv = ["simulate", "--design", "low", "--n", "60", flag, ",".join(names) or ",",
-            "--out", "o.csv"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"configuration errors:\n  - {flag} {message}\n"
+    if not isinstance(names, str):
+        argv = ["simulate", "--design", "low", "--n", "60", flag, ",".join(names) or ",",
+                "--out", "o.csv"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"configuration errors:\n  - {flag} {message}\n"
     with pytest.raises(ValueError) as lib:
         run_monte_carlo(cfg, n_reps=1, **{flag[2:]: names})
     assert str(lib.value) == message

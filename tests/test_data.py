@@ -48,10 +48,11 @@ COUNT_SITES = {
 
 
 @pytest.mark.parametrize("site", COUNT_SITES)
-@pytest.mark.parametrize("kind", ["fraction", "nan", "text", "below"])
+@pytest.mark.parametrize("kind", ["fraction", "nan", "text", "below", "true", "false"])
 def test_every_count_is_refused_with_one_message(site, kind):
     name, minimum, read = COUNT_SITES[site]
-    value = {"fraction": 2.5, "nan": math.nan, "text": "3", "below": minimum - 1}[kind]
+    value = {"fraction": 2.5, "nan": math.nan, "text": "3", "below": minimum - 1,
+             "true": True, "false": False}[kind]
     with pytest.raises(ValueError) as err:
         read(value)
     assert str(err.value) == f"{name} must be a whole number >= {minimum}, got {value!r}"

@@ -746,11 +746,11 @@ def test_a_paired_bank_holds_its_rows_then_the_sums_then_the_differences():
     np.testing.assert_array_equal(bank.xty, np.vstack([xty, xty[ii] + xty[jj],
                                                        xty[ii] - xty[jj]]))
     # each level is its own row's, max_l |x_l't| / psi_l, bit for bit
-    for level, psi in ((bank.level0, bank.loadings0), (bank.level1, bank.loadings1)):
+    for level, psi in zip(bank.levels, bank.loadings):
         np.testing.assert_array_equal(level, (np.abs(bank.xty) / psi).max(axis=1))
     # and agrees with the bank of the same targets, each evaluated directly
     direct = TargetBank.of(targets, design)
-    for name in ("loadings0", "loadings1", "level0", "level1"):
+    for name in ("loadings", "levels"):
         np.testing.assert_allclose(getattr(bank, name), getattr(direct, name), rtol=1e-12,
                                    atol=0, err_msg=name)
 
@@ -767,10 +767,10 @@ def test_bank_of_a_vector_is_a_one_row_bank():
         assert len(bank) == 1 and bank.n == n and bank.design is design
         np.testing.assert_array_equal(bank.rows, y[None])
         np.testing.assert_allclose(bank.xty[0], X.T @ y, rtol=1e-12)
-        np.testing.assert_allclose(bank.loadings0[0], initial_loadings(design, y),
+        np.testing.assert_allclose(bank.loadings[0, 0], initial_loadings(design, y),
                                    rtol=1e-12)
     np.testing.assert_array_equal(vec.xty, block.xty)
-    np.testing.assert_array_equal(vec.loadings0, block.loadings0)
+    np.testing.assert_array_equal(vec.loadings, block.loadings)
     fit = iterated_lasso(vec, 0, lam)
     assert fit.active_set.size > 0
     assert_same_fit(fit, iterated_lasso(block, 0, lam))
@@ -879,35 +879,25 @@ def test_screen_settles_only_equations_that_end_empty():
     assert all(seen.values()), seen
 
 
-def test_screen_in_row_blocks_matches_one_block(monkeypatch):
+def test_a_subset_screens_as_its_rows_of_the_whole_bank():
     X, kinds = screen_problem(2)
     n, m = X.shape
     rows = np.array(kinds["regular"] + kinds["constant"] + kinds["zero_loading"])
-    # every target, some twice, out of order
-    cols = np.random.default_rng(0).permutation(np.r_[np.arange(len(rows)), 0, 3, 5])
-
-    def banks():
-        bank = TargetBank.of(rows, LassoDesign(X))
-        return bank, (bank, bank.subset(cols), bank.subset([]))
-
-    monkeypatch.setattr(lasso_module, "_SCREEN_CELLS", 1 << 30)
-    whole, whole_banks = banks()
+    bank = TargetBank.of(rows, LassoDesign(X))
+    # every target, some twice, out of order; and no target
+    permuted = np.random.default_rng(0).permutation(np.r_[np.arange(len(rows)), 0, 3, 5])
     lams = [penalty_level(n, len(rows), m, LassoConfig(c=c, gamma=0.1))
             for c in np.geomspace(1e-2, 30.0, 7)]
-    # rebuilt under each block size, so the levels are read in row blocks
-    for cells in (1, m, 2 * m + 1, 5 * m):
-        monkeypatch.setattr(lasso_module, "_SCREEN_CELLS", cells)
-        bank, blocked = banks()
-        for name in ("level0", "level1"):
-            assert getattr(bank, name).tobytes() == getattr(whole, name).tobytes(), name
-        for n_loadings in (1, 15):
-            cfg = LassoConfig(n_loadings=n_loadings)
-            for lam in lams:
-                for b, want in zip(blocked, whole_banks):
-                    np.testing.assert_array_equal(b.settled_empty(lam, cfg),
-                                                  want.settled_empty(lam, cfg))
-        # the bank's own arrays are left as they were
-        np.testing.assert_array_equal(bank.xty, rows @ X)
+    for n_loadings in (1, 15):
+        cfg = LassoConfig(n_loadings=n_loadings)
+        for lam in lams:
+            whole = bank.settled_empty(lam, cfg)
+            assert whole.shape == (len(rows),)
+            for cols in (permuted, permuted.tolist(), []):
+                np.testing.assert_array_equal(bank.subset(cols).settled_empty(lam, cfg),
+                                              whole[np.asarray(cols, dtype=int)])
+    # the bank's own arrays are left as they were
+    np.testing.assert_array_equal(bank.xty, rows @ X)
 
 
 def test_screen_agrees_with_the_solver_at_its_threshold():
@@ -918,8 +908,8 @@ def test_screen_agrees_with_the_solver_at_its_threshold():
     X = rng.choice([-1.0, 1.0], size=(n, m))
     t = rng.permutation(np.repeat([-1.0, 1.0], n // 2))
     bank = TargetBank.of(np.array([t, -t]), LassoDesign(X))
-    np.testing.assert_array_equal(bank.loadings0, 1.0)
-    np.testing.assert_array_equal(bank.loadings1, 1.0)
+    np.testing.assert_array_equal(bank.loadings[0], 1.0)
+    np.testing.assert_array_equal(bank.loadings[1], 1.0)
     top = np.abs(bank.xty).max()
     assert top > 0
     for n_loadings in (1, 15):
@@ -949,9 +939,9 @@ def solver_settles(bank, lam, cfg):
 
     out = []
     for j in bank.cols:
-        done = admits_none(bank.xty[j], bank.loadings0[j])
+        done = admits_none(bank.xty[j], bank.loadings[0, j])
         if cfg.n_loadings > 1 and not isinstance(bank.memos[j][b""], str):
-            done = done and admits_none(bank.xty[j], bank.loadings1[j])
+            done = done and admits_none(bank.xty[j], bank.loadings[1, j])
         out.append(done)
     return np.array(out, dtype=bool)
 
@@ -967,18 +957,18 @@ def near_each_level(levels):
     return lams
 
 
-def with_arrays(bank, xty, loadings0, loadings1):
-    """``bank`` with other cross products and loadings, and their levels."""
-    level0, level1 = lasso_module._levels(xty, loadings0, loadings1)
-    return dataclasses.replace(bank, xty=xty, loadings0=loadings0, loadings1=loadings1,
-                               level0=level0, level1=level1)
+def with_arrays(bank, xty, *rounds):
+    """``bank`` with other cross products and loading rounds, and their levels."""
+    loadings = np.stack(rounds)
+    return dataclasses.replace(bank, xty=xty, loadings=loadings,
+                               levels=lasso_module._levels(xty, loadings))
 
 
 def test_levels_are_each_rounds_half_lam_max():
     X, kinds = screen_problem(0)
     rows = np.array(kinds["regular"] + kinds["constant"] + kinds["zero_loading"])
     bank = TargetBank.of(rows, LassoDesign(X))
-    for level, psi in ((bank.level0, bank.loadings0), (bank.level1, bank.loadings1)):
+    for level, psi in zip(bank.levels, bank.loadings):
         positive = (psi > 0.0).all(axis=1)
         assert np.isnan(level[~positive]).all()
         want = (np.abs(bank.xty[positive]) / psi[positive]).max(axis=1)
@@ -988,9 +978,9 @@ def test_levels_are_each_rounds_half_lam_max():
     # NaN, never settled: the one-row target (X't = 0, and zero refined
     # loadings), the constant target (zero initial loadings) and the
     # zero-loading target (column 4)
-    assert np.isnan(bank.level0).sum() == 3 and np.isnan(bank.level1).sum() == 2
+    assert np.isnan(bank.levels[0]).sum() == 3 and np.isnan(bank.levels[1]).sum() == 2
     sub = bank.subset([3, 0])
-    assert sub.level0 is bank.level0 and sub.level1 is bank.level1
+    assert sub.levels is bank.levels
 
 
 def test_route_matches_one_solve_per_equation_near_each_level(monkeypatch):
@@ -1011,7 +1001,7 @@ def test_route_matches_one_solve_per_equation_near_each_level(monkeypatch):
         rows = np.array(rows)
         with np.errstate(over="ignore", invalid="ignore"):
             probe = TargetBank.of(rows, LassoDesign(X))
-        lams = near_each_level(np.r_[probe.level0, probe.level1])
+        lams = near_each_level(probe.levels.ravel())
         for n_loadings in (1, 15):
             cfg = LassoConfig(gamma=0.1, n_loadings=n_loadings)
             for lam in lams:
@@ -1136,7 +1126,7 @@ def test_replay_returns_a_set_only_where_a_fresh_call_returns_it(monkeypatch):
             bank.records[k] = record
             calls.clear()
             call(bank, k, lam, dataclasses.replace(cfg, cd_max_iter=1))
-            assert np.shares_memory(calls[0][0], bank.loadings0)
+            assert np.shares_memory(calls[0][0], bank.loadings[0])
             seen["capped"] += 1
     assert all(seen.values()), seen
 
@@ -1187,7 +1177,7 @@ def test_a_partly_certified_call_solves_only_what_does_not_certify(monkeypatch):
         psi = bank.memos[j].get(active1.tobytes())
         if isinstance(psi, str) or psi is None:
             continue
-        lo1, hi1, _, _ = bank._span(j, active1, signs1, bank.loadings0[j], tol)
+        lo1, hi1, _, _ = bank._span(j, active1, signs1, bank.loadings[0, j], tol)
         lo2, hi2, _, _ = bank._span(j, active2, signs2, psi, tol)
         if not lo1 <= other <= hi1 or lo2 <= other <= hi2:
             continue
@@ -1320,7 +1310,7 @@ def test_prefilled_empty_set_memo_matches_refine():
             flags.append(ref)
         else:
             np.testing.assert_allclose(memo[b""], ref, rtol=1e-12)
-            np.testing.assert_array_equal(memo[b""], bank.loadings1[j])
+            np.testing.assert_array_equal(memo[b""], bank.loadings[1, j])
     assert sorted(flags) == ["loadings_degenerate", "perfect_fit"]
 
 

@@ -184,7 +184,7 @@ def test_overflowing_target_fails_its_equation(zero_entry):
     P[:, 1] = 1e160 * rng.standard_normal(n)
     with np.errstate(over="ignore", invalid="ignore"):
         bank = TargetBank.of(P.T, design.lasso_design)
-        assert not np.isfinite(bank.loadings0[1]).all()
+        assert not np.isfinite(bank.loadings[0, 1]).all()
         assert bank.memos[1][b""] == "perfect_fit"
         with pytest.raises(SelectionError, match="first-stage equation 1") as err:
             first_stage_select(bank_of(P, design))
@@ -440,7 +440,7 @@ def test_derived_pair_targets_match_the_direct_bank(design_name, n):
     np.testing.assert_array_equal(bank.rows, direct.rows)
     err = np.abs(bank.xty - direct.xty) / np.abs(direct.xty).max(axis=1, keepdims=True)
     assert err.max() < 1e-12
-    for name in ("loadings0", "loadings1", "level0", "level1"):
+    for name in ("loadings", "levels"):
         np.testing.assert_allclose(getattr(bank, name), getattr(direct, name), rtol=1e-12,
                                    atol=0, err_msg=name)
 
@@ -450,13 +450,13 @@ def test_derived_pair_targets_match_the_direct_bank(design_name, n):
     assert flags(bank) == flags(direct)
     # without pairs, the bank is the one of direct products, bit for bit
     plain = TargetBank.of(direct.rows, d.lasso_design, pairs=(np.empty(0, int),) * 2)
-    for name in ("rows", "xty", "loadings0", "loadings1", "level0", "level1"):
+    for name in ("rows", "xty", "loadings", "levels"):
         np.testing.assert_array_equal(getattr(plain, name), getattr(direct, name), err_msg=name)
     np.testing.assert_array_equal(direct.xty, d.lasso_design.product(direct.rows))
-    np.testing.assert_array_equal(direct.loadings0, lasso.initial_loadings(d.lasso_design,
-                                                                          direct.rows))
-    np.testing.assert_array_equal(direct.loadings1, lasso.refined_loadings(d.lasso_design,
-                                                                          direct.rows))
+    np.testing.assert_array_equal(direct.loadings[0], lasso.initial_loadings(d.lasso_design,
+                                                                            direct.rows))
+    np.testing.assert_array_equal(direct.loadings[1], lasso.refined_loadings(d.lasso_design,
+                                                                            direct.rows))
 
 
 def test_a_constant_pair_target_gets_the_loadings_of_its_own_row():
@@ -475,9 +475,9 @@ def test_a_constant_pair_target_gets_the_loadings_of_its_own_row():
                            d.lasso_design)
     zero = np.flatnonzero(~bank.rows.any(axis=1))
     assert k_ok + 2 in zero  # p_1 + p_3, the second pair target, after y
-    for name in ("loadings0", "loadings1"):
-        np.testing.assert_array_equal(getattr(bank, name)[zero], 0.0)
-        np.testing.assert_array_equal(getattr(bank, name)[zero], getattr(direct, name)[zero])
+    for r in (0, 1):
+        np.testing.assert_array_equal(bank.loadings[r, zero], 0.0)
+        np.testing.assert_array_equal(bank.loadings[r, zero], direct.loadings[r, zero])
     assert [bank.memos[j][b""] for j in zero] == [direct.memos[j][b""] for j in zero]
 
 
