@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import _require_whole
-from .lasso import LassoDesign
+from .lasso import LassoDesign, _paired
 
 __all__ = [
     "DictionarySpec",
@@ -153,21 +153,27 @@ def _compositions(total: int, d: int):
             yield (first,) + rest
 
 
-def tensor_index_set(d: int, kmax: int) -> list[tuple[int, ...]]:
-    """Multi-indices with 1 <= total degree <= kmax.
-
-    Graded order: lower total degree first; within a grade, descending
-    lexicographic. The zero index (constant term) is excluded. A set of L
-    indices with L * d**2 above ``_TENSOR_WORK`` is refused by a
-    ``ValueError`` before any index is enumerated.
-    """
-    d, kmax = _require_whole("d", d, 1), _require_whole("kmax", kmax, 1)
+def _check_tensor_size(d: int, kmax: int) -> None:
+    """Refuse, by a ``ValueError``, a Hermite tensor of degree ``kmax`` on
+    ``d`` inputs whose L columns have L * d**2 above ``_TENSOR_WORK``."""
     n_terms = math.comb(kmax + d, d) - 1
     if n_terms * d * d > _TENSOR_WORK:
         raise ValueError(
             f"a Hermite tensor of degree K={kmax} on d={d} inputs has L={n_terms} "
             f"columns, and L*d^2 exceeds {_TENSOR_WORK:.0e}; "
             "use the raw coordinates as the conditioning dictionary")
+
+
+def tensor_index_set(d: int, kmax: int) -> list[tuple[int, ...]]:
+    """Multi-indices with 1 <= total degree <= kmax.
+
+    Graded order: lower total degree first; within a grade, descending
+    lexicographic. The zero index (constant term) is excluded. A set too
+    large to build is refused by ``_check_tensor_size`` before any index is
+    enumerated.
+    """
+    d, kmax = _require_whole("d", d, 1), _require_whole("kmax", kmax, 1)
+    _check_tensor_size(d, kmax)
     out: list[tuple[int, ...]] = []
     for deg in range(1, kmax + 1):
         out.extend(_compositions(deg, d))
@@ -256,12 +262,17 @@ def evaluate_dictionary(spec: DictionarySpec, data) -> np.ndarray:
 
 
 def _coordinates(spec: DictionarySpec, data) -> np.ndarray:
-    """``data`` as the float (n, d) matrix a multivariate ``spec`` takes."""
+    """``data`` as the float (n, d) matrix ``spec`` takes, refused by a
+    ``ValueError`` when it does not fit: d other than ``spec.input_dim``, or
+    a Hermite tensor on it too large to build (``_check_tensor_size``). The
+    refusals depend on the shapes only, not on the sample's values."""
     Z = np.asarray(data, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != spec.input_dim:
         raise ValueError(
             f"expected an (n, {spec.input_dim}) matrix, got shape {Z.shape}"
         )
+    if spec.kind == "hermite_tensor":
+        _check_tensor_size(spec.input_dim, spec.degree)
     return Z
 
 
@@ -344,9 +355,10 @@ class DesignMatrices:
     ``build_design``.
 
     ``Q`` (n, L) approximates h, unit-variance column-wise, and
-    ``q_scales`` maps back to raw columns: raw = standardized * scale.
-    Every Lasso of post-double selection runs on the same ``Q``, so the
-    workspace holds one ``LassoDesign`` over it, ``lasso_design``: ``Q*Q``
+    ``q_scales`` maps back to raw columns: raw = standardized * scale;
+    ``spec_q`` is the dictionary ``Q`` evaluates. Every Lasso of
+    post-double selection runs on the same ``Q``, so the workspace makes
+    one ``LassoDesign`` over it, ``lasso_design``: ``Q*Q``
     for the penalty loadings, and a store of the rows of ``Q'Q``, each
     formed the first time its column enters any solve on the sample and
     kept for every later equation, estimator and degree grid, so ``Q'Q``
@@ -359,8 +371,11 @@ class DesignMatrices:
 
     Q: np.ndarray
     q_scales: np.ndarray
-    lasso_design: LassoDesign
-    spec_q: DictionarySpec | None = None
+    lasso_design: LassoDesign = field(init=False)
+    spec_q: DictionarySpec
+
+    def __post_init__(self) -> None:
+        self.lasso_design = LassoDesign(self.Q)
 
     def q_raw(self, idx) -> np.ndarray:
         """Columns ``idx`` of the conditioning dictionary in raw units."""
@@ -370,7 +385,7 @@ class DesignMatrices:
 
 def build_design(spec_q: DictionarySpec, Z) -> DesignMatrices:
     """Evaluate the conditioning dictionary, standardize its columns, and
-    wrap the standardized ``Q`` in the workspace's ``LassoDesign``.
+    make the workspace, whose ``LassoDesign`` is over the standardized ``Q``.
 
     Raw coordinates are standardized straight from ``Z``, which
     ``standardize_columns`` never writes, so no raw n x L copy is made. The
@@ -386,23 +401,18 @@ def build_design(spec_q: DictionarySpec, Z) -> DesignMatrices:
     Q, q_scales = standardize_columns(Q_raw, what="Q column")
     # release the raw block, when it is not Z itself, before the design squares Q
     del Q_raw
-    return DesignMatrices(Q=Q, q_scales=q_scales, lasso_design=LassoDesign(Q),
-                          spec_q=spec_q)
+    return DesignMatrices(Q=Q, q_scales=q_scales, spec_q=spec_q)
 
 
 def build_extended_fs(P: np.ndarray) -> np.ndarray:
     """Extended first-stage dictionary: originals, pairwise sums, diffs.
 
-    For K input columns the result has K + 2*C(K, 2) columns, ordered as
-    [p_1..p_K, p_i + p_j (i < j), p_i - p_j (i < j)].
+    For K input columns the result has K + 2*C(K, 2) columns: the columns
+    of P and then those of every pair i < j, in the layout of a
+    ``TargetBank`` with pairs ``np.triu_indices(K, 1)`` (``TargetBank.of``),
+    formed by the bank's own routine.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[1] < 1:
         raise ValueError("P must be a 2-d matrix with at least one column")
-    k = P.shape[1]
-    blocks = [P]
-    if k >= 2:
-        ii, jj = np.triu_indices(k, 1)
-        blocks.append(P[:, ii] + P[:, jj])
-        blocks.append(P[:, ii] - P[:, jj])
-    return np.concatenate(blocks, axis=1)
+    return _paired(P.T, *np.triu_indices(P.shape[1], 1)).T

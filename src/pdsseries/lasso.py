@@ -21,10 +21,11 @@ on a fit only through its active set, so the iteration stops as soon as a
 round selects the same set as the round before, and every equation on the
 same target reuses them. Every bank is built as rows and their pairwise
 sums and differences, with no pairs but in the BIC grid's extended first
-stage, and lays them out itself: the given rows, then every sum, then
-every difference. Each pair's ``X't`` and loadings are derived from
-products over the rows and the pairs' cross products, by linearity, instead
-of a product over every target.
+stage, and the bank alone knows where each target lies: ``TargetBank.of``
+lays them out, and ``TargetBank.leading(k)`` hands out the targets of the
+first k rows, a degree's equations. Each pair's ``X't`` and loadings are
+derived from products over the rows and the pairs' cross products, by
+linearity, instead of a product over every target.
 ``iterated_lasso(bank, k, lam)`` fits the bank's ``k``-th target.
 
 Most equations of post-double selection select nothing. The bank keeps
@@ -481,8 +482,7 @@ def _pair_loadings(design: LassoDesign, rows: np.ndarray, targets: np.ndarray,
 def _with_pairs(rows: np.ndarray, design: LassoDesign, ii, jj) -> tuple:
     """The targets, ``X't`` and both loading rounds of ``TargetBank.of(rows,
     design, (ii, jj))``, from products over ``rows`` and their pairs'
-    cross products only; ``ii`` and ``jj`` may be empty."""
-    ii, jj = np.asarray(ii, dtype=np.intp), np.asarray(jj, dtype=np.intp)
+    cross products only; ``ii`` and ``jj`` are intp arrays, maybe empty."""
     targets = _paired(rows, ii, jj)
     xty = _paired(design.product(rows), ii, jj)
     # the bank's arrays first, then one buffer for both loadings' products:
@@ -522,9 +522,11 @@ class TargetBank:
     and ``memos[j]`` keeps its refined loadings by active set for every
     equation that regresses this target on the design. ``cols`` names the
     targets the bank stands for, in equation order: ``subset`` gives a bank
-    of some of them that shares every array and memo, so a degree grid
-    indexes each degree's equations into one bank instead of rebuilding its
-    targets.
+    of some of them that shares every array and memo, and ``leading(k)``
+    the bank of a degree's equations, so a degree grid indexes each
+    degree's equations into one bank instead of rebuilding its targets.
+    ``pairs`` is the ``(ii, jj)`` of ``of``, as intp arrays: with the row
+    count, it fixes where each target of ``rows`` lies.
 
     The empty set's Post-Lasso residual is the target itself, so its refined
     loadings ``loadings[1, j]`` are one more matrix product for the whole
@@ -553,18 +555,22 @@ class TargetBank:
     memos: list
     cols: tuple
     records: list
+    pairs: tuple
 
     @classmethod
     def of(cls, rows, design: LassoDesign, pairs=((), ())) -> TargetBank:
         """Bank of the targets in ``rows`` (one per row, or one vector).
 
         With ``pairs = (ii, jj)``, the bank also holds, for each pair p, the
-        sum and then the difference of rows ``ii[p]`` and ``jj[p]``: after
-        the given rows, all the sums, then all the differences. Their
-        ``X't`` and loadings are derived from those of the rows, by
-        linearity (``_pair_loadings``), not from products of their own.
+        sum and then the difference of rows ``ii[p]`` and ``jj[p]``. This is
+        the layout of every bank: the k given rows at 0..k-1, the sum of
+        pair p at k + p and its difference at k + P + p, for P pairs; no
+        other module spells it (``leading`` reads it). The pairs' ``X't``
+        and loadings are derived from those of the rows, by linearity
+        (``_pair_loadings``), not from products of their own.
         """
         rows = np.ascontiguousarray(np.atleast_2d(rows), dtype=float)
+        pairs = tuple(np.asarray(p, dtype=np.intp) for p in pairs)
         rows, xty, loadings = _with_pairs(rows, design, *pairs)
         # _refine's flags, on the empty set's residual
         perfect = _perfect_fit(rows)
@@ -573,7 +579,7 @@ class TargetBank:
                  for p, d, psi in zip(perfect.tolist(), degenerate.tolist(), loadings[1])]
         return cls(design=design, rows=rows, xty=xty, loadings=loadings,
                    levels=_levels(xty, loadings), memos=memos,
-                   cols=tuple(range(len(rows))), records=[None] * len(rows))
+                   cols=tuple(range(len(rows))), records=[None] * len(rows), pairs=pairs)
 
     @property
     def n(self) -> int:
@@ -586,6 +592,23 @@ class TargetBank:
         """The targets ``cols`` (ints or an index array) of this bank,
         sharing its arrays and memos."""
         return replace(self, cols=tuple(np.asarray(cols, dtype=np.intp).tolist()))
+
+    def leading(self, k: int) -> TargetBank:
+        """The bank of the first ``k`` given rows and of every sum and
+        difference of two of them, in the layout of ``of`` (rows, sums,
+        differences, each in bank order), sharing this bank's arrays, memos
+        and records as ``subset`` does.
+
+        A degree grid banks the g dictionary at its largest degree, so
+        ``leading(k)`` is the extended first stage at degree k (or the
+        plain one, in a bank without pairs). A ``k`` beyond the given rows
+        is refused.
+        """
+        given = len(self.rows) - 2 * self.pairs[0].size
+        if not 0 <= k <= given:
+            raise ValueError(f"leading takes 0 to {given} given rows, got {k}")
+        kept = given + np.flatnonzero(np.maximum(*self.pairs) < k)
+        return self.subset(np.concatenate([np.arange(k), kept, kept + self.pairs[0].size]))
 
     def settled_empty(self, lam: float, config: LassoConfig = LassoConfig()) -> np.ndarray:
         """Which equations in ``cols`` surely end with an empty active set at ``lam``.

@@ -28,10 +28,10 @@ solver by one route: a stage function (``first_stage_select``,
 ``_active_sets`` fits each equation of the bank, raising a failure as a
 ``SelectionError`` that names the equation. A bank evaluates each target's
 ``X't`` and initial loadings once and memoizes its refined loadings by
-active set; ``choose_k_bic`` builds one bank at the grid's largest degree
-and indexes every degree into it: the g rows, then the outcome, then the
-extended first stage's pair targets, which the bank lays out and derives
-from the g rows.
+active set; ``choose_k_bic`` builds one bank at the grid's largest degree,
+of the g rows and the outcome, and with the extended first stage the
+pairs of g rows, which the bank lays out and derives itself; each degree
+runs on ``TargetBank.leading``, which alone knows where its targets lie.
 
 The sample's ``DesignMatrices`` workspace from ``build_design`` has one
 ``LassoDesign`` over the conditioning dictionary ``Q``, holding ``Q*Q`` and
@@ -76,6 +76,7 @@ from .dictionary import (
     DegenerateColumnError,
     DesignMatrices,
     DictionarySpec,
+    _coordinates,
     build_design,
     evaluate_dictionary,
     hermite_design,
@@ -304,9 +305,9 @@ def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
     """Final OLS of y on [1, P, Q_sel] in raw column units, by one projection.
 
     ``Q_sel`` holds only the selected control columns, in raw units (from a
-    workspace, ``design.q_raw(idx)``). ``sel`` names them: a SelectionResult
-    (its ``union_set``) or a plain index array into the estimator's control
-    matrix, one index per column of ``Q_sel``.
+    workspace, ``design.q_raw(idx)``). ``sel`` names them: an index array
+    into the estimator's control matrix (for post-double selection, a
+    ``SelectionResult.union_set``), one index per column of ``Q_sel``.
 
     One least squares of ``[P | y]`` on ``W = [1, Q_sel]`` residualizes the
     g dictionary and the outcome on the controls; by Frisch-Waugh-Lovell,
@@ -317,8 +318,7 @@ def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
     solution of the residualized regression. It is the one-degree case of
     the final fits a BIC grid makes (``_final_fits``).
     """
-    fit, = _final_fits(P, Q_sel, y, sel, {np.shape(P)[1]: spec_p})
-    return fit
+    return _final_fits(P, Q_sel, y, sel, {np.shape(P)[1]: spec_p})[0]
 
 
 def _final_fits(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel, specs: dict) -> list:
@@ -335,10 +335,8 @@ def _final_fits(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel, specs: dic
     ``PdsFit`` per degree, in the order of ``specs``, each with its
     ``spec_p``; its ``P_resid`` is a view of the shared projection.
     """
-    P = np.asarray(P, dtype=float)
-    Q_sel = np.asarray(Q_sel, dtype=float)
-    y = np.asarray(y, dtype=float)
-    idx = np.asarray(getattr(sel, "union_set", sel), dtype=int)
+    P, Q_sel, y = (np.asarray(a, dtype=float) for a in (P, Q_sel, y))
+    idx = np.asarray(sel, dtype=int)
     n, width = P.shape
     if Q_sel.shape != (n, idx.size):
         raise ValueError(
@@ -398,19 +396,18 @@ def _grid_bank(data: Dataset, design: DesignMatrices, k_max: int,
                extended_fs: bool):
     """One bank of every target of a degree grid, built at its largest degree.
 
-    The rows are the standardized g block of ``_g_block`` at ``k_max``,
-    then ``data.y`` at row k_ok; with ``extended_fs``, the g rows' pairwise
-    sums and then differences follow, in ``build_extended_fs`` order, and
-    the bank derives their ``Q't`` and loadings from those of the g rows. A
-    standardized column, and a sum or difference of two, is the same at
-    every degree that has it, so every degree's targets are rows of this
-    bank. Returns the bank, the raw He_1..He_k_max, k_ok and the second
-    index of each bank pair.
+    The given rows are the standardized g block of ``_g_block`` at
+    ``k_max``, then ``data.y`` at row k_ok; with ``extended_fs``, every
+    pair of g rows is banked too, laid out and derived as
+    ``TargetBank.of`` does. A standardized column, and a sum or difference
+    of two, is the same at every degree that has it, so degree k's first
+    stage is ``bank.leading(k)`` and its reduced form row k_ok. Returns the
+    bank, the raw He_1..He_k_max and k_ok.
     """
     P_raw, P, k_ok = _g_block(data.x, k_max)
-    ii, jj = np.triu_indices(k_ok, 1) if extended_fs else (np.empty(0, int),) * 2
-    rows = np.vstack([P.T, data.y])
-    return TargetBank.of(rows, design.lasso_design, pairs=(ii, jj)), P_raw, k_ok, jj
+    pairs = np.triu_indices(k_ok, 1) if extended_fs else ((), ())
+    bank = TargetBank.of(np.vstack([P.T, data.y]), design.lasso_design, pairs=pairs)
+    return bank, P_raw, k_ok
 
 
 def _degree_grid(k_grid) -> list:
@@ -448,19 +445,16 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     ``pds-series fit``, runs here.
     """
     k_grid = _degree_grid(k_grid)
-    bank, P_raw, k_ok, pair_j = _grid_bank(data, design, k_grid[-1], extended_fs)
+    bank, P_raw, k_ok = _grid_bank(data, design, k_grid[-1], extended_fs)
     if k_ok < k_grid[0]:
         raise _degenerate(k_ok)
-    y_bank = bank.subset([k_ok])
     sels: dict[int, SelectionResult] = {}
     failed: dict[int, str] = {}
     for k in k_grid:
-        sums = k_ok + 1 + np.flatnonzero(pair_j < k)
-        fs_rows = np.concatenate([np.arange(k), sums, sums + pair_j.size])
         try:
             if k > k_ok:
                 raise _degenerate(k_ok)
-            sels[k] = post_double_select(bank.subset(fs_rows), y_bank, config)
+            sels[k] = post_double_select(bank.leading(k), bank.subset([k_ok]), config)
         except FIT_ERRORS as exc:
             failed[k] = str(exc)
     # the degrees of one control set share one projection, at the largest
@@ -469,11 +463,11 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
         groups.setdefault(sel.union_set.tobytes(), []).append(k)
     fitted: dict[int, PdsFit] = {}
     for ks in groups.values():
-        sel = sels[ks[0]]
+        union = sels[ks[0]].union_set
         try:
-            group = _final_fits(P_raw[:, :ks[-1]], design.q_raw(sel.union_set), data.y,
-                                sel, {k: DictionarySpec("hermite_univariate", degree=k)
-                                      for k in ks})
+            group = _final_fits(P_raw[:, :ks[-1]], design.q_raw(union), data.y,
+                                union, {k: DictionarySpec("hermite_univariate", degree=k)
+                                        for k in ks})
         except FIT_ERRORS as exc:
             failed.update(dict.fromkeys(ks, str(exc)))
             continue
@@ -502,15 +496,21 @@ def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
     dictionary, ``spec_p`` or a degree of the BIC grid, from ``data.x``.
     Returns (fits, failures): a dict of PdsFit by estimator name, and a dict
     of error messages for estimators that failed on this sample with one of
-    ``FIT_ERRORS``; any other exception propagates. When the workspace
-    itself cannot be built, every requested estimator fails with that
-    reason. ``rng`` is consumed only by the randomized series benchmark.
+    ``FIT_ERRORS``; any other exception propagates. A ``spec_q`` that does
+    not fit ``data.Z``, by its input dimension or by a Hermite tensor too
+    large to build, would fail on every sample, so it is refused here by a
+    ``ValueError`` before the workspace is built; when the workspace
+    cannot be built from this sample (a constant column, a Hermite term out
+    of range), every requested estimator fails with that reason. ``rng`` is
+    consumed only by the randomized series benchmark.
     """
     names = check_names(estimators if estimators is not None else ESTIMATORS,
                         ESTIMATORS, "estimator")
     if spec_p.kind != "hermite_univariate":
         raise ValueError(f"the g dictionary must be hermite_univariate, got {spec_p.kind!r}")
     k_grid = _degree_grid(k_grid if k_grid is not None else default_k_grid(data.n))
+    # a spec_q that does not fit Z fails every sample: refused, not recorded
+    _coordinates(spec_q, data.Z)
 
     fits: dict[str, PdsFit] = {}
     failures: dict[str, str] = {}
@@ -528,16 +528,14 @@ def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
 
 def _series_controls(data: Dataset, design: DesignMatrices, which: str, rng):
     """Control block for the plain series benchmarks."""
-    n = data.n
-    spec_q = design.spec_q
-    if spec_q.kind == "hermite_tensor":
+    if design.spec_q.kind == "hermite_tensor":
         if which == "series_1":
             # additive univariate expansions, one block per coordinate
-            blocks = [hermite_design(data.Z[:, j], spec_q.degree)
+            blocks = [hermite_design(data.Z[:, j], design.spec_q.degree)
                       for j in range(data.Z.shape[1])]
             return np.concatenate(blocks, axis=1)
         return design.q_raw(np.arange(design.Q.shape[1]))
-    n_keep = min((SERIES_FRACTION_NUM * n) // SERIES_FRACTION_DEN, data.Z.shape[1])
+    n_keep = min((SERIES_FRACTION_NUM * data.n) // SERIES_FRACTION_DEN, data.Z.shape[1])
     if which == "series_1":
         return data.Z[:, :n_keep]
     if rng is None:

@@ -32,7 +32,12 @@ replaced it: their bits must be the same.
 ``choose_k_bic_per_degree`` is the library's former BIC grid, which made one
 ``pds_fit`` projection per degree, kept as it was (its library names read
 through the ``selection`` module) as the reference for the grid that
-projects once per distinct control set.
+projects once per distinct control set; it finds each degree's equations
+in the grid's bank by ``leading_cols``, the offset arithmetic the grid did
+itself before ``TargetBank.leading`` took it over, written out pair by
+pair from ``bank.pairs``. ``build_extended_fs`` is the library's former
+extended first-stage dictionary, which concatenated its column blocks,
+kept unchanged as the reference for the one the bank's routine forms.
 """
 
 from __future__ import annotations
@@ -412,10 +417,11 @@ def workspace_of(Q: np.ndarray) -> DesignMatrices:
 
     ``build_design`` standardizes and rejects constant columns; this hands
     the selection layer any matrix, a degenerate one included, with unit
-    scales and a ``LassoDesign`` over it.
+    scales, read as raw coordinates; the workspace makes its ``LassoDesign``.
     """
     Q = np.asarray(Q, dtype=float)
-    return DesignMatrices(Q=Q, q_scales=np.ones(Q.shape[1]), lasso_design=LassoDesign(Q))
+    return DesignMatrices(Q=Q, q_scales=np.ones(Q.shape[1]),
+                          spec_q=DictionarySpec("raw_coordinates", input_dim=Q.shape[1]))
 
 
 def bank_of(T, design: DesignMatrices) -> TargetBank:
@@ -481,6 +487,38 @@ def iterated_lasso(
     return fit
 
 
+def build_extended_fs(P: np.ndarray) -> np.ndarray:
+    """Extended first-stage dictionary: originals, pairwise sums, diffs.
+
+    For K input columns the result has K + 2*C(K, 2) columns, ordered as
+    [p_1..p_K, p_i + p_j (i < j), p_i - p_j (i < j)].
+    """
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[1] < 1:
+        raise ValueError("P must be a 2-d matrix with at least one column")
+    k = P.shape[1]
+    blocks = [P]
+    if k >= 2:
+        ii, jj = np.triu_indices(k, 1)
+        blocks.append(P[:, ii] + P[:, jj])
+        blocks.append(P[:, ii] - P[:, jj])
+    return np.concatenate(blocks, axis=1)
+
+
+def leading_cols(bank: TargetBank, k: int) -> tuple:
+    """The rows of ``bank`` that hold the first ``k`` given rows and every
+    sum and difference of two of them: rows 0..k-1, then, for each pair p
+    of ``bank.pairs`` with both rows below k, in pair order, the sum at
+    k_given + p, then the difference at k_given + P + p, where k_given is
+    the count of given rows and P that of pairs."""
+    ii, jj = bank.pairs
+    n_pairs = len(ii)
+    k_given = len(bank.rows) - 2 * n_pairs
+    within = [p for p in range(n_pairs) if ii[p] < k and jj[p] < k]
+    return (*range(k), *(k_given + p for p in within),
+            *(k_given + n_pairs + p for p in within))
+
+
 def choose_k_bic_per_degree(data, design: DesignMatrices, k_grid,
                             config: LassoConfig | None = None,
                             extended_fs: bool = False):
@@ -491,21 +529,19 @@ def choose_k_bic_per_degree(data, design: DesignMatrices, k_grid,
     if not k_grid:
         raise ValueError("k_grid is empty")
     specs = {k: DictionarySpec("hermite_univariate", degree=k) for k in k_grid}
-    bank, P_raw, k_ok, pair_j = selection._grid_bank(data, design, k_grid[-1], extended_fs)
+    bank, P_raw, k_ok = selection._grid_bank(data, design, k_grid[-1], extended_fs)
     degenerate = f"P column {k_ok} has zero variance on this sample"
     if k_ok < k_grid[0]:
         raise DegenerateColumnError(degenerate)
     y_bank = bank.subset([k_ok])
     fits, bics, errors = {}, {}, {}
     for k in k_grid:
-        pairs = np.flatnonzero(pair_j < k)
-        fs_rows = [*range(k), *(k_ok + 1 + pairs), *(k_ok + 1 + pair_j.size + pairs)]
         try:
             if k > k_ok:
                 raise DegenerateColumnError(degenerate)
-            sel = selection.post_double_select(bank.subset(fs_rows), y_bank, cfg)
+            sel = selection.post_double_select(bank.subset(leading_cols(bank, k)), y_bank, cfg)
             fit = selection.pds_fit(P_raw[:, :k], design.q_raw(sel.union_set), data.y,
-                                    sel, spec_p=specs[k])
+                                    sel.union_set, spec_p=specs[k])
         except selection.FIT_ERRORS as exc:
             errors[k] = str(exc)
             continue

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from _oracles import hermite_deriv, hermite_eval, hermite_monomial, hermite_tensor_design
 from pdsseries.dictionary import (
     DegenerateColumnError,
@@ -429,6 +430,16 @@ def test_build_extended_fs_content(rng):
     for c, (i, j) in enumerate(pairs):
         np.testing.assert_allclose(E[:, k + c], P[:, i] + P[:, j])
         np.testing.assert_allclose(E[:, k + n_pairs + c], P[:, i] - P[:, j])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 15])
+def test_build_extended_fs_matches_the_concatenating_reference(rng, k):
+    # the bank's routine forms every column as the former blocks did
+    P = rng.standard_normal((40, k))
+    E, ref = build_extended_fs(P), _oracles.build_extended_fs(P)
+    assert E.shape == ref.shape == (40, k * k)
+    np.testing.assert_array_equal(E, ref)
+    assert not np.shares_memory(E, P)
 
 
 def test_build_extended_fs_rejects_vector():

@@ -6,7 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import bank_of, choose_k_bic_per_degree, g_columns, residualize_p, workspace_of
+from _oracles import (
+    bank_of,
+    choose_k_bic_per_degree,
+    g_columns,
+    leading_cols,
+    residualize_p,
+    workspace_of,
+)
 from pdsseries import dictionary, lasso, selection
 from pdsseries.data import Dataset
 from pdsseries.dictionary import (
@@ -126,7 +133,7 @@ def test_double_selection_contains_single_and_fits_tighter():
     sel = post_double_select(bank_of(P, d), bank_of(data.y, d), cfg)
     rf_set = reduced_form_select(bank_of(data.y, d), cfg)
     assert set(rf_set.tolist()) <= set(sel.union_set.tolist())
-    fit_pd = pds_fit(P_raw, d.q_raw(sel.union_set), data.y, sel)
+    fit_pd = pds_fit(P_raw, d.q_raw(sel.union_set), data.y, sel.union_set)
     fit_ps = pds_fit(P_raw, d.q_raw(rf_set), data.y, rf_set)
     rss_pd = fit_pd.residuals @ fit_pd.residuals
     rss_ps = fit_ps.residuals @ fit_ps.residuals
@@ -146,7 +153,7 @@ def test_noiseless_linear_model_recovered_exactly():
     P_raw, P = g_columns(data.x, spec_p.degree)
     sel = post_double_select(bank_of(P, d), bank_of(data.y, d))
     assert {0, 3} <= set(sel.union_set.tolist())
-    fit = pds_fit(P_raw, d.q_raw(sel.union_set), data.y, sel, spec_p=spec_p)
+    fit = pds_fit(P_raw, d.q_raw(sel.union_set), data.y, sel.union_set, spec_p=spec_p)
     assert fit.beta_hat[0] == pytest.approx(2.0, abs=1e-8)
     assert fit.beta_hat[1] == pytest.approx(0.0, abs=1e-8)
     assert fit.eta_hat[0] == pytest.approx(3.0, abs=1e-8)
@@ -195,24 +202,22 @@ def test_overflowing_target_fails_its_equation(zero_entry):
 
 # ---------------------------------------------------------------- final OLS
 
-def test_pds_fit_accepts_selection_or_indices():
+def test_pds_fit_takes_the_selected_indices():
     data = make_low_dim_like(seed=6)
     spec_p, spec_q = make_specs(data)
     d = build_design(spec_q, data.Z)
     P_raw, P = g_columns(data.x, spec_p.degree)
     sel = post_double_select(bank_of(P, d), bank_of(data.y, d))
     Q_sel = d.q_raw(sel.union_set)
-    via_sel = pds_fit(P_raw, Q_sel, data.y, sel)
-    via_idx = pds_fit(P_raw, Q_sel, data.y, sel.union_set)
-    np.testing.assert_array_equal(via_sel.beta_hat, via_idx.beta_hat)
-    np.testing.assert_array_equal(via_sel.selected, via_idx.selected)
-    assert via_sel.n == data.n
-    assert via_sel.eta_hat.size == 1 + sel.union_set.size
-    assert via_sel.P_resid.shape == P_raw.shape
+    fit = pds_fit(P_raw, Q_sel, data.y, sel.union_set)
+    np.testing.assert_array_equal(fit.selected, sel.union_set)
+    assert fit.n == data.n
+    assert fit.eta_hat.size == 1 + sel.union_set.size
+    assert fit.P_resid.shape == P_raw.shape
     # the whole raw block is not a selection of its columns
     full = d.q_raw(np.arange(d.Q.shape[1]))
     with pytest.raises(ValueError, match="one raw column per selected index"):
-        pds_fit(P_raw, full, data.y, sel)
+        pds_fit(P_raw, full, data.y, sel.union_set)
 
 
 def test_pds_fit_flags_rank_deficiency(rng):
@@ -319,9 +324,10 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
         width = max(j for j in grid
                     if np.array_equal(res.fits[j].selected, want.union_set))
         shared, = selection._final_fits(hermite_design(data.x, width),
-                                        d.q_raw(want.union_set), data.y, want, {k: None})
+                                        d.q_raw(want.union_set), data.y, want.union_set,
+                                        {k: None})
         assert_same_fit(res.fits[k], shared)
-        ref = pds_fit(P_raw, d.q_raw(want.union_set), data.y, want)
+        ref = pds_fit(P_raw, d.q_raw(want.union_set), data.y, want.union_set)
         assert res.bics[k] == pytest.approx(selection._bic(ref), rel=1e-12, abs=0)
     # both stages run on one design: banks on two designs are refused
     other = build_design(default_specs(cfg)[1], data.Z)
@@ -432,7 +438,7 @@ def test_derived_pair_targets_match_the_direct_bank(design_name, n):
     data = generate_sample(cfg, np.random.default_rng(11))
     d = build_design(default_specs(cfg)[1], data.Z)
     k = default_k_grid(n)[-1]
-    bank, _, k_ok, _ = selection._grid_bank(data, d, k, extended_fs=True)
+    bank, _, k_ok = selection._grid_bank(data, d, k, extended_fs=True)
     assert k_ok == k
     _, P = g_columns(data.x, k)
     direct = TargetBank.of(np.vstack([P.T, data.y, build_extended_fs(P)[:, k:].T]),
@@ -459,6 +465,31 @@ def test_derived_pair_targets_match_the_direct_bank(design_name, n):
                                                                             direct.rows))
 
 
+def test_leading_holds_a_degrees_rows_and_their_pairs_at_the_bank_offsets(rng):
+    # every degree of the default grid at n = 500, with pairs as the grid
+    # banks them, with none, and with each pair given larger row first
+    grid = default_k_grid(500)
+    k_max = grid[-1]
+    rows = rng.standard_normal((k_max + 1, 60))  # the g rows, then y
+    design = LassoDesign(rng.standard_normal((60, 8)))
+    ii, jj = np.triu_indices(k_max, 1)
+    for pairs in ((ii, jj), ((), ()), (jj, ii)):
+        bank = TargetBank.of(rows, design, pairs=pairs)
+        for k in grid:
+            view = bank.leading(k)
+            assert view.cols == leading_cols(bank, k)
+            assert view.memos is bank.memos and view.records is bank.records
+            want = rows[:k] if not len(pairs[0]) else build_extended_fs(rows[:k].T).T
+            if pairs[0] is jj:  # each difference is the other way round
+                want[k + len(want[k:]) // 2:] *= -1.0
+            np.testing.assert_array_equal(view.rows[list(view.cols)], want)
+        # the outcome row is a given row too; a row past them is refused
+        assert bank.leading(k_max + 1).cols[:k_max + 1] == tuple(range(k_max + 1))
+        for k in (k_max + 2, -1):
+            with pytest.raises(ValueError, match=f"leading takes 0 to {k_max + 1} given rows"):
+                bank.leading(k)
+
+
 def test_a_constant_pair_target_gets_the_loadings_of_its_own_row():
     # x in {-1, 0, 1}: standardized He_3 = -He_1, so p_1 + p_3 is exactly
     # zero; its derived loadings cancel to rounding noise, and the bank
@@ -469,7 +500,7 @@ def test_a_constant_pair_target_gets_the_loadings_of_its_own_row():
     x = rng.choice((-1.0, 0.0, 1.0), size=n)
     data = Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z)
     d = build_design(DictionarySpec("raw_coordinates", input_dim=30), Z)
-    bank, _, k_ok, _ = selection._grid_bank(data, d, 5, extended_fs=True)
+    bank, _, k_ok = selection._grid_bank(data, d, 5, extended_fs=True)
     _, P = g_columns(x, k_ok)
     direct = TargetBank.of(np.vstack([P.T, data.y, build_extended_fs(P)[:, k_ok:].T]),
                            d.lasso_design)
@@ -513,7 +544,7 @@ def test_fixed_degree_post_double_is_the_one_degree_grid(monkeypatch, design_nam
             np.testing.assert_array_equal(got.rf_set, want.rf_set)
             fit = fits[name]
             np.testing.assert_array_equal(fit.selected, want.union_set)
-            ref = pds_fit(P_raw, d.q_raw(want.union_set), data.y, want)
+            ref = pds_fit(P_raw, d.q_raw(want.union_set), data.y, want.union_set)
             np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=1e-12)
             assert fit.spec_p == spec_p
 
@@ -808,6 +839,26 @@ def test_comparison_estimators_refuses_repeated_names_and_a_non_hermite_g():
     for kind in ("raw_coordinates", "hermite_tensor"):
         with pytest.raises(ValueError, match=f"must be hermite_univariate, got '{kind}'"):
             comparison_estimators(data, DictionarySpec(kind, degree=3), spec_q)
+
+
+@pytest.mark.parametrize("spec_q, message", [
+    (DictionarySpec("raw_coordinates", input_dim=199),
+     r"expected an \(n, 199\) matrix, got shape \(100, 200\)"),
+    (DictionarySpec("hermite_tensor", degree=7, input_dim=200),
+     "a Hermite tensor of degree K=7 on d=200 inputs has L="),
+])
+def test_comparison_estimators_refuses_a_conditioning_spec_that_does_not_fit_z(
+        monkeypatch, spec_q, message):
+    # a refusal that depends on the call alone would fail every sample: it
+    # is raised once, before the workspace, not recorded per estimator
+    data = generate_sample(DgpConfig("high_dim", 100), np.random.default_rng(0))
+    assert data.Z.shape == (100, 200)
+    spec_p = DictionarySpec("hermite_univariate", degree=3)
+    with pytest.raises(ValueError, match=message):
+        build_design(spec_q, data.Z)
+    monkeypatch.setattr(selection, "build_design", None)
+    with pytest.raises(ValueError, match=message):
+        comparison_estimators(data, spec_p, spec_q, estimators=("post_double", "oracle"))
 
 
 @pytest.mark.parametrize("grid,bad", [([2.7, 3], "2.7"), ([0, 3], "0"), ([3, -1], "-1"),
