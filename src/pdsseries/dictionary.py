@@ -1,32 +1,33 @@
 """Series dictionaries: Hermite bases, tensor products, and design matrices.
 
 Dictionaries never include a constant term; the estimation step adds a single
-explicit intercept instead. Design columns handed to the selection machinery
-are standardized to unit sample standard deviation, with the scales recorded
-so coefficients can be mapped back to the raw basis. ``build_design``
-returns the conditioning dictionary ``Q`` as one per-sample workspace,
-``DesignMatrices``, with a single ``LassoDesign`` over ``Q`` that every
-Lasso on the sample shares. The g dictionary is not part of it: its degree
+explicit intercept instead. ``build_design`` returns the conditioning
+dictionary ``Q`` as one per-sample workspace, ``DesignMatrices``: ``Q`` in
+raw units, with no scaled copy, inside the single ``LassoDesign`` that
+every Lasso on the sample shares and that reads each column at unit root
+mean square (the weighted Lasso selects the same set on any positive
+rescaling of its columns). The g dictionary is not part of it: its degree
 changes from fit to fit, so each estimator evaluates He_1..He_K of ``x`` at
-the degree it fits.
+the degree it fits. A column is constant, and refused, when every entry
+equals its first (``_constant_columns``), one exact rule for ``Q`` and for
+the g dictionary.
 
 A Hermite tensor column is the left-to-right product of its univariate
 factors, and columns that share leading factors share those products: at
 d = 4, K = 10 the 1000 columns come from 11, 66 and 286 distinct prefixes.
 ``evaluate_dictionary`` forms each level of prefixes with one gather and
-one multiply, 64 rows at a time, straight into the (n, L) output, from an
-index plan cached per (d, K). The column scales have the bits of
-``std(axis=0)``, but the centred squares are summed a row block at a time
-in the rows of the output, so standardizing allocates no n x L array but
-its output. Raw coordinates are standardized straight from ``Z``, without
-the copy that ``evaluate_dictionary`` returns.
+one multiply, 32 rows at a time, straight into the (n, L) output, from an
+index plan cached per (d, K). ``build_design`` has it write into the first
+half of one (2, n, L) block, whose second half the design fills with the
+squares. Raw coordinates are read straight from ``Z``, without the copy
+that ``evaluate_dictionary`` returns.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +49,8 @@ __all__ = [
 ]
 
 KINDS = ("hermite_univariate", "hermite_tensor", "raw_coordinates")
-# rows per block of the tensor evaluation and of the column scales
-_ROW_BLOCK = 64
+# rows per block of the tensor evaluation and of the constant-column check
+_ROW_BLOCK = 32
 # the largest L * d**2 of a Hermite tensor (L columns on d inputs) that is
 # built: its index plan takes about that many steps, about 2 s at the bound
 # on a 2-vCPU host with Python 3.11
@@ -103,8 +104,6 @@ class DictionarySpec:
         return self.input_dim
 
 
-# an overflow is reported once, by the ValueError below, not warned per degree
-@np.errstate(over="ignore", invalid="ignore")
 def hermite_design(x, kmax: int) -> np.ndarray:
     """Design matrix with columns He_1(x), ..., He_kmax(x).
 
@@ -113,6 +112,23 @@ def hermite_design(x, kmax: int) -> np.ndarray:
     no fit can standardize or regress on such a column.
     """
     kmax = _require_whole("kmax", kmax, 1)
+    out, k_ok = _hermite_columns(x, kmax)
+    if k_ok < kmax:
+        raise _out_of_range(k_ok + 1)
+    return out
+
+
+def _out_of_range(k: int) -> ValueError:
+    """The error of a Hermite column He_k that no fit can use."""
+    return ValueError(f"Hermite term He_{k} is out of floating-point range on this sample")
+
+
+# an overflow is reported once, by the caller, not warned per degree
+@np.errstate(over="ignore", invalid="ignore")
+def _hermite_columns(x, kmax: int):
+    """He_1(x), ..., He_kmax(x) as columns, and the count of columns before
+    the first one that is not finite or whose sum of squares overflows
+    (``kmax`` when there is none)."""
     xv = np.asarray(x, dtype=float).reshape(-1)
     out = np.empty((xv.size, kmax))
     out[:, 0] = xv
@@ -123,11 +139,7 @@ def hermite_design(x, kmax: int) -> np.ndarray:
             prev = out[:, k - 1]
             out[:, k] = nxt
     finite = np.isfinite(np.einsum("ij,ij->j", out, out))
-    if not finite.all():
-        k = int(np.argmin(finite)) + 1
-        raise ValueError(
-            f"Hermite term He_{k} is out of floating-point range on this sample")
-    return out
+    return out, kmax if finite.all() else int(np.argmin(finite))
 
 
 def hermite_deriv_design(x, kmax: int) -> np.ndarray:
@@ -210,24 +222,31 @@ def _tensor_plan(d: int, kmax: int):
     return indices, tuple(levels)
 
 
-def _hermite_tensor(Z: np.ndarray, kmax: int) -> np.ndarray:
+def _hermite_tensor(Z: np.ndarray, kmax: int, out: np.ndarray | None = None) -> np.ndarray:
     """The Hermite tensor columns of Z by ``_tensor_plan``, ``_ROW_BLOCK``
-    rows at a time.
+    rows at a time, written into ``out`` (a new (n, L) array if None).
 
     Each block's prefixes are held one per row, so every gather copies
     contiguous rows; the last multiply writes the block's rows of the
     (n, L) output. A factor He_0 = 1.0 is exact, so every column has the
     bits of its product over the nonzero degrees alone.
+
+    He_1..He_K of every coordinate wait in the last d*K columns of ``out``
+    (every univariate term is a column, so d*K <= L): a block reads its
+    rows' terms before its last multiply overwrites those rows, and no
+    other block reads them, so the evaluation needs no n-row array but
+    its output.
     """
     n, d = Z.shape
+    if out is None:
+        out = np.empty((n, math.comb(kmax + d, d) - 1))
     if d == 1:
-        return hermite_design(Z[:, 0], kmax)
-    indices, levels = _tensor_plan(d, kmax)
-    uni = np.empty((d, kmax + 1, n))  # uni[j, m] = He_m(z_j)
+        out[...] = hermite_design(Z[:, 0], kmax)
+        return out
+    _, levels = _tensor_plan(d, kmax)
+    uni = out[:, out.shape[1] - d * kmax:]  # uni[:, j*K + m - 1] = He_m(z_j)
     for j in range(d):
-        uni[j, 0] = 1.0
-        uni[j, 1:] = hermite_design(Z[:, j], kmax).T
-    out = np.empty((n, len(indices)))
+        uni[:, j * kmax:(j + 1) * kmax] = hermite_design(Z[:, j], kmax)
     block = max(1, min(_ROW_BLOCK, n))
     n_last, last = levels[-1]  # the largest level
     n_src, n_pairs = n_last + kmax + 1, len(last)
@@ -236,9 +255,11 @@ def _hermite_tensor(Z: np.ndarray, kmax: int) -> np.ndarray:
         r1 = min(r0 + block, n)
         src = src_buf[:n_src * (r1 - r0)].reshape(n_src, r1 - r0)
         pairs = pairs_buf[:n_pairs * (r1 - r0)].reshape(n_pairs, r1 - r0)
-        src[:kmax + 1] = uni[0, :, r0:r1]
+        src[0] = 1.0
+        src[1:kmax + 1] = uni[r0:r1, :kmax].T
         for j, (n_prev, gather) in enumerate(levels, start=2):
-            src[n_prev:n_prev + kmax + 1] = uni[j - 1, :, r0:r1]
+            src[n_prev] = 1.0
+            src[n_prev + 1:n_prev + kmax + 1] = uni[r0:r1, (j - 1) * kmax:j * kmax].T
             w = len(gather) // 2
             # mode "clip": the default "raise" copies through a buffer
             np.take(src[:n_prev + kmax + 1], gather, axis=0, out=pairs[:2 * w], mode="clip")
@@ -247,18 +268,23 @@ def _hermite_tensor(Z: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
-def evaluate_dictionary(spec: DictionarySpec, data) -> np.ndarray:
+def evaluate_dictionary(spec: DictionarySpec, data, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate a dictionary on a sample, returning the raw (unscaled) matrix.
 
     ``data`` is a vector for ``hermite_univariate`` and an (n, d) matrix
-    otherwise.
+    otherwise. The matrix is a new array, or ``out``, an (n, L) float
+    array, when given.
     """
+    if spec.kind == "hermite_tensor":
+        return _hermite_tensor(_coordinates(spec, data), spec.degree, out)
     if spec.kind == "hermite_univariate":
-        return hermite_design(data, spec.degree)
-    Z = _coordinates(spec, data)
-    if spec.kind == "raw_coordinates":
-        return Z.copy()
-    return _hermite_tensor(Z, spec.degree)
+        cols = hermite_design(data, spec.degree)
+    else:
+        cols = _coordinates(spec, data)
+    if out is None:
+        return np.array(cols, order="C")
+    out[...] = cols
+    return out
 
 
 def _coordinates(spec: DictionarySpec, data) -> np.ndarray:
@@ -300,53 +326,41 @@ def dictionary_labels(spec: DictionarySpec, prefix: str = "q", names=None,
     return labels if columns is None else [labels[j] for j in columns]
 
 
-def _column_sd(mat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``mat.std(axis=0)`` with its bits, summing in ``scratch`` (an array
-    of ``mat``'s shape) instead of an n x L centred copy.
+def _constant_columns(mat: np.ndarray) -> np.ndarray:
+    """Whether each column of ``mat`` is constant: every entry equal to its
+    first.
 
-    NumPy's ``std`` sums the columns, divides by n, centres, squares and
-    sums again; over axis 0 of a C-ordered matrix with two or more rows and
-    columns, each sum adds the rows one by one in order. Here the squares
-    are formed a row block at a time in ``scratch``, under a first row that
-    holds the running sum, so each block's sum continues the same sequence.
-    (The first block starts from 0.0, and 0.0 + s is s for every square s.)
-    Other layouts sum in another order and go to ``std`` itself.
+    The test is exact, unlike ``std == 0``, which misses a constant column
+    whose mean does not round-trip (a column of 0.1 in 500 rows has
+    ``std(axis=0)`` 8.7e-16).
+    It reads ``_ROW_BLOCK`` rows at a time, and stops as soon as no column
+    can still be constant, so on most samples it reads one block.
     """
-    if mat.ndim != 2 or min(mat.shape) < 2 or not mat.flags.c_contiguous:
-        return mat.std(axis=0)
-    n = mat.shape[0]
-    mean = np.add.reduce(mat, axis=0)
-    np.true_divide(mean, n, out=mean)
-    total = np.zeros(mat.shape[1])
-    step = min(_ROW_BLOCK, n - 1)  # a block and its first row fit in scratch
-    for r0 in range(0, n, step):
-        rows = mat[r0:r0 + step]
-        part = scratch[:len(rows) + 1]
-        part[0] = total
-        np.subtract(rows, mean, out=part[1:])
-        np.square(part[1:], out=part[1:])
-        np.add.reduce(part, axis=0, out=total)
-    np.true_divide(total, n, out=total)
-    return np.sqrt(total, out=total)
+    same = np.ones(mat.shape[1], dtype=bool)
+    for r0 in range(1, mat.shape[0], _ROW_BLOCK):
+        if not same.any():
+            break
+        same &= (mat[r0:r0 + _ROW_BLOCK] == mat[0]).all(axis=0)
+    return same
 
 
 def standardize_columns(mat: np.ndarray, what: str = "column"):
     """Scale each column to unit sample standard deviation (no centering).
 
-    Returns a new scaled matrix and the vector of original scales; ``mat``
-    is not written. The scales have the bits of ``mat.std(axis=0)``, and
-    the scaled matrix is the only n x L array allocated. Raises
-    ``DegenerateColumnError`` if any column is constant on the sample.
+    Returns a new scaled matrix and the vector of original scales, the
+    bits of ``mat.std(axis=0)``; ``mat`` is not written. Raises
+    ``DegenerateColumnError`` if any column is constant on the sample,
+    naming the first. No fit calls it: the workspace reads ``Q`` in raw
+    units and the g dictionary is scaled where it is built.
     """
     mat = np.asarray(mat, dtype=float)
-    out = np.empty_like(mat)
-    scales = _column_sd(mat, out)
-    bad = np.flatnonzero(scales == 0.0)
+    bad = np.flatnonzero(_constant_columns(mat))
     if bad.size:
         raise DegenerateColumnError(
             f"{what} {bad[0]} has zero variance on this sample"
         )
-    return np.divide(mat, scales, out=out), scales
+    scales = mat.std(axis=0)
+    return mat / scales, scales
 
 
 @dataclass
@@ -354,54 +368,60 @@ class DesignMatrices:
     """Per-sample workspace of the conditioning dictionary, built once by
     ``build_design``.
 
-    ``Q`` (n, L) approximates h, unit-variance column-wise, and
-    ``q_scales`` maps back to raw columns: raw = standardized * scale;
-    ``spec_q`` is the dictionary ``Q`` evaluates. Every Lasso of
-    post-double selection runs on the same ``Q``, so the workspace makes
-    one ``LassoDesign`` over it, ``lasso_design``: ``Q*Q``
-    for the penalty loadings, and a store of the rows of ``Q'Q``, each
-    formed the first time its column enters any solve on the sample and
-    kept for every later equation, estimator and degree grid, so ``Q'Q``
-    is never formed whole. Post-Single II's design, ``LassoDesign(P,
-    lasso_design)``, reads its standardized g dictionary ``P`` and this
-    design as column blocks, reusing ``Q*Q`` and the stored rows. No raw
-    copy of ``Q`` is kept: ``q_raw(idx)`` rebuilds only the selected
-    columns the final OLS needs.
+    ``lasso_design`` is the one-block ``LassoDesign`` every Lasso of
+    post-double selection on the sample shares, and ``Q``, its block, is
+    the conditioning dictionary in raw units, (n, L); ``spec_q`` is the
+    dictionary ``Q`` evaluates. The design reads ``Q`` at unit root mean
+    square without a scaled copy, holds ``Q*Q`` for the penalty loadings,
+    and stores the rows of ``Q'Q``, each formed the first time its column
+    enters any solve on the sample and kept for every later equation,
+    estimator and degree grid, so ``Q'Q`` is never formed whole.
+    Post-Single II's design, ``LassoDesign(P, lasso_design)``, reads its
+    standardized g dictionary ``P`` and this design as column blocks,
+    reusing ``Q*Q``, the scales and the stored rows. ``q_raw(idx)`` gathers
+    the selected columns the final OLS reads.
     """
 
-    Q: np.ndarray
-    q_scales: np.ndarray
-    lasso_design: LassoDesign = field(init=False)
+    lasso_design: LassoDesign
     spec_q: DictionarySpec
 
     def __post_init__(self) -> None:
-        self.lasso_design = LassoDesign(self.Q)
+        if len(self.lasso_design.blocks) != 1:
+            raise ValueError("the workspace's design has one block, Q")
+
+    @property
+    def Q(self) -> np.ndarray:
+        """The conditioning dictionary in raw units."""
+        return self.lasso_design.blocks[0]
 
     def q_raw(self, idx) -> np.ndarray:
         """Columns ``idx`` of the conditioning dictionary in raw units."""
-        idx = np.asarray(idx, dtype=int)
-        return self.Q[:, idx] * self.q_scales[idx]
+        return self.Q[:, np.asarray(idx, dtype=np.intp)]
 
 
 def build_design(spec_q: DictionarySpec, Z) -> DesignMatrices:
-    """Evaluate the conditioning dictionary, standardize its columns, and
-    make the workspace, whose ``LassoDesign`` is over the standardized ``Q``.
+    """Evaluate the conditioning dictionary, refuse a constant column, and
+    make the workspace, whose ``LassoDesign`` reads ``Q`` in raw units.
 
-    Raw coordinates are standardized straight from ``Z``, which
-    ``standardize_columns`` never writes, so no raw n x L copy is made. The
-    design's Gram row store starts empty: its rows are formed as columns
-    enter the solves that use it. Raises ``DegenerateColumnError`` when a
-    column is constant, naming it.
+    Raw coordinates are ``Z`` itself when ``Z`` is a C-ordered float array
+    (a copy in C order otherwise, so the design's products have the bits of
+    one layout), and the workspace then reads ``Z``: a later change to
+    ``Z`` changes it. A Hermite dictionary is written into the first half
+    of one (2, n, L) block, whose second half the design fills with its
+    square. The design's Gram row store starts empty: its rows are formed
+    as columns enter the solves that use it. Raises
+    ``DegenerateColumnError`` when a column is constant, naming it.
     """
+    data = Z if spec_q.kind == "hermite_univariate" else _coordinates(spec_q, Z)
     if spec_q.kind == "raw_coordinates":
-        # C order, as evaluate_dictionary's copy has, keeps the scales' bits
-        Q_raw = np.ascontiguousarray(_coordinates(spec_q, Z))
+        block = Q = np.ascontiguousarray(data)
     else:
-        Q_raw = evaluate_dictionary(spec_q, Z)
-    Q, q_scales = standardize_columns(Q_raw, what="Q column")
-    # release the raw block, when it is not Z itself, before the design squares Q
-    del Q_raw
-    return DesignMatrices(Q=Q, q_scales=q_scales, spec_q=spec_q)
+        block = np.empty((2, len(data), spec_q.n_terms))
+        Q = evaluate_dictionary(spec_q, data, out=block[0])
+    bad = np.flatnonzero(_constant_columns(Q))
+    if bad.size:
+        raise DegenerateColumnError(f"Q column {bad[0]} has zero variance on this sample")
+    return DesignMatrices(lasso_design=LassoDesign(block), spec_q=spec_q)
 
 
 def build_extended_fs(P: np.ndarray) -> np.ndarray:

@@ -14,8 +14,13 @@ the design ``X`` as a row of column blocks, each block's square (both
 loadings formulas are one product against them) and a dict of the rows of
 ``X'X`` by column; a block may be another design, whose square and stored
 rows are then reused, so Post-Single II's ``[P | Q]`` is never
-concatenated. A ``TargetBank`` holds targets on one ``LassoDesign``, each
-with its ``X't`` and initial loadings, evaluated for all targets at once,
+concatenated. The design reads each column at unit root mean square,
+dividing only its outputs by the column scales, never the blocks: the
+loadings scale with their column as ``x_l't`` and the Gram entries do
+(Belloni, Chen, Chernozhukov & Hansen 2012), so the selected set does not
+depend on the columns' units, and no standardized copy of the conditioning
+dictionary is made. A ``TargetBank`` holds targets on one ``LassoDesign``,
+each with its ``X't`` and initial loadings, evaluated for all targets at once,
 and a memo of its refined loadings by active set: refined loadings depend
 on a fit only through its active set, so the iteration stops as soon as a
 round selects the same set as the round before, and every equation on the
@@ -112,6 +117,10 @@ class LassoConfig:
     ``gamma = None`` means the default slack 0.1 / log(max(M_total, n)) is
     derived where the penalty level is computed, with M_total the total
     count of Lasso target regressions times regressors per target.
+    ``cd_tol`` bounds the largest coefficient change in the last sweep of
+    a converged solve, with coefficients on the design's columns read at
+    unit root mean square (``LassoDesign``), whatever the units of the
+    columns as given.
     """
 
     c: float = 1.1
@@ -137,6 +146,8 @@ class LassoFit:
     """Solution of one penalized regression.
 
     ``active_set`` holds the sorted positions of the nonzero coefficients.
+    ``coefficients`` are those of the design's columns at unit root mean
+    square (``LassoDesign``), not of the columns in the units given.
     ``iterations`` counts the active-set sweeps of the final solve: passes
     of cyclic coordinate descent over the coordinates admitted so far by
     the KKT screen, not over all columns (the glmnet active-set scheme of
@@ -251,12 +262,29 @@ class LassoDesign:
     concatenated: ``LassoDesign(X)`` is the one-block case, and Post-Single
     II's ``LassoDesign(P, workspace_design)`` puts the columns of ``P``
     before those of the workspace's ``Q``. A block given as a one-block
-    ``LassoDesign`` brings its array, its square and its store of Gram rows.
+    ``LassoDesign`` brings its array, its square, its scales and its store
+    of Gram rows. A block given as a (2, n, m) array is ``X`` over room for
+    its square, which the design writes there, so a block and its square
+    are one allocation (``build_design`` hands over the Hermite tensor so).
+
+    The design reads every column at unit root mean square: column l of
+    ``X`` stands for ``x_l / s_l``, with ``s_l = sqrt(sum_i x_il^2 / n)``,
+    or ``s_l = 1`` for a zero column, which then never enters a solve. The
+    weighted Lasso selects the same set on any positive rescaling of its
+    columns, since ``x_l't``, the Gram entries and the loadings
+    ``sqrt(mean(x_l^2 e^2))`` all scale with the column; reading them at
+    one scale makes the sweep tolerance ``cd_tol`` mean the same thing on
+    every column. The blocks stay as given: ``scales`` holds ``s``, taken
+    from the column sums of the squares that the Gram diagonal needs
+    anyway, and only the design's outputs, each (k, m) or smaller, are
+    divided by it.
 
     ``squares`` holds each block's ``X_b*X_b``: both loadings formulas are
     one product against them, ``sq_product``, and ``diag``, the Gram
-    diagonal, is their column sums. ``product`` (``a @ X``) and ``columns``
-    (a gather of columns) write each block's part into slices of one output.
+    diagonal, is their column sums over ``s**2``. ``product`` (``a @ X``)
+    and ``columns`` (a gather of columns) write each block's part into
+    slices of one output. The scales are a function of the blocks, so
+    ``LassoDesign(*design.blocks)`` is the same system with an empty store.
 
     ``rows(idx)`` returns rows ``idx`` of ``X'X``. The store is a dict
     from column j to its row, an array of its own, so it holds the rows
@@ -283,13 +311,17 @@ class LassoDesign:
                 arrays += block.blocks
                 squares += block.squares
                 stores.append(block)
+                continue
+            X = np.asarray(block, dtype=float)
+            if X.ndim == 3 and X.shape[0] == 2:
+                X, sq = X[0], np.multiply(X[0], X[0], out=X[1])
+            elif X.ndim == 2:
+                sq = X * X
             else:
-                X = np.asarray(block, dtype=float)
-                if X.ndim != 2:
-                    raise ValueError("a design block must be a 2-d matrix")
-                arrays.append(X)
-                squares.append(X * X)
-                stores.append(None)
+                raise ValueError("a design block must be a 2-d matrix")
+            arrays.append(X)
+            squares.append(sq)
+            stores.append(None)
         n = arrays[0].shape[0]
         if any(X.shape[0] != n for X in arrays):
             raise ValueError("the design blocks have different row counts")
@@ -300,31 +332,36 @@ class LassoDesign:
         self._spans = [(int(stop) - w, int(stop)) for w, stop in zip(widths, self._stops)]
         m = int(self._stops[-1])
         self.shape = (n, m)
-        self.diag = np.empty(m)
+        self.scales, self.diag = np.empty(m), np.empty(m)
         for sq, (a, b), store in zip(squares, self._spans, stores):
             if store is None:
-                np.add.reduce(sq, axis=0, out=self.diag[a:b])
+                total = np.add.reduce(sq, axis=0)
+                s = np.sqrt(total / n)
+                s[s == 0.0] = 1.0
+                self.scales[a:b] = s
+                self.diag[a:b] = total / (s * s)
             else:
-                self.diag[a:b] = store.diag
+                self.scales[a:b], self.diag[a:b] = store.scales, store.diag
         self._rows: dict = {}  # column -> its row of X'X
 
     @property
     def rows_formed(self) -> int:
         return len(self._rows)
 
-    def _blockwise(self, a: np.ndarray, mats) -> np.ndarray:
+    def _blockwise(self, a: np.ndarray, mats, scales: np.ndarray) -> np.ndarray:
         out = np.empty(a.shape[:-1] + (self.shape[1],))
         for mat, (start, stop) in zip(mats, self._spans):
             np.matmul(a, mat, out=out[..., start:stop])
+        out /= scales
         return out
 
     def product(self, a: np.ndarray) -> np.ndarray:
         """``a @ X`` for a vector or a (k, n) block ``a``."""
-        return self._blockwise(a, self.blocks)
+        return self._blockwise(a, self.blocks, self.scales)
 
     def sq_product(self, a: np.ndarray) -> np.ndarray:
         """``a @ (X*X)`` for a vector or a (k, n) block ``a``."""
-        return self._blockwise(a, self.squares)
+        return self._blockwise(a, self.squares, self.scales * self.scales)
 
     def columns(self, idx) -> np.ndarray:
         """Columns ``idx`` of ``X``, as an (n, len(idx)) array.
@@ -337,6 +374,7 @@ class LassoDesign:
         for X, (start, stop) in zip(self.blocks, self._spans):
             mine = (idx >= start) & (idx < stop)
             out[:, mine] = X[:, idx[mine] - start]
+        out /= self.scales[idx]
         return out
 
     def rows(self, idx) -> np.ndarray:
@@ -361,7 +399,9 @@ class LassoDesign:
                 if b == own and store is not None:
                     row[start:stop] = store._row(local)
                 else:
-                    np.matmul(col, X, out=row[start:stop])
+                    part = row[start:stop]
+                    np.matmul(col, X, out=part)
+                    part /= self.scales[j] * self.scales[start:stop]
             self._rows[j] = row
         return row
 
@@ -793,9 +833,9 @@ def lasso_solve(
 ) -> LassoFit:
     """Solve one weighted-penalty Lasso by active-set coordinate descent.
 
-    ``xty`` is ``X'y`` for the design ``X`` of ``design``, whose Gram rows
-    the solve reads, forming those of entering columns it does not hold
-    yet. The fit reports ``converged = False`` when ``cd_max_iter`` sweeps
+    ``xty`` is ``X'y`` for the design ``X`` of ``design`` at unit root
+    mean square, ``design.product(y)``; the solve reads the design's Gram
+    rows, forming those of entering columns it does not hold yet. The fit reports ``converged = False`` when ``cd_max_iter`` sweeps
     were not enough; ``iterated_lasso`` turns that into a
     ``ConvergenceError``.
     """

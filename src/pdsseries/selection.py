@@ -34,13 +34,15 @@ pairs of g rows, which the bank lays out and derives itself; each degree
 runs on ``TargetBank.leading``, which alone knows where its targets lie.
 
 The sample's ``DesignMatrices`` workspace from ``build_design`` has one
-``LassoDesign`` over the conditioning dictionary ``Q``, holding ``Q*Q`` and
-the Gram rows formed so far, shared by every equation, estimator and
-degree. The g dictionary is not in it: each fit builds its g block,
-He_1..He_K of ``x`` at its own degree, by one function (``_g_block``),
-which also gives the standardized columns and refuses a constant one by
-one message. Every final OLS reads the raw columns; the grid bank's first
-stage and Post-Single II select on the standardized ones. The g dictionary
+``LassoDesign`` over the conditioning dictionary ``Q`` in raw units, which
+it reads at unit root mean square, holding ``Q*Q`` and the Gram rows formed
+so far, shared by every equation, estimator and degree. The g dictionary
+is not in it: each fit builds its g block, He_1..He_K of ``x`` at its own
+degree, by one function (``_g_block``), which also gives the standardized
+columns and stops at the first constant or overflowing column, whose error
+fails every degree that has it. Every final OLS reads the raw columns; the
+grid bank's first stage and Post-Single II select on the standardized
+ones. The g dictionary
 is always the univariate Hermite one, and ``comparison_estimators``
 refuses any other. Post-Single I is the reduced form on the workspace's
 design; Post-Single II is the reduced form on a ``LassoDesign`` of two
@@ -76,7 +78,10 @@ from .dictionary import (
     DegenerateColumnError,
     DesignMatrices,
     DictionarySpec,
+    _constant_columns,
     _coordinates,
+    _hermite_columns,
+    _out_of_range,
     build_design,
     evaluate_dictionary,
     hermite_design,
@@ -374,40 +379,54 @@ def _bic(fit: PdsFit) -> float:
 
 
 def _g_block(x, k: int):
-    """He_1..He_k of ``x``: the raw columns every final OLS reads, and the
-    standardized columns (by the ``std(axis=0)`` scales) that the first
-    stage and Post-Single II select on.
+    """He_1..He_k of ``x`` up to the first column no fit can use: the raw
+    columns every final OLS reads, and the standardized columns (by the
+    ``std(axis=0)`` scales) that the first stage and Post-Single II select
+    on.
 
-    Returns ``(P_raw, P, k_ok)``: ``P`` holds the first ``k_ok`` columns,
-    those before the first constant one (``_degenerate(k_ok)`` names it).
+    Returns ``(P_raw, P, refusal)``, each block of the first ``k_ok``
+    columns, those before the first constant column (``_constant_columns``)
+    or the first that overflows (``hermite_design``'s test), whichever
+    comes first. ``refusal`` is the error that every degree above ``k_ok``
+    fails with, naming that column, or None when ``k_ok = k``.
     """
-    P_raw = hermite_design(x, k)
-    scales = P_raw.std(axis=0)
-    bad = np.flatnonzero(scales == 0.0)
-    k_ok = int(bad[0]) if bad.size else k
-    return P_raw, P_raw[:, :k_ok] / scales[:k_ok], k_ok
+    P_raw, k_ok = _hermite_columns(x, k)
+    refusal = _out_of_range(k_ok + 1) if k_ok < k else None
+    constant = np.flatnonzero(_constant_columns(P_raw[:, :k_ok]))
+    if constant.size:
+        k_ok = int(constant[0])
+        refusal = _degenerate(k_ok)
+    P_raw = P_raw[:, :k_ok]
+    return P_raw, P_raw / P_raw.std(axis=0), refusal
 
 
 def _degenerate(j: int) -> DegenerateColumnError:
     return DegenerateColumnError(f"P column {j} has zero variance on this sample")
 
 
-def _grid_bank(data: Dataset, design: DesignMatrices, k_max: int,
+def _grid_bank(data: Dataset, design: DesignMatrices, k_grid: list,
                extended_fs: bool):
-    """One bank of every target of a degree grid, built at its largest degree.
+    """One bank of every target of a degree grid (ascending degrees), built
+    at its largest degree that can fit.
 
-    The given rows are the standardized g block of ``_g_block`` at
-    ``k_max``, then ``data.y`` at row k_ok; with ``extended_fs``, every
-    pair of g rows is banked too, laid out and derived as
-    ``TargetBank.of`` does. A standardized column, and a sum or difference
-    of two, is the same at every degree that has it, so degree k's first
-    stage is ``bank.leading(k)`` and its reduced form row k_ok. Returns the
-    bank, the raw He_1..He_k_max and k_ok.
+    ``_g_block`` evaluates the g dictionary at the grid's largest degree,
+    up to k_ok columns; the degrees above k_ok fail, so the bank takes the
+    first k_top columns, k_top the largest degree of the grid at or below
+    k_ok (0 if there is none). The given rows are those standardized
+    columns, then ``data.y`` at row k_top; with ``extended_fs``, every pair
+    of g rows is banked too, laid out and derived as ``TargetBank.of``
+    does. A standardized column, and a sum or difference of two, is the
+    same at every degree that has it, so degree k's first stage is
+    ``bank.leading(k)`` and its reduced form row k_top. Returns the bank,
+    the raw He_1..He_k_top and ``_g_block``'s refusal, which every degree
+    above k_top fails with.
     """
-    P_raw, P, k_ok = _g_block(data.x, k_max)
-    pairs = np.triu_indices(k_ok, 1) if extended_fs else ((), ())
+    P_raw, P, refusal = _g_block(data.x, k_grid[-1])
+    k_top = max((k for k in k_grid if k <= P.shape[1]), default=0)
+    P_raw, P = P_raw[:, :k_top], P[:, :k_top]
+    pairs = np.triu_indices(k_top, 1) if extended_fs else ((), ())
     bank = TargetBank.of(np.vstack([P.T, data.y]), design.lasso_design, pairs=pairs)
-    return bank, P_raw, k_ok
+    return bank, P_raw, refusal
 
 
 def _degree_grid(k_grid) -> list:
@@ -436,25 +455,26 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     so a degree's fit agrees with its one-degree fit to rounding, not bit
     for bit, unless it is its group's largest. The chosen degree is the BIC
     minimizer plus one, clamped to the grid maximum; a degree whose fit
-    fails, for instance on a constant term of its g dictionary, is skipped
-    and recorded, and ``fits``, ``bics`` and ``errors`` run in ascending
-    degree. When every degree fails, the ``SelectionError``
-    names each degree's reason; when a constant term fails them all,
-    its ``DegenerateColumnError`` is raised once instead. A one-degree grid
-    is the fit at a fixed degree: every Post-Double estimator, and
-    ``pds-series fit``, runs here.
+    fails, for instance on a constant or overflowing term of its g
+    dictionary, is skipped and recorded, and ``fits``, ``bics`` and
+    ``errors`` run in ascending degree. When every degree fails, the
+    ``SelectionError`` names each degree's reason; when such a term fails
+    them all, its error (``_g_block``'s refusal) is raised once instead. A
+    one-degree grid is the fit at a fixed degree: every Post-Double
+    estimator, and ``pds-series fit``, runs here.
     """
     k_grid = _degree_grid(k_grid)
-    bank, P_raw, k_ok = _grid_bank(data, design, k_grid[-1], extended_fs)
-    if k_ok < k_grid[0]:
-        raise _degenerate(k_ok)
+    bank, P_raw, refusal = _grid_bank(data, design, k_grid, extended_fs)
+    k_top = P_raw.shape[1]
+    if k_top < k_grid[0]:
+        raise refusal
     sels: dict[int, SelectionResult] = {}
     failed: dict[int, str] = {}
     for k in k_grid:
         try:
-            if k > k_ok:
-                raise _degenerate(k_ok)
-            sels[k] = post_double_select(bank.leading(k), bank.subset([k_ok]), config)
+            if k > k_top:
+                raise refusal
+            sels[k] = post_double_select(bank.leading(k), bank.subset([k_top]), config)
         except FIT_ERRORS as exc:
             failed[k] = str(exc)
     # the degrees of one control set share one projection, at the largest
@@ -552,9 +572,10 @@ def _fit_one(name, data: Dataset, design: DesignMatrices, spec_p: DictionarySpec
         res = choose_k_bic(data, design, grid, config, extended_fs=name.endswith("_ext"))
         return res.fits[res.k_hat]
 
-    P_raw, P, k_ok = _g_block(data.x, spec_p.degree)
-    if k_ok < spec_p.degree:
-        raise _degenerate(k_ok)
+    P_raw, P, refusal = _g_block(data.x, spec_p.degree)
+    if refusal is not None:
+        raise refusal
+    k_ok = P.shape[1]
     y = data.y
     if name == "post_single_1":
         sel = reduced_form_select(TargetBank.of(data.y, design.lasso_design), config)

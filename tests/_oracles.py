@@ -4,15 +4,19 @@ Everything here is deliberately written from first principles, without
 touching the library's own solver paths, so agreement is meaningful.
 ``cd_solve`` is the library's former full-sweep coordinate-descent kernel,
 kept unchanged as the reference for the active-set kernel that replaced it.
-``iterated_lasso`` is the library's former loadings iteration, kept
-unchanged: it stopped when the refined loadings repeated the previous
-round's, which the library's rule (stop when the active set repeats)
-must match in every field of the returned fit.
+``iterated_lasso`` is the library's former loadings iteration: it stopped
+when the refined loadings repeated the previous round's, which the
+library's rule (stop when the active set repeats) must match in every
+field of the returned fit. It reads its design as every Lasso does, each
+column at unit root mean square: ``unit_columns`` is that matrix.
 ``workspace_of`` builds the selection workspace by hand for a matrix that
-``build_design`` would standardize or reject, and ``bank_of`` banks the
-columns of a target matrix on a workspace's design. ``g_columns`` is the g
-dictionary as the estimators evaluate it: raw, and standardized for the
-Lassos. ``hermite_tensor_design`` is
+``build_design`` would reject, and ``bank_of`` banks the columns of a
+target matrix on a workspace's design. ``build_design_sd`` is the
+library's former workspace, which divided ``Q`` by its columns' standard
+deviations and read the result as given (``design_as_given``), kept as
+the reference for the workspace that reads ``Q`` in raw units.
+``g_columns`` is the g dictionary as the estimators evaluate it: raw, and
+standardized for the Lassos. ``hermite_tensor_design`` is
 the library's former column-by-column tensor evaluation, kept unchanged as
 the reference for the prefix-product evaluation that replaced it.
 ``toeplitz_column_loop`` is the library's former AR(1) draw, column by
@@ -50,9 +54,10 @@ import numpy as np
 
 from pdsseries import selection
 from pdsseries.dictionary import (
-    DegenerateColumnError,
     DesignMatrices,
     DictionarySpec,
+    _coordinates,
+    evaluate_dictionary,
     hermite_design,
     standardize_columns,
     tensor_index_set,
@@ -413,15 +418,49 @@ def random_instance(rng: np.random.Generator, n: int, m: int,
 
 
 def workspace_of(Q: np.ndarray) -> DesignMatrices:
-    """The selection workspace for a conditioning block used as given.
+    """The selection workspace for a conditioning block, read as raw
+    coordinates.
 
-    ``build_design`` standardizes and rejects constant columns; this hands
-    the selection layer any matrix, a degenerate one included, with unit
-    scales, read as raw coordinates; the workspace makes its ``LassoDesign``.
+    ``build_design`` rejects constant columns; this hands the selection
+    layer any matrix, a degenerate one included, in a workspace whose
+    ``LassoDesign`` reads it as every design does, at unit root mean square.
     """
     Q = np.asarray(Q, dtype=float)
-    return DesignMatrices(Q=Q, q_scales=np.ones(Q.shape[1]),
+    return DesignMatrices(lasso_design=LassoDesign(Q),
                           spec_q=DictionarySpec("raw_coordinates", input_dim=Q.shape[1]))
+
+
+def unit_columns(design: LassoDesign) -> np.ndarray:
+    """The matrix a design's Lassos read: its blocks side by side, each
+    column divided by the design's scale, with the bits of
+    ``design.columns``."""
+    return np.concatenate(design.blocks, axis=1) / design.scales
+
+
+def design_as_given(X: np.ndarray) -> LassoDesign:
+    """A one-block design that reads ``X`` as given, as every design did
+    before designs read their columns at unit root mean square: its scales
+    are 1, so each output keeps the bits of the product it divides, and its
+    Gram diagonal is the column sums of ``X*X``. ``LassoDesign(*blocks)``
+    over its block is the unit-RMS system again."""
+    design = LassoDesign(X)
+    design.scales = np.ones(design.shape[1])
+    design.diag = np.add.reduce(design.squares[0], axis=0)
+    return design
+
+
+def build_design_sd(spec_q: DictionarySpec, Z) -> DesignMatrices:
+    """The workspace of the former ``build_design``: the dictionary divided
+    by its columns' standard deviations (no centering), a constant column
+    refused, and the result read as given. Its ``q_raw`` returns
+    standardized columns, so only its selections compare with the
+    library's."""
+    if spec_q.kind == "raw_coordinates":
+        Q_raw = np.ascontiguousarray(_coordinates(spec_q, Z))
+    else:
+        Q_raw = evaluate_dictionary(spec_q, Z)
+    Q, _ = standardize_columns(Q_raw, what="Q column")
+    return DesignMatrices(lasso_design=design_as_given(Q), spec_q=spec_q)
 
 
 def bank_of(T, design: DesignMatrices) -> TargetBank:
@@ -452,14 +491,15 @@ def iterated_lasso(
     returned), or when the loadings reach a fixed point, after which every
     further round would reproduce the same solution.
 
-    ``design`` is a one-block ``LassoDesign`` over the regressors ``X``.
-    Raises ``ConvergenceError`` when the solve behind the returned fit hit
+    ``design`` is a one-block ``LassoDesign`` over the regressors, which
+    it reads at unit root mean square, ``X``, as the solver does. Raises
+    ``ConvergenceError`` when the solve behind the returned fit hit
     ``cd_max_iter``.
     """
     cfg = config if config is not None else LassoConfig()
-    (X,) = design.blocks
+    X = unit_columns(design)
     y = np.asarray(y, dtype=float)
-    xty = X.T @ y
+    xty = design.product(y)
     fit = lasso_solve(design, xty, lam, initial_loadings(design, y), cfg)
     sd_y = float(y.std())
     for _ in range(1, cfg.n_loadings):
@@ -529,16 +569,16 @@ def choose_k_bic_per_degree(data, design: DesignMatrices, k_grid,
     if not k_grid:
         raise ValueError("k_grid is empty")
     specs = {k: DictionarySpec("hermite_univariate", degree=k) for k in k_grid}
-    bank, P_raw, k_ok = selection._grid_bank(data, design, k_grid[-1], extended_fs)
-    degenerate = f"P column {k_ok} has zero variance on this sample"
+    bank, P_raw, refusal = selection._grid_bank(data, design, k_grid, extended_fs)
+    k_ok = P_raw.shape[1]
     if k_ok < k_grid[0]:
-        raise DegenerateColumnError(degenerate)
+        raise refusal
     y_bank = bank.subset([k_ok])
     fits, bics, errors = {}, {}, {}
     for k in k_grid:
         try:
             if k > k_ok:
-                raise DegenerateColumnError(degenerate)
+                raise refusal
             sel = selection.post_double_select(bank.subset(leading_cols(bank, k)), y_bank, cfg)
             fit = selection.pds_fit(P_raw[:, :k], design.q_raw(sel.union_set), data.y,
                                     sel.union_set, spec_p=specs[k])

@@ -19,7 +19,13 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import hermite_monomial, lasso_sign_enumeration, random_instance, residualize_p
+from _oracles import (
+    hermite_monomial,
+    lasso_sign_enumeration,
+    random_instance,
+    residualize_p,
+    unit_columns,
+)
 from pdsseries.data import Dataset
 from pdsseries.dictionary import DictionarySpec, hermite_deriv_design, hermite_design
 from pdsseries.inference import (
@@ -92,9 +98,10 @@ def test_criterion_1_kkt_invariant_suite():
             lam = penalty_level(50, 1, 20, LassoConfig(gamma=0.1))
         else:
             lam = (0.1 + 0.08 * (i % 10)) * float(np.abs(2 * X.T @ y).max())
+        # the design reads each column at unit root mean square
         design = LassoDesign(X)
-        fit = lasso_solve(design, X.T @ y, lam, initial_loadings(design, y))
-        worst = max(worst, kkt_max_violation(X, y, fit))
+        fit = lasso_solve(design, design.product(y), lam, initial_loadings(design, y))
+        worst = max(worst, kkt_max_violation(unit_columns(design), y, fit))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 10.0
     line = report_line(1, ok, f"100 instances (n=50, M=20), max KKT violation "
@@ -114,9 +121,9 @@ def test_criterion_2_sign_enumeration_oracle():
         lam = (0.1 + 0.2 * (i % 5)) * float(np.abs(2 * X.T @ y).max())
         design = LassoDesign(X)
         loadings = initial_loadings(design, y)
-        fit = lasso_solve(design, X.T @ y, lam, loadings,
+        fit = lasso_solve(design, design.product(y), lam, loadings,
                           LassoConfig(cd_tol=1e-12, cd_max_iter=100_000))
-        want = lasso_sign_enumeration(X, y, lam, loadings)
+        want = lasso_sign_enumeration(unit_columns(design), y, lam, loadings)
         worst = max(worst, float(np.abs(fit.coefficients - want).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 5.0
@@ -133,10 +140,12 @@ def test_criterion_3_ols_limit():
     worst = 0.0
     for _ in range(20):
         X, y = random_instance(rng, 60, 8)
-        fit = lasso_solve(LassoDesign(X), X.T @ y, 0.0, np.ones(8),
+        design = LassoDesign(X)
+        fit = lasso_solve(design, design.product(y), 0.0, np.ones(8),
                           LassoConfig(cd_tol=1e-12, cd_max_iter=200_000))
         ols = np.linalg.pinv(X) @ y
-        worst = max(worst, float(np.abs(fit.coefficients - ols).max()))
+        # the fit's coefficients are those of the unit-RMS columns
+        worst = max(worst, float(np.abs(fit.coefficients / design.scales - ols).max()))
     ok = worst <= 1e-6
     line = report_line(3, ok, f"lambda=0 vs pseudo-inverse LS on 20 full-rank "
                               f"instances, max gap {worst:.3e} <= 1e-06")

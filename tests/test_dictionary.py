@@ -355,22 +355,26 @@ def test_build_design_shapes_and_scales(rng):
     Z = rng.standard_normal((n, 3))
     spec_q = DictionarySpec("hermite_tensor", degree=2, input_dim=3)
     d = build_design(spec_q, Z)
-    # the workspace is the conditioning dictionary alone
-    assert [f.name for f in fields(DesignMatrices)] == ["Q", "q_scales", "lasso_design",
-                                                       "spec_q"]
+    # the workspace is the conditioning dictionary alone, in raw units
+    assert [f.name for f in fields(DesignMatrices)] == ["lasso_design", "spec_q"]
     assert d.Q.shape == (n, spec_q.n_terms)
-    np.testing.assert_allclose(d.Q.std(axis=0), 1.0, rtol=1e-12)
     Q_raw = evaluate_dictionary(spec_q, Z)
-    np.testing.assert_allclose(d.q_raw(np.arange(spec_q.n_terms)), Q_raw, rtol=1e-12)
-    np.testing.assert_allclose(d.q_raw([4, 1]), Q_raw[:, [4, 1]], rtol=1e-12)
+    np.testing.assert_array_equal(d.Q, Q_raw)
+    np.testing.assert_array_equal(d.q_raw(np.arange(spec_q.n_terms)), Q_raw)
+    np.testing.assert_array_equal(d.q_raw([4, 1]), Q_raw[:, [4, 1]])
     assert d.q_raw([]).shape == (n, 0)
-    # the Lasso design covers Q and forms no Gram row before a solve asks
+    # the Lasso design covers Q, reads it at unit root mean square, and
+    # forms no Gram row before a solve asks
     ld = d.lasso_design
     assert len(ld.blocks) == 1 and ld.blocks[0] is d.Q and ld.rows_formed == 0
-    np.testing.assert_allclose(ld.rows(np.arange(spec_q.n_terms)), d.Q.T @ d.Q,
-                               rtol=1e-13, atol=1e-13 * n)
-    np.testing.assert_array_equal(ld.diag, ld.squares[0].sum(axis=0))
     np.testing.assert_array_equal(ld.squares[0], d.Q * d.Q)
+    # Q and its square are the two halves of one block
+    assert ld.squares[0].base is d.Q.base is not None and d.Q.base.shape == (2, *d.Q.shape)
+    np.testing.assert_allclose(ld.scales, np.sqrt(np.mean(Q_raw * Q_raw, axis=0)), rtol=1e-14)
+    U = Q_raw / ld.scales
+    np.testing.assert_allclose(ld.rows(np.arange(spec_q.n_terms)), U.T @ U,
+                               rtol=1e-13, atol=1e-13 * n)
+    np.testing.assert_allclose(ld.diag, n, rtol=1e-14)
     assert d.spec_q == spec_q
 
 
@@ -387,25 +391,51 @@ def test_build_design_leaves_its_inputs_unchanged(rng, spec_q):
     Z0 = Z.copy()
     d = build_design(spec_q, Z)
     np.testing.assert_array_equal(Z, Z0)
-    assert not np.shares_memory(d.Q, Z)
+    # raw coordinates are Z itself, read in place; a Hermite dictionary is new
+    assert (d.Q is Z) == (spec_q.kind == "raw_coordinates")
+    assert np.shares_memory(d.Q, Z) == (spec_q.kind == "raw_coordinates")
 
 
 def test_raw_coordinates_design_has_the_same_bits_for_any_layout(rng):
-    # raw coordinates are standardized straight from Z: a strided or
-    # F-ordered Z gives the bits of its C-ordered copy
+    # raw coordinates are read from Z, or from a C-ordered copy of a strided
+    # or F-ordered Z, so every layout gives the bits of the C-ordered one
     n = 130
     Z = rng.standard_normal((n, 12)) * rng.uniform(0.5, 3.0, 12)
     spec_q = DictionarySpec("raw_coordinates", input_dim=6)
     want = build_design(spec_q, Z[:, ::2].copy())
+    y = rng.standard_normal(n)
     for layout in (Z[:, ::2], np.asfortranarray(Z[:, ::2])):
         got = build_design(spec_q, layout)
-        np.testing.assert_array_equal(got.q_scales, want.q_scales)
+        assert got.Q.flags.c_contiguous
         np.testing.assert_array_equal(got.Q, want.Q)
+        for name in ("scales", "diag"):
+            np.testing.assert_array_equal(getattr(got.lasso_design, name),
+                                          getattr(want.lasso_design, name))
+        np.testing.assert_array_equal(got.lasso_design.product(y), want.lasso_design.product(y))
+
+
+@pytest.mark.parametrize("spec_q", [
+    DictionarySpec("raw_coordinates", input_dim=3),
+    DictionarySpec("hermite_tensor", degree=2, input_dim=3),
+], ids=lambda spec: spec.kind)
+def test_build_design_refuses_a_constant_column_by_exact_comparison(rng, spec_q):
+    # a column of 0.1 in 500 rows has std(axis=0) 8.7e-16, not 0: a
+    # constant column is one whose every entry equals its first
+    Z = rng.standard_normal((500, 3))
+    for value in (0.1, 0.0, -3.0):
+        Z[:, 1] = value
+        with pytest.raises(DegenerateColumnError, match="^Q column 1 has zero variance"):
+            build_design(spec_q, Z)
+    # one entry off the constant is enough, in any row
+    for row in (1, 33, 499):
+        Z[:, 1] = 0.1
+        Z[row, 1] = 0.2
+        assert build_design(spec_q, Z).Q.shape[1] == spec_q.n_terms
 
 
 def test_build_design_keeps_at_most_two_dictionary_sized_blocks():
-    # the acceptance-8 shape: n = L = 1000. Raw Q and standardized Q, then
-    # standardized Q and Q*Q, are alive together; a third n x L block is not
+    # the acceptance-8 shape: n = L = 1000. Q and Q*Q, one (2, n, L) block,
+    # are alive together; a third n x L block is not
     rng = np.random.default_rng(8)
     Z = rng.standard_normal((1000, 4))
     spec_q = DictionarySpec("hermite_tensor", degree=10, input_dim=4)

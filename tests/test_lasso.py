@@ -18,6 +18,7 @@ from _oracles import (
     lasso_objective,
     lasso_sign_enumeration,
     random_instance,
+    unit_columns,
     workspace_of,
 )
 from pdsseries import lasso as lasso_module
@@ -55,9 +56,10 @@ scipy_stats = pytest.importorskip("scipy.stats")
 
 
 def solve(X, y, lam, loadings, config=LassoConfig()):
-    """``lasso_solve`` of ``y`` on a fresh design over ``X``."""
-    X = np.asarray(X, dtype=float)
-    return lasso_solve(LassoDesign(X), X.T @ y, lam, loadings, config)
+    """``lasso_solve`` of ``y`` on a fresh design over ``X``, which reads
+    ``unit_columns(LassoDesign(X))``."""
+    design = LassoDesign(X)
+    return lasso_solve(design, design.product(y), lam, loadings, config)
 
 
 def iterate(X, y, lam, config=LassoConfig()):
@@ -205,15 +207,17 @@ def test_a_whole_float_sweep_cap_caps_like_its_integer():
 def test_initial_loadings_worked_example():
     X = np.array([[1.0, 2.0], [-1.0, 0.0], [1.0, -2.0], [-1.0, 0.0]])
     t = np.array([1.0, 2.0, 3.0, 4.0])
-    # psi_j = sqrt(mean(x_j^2 (t - tbar)^2)), tbar = 2.5
+    # psi_j = sqrt(mean(x_j^2 (t - tbar)^2)), tbar = 2.5, on x_j over its
+    # root mean square, 1 and sqrt(2)
     np.testing.assert_allclose(initial_loadings(LassoDesign(X), t),
-                               [math.sqrt(1.25), math.sqrt(2.5)], rtol=1e-12)
+                               [math.sqrt(1.25), math.sqrt(2.5 / 2.0)], rtol=1e-12)
 
 
 def test_refined_loadings_worked_example():
     X = np.array([[1.0], [2.0], [3.0]])
     r = np.array([3.0, 0.0, -1.0])
-    want = math.sqrt((9.0 + 0.0 + 9.0) / 3.0)
+    # x over its root mean square, sqrt(14 / 3)
+    want = math.sqrt((9.0 + 0.0 + 9.0) / 3.0 / (14.0 / 3.0))
     np.testing.assert_allclose(refined_loadings(LassoDesign(X), r), [want], rtol=1e-12)
 
 
@@ -229,7 +233,7 @@ def test_loadings_degenerate_raises():
 
 def test_all_zero_solution_above_threshold(rng):
     X, y = random_instance(rng, 40, 6)
-    grad0 = np.abs(2.0 * X.T @ y)
+    grad0 = np.abs(2.0 * LassoDesign(X).product(y))
     loadings = np.ones(6)
     lam = 2.0 * grad0.max()
     fit = solve(X, y, lam, loadings)
@@ -253,15 +257,17 @@ def test_kkt_invariant_random_instances():
     for i in range(25):
         X, y = random_instance(rng, 50, 20)
         lam = penalty_level(50, 1, 20, LassoConfig(gamma=0.1))
-        loadings = initial_loadings(LassoDesign(X), y)
+        design = LassoDesign(X)
+        loadings = initial_loadings(design, y)
         fit = solve(X, y, lam, loadings)
         assert fit.converged
-        assert kkt_max_violation(X, y, fit) <= 1e-6
+        assert kkt_max_violation(unit_columns(design), y, fit) <= 1e-6
 
 
 def test_objective_never_worse_than_endpoints(rng):
     for _ in range(10):
         X, y = random_instance(rng, 60, 8)
+        X = unit_columns(LassoDesign(X))
         lam = 0.4 * np.abs(2 * X.T @ y).max()
         loadings = initial_loadings(LassoDesign(X), y)
         fit = solve(X, y, lam, loadings)
@@ -272,19 +278,20 @@ def test_objective_never_worse_than_endpoints(rng):
 
 
 def test_column_scaling_covariance(rng):
+    # a design reads each column at unit root mean square, so a rescaled
+    # column gives the same loadings and the same fit, up to rounding
     X, y = random_instance(rng, 50, 5)
     lam = 0.3 * np.abs(2 * X.T @ y).max()
     loadings = initial_loadings(LassoDesign(X), y)
     base = solve(X, y, lam, loadings)
-    c = 3.7
-    X2 = X.copy()
-    X2[:, 2] *= c
-    load2 = loadings.copy()
-    load2[2] *= c
-    fit2 = solve(X2, y, lam, load2)
-    want = base.coefficients.copy()
-    want[2] /= c
-    np.testing.assert_allclose(fit2.coefficients, want, atol=1e-8)
+    for c in (3.7, 1e-3, 1e3):
+        X2 = X.copy()
+        X2[:, 2] *= c
+        load2 = initial_loadings(LassoDesign(X2), y)
+        np.testing.assert_allclose(load2, loadings, rtol=1e-13)
+        fit2 = solve(X2, y, lam, load2)
+        np.testing.assert_array_equal(fit2.active_set, base.active_set)
+        np.testing.assert_allclose(fit2.coefficients, base.coefficients, atol=1e-8)
 
 
 def test_lambda_zero_reproduces_ols(rng):
@@ -292,7 +299,7 @@ def test_lambda_zero_reproduces_ols(rng):
         X, y = random_instance(rng, 80, 6)
         fit = solve(X, y, 0.0, np.ones(6),
                           LassoConfig(cd_tol=1e-12, cd_max_iter=100_000))
-        ols = np.linalg.lstsq(X, y, rcond=None)[0]
+        ols = np.linalg.lstsq(unit_columns(LassoDesign(X)), y, rcond=None)[0]
         np.testing.assert_allclose(fit.coefficients, ols, atol=1e-6)
 
 
@@ -305,7 +312,7 @@ def test_matches_sign_enumeration_oracle():
         lam = (0.1 + 0.2 * (i % 5)) * np.abs(2 * X.T @ y).max()
         fit = solve(X, y, lam, loadings,
                           LassoConfig(cd_tol=1e-12, cd_max_iter=100_000))
-        want = lasso_sign_enumeration(X, y, lam, loadings)
+        want = lasso_sign_enumeration(unit_columns(LassoDesign(X)), y, lam, loadings)
         np.testing.assert_allclose(fit.coefficients, want, atol=1e-6)
 
 
@@ -350,9 +357,10 @@ def test_kkt_property(seed, frac):
     rng = np.random.default_rng(seed)
     X, y = random_instance(rng, 30, 8)
     lam = frac * np.abs(2 * X.T @ y).max()
-    loadings = initial_loadings(LassoDesign(X), y)
+    design = LassoDesign(X)
+    loadings = initial_loadings(design, y)
     fit = solve(X, y, lam, loadings)
-    assert kkt_max_violation(X, y, fit) <= 1e-6
+    assert kkt_max_violation(unit_columns(design), y, fit) <= 1e-6
 
 
 # ---------------------------------------------------------------- post-lasso
@@ -525,10 +533,13 @@ KKT_TOL = 1e-6
 def assert_matches_full_sweep(X, y, lam, loadings, design=None, full=None):
     """The active-set kernel, on the Gram row store of ``design`` (a fresh
     one over ``X`` if None), against the former full-sweep kernel on the
-    full Gram ``full = X'X``."""
+    full Gram of the matrix the design reads, ``full = U'U`` with ``U =
+    unit_columns(design)``."""
     design = LassoDesign(X) if design is None else design
-    full = X.T @ X if full is None else full
-    xty = X.T @ y
+    if full is None:
+        U = unit_columns(design)
+        full = U.T @ U
+    xty = design.product(y)
     fit = lasso_solve(design, xty, lam, loadings, TIGHT)
     want, _, ok = cd_solve(full, xty, lam, loadings, TIGHT.cd_max_iter, TIGHT.cd_tol)
     assert ok and fit.converged
@@ -563,8 +574,9 @@ def test_kernel_lambda_zero_admits_every_column(rng):
 
 def test_kernel_above_lambda_max_takes_no_sweep(rng):
     X, y = random_instance(rng, 40, 9)
-    loadings = initial_loadings(LassoDesign(X), y)
-    lam = 1.01 * np.max(np.abs(2 * X.T @ y) / loadings)
+    design = LassoDesign(X)
+    loadings = initial_loadings(design, y)
+    lam = 1.01 * np.max(np.abs(2 * design.product(y)) / loadings)
     fit = assert_matches_full_sweep(X, y, lam, loadings)
     assert fit.active_set.size == 0
     assert fit.iterations == 0
@@ -573,13 +585,14 @@ def test_kernel_above_lambda_max_takes_no_sweep(rng):
 def test_kernel_matches_full_sweep_on_pipeline_problems():
     """First-stage and reduced-form solves of one high_dim n=500 sample."""
     d, problems = pipeline_problems()
-    full = d.Q.T @ d.Q
+    U = unit_columns(d.lasso_design)
+    full = U.T @ U
     selected = 0
     for target, lam in problems:
         final = iterated_lasso(TargetBank.of(target, d.lasso_design), 0, lam)
         for loadings in (initial_loadings(d.lasso_design, target), final.loadings):
             fit = assert_matches_full_sweep(d.Q, target, lam, loadings, d.lasso_design, full)
-            assert kkt_max_violation(d.Q, target, fit) <= KKT_TOL
+            assert kkt_max_violation(U, target, fit) <= KKT_TOL
             selected += fit.active_set.size
     assert selected > 0
 
@@ -612,7 +625,8 @@ def test_gram_rows_match_the_full_product(rng):
     X = rng.standard_normal((120, 50))
     X[:, 7] *= 1e3
     X[:, 8] = 0.0
-    full = X.T @ X
+    U = unit_columns(LassoDesign(X))
+    full = U.T @ U
     # a dot product's rounding error scales with the norms of its factors
     scale = np.sqrt(np.outer(np.diagonal(full), np.diagonal(full)))
     store = LassoDesign(X)
@@ -641,11 +655,17 @@ def test_gram_rows_are_formed_once_and_kept(rng):
 
 
 def test_gram_rows_diagonal_is_the_squared_design_sum(rng):
-    X = rng.standard_normal((70, 25))
+    X = rng.standard_normal((70, 25)) * np.geomspace(1e-3, 1e3, 25)
     X[:, 3] = 0.0
     design = LassoDesign(X)
     np.testing.assert_array_equal(design.squares[0], X * X)
-    np.testing.assert_array_equal(design.diag, (X * X).sum(axis=0))
+    # each column is read over its root mean square; a zero column over 1
+    total = (X * X).sum(axis=0)
+    want = np.sqrt(total / 70)
+    want[3] = 1.0
+    np.testing.assert_array_equal(design.scales, want)
+    np.testing.assert_array_equal(design.diag, total / (want * want))
+    np.testing.assert_allclose(np.delete(design.diag, 3), 70.0, rtol=1e-14)
     assert design.diag[3] == 0.0
 
 
@@ -660,25 +680,30 @@ def test_block_design_reads_its_blocks_as_one_design(rng):
     assert design.blocks[0] is A
     assert design.blocks[1] is B and design.squares[1] is inner.squares[0]
     np.testing.assert_array_equal(np.concatenate(design.squares, axis=1), X * X)
+    # the block design reads the inner design's scales, which are the whole's
+    np.testing.assert_array_equal(design.scales, whole.scales)
     np.testing.assert_array_equal(design.diag, whole.diag)
+    U = unit_columns(whole)
     idx = np.array([33, 0, 4, 3, 9, 4])
     for got in (design.columns(idx), whole.columns(idx)):
-        np.testing.assert_array_equal(got, X[:, idx])
+        np.testing.assert_array_equal(got, U[:, idx])
         assert got.strides == X[:, idx].strides
     assert design.columns([]).shape == (90, 0)
     # block products: each block's part is one product, so an entry may
-    # move only within the rounding bound of a sum of n terms
+    # move only within the rounding bound of a sum of n terms, and then
+    # one division by the scales
     tol = 90 * np.finfo(float).eps
     T = rng.standard_normal((3, 90))
-    for got, a, M in [(design.product(T), T, X), (design.product(T[0]), T[0], X),
-                      (design.sq_product(T ** 2), T ** 2, X * X)]:
+    for got, a, M in [(design.product(T), T, U), (design.product(T[0]), T[0], U),
+                      (design.sq_product(T ** 2), T ** 2, U * U)]:
         assert got.shape == (a @ M).shape
         assert np.all(np.abs(got - a @ M) <= tol * (np.abs(a) @ np.abs(M)))
     # a B column's row takes its B part from the inner store, which keeps it
     got = design.rows([9, 2])
-    np.testing.assert_allclose(got, X[:, [9, 2]].T @ X, rtol=1e-12, atol=1e-12 * 90)
+    np.testing.assert_allclose(got, U[:, [9, 2]].T @ U, rtol=1e-12, atol=1e-12 * 90)
     np.testing.assert_array_equal(got[0, 4:], inner.rows([5])[0])
-    np.testing.assert_array_equal(got[1, :4], A[:, 2] @ A)
+    np.testing.assert_array_equal(got[1, :4],
+                                  (A[:, 2] @ A) / (design.scales[2] * design.scales[:4]))
     assert design.rows_formed == 2 and inner.rows_formed == 1
     design.rows([9, 33])
     assert design.rows_formed == 3 and inner.rows_formed == 2
@@ -701,7 +726,7 @@ def test_fit_is_the_same_with_or_without_a_store():
     formed = store.rows_formed
     assert formed > 0
     loadings = initial_loadings(store, y)
-    assert_same_fit(lasso_solve(store, X.T @ y, lam, loadings),
+    assert_same_fit(lasso_solve(store, store.product(y), lam, loadings),
                     solve(X, y, lam, loadings))
     fit = iterated_lasso(TargetBank.of(y, store), 0, lam)
     assert fit.active_set.size > 0
@@ -725,10 +750,11 @@ def test_loadings_matvec_matches_elementwise(rng):
     X[:, 5] *= 1e3
     e = y - X[:, :3] @ np.ones(3)
     dev2 = (y - y.mean()) ** 2
+    ms = (X * X).mean(0)  # each column's mean square, the design's scale squared
     np.testing.assert_allclose(initial_loadings(LassoDesign(X), y) ** 2,
-                               (X * X * dev2[:, None]).mean(0), rtol=1e-12)
+                               (X * X * dev2[:, None]).mean(0) / ms, rtol=1e-12)
     np.testing.assert_allclose(refined_loadings(LassoDesign(X), e) ** 2,
-                               (X * X * (e * e)[:, None]).mean(0), rtol=1e-12)
+                               (X * X * (e * e)[:, None]).mean(0) / ms, rtol=1e-12)
 
 
 def test_a_paired_bank_holds_its_rows_then_the_sums_then_the_differences():
@@ -766,7 +792,7 @@ def test_bank_of_a_vector_is_a_one_row_bank():
     for bank in (vec, block):
         assert len(bank) == 1 and bank.n == n and bank.design is design
         np.testing.assert_array_equal(bank.rows, y[None])
-        np.testing.assert_allclose(bank.xty[0], X.T @ y, rtol=1e-12)
+        np.testing.assert_allclose(bank.xty[0], unit_columns(design).T @ y, rtol=1e-12)
         np.testing.assert_allclose(bank.loadings[0, 0], initial_loadings(design, y),
                                    rtol=1e-12)
     np.testing.assert_array_equal(vec.xty, block.xty)
@@ -897,7 +923,7 @@ def test_a_subset_screens_as_its_rows_of_the_whole_bank():
                 np.testing.assert_array_equal(bank.subset(cols).settled_empty(lam, cfg),
                                               whole[np.asarray(cols, dtype=int)])
     # the bank's own arrays are left as they were
-    np.testing.assert_array_equal(bank.xty, rows @ X)
+    np.testing.assert_array_equal(bank.xty, LassoDesign(X).product(rows))
 
 
 def test_screen_agrees_with_the_solver_at_its_threshold():
@@ -1213,7 +1239,7 @@ def test_a_fully_certified_call_returns_the_exact_solution(monkeypatch):
         assert got.iterations == 0 and got.converged
         np.testing.assert_array_equal(got.active_set, want.active_set)
         np.testing.assert_array_equal(got.loadings, want.loadings)
-        X, y = bank.design.blocks[0], bank.rows[bank.cols[k]]
+        X, y = unit_columns(bank.design), bank.rows[bank.cols[k]]
         # up to the rounding of the scores themselves, which is all that is
         # left where coordinate descent stopped on the solution as well
         rounding = 64 * np.finfo(float).eps * other * got.loadings.max()

@@ -8,10 +8,12 @@ import pytest
 
 from _oracles import (
     bank_of,
+    build_design_sd,
     choose_k_bic_per_degree,
     g_columns,
     leading_cols,
     residualize_p,
+    unit_columns,
     workspace_of,
 )
 from pdsseries import dictionary, lasso, selection
@@ -272,6 +274,10 @@ def test_choose_k_bic_clamps_to_grid_max():
     # and p_1 + p_2, is constant and fails the extended degrees from 3 up
     ((-1.0, 0.0, 1.0), [1, 2, 3, 4, 5], {False: [], True: [3, 4, 5]},
      lambda k: f"first-stage equation {k + 1} failed: all initial loadings are zero"),
+    # He_2 = -0.91 in every row, though its mean does not round-trip (its
+    # std(axis=0) is 2.3e-15)
+    ((-0.3, 0.3), [1, 2, 3], {False: [2, 3], True: [2, 3]},
+     lambda k: "P column 1 has zero variance on this sample"),
 ])
 def test_choose_k_bic_degenerate_term_fails_only_its_degrees(values, grid, failing,
                                                              message):
@@ -286,6 +292,32 @@ def test_choose_k_bic_degenerate_term_fails_only_its_degrees(values, grid, faili
         ok = [k for k in grid if k not in failing[extended_fs]]
         assert sorted(res.fits) == sorted(res.bics) == ok
         assert res.errors == {k: message(k) for k in failing[extended_fs]}
+
+
+def test_an_overflowing_term_fails_only_its_degrees():
+    # He_170 of this sample's x overflows: the degrees below it fit as they
+    # do alone, and those above fail with its message, as a constant term's
+    cfg = DgpConfig("low_dim", 500)
+    data = generate_sample(cfg, np.random.default_rng(0))
+    spec_p, spec_q = default_specs(cfg)
+    d = build_design(spec_q, data.Z)
+    message = "Hermite term He_170 is out of floating-point range on this sample"
+    for grid, extended_fs in (([3, 169, 400], False), ([3, 400], True)):
+        res = choose_k_bic(data, d, grid, extended_fs=extended_fs)
+        assert sorted(res.fits) == grid[:-1] and res.errors == {400: message}
+        alone = choose_k_bic(data, d, [3], extended_fs=extended_fs)
+        np.testing.assert_array_equal(res.fits[3].selected, alone.fits[3].selected)
+        with pytest.raises(ValueError) as err:
+            choose_k_bic(data, d, [170, 400], extended_fs=extended_fs)
+        assert str(err.value) == message
+    # the bank stops at the largest degree that can fit, not at He_169: the
+    # 14196 pairs of 169 rows would take about half a gigabyte here
+    bank, P_raw, refusal = selection._grid_bank(data, d, [3, 400], extended_fs=True)
+    assert P_raw.shape[1] == 3 and len(bank.rows) == 3 + 1 + 2 * 3
+    assert str(refusal) == message
+    fits, failures = comparison_estimators(data, spec_p, spec_q,
+                                           estimators=("post_double_set",), k_grid=[3, 400])
+    assert failures == {} and fits["post_double_set"].spec_p.degree == 3
 
 
 @pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
@@ -438,8 +470,8 @@ def test_derived_pair_targets_match_the_direct_bank(design_name, n):
     data = generate_sample(cfg, np.random.default_rng(11))
     d = build_design(default_specs(cfg)[1], data.Z)
     k = default_k_grid(n)[-1]
-    bank, _, k_ok = selection._grid_bank(data, d, k, extended_fs=True)
-    assert k_ok == k
+    bank, P_raw, refusal = selection._grid_bank(data, d, [k], extended_fs=True)
+    assert refusal is None and P_raw.shape[1] == k
     _, P = g_columns(data.x, k)
     direct = TargetBank.of(np.vstack([P.T, data.y, build_extended_fs(P)[:, k:].T]),
                            d.lasso_design)
@@ -500,7 +532,8 @@ def test_a_constant_pair_target_gets_the_loadings_of_its_own_row():
     x = rng.choice((-1.0, 0.0, 1.0), size=n)
     data = Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z)
     d = build_design(DictionarySpec("raw_coordinates", input_dim=30), Z)
-    bank, _, k_ok = selection._grid_bank(data, d, 5, extended_fs=True)
+    bank, P_raw, _ = selection._grid_bank(data, d, [5], extended_fs=True)
+    k_ok = P_raw.shape[1]
     _, P = g_columns(x, k_ok)
     direct = TargetBank.of(np.vstack([P.T, data.y, build_extended_fs(P)[:, k_ok:].T]),
                            d.lasso_design)
@@ -780,9 +813,10 @@ def test_post_single_2_block_design_matches_the_concatenated_one():
 
 
 def test_post_single_2_is_one_joint_lasso_on_both_blocks():
-    # Post-Single II penalises every column of the standardised [P, Q] at
-    # the single-equation level with M = K + L; rebuild that problem here
-    # with a Gram computed from the whole matrix, not from blocks
+    # Post-Single II penalises every column of [P, Q], read at unit root
+    # mean square, at the single-equation level with M = K + L; rebuild
+    # that problem here with a Gram computed from the whole matrix, not
+    # from blocks
     cfg = DgpConfig("high_dim", 200, sigma_eps=2.0)
     data = generate_sample(cfg, np.random.default_rng(60))
     spec_p, spec_q = default_specs(cfg)
@@ -790,14 +824,15 @@ def test_post_single_2_is_one_joint_lasso_on_both_blocks():
     _, P = g_columns(data.x, spec_p.degree)
     X = np.concatenate([P, d.Q], axis=1)
     lam = penalty_level(data.n, 1, X.shape[1])
-    fit = iterated_lasso(TargetBank.of(data.y, LassoDesign(X)), 0, lam)
+    whole = LassoDesign(X)
+    fit = iterated_lasso(TargetBank.of(data.y, whole), 0, lam)
     want = fit.active_set[fit.active_set >= P.shape[1]] - P.shape[1]
     assert want.size > 0
     fits, failures = comparison_estimators(data, spec_p, spec_q,
                                            estimators=("post_single_2",))
     assert failures == {}
     np.testing.assert_array_equal(fits["post_single_2"].selected, want)
-    rel_kkt = kkt_max_violation(X, data.y, fit) / (lam * fit.loadings.max())
+    rel_kkt = kkt_max_violation(unit_columns(whole), data.y, fit) / (lam * fit.loadings.max())
     assert rel_kkt <= 1e-6
 
 
@@ -1050,9 +1085,9 @@ def test_one_workspace_serves_every_estimator(monkeypatch):
     evaluated = []
     real = dictionary.evaluate_dictionary
 
-    def counting(spec, values):
+    def counting(spec, values, out=None):
         evaluated.append(spec)
-        return real(spec, values)
+        return real(spec, values, out)
 
     monkeypatch.setattr(dictionary, "evaluate_dictionary", counting)
     monkeypatch.setattr(selection, "evaluate_dictionary", counting)
@@ -1076,7 +1111,7 @@ def test_one_workspace_serves_every_estimator(monkeypatch):
     P_raw, _ = g_columns(data.x, spec_p.degree)
     assert_same_fit(fits["series_2"], pds_fit(P_raw, d.q_raw(idx), data.y, idx))
     for idx in (idx, got.selected, np.array([5, 0, 5]), np.array([], dtype=int)):
-        np.testing.assert_array_equal(d.q_raw(idx), (d.Q * d.q_scales)[:, idx])
+        np.testing.assert_array_equal(d.q_raw(idx), d.Q[:, idx])
 
 
 def gram_rows_of_a_run(monkeypatch, data, spec_p, spec_q, estimators):
@@ -1107,6 +1142,53 @@ def gram_rows_of_a_run(monkeypatch, data, spec_p, spec_q, estimators):
     return stores, designs[0], peak
 
 
+def estimates(data, spec_p, spec_q, seed):
+    """Every estimator's fit on ``data``, and its average-derivative
+    estimate, by estimator name."""
+    fits, failures = comparison_estimators(data, spec_p, spec_q, estimators=ESTIMATORS,
+                                           rng=np.random.default_rng(seed))
+    assert failures == {}
+    return {name: (fit, functional_estimate(fit, average_derivative(fit.spec_p, data.x)))
+            for name, fit in fits.items()}
+
+
+def test_every_estimator_is_the_same_on_rescaled_controls():
+    # each column of Z times a positive factor from 1e-3 to 1e3: a design
+    # reads each column at unit root mean square, so every selection is the
+    # same, and the final OLS on [1, raw controls] spans the same space
+    cfg = DgpConfig("high_dim", 200)
+    spec_p, spec_q = default_specs(cfg)
+    for seed in range(5):
+        data = generate_sample(cfg, np.random.default_rng(seed))
+        factors = np.random.default_rng(100 + seed).permutation(
+            np.geomspace(1e-3, 1e3, data.Z.shape[1]))
+        scaled = Dataset(y=data.y, x=data.x, Z=data.Z * factors, h_true=data.h_true)
+        want, got = (estimates(d, spec_p, spec_q, seed) for d in (data, scaled))
+        assert set(got) == set(want) == set(ESTIMATORS)
+        for name, (fit, res) in got.items():
+            fit0, res0 = want[name]
+            np.testing.assert_array_equal(fit.selected, fit0.selected, err_msg=name)
+            np.testing.assert_allclose([res.theta_hat, res.se], [res0.theta_hat, res0.se],
+                                       rtol=1e-9, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
+def test_the_raw_workspace_selects_as_the_sd_standardized_one(monkeypatch, design_name):
+    # the former workspace divided Q by its sd and read it as given; reading
+    # Q in raw units at unit root mean square selects the same sets
+    cfg = DgpConfig(design_name, 200)
+    spec_p, spec_q = default_specs(cfg)
+    for seed in range(10):
+        data = generate_sample(cfg, np.random.default_rng(seed))
+        want = estimates(data, spec_p, spec_q, seed)
+        with monkeypatch.context() as m:
+            m.setattr(selection, "build_design", build_design_sd)
+            ref = estimates(data, spec_p, spec_q, seed)
+        for name, (fit, _) in want.items():
+            np.testing.assert_array_equal(fit.selected, ref[name][0].selected,
+                                          err_msg=f"seed {seed} {name}")
+
+
 def test_gram_rows_are_formed_only_for_entering_columns(monkeypatch):
     """The Gram of the ~1000-column conditioning dictionary is never formed
     whole: only rows of columns that enter a solve, and no L x L array."""
@@ -1133,7 +1215,7 @@ def test_gram_rows_are_formed_only_for_entering_columns(monkeypatch):
                 assert store.rows_formed == 0
             else:
                 assert 0 < store.rows_formed < 0.02 * store.shape[1]
-        assert {k for k, v in vars(d).items() if np.ndim(v) == 2} == {"Q"}
+        assert set(vars(d)) == {"lasso_design", "spec_q"}
         assert len(d.lasso_design.blocks) == 1 and d.lasso_design.blocks[0] is d.Q
         # the traced peak exceeds the arrays the run must hold at once, Q
         # and Q*Q, by less than half an L x L Gram: Post-Single II's design
