@@ -8,19 +8,17 @@ every Lasso on the sample shares and that reads each column at unit root
 mean square (the weighted Lasso selects the same set on any positive
 rescaling of its columns). The g dictionary is not part of it: its degree
 changes from fit to fit, so each estimator evaluates He_1..He_K of ``x`` at
-the degree it fits. A column is constant, and refused, when every entry
-equals its first (``_constant_columns``), one exact rule for ``Q`` and for
-the g dictionary.
+the degree it fits. A column is refused as degenerate when it is constant,
+every entry equal to its first (``_constant_columns``, one exact rule for
+``Q`` and for the g dictionary), or when its scale underflows to 0.
 
 A Hermite tensor column is the left-to-right product of its univariate
 factors, and columns that share leading factors share those products: at
 d = 4, K = 10 the 1000 columns come from 11, 66 and 286 distinct prefixes.
 ``evaluate_dictionary`` forms each level of prefixes with one gather and
-one multiply, 32 rows at a time, straight into the (n, L) output, from an
-index plan cached per (d, K). ``build_design`` has it write into the first
-half of one (2, n, L) block, whose second half the design fills with the
-squares. Raw coordinates are read straight from ``Z``, without the copy
-that ``evaluate_dictionary`` returns.
+one multiply, 64 rows at a time, straight into the (n, L) output, from an
+index plan cached per (d, K). Raw coordinates are read straight from
+``Z``, without the copy that ``evaluate_dictionary`` returns.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ __all__ = [
 
 KINDS = ("hermite_univariate", "hermite_tensor", "raw_coordinates")
 # rows per block of the tensor evaluation and of the constant-column check
-_ROW_BLOCK = 32
+_ROW_BLOCK = 64
 # the largest L * d**2 of a Hermite tensor (L columns on d inputs) that is
 # built: its index plan takes about that many steps, about 2 s at the bound
 # on a 2-vCPU host with Python 3.11
@@ -222,31 +220,28 @@ def _tensor_plan(d: int, kmax: int):
     return indices, tuple(levels)
 
 
-def _hermite_tensor(Z: np.ndarray, kmax: int, out: np.ndarray | None = None) -> np.ndarray:
+def _hermite_tensor(Z: np.ndarray, kmax: int) -> np.ndarray:
     """The Hermite tensor columns of Z by ``_tensor_plan``, ``_ROW_BLOCK``
-    rows at a time, written into ``out`` (a new (n, L) array if None).
+    rows at a time.
 
     Each block's prefixes are held one per row, so every gather copies
     contiguous rows; the last multiply writes the block's rows of the
     (n, L) output. A factor He_0 = 1.0 is exact, so every column has the
     bits of its product over the nonzero degrees alone.
-
-    He_1..He_K of every coordinate wait in the last d*K columns of ``out``
-    (every univariate term is a column, so d*K <= L): a block reads its
-    rows' terms before its last multiply overwrites those rows, and no
-    other block reads them, so the evaluation needs no n-row array but
-    its output.
     """
     n, d = Z.shape
-    if out is None:
-        out = np.empty((n, math.comb(kmax + d, d) - 1))
     if d == 1:
-        out[...] = hermite_design(Z[:, 0], kmax)
-        return out
-    _, levels = _tensor_plan(d, kmax)
-    uni = out[:, out.shape[1] - d * kmax:]  # uni[:, j*K + m - 1] = He_m(z_j)
+        return hermite_design(Z[:, 0], kmax)
+    indices, levels = _tensor_plan(d, kmax)
+    # the output before the temporaries: freed, they leave the room just
+    # after it, where build_design's Q*Q then goes, so a loop of samples
+    # reuses one region (allocated after them, a third n x L block of peak
+    # RSS appeared at the second sample at n = L = 1000)
+    out = np.empty((n, len(indices)))
+    uni = np.empty((d, kmax + 1, n))  # uni[j, m] = He_m(z_j)
     for j in range(d):
-        uni[:, j * kmax:(j + 1) * kmax] = hermite_design(Z[:, j], kmax)
+        uni[j, 0] = 1.0
+        uni[j, 1:] = hermite_design(Z[:, j], kmax).T
     block = max(1, min(_ROW_BLOCK, n))
     n_last, last = levels[-1]  # the largest level
     n_src, n_pairs = n_last + kmax + 1, len(last)
@@ -255,11 +250,9 @@ def _hermite_tensor(Z: np.ndarray, kmax: int, out: np.ndarray | None = None) -> 
         r1 = min(r0 + block, n)
         src = src_buf[:n_src * (r1 - r0)].reshape(n_src, r1 - r0)
         pairs = pairs_buf[:n_pairs * (r1 - r0)].reshape(n_pairs, r1 - r0)
-        src[0] = 1.0
-        src[1:kmax + 1] = uni[r0:r1, :kmax].T
+        src[:kmax + 1] = uni[0, :, r0:r1]
         for j, (n_prev, gather) in enumerate(levels, start=2):
-            src[n_prev] = 1.0
-            src[n_prev + 1:n_prev + kmax + 1] = uni[r0:r1, (j - 1) * kmax:j * kmax].T
+            src[n_prev:n_prev + kmax + 1] = uni[j - 1, :, r0:r1]
             w = len(gather) // 2
             # mode "clip": the default "raise" copies through a buffer
             np.take(src[:n_prev + kmax + 1], gather, axis=0, out=pairs[:2 * w], mode="clip")
@@ -268,23 +261,18 @@ def _hermite_tensor(Z: np.ndarray, kmax: int, out: np.ndarray | None = None) -> 
     return out
 
 
-def evaluate_dictionary(spec: DictionarySpec, data, out: np.ndarray | None = None) -> np.ndarray:
+def evaluate_dictionary(spec: DictionarySpec, data) -> np.ndarray:
     """Evaluate a dictionary on a sample, returning the raw (unscaled) matrix.
 
     ``data`` is a vector for ``hermite_univariate`` and an (n, d) matrix
-    otherwise. The matrix is a new array, or ``out``, an (n, L) float
-    array, when given.
+    otherwise.
     """
-    if spec.kind == "hermite_tensor":
-        return _hermite_tensor(_coordinates(spec, data), spec.degree, out)
     if spec.kind == "hermite_univariate":
-        cols = hermite_design(data, spec.degree)
-    else:
-        cols = _coordinates(spec, data)
-    if out is None:
-        return np.array(cols, order="C")
-    out[...] = cols
-    return out
+        return hermite_design(data, spec.degree)
+    Z = _coordinates(spec, data)
+    if spec.kind == "raw_coordinates":
+        return Z.copy()
+    return _hermite_tensor(Z, spec.degree)
 
 
 def _coordinates(spec: DictionarySpec, data) -> np.ndarray:
@@ -349,17 +337,18 @@ def standardize_columns(mat: np.ndarray, what: str = "column"):
 
     Returns a new scaled matrix and the vector of original scales, the
     bits of ``mat.std(axis=0)``; ``mat`` is not written. Raises
-    ``DegenerateColumnError`` if any column is constant on the sample,
-    naming the first. No fit calls it: the workspace reads ``Q`` in raw
-    units and the g dictionary is scaled where it is built.
+    ``DegenerateColumnError``, naming the first, if any column is constant
+    on the sample or its standard deviation is 0. No fit calls it: the
+    workspace reads ``Q`` in raw units and the g dictionary is scaled where
+    it is built.
     """
     mat = np.asarray(mat, dtype=float)
-    bad = np.flatnonzero(_constant_columns(mat))
+    scales = mat.std(axis=0)
+    bad = np.flatnonzero(_constant_columns(mat) | (scales == 0.0))
     if bad.size:
         raise DegenerateColumnError(
             f"{what} {bad[0]} has zero variance on this sample"
         )
-    scales = mat.std(axis=0)
     return mat / scales, scales
 
 
@@ -400,28 +389,28 @@ class DesignMatrices:
 
 
 def build_design(spec_q: DictionarySpec, Z) -> DesignMatrices:
-    """Evaluate the conditioning dictionary, refuse a constant column, and
+    """Evaluate the conditioning dictionary, refuse a degenerate column, and
     make the workspace, whose ``LassoDesign`` reads ``Q`` in raw units.
 
     Raw coordinates are ``Z`` itself when ``Z`` is a C-ordered float array
     (a copy in C order otherwise, so the design's products have the bits of
     one layout), and the workspace then reads ``Z``: a later change to
-    ``Z`` changes it. A Hermite dictionary is written into the first half
-    of one (2, n, L) block, whose second half the design fills with its
-    square. The design's Gram row store starts empty: its rows are formed
-    as columns enter the solves that use it. Raises
-    ``DegenerateColumnError`` when a column is constant, naming it.
+    ``Z`` changes it. The design's Gram row store starts empty: its rows
+    are formed as columns enter the solves that use it. Raises
+    ``DegenerateColumnError``, naming the first, when a column is constant
+    (``_constant_columns``) or its squares sum to zero (entries so small
+    that their squares underflow), so that the design reads it as a zero
+    column.
     """
-    data = Z if spec_q.kind == "hermite_univariate" else _coordinates(spec_q, Z)
     if spec_q.kind == "raw_coordinates":
-        block = Q = np.ascontiguousarray(data)
+        Q = np.ascontiguousarray(_coordinates(spec_q, Z))
     else:
-        block = np.empty((2, len(data), spec_q.n_terms))
-        Q = evaluate_dictionary(spec_q, data, out=block[0])
-    bad = np.flatnonzero(_constant_columns(Q))
+        Q = evaluate_dictionary(spec_q, Z)
+    design = LassoDesign(Q)
+    bad = np.flatnonzero(_constant_columns(Q) | (design.diag == 0.0))
     if bad.size:
         raise DegenerateColumnError(f"Q column {bad[0]} has zero variance on this sample")
-    return DesignMatrices(lasso_design=LassoDesign(block), spec_q=spec_q)
+    return DesignMatrices(lasso_design=design, spec_q=spec_q)
 
 
 def build_extended_fs(P: np.ndarray) -> np.ndarray:

@@ -263,18 +263,17 @@ class LassoDesign:
     II's ``LassoDesign(P, workspace_design)`` puts the columns of ``P``
     before those of the workspace's ``Q``. A block given as a one-block
     ``LassoDesign`` brings its array, its square, its scales and its store
-    of Gram rows. A block given as a (2, n, m) array is ``X`` over room for
-    its square, which the design writes there, so a block and its square
-    are one allocation (``build_design`` hands over the Hermite tensor so).
+    of Gram rows.
 
     The design reads every column at unit root mean square: column l of
     ``X`` stands for ``x_l / s_l``, with ``s_l = sqrt(sum_i x_il^2 / n)``,
-    or ``s_l = 1`` for a zero column, which then never enters a solve. The
-    weighted Lasso selects the same set on any positive rescaling of its
-    columns, since ``x_l't``, the Gram entries and the loadings
-    ``sqrt(mean(x_l^2 e^2))`` all scale with the column; reading them at
-    one scale makes the sweep tolerance ``cd_tol`` mean the same thing on
-    every column. The blocks stay as given: ``scales`` holds ``s``, taken
+    or, where that is 0 (a zero column, or one whose squares underflow),
+    ``s_l = 1`` and a Gram diagonal of 0, so the column never enters a
+    solve. The weighted Lasso selects the same set on any positive
+    rescaling of its columns, since ``x_l't``, the Gram entries and the
+    loadings ``sqrt(mean(x_l^2 e^2))`` all scale with the column; reading
+    them at one scale makes the sweep tolerance ``cd_tol`` mean the same
+    thing on every column. The blocks stay as given: ``scales`` holds ``s``, taken
     from the column sums of the squares that the Gram diagonal needs
     anyway, and only the design's outputs, each (k, m) or smaller, are
     divided by it.
@@ -313,14 +312,10 @@ class LassoDesign:
                 stores.append(block)
                 continue
             X = np.asarray(block, dtype=float)
-            if X.ndim == 3 and X.shape[0] == 2:
-                X, sq = X[0], np.multiply(X[0], X[0], out=X[1])
-            elif X.ndim == 2:
-                sq = X * X
-            else:
+            if X.ndim != 2:
                 raise ValueError("a design block must be a 2-d matrix")
             arrays.append(X)
-            squares.append(sq)
+            squares.append(X * X)
             stores.append(None)
         n = arrays[0].shape[0]
         if any(X.shape[0] != n for X in arrays):
@@ -337,9 +332,10 @@ class LassoDesign:
             if store is None:
                 total = np.add.reduce(sq, axis=0)
                 s = np.sqrt(total / n)
-                s[s == 0.0] = 1.0
+                zero = s == 0.0
+                s[zero] = 1.0
                 self.scales[a:b] = s
-                self.diag[a:b] = total / (s * s)
+                self.diag[a:b] = np.where(zero, 0.0, total / (s * s))
             else:
                 self.scales[a:b], self.diag[a:b] = store.scales, store.diag
         self._rows: dict = {}  # column -> its row of X'X

@@ -39,7 +39,7 @@ it reads at unit root mean square, holding ``Q*Q`` and the Gram rows formed
 so far, shared by every equation, estimator and degree. The g dictionary
 is not in it: each fit builds its g block, He_1..He_K of ``x`` at its own
 degree, by one function (``_g_block``), which also gives the standardized
-columns and stops at the first constant or overflowing column, whose error
+columns and stops at the first degenerate or overflowing column, whose error
 fails every degree that has it. Every final OLS reads the raw columns; the
 grid bank's first stage and Post-Single II select on the standardized
 ones. The g dictionary
@@ -385,19 +385,23 @@ def _g_block(x, k: int):
     on.
 
     Returns ``(P_raw, P, refusal)``, each block of the first ``k_ok``
-    columns, those before the first constant column (``_constant_columns``)
-    or the first that overflows (``hermite_design``'s test), whichever
-    comes first. ``refusal`` is the error that every degree above ``k_ok``
-    fails with, naming that column, or None when ``k_ok = k``.
+    columns, those before the first degenerate column or the first that
+    overflows (``hermite_design``'s test), whichever comes first. A column
+    is degenerate when it is constant (``_constant_columns``) or its
+    standard deviation is 0 (entries so close together that their centred
+    squares underflow). ``refusal`` is the error that every degree above
+    ``k_ok`` fails with, naming that column, or None when ``k_ok = k``.
     """
     P_raw, k_ok = _hermite_columns(x, k)
     refusal = _out_of_range(k_ok + 1) if k_ok < k else None
-    constant = np.flatnonzero(_constant_columns(P_raw[:, :k_ok]))
-    if constant.size:
-        k_ok = int(constant[0])
+    P_raw = P_raw[:, :k_ok]
+    scales = P_raw.std(axis=0)
+    degenerate = np.flatnonzero(_constant_columns(P_raw) | (scales == 0.0))
+    if degenerate.size:
+        k_ok = int(degenerate[0])
         refusal = _degenerate(k_ok)
     P_raw = P_raw[:, :k_ok]
-    return P_raw, P_raw / P_raw.std(axis=0), refusal
+    return P_raw, P_raw / scales[:k_ok], refusal
 
 
 def _degenerate(j: int) -> DegenerateColumnError:

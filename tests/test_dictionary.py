@@ -368,8 +368,6 @@ def test_build_design_shapes_and_scales(rng):
     ld = d.lasso_design
     assert len(ld.blocks) == 1 and ld.blocks[0] is d.Q and ld.rows_formed == 0
     np.testing.assert_array_equal(ld.squares[0], d.Q * d.Q)
-    # Q and its square are the two halves of one block
-    assert ld.squares[0].base is d.Q.base is not None and d.Q.base.shape == (2, *d.Q.shape)
     np.testing.assert_allclose(ld.scales, np.sqrt(np.mean(Q_raw * Q_raw, axis=0)), rtol=1e-14)
     U = Q_raw / ld.scales
     np.testing.assert_allclose(ld.rows(np.arange(spec_q.n_terms)), U.T @ U,
@@ -433,9 +431,22 @@ def test_build_design_refuses_a_constant_column_by_exact_comparison(rng, spec_q)
         assert build_design(spec_q, Z).Q.shape[1] == spec_q.n_terms
 
 
+def test_build_design_refuses_a_column_whose_squares_underflow(rng):
+    # not constant, but every square is 0: the design would read it as a
+    # zero column that never enters a solve
+    Z = rng.standard_normal((200, 3))
+    Z[:, 2] = rng.choice([1e-170, 2e-170], size=200)
+    spec_q = DictionarySpec("raw_coordinates", input_dim=3)
+    with pytest.raises(DegenerateColumnError, match="^Q column 2 has zero variance"):
+        build_design(spec_q, Z)
+    # entries whose squares are subnormal but not all zero are read
+    Z[:, 2] = rng.choice([1e-160, 2e-160], size=200)
+    assert build_design(spec_q, Z).lasso_design.diag[2] > 0.0
+
+
 def test_build_design_keeps_at_most_two_dictionary_sized_blocks():
-    # the acceptance-8 shape: n = L = 1000. Q and Q*Q, one (2, n, L) block,
-    # are alive together; a third n x L block is not
+    # the acceptance-8 shape: n = L = 1000. Q and Q*Q are alive together;
+    # a third n x L block is not
     rng = np.random.default_rng(8)
     Z = rng.standard_normal((1000, 4))
     spec_q = DictionarySpec("hermite_tensor", degree=10, input_dim=4)

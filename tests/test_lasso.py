@@ -657,16 +657,18 @@ def test_gram_rows_are_formed_once_and_kept(rng):
 def test_gram_rows_diagonal_is_the_squared_design_sum(rng):
     X = rng.standard_normal((70, 25)) * np.geomspace(1e-3, 1e3, 25)
     X[:, 3] = 0.0
+    X[:, 4] = rng.choice([1e-170, 2e-170], size=70)  # every square underflows
     design = LassoDesign(X)
     np.testing.assert_array_equal(design.squares[0], X * X)
-    # each column is read over its root mean square; a zero column over 1
+    # each column is read over its root mean square; a zero column, and
+    # one whose squares are all 0, over 1 with a Gram diagonal of 0
     total = (X * X).sum(axis=0)
     want = np.sqrt(total / 70)
-    want[3] = 1.0
+    want[[3, 4]] = 1.0
     np.testing.assert_array_equal(design.scales, want)
     np.testing.assert_array_equal(design.diag, total / (want * want))
-    np.testing.assert_allclose(np.delete(design.diag, 3), 70.0, rtol=1e-14)
-    assert design.diag[3] == 0.0
+    np.testing.assert_allclose(np.delete(design.diag, [3, 4]), 70.0, rtol=1e-14)
+    assert design.diag[3] == design.diag[4] == 0.0
 
 
 def test_block_design_reads_its_blocks_as_one_design(rng):

@@ -278,6 +278,10 @@ def test_choose_k_bic_clamps_to_grid_max():
     # std(axis=0) is 2.3e-15)
     ((-0.3, 0.3), [1, 2, 3], {False: [2, 3], True: [2, 3]},
      lambda k: "P column 1 has zero variance on this sample"),
+    # He_1 = x is not constant, but its centred squares underflow, so its
+    # std(axis=0) is 0: every degree has it
+    ((1e-170, 2e-170), [1, 2, 3], {False: [1, 2, 3], True: [1, 2, 3]},
+     lambda k: "P column 0 has zero variance on this sample"),
 ])
 def test_choose_k_bic_degenerate_term_fails_only_its_degrees(values, grid, failing,
                                                              message):
@@ -288,8 +292,14 @@ def test_choose_k_bic_degenerate_term_fails_only_its_degrees(values, grid, faili
     data = Dataset(y=x + Z[:, 0] + rng.standard_normal(n), x=x, Z=Z)
     d = build_design(DictionarySpec("raw_coordinates", input_dim=30), Z)
     for extended_fs in (False, True):
-        res = choose_k_bic(data, d, grid, extended_fs=extended_fs)
         ok = [k for k in grid if k not in failing[extended_fs]]
+        if not ok:
+            # a failure every degree shares is raised once
+            with pytest.raises(DegenerateColumnError) as err:
+                choose_k_bic(data, d, grid, extended_fs=extended_fs)
+            assert str(err.value) == message(grid[0])
+            continue
+        res = choose_k_bic(data, d, grid, extended_fs=extended_fs)
         assert sorted(res.fits) == sorted(res.bics) == ok
         assert res.errors == {k: message(k) for k in failing[extended_fs]}
 
@@ -1085,9 +1095,9 @@ def test_one_workspace_serves_every_estimator(monkeypatch):
     evaluated = []
     real = dictionary.evaluate_dictionary
 
-    def counting(spec, values, out=None):
+    def counting(spec, values):
         evaluated.append(spec)
-        return real(spec, values, out)
+        return real(spec, values)
 
     monkeypatch.setattr(dictionary, "evaluate_dictionary", counting)
     monkeypatch.setattr(selection, "evaluate_dictionary", counting)
