@@ -12,7 +12,6 @@ inference for linear functionals of g.
 from .data import Dataset
 from .dictionary import (
     DegenerateColumnError,
-    DesignMatrices,
     DictionarySpec,
     build_design,
     build_extended_fs,

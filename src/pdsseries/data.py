@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["Dataset", "check_names"]
+
 
 @dataclass
 class Dataset:

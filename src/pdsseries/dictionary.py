@@ -2,15 +2,15 @@
 
 Dictionaries never include a constant term; the estimation step adds a single
 explicit intercept instead. ``build_design`` returns the conditioning
-dictionary ``Q`` as one per-sample workspace, ``DesignMatrices``: ``Q`` in
-raw units, with no scaled copy, inside the single ``LassoDesign`` that
-every Lasso on the sample shares and that reads each column at unit root
-mean square (the weighted Lasso selects the same set on any positive
-rescaling of its columns). The g dictionary is not part of it: its degree
-changes from fit to fit, so each estimator evaluates He_1..He_K of ``x`` at
-the degree it fits. A column is refused as degenerate when it is constant,
-every entry equal to its first (``_constant_columns``, one exact rule for
-``Q`` and for the g dictionary), or when its scale underflows to 0.
+dictionary ``Q`` as one per-sample workspace: the one-block ``LassoDesign``
+that every Lasso on the sample shares, holding ``Q`` in raw units, with no
+scaled copy, and reading each column at unit root mean square (the weighted
+Lasso selects the same set on any positive rescaling of its columns). The
+g dictionary is not part of it: its degree changes from fit to fit, so each
+estimator evaluates He_1..He_K of ``x`` at the degree it fits. A column is
+refused as degenerate when it is constant, every entry equal to its first
+(``_constant_columns``, one exact rule for ``Q`` and for the g dictionary),
+or when its scale underflows to 0.
 
 A Hermite tensor column is the left-to-right product of its univariate
 factors, and columns that share leading factors share those products: at
@@ -34,7 +34,6 @@ from .lasso import LassoDesign, _paired
 
 __all__ = [
     "DictionarySpec",
-    "DesignMatrices",
     "DegenerateColumnError",
     "hermite_design",
     "hermite_deriv_design",
@@ -352,55 +351,27 @@ def standardize_columns(mat: np.ndarray, what: str = "column"):
     return mat / scales, scales
 
 
-@dataclass
-class DesignMatrices:
-    """Per-sample workspace of the conditioning dictionary, built once by
-    ``build_design``.
-
-    ``lasso_design`` is the one-block ``LassoDesign`` every Lasso of
-    post-double selection on the sample shares, and ``Q``, its block, is
-    the conditioning dictionary in raw units, (n, L); ``spec_q`` is the
-    dictionary ``Q`` evaluates. The design reads ``Q`` at unit root mean
-    square without a scaled copy, holds ``Q*Q`` for the penalty loadings,
-    and stores the rows of ``Q'Q``, each formed the first time its column
-    enters any solve on the sample and kept for every later equation,
-    estimator and degree grid, so ``Q'Q`` is never formed whole.
-    Post-Single II's design, ``LassoDesign(P, lasso_design)``, reads its
-    standardized g dictionary ``P`` and this design as column blocks,
-    reusing ``Q*Q``, the scales and the stored rows. ``q_raw(idx)`` gathers
-    the selected columns the final OLS reads.
-    """
-
-    lasso_design: LassoDesign
-    spec_q: DictionarySpec
-
-    def __post_init__(self) -> None:
-        if len(self.lasso_design.blocks) != 1:
-            raise ValueError("the workspace's design has one block, Q")
-
-    @property
-    def Q(self) -> np.ndarray:
-        """The conditioning dictionary in raw units."""
-        return self.lasso_design.blocks[0]
-
-    def q_raw(self, idx) -> np.ndarray:
-        """Columns ``idx`` of the conditioning dictionary in raw units."""
-        return self.Q[:, np.asarray(idx, dtype=np.intp)]
-
-
-def build_design(spec_q: DictionarySpec, Z) -> DesignMatrices:
+def build_design(spec_q: DictionarySpec, Z) -> LassoDesign:
     """Evaluate the conditioning dictionary, refuse a degenerate column, and
-    make the workspace, whose ``LassoDesign`` reads ``Q`` in raw units.
+    return the sample's workspace: the ``LassoDesign`` whose one block,
+    ``blocks[0]``, is ``Q`` in raw units.
+
+    The design reads ``Q`` at unit root mean square without a scaled copy,
+    holds ``Q*Q`` for the penalty loadings, and stores the rows of ``Q'Q``,
+    each formed the first time its column enters any solve on the sample
+    and kept for every later equation, estimator and degree grid, so
+    ``Q'Q`` is never formed whole; the store starts empty. Post-Single II's
+    ``LassoDesign(P, design)`` reads its g dictionary and this design as
+    column blocks, reusing ``Q*Q``, the scales and the stored rows. Every
+    final OLS gathers its raw controls as ``blocks[0][:, idx]``.
 
     Raw coordinates are ``Z`` itself when ``Z`` is a C-ordered float array
     (a copy in C order otherwise, so the design's products have the bits of
     one layout), and the workspace then reads ``Z``: a later change to
-    ``Z`` changes it. The design's Gram row store starts empty: its rows
-    are formed as columns enter the solves that use it. Raises
-    ``DegenerateColumnError``, naming the first, when a column is constant
-    (``_constant_columns``) or its squares sum to zero (entries so small
-    that their squares underflow), so that the design reads it as a zero
-    column.
+    ``Z`` changes it. Raises ``DegenerateColumnError``, naming the first,
+    when a column is constant (``_constant_columns``) or its squares sum to
+    zero (entries so small that their squares underflow), so that the
+    design reads it as a zero column.
     """
     if spec_q.kind == "raw_coordinates":
         Q = np.ascontiguousarray(_coordinates(spec_q, Z))
@@ -410,7 +381,7 @@ def build_design(spec_q: DictionarySpec, Z) -> DesignMatrices:
     bad = np.flatnonzero(_constant_columns(Q) | (design.diag == 0.0))
     if bad.size:
         raise DegenerateColumnError(f"Q column {bad[0]} has zero variance on this sample")
-    return DesignMatrices(lasso_design=design, spec_q=spec_q)
+    return design
 
 
 def build_extended_fs(P: np.ndarray) -> np.ndarray:

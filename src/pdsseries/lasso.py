@@ -603,9 +603,13 @@ class TargetBank:
         pair p at k + p and its difference at k + P + p, for P pairs; no
         other module spells it (``leading`` reads it). The pairs' ``X't``
         and loadings are derived from those of the rows, by linearity
-        (``_pair_loadings``), not from products of their own.
+        (``_pair_loadings``), not from products of their own. Targets whose
+        length is not the design's row count are refused by a ``ValueError``.
         """
         rows = np.ascontiguousarray(np.atleast_2d(rows), dtype=float)
+        if rows.shape[1] != design.shape[0]:
+            raise ValueError(f"targets of length {rows.shape[1]} on a design of "
+                             f"{design.shape[0]} rows")
         pairs = tuple(np.asarray(p, dtype=np.intp) for p in pairs)
         rows, xty, loadings = _with_pairs(rows, design, *pairs)
         # _refine's flags, on the empty set's residual

@@ -33,22 +33,22 @@ of the g rows and the outcome, and with the extended first stage the
 pairs of g rows, which the bank lays out and derives itself; each degree
 runs on ``TargetBank.leading``, which alone knows where its targets lie.
 
-The sample's ``DesignMatrices`` workspace from ``build_design`` has one
-``LassoDesign`` over the conditioning dictionary ``Q`` in raw units, which
-it reads at unit root mean square, holding ``Q*Q`` and the Gram rows formed
-so far, shared by every equation, estimator and degree. The g dictionary
-is not in it: each fit builds its g block, He_1..He_K of ``x`` at its own
-degree, by one function (``_g_block``), which also gives the standardized
-columns and stops at the first degenerate or overflowing column, whose error
-fails every degree that has it. Every final OLS reads the raw columns; the
-grid bank's first stage and Post-Single II select on the standardized
-ones. The g dictionary
-is always the univariate Hermite one, and ``comparison_estimators``
-refuses any other. Post-Single I is the reduced form on the workspace's
-design; Post-Single II is the reduced form on a ``LassoDesign`` of two
-blocks, its standardized g dictionary ``P`` and the workspace's design,
-which reuses ``Q*Q`` and the stored rows of ``Q'Q``, so only their ``P``
-parts are new.
+The sample's workspace from ``build_design`` is one ``LassoDesign`` over
+the conditioning dictionary ``Q`` in raw units, which it reads at unit root
+mean square, holding ``Q*Q`` and the Gram rows formed so far, shared by
+every equation, estimator and degree. The g dictionary is not in it: each
+fit builds its g block, He_1..He_K of ``x`` at its own degree, by one
+function (``_g_block``), which also gives the standardized columns and
+stops at the first degenerate or overflowing column, whose error fails
+every degree that has it. Every final OLS reads raw columns, of the g
+dictionary and of ``Q`` (the design's ``blocks[0]``); the grid bank's
+first stage and Post-Single II select on the standardized g columns. The g
+dictionary is always the univariate Hermite one, and
+``comparison_estimators`` refuses any other. Post-Single I is the reduced
+form on the workspace; Post-Single II is the reduced form on a
+``LassoDesign`` of two blocks, its standardized g dictionary ``P`` and the
+workspace, which reuses ``Q*Q`` and the stored rows of ``Q'Q``, so only
+their ``P`` parts are new.
 
 Most first-stage equations select nothing. A bank of two or more
 equations is first asked which surely end with an empty active set
@@ -76,7 +76,6 @@ import numpy as np
 from .data import Dataset, _require_whole, check_names
 from .dictionary import (
     DegenerateColumnError,
-    DesignMatrices,
     DictionarySpec,
     _constant_columns,
     _coordinates,
@@ -310,7 +309,7 @@ def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
     """Final OLS of y on [1, P, Q_sel] in raw column units, by one projection.
 
     ``Q_sel`` holds only the selected control columns, in raw units (from a
-    workspace, ``design.q_raw(idx)``). ``sel`` names them: an index array
+    workspace, ``design.blocks[0][:, idx]``). ``sel`` names them: an index array
     into the estimator's control matrix (for post-double selection, a
     ``SelectionResult.union_set``), one index per column of ``Q_sel``.
 
@@ -348,6 +347,8 @@ def _final_fits(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel, specs: dic
             f"Q_sel has shape {Q_sel.shape}, expected ({n}, {idx.size}): "
             "one raw column per selected index"
         )
+    if y.shape != (n,):
+        raise ValueError(f"y has shape {y.shape}, expected ({n},): one outcome per row of P")
     W = np.concatenate([np.ones((n, 1)), Q_sel], axis=1)
     Py = np.concatenate([P, y[:, None]], axis=1)
     coef_w, _, rank_w, _ = np.linalg.lstsq(W, Py, rcond=None)
@@ -408,7 +409,7 @@ def _degenerate(j: int) -> DegenerateColumnError:
     return DegenerateColumnError(f"P column {j} has zero variance on this sample")
 
 
-def _grid_bank(data: Dataset, design: DesignMatrices, k_grid: list,
+def _grid_bank(data: Dataset, design: LassoDesign, k_grid: list,
                extended_fs: bool):
     """One bank of every target of a degree grid (ascending degrees), built
     at its largest degree that can fit.
@@ -429,7 +430,7 @@ def _grid_bank(data: Dataset, design: DesignMatrices, k_grid: list,
     k_top = max((k for k in k_grid if k <= P.shape[1]), default=0)
     P_raw, P = P_raw[:, :k_top], P[:, :k_top]
     pairs = np.triu_indices(k_top, 1) if extended_fs else ((), ())
-    bank = TargetBank.of(np.vstack([P.T, data.y]), design.lasso_design, pairs=pairs)
+    bank = TargetBank.of(np.vstack([P.T, data.y]), design, pairs=pairs)
     return bank, P_raw, refusal
 
 
@@ -442,14 +443,14 @@ def _degree_grid(k_grid) -> list:
     return sorted(degrees)
 
 
-def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
+def choose_k_bic(data: Dataset, design: LassoDesign, k_grid,
                  config: LassoConfig = LassoConfig(),
                  extended_fs: bool = False) -> KGridResult:
     """Refit over a grid of g-dictionary degrees and pick by BIC.
 
-    The conditioning dictionary, the workspace's ``LassoDesign`` over ``Q``
-    with its Gram rows (formed on first entry and kept), stays fixed across
-    the grid, and every Lasso target of the grid is evaluated once, in one
+    The conditioning dictionary, the workspace ``design`` over ``Q`` with
+    its Gram rows (formed on first entry and kept), stays fixed across the
+    grid, and every Lasso target of the grid is evaluated once, in one
     ``TargetBank`` at the largest degree: each degree runs its equations on
     its rows of that bank, at its own penalty level, and an equation that
     an earlier degree solved certifies that solve's rounds where it can
@@ -465,8 +466,12 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     ``SelectionError`` names each degree's reason; when such a term fails
     them all, its error (``_g_block``'s refusal) is raised once instead. A
     one-degree grid is the fit at a fixed degree: every Post-Double
-    estimator, and ``pds-series fit``, runs here.
+    estimator, and ``pds-series fit``, runs here. A ``design`` of more
+    than one block is refused by a ``ValueError``: its first block is read
+    as the raw ``Q`` of the final OLS.
     """
+    if len(design.blocks) != 1:
+        raise ValueError("choose_k_bic takes the one-block workspace of build_design")
     k_grid = _degree_grid(k_grid)
     bank, P_raw, refusal = _grid_bank(data, design, k_grid, extended_fs)
     k_top = P_raw.shape[1]
@@ -489,7 +494,7 @@ def choose_k_bic(data: Dataset, design: DesignMatrices, k_grid,
     for ks in groups.values():
         union = sels[ks[0]].union_set
         try:
-            group = _final_fits(P_raw[:, :ks[-1]], design.q_raw(union), data.y,
+            group = _final_fits(P_raw[:, :ks[-1]], design.blocks[0][:, union], data.y,
                                 union, {k: DictionarySpec("hermite_univariate", degree=k)
                                         for k in ks})
         except FIT_ERRORS as exc:
@@ -544,21 +549,26 @@ def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
         return fits, {name: f"{type(exc).__name__}: {exc}" for name in names}
     for name in names:
         try:
-            fits[name] = _fit_one(name, data, design, spec_p, config, rng, k_grid)
+            fits[name] = _fit_one(name, data, design, spec_p, spec_q, config, rng, k_grid)
         except FIT_ERRORS as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"
     return fits, failures
 
 
-def _series_controls(data: Dataset, design: DesignMatrices, which: str, rng):
-    """Control block for the plain series benchmarks."""
-    if design.spec_q.kind == "hermite_tensor":
+def _series_controls(data: Dataset, design: LassoDesign, spec_q: DictionarySpec,
+                     which: str, rng):
+    """Control block for the plain series benchmarks; ``design`` is the
+    workspace over the conditioning dictionary ``spec_q``."""
+    if spec_q.kind == "hermite_tensor":
         if which == "series_1":
             # additive univariate expansions, one block per coordinate
-            blocks = [hermite_design(data.Z[:, j], design.spec_q.degree)
+            blocks = [hermite_design(data.Z[:, j], spec_q.degree)
                       for j in range(data.Z.shape[1])]
             return np.concatenate(blocks, axis=1)
-        return design.q_raw(np.arange(design.Q.shape[1]))
+        Q = design.blocks[0]
+        # a gathered copy, F-ordered like every other route's controls: the
+        # final OLS's last bits depend on the layout
+        return Q[:, np.arange(Q.shape[1])]
     n_keep = min((SERIES_FRACTION_NUM * data.n) // SERIES_FRACTION_DEN, data.Z.shape[1])
     if which == "series_1":
         return data.Z[:, :n_keep]
@@ -568,8 +578,8 @@ def _series_controls(data: Dataset, design: DesignMatrices, which: str, rng):
     return data.Z[:, cols]
 
 
-def _fit_one(name, data: Dataset, design: DesignMatrices, spec_p: DictionarySpec,
-             config, rng, k_grid) -> PdsFit:
+def _fit_one(name, data: Dataset, design: LassoDesign, spec_p: DictionarySpec,
+             spec_q: DictionarySpec, config, rng, k_grid) -> PdsFit:
     if name.startswith("post_double"):
         # a fixed degree is the one-degree grid
         grid = k_grid if name.startswith("post_double_set") else [spec_p.degree]
@@ -582,17 +592,17 @@ def _fit_one(name, data: Dataset, design: DesignMatrices, spec_p: DictionarySpec
     k_ok = P.shape[1]
     y = data.y
     if name == "post_single_1":
-        sel = reduced_form_select(TargetBank.of(data.y, design.lasso_design), config)
-        controls = design.q_raw(sel)
+        sel = reduced_form_select(TargetBank.of(data.y, design), config)
+        controls = design.blocks[0][:, sel]
     elif name == "post_single_2":
         # one Lasso of y on [P, Q]: the blocks P and the workspace's design,
         # whose Q*Q and stored rows of Q'Q it reuses
-        joint = LassoDesign(P, design.lasso_design)
+        joint = LassoDesign(P, design)
         active = reduced_form_select(TargetBank.of(data.y, joint), config)
         sel = active[active >= k_ok] - k_ok
-        controls = design.q_raw(sel)
+        controls = design.blocks[0][:, sel]
     elif name in ("series_1", "series_2"):
-        controls = _series_controls(data, design, name, rng)
+        controls = _series_controls(data, design, spec_q, name, rng)
         sel = np.arange(controls.shape[1])
     else:  # oracle
         if data.h_true is None:

@@ -9,9 +9,8 @@ when the refined loadings repeated the previous round's, which the
 library's rule (stop when the active set repeats) must match in every
 field of the returned fit. It reads its design as every Lasso does, each
 column at unit root mean square: ``unit_columns`` is that matrix.
-``workspace_of`` builds the selection workspace by hand for a matrix that
-``build_design`` would reject, and ``bank_of`` banks the columns of a
-target matrix on a workspace's design. ``build_design_sd`` is the
+``bank_of`` banks the columns of a target matrix on a design, a
+``LassoDesign`` such as the workspace ``build_design`` returns. ``build_design_sd`` is the
 library's former workspace, which divided ``Q`` by its columns' standard
 deviations and read the result as given (``design_as_given``), kept as
 the reference for the workspace that reads ``Q`` in raw units.
@@ -54,7 +53,6 @@ import numpy as np
 
 from pdsseries import selection
 from pdsseries.dictionary import (
-    DesignMatrices,
     DictionarySpec,
     _coordinates,
     evaluate_dictionary,
@@ -417,19 +415,6 @@ def random_instance(rng: np.random.Generator, n: int, m: int,
     return X, y
 
 
-def workspace_of(Q: np.ndarray) -> DesignMatrices:
-    """The selection workspace for a conditioning block, read as raw
-    coordinates.
-
-    ``build_design`` rejects constant columns; this hands the selection
-    layer any matrix, a degenerate one included, in a workspace whose
-    ``LassoDesign`` reads it as every design does, at unit root mean square.
-    """
-    Q = np.asarray(Q, dtype=float)
-    return DesignMatrices(lasso_design=LassoDesign(Q),
-                          spec_q=DictionarySpec("raw_coordinates", input_dim=Q.shape[1]))
-
-
 def unit_columns(design: LassoDesign) -> np.ndarray:
     """The matrix a design's Lassos read: its blocks side by side, each
     column divided by the design's scale, with the bits of
@@ -449,24 +434,24 @@ def design_as_given(X: np.ndarray) -> LassoDesign:
     return design
 
 
-def build_design_sd(spec_q: DictionarySpec, Z) -> DesignMatrices:
+def build_design_sd(spec_q: DictionarySpec, Z) -> LassoDesign:
     """The workspace of the former ``build_design``: the dictionary divided
     by its columns' standard deviations (no centering), a constant column
-    refused, and the result read as given. Its ``q_raw`` returns
-    standardized columns, so only its selections compare with the
-    library's."""
+    refused, and the result read as given. Its block holds standardized
+    columns, which the final OLS then reads, so only its selections compare
+    with the library's."""
     if spec_q.kind == "raw_coordinates":
         Q_raw = np.ascontiguousarray(_coordinates(spec_q, Z))
     else:
         Q_raw = evaluate_dictionary(spec_q, Z)
     Q, _ = standardize_columns(Q_raw, what="Q column")
-    return DesignMatrices(lasso_design=design_as_given(Q), spec_q=spec_q)
+    return design_as_given(Q)
 
 
-def bank_of(T, design: DesignMatrices) -> TargetBank:
+def bank_of(T, design: LassoDesign) -> TargetBank:
     """A ``TargetBank`` of the columns of an (n, k) matrix, or of one vector,
-    on the workspace's design."""
-    return TargetBank.of(np.asarray(T, dtype=float).T, design.lasso_design)
+    on ``design``."""
+    return TargetBank.of(np.asarray(T, dtype=float).T, design)
 
 
 def g_columns(x, k: int):
@@ -559,7 +544,7 @@ def leading_cols(bank: TargetBank, k: int) -> tuple:
             *(k_given + n_pairs + p for p in within))
 
 
-def choose_k_bic_per_degree(data, design: DesignMatrices, k_grid,
+def choose_k_bic_per_degree(data, design: LassoDesign, k_grid,
                             config: LassoConfig | None = None,
                             extended_fs: bool = False):
     """The BIC grid with one final-OLS projection per degree: each degree's
@@ -580,7 +565,7 @@ def choose_k_bic_per_degree(data, design: DesignMatrices, k_grid,
             if k > k_ok:
                 raise refusal
             sel = selection.post_double_select(bank.subset(leading_cols(bank, k)), y_bank, cfg)
-            fit = selection.pds_fit(P_raw[:, :k], design.q_raw(sel.union_set), data.y,
+            fit = selection.pds_fit(P_raw[:, :k], design.blocks[0][:, sel.union_set], data.y,
                                     sel.union_set, spec_p=specs[k])
         except selection.FIT_ERRORS as exc:
             errors[k] = str(exc)

@@ -4,7 +4,6 @@ import math
 import time
 import tracemalloc
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ import _oracles
 from _oracles import hermite_deriv, hermite_eval, hermite_monomial, hermite_tensor_design
 from pdsseries.dictionary import (
     DegenerateColumnError,
-    DesignMatrices,
     DictionarySpec,
     build_design,
     build_extended_fs,
@@ -26,6 +24,7 @@ from pdsseries.dictionary import (
     standardize_columns,
     tensor_index_set,
 )
+from pdsseries.lasso import LassoDesign
 
 GRID = np.linspace(-3.0, 3.0, 41)
 
@@ -355,25 +354,22 @@ def test_build_design_shapes_and_scales(rng):
     Z = rng.standard_normal((n, 3))
     spec_q = DictionarySpec("hermite_tensor", degree=2, input_dim=3)
     d = build_design(spec_q, Z)
-    # the workspace is the conditioning dictionary alone, in raw units
-    assert [f.name for f in fields(DesignMatrices)] == ["lasso_design", "spec_q"]
-    assert d.Q.shape == (n, spec_q.n_terms)
+    # the workspace is one Lasso design over the conditioning dictionary
+    # alone, in raw units, with no Gram row formed before a solve asks
+    assert type(d) is LassoDesign and len(d.blocks) == 1 and d.rows_formed == 0
+    assert d.shape == (n, spec_q.n_terms)
     Q_raw = evaluate_dictionary(spec_q, Z)
-    np.testing.assert_array_equal(d.Q, Q_raw)
-    np.testing.assert_array_equal(d.q_raw(np.arange(spec_q.n_terms)), Q_raw)
-    np.testing.assert_array_equal(d.q_raw([4, 1]), Q_raw[:, [4, 1]])
-    assert d.q_raw([]).shape == (n, 0)
-    # the Lasso design covers Q, reads it at unit root mean square, and
-    # forms no Gram row before a solve asks
-    ld = d.lasso_design
-    assert len(ld.blocks) == 1 and ld.blocks[0] is d.Q and ld.rows_formed == 0
-    np.testing.assert_array_equal(ld.squares[0], d.Q * d.Q)
-    np.testing.assert_allclose(ld.scales, np.sqrt(np.mean(Q_raw * Q_raw, axis=0)), rtol=1e-14)
-    U = Q_raw / ld.scales
-    np.testing.assert_allclose(ld.rows(np.arange(spec_q.n_terms)), U.T @ U,
+    np.testing.assert_array_equal(d.blocks[0], Q_raw)
+    # it reads Q at unit root mean square
+    np.testing.assert_array_equal(d.squares[0], Q_raw * Q_raw)
+    np.testing.assert_allclose(d.scales, np.sqrt(np.mean(Q_raw * Q_raw, axis=0)), rtol=1e-14)
+    U = Q_raw / d.scales
+    np.testing.assert_allclose(d.rows(np.arange(spec_q.n_terms)), U.T @ U,
                                rtol=1e-13, atol=1e-13 * n)
-    np.testing.assert_allclose(ld.diag, n, rtol=1e-14)
-    assert d.spec_q == spec_q
+    np.testing.assert_allclose(d.diag, n, rtol=1e-14)
+    # on C-ordered float raw coordinates, its one block is Z itself
+    raw = build_design(DictionarySpec("raw_coordinates", input_dim=3), Z)
+    assert len(raw.blocks) == 1 and raw.blocks[0] is Z and raw.rows_formed == 0
 
 
 @pytest.mark.parametrize("spec_q", [
@@ -390,8 +386,8 @@ def test_build_design_leaves_its_inputs_unchanged(rng, spec_q):
     d = build_design(spec_q, Z)
     np.testing.assert_array_equal(Z, Z0)
     # raw coordinates are Z itself, read in place; a Hermite dictionary is new
-    assert (d.Q is Z) == (spec_q.kind == "raw_coordinates")
-    assert np.shares_memory(d.Q, Z) == (spec_q.kind == "raw_coordinates")
+    assert (d.blocks[0] is Z) == (spec_q.kind == "raw_coordinates")
+    assert np.shares_memory(d.blocks[0], Z) == (spec_q.kind == "raw_coordinates")
 
 
 def test_raw_coordinates_design_has_the_same_bits_for_any_layout(rng):
@@ -404,12 +400,11 @@ def test_raw_coordinates_design_has_the_same_bits_for_any_layout(rng):
     y = rng.standard_normal(n)
     for layout in (Z[:, ::2], np.asfortranarray(Z[:, ::2])):
         got = build_design(spec_q, layout)
-        assert got.Q.flags.c_contiguous
-        np.testing.assert_array_equal(got.Q, want.Q)
+        assert got.blocks[0].flags.c_contiguous
+        np.testing.assert_array_equal(got.blocks[0], want.blocks[0])
         for name in ("scales", "diag"):
-            np.testing.assert_array_equal(getattr(got.lasso_design, name),
-                                          getattr(want.lasso_design, name))
-        np.testing.assert_array_equal(got.lasso_design.product(y), want.lasso_design.product(y))
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(got.product(y), want.product(y))
 
 
 @pytest.mark.parametrize("spec_q", [
@@ -428,7 +423,7 @@ def test_build_design_refuses_a_constant_column_by_exact_comparison(rng, spec_q)
     for row in (1, 33, 499):
         Z[:, 1] = 0.1
         Z[row, 1] = 0.2
-        assert build_design(spec_q, Z).Q.shape[1] == spec_q.n_terms
+        assert build_design(spec_q, Z).shape[1] == spec_q.n_terms
 
 
 def test_build_design_refuses_a_column_whose_squares_underflow(rng):
@@ -441,7 +436,7 @@ def test_build_design_refuses_a_column_whose_squares_underflow(rng):
         build_design(spec_q, Z)
     # entries whose squares are subnormal but not all zero are read
     Z[:, 2] = rng.choice([1e-160, 2e-160], size=200)
-    assert build_design(spec_q, Z).lasso_design.diag[2] > 0.0
+    assert build_design(spec_q, Z).diag[2] > 0.0
 
 
 def test_build_design_keeps_at_most_two_dictionary_sized_blocks():

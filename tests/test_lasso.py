@@ -19,7 +19,6 @@ from _oracles import (
     lasso_sign_enumeration,
     random_instance,
     unit_columns,
-    workspace_of,
 )
 from pdsseries import lasso as lasso_module
 from pdsseries import selection as selection_module
@@ -458,8 +457,8 @@ def pipeline_problems():
     d = build_design(spec_q, data.Z)
     _, P = g_columns(data.x, spec_p.degree)
     n, k = P.shape
-    lam_fs = penalty_level(n, k, d.Q.shape[1])
-    lam_rf = penalty_level(n, 1, d.Q.shape[1])
+    lam_fs = penalty_level(n, k, d.shape[1])
+    lam_rf = penalty_level(n, 1, d.shape[1])
     problems = [(P[:, j], lam_fs) for j in (0, 1, k - 1)] + [(data.y, lam_rf)]
     return d, problems
 
@@ -518,8 +517,8 @@ def test_stopping_rule_matches_oracle_on_pipeline_problems():
     for target, lam in problems:
         for n_loadings in (1, 2, 15):
             cfg = LassoConfig(n_loadings=n_loadings)
-            want = iterated_lasso_oracle(d.lasso_design, target, lam, cfg)
-            got = iterated_lasso(TargetBank.of(target, d.lasso_design), 0, lam, cfg)
+            want = iterated_lasso_oracle(d, target, lam, cfg)
+            got = iterated_lasso(TargetBank.of(target, d), 0, lam, cfg)
             assert_same_fit(got, want)
 
 
@@ -585,13 +584,13 @@ def test_kernel_above_lambda_max_takes_no_sweep(rng):
 def test_kernel_matches_full_sweep_on_pipeline_problems():
     """First-stage and reduced-form solves of one high_dim n=500 sample."""
     d, problems = pipeline_problems()
-    U = unit_columns(d.lasso_design)
+    U = unit_columns(d)
     full = U.T @ U
     selected = 0
     for target, lam in problems:
-        final = iterated_lasso(TargetBank.of(target, d.lasso_design), 0, lam)
-        for loadings in (initial_loadings(d.lasso_design, target), final.loadings):
-            fit = assert_matches_full_sweep(d.Q, target, lam, loadings, d.lasso_design, full)
+        final = iterated_lasso(TargetBank.of(target, d), 0, lam)
+        for loadings in (initial_loadings(d, target), final.loadings):
+            fit = assert_matches_full_sweep(d.blocks[0], target, lam, loadings, d, full)
             assert kkt_max_violation(U, target, fit) <= KKT_TOL
             selected += fit.active_set.size
     assert selected > 0
@@ -783,6 +782,14 @@ def test_a_paired_bank_holds_its_rows_then_the_sums_then_the_differences():
                                    atol=0, err_msg=name)
 
 
+def test_bank_refuses_targets_of_another_length_than_the_design():
+    design = LassoDesign(np.ones((4, 2)))
+    for rows in (np.ones(5), np.ones((3, 5)), np.ones(3)):
+        with pytest.raises(ValueError, match=f"targets of length {rows.shape[-1]} "
+                                             "on a design of 4 rows"):
+            TargetBank.of(rows, design)
+
+
 def test_bank_of_a_vector_is_a_one_row_bank():
     rng = np.random.default_rng(8)
     n, m = 200, 60
@@ -872,10 +879,9 @@ def test_screen_settles_only_equations_that_end_empty():
                 for c in np.geomspace(1e-4, 30.0, 9):
                     cfg = LassoConfig(c=c, gamma=0.1, n_loadings=n_loadings)
                     lam = penalty_level(n, len(rows), m, cfg)
-                    screened, plain = workspace_of(X), workspace_of(X)
-                    bank = TargetBank.of(np.array(rows), screened.lasso_design)
-                    want = per_equation(TargetBank.of(np.array(rows), plain.lasso_design),
-                                        lam, cfg)
+                    screened, plain = LassoDesign(X), LassoDesign(X)
+                    bank = TargetBank.of(np.array(rows), screened)
+                    want = per_equation(TargetBank.of(np.array(rows), plain), lam, cfg)
                     settled = bank.settled_empty(lam, cfg)
                     first = bank.settled_empty(lam, dataclasses.replace(cfg, n_loadings=1))
                     seen["second_round_admits"] += int((first & ~settled).sum())
@@ -894,9 +900,9 @@ def test_screen_settles_only_equations_that_end_empty():
                         for g, w in zip(got, want):
                             np.testing.assert_array_equal(g, w.active_set)
                         # settled equations form no Gram rows, as their solves did not
-                        assert screened.lasso_design.rows_formed == plain.lasso_design.rows_formed
+                        assert screened.rows_formed == plain.rows_formed
                         if settled.all():
-                            assert screened.lasso_design.rows_formed == 0
+                            assert screened.rows_formed == 0
                         continue
                     expected = DegenerateLoadingsError if name == "constant" else ValueError
                     assert errors[0] is expected
@@ -1033,10 +1039,10 @@ def test_route_matches_one_solve_per_equation_near_each_level(monkeypatch):
         for n_loadings in (1, 15):
             cfg = LassoConfig(gamma=0.1, n_loadings=n_loadings)
             for lam in lams:
-                screened, plain = workspace_of(X), workspace_of(X)
+                screened, plain = LassoDesign(X), LassoDesign(X)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    bank = TargetBank.of(rows, screened.lasso_design)
-                    want = per_equation(TargetBank.of(rows, plain.lasso_design), lam, cfg)
+                    bank = TargetBank.of(rows, screened)
+                    want = per_equation(TargetBank.of(rows, plain), lam, cfg)
                 settled = bank.settled_empty(lam, cfg)
                 # sound: the screen settles only what the solver settles
                 assert not (settled & ~solver_settles(bank, lam, cfg)).any()
@@ -1356,7 +1362,7 @@ def test_sweep_cap_reported_by_solve_and_raised_by_iteration():
     assert fit.iterations == 1 and not fit.converged
     with pytest.raises(ConvergenceError, match="cd_max_iter=1"):
         iterate(X, y, lam, capped)
-    design = workspace_of(X)
+    design = LassoDesign(X)
     with pytest.raises(SelectionError, match="first-stage equation 0.*cd_max_iter"):
         first_stage_select(bank_of(P, design), capped)
     with pytest.raises(SelectionError, match="reduced-form equation.*cd_max_iter"):

@@ -14,7 +14,6 @@ from _oracles import (
     leading_cols,
     residualize_p,
     unit_columns,
-    workspace_of,
 )
 from pdsseries import dictionary, lasso, selection
 from pdsseries.data import Dataset
@@ -131,12 +130,12 @@ def test_double_selection_contains_single_and_fits_tighter():
     spec_p, spec_q = make_specs(data)
     d = build_design(spec_q, data.Z)
     P_raw, P = g_columns(data.x, spec_p.degree)
-    cfg = resolve_gamma(LassoConfig(), data.n, P.shape[1], d.Q.shape[1])
+    cfg = resolve_gamma(LassoConfig(), data.n, P.shape[1], d.shape[1])
     sel = post_double_select(bank_of(P, d), bank_of(data.y, d), cfg)
     rf_set = reduced_form_select(bank_of(data.y, d), cfg)
     assert set(rf_set.tolist()) <= set(sel.union_set.tolist())
-    fit_pd = pds_fit(P_raw, d.q_raw(sel.union_set), data.y, sel.union_set)
-    fit_ps = pds_fit(P_raw, d.q_raw(rf_set), data.y, rf_set)
+    fit_pd = pds_fit(P_raw, d.blocks[0][:, sel.union_set], data.y, sel.union_set)
+    fit_ps = pds_fit(P_raw, d.blocks[0][:, rf_set], data.y, rf_set)
     rss_pd = fit_pd.residuals @ fit_pd.residuals
     rss_ps = fit_ps.residuals @ fit_ps.residuals
     assert rss_pd <= rss_ps + 1e-9
@@ -155,7 +154,7 @@ def test_noiseless_linear_model_recovered_exactly():
     P_raw, P = g_columns(data.x, spec_p.degree)
     sel = post_double_select(bank_of(P, d), bank_of(data.y, d))
     assert {0, 3} <= set(sel.union_set.tolist())
-    fit = pds_fit(P_raw, d.q_raw(sel.union_set), data.y, sel.union_set, spec_p=spec_p)
+    fit = pds_fit(P_raw, d.blocks[0][:, sel.union_set], data.y, sel.union_set, spec_p=spec_p)
     assert fit.beta_hat[0] == pytest.approx(2.0, abs=1e-8)
     assert fit.beta_hat[1] == pytest.approx(0.0, abs=1e-8)
     assert fit.eta_hat[0] == pytest.approx(3.0, abs=1e-8)
@@ -171,7 +170,7 @@ def test_selection_error_names_equation():
     Q = rng.standard_normal((n, 3))
     Q[:, 1] = 0.0  # degenerate column reaches the solver untouched
     P = rng.standard_normal((n, 2))
-    design = workspace_of(Q)
+    design = LassoDesign(Q)
     with pytest.raises(SelectionError, match="first-stage equation 0"):
         first_stage_select(bank_of(P, design))
     with pytest.raises(SelectionError, match="reduced-form equation"):
@@ -188,11 +187,11 @@ def test_overflowing_target_fails_its_equation(zero_entry):
     Q = rng.standard_normal((n, 4))
     if zero_entry:
         Q[3, 2] = 0.0
-    design = workspace_of(Q)
+    design = LassoDesign(Q)
     P = rng.standard_normal((n, 3))
     P[:, 1] = 1e160 * rng.standard_normal(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        bank = TargetBank.of(P.T, design.lasso_design)
+        bank = TargetBank.of(P.T, design)
         assert not np.isfinite(bank.loadings[0, 1]).all()
         assert bank.memos[1][b""] == "perfect_fit"
         with pytest.raises(SelectionError, match="first-stage equation 1") as err:
@@ -210,16 +209,20 @@ def test_pds_fit_takes_the_selected_indices():
     d = build_design(spec_q, data.Z)
     P_raw, P = g_columns(data.x, spec_p.degree)
     sel = post_double_select(bank_of(P, d), bank_of(data.y, d))
-    Q_sel = d.q_raw(sel.union_set)
+    Q_sel = d.blocks[0][:, sel.union_set]
     fit = pds_fit(P_raw, Q_sel, data.y, sel.union_set)
     np.testing.assert_array_equal(fit.selected, sel.union_set)
     assert fit.n == data.n
     assert fit.eta_hat.size == 1 + sel.union_set.size
     assert fit.P_resid.shape == P_raw.shape
     # the whole raw block is not a selection of its columns
-    full = d.q_raw(np.arange(d.Q.shape[1]))
+    full = d.blocks[0]
     with pytest.raises(ValueError, match="one raw column per selected index"):
         pds_fit(P_raw, full, data.y, sel.union_set)
+    # an outcome of another length than P's rows is refused by name
+    for y in (data.y[:-1], np.append(data.y, 0.0), data.y[:, None]):
+        with pytest.raises(ValueError, match=r"^y has shape .*one outcome per row of P"):
+            pds_fit(P_raw, Q_sel, y, sel.union_set)
 
 
 def test_pds_fit_flags_rank_deficiency(rng):
@@ -366,10 +369,11 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
         width = max(j for j in grid
                     if np.array_equal(res.fits[j].selected, want.union_set))
         shared, = selection._final_fits(hermite_design(data.x, width),
-                                        d.q_raw(want.union_set), data.y, want.union_set,
+                                        d.blocks[0][:, want.union_set], data.y,
+                                        want.union_set,
                                         {k: None})
         assert_same_fit(res.fits[k], shared)
-        ref = pds_fit(P_raw, d.q_raw(want.union_set), data.y, want.union_set)
+        ref = pds_fit(P_raw, d.blocks[0][:, want.union_set], data.y, want.union_set)
         assert res.bics[k] == pytest.approx(selection._bic(ref), rel=1e-12, abs=0)
     # both stages run on one design: banks on two designs are refused
     other = build_design(default_specs(cfg)[1], data.Z)
@@ -484,7 +488,7 @@ def test_derived_pair_targets_match_the_direct_bank(design_name, n):
     assert refusal is None and P_raw.shape[1] == k
     _, P = g_columns(data.x, k)
     direct = TargetBank.of(np.vstack([P.T, data.y, build_extended_fs(P)[:, k:].T]),
-                           d.lasso_design)
+                           d)
     np.testing.assert_array_equal(bank.rows, direct.rows)
     err = np.abs(bank.xty - direct.xty) / np.abs(direct.xty).max(axis=1, keepdims=True)
     assert err.max() < 1e-12
@@ -497,14 +501,12 @@ def test_derived_pair_targets_match_the_direct_bank(design_name, n):
 
     assert flags(bank) == flags(direct)
     # without pairs, the bank is the one of direct products, bit for bit
-    plain = TargetBank.of(direct.rows, d.lasso_design, pairs=(np.empty(0, int),) * 2)
+    plain = TargetBank.of(direct.rows, d, pairs=(np.empty(0, int),) * 2)
     for name in ("rows", "xty", "loadings", "levels"):
         np.testing.assert_array_equal(getattr(plain, name), getattr(direct, name), err_msg=name)
-    np.testing.assert_array_equal(direct.xty, d.lasso_design.product(direct.rows))
-    np.testing.assert_array_equal(direct.loadings[0], lasso.initial_loadings(d.lasso_design,
-                                                                            direct.rows))
-    np.testing.assert_array_equal(direct.loadings[1], lasso.refined_loadings(d.lasso_design,
-                                                                            direct.rows))
+    np.testing.assert_array_equal(direct.xty, d.product(direct.rows))
+    np.testing.assert_array_equal(direct.loadings[0], lasso.initial_loadings(d, direct.rows))
+    np.testing.assert_array_equal(direct.loadings[1], lasso.refined_loadings(d, direct.rows))
 
 
 def test_leading_holds_a_degrees_rows_and_their_pairs_at_the_bank_offsets(rng):
@@ -546,7 +548,7 @@ def test_a_constant_pair_target_gets_the_loadings_of_its_own_row():
     k_ok = P_raw.shape[1]
     _, P = g_columns(x, k_ok)
     direct = TargetBank.of(np.vstack([P.T, data.y, build_extended_fs(P)[:, k_ok:].T]),
-                           d.lasso_design)
+                           d)
     zero = np.flatnonzero(~bank.rows.any(axis=1))
     assert k_ok + 2 in zero  # p_1 + p_3, the second pair target, after y
     for r in (0, 1):
@@ -587,7 +589,7 @@ def test_fixed_degree_post_double_is_the_one_degree_grid(monkeypatch, design_nam
             np.testing.assert_array_equal(got.rf_set, want.rf_set)
             fit = fits[name]
             np.testing.assert_array_equal(fit.selected, want.union_set)
-            ref = pds_fit(P_raw, d.q_raw(want.union_set), data.y, want.union_set)
+            ref = pds_fit(P_raw, d.blocks[0][:, want.union_set], data.y, want.union_set)
             np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=1e-12)
             assert fit.spec_p == spec_p
 
@@ -767,9 +769,9 @@ def test_post_single_1_matches_reduced_form_refit():
     data = make_low_dim_like(seed=30)
     spec_p, spec_q = make_specs(data)
     d = build_design(spec_q, data.Z)
-    cfg = resolve_gamma(LassoConfig(), data.n, 1, d.Q.shape[1])
+    cfg = resolve_gamma(LassoConfig(), data.n, 1, d.shape[1])
     rf_set = reduced_form_select(bank_of(data.y, d), cfg)
-    want = pds_fit(g_columns(data.x, spec_p.degree)[0], d.q_raw(rf_set), data.y, rf_set)
+    want = pds_fit(g_columns(data.x, spec_p.degree)[0], d.blocks[0][:, rf_set], data.y, rf_set)
     fits, failures = comparison_estimators(data, spec_p, spec_q,
                                            estimators=("post_single_1",))
     assert failures == {}
@@ -805,10 +807,10 @@ def test_post_single_2_block_design_matches_the_concatenated_one():
         d = build_design(spec_q, data.Z)
         _, P = g_columns(data.x, spec_p.degree)
         n_p = P.shape[1]
-        lam = penalty_level(n, 1, n_p + d.Q.shape[1])
-        whole = LassoDesign(np.concatenate([P, d.Q], axis=1))
+        lam = penalty_level(n, 1, n_p + d.shape[1])
+        whole = LassoDesign(np.concatenate([P, d.blocks[0]], axis=1))
         want = iterated_lasso(TargetBank.of(data.y, whole), 0, lam)
-        blocks = LassoDesign(P, d.lasso_design)
+        blocks = LassoDesign(P, d)
         got = iterated_lasso(TargetBank.of(data.y, blocks), 0, lam)
         assert want.active_set.size > 0
         np.testing.assert_array_equal(got.active_set, want.active_set)
@@ -818,7 +820,7 @@ def test_post_single_2_block_design_matches_the_concatenated_one():
         np.testing.assert_allclose(got.loadings, want.loadings, rtol=n * eps)
         # the Q columns' rows went into the workspace's store, for later solves
         in_q = got.active_set[got.active_set >= n_p] - n_p
-        assert d.lasso_design.rows_formed >= in_q.size
+        assert d.rows_formed >= in_q.size
         assert blocks.rows_formed == whole.rows_formed
 
 
@@ -832,7 +834,7 @@ def test_post_single_2_is_one_joint_lasso_on_both_blocks():
     spec_p, spec_q = default_specs(cfg)
     d = build_design(spec_q, data.Z)
     _, P = g_columns(data.x, spec_p.degree)
-    X = np.concatenate([P, d.Q], axis=1)
+    X = np.concatenate([P, d.blocks[0]], axis=1)
     lam = penalty_level(data.n, 1, X.shape[1])
     whole = LassoDesign(X)
     fit = iterated_lasso(TargetBank.of(data.y, whole), 0, lam)
@@ -918,6 +920,17 @@ def test_choose_k_bic_refuses_a_degree_that_is_not_a_whole_number_from_one(
         choose_k_bic(data, d, grid)
     with pytest.raises(ValueError, match=f"k_grid degree must be a whole number >= 1, got {bad}"):
         comparison_estimators(data, *make_specs(data), estimators=("oracle",), k_grid=grid)
+
+
+def test_choose_k_bic_refuses_a_design_of_more_than_one_block(monkeypatch):
+    # the final OLS reads the design's first block as the raw Q, so a
+    # two-block design such as Post-Single II's is refused before the bank
+    data = make_low_dim_like(seed=5)
+    P = g_columns(data.x, 3)[1]
+    joint = LassoDesign(P, build_design(make_specs(data)[1], data.Z))
+    monkeypatch.setattr(selection, "_grid_bank", None)
+    with pytest.raises(ValueError, match="one-block workspace of build_design"):
+        choose_k_bic(data, joint, [3])
 
 
 def test_choose_k_bic_reads_whole_float_degrees_as_integers():
@@ -1048,12 +1061,11 @@ def test_every_lasso_equation_goes_through_active_sets(monkeypatch, design_name)
         monkeypatch.undo()
         d = build_design(spec_q, data.Z)
         _, P = g_columns(data.x, spec_p.degree)
-        for name, design in (("post_single_1", d.lasso_design),
-                             ("post_single_2", LassoDesign(P, d.lasso_design))):
+        for name, design in (("post_single_1", d), ("post_single_2", LassoDesign(P, d))):
             lam = penalty_level(data.n, 1, design.shape[1], LassoConfig())
             active = iterated_lasso(TargetBank.of(data.y, design), 0, lam,
                                     LassoConfig()).active_set
-            n_p = design.shape[1] - d.Q.shape[1]  # the g columns ahead of Q
+            n_p = design.shape[1] - d.shape[1]  # the g columns ahead of Q
             np.testing.assert_array_equal(fits[name].selected,
                                           active[active >= n_p] - n_p, err_msg=name)
 
@@ -1117,11 +1129,9 @@ def test_one_workspace_serves_every_estimator(monkeypatch):
     np.testing.assert_array_equal(got.beta_hat, want.beta_hat)
     np.testing.assert_array_equal(got.eta_hat, want.eta_hat)
     # series_2 on a tensor dictionary takes every raw column of the workspace
-    idx = np.arange(d.Q.shape[1])
+    idx = np.arange(d.shape[1])
     P_raw, _ = g_columns(data.x, spec_p.degree)
-    assert_same_fit(fits["series_2"], pds_fit(P_raw, d.q_raw(idx), data.y, idx))
-    for idx in (idx, got.selected, np.array([5, 0, 5]), np.array([], dtype=int)):
-        np.testing.assert_array_equal(d.q_raw(idx), d.Q[:, idx])
+    assert_same_fit(fits["series_2"], pds_fit(P_raw, d.blocks[0][:, idx], data.y, idx))
 
 
 def gram_rows_of_a_run(monkeypatch, data, spec_p, spec_q, estimators):
@@ -1218,19 +1228,18 @@ def test_gram_rows_are_formed_only_for_entering_columns(monkeypatch):
     for data, spec_p, spec_q, estimators, n_stores in runs:
         stores, d, peak = gram_rows_of_a_run(monkeypatch, data, spec_p, spec_q,
                                              estimators)
-        L = d.Q.shape[1]
-        assert L >= 1000 and len(stores) == n_stores and stores[0] is d.lasso_design
+        L = d.shape[1]
+        assert L >= 1000 and len(stores) == n_stores and stores[0] is d
         for store in stores:
             if data is noise:
                 assert store.rows_formed == 0
             else:
                 assert 0 < store.rows_formed < 0.02 * store.shape[1]
-        assert set(vars(d)) == {"lasso_design", "spec_q"}
-        assert len(d.lasso_design.blocks) == 1 and d.lasso_design.blocks[0] is d.Q
+        assert len(d.blocks) == 1
         # the traced peak exceeds the arrays the run must hold at once, Q
         # and Q*Q, by less than half an L x L Gram: Post-Single II's design
         # reads the workspace's blocks and copies neither
-        held = 2 * d.Q.nbytes
+        held = 2 * d.blocks[0].nbytes
         assert peak - held < 0.5 * 8 * L * L
         monkeypatch.undo()
 
