@@ -7,18 +7,17 @@ that every Lasso on the sample shares, holding ``Q`` in raw units, with no
 scaled copy, and reading each column at unit root mean square (the weighted
 Lasso selects the same set on any positive rescaling of its columns). The
 g dictionary is not part of it: its degree changes from fit to fit, so each
-estimator evaluates He_1..He_K of ``x`` at the degree it fits. A column is
-refused as degenerate when it is constant, every entry equal to its first
-(``_constant_columns``, one exact rule for ``Q`` and for the g dictionary),
-or when its scale underflows to 0.
+estimator builds its g block, He_1..He_K of ``x`` at the degree it fits, by
+``g_block``. Both dictionaries refuse a column by one rule, ``_usable``: a
+column is degenerate when it is constant, every entry equal to its first
+(``_constant_columns``), or when its scale underflows to 0.
 
 A Hermite tensor column is the left-to-right product of its univariate
 factors, and columns that share leading factors share those products: at
 d = 4, K = 10 the 1000 columns come from 11, 66 and 286 distinct prefixes.
 ``evaluate_dictionary`` forms each level of prefixes with one gather and
 one multiply, 64 rows at a time, straight into the (n, L) output, from an
-index plan cached per (d, K). Raw coordinates are read straight from
-``Z``, without the copy that ``evaluate_dictionary`` returns.
+index plan cached per (d, K).
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ __all__ = [
     "standardize_columns",
     "build_design",
     "build_extended_fs",
+    "g_block",
 ]
 
 KINDS = ("hermite_univariate", "hermite_tensor", "raw_coordinates")
@@ -264,13 +264,14 @@ def evaluate_dictionary(spec: DictionarySpec, data) -> np.ndarray:
     """Evaluate a dictionary on a sample, returning the raw (unscaled) matrix.
 
     ``data`` is a vector for ``hermite_univariate`` and an (n, d) matrix
-    otherwise.
+    otherwise. Raw coordinates are ``data`` itself when it is a C-ordered
+    float array, and a C-ordered copy, so of one layout's bits, otherwise.
     """
     if spec.kind == "hermite_univariate":
         return hermite_design(data, spec.degree)
     Z = _coordinates(spec, data)
     if spec.kind == "raw_coordinates":
-        return Z.copy()
+        return np.ascontiguousarray(Z)
     return _hermite_tensor(Z, spec.degree)
 
 
@@ -331,6 +332,18 @@ def _constant_columns(mat: np.ndarray) -> np.ndarray:
     return same
 
 
+def _usable(mat: np.ndarray, scales: np.ndarray, what: str):
+    """The count of columns of ``mat`` before the first that is constant
+    (``_constant_columns``) or whose entry of ``scales`` is 0, and the
+    ``DegenerateColumnError`` naming that column, or None when there is
+    none: the one rule by which every dictionary refuses a column."""
+    bad = np.flatnonzero(_constant_columns(mat) | (scales == 0.0))
+    if not bad.size:
+        return mat.shape[1], None
+    j = int(bad[0])
+    return j, DegenerateColumnError(f"{what} {j} has zero variance on this sample")
+
+
 def standardize_columns(mat: np.ndarray, what: str = "column"):
     """Scale each column to unit sample standard deviation (no centering).
 
@@ -343,12 +356,33 @@ def standardize_columns(mat: np.ndarray, what: str = "column"):
     """
     mat = np.asarray(mat, dtype=float)
     scales = mat.std(axis=0)
-    bad = np.flatnonzero(_constant_columns(mat) | (scales == 0.0))
-    if bad.size:
-        raise DegenerateColumnError(
-            f"{what} {bad[0]} has zero variance on this sample"
-        )
+    _, refusal = _usable(mat, scales, what)
+    if refusal is not None:
+        raise refusal
     return mat / scales, scales
+
+
+def g_block(x, k: int):
+    """He_1..He_k of ``x`` up to the first column no fit can use: the raw
+    columns every final OLS reads, and the standardized columns (by the
+    ``std(axis=0)`` scales) that the first stage and Post-Single II select
+    on.
+
+    Returns ``(P_raw, P, refusal)``, each block of the first ``k_ok``
+    columns, those before the first degenerate column or the first that
+    overflows (``hermite_design``'s test), whichever comes first. A column
+    is degenerate by ``_usable`` on its standard deviation: constant, or
+    with entries so close together that their centred squares underflow.
+    ``refusal`` is the error that every degree above ``k_ok`` fails with,
+    naming that column, or None when ``k_ok = k``.
+    """
+    P_raw, k_finite = _hermite_columns(x, k)
+    P_raw = P_raw[:, :k_finite]
+    scales = P_raw.std(axis=0)
+    k_ok, refusal = _usable(P_raw, scales, "P column")
+    if refusal is None and k_finite < k:
+        refusal = _out_of_range(k_finite + 1)
+    return P_raw[:, :k_ok], P_raw[:, :k_ok] / scales[:k_ok], refusal
 
 
 def build_design(spec_q: DictionarySpec, Z) -> LassoDesign:
@@ -366,21 +400,17 @@ def build_design(spec_q: DictionarySpec, Z) -> LassoDesign:
     final OLS gathers its raw controls as ``blocks[0][:, idx]``.
 
     Raw coordinates are ``Z`` itself when ``Z`` is a C-ordered float array
-    (a copy in C order otherwise, so the design's products have the bits of
-    one layout), and the workspace then reads ``Z``: a later change to
-    ``Z`` changes it. Raises ``DegenerateColumnError``, naming the first,
-    when a column is constant (``_constant_columns``) or its squares sum to
-    zero (entries so small that their squares underflow), so that the
-    design reads it as a zero column.
+    (``evaluate_dictionary``), and the workspace then reads ``Z``: a later
+    change to ``Z`` changes it. Raises ``DegenerateColumnError``, naming
+    the first, when a column is constant or its squares sum to zero
+    (``_usable`` on the Gram diagonal), so that the design would read it
+    as a zero column.
     """
-    if spec_q.kind == "raw_coordinates":
-        Q = np.ascontiguousarray(_coordinates(spec_q, Z))
-    else:
-        Q = evaluate_dictionary(spec_q, Z)
+    Q = evaluate_dictionary(spec_q, Z)
     design = LassoDesign(Q)
-    bad = np.flatnonzero(_constant_columns(Q) | (design.diag == 0.0))
-    if bad.size:
-        raise DegenerateColumnError(f"Q column {bad[0]} has zero variance on this sample")
+    _, refusal = _usable(Q, design.diag, "Q column")
+    if refusal is not None:
+        raise refusal
     return design
 
 
@@ -388,9 +418,9 @@ def build_extended_fs(P: np.ndarray) -> np.ndarray:
     """Extended first-stage dictionary: originals, pairwise sums, diffs.
 
     For K input columns the result has K + 2*C(K, 2) columns: the columns
-    of P and then those of every pair i < j, in the layout of a
-    ``TargetBank`` with pairs ``np.triu_indices(K, 1)`` (``TargetBank.of``),
-    formed by the bank's own routine.
+    of P and then those of every pair i < j, in the layout of
+    ``TargetBank.of(P.T, design, paired=K)``, formed by the bank's own
+    routine.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[1] < 1:

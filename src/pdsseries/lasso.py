@@ -96,7 +96,6 @@ __all__ = [
     "initial_loadings",
     "refined_loadings",
     "lasso_solve",
-    "kkt_max_violation",
     "post_lasso",
     "iterated_lasso",
 ]
@@ -515,21 +514,6 @@ def _pair_loadings(design: LassoDesign, rows: np.ndarray, targets: np.ndarray,
         out[exact] = _loadings(design, t - t.mean(axis=1, keepdims=True) if centred else t)
 
 
-def _with_pairs(rows: np.ndarray, design: LassoDesign, ii, jj) -> tuple:
-    """The targets, ``X't`` and both loading rounds of ``TargetBank.of(rows,
-    design, (ii, jj))``, from products over ``rows`` and their pairs'
-    cross products only; ``ii`` and ``jj`` are intp arrays, maybe empty."""
-    targets = _paired(rows, ii, jj)
-    xty = _paired(design.product(rows), ii, jj)
-    # the bank's arrays first, then one buffer for both loadings' products:
-    # the working arrays, freed last, leave no holes among the kept ones
-    loadings = np.empty((2,) + xty.shape)
-    block = np.empty((len(rows) + ii.size, rows.shape[1]))
-    for centred, out in zip((True, False), loadings):
-        _pair_loadings(design, rows, targets, ii, jj, centred, block, out)
-    return targets, xty, loadings
-
-
 def _perfect_fit(rows: np.ndarray) -> np.ndarray:
     """``max|t| < 1e-12 sd(t)`` for each row t, the perfect-fit test of
     ``_refine`` on the empty set, whose residual is the target.
@@ -561,8 +545,8 @@ class TargetBank:
     of some of them that shares every array and memo, and ``leading(k)``
     the bank of a degree's equations, so a degree grid indexes each
     degree's equations into one bank instead of rebuilding its targets.
-    ``pairs`` is the ``(ii, jj)`` of ``of``, as intp arrays: with the row
-    count, it fixes where each target of ``rows`` lies.
+    ``pairs`` is ``np.triu_indices(paired, 1)`` of ``of``, as ``(ii, jj)``:
+    with the row count, it fixes where each target of ``rows`` lies.
 
     The empty set's Post-Lasso residual is the target itself, so its refined
     loadings ``loadings[1, j]`` are one more matrix product for the whole
@@ -594,24 +578,38 @@ class TargetBank:
     pairs: tuple
 
     @classmethod
-    def of(cls, rows, design: LassoDesign, pairs=((), ())) -> TargetBank:
+    def of(cls, rows, design: LassoDesign, paired=0) -> TargetBank:
         """Bank of the targets in ``rows`` (one per row, or one vector).
 
-        With ``pairs = (ii, jj)``, the bank also holds, for each pair p, the
-        sum and then the difference of rows ``ii[p]`` and ``jj[p]``. This is
-        the layout of every bank: the k given rows at 0..k-1, the sum of
-        pair p at k + p and its difference at k + P + p, for P pairs; no
-        other module spells it (``leading`` reads it). The pairs' ``X't``
-        and loadings are derived from those of the rows, by linearity
-        (``_pair_loadings``), not from products of their own. Targets whose
-        length is not the design's row count are refused by a ``ValueError``.
+        The bank also holds, for each pair p = (ii[p], jj[p]) of
+        ``np.triu_indices(paired, 1)``, the sum and then the difference of
+        those rows. This is the layout of every bank: the k given rows at
+        0..k-1, the sum of pair p at k + p and its difference at k + P + p,
+        for P pairs; no other module spells it (``leading`` reads it). The
+        pairs' ``X't`` and loadings are derived from those of the rows, by
+        linearity (``_pair_loadings``), not from products of their own.
+        Targets whose length is not the design's row count, and a
+        ``paired`` that is not a whole number from 0 to k, are refused by a
+        ``ValueError``.
         """
         rows = np.ascontiguousarray(np.atleast_2d(rows), dtype=float)
         if rows.shape[1] != design.shape[0]:
             raise ValueError(f"targets of length {rows.shape[1]} on a design of "
                              f"{design.shape[0]} rows")
-        pairs = tuple(np.asarray(p, dtype=np.intp) for p in pairs)
-        rows, xty, loadings = _with_pairs(rows, design, *pairs)
+        paired = _require_whole("paired", paired, 0)
+        if paired > len(rows):
+            raise ValueError(f"paired must be at most the {len(rows)} rows, got {paired}")
+        ii, jj = pairs = np.triu_indices(paired, 1)
+        targets = _paired(rows, ii, jj)
+        xty = _paired(design.product(rows), ii, jj)
+        # the bank's arrays first, then one buffer for both loadings' products:
+        # the working arrays, freed last, leave no holes among the kept ones
+        loadings = np.empty((2,) + xty.shape)
+        block = np.empty((len(rows) + ii.size, rows.shape[1]))
+        for centred, out in zip((True, False), loadings):
+            _pair_loadings(design, rows, targets, ii, jj, centred, block, out)
+        del block
+        rows = targets
         # _refine's flags, on the empty set's residual
         perfect = _perfect_fit(rows)
         degenerate = ~loadings[1].any(axis=1)
@@ -647,7 +645,7 @@ class TargetBank:
         given = len(self.rows) - 2 * self.pairs[0].size
         if not 0 <= k <= given:
             raise ValueError(f"leading takes 0 to {given} given rows, got {k}")
-        kept = given + np.flatnonzero(np.maximum(*self.pairs) < k)
+        kept = given + np.flatnonzero(self.pairs[1] < k)  # each jj[p] > ii[p]
         return self.subset(np.concatenate([np.arange(k), kept, kept + self.pairs[0].size]))
 
     def settled_empty(self, lam: float, config: LassoConfig = LassoConfig()) -> np.ndarray:
@@ -863,28 +861,6 @@ def lasso_solve(
         iterations=sweeps,
         converged=converged,
     )
-
-
-def kkt_max_violation(X: np.ndarray, y: np.ndarray, fit: LassoFit) -> float:
-    """Largest violation of the subgradient conditions at the fit.
-
-    Active coordinates must satisfy 2 x_j'r = lam psi_j sign(t_j); inactive
-    ones |2 x_j'r| <= lam psi_j.
-    """
-    X = np.asarray(X, dtype=float)
-    r = np.asarray(y, dtype=float) - X @ fit.coefficients
-    score = 2.0 * (X.T @ r)
-    bound = fit.lam * fit.loadings
-    active = np.zeros(X.shape[1], dtype=bool)
-    active[fit.active_set] = True
-    viol = 0.0
-    if active.any():
-        signs = np.sign(fit.coefficients[active])
-        viol = np.max(np.abs(score[active] - bound[active] * signs))
-    if (~active).any():
-        slack = np.abs(score[~active]) - bound[~active]
-        viol = max(viol, float(np.max(slack)), 0.0)
-    return float(viol)
 
 
 def post_lasso(X: np.ndarray, y: np.ndarray, active_set) -> np.ndarray:

@@ -37,8 +37,8 @@ The sample's workspace from ``build_design`` is one ``LassoDesign`` over
 the conditioning dictionary ``Q`` in raw units, which it reads at unit root
 mean square, holding ``Q*Q`` and the Gram rows formed so far, shared by
 every equation, estimator and degree. The g dictionary is not in it: each
-fit builds its g block, He_1..He_K of ``x`` at its own degree, by one
-function (``_g_block``), which also gives the standardized columns and
+fit builds its g block, He_1..He_K of ``x`` at its own degree, by
+``dictionary.g_block``, which also gives the standardized columns and
 stops at the first degenerate or overflowing column, whose error fails
 every degree that has it. Every final OLS reads raw columns, of the g
 dictionary and of ``Q`` (the design's ``blocks[0]``); the grid bank's
@@ -75,14 +75,11 @@ import numpy as np
 
 from .data import Dataset, _require_whole, check_names
 from .dictionary import (
-    DegenerateColumnError,
     DictionarySpec,
-    _constant_columns,
     _coordinates,
-    _hermite_columns,
-    _out_of_range,
     build_design,
     evaluate_dictionary,
+    g_block,
     hermite_design,
 )
 from .lasso import (
@@ -379,59 +376,27 @@ def _bic(fit: PdsFit) -> float:
     return n * math.log(max(rss, 1e-300) / n) + ncols * math.log(n)
 
 
-def _g_block(x, k: int):
-    """He_1..He_k of ``x`` up to the first column no fit can use: the raw
-    columns every final OLS reads, and the standardized columns (by the
-    ``std(axis=0)`` scales) that the first stage and Post-Single II select
-    on.
-
-    Returns ``(P_raw, P, refusal)``, each block of the first ``k_ok``
-    columns, those before the first degenerate column or the first that
-    overflows (``hermite_design``'s test), whichever comes first. A column
-    is degenerate when it is constant (``_constant_columns``) or its
-    standard deviation is 0 (entries so close together that their centred
-    squares underflow). ``refusal`` is the error that every degree above
-    ``k_ok`` fails with, naming that column, or None when ``k_ok = k``.
-    """
-    P_raw, k_ok = _hermite_columns(x, k)
-    refusal = _out_of_range(k_ok + 1) if k_ok < k else None
-    P_raw = P_raw[:, :k_ok]
-    scales = P_raw.std(axis=0)
-    degenerate = np.flatnonzero(_constant_columns(P_raw) | (scales == 0.0))
-    if degenerate.size:
-        k_ok = int(degenerate[0])
-        refusal = _degenerate(k_ok)
-    P_raw = P_raw[:, :k_ok]
-    return P_raw, P_raw / scales[:k_ok], refusal
-
-
-def _degenerate(j: int) -> DegenerateColumnError:
-    return DegenerateColumnError(f"P column {j} has zero variance on this sample")
-
-
 def _grid_bank(data: Dataset, design: LassoDesign, k_grid: list,
                extended_fs: bool):
     """One bank of every target of a degree grid (ascending degrees), built
     at its largest degree that can fit.
 
-    ``_g_block`` evaluates the g dictionary at the grid's largest degree,
+    ``g_block`` evaluates the g dictionary at the grid's largest degree,
     up to k_ok columns; the degrees above k_ok fail, so the bank takes the
     first k_top columns, k_top the largest degree of the grid at or below
     k_ok (0 if there is none). The given rows are those standardized
-    columns, then ``data.y`` at row k_top; with ``extended_fs``, every pair
-    of g rows is banked too, laid out and derived as ``TargetBank.of``
-    does. A standardized column, and a sum or difference of two, is the
-    same at every degree that has it, so degree k's first stage is
-    ``bank.leading(k)`` and its reduced form row k_top. Returns the bank,
-    the raw He_1..He_k_top and ``_g_block``'s refusal, which every degree
-    above k_top fails with.
+    columns, then ``data.y`` at row k_top, and with ``extended_fs`` the
+    bank pairs the k_top g rows (``TargetBank.of``). A standardized column,
+    and a sum or difference of two, is the same at every degree that has
+    it, so degree k's first stage is ``bank.leading(k)`` and its reduced
+    form row k_top. Returns the bank, the raw He_1..He_k_top and
+    ``g_block``'s refusal, which every degree above k_top fails with.
     """
-    P_raw, P, refusal = _g_block(data.x, k_grid[-1])
+    P_raw, P, refusal = g_block(data.x, k_grid[-1])
     k_top = max((k for k in k_grid if k <= P.shape[1]), default=0)
-    P_raw, P = P_raw[:, :k_top], P[:, :k_top]
-    pairs = np.triu_indices(k_top, 1) if extended_fs else ((), ())
-    bank = TargetBank.of(np.vstack([P.T, data.y]), design, pairs=pairs)
-    return bank, P_raw, refusal
+    rows = np.vstack([P[:, :k_top].T, data.y])
+    bank = TargetBank.of(rows, design, paired=k_top if extended_fs else 0)
+    return bank, P_raw[:, :k_top], refusal
 
 
 def _degree_grid(k_grid) -> list:
@@ -464,7 +429,7 @@ def choose_k_bic(data: Dataset, design: LassoDesign, k_grid,
     dictionary, is skipped and recorded, and ``fits``, ``bics`` and
     ``errors`` run in ascending degree. When every degree fails, the
     ``SelectionError`` names each degree's reason; when such a term fails
-    them all, its error (``_g_block``'s refusal) is raised once instead. A
+    them all, its error (``g_block``'s refusal) is raised once instead. A
     one-degree grid is the fit at a fixed degree: every Post-Double
     estimator, and ``pds-series fit``, runs here. A ``design`` of more
     than one block is refused by a ``ValueError``: its first block is read
@@ -586,7 +551,7 @@ def _fit_one(name, data: Dataset, design: LassoDesign, spec_p: DictionarySpec,
         res = choose_k_bic(data, design, grid, config, extended_fs=name.endswith("_ext"))
         return res.fits[res.k_hat]
 
-    P_raw, P, refusal = _g_block(data.x, spec_p.degree)
+    P_raw, P, refusal = g_block(data.x, spec_p.degree)
     if refusal is not None:
         raise refusal
     k_ok = P.shape[1]

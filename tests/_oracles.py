@@ -18,6 +18,9 @@ the reference for the workspace that reads ``Q`` in raw units.
 standardized for the Lassos. ``hermite_tensor_design`` is
 the library's former column-by-column tensor evaluation, kept unchanged as
 the reference for the prefix-product evaluation that replaced it.
+``kkt_max_violation`` measures how far a Lasso fit is from meeting its
+subgradient (KKT) conditions on the design as given; it moved here from the
+library, which never called it.
 ``toeplitz_column_loop`` is the library's former AR(1) draw, column by
 column into a second array, kept unchanged as the reference for the
 in-place draw that replaced it.
@@ -226,6 +229,28 @@ def lasso_objective(X: np.ndarray, y: np.ndarray, coef: np.ndarray,
     """Unnormalized objective sum (y - X t)^2 + lam * sum |psi_j t_j|."""
     r = y - X @ coef
     return float(r @ r + lam * np.abs(loadings * coef).sum())
+
+
+def kkt_max_violation(X: np.ndarray, y: np.ndarray, fit: LassoFit) -> float:
+    """Largest violation of the subgradient conditions at the fit.
+
+    Active coordinates must satisfy 2 x_j'r = lam psi_j sign(t_j); inactive
+    ones |2 x_j'r| <= lam psi_j.
+    """
+    X = np.asarray(X, dtype=float)
+    r = np.asarray(y, dtype=float) - X @ fit.coefficients
+    score = 2.0 * (X.T @ r)
+    bound = fit.lam * fit.loadings
+    active = np.zeros(X.shape[1], dtype=bool)
+    active[fit.active_set] = True
+    viol = 0.0
+    if active.any():
+        signs = np.sign(fit.coefficients[active])
+        viol = np.max(np.abs(score[active] - bound[active] * signs))
+    if (~active).any():
+        slack = np.abs(score[~active]) - bound[~active]
+        viol = max(viol, float(np.max(slack)), 0.0)
+    return float(viol)
 
 
 def lasso_sign_enumeration(X: np.ndarray, y: np.ndarray, lam: float,

@@ -21,6 +21,7 @@ import pytest
 
 from _oracles import (
     hermite_monomial,
+    kkt_max_violation,
     lasso_sign_enumeration,
     random_instance,
     residualize_p,
@@ -38,7 +39,6 @@ from pdsseries.lasso import (
     LassoConfig,
     LassoDesign,
     initial_loadings,
-    kkt_max_violation,
     lasso_solve,
     penalty_level,
 )

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _oracles import hermite_deriv, hermite_eval, hermite_monomial, hermite_tensor_design
+from _oracles import (
+    g_columns,
+    hermite_deriv,
+    hermite_eval,
+    hermite_monomial,
+    hermite_tensor_design,
+)
 from pdsseries.dictionary import (
     DegenerateColumnError,
     DictionarySpec,
@@ -19,6 +25,7 @@ from pdsseries.dictionary import (
     build_extended_fs,
     dictionary_labels,
     evaluate_dictionary,
+    g_block,
     hermite_design,
     hermite_deriv_design,
     standardize_columns,
@@ -345,6 +352,31 @@ def test_standardize_columns_has_the_bits_of_std(layout, n, m):
     np.testing.assert_array_equal(S, M / M.std(axis=0))
     assert not np.shares_memory(S, M)
     np.testing.assert_array_equal(M, before)
+
+
+@pytest.mark.parametrize("x, k_ok, refusal", [
+    # He_2 of entries near 1e100 is finite, but its sum of squares overflows
+    (1e100 * np.linspace(1.0, 2.0, 50), 1,
+     "Hermite term He_2 is out of floating-point range on this sample"),
+    # He_3 = x^3 - 3x takes the same value, -0.734375, at both points
+    (np.resize([0.25, 1.59346588560844, 0.25], 50), 2,
+     "P column 2 has zero variance on this sample"),
+    # He_1 = x is not constant, but its centred squares underflow: std 0
+    (np.resize([1e-170, 2e-170], 50), 0, "P column 0 has zero variance on this sample"),
+    (np.linspace(-2.0, 2.0, 50), 4, None),
+])
+def test_g_block_stops_at_the_first_column_no_fit_can_use(x, k_ok, refusal):
+    P_raw, P, got = g_block(x, 4)
+    assert P_raw.shape == P.shape == (50, k_ok)
+    if refusal is None:
+        assert got is None
+    else:
+        assert isinstance(got, DegenerateColumnError if "P column" in refusal else ValueError)
+        assert str(got) == refusal
+    if k_ok:
+        raw, std = g_columns(x, k_ok)
+        np.testing.assert_array_equal(P_raw, raw)
+        np.testing.assert_array_equal(P, std)
 
 
 # ---------------------------------------------------------------- designs

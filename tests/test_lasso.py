@@ -15,6 +15,7 @@ from _oracles import (
     cd_solve,
     g_columns,
     iterated_lasso as iterated_lasso_oracle,
+    kkt_max_violation,
     lasso_objective,
     lasso_sign_enumeration,
     random_instance,
@@ -33,7 +34,6 @@ from pdsseries.lasso import (
     default_gamma,
     initial_loadings,
     iterated_lasso,
-    kkt_max_violation,
     lasso_solve,
     normal_quantile,
     penalty_level,
@@ -766,7 +766,8 @@ def test_a_paired_bank_holds_its_rows_then_the_sums_then_the_differences():
     design = LassoDesign(rng.standard_normal((n, m)))
     rows = rng.standard_normal((5, n))
     ii, jj = np.array([0, 0, 1]), np.array([1, 2, 2])
-    bank = TargetBank.of(rows, design, (ii, jj))
+    bank = TargetBank.of(rows, design, paired=3)
+    np.testing.assert_array_equal(np.array(bank.pairs), [ii, jj])
     targets = np.vstack([rows, rows[ii] + rows[jj], rows[ii] - rows[jj]])
     np.testing.assert_array_equal(bank.rows, targets)
     xty = design.product(rows)
@@ -788,6 +789,15 @@ def test_bank_refuses_targets_of_another_length_than_the_design():
         with pytest.raises(ValueError, match=f"targets of length {rows.shape[-1]} "
                                              "on a design of 4 rows"):
             TargetBank.of(rows, design)
+
+
+@pytest.mark.parametrize("paired", [-1, 2.5, True, 4])
+def test_bank_refuses_a_paired_count_that_is_not_a_count_of_its_rows(paired):
+    # a bank pairs its own first rows: a negative, fractional or boolean
+    # count, or one past the given rows, names no set of them
+    rows = np.ones((3, 4))
+    with pytest.raises(ValueError, match="paired"):
+        TargetBank.of(rows, LassoDesign(np.eye(4)), paired=paired)
 
 
 def test_bank_of_a_vector_is_a_one_row_bank():

@@ -11,6 +11,7 @@ from _oracles import (
     build_design_sd,
     choose_k_bic_per_degree,
     g_columns,
+    kkt_max_violation,
     leading_cols,
     residualize_p,
     unit_columns,
@@ -31,7 +32,6 @@ from pdsseries.lasso import (
     TargetBank,
     default_gamma,
     iterated_lasso,
-    kkt_max_violation,
     penalty_level,
 )
 from pdsseries.montecarlo import DgpConfig, default_specs, g_true, generate_sample
@@ -501,7 +501,7 @@ def test_derived_pair_targets_match_the_direct_bank(design_name, n):
 
     assert flags(bank) == flags(direct)
     # without pairs, the bank is the one of direct products, bit for bit
-    plain = TargetBank.of(direct.rows, d, pairs=(np.empty(0, int),) * 2)
+    plain = TargetBank.of(direct.rows, d, paired=0)
     for name in ("rows", "xty", "loadings", "levels"):
         np.testing.assert_array_equal(getattr(plain, name), getattr(direct, name), err_msg=name)
     np.testing.assert_array_equal(direct.xty, d.product(direct.rows))
@@ -511,21 +511,18 @@ def test_derived_pair_targets_match_the_direct_bank(design_name, n):
 
 def test_leading_holds_a_degrees_rows_and_their_pairs_at_the_bank_offsets(rng):
     # every degree of the default grid at n = 500, with pairs as the grid
-    # banks them, with none, and with each pair given larger row first
+    # banks them and with none
     grid = default_k_grid(500)
     k_max = grid[-1]
     rows = rng.standard_normal((k_max + 1, 60))  # the g rows, then y
     design = LassoDesign(rng.standard_normal((60, 8)))
-    ii, jj = np.triu_indices(k_max, 1)
-    for pairs in ((ii, jj), ((), ()), (jj, ii)):
-        bank = TargetBank.of(rows, design, pairs=pairs)
+    for paired in (k_max, 0):
+        bank = TargetBank.of(rows, design, paired=paired)
         for k in grid:
             view = bank.leading(k)
             assert view.cols == leading_cols(bank, k)
             assert view.memos is bank.memos and view.records is bank.records
-            want = rows[:k] if not len(pairs[0]) else build_extended_fs(rows[:k].T).T
-            if pairs[0] is jj:  # each difference is the other way round
-                want[k + len(want[k:]) // 2:] *= -1.0
+            want = rows[:k] if not paired else build_extended_fs(rows[:k].T).T
             np.testing.assert_array_equal(view.rows[list(view.cols)], want)
         # the outcome row is a given row too; a row past them is refused
         assert bank.leading(k_max + 1).cols[:k_max + 1] == tuple(range(k_max + 1))
@@ -1101,9 +1098,9 @@ def test_comparison_estimators_deterministic():
 
 # ---------------------------------------------------------------- workspace
 
-def test_one_workspace_serves_every_estimator(monkeypatch):
-    data = make_low_dim_like(n=260, seed=21)
-    spec_p, spec_q = make_specs(data)
+def counting_evaluations(monkeypatch) -> list:
+    """The spec of every ``evaluate_dictionary`` call from now on, in
+    ``dictionary`` and ``selection`` alike."""
     evaluated = []
     real = dictionary.evaluate_dictionary
 
@@ -1113,6 +1110,13 @@ def test_one_workspace_serves_every_estimator(monkeypatch):
 
     monkeypatch.setattr(dictionary, "evaluate_dictionary", counting)
     monkeypatch.setattr(selection, "evaluate_dictionary", counting)
+    return evaluated
+
+
+def test_one_workspace_serves_every_estimator(monkeypatch):
+    data = make_low_dim_like(n=260, seed=21)
+    spec_p, spec_q = make_specs(data)
+    evaluated = counting_evaluations(monkeypatch)
     fits, failures = comparison_estimators(
         data, spec_p, spec_q, estimators=ESTIMATORS,
         rng=np.random.default_rng(0), k_grid=[2, 3, 4])
@@ -1132,6 +1136,23 @@ def test_one_workspace_serves_every_estimator(monkeypatch):
     idx = np.arange(d.shape[1])
     P_raw, _ = g_columns(data.x, spec_p.degree)
     assert_same_fit(fits["series_2"], pds_fit(P_raw, d.blocks[0][:, idx], data.y, idx))
+
+
+def test_a_raw_coordinates_workspace_is_one_dictionary_evaluation(monkeypatch):
+    # build_design reaches raw coordinates through evaluate_dictionary too,
+    # once per sample, and the workspace's block is Z itself
+    data = make_low_dim_like(n=260, seed=21)
+    spec_p = DictionarySpec("hermite_univariate", degree=3)
+    spec_q = DictionarySpec("raw_coordinates", input_dim=data.Z.shape[1])
+    evaluated = counting_evaluations(monkeypatch)
+    assert build_design(spec_q, data.Z).blocks[0] is data.Z
+    assert evaluated == [spec_q]
+    evaluated.clear()
+    fits, failures = comparison_estimators(
+        data, spec_p, spec_q, estimators=ESTIMATORS,
+        rng=np.random.default_rng(0), k_grid=[2, 3, 4])
+    assert failures == {} and set(fits) == set(ESTIMATORS)
+    assert evaluated.count(spec_q) == 1
 
 
 def gram_rows_of_a_run(monkeypatch, data, spec_p, spec_q, estimators):
