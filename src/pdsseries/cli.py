@@ -424,10 +424,8 @@ def write_sample_csv(data: Dataset, path: str) -> None:
     header = ["y", "x"] + [f"z{j + 1}" for j in range(d)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(data.n):
-            cells = [repr(float(data.y[i])), repr(float(data.x[i]))]
-            cells += [repr(float(v)) for v in data.Z[i]]
-            fh.write(",".join(cells) + "\n")
+        for row in np.column_stack([data.y, data.x, data.Z]):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _run_fit(cfg: RunConfig) -> str:

@@ -397,7 +397,7 @@ def build_design(spec_q: DictionarySpec, Z) -> LassoDesign:
     ``Q'Q`` is never formed whole; the store starts empty. Post-Single II's
     ``LassoDesign(P, design)`` reads its g dictionary and this design as
     column blocks, reusing ``Q*Q``, the scales and the stored rows. Every
-    final OLS gathers its raw controls as ``blocks[0][:, idx]``.
+    final OLS is handed ``blocks[0]`` whole, with the selected indices.
 
     Raw coordinates are ``Z`` itself when ``Z`` is a C-ordered float array
     (``evaluate_dictionary``), and the workspace then reads ``Z``: a later

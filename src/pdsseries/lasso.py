@@ -185,7 +185,10 @@ def normal_quantile(p: float) -> float:
 
 def default_gamma(n: int, n_targets: int, n_regressors: int) -> float:
     """Penalty slack 0.1 / log(max(n_targets * n_regressors, n))."""
-    return 0.1 / math.log(max(n_targets * n_regressors, n))
+    m = max(n_targets * n_regressors, n)
+    if m < 2:
+        raise ValueError(f"the default gamma needs max(M, n) >= 2, got {m}")
+    return 0.1 / math.log(m)
 
 
 def penalty_level(
@@ -207,8 +210,6 @@ def penalty_level(
     if gamma is None:
         gamma = default_gamma(n, n_targets, n_regressors)
     tail = gamma / (2.0 * n_targets * n_regressors)
-    if tail >= 1.0:
-        raise ValueError("gamma / (2 M) must be below 1")
     return 2.0 * config.c * math.sqrt(n) * normal_quantile(1.0 - tail)
 
 

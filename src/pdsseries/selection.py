@@ -301,53 +301,59 @@ def post_double_select(fs_bank: TargetBank, rf_bank: TargetBank,
     return SelectionResult(fs_sets=fs_sets, rf_set=rf_set, union_set=union)
 
 
-def pds_fit(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel,
+def pds_fit(P: np.ndarray, controls: np.ndarray, y: np.ndarray, sel,
             spec_p: DictionarySpec | None = None) -> PdsFit:
-    """Final OLS of y on [1, P, Q_sel] in raw column units, by one projection.
+    """Final OLS of y on [1, P, controls[:, sel]] in raw units, by one projection.
 
-    ``Q_sel`` holds only the selected control columns, in raw units (from a
-    workspace, ``design.blocks[0][:, idx]``). ``sel`` names them: an index array
-    into the estimator's control matrix (for post-double selection, a
-    ``SelectionResult.union_set``), one index per column of ``Q_sel``.
+    ``controls`` is the estimator's whole control matrix (from a workspace,
+    ``design.blocks[0]``) and ``sel`` a 1-D integer array of its selected
+    columns (for post-double selection, a ``SelectionResult.union_set``).
 
-    One least squares of ``[P | y]`` on ``W = [1, Q_sel]`` residualizes the
-    g dictionary and the outcome on the controls; by Frisch-Waugh-Lovell,
-    ``beta_hat`` is then the least squares of the residualized y on the
-    residualized P, and ``eta_hat`` the controls' coefficients recovered
-    from both. The fit is flagged ``rank_deficient`` when ``W`` or the
-    residualized P loses rank; ``beta_hat`` is then the minimum-norm
-    solution of the residualized regression. It is the one-degree case of
-    the final fits a BIC grid makes (``_final_fits``).
+    One least squares of ``[P | y]`` on ``W = [1, controls[:, sel]]``
+    residualizes the g dictionary and the outcome on the controls; by
+    Frisch-Waugh-Lovell, ``beta_hat`` is then the least squares of the
+    residualized y on the residualized P, and ``eta_hat`` the controls'
+    coefficients recovered from both. The fit is flagged ``rank_deficient``
+    when ``W`` or the residualized P loses rank; ``beta_hat`` is then the
+    minimum-norm solution of the residualized regression. It is the
+    one-degree case of the final fits a BIC grid makes (``_final_fits``).
     """
-    return _final_fits(P, Q_sel, y, sel, {np.shape(P)[1]: spec_p})[0]
+    return _final_fits(P, controls, y, sel, {np.shape(P)[1]: spec_p})[0]
 
 
-def _final_fits(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel, specs: dict) -> list:
+def _final_fits(P: np.ndarray, controls: np.ndarray, y: np.ndarray, sel, specs: dict) -> list:
     """The final OLS of ``pds_fit`` on the first k columns of ``P``, for
     each degree k of ``specs``, a dict of the g dictionary by degree, from
     one projection.
 
-    One least squares of ``[P | y]`` on ``W = [1, Q_sel]`` residualizes
-    every column of ``P`` and the outcome; each degree k then reads the
-    first k residualized columns and runs its own least squares of the
-    residualized y on them. A degree's fit reads nothing of another degree,
-    so it is the same bit for bit whichever degrees share the projection;
-    the projection's width, that of ``P``, moves its low bits. Returns one
+    One least squares of ``[P | y]`` on ``W = [1, controls[:, sel]]``,
+    which it alone lays out (``W`` in F order, ``[P | y]`` in C order, so
+    the bits follow from the values passed in), residualizes every column
+    of ``P`` and the outcome; each degree k then reads the first k
+    residualized columns and runs its own least squares of the residualized
+    y on them. A degree's fit reads nothing of another degree, so it is the
+    same bit for bit whichever degrees share the projection; the
+    projection's width, that of ``P``, moves its low bits. Returns one
     ``PdsFit`` per degree, in the order of ``specs``, each with its
     ``spec_p``; its ``P_resid`` is a view of the shared projection.
     """
-    P, Q_sel, y = (np.asarray(a, dtype=float) for a in (P, Q_sel, y))
-    idx = np.asarray(sel, dtype=int)
+    P, controls, y = (np.asarray(a, dtype=float) for a in (P, controls, y))
     n, width = P.shape
-    if Q_sel.shape != (n, idx.size):
-        raise ValueError(
-            f"Q_sel has shape {Q_sel.shape}, expected ({n}, {idx.size}): "
-            "one raw column per selected index"
-        )
+    if controls.ndim != 2 or controls.shape[0] != n:
+        raise ValueError(f"controls has shape {controls.shape}: one row per row of P")
     if y.shape != (n,):
         raise ValueError(f"y has shape {y.shape}, expected ({n},): one outcome per row of P")
-    W = np.concatenate([np.ones((n, 1)), Q_sel], axis=1)
-    Py = np.concatenate([P, y[:, None]], axis=1)
+    idx = np.asarray(sel)
+    # a mask, a fraction or an index outside [0, p) is refused, not wrapped
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu") or \
+            not ((0 <= idx) & (idx < controls.shape[1])).all():
+        raise ValueError(f"sel must be a 1-D integer array of indices into the "
+                         f"{controls.shape[1]} columns of controls")
+    idx = idx.astype(np.intp, copy=False)
+    W = np.ones((n, 1 + idx.size), order="F")
+    W[:, 1:] = controls[:, idx]
+    Py = np.empty((n, width + 1))
+    Py[:, :width], Py[:, width] = P, y
     coef_w, _, rank_w, _ = np.linalg.lstsq(W, Py, rcond=None)
     Py_resid = Py - W @ coef_w
     y_resid = Py_resid[:, width]
@@ -355,7 +361,7 @@ def _final_fits(P: np.ndarray, Q_sel: np.ndarray, y: np.ndarray, sel, specs: dic
     for k, spec_p in specs.items():
         P_resid = Py_resid[:, :k]
         beta, _, rank_p, _ = np.linalg.lstsq(P_resid, y_resid, rcond=None)
-        P_k = P[:, :k]
+        P_k = Py[:, :k]
         fits.append(PdsFit(
             beta_hat=beta,
             eta_hat=coef_w[:, width] - coef_w[:, :k] @ beta,
@@ -459,9 +465,9 @@ def choose_k_bic(data: Dataset, design: LassoDesign, k_grid,
     for ks in groups.values():
         union = sels[ks[0]].union_set
         try:
-            group = _final_fits(P_raw[:, :ks[-1]], design.blocks[0][:, union], data.y,
-                                union, {k: DictionarySpec("hermite_univariate", degree=k)
-                                        for k in ks})
+            group = _final_fits(P_raw[:, :ks[-1]], design.blocks[0], data.y, union,
+                                {k: DictionarySpec("hermite_univariate", degree=k)
+                                 for k in ks})
         except FIT_ERRORS as exc:
             failed.update(dict.fromkeys(ks, str(exc)))
             continue
@@ -522,25 +528,21 @@ def comparison_estimators(data: Dataset, spec_p: DictionarySpec,
 
 def _series_controls(data: Dataset, design: LassoDesign, spec_q: DictionarySpec,
                      which: str, rng):
-    """Control block for the plain series benchmarks; ``design`` is the
-    workspace over the conditioning dictionary ``spec_q``."""
+    """Control matrix and selected columns of the plain series benchmarks;
+    ``design`` is the workspace over the conditioning dictionary ``spec_q``."""
     if spec_q.kind == "hermite_tensor":
-        if which == "series_1":
-            # additive univariate expansions, one block per coordinate
-            blocks = [hermite_design(data.Z[:, j], spec_q.degree)
-                      for j in range(data.Z.shape[1])]
-            return np.concatenate(blocks, axis=1)
-        Q = design.blocks[0]
-        # a gathered copy, F-ordered like every other route's controls: the
-        # final OLS's last bits depend on the layout
-        return Q[:, np.arange(Q.shape[1])]
+        if which == "series_2":
+            return design.blocks[0], np.arange(design.shape[1])
+        # additive univariate expansions, one block per coordinate
+        controls = np.concatenate([hermite_design(data.Z[:, j], spec_q.degree)
+                                   for j in range(data.Z.shape[1])], axis=1)
+        return controls, np.arange(controls.shape[1])
     n_keep = min((SERIES_FRACTION_NUM * data.n) // SERIES_FRACTION_DEN, data.Z.shape[1])
     if which == "series_1":
-        return data.Z[:, :n_keep]
+        return data.Z, np.arange(n_keep)
     if rng is None:
         raise ValueError("randomized series benchmark needs an RNG")
-    cols = np.sort(rng.choice(data.Z.shape[1], size=n_keep, replace=False))
-    return data.Z[:, cols]
+    return data.Z, np.sort(rng.choice(data.Z.shape[1], size=n_keep, replace=False))
 
 
 def _fit_one(name, data: Dataset, design: LassoDesign, spec_p: DictionarySpec,
@@ -555,23 +557,19 @@ def _fit_one(name, data: Dataset, design: LassoDesign, spec_p: DictionarySpec,
     if refusal is not None:
         raise refusal
     k_ok = P.shape[1]
-    y = data.y
+    y, controls = data.y, design.blocks[0]
     if name == "post_single_1":
         sel = reduced_form_select(TargetBank.of(data.y, design), config)
-        controls = design.blocks[0][:, sel]
     elif name == "post_single_2":
         # one Lasso of y on [P, Q]: the blocks P and the workspace's design,
         # whose Q*Q and stored rows of Q'Q it reuses
         joint = LassoDesign(P, design)
         active = reduced_form_select(TargetBank.of(data.y, joint), config)
         sel = active[active >= k_ok] - k_ok
-        controls = design.blocks[0][:, sel]
     elif name in ("series_1", "series_2"):
-        controls = _series_controls(data, design, spec_q, name, rng)
-        sel = np.arange(controls.shape[1])
+        controls, sel = _series_controls(data, design, spec_q, name, rng)
     else:  # oracle
         if data.h_true is None:
             raise ValueError("oracle estimator requires the true h values")
-        y = data.y - data.h_true
-        sel, controls = np.array([], dtype=int), np.empty((data.n, 0))
+        y, sel = data.y - data.h_true, _EMPTY_SET
     return pds_fit(P_raw, controls, y, sel, spec_p=spec_p)

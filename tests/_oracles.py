@@ -590,8 +590,8 @@ def choose_k_bic_per_degree(data, design: LassoDesign, k_grid,
             if k > k_ok:
                 raise refusal
             sel = selection.post_double_select(bank.subset(leading_cols(bank, k)), y_bank, cfg)
-            fit = selection.pds_fit(P_raw[:, :k], design.blocks[0][:, sel.union_set], data.y,
-                                    sel.union_set, spec_p=specs[k])
+            fit = selection.pds_fit(P_raw[:, :k], design.blocks[0], data.y, sel.union_set,
+                                    spec_p=specs[k])
         except selection.FIT_ERRORS as exc:
             errors[k] = str(exc)
             continue

@@ -134,6 +134,16 @@ def test_write_sample_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.Z, data.Z)
 
 
+def test_write_sample_pins_the_bytes_of_each_float(tmp_path):
+    # each cell is the shortest text that reads back as the same double
+    data = Dataset(y=np.array([-0.0, 0.1]), x=np.array([5e-324, 1e308]),
+                   Z=np.array([[0.1, -0.0], [1e308, 5e-324]]))
+    path = tmp_path / "dump.csv"
+    write_sample_csv(data, str(path))
+    assert path.read_bytes() == (b"y,x,z1,z2\n-0.0,5e-324,0.1,-0.0\n"
+                                 b"0.1,1e+308,1e+308,5e-324\n")
+
+
 # (text, whether NumPy's C reader takes it); every other file is read cell by cell
 READER_CASES = {
     "crlf": ("y,x,z1\r\n1.5,2,3\r\n-4,5e-3,6\r\n", True),

@@ -49,6 +49,7 @@ from pdsseries.selection import (
     first_stage_select,
     post_double_select,
     reduced_form_select,
+    resolve_gamma,
 )
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -152,6 +153,17 @@ def test_default_gamma():
     assert default_gamma(100, 1, 50) == pytest.approx(0.1 / math.log(100))
     assert default_gamma(100, 4, 50) == pytest.approx(0.1 / math.log(200))
     assert default_gamma(10**6, 1, 10) == pytest.approx(0.1 / math.log(10**6))
+
+
+def test_default_gamma_needs_two_moments_or_rows():
+    # log(max(M, n)) is 0 at M = n = 1: refused by name, not divided by
+    for call in (lambda: default_gamma(1, 1, 1), lambda: penalty_level(1, 1, 1),
+                 lambda: resolve_gamma(LassoConfig(), 1, 1, 1)):
+        with pytest.raises(ValueError, match=r"default gamma needs max\(M, n\) >= 2, got 1"):
+            call()
+    assert default_gamma(2, 1, 1) == pytest.approx(0.1 / math.log(2))
+    # an explicit gamma needs no default: a finite level at n = 1
+    assert math.isfinite(penalty_level(1, 1, 1, LassoConfig(gamma=0.05)))
 
 
 def test_lasso_config_validation():

@@ -134,8 +134,8 @@ def test_double_selection_contains_single_and_fits_tighter():
     sel = post_double_select(bank_of(P, d), bank_of(data.y, d), cfg)
     rf_set = reduced_form_select(bank_of(data.y, d), cfg)
     assert set(rf_set.tolist()) <= set(sel.union_set.tolist())
-    fit_pd = pds_fit(P_raw, d.blocks[0][:, sel.union_set], data.y, sel.union_set)
-    fit_ps = pds_fit(P_raw, d.blocks[0][:, rf_set], data.y, rf_set)
+    fit_pd = pds_fit(P_raw, d.blocks[0], data.y, sel.union_set)
+    fit_ps = pds_fit(P_raw, d.blocks[0], data.y, rf_set)
     rss_pd = fit_pd.residuals @ fit_pd.residuals
     rss_ps = fit_ps.residuals @ fit_ps.residuals
     assert rss_pd <= rss_ps + 1e-9
@@ -154,7 +154,7 @@ def test_noiseless_linear_model_recovered_exactly():
     P_raw, P = g_columns(data.x, spec_p.degree)
     sel = post_double_select(bank_of(P, d), bank_of(data.y, d))
     assert {0, 3} <= set(sel.union_set.tolist())
-    fit = pds_fit(P_raw, d.blocks[0][:, sel.union_set], data.y, sel.union_set, spec_p=spec_p)
+    fit = pds_fit(P_raw, d.blocks[0], data.y, sel.union_set, spec_p=spec_p)
     assert fit.beta_hat[0] == pytest.approx(2.0, abs=1e-8)
     assert fit.beta_hat[1] == pytest.approx(0.0, abs=1e-8)
     assert fit.eta_hat[0] == pytest.approx(3.0, abs=1e-8)
@@ -209,20 +209,54 @@ def test_pds_fit_takes_the_selected_indices():
     d = build_design(spec_q, data.Z)
     P_raw, P = g_columns(data.x, spec_p.degree)
     sel = post_double_select(bank_of(P, d), bank_of(data.y, d))
-    Q_sel = d.blocks[0][:, sel.union_set]
-    fit = pds_fit(P_raw, Q_sel, data.y, sel.union_set)
+    fit = pds_fit(P_raw, d.blocks[0], data.y, sel.union_set)
     np.testing.assert_array_equal(fit.selected, sel.union_set)
     assert fit.n == data.n
     assert fit.eta_hat.size == 1 + sel.union_set.size
     assert fit.P_resid.shape == P_raw.shape
-    # the whole raw block is not a selection of its columns
-    full = d.blocks[0]
-    with pytest.raises(ValueError, match="one raw column per selected index"):
-        pds_fit(P_raw, full, data.y, sel.union_set)
+    # controls of another row count than P's are refused by name
+    for controls in (d.blocks[0][:-1], d.blocks[0][:, 0]):
+        with pytest.raises(ValueError, match=r"^controls has shape .*one row per row of P"):
+            pds_fit(P_raw, controls, data.y, sel.union_set)
     # an outcome of another length than P's rows is refused by name
     for y in (data.y[:-1], np.append(data.y, 0.0), data.y[:, None]):
         with pytest.raises(ValueError, match=r"^y has shape .*one outcome per row of P"):
-            pds_fit(P_raw, Q_sel, y, sel.union_set)
+            pds_fit(P_raw, d.blocks[0], y, sel.union_set)
+
+
+@pytest.mark.parametrize("sel", [[-1, 2], [0, 5], [[0, 1]], [True, False, True, False, False],
+                                 [1.5], [0.0, 2.0]],
+                         ids=["negative", "p", "2-d", "mask", "fraction", "float"])
+def test_pds_fit_refuses_a_selection_that_is_not_column_indices(rng, sel):
+    # an index wraps or a mask selects silently under numpy's own indexing
+    P, controls, y = rng.standard_normal((30, 2)), rng.standard_normal((30, 5)), \
+        rng.standard_normal(30)
+    with pytest.raises(ValueError, match=r"^sel "):
+        pds_fit(P, controls, y, np.array(sel))
+    # an empty selection, as a list or an array, is the fit without controls
+    for empty in ([], np.empty(0, dtype=int)):
+        assert pds_fit(P, controls, y, empty).eta_hat.size == 1
+
+
+def test_pds_fit_reads_values_not_layouts(rng):
+    # the fit lays out its own regressors, so C, F and strided inputs, and a
+    # gathered copy of the selected columns, give the same bits
+    n, s = 80, np.array([4, 0, 7])
+    P, X, y = rng.standard_normal((n, 3)), rng.standard_normal((n, 9)), rng.standard_normal(n)
+    want = pds_fit(P, X, y, s)
+    P_wide, X_wide = np.repeat(P, 2, axis=1), np.repeat(X, 2, axis=1)
+    P_rows, X_rows = np.repeat(P, 2, axis=0), np.repeat(X, 2, axis=0)
+    for P_in, X_in, y_in in ((np.asfortranarray(P), np.asfortranarray(X), y),
+                             (P_wide[:, ::2], X_wide[:, ::2], np.repeat(y, 2)[::2]),
+                             (P_rows[::2], X_rows[::2], y)):
+        got = pds_fit(P_in, X_in, y_in, s)
+        for field in ("beta_hat", "eta_hat", "residuals", "P_resid", "p_rms"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field),
+                                          err_msg=field)
+    gathered = pds_fit(P, X[:, s], y, np.arange(s.size))
+    for field in ("beta_hat", "eta_hat", "residuals", "P_resid", "p_rms"):
+        np.testing.assert_array_equal(getattr(gathered, field), getattr(want, field),
+                                      err_msg=field)
 
 
 def test_pds_fit_flags_rank_deficiency(rng):
@@ -368,12 +402,10 @@ def test_grid_bank_matches_per_degree_selection(monkeypatch, design_name, extend
         # this degree's fit bit for bit, and the one-degree fit its BIC
         width = max(j for j in grid
                     if np.array_equal(res.fits[j].selected, want.union_set))
-        shared, = selection._final_fits(hermite_design(data.x, width),
-                                        d.blocks[0][:, want.union_set], data.y,
-                                        want.union_set,
-                                        {k: None})
+        shared, = selection._final_fits(hermite_design(data.x, width), d.blocks[0], data.y,
+                                        want.union_set, {k: None})
         assert_same_fit(res.fits[k], shared)
-        ref = pds_fit(P_raw, d.blocks[0][:, want.union_set], data.y, want.union_set)
+        ref = pds_fit(P_raw, d.blocks[0], data.y, want.union_set)
         assert res.bics[k] == pytest.approx(selection._bic(ref), rel=1e-12, abs=0)
     # both stages run on one design: banks on two designs are refused
     other = build_design(default_specs(cfg)[1], data.Z)
@@ -586,7 +618,7 @@ def test_fixed_degree_post_double_is_the_one_degree_grid(monkeypatch, design_nam
             np.testing.assert_array_equal(got.rf_set, want.rf_set)
             fit = fits[name]
             np.testing.assert_array_equal(fit.selected, want.union_set)
-            ref = pds_fit(P_raw, d.blocks[0][:, want.union_set], data.y, want.union_set)
+            ref = pds_fit(P_raw, d.blocks[0], data.y, want.union_set)
             np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=1e-12)
             assert fit.spec_p == spec_p
 
@@ -768,7 +800,7 @@ def test_post_single_1_matches_reduced_form_refit():
     d = build_design(spec_q, data.Z)
     cfg = resolve_gamma(LassoConfig(), data.n, 1, d.shape[1])
     rf_set = reduced_form_select(bank_of(data.y, d), cfg)
-    want = pds_fit(g_columns(data.x, spec_p.degree)[0], d.blocks[0][:, rf_set], data.y, rf_set)
+    want = pds_fit(g_columns(data.x, spec_p.degree)[0], d.blocks[0], data.y, rf_set)
     fits, failures = comparison_estimators(data, spec_p, spec_q,
                                            estimators=("post_single_1",))
     assert failures == {}
@@ -952,7 +984,7 @@ def test_raw_coordinate_series_benchmarks():
         rng=np.random.default_rng(7))
     assert failures == {}
     n_keep = (4 * n) // 5
-    want = pds_fit(g_columns(x, 3)[0], Z[:, :n_keep], y, np.arange(n_keep))
+    want = pds_fit(g_columns(x, 3)[0], Z, y, np.arange(n_keep))
     assert_same_fit(fits["series_1"], want)
     assert fits["series_2"].eta_hat.size == 1 + n_keep
     # series_2 without an rng is a recorded failure, not a crash
@@ -971,10 +1003,10 @@ def test_every_estimator_keeps_its_residualized_g_dictionary(monkeypatch, design
     inputs = {}
     real = selection._final_fits
 
-    def recording(P, Q_sel, y, sel, degrees):
-        fits = real(P, Q_sel, y, sel, degrees)
+    def recording(P, controls, y, sel, degrees):
+        fits = real(P, controls, y, sel, degrees)
         for k, fit in zip(degrees, fits):
-            inputs[id(fit)] = (P[:, :k], Q_sel)
+            inputs[id(fit)] = (P[:, :k], controls[:, sel])
         return fits
 
     monkeypatch.setattr(selection, "_final_fits", recording)
@@ -1002,9 +1034,9 @@ def test_every_other_estimator_reads_the_exact_g_dictionary(monkeypatch, design_
         data = generate_sample(cfg, rng)
         inputs = {}
 
-        def recording(P, Q_sel, y, sel, **kwargs):
-            fit = real(P, Q_sel, y, sel, **kwargs)
-            inputs[id(fit)] = (Q_sel, y, sel)
+        def recording(P, controls, y, sel, **kwargs):
+            fit = real(P, controls, y, sel, **kwargs)
+            inputs[id(fit)] = (controls[:, sel], y, np.arange(len(sel)))
             return fit
 
         monkeypatch.setattr(selection, "pds_fit", recording)
@@ -1135,7 +1167,44 @@ def test_one_workspace_serves_every_estimator(monkeypatch):
     # series_2 on a tensor dictionary takes every raw column of the workspace
     idx = np.arange(d.shape[1])
     P_raw, _ = g_columns(data.x, spec_p.degree)
-    assert_same_fit(fits["series_2"], pds_fit(P_raw, d.blocks[0][:, idx], data.y, idx))
+    assert_same_fit(fits["series_2"], pds_fit(P_raw, d.blocks[0], data.y, idx))
+
+
+@pytest.mark.parametrize("kind", ["hermite_tensor", "raw_coordinates"])
+def test_series_2_hands_the_final_fit_its_controls_uncopied(monkeypatch, kind):
+    # the final OLS gathers the selected columns itself: Series II hands it
+    # the workspace's Q on a tensor, and Z with the drawn columns on raw
+    # coordinates, so its fit's selected names columns of that matrix
+    data = make_low_dim_like(n=260, seed=21)
+    spec_p = DictionarySpec("hermite_univariate", degree=3)
+    spec_q = (make_specs(data)[1] if kind == "hermite_tensor"
+              else DictionarySpec("raw_coordinates", input_dim=data.Z.shape[1]))
+    designs, handed = [], []
+    real_build, real_fits = selection.build_design, selection._final_fits
+
+    def building(spec, Z):
+        designs.append(real_build(spec, Z))
+        return designs[-1]
+
+    def fitting(P, controls, y, sel, specs):
+        handed.append((controls, sel))
+        return real_fits(P, controls, y, sel, specs)
+
+    monkeypatch.setattr(selection, "build_design", building)
+    monkeypatch.setattr(selection, "_final_fits", fitting)
+    fits, failures = comparison_estimators(data, spec_p, spec_q, estimators=["series_2"],
+                                           rng=np.random.default_rng(3))
+    assert failures == {} and len(designs) == len(handed) == 1
+    (controls, sel), = handed
+    if kind == "hermite_tensor":
+        assert controls is designs[0].blocks[0]
+        want = np.arange(controls.shape[1])
+    else:
+        assert controls is data.Z
+        n_keep = min((4 * data.n) // 5, data.Z.shape[1])
+        want = np.sort(np.random.default_rng(3).choice(data.Z.shape[1], n_keep, replace=False))
+    np.testing.assert_array_equal(sel, want)
+    np.testing.assert_array_equal(fits["series_2"].selected, want)
 
 
 def test_a_raw_coordinates_workspace_is_one_dictionary_evaluation(monkeypatch):
