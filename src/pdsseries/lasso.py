@@ -51,30 +51,33 @@ and their sets rarely change. ``iterated_lasso`` records each round's
 active set and signs in the bank, and a later call on the same target
 settles each of its rounds that has a recorded round at that position by
 a KKT certificate with margin that the recorded set and signs are the
-exact Lasso solution at the new level (the homotopy view of the Lasso
-path, Osborne, Presnell & Turlach 2000), and solves the rounds that do
-not certify, so the sets are those of one solve per round.
+exact Lasso solution at the new level, and solves the rounds that do not
+certify, so the sets are those of one solve per round.
 
-The solver is active-set cyclic coordinate descent on the Gram system: the
-covariance-update scheme of glmnet (Friedman, Hastie & Tibshirani 2010,
-J. Stat. Softw. 33(1)), where sweeps run over the active coordinates only
-and one vectorised check of the subgradient (KKT) conditions over the
-inactive coordinates decides which enter, as in the strong rules of
-Tibshirani et al. (2012, J. R. Stat. Soc. B 74(2)). The solve ends when a
-screen finds no violator, so at a converged solution every inactive
-coordinate meets its KKT condition exactly and every active one to the
-sweep tolerance. Active sets are small, so the sweeps run on plain Python
-floats, with the same IEEE operations, and so the same bits, as NumPy's.
+The solver follows the weighted Lasso's path (the homotopy of Osborne,
+Presnell & Turlach 2000; LARS-Lasso, Efron, Hastie, Johnstone & Tibshirani
+2004). On a set A with coefficient signs s the solution is affine in the
+penalty level, ``t_A = u - lam v``, and it stays the solution down to the
+first level where an inactive column meets its KKT bound or an active
+coefficient reaches zero (``_span``). The path starts at lam_max with the
+empty set and takes one step per such event: the column enters with the
+sign of its input, or the coefficient leaves. A tie goes to the lowest
+column index. The path ends at the requested level with the exact solution
+on its last set, up to rounding, so the certificate of a recorded round is
+a path of zero steps. A path that needs more than ``_STEPS_PER_COLUMN``
+times the smaller side of the design in steps, or meets a singular (or
+non-finite) system on its set, raises ``ConvergenceError``.
 
 The solver reads the Gram system only through the rows of its active
-coordinates, so ``X'X`` is never formed whole: the ``LassoDesign`` forms
-row j, ``x_j'X``, block by block, the first time column j enters a solve
-and keeps it in its store for every later solve on the same design, and
-for the certificates of the sets those solves recorded.
+columns, so ``X'X`` is never formed whole: the ``LassoDesign`` forms
+row j, ``x_j'X``, block by block, the first time column j enters a path
+and keeps it in its store for every later path on the same design, and
+for the certificates of the sets those paths recorded.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from statistics import NormalDist
@@ -106,7 +109,7 @@ class DegenerateLoadingsError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Coordinate descent reached ``cd_max_iter`` sweeps without converging."""
+    """A Lasso path passed its step bound or met a singular system."""
 
 
 @dataclass(frozen=True)
@@ -116,28 +119,22 @@ class LassoConfig:
     ``gamma = None`` means the default slack 0.1 / log(max(M_total, n)) is
     derived where the penalty level is computed, with M_total the total
     count of Lasso target regressions times regressors per target.
-    ``cd_tol`` bounds the largest coefficient change in the last sweep of
-    a converged solve, with coefficients on the design's columns read at
-    unit root mean square (``LassoDesign``), whatever the units of the
-    columns as given.
+    ``n_loadings`` caps the loading rounds of ``iterated_lasso``. The
+    solver has no tuning constant: its path is exact up to rounding.
     """
 
     c: float = 1.1
     gamma: float | None = None
     n_loadings: int = 15
-    cd_tol: float = 1e-8
-    cd_max_iter: int = 10_000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        # a fraction would never equal the count of rounds or sweeps, so no cap
-        for name in ("n_loadings", "cd_max_iter"):
-            object.__setattr__(self, name, _require_whole(name, getattr(self, name), 1))
-        if not 0.0 <= self.cd_tol < math.inf:
-            raise ValueError("cd_tol must be nonnegative and finite")
+        # a fraction would never equal the count of rounds, so no cap
+        n_loadings = _require_whole("n_loadings", self.n_loadings, 1)
+        object.__setattr__(self, "n_loadings", n_loadings)
 
 
 @dataclass
@@ -147,16 +144,13 @@ class LassoFit:
     ``active_set`` holds the sorted positions of the nonzero coefficients.
     ``coefficients`` are those of the design's columns at unit root mean
     square (``LassoDesign``), not of the columns in the units given.
-    ``iterations`` counts the active-set sweeps of the final solve: passes
-    of cyclic coordinate descent over the coordinates admitted so far by
-    the KKT screen, not over all columns (the glmnet active-set scheme of
-    Friedman, Hastie & Tibshirani 2010, screened as in Tibshirani et al.
-    2012); a solve whose first screen admits nothing takes 0, and so does
-    a round of ``iterated_lasso`` that a KKT certificate settles without a
-    solve, whose coefficients are the exact solution on its set.
-    ``converged`` means the last sweep moved no coefficient by more than
-    ``cd_tol`` and the screen after it found no inactive coordinate
-    violating its KKT condition; a certified round is converged.
+    ``iterations`` counts the path steps of the final solve, one per
+    column that entered or left on the way from lam_max (``lasso_solve``):
+    a solve at or above lam_max takes 0, and so does a round of
+    ``iterated_lasso`` that a KKT certificate settles without a solve.
+    Either way the coefficients are the exact solution on the set, up to
+    rounding. ``converged`` is True on every fit returned: a path that
+    cannot end raises ``ConvergenceError`` instead.
     """
 
     coefficients: np.ndarray
@@ -272,11 +266,11 @@ class LassoDesign:
     solve. The weighted Lasso selects the same set on any positive
     rescaling of its columns, since ``x_l't``, the Gram entries and the
     loadings ``sqrt(mean(x_l^2 e^2))`` all scale with the column; reading
-    them at one scale makes the sweep tolerance ``cd_tol`` mean the same
-    thing on every column. The blocks stay as given: ``scales`` holds ``s``, taken
-    from the column sums of the squares that the Gram diagonal needs
-    anyway, and only the design's outputs, each (k, m) or smaller, are
-    divided by it.
+    them at one scale gives every Gram block the path solves on a diagonal
+    of n, whatever the units of its columns. The blocks stay as given:
+    ``scales`` holds ``s``, taken from the column sums of the squares that
+    the Gram diagonal needs anyway, and only the design's outputs, each
+    (k, m) or smaller, are divided by it.
 
     ``squares`` holds each block's ``X_b*X_b``: both loadings formulas are
     one product against them, ``sq_product``, and ``diag``, the Gram
@@ -404,14 +398,17 @@ class LassoDesign:
 
 # relative margin between a level that ``settled_empty`` settles and lam / 2
 _MARGIN = 1e-12
-# the gap between a coordinate's input and its threshold that a round's
-# certificate demands: this share of the threshold, for rounding, plus this
-# many times the input's reach under the solver's stopping rule, cd_tol
-# times the column's Gram entries on the set (``TargetBank._span``)
+# the gap between a column's input and its threshold that a round's
+# certificate demands, as a share of the threshold, for rounding (``_span``)
 _CERTIFY_MARGIN = 1e-6
-_CERTIFY_REACH = 1000.0
-# the span of a round that certifies at no penalty level
-_NO_SPAN = (math.inf, -math.inf, None, None)
+# a path takes at most this many steps per column or row, whichever are
+# fewer (lars' ``max.steps``, Efron et al. 2004); the longest measured, on a
+# low_dim n = 500 sample with y + 100 and the 329-column tensor, took 188
+_STEPS_PER_COLUMN = 8
+# the span of a set whose system is singular or not finite
+_NO_SPAN = (math.inf, -math.inf, None, None, -1, 0.0)
+# the two sides of an input's threshold, as the rows of ``_span``'s conditions
+_SIDES = np.array([[1.0], [-1.0]])
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 
@@ -555,17 +552,17 @@ class TargetBank:
     memo starts with round 1's under the empty-set key ``b""``, or with the
     flag ``_refine`` would return instead. ``levels[r, j]`` is the target's
     level in round r, max_l |x_l't| / psi_l with that round's loadings, or
-    NaN where rounding cannot vouch for one: the first screen of a round
-    admits nothing exactly when lam / 2 reaches the level. With both rounds
-    at hand, ``settled_empty`` settles at once the equations that plainly
-    end with an empty active set.
+    NaN where rounding cannot vouch for one: a round's path takes no step
+    exactly when lam / 2 reaches the level. With both rounds at hand,
+    ``settled_empty`` settles at once the equations that plainly end with
+    an empty active set.
 
     ``records[j]`` holds the active set and signs of each round of the last
-    ``iterated_lasso`` call on target j that returned, the most sweeps one
-    of the solves behind them took, and the cache of certificate spans
-    (``_span``) that every call on the target keeps adding to, or None; the
-    next call on the target certifies those rounds where it can. Like the
-    memos, the records are kept by target and shared by ``subset``.
+    ``iterated_lasso`` call on target j that returned, and the cache of
+    certificate spans (``_span``) that every call on the target keeps
+    adding to, or None; the next call on the target certifies those rounds
+    where it can. Like the memos, the records are kept by target and
+    shared by ``subset``.
     """
 
     design: LassoDesign
@@ -658,169 +655,102 @@ class TargetBank:
         the empty set and skip the call. An entry may be False for an
         equation that does end empty; its call decides, as the KKT check
         decides what the strong rules (Tibshirani et al. 2012) leave. The
-        first solve starts from t = 0 and admits nothing when no column has
-        |x_l't| > lam psi0_l / 2, the first screen of ``_cd_solve``; the
-        second, run when ``n_loadings > 1``, is the same test with
-        ``loadings[1]`` (or is skipped for a flagged memo, which ends the
-        call empty as well); a third would repeat the empty set and stop.
+        first solve's path starts at lam_max, twice the round's level, and
+        takes no step when lam reaches it; the second, run when
+        ``n_loadings > 1``, is the same test with ``loadings[1]`` (or is
+        skipped for a flagged memo, which ends the call empty as well); a
+        third would repeat the empty set and stop.
 
         A round is settled when its level is at or below ``low = (lam / 2)
         / (1 + 1e-12)``: one comparison of the rounds' levels, and an
         equation is settled when each of its rounds is. A normal level at or
         below ``low`` is each ratio |x_l't| / psi_l rounded once, with
         relative error at most 2^-53, so every ``|x_l't| < lam / 2 * psi_l``
-        exactly; rounding is monotone, so the solver's threshold ``fl(lam /
-        2 * psi_l) >= |x_l't|`` and its screen admits nothing, whatever the
-        size of |x_l't|. A NaN level is never settled, so neither is an
-        equation whose loadings are not all positive and finite, whose
-        ``iterated_lasso`` call raises.
+        exactly; the path's first event (``_span`` on the empty set) is the
+        same rounded ratio, so it lies below lam / 2 and the path takes no
+        step, whatever the size of |x_l't|. A NaN level is never settled, so
+        neither is an equation whose loadings are not all positive and
+        finite, whose ``iterated_lasso`` call raises.
         """
         cols = list(self.cols)
         rounds = 1 if config.n_loadings == 1 else 2
         low = min(0.5 * float(lam) / (1.0 + _MARGIN), _HUGE)
         return (self.levels[:rounds, cols] <= low).all(axis=0)
 
-    def _span(self, j: int, active: np.ndarray, signs: np.ndarray,
-              psi: np.ndarray, tol: float) -> tuple:
-        """The penalty levels at which target j's Lasso under loadings ``psi``
-        surely ends with the set ``active`` and coefficient signs ``signs``:
-        ``(lo, hi, u, v)``, an interval that is empty when ``lo > hi``, and
-        the solution ``u - lam v`` on the set at any lam in it.
 
-        On A = ``active`` with signs s, the solution at lam is ``t_A =
-        G_AA^-1 (X_A'y - (lam/2) psi_A s) = u - lam v``, read from the rows
-        of A in the design's store: the solve that recorded A formed them,
-        so reading them forms no row. It is the Lasso solution when its
-        signs are s and every column j off A meets ``|x_j'y - G_jA t_A| <=
-        (lam/2) psi_j``: the subgradient (KKT) conditions, and the solver's
-        own tests at a fixed point, where a coordinate's input exceeds its
-        threshold by ``G_aa |t_a|`` on A and a column enters only when its
-        input exceeds its threshold. Each condition is linear in lam, so
-        together they hold on an interval (the homotopy view of the Lasso
-        path; Osborne, Presnell & Turlach 2000). Every column of a recorded
-        equation has a positive loading, so every column off A is checked.
+def _span(design: LassoDesign, xty: np.ndarray, psi: np.ndarray, active: np.ndarray,
+          signs: np.ndarray, margin: float = _CERTIFY_MARGIN) -> tuple:
+    """The penalty levels at which the Lasso of ``xty`` on ``design`` under
+    loadings ``psi`` surely has the set ``active`` with coefficient signs
+    ``signs``: ``(lo, hi, u, v, event, sign)``, an interval that is empty
+    when ``lo > hi``, the solution ``u - lam v`` on the set at any lam in
+    it, and the path's next step below the interval: the column whose
+    condition sets ``lo``, and the sign it enters with if it is off the set.
 
-        The solver stops near the solution, not on it: once a sweep moves no
-        coefficient by more than ``tol`` (``cd_tol``), so each input it reads
-        may be off by about ``tol * sum_a |G_ja|``, the column's reach. Each
-        condition therefore demands a gap between the input and its
-        threshold of ``_CERTIFY_REACH`` reaches, which widens with ``cd_tol``,
-        plus ``_CERTIFY_MARGIN`` of the threshold for the rounding of the
-        solve on A and of the interval's ends (rows formed as ``x_a'X`` are
-        symmetric only to rounding). Over 32 BIC-grid fits at n = 500 (both
-        designs, extended first stage on and off; 1106 solves that selected
-        a column), the inputs at the solver's stop were at most 6.3 reaches,
-        and 3.1e-7 of the threshold, from those at the exact solution. The
-        gap demanded is 1000 reaches, at the default ``cd_tol = 1e-8`` about
-        5e-3 for n = 500 and |A| = 10, against thresholds of 10 to 100 there.
-        """
-        design, xty = self.design, self.xty[j]
-        G = design.rows(active)
-        # lam * q >= p, one row per condition: each input off A below its
-        # threshold from above and from below, then each input on A above it
-        c = (0.5 * (1.0 - _CERTIFY_MARGIN)) * psi
-        reach = np.abs(G).sum(axis=0)
-        reach *= _CERTIFY_REACH * tol
-        G_AA = G[:, active]
-        rhs = np.stack([xty[active], 0.5 * psi[active] * signs], axis=1)
-        with np.errstate(all="ignore"):
+    On A = ``active`` with signs s, the solution at lam is ``t_A = G_AA^-1
+    (X_A'y - (lam/2) psi_A s) = u - lam v``, read from the rows of A in the
+    design's store, which forms those it lacks. It is the Lasso solution
+    when its signs are s and every column off A meets ``|x_j'y - G_jA t_A|
+    <= (lam/2) psi_j``: the subgradient (KKT) conditions. Each condition is
+    linear in lam, so together they hold on an interval (the homotopy view
+    of the Lasso path; Osborne, Presnell & Turlach 2000). Columns with a
+    zero Gram diagonal are zero columns, which never enter, so they are
+    not checked.
+
+    Each condition demands a gap of ``margin`` of the threshold between an
+    input and its threshold, and a coefficient on A at least that gap over
+    its Gram diagonal. A round's certificate takes the default, for the
+    rounding of the solve on A and of the interval's ends (rows formed as
+    ``x_a'X`` are symmetric only to rounding); the path takes 0, so its
+    events are the exact ones. Going down from ``hi``, the first condition
+    to fail sets ``lo``: its column enters with the sign of its input, or,
+    on A, leaves. Conditions are compared on lam / 2 and ties go to the
+    lowest column, so on the empty set ``lo / 2`` is the bank's level,
+    ``max_l |x_l'y| / psi_l`` rounded once.
+    """
+    c = (1.0 - margin) * psi
+    with np.errstate(all="ignore"):
+        # h * q >= p, per column: each input off A below its threshold from
+        # above (row 0) and from below (row 1), and each coefficient on A on
+        # its side of zero, in both rows; every path starts on the empty set,
+        # where the inputs are the cross products themselves
+        if active.size:
+            G = design.rows(active)
+            G_AA = G[:, active]
+            rhs = np.array([xty[active], psi[active] * signs])
+            # t_A = u - h w at h = lam / 2
             try:
-                u, v = np.linalg.solve(G_AA, rhs).T if active.size else rhs.T
+                uw = np.linalg.solve(G_AA, rhs.T).T
             except np.linalg.LinAlgError:
                 return _NO_SPAN
-            Gu, Gv = np.stack([u, v]) @ G
-            a = xty - Gu
-            lower, upper = a + reach, reach - a
-            lower[active] = upper[active] = -math.inf
+            u, w = uw
+            Gu, Gw = uw @ G
+            q = c - _SIDES * Gw
+            p = _SIDES * (xty - Gu)
             gain = signs * np.diagonal(G_AA)
-            q = np.concatenate([c - Gv, c + Gv,
-                                -(gain * v + (0.5 * _CERTIFY_MARGIN) * psi[active])])
-            p = np.concatenate([lower, upper, reach[active] - gain * u])
-            if np.isnan(q).any() or np.isnan(p).any() or (p[q == 0.0] > 0.0).any():
+            q[:, active] = -(gain * w + margin * psi[active])
+            p[:, active] = -gain * u
+        else:
+            u = w = psi[:0]
+            q, p = c, _SIDES * xty
+        ratio = p / q
+        lower = np.where(q > 0.0, ratio, -math.inf)
+        upper = np.where(q < 0.0, ratio, math.inf)
+        if not np.isfinite(ratio).all():
+            if np.isnan(q).any() or np.isnan(p).any():
                 return _NO_SPAN
-            ratio = p / q
-            lo = ratio[q > 0.0].max(initial=0.0)
-            hi = ratio[q < 0.0].min(initial=math.inf)
-        return float(lo), float(hi), u, v
-
-
-def _cd_solve(design: LassoDesign, xty: np.ndarray, thr: np.ndarray,
-              max_iter: int, tol: float):
-    """Active-set cyclic coordinate descent on the Gram system.
-
-    The covariance-update scheme of Friedman, Hastie & Tibshirani (2010),
-    with each screen a full KKT check as in Tibshirani et al. (2012).
-    Minimizes sum (y - X t)^2 + 2 sum_j thr_j |t_j| given ``design``, which
-    holds the rows of X'X, and ``xty = X'y``, starting from t = 0. Each round
-    screens the inactive coordinates at once: j enters when
-    |xty_j - q_j| > thr_j, with q = X'X t, which is exactly when its
-    coordinate update would move it off zero. Columns with a zero Gram
-    diagonal never enter. The active rows are then read from the store,
-    which forms those of the entering columns it does not hold yet. Sweeps
-    run over the active coordinates only, updating q on the active block,
-    until the largest coefficient change in a sweep is at most ``tol``;
-    q is then refreshed in full from the active rows and the next screen
-    runs. The solve ends when a screen admits nothing, so only rows of
-    columns that entered are ever formed.
-
-    The sweeps hold q on the active block and the active Gram block as
-    lists of Python floats: a coordinate's update ``q_a[i] += delta *
-    row[i]`` is the same two IEEE double operations, rounded the same way,
-    as NumPy's ``q_a += delta * row``, so the coefficients and the sweep
-    count are NumPy's bit for bit, without a NumPy call per update.
-
-    Returns (coef, sweeps, converged). ``sweeps`` counts active-set sweeps
-    over all rounds and is capped at ``max_iter``; ``converged`` is False
-    when the cap stopped a round before its sweeps met ``tol``.
-    """
-    m = xty.shape[0]
-    coef = np.zeros(m)
-    q = np.zeros(m)
-    usable = design.diag > 0.0
-    active = np.zeros(m, dtype=bool)
-    sweeps = 0
-    while True:
-        entering = usable & ~active & (np.abs(xty - q) > thr)
-        if not entering.any():
-            return coef, sweeps, True
-        active |= entering
-        idx = np.flatnonzero(active)
-        active_rows = design.rows(idx)
-        block = active_rows[:, idx]
-        rows = block.tolist()
-        q_a = q[idx].tolist()
-        c_a = coef[idx].tolist()
-        d_a = np.diagonal(block).tolist()
-        t_a = thr[idx].tolist()
-        b_a = xty[idx].tolist()
-        span = range(len(d_a))
-        while True:
-            if sweeps == max_iter:
-                coef[idx] = c_a
-                return coef, sweeps, False
-            sweeps += 1
-            max_change = 0.0
-            for k, dk in enumerate(d_a):
-                z = b_a[k] - q_a[k] + dk * c_a[k]
-                t = t_a[k]
-                if z > t:
-                    new = (z - t) / dk
-                elif z < -t:
-                    new = (z + t) / dk
-                else:
-                    new = 0.0
-                delta = new - c_a[k]
-                if delta != 0.0:
-                    row = rows[k]
-                    for i in span:
-                        q_a[i] += delta * row[i]
-                    c_a[k] = new
-                    if abs(delta) > max_change:
-                        max_change = abs(delta)
-            if max_change <= tol:
-                break
-        coef[idx] = c_a
-        q = coef[idx] @ active_rows
+            # a condition with q = 0 holds at every level or at none
+            lower[(q == 0.0) & (p > 0.0)] = math.inf
+    off = design.diag == 0.0
+    if off.any():
+        lower[:, off], upper[:, off] = -math.inf, math.inf
+    low = lower.max(axis=0)
+    m = low.size
+    event = int(np.argmax(low)) if m else -1
+    lo = max(float(low[event]), 0.0) if m else 0.0
+    hi = float(upper.min(initial=math.inf))
+    sign = 1.0 if m and lower[0, event] >= lower[1, event] else -1.0
+    return 2.0 * lo, 2.0 * hi, u, 0.5 * w, event, sign
 
 
 def lasso_solve(
@@ -830,37 +760,65 @@ def lasso_solve(
     loadings: np.ndarray,
     config: LassoConfig = LassoConfig(),
 ) -> LassoFit:
-    """Solve one weighted-penalty Lasso by active-set coordinate descent.
+    """Solve one weighted-penalty Lasso exactly, by following its path.
 
     ``xty`` is ``X'y`` for the design ``X`` of ``design`` at unit root
     mean square, ``design.product(y)``; the solve reads the design's Gram
-    rows, forming those of entering columns it does not hold yet. The fit reports ``converged = False`` when ``cd_max_iter`` sweeps
-    were not enough; ``iterated_lasso`` turns that into a
-    ``ConvergenceError``.
+    rows, forming those of entering columns it does not hold yet.
+
+    The path starts at lam_max, where the solution is empty, and goes down
+    to ``lam`` one step at a time (``_span``): each step follows the
+    solution on the current set and signs down to the first level where a
+    column enters or a coefficient leaves, and applies that event. The fit
+    is the solution on the last set at ``lam``, and ``iterations`` counts
+    the steps. A path that would take more than ``_STEPS_PER_COLUMN *
+    min(n, m)`` steps, or that meets a singular or non-finite system on its
+    set, raises ``ConvergenceError``. ``config`` is accepted for a uniform
+    signature; nothing in it tunes the solve.
     """
     xty = np.asarray(xty, dtype=float)
     loadings = np.asarray(loadings, dtype=float)
     m = design.shape[1]
-    # NaN fails every comparison, so it would admit nothing and pass for a
-    # converged empty fit; inf is legal, and its solution is the empty set
+    # NaN fails every comparison, so no step would reach it; inf is legal,
+    # and its solution is the empty set
     if not lam >= 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     if xty.shape != (m,):
         raise ValueError(f"xty has shape {xty.shape}, expected ({m},)")
-    if loadings.shape[0] != m:
-        raise ValueError("loadings length does not match column count")
+    if loadings.shape != (m,):
+        raise ValueError(f"loadings has shape {loadings.shape}, expected ({m},)")
     if not _proper(loadings):
         raise ValueError("loadings must be positive and finite; degenerate columns upstream")
-    coef, sweeps, converged = _cd_solve(
-        design, xty, 0.5 * float(lam) * loadings, config.cd_max_iter, config.cd_tol,
-    )
+    lam = float(lam)
+    cols, col_signs = [], []
+    bound = _STEPS_PER_COLUMN * min(design.shape)
+    steps = 0
+    while True:
+        active, signs = np.array(cols, dtype=np.intp), np.array(col_signs)
+        lo, _, u, v, event, sign = _span(design, xty, loadings, active, signs, 0.0)
+        if u is None:
+            raise ConvergenceError(f"the Lasso path met a singular or non-finite system "
+                                   f"on {active.size} columns after {steps} steps")
+        if lo <= lam:
+            break
+        if steps == bound:
+            raise ConvergenceError(f"the Lasso path passed its step bound of {bound} steps")
+        steps += 1
+        at = bisect.bisect_left(cols, event)
+        if at < len(cols) and cols[at] == event:
+            del cols[at], col_signs[at]
+        else:
+            cols.insert(at, event)
+            col_signs.insert(at, sign)
+    coef = np.zeros(m)
+    coef[active] = u - lam * v
     return LassoFit(
         coefficients=coef,
         active_set=np.flatnonzero(coef),
-        lam=float(lam),
+        lam=lam,
         loadings=loadings,
-        iterations=sweeps,
-        converged=converged,
+        iterations=steps,
+        converged=True,
     )
 
 
@@ -916,39 +874,36 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
     ``config`` reuse them. The memo starts with the empty set's loadings
     (or flag), computed for the whole bank at once; an equation that
     ``TargetBank.settled_empty`` marks would return an empty set here and
-    can skip the call. Raises ``ConvergenceError`` when the solve behind the
-    returned fit hit ``cd_max_iter``.
+    can skip the call. A round whose path cannot end raises
+    ``ConvergenceError`` (``lasso_solve``), whichever round it is.
 
     A call that returns records each round's active set and signs in the
-    bank, and the most sweeps a solve behind them took; one that raises
-    leaves no record. The target's next call (a grid's next degree, at a
-    nearby lam) certifies each round that has a recorded round at its
-    position when lam lies in that round's span under this round's
-    loadings (``TargetBank._span``): the recorded set and signs are then
-    the exact Lasso solution, and the round's fit is that solution with
-    ``iterations`` 0, read from Gram rows the recorded solves formed. Any
-    other round is solved, so every set is that of a call without a
-    record. A record whose solves took over half of ``cd_max_iter``
-    sweeps certifies nothing: a certified round stands for a solve at a
-    nearby lam, which must converge too.
+    bank; one that raises leaves no record. The target's next call (a
+    grid's next degree, at a nearby lam) certifies each round that has a
+    recorded round at its position when lam lies in that round's span under
+    this round's loadings (``_span``): the recorded set and signs are then
+    the exact Lasso solution, and the round's fit is that solution, a path
+    of zero steps read from Gram rows the recorded paths formed. Any other
+    round is a fresh path from lam_max, so every set is that of a call
+    without a record.
     """
     j, design = bank.cols[k], bank.design
     y, xty, memo = bank.rows[j], bank.xty[j], bank.memos[j]
     record, bank.records[j] = bank.records[j], None
-    recorded, sweeps, spans = record if record is not None else ([], 0, {})
-    if 2 * sweeps > config.cd_max_iter or not 0.0 <= lam < math.inf:
+    recorded, spans = record if record is not None else ([], {})
+    if not 0.0 <= lam < math.inf:
         recorded = []
     loadings = _nonzero(bank.loadings[0, j], "initial")
-    rounds, most, previous = [], 0, None
+    rounds, previous = [], None
     while True:
         r, fit = len(rounds), None
         if r < len(recorded):
             active, signs = recorded[r]
-            # a round's span depends on its loadings, set and signs, and on
-            # cd_tol: it is formed once and serves every later call
-            step = (previous, active.tobytes(), signs.tobytes(), config.cd_tol)
+            # a round's span depends on its loadings, set and signs: it is
+            # formed once and serves every later call
+            step = (previous, active.tobytes(), signs.tobytes())
             if step not in spans:
-                spans[step] = bank._span(j, active, signs, loadings, config.cd_tol)
+                spans[step] = _span(design, xty, loadings, active, signs)[:4]
             lo, hi, u, v = spans[step]
             if lo <= lam <= hi:
                 coef = np.zeros(design.shape[1])
@@ -956,11 +911,9 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
                 fit = LassoFit(coefficients=coef, active_set=active, lam=float(lam),
                                loadings=loadings, iterations=0, converged=True)
                 rounds.append(recorded[r])
-                most = max(most, sweeps)
         if fit is None:
             fit = lasso_solve(design, xty, lam, loadings, config)
             rounds.append((fit.active_set, np.sign(fit.coefficients[fit.active_set])))
-            most = max(most, fit.iterations)
         key = fit.active_set.tobytes()
         if len(rounds) == config.n_loadings or key == previous:
             break
@@ -971,10 +924,5 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
         if isinstance(loadings, str):
             fit = replace(fit, **{loadings: True})
             break
-    if not fit.converged:
-        raise ConvergenceError(
-            f"coordinate descent did not converge within cd_max_iter="
-            f"{config.cd_max_iter} sweeps"
-        )
-    bank.records[j] = (rounds, most, spans)
+    bank.records[j] = (rounds, spans)
     return fit

@@ -137,9 +137,10 @@ class SelectionError(RuntimeError):
 
 # What a fit can legitimately raise on one sample: bad or degenerate data
 # (ValueError, with DegenerateColumnError and DegenerateLoadingsError), a
-# singular system (LinAlgError, with SingularOmegaError), a solve that hit
-# cd_max_iter, and a failed selection step. Anything else is a programming
-# error and propagates instead of being counted as an estimator failure.
+# singular system (LinAlgError, with SingularOmegaError), a Lasso path that
+# passed its step bound or met a singular set (ConvergenceError), and a
+# failed selection step. Anything else is a programming error and
+# propagates instead of being counted as an estimator failure.
 FIT_ERRORS = (ValueError, np.linalg.LinAlgError, ConvergenceError, SelectionError)
 
 # the active set of every settled equation: shared, so read-only

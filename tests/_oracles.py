@@ -2,8 +2,12 @@
 
 Everything here is deliberately written from first principles, without
 touching the library's own solver paths, so agreement is meaningful.
-``cd_solve`` is the library's former full-sweep coordinate-descent kernel,
-kept unchanged as the reference for the active-set kernel that replaced it.
+``cd_solve`` and ``_cd_solve`` are the library's former coordinate-descent
+kernels, over every coordinate and over the active ones, kept as the
+references for the exact path that replaced them: the set the path selects
+is the one they converge to. They stop at their own tolerance ``CD_TOL``
+and cap ``CD_MAX_ITER``, tight enough that their coefficients are the
+exact ones to about 1e-10.
 ``iterated_lasso`` is the library's former loadings iteration: it stopped
 when the refined loadings repeated the previous round's, which the
 library's rule (stop when the active set repeats) must match in every
@@ -24,9 +28,6 @@ library, which never called it.
 ``toeplitz_column_loop`` is the library's former AR(1) draw, column by
 column into a second array, kept unchanged as the reference for the
 in-place draw that replaced it.
-``_cd_solve`` is the library's former active-set kernel, whose sweeps
-updated a NumPy vector per coordinate, kept unchanged as the reference for
-the plain-float sweeps that replaced it: their bits must be the same.
 ``hermite_eval`` and ``hermite_deriv`` are the library's former one-degree
 Hermite evaluators, kept unchanged as the references for its design-matrix
 evaluators. ``residualize_p`` is the library's former second least squares
@@ -64,7 +65,6 @@ from pdsseries.dictionary import (
     tensor_index_set,
 )
 from pdsseries.lasso import (
-    ConvergenceError,
     DegenerateLoadingsError,
     LassoConfig,
     LassoDesign,
@@ -301,7 +301,13 @@ def lasso_sign_enumeration(X: np.ndarray, y: np.ndarray, lam: float,
     return best
 
 
-def cd_solve(gram, xty, lam, penalty, max_iter, tol):
+# the coordinate-descent references' stopping rule: the largest coefficient
+# change in a sweep, and the cap on sweeps
+CD_TOL = 1e-13
+CD_MAX_ITER = 100_000
+
+
+def cd_solve(gram, xty, lam, penalty, max_iter=CD_MAX_ITER, tol=CD_TOL):
     """Minimize the weighted-penalty Lasso objective via its Gram matrices.
 
     Cyclic coordinate descent over every coordinate on the Gram system of
@@ -360,7 +366,7 @@ def cd_solve(gram, xty, lam, penalty, max_iter, tol):
 
 
 def _cd_solve(design: LassoDesign, xty: np.ndarray, thr: np.ndarray,
-              max_iter: int, tol: float):
+              max_iter: int = CD_MAX_ITER, tol: float = CD_TOL):
     """Active-set cyclic coordinate descent on the Gram system.
 
     The covariance-update scheme of Friedman, Hastie & Tibshirani (2010),
@@ -502,9 +508,8 @@ def iterated_lasso(
     further round would reproduce the same solution.
 
     ``design`` is a one-block ``LassoDesign`` over the regressors, which
-    it reads at unit root mean square, ``X``, as the solver does. Raises
-    ``ConvergenceError`` when the solve behind the returned fit hit
-    ``cd_max_iter``.
+    it reads at unit root mean square, ``X``, as the solver does. A
+    solve's ``ConvergenceError`` propagates.
     """
     cfg = config if config is not None else LassoConfig()
     X = unit_columns(design)
@@ -529,11 +534,6 @@ def iterated_lasso(
         if np.array_equal(loadings, fit.loadings):
             break
         fit = lasso_solve(design, xty, lam, loadings, cfg)
-    if not fit.converged:
-        raise ConvergenceError(
-            f"coordinate descent did not converge within cd_max_iter="
-            f"{cfg.cd_max_iter} sweeps"
-        )
     return fit
 
 

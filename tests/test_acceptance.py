@@ -121,8 +121,7 @@ def test_criterion_2_sign_enumeration_oracle():
         lam = (0.1 + 0.2 * (i % 5)) * float(np.abs(2 * X.T @ y).max())
         design = LassoDesign(X)
         loadings = initial_loadings(design, y)
-        fit = lasso_solve(design, design.product(y), lam, loadings,
-                          LassoConfig(cd_tol=1e-12, cd_max_iter=100_000))
+        fit = lasso_solve(design, design.product(y), lam, loadings)
         want = lasso_sign_enumeration(unit_columns(design), y, lam, loadings)
         worst = max(worst, float(np.abs(fit.coefficients - want).max()))
     elapsed = time.perf_counter() - t0
@@ -141,8 +140,7 @@ def test_criterion_3_ols_limit():
     for _ in range(20):
         X, y = random_instance(rng, 60, 8)
         design = LassoDesign(X)
-        fit = lasso_solve(design, design.product(y), 0.0, np.ones(8),
-                          LassoConfig(cd_tol=1e-12, cd_max_iter=200_000))
+        fit = lasso_solve(design, design.product(y), 0.0, np.ones(8))
         ols = np.linalg.pinv(X) @ y
         # the fit's coefficients are those of the unit-RMS columns
         worst = max(worst, float(np.abs(fit.coefficients / design.scales - ols).max()))

@@ -29,7 +29,6 @@ def _monte_carlo(**counts):
 # a call that reads the value)
 COUNT_SITES = {
     "LassoConfig.n_loadings": ("n_loadings", 1, lambda v: LassoConfig(n_loadings=v)),
-    "LassoConfig.cd_max_iter": ("cd_max_iter", 1, lambda v: LassoConfig(cd_max_iter=v)),
     "DictionarySpec.input_dim": (
         "input_dim", 1, lambda v: DictionarySpec("raw_coordinates", input_dim=v)),
     "DictionarySpec.degree": (

@@ -23,7 +23,7 @@ from _oracles import (
 )
 from pdsseries import lasso as lasso_module
 from pdsseries import selection as selection_module
-from pdsseries.dictionary import build_design
+from pdsseries.dictionary import DictionarySpec, build_design
 from pdsseries.lasso import (
     ConvergenceError,
     DegenerateLoadingsError,
@@ -174,19 +174,13 @@ def test_lasso_config_validation():
         LassoConfig(gamma=1.5)
     with pytest.raises(ValueError, match="n_loadings"):
         LassoConfig(n_loadings=0)
-    with pytest.raises(ValueError, match="cd_max_iter"):
-        LassoConfig(cd_max_iter=0)
-    # NaN or a negative tolerance would run every solve to cd_max_iter, and
-    # inf would stop after one sweep and report convergence
-    for tol in (math.nan, -1e-8, -math.inf, math.inf):
-        with pytest.raises(ValueError, match="cd_tol must be nonnegative and finite"):
-            LassoConfig(cd_tol=tol)
-    assert LassoConfig(cd_tol=0.0).cd_tol == 0.0
+    # the path solver is exact up to rounding, so nothing tunes it
+    assert [f.name for f in dataclasses.fields(LassoConfig)] == ["c", "gamma", "n_loadings"]
 
 
-@pytest.mark.parametrize("name", ["n_loadings", "cd_max_iter"])
+@pytest.mark.parametrize("name", ["n_loadings"])
 def test_lasso_config_caps_are_whole_numbers(name):
-    # a fraction never equals a count of rounds or sweeps, so it would cap nothing
+    # a fraction never equals a count of rounds, so it would cap nothing
     for bad in (1.5, 2.5, 0, 0.0, -1, math.nan, math.inf, "3", None):
         with pytest.raises(ValueError, match=f"{name} must be a whole number >= 1, got "):
             LassoConfig(**{name: bad})
@@ -202,15 +196,6 @@ def test_lasso_config_caps_are_whole_numbers(name):
 def test_every_lasso_entry_point_defaults_to_one_config(entry):
     default = inspect.signature(entry).parameters["config"].default
     assert type(default) is LassoConfig and default == LassoConfig()
-
-
-def test_a_whole_float_sweep_cap_caps_like_its_integer():
-    rng = np.random.default_rng(12)
-    n, m = 100, 20
-    X = rng.standard_normal((n, m))
-    y = X[:, 0] - X[:, 1] + rng.standard_normal(n)
-    with pytest.raises(ConvergenceError, match="cd_max_iter=1"):
-        iterate(X, y, penalty_level(n, 1, m), LassoConfig(cd_max_iter=1.0))
 
 
 # ---------------------------------------------------------------- loadings
@@ -308,8 +293,7 @@ def test_column_scaling_covariance(rng):
 def test_lambda_zero_reproduces_ols(rng):
     for _ in range(5):
         X, y = random_instance(rng, 80, 6)
-        fit = solve(X, y, 0.0, np.ones(6),
-                          LassoConfig(cd_tol=1e-12, cd_max_iter=100_000))
+        fit = solve(X, y, 0.0, np.ones(6))
         ols = np.linalg.lstsq(unit_columns(LassoDesign(X)), y, rcond=None)[0]
         np.testing.assert_allclose(fit.coefficients, ols, atol=1e-6)
 
@@ -321,8 +305,7 @@ def test_matches_sign_enumeration_oracle():
         X, y = random_instance(rng, 30, m, n_nonzero=m)
         loadings = initial_loadings(LassoDesign(X), y)
         lam = (0.1 + 0.2 * (i % 5)) * np.abs(2 * X.T @ y).max()
-        fit = solve(X, y, lam, loadings,
-                          LassoConfig(cd_tol=1e-12, cd_max_iter=100_000))
+        fit = solve(X, y, lam, loadings)
         want = lasso_sign_enumeration(unit_columns(LassoDesign(X)), y, lam, loadings)
         np.testing.assert_allclose(fit.coefficients, want, atol=1e-6)
 
@@ -331,8 +314,11 @@ def test_lasso_solve_validation(rng):
     X, y = random_instance(rng, 20, 3)
     with pytest.raises(ValueError, match="nonnegative"):
         solve(X, y, -1.0, np.ones(3))
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match=r"loadings has shape \(4,\), expected \(3,\)"):
         solve(X, y, 1.0, np.ones(4))
+    # a column of loadings passes a check of its length alone
+    with pytest.raises(ValueError, match=r"loadings has shape \(3, 1\), expected \(3,\)"):
+        solve(X, y, 1.0, np.ones((3, 1)))
     with pytest.raises(ValueError, match="positive"):
         solve(X, y, 1.0, np.array([1.0, 0.0, 1.0]))
     # a NaN loading fails every comparison, so it must be refused, not
@@ -536,23 +522,22 @@ def test_stopping_rule_matches_oracle_on_pipeline_problems():
 
 # ---------------------------------------------------------------- kernel oracle
 
-TIGHT = LassoConfig(cd_tol=1e-13, cd_max_iter=100_000)
-# largest subgradient violation accepted at a TIGHT solve
+# largest subgradient violation accepted at a solve
 KKT_TOL = 1e-6
 
 
 def assert_matches_full_sweep(X, y, lam, loadings, design=None, full=None):
-    """The active-set kernel, on the Gram row store of ``design`` (a fresh
-    one over ``X`` if None), against the former full-sweep kernel on the
-    full Gram of the matrix the design reads, ``full = U'U`` with ``U =
-    unit_columns(design)``."""
+    """The path, on the Gram row store of ``design`` (a fresh one over
+    ``X`` if None), against the former full-sweep kernel at its own tight
+    tolerance on the full Gram of the matrix the design reads, ``full =
+    U'U`` with ``U = unit_columns(design)``."""
     design = LassoDesign(X) if design is None else design
     if full is None:
         U = unit_columns(design)
         full = U.T @ U
     xty = design.product(y)
-    fit = lasso_solve(design, xty, lam, loadings, TIGHT)
-    want, _, ok = cd_solve(full, xty, lam, loadings, TIGHT.cd_max_iter, TIGHT.cd_tol)
+    fit = lasso_solve(design, xty, lam, loadings)
+    want, _, ok = cd_solve(full, xty, lam, loadings)
     assert ok and fit.converged
     np.testing.assert_allclose(fit.coefficients, want, rtol=0, atol=1e-10)
     np.testing.assert_array_equal(fit.active_set, np.flatnonzero(want))
@@ -608,25 +593,27 @@ def test_kernel_matches_full_sweep_on_pipeline_problems():
     assert selected > 0
 
 
-def test_kernel_sweeps_match_the_vector_sweep_kernel_bit_for_bit():
-    """Plain-float sweeps give the former kernel's bits, capped or not."""
+def test_path_matches_the_active_set_kernel_from_one_column_to_150():
+    """The path selects the set the former active-set kernel converges to,
+    with its coefficients, from one active column near lam_max to about
+    150 near OLS, taking a step for each column that entered or left."""
     rng = np.random.default_rng(21)
     sizes = []
-    # from one active column, near lam_max, to about 150, near OLS
     for n, m, frac in [(40, 6, 0.97), (60, 20, 0.6), (120, 50, 0.2),
                        (200, 100, 0.04), (300, 160, 0.004)]:
         X = rng.standard_normal((n, m))
         y = X @ rng.standard_normal(m) + rng.standard_normal(n)
-        xty = X.T @ y
+        design = LassoDesign(X)
+        xty = design.product(y)
         psi = rng.uniform(0.5, 2.0, m)
-        thr = frac * np.max(np.abs(xty) / psi) * psi
-        for max_iter in (1, 2, 5, LassoConfig().cd_max_iter):
-            got = lasso_module._cd_solve(LassoDesign(X), xty, thr, max_iter, 1e-8)
-            want = _oracles._cd_solve(LassoDesign(X), xty, thr, max_iter, 1e-8)
-            np.testing.assert_array_equal(got[0], want[0])
-            assert got[1:] == want[1:]
-        sizes.append(np.count_nonzero(got[0]))
-        assert got[2]
+        lam = frac * 2.0 * np.max(np.abs(xty) / psi)
+        fit = lasso_solve(design, xty, lam, psi)
+        want, _, ok = _oracles._cd_solve(LassoDesign(X), xty, 0.5 * lam * psi)
+        assert ok
+        np.testing.assert_array_equal(fit.active_set, np.flatnonzero(want))
+        np.testing.assert_allclose(fit.coefficients, want, rtol=0, atol=1e-9)
+        assert fit.converged and fit.iterations >= fit.active_set.size
+        sizes.append(fit.active_set.size)
     assert sizes[0] == 1 and sizes[-1] >= 130
 
 
@@ -985,13 +972,17 @@ def test_screen_agrees_with_the_solver_at_its_threshold():
 def solver_settles(bank, lam, cfg):
     """The screen by the solver: do the first solve of each equation, and the
     second unless its empty-set memo is a flag, admit nothing?"""
-    capped = LassoConfig(cd_max_iter=1)
 
     def admits_none(xty, psi):
         # an equation with a loading that is not positive and finite is never
-        # settled; a solve whose first screen admits nothing takes no sweep
-        return bool(((psi > 0.0) & np.isfinite(psi)).all()) and lasso_solve(
-            bank.design, xty, lam, psi, capped).iterations == 0
+        # settled; a path that admits nothing takes no step, and one that
+        # cannot end (an infinite X't) admits something
+        if not ((psi > 0.0) & np.isfinite(psi)).all():
+            return False
+        try:
+            return lasso_solve(bank.design, xty, lam, psi).iterations == 0
+        except ConvergenceError:
+            return False
 
     out = []
     for j in bank.cols:
@@ -1164,7 +1155,7 @@ def test_replay_returns_a_set_only_where_a_fresh_call_returns_it(monkeypatch):
                 lam * (1.0 - 1e-12), lam * (1.0 + 1e-12), 0.97 * lam, 1.03 * lam, 0.5 * lam)
 
     calls = solve_spy(monkeypatch)
-    seen = {"certified": 0, "solved": 0, "unrecorded": 0, "capped": 0}
+    seen = {"certified": 0, "solved": 0, "unrecorded": 0}
     for bank, k, cfg, lam, other, want, _ in recorded_calls((1, 2, 15), shifts):
         record = bank.records[k]
         calls.clear()
@@ -1176,14 +1167,6 @@ def test_replay_returns_a_set_only_where_a_fresh_call_returns_it(monkeypatch):
         else:
             assert_same_selection(got, want)
         seen["unrecorded" if record is None else "solved" if calls else "certified"] += 1
-        # a call whose solves took more than half a smaller sweep cap
-        # certifies no round under it: its first round is solved
-        if other == lam and record is not None and record[1] > 0:
-            bank.records[k] = record
-            calls.clear()
-            call(bank, k, lam, dataclasses.replace(cfg, cd_max_iter=1))
-            assert np.shares_memory(calls[0][0], bank.loadings[0])
-            seen["capped"] += 1
     assert all(seen.values()), seen
 
 
@@ -1228,13 +1211,14 @@ def test_a_partly_certified_call_solves_only_what_does_not_certify(monkeypatch):
         record = bank.records[k]
         if record is None or rounds != 2 or len(record[0]) < 2:
             continue
-        j, tol = bank.cols[k], cfg.cd_tol
+        j = bank.cols[k]
         (active1, signs1), (active2, signs2) = record[0][:2]
         psi = bank.memos[j].get(active1.tobytes())
         if isinstance(psi, str) or psi is None:
             continue
-        lo1, hi1, _, _ = bank._span(j, active1, signs1, bank.loadings[0, j], tol)
-        lo2, hi2, _, _ = bank._span(j, active2, signs2, psi, tol)
+        span = lasso_module._span
+        lo1, hi1 = span(bank.design, bank.xty[j], bank.loadings[0, j], active1, signs1)[:2]
+        lo2, hi2 = span(bank.design, bank.xty[j], psi, active2, signs2)[:2]
         if not lo1 <= other <= hi1 or lo2 <= other <= hi2:
             continue
         calls.clear()
@@ -1251,14 +1235,15 @@ def test_a_partly_certified_call_solves_only_what_does_not_certify(monkeypatch):
 
 def test_a_fully_certified_call_returns_the_exact_solution(monkeypatch):
     # a recorded call every round of which certifies at a nearby lam makes no
-    # solve; its fit has the set and loadings of a call on a bank without
-    # records, and coefficients that meet the KKT conditions at least as
-    # closely as that call's coordinate descent
+    # solve; its fit, a path of zero steps, has the set, loadings and
+    # coefficients of a call on a bank without records, whose path ends on
+    # the same set and solves the same system there, and it meets the KKT
+    # conditions up to the rounding of the scores themselves
     def shifts(lam):
         return (lam, 0.99 * lam, 1.01 * lam)
 
     calls = solve_spy(monkeypatch)
-    seen = {"empty": 0, "selected": 0, "descent_off": 0}
+    seen = {"empty": 0, "selected": 0}
     for bank, k, cfg, lam, other, want, _ in recorded_calls((1, 15), shifts):
         if bank.records[k] is None:
             continue
@@ -1269,14 +1254,11 @@ def test_a_fully_certified_call_returns_the_exact_solution(monkeypatch):
         assert got.iterations == 0 and got.converged
         np.testing.assert_array_equal(got.active_set, want.active_set)
         np.testing.assert_array_equal(got.loadings, want.loadings)
+        np.testing.assert_array_equal(got.coefficients, want.coefficients)
         X, y = unit_columns(bank.design), bank.rows[bank.cols[k]]
-        # up to the rounding of the scores themselves, which is all that is
-        # left where coordinate descent stopped on the solution as well
-        rounding = 64 * np.finfo(float).eps * other * got.loadings.max()
-        exact, descent = kkt_max_violation(X, y, got), kkt_max_violation(X, y, want)
-        assert exact <= max(descent, rounding)
+        scores = 2.0 * np.abs(X.T @ y).max() + other * got.loadings.max()
+        assert kkt_max_violation(X, y, got) <= 1e-12 * scores
         seen["selected" if got.active_set.size else "empty"] += 1
-        seen["descent_off"] += descent > rounding
     assert all(seen.values()), seen
 
 
@@ -1370,24 +1352,107 @@ def test_prefilled_empty_set_memo_matches_refine():
     assert sorted(flags) == ["loadings_degenerate", "perfect_fit"]
 
 
-# ---------------------------------------------------------------- non-convergence
+# ---------------------------------------------------------------- path failures
 
-def test_sweep_cap_reported_by_solve_and_raised_by_iteration():
-    rng = np.random.default_rng(12)
+def test_step_bound_raised_by_the_path_and_named_by_each_stage(monkeypatch):
+    # AR(1) columns at rho = 0.9: on the way to OLS (lam = 0) both paths
+    # drop a column and take it back, so they need more steps than the 20
+    # columns; with one step per column allowed, each raises
+    rng = np.random.default_rng(0)
     n, m = 100, 20
-    X = rng.standard_normal((n, m))
+    X = _oracles.toeplitz_column_loop(n, m, 0.9, rng)
     P = X[:, :2] + 0.1 * rng.standard_normal((n, 2))
     y = X[:, 0] - X[:, 1] + rng.standard_normal(n)
-    capped = LassoConfig(cd_max_iter=1)
-    lam = penalty_level(n, 1, m)
-    fit = solve(X, y, lam, initial_loadings(LassoDesign(X), y), capped)
-    assert fit.iterations == 1 and not fit.converged
-    with pytest.raises(ConvergenceError, match="cd_max_iter=1"):
-        iterate(X, y, lam, capped)
     design = LassoDesign(X)
-    with pytest.raises(SelectionError, match="first-stage equation 0.*cd_max_iter"):
-        first_stage_select(bank_of(P, design), capped)
-    with pytest.raises(SelectionError, match="reduced-form equation.*cd_max_iter"):
-        reduced_form_select(bank_of(y, design), capped)
+    steps = [solve(X, t, 0.0, initial_loadings(design, t)).iterations for t in (P[:, 0], y)]
+    assert min(steps) > min(n, m), steps
+    monkeypatch.setattr(lasso_module, "_STEPS_PER_COLUMN", 1)
+    monkeypatch.setattr(selection_module, "penalty_level", lambda *a, **k: 0.0)
+    with pytest.raises(ConvergenceError, match="step bound of 20 steps"):
+        solve(X, y, 0.0, initial_loadings(design, y))
+    with pytest.raises(ConvergenceError, match="step bound of 20 steps"):
+        iterate(X, y, 0.0)
+    with pytest.raises(SelectionError, match="first-stage equation 0.*step bound"):
+        first_stage_select(bank_of(P, design))
+    with pytest.raises(SelectionError, match="reduced-form equation.*step bound"):
+        reduced_form_select(bank_of(y, design))
     with pytest.raises(SelectionError):
-        post_double_select(bank_of(P, design), bank_of(y, design), capped)
+        post_double_select(bank_of(P, design), bank_of(y, design))
+
+
+def hadamard_columns():
+    """Eight orthogonal columns of +-1 entries, 8 rows: every Gram entry,
+    scale and cross product below is exact."""
+    H = np.array([[1.0]])
+    for _ in range(3):
+        H = np.block([[H, H], [H, -H]])
+    return H
+
+
+def test_a_tie_enters_the_lowest_column():
+    # columns 1 and 3 are the same column, so they cross every level
+    # together; the path enters the lower one, after which the other sits
+    # on its bound and never enters
+    H = hadamard_columns()
+    X = H[:, [0, 1, 2, 1]]
+    y = H[:, 0] + 3.0 * H[:, 1]
+    design = LassoDesign(X)
+    np.testing.assert_array_equal(design.product(y), [8.0, 24.0, 0.0, 24.0])
+    for lam in (47.0, 20.0, 1.0):
+        fit = lasso_solve(design, design.product(y), lam, np.ones(4))
+        np.testing.assert_array_equal(fit.active_set, [1] if lam > 16.0 else [0, 1])
+        assert fit.iterations == fit.active_set.size
+        # t_1 = (24 - lam / 2) / 8
+        assert fit.coefficients[1] == (24.0 - lam / 2.0) / 8.0
+    assert lasso_solve(design, design.product(y), 48.0, np.ones(4)).iterations == 0
+
+
+def test_a_singular_set_raises():
+    # two copies of one column told apart by their cross products (inputs
+    # no sample gives them): the path enters the first, then the second
+    # with the other sign, and the Gram block of the two is singular
+    H = hadamard_columns()
+    design = LassoDesign(H[:, [0, 1, 1]])
+    xty = np.array([0.0, 24.0, 8.0])
+    # the second copy enters where 24 - 8 t_1 - 8 = -lam / 2: at lam = 16
+    fit = lasso_solve(design, xty, 17.0, np.ones(3))
+    np.testing.assert_array_equal(fit.active_set, [1])
+    with pytest.raises(ConvergenceError, match="singular or non-finite system on 2 columns"):
+        lasso_solve(design, xty, 15.0, np.ones(3))
+
+
+def test_every_solve_of_a_shifted_outcome_fit_is_exact_within_the_step_bound(monkeypatch):
+    # replication 0 of the low_dim n = 500 simulation at seed 0 (the sample
+    # ``pds-series simulate --seed 0 --dump-sample`` writes) with y + 100, on
+    # the Hermite tensor workspace, at the fixed degree n^(1/3) and over the
+    # BIC grid with the extended first stage: every solve of both meets its
+    # KKT conditions and takes no more steps than the bound
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0,)))
+    data = generate_sample(DgpConfig("low_dim", 500), rng)
+    data.y = data.y + 100.0
+    degree = selection_module.default_degree(data.n)
+    spec_q = DictionarySpec("hermite_tensor", degree=degree, input_dim=data.Z.shape[1])
+    solves, target = [], []
+
+    def equation(bank, k, lam, config=LassoConfig()):
+        target[:] = [bank.rows[bank.cols[k]]]
+        return iterated_lasso(bank, k, lam, config)
+
+    def spy(design, xty, lam, loadings, config=LassoConfig()):
+        fit = lasso_solve(design, xty, lam, loadings, config)
+        solves.append((design, target[0], fit))
+        return fit
+
+    monkeypatch.setattr(selection_module, "iterated_lasso", equation)
+    monkeypatch.setattr(lasso_module, "lasso_solve", spy)
+    for grid, extended_fs in (([degree], False), (selection_module.default_k_grid(data.n), True)):
+        design = build_design(spec_q, data.Z)
+        choose_k_bic(data, design, grid, extended_fs=extended_fs)
+        U = unit_columns(design)
+        bound = lasso_module._STEPS_PER_COLUMN * min(design.shape)
+        for design_k, y, fit in solves:
+            assert design_k is design and fit.converged
+            assert fit.iterations <= bound
+            assert kkt_max_violation(U, y, fit) <= 1e-9 * fit.lam * fit.loadings.max()
+        assert any(fit.active_set.size for _, _, fit in solves)
+        solves.clear()

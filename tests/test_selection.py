@@ -1338,16 +1338,16 @@ def test_programming_errors_propagate(monkeypatch):
     data = make_low_dim_like(seed=34)
     spec_p, spec_q = make_specs(data)
 
-    # a sweep cap is a fit failure, counted per estimator, and reported as
-    # the failed equation on every route into the solver
-    capped = LassoConfig(cd_max_iter=1)
+    # a path past its step bound is a fit failure, counted per estimator,
+    # and reported as the failed equation on every route into the solver
+    monkeypatch.setattr(lasso, "_STEPS_PER_COLUMN", 0)
     fits, failures = comparison_estimators(
-        data, spec_p, spec_q, capped,
-        estimators=("post_double", "post_single_2", "oracle"))
+        data, spec_p, spec_q, estimators=("post_double", "post_single_2", "oracle"))
     assert failures["post_double"].startswith("SelectionError")
     assert failures["post_single_2"].startswith(
-        "SelectionError: reduced-form equation failed: coordinate descent did not converge")
+        "SelectionError: reduced-form equation failed: the Lasso path passed its step bound")
     assert set(fits) == {"oracle"}
+    monkeypatch.undo()
 
     def broken(*args, **kwargs):
         raise TypeError("bug in a stage")
