@@ -46,13 +46,13 @@ equation that ends empty unsettled, never the other way; every equation
 it leaves runs ``iterated_lasso``, which reads the same pre-filled
 loadings.
 
-A degree grid solves the same equations again at nearby penalty levels,
-and their sets rarely change. ``iterated_lasso`` records each round's
-active set and signs in the bank, and a later call on the same target
-settles each of its rounds that has a recorded round at that position by
-a KKT certificate with margin that the recorded set and signs are the
-exact Lasso solution at the new level, and solves the rounds that do not
-certify, so the sets are those of one solve per round.
+A degree grid solves the same equations again at nearby penalty levels.
+The path a solve follows does not depend on the level, which only decides
+where it stops, so the bank records each path: ``TargetBank.paths[j]``
+holds target j's paths, one per loadings round that its calls have solved,
+and a later call on the target reads each round off that round's path, or
+extends the path from its last step, so every round is the fit of a fresh
+solve, bit for bit.
 
 The solver follows the weighted Lasso's path (the homotopy of Osborne,
 Presnell & Turlach 2000; LARS-Lasso, Efron, Hastie, Johnstone & Tibshirani
@@ -63,21 +63,19 @@ coefficient reaches zero (``_span``). The path starts at lam_max with the
 empty set and takes one step per such event: the column enters with the
 sign of its input, or the coefficient leaves. A tie goes to the lowest
 column index. The path ends at the requested level with the exact solution
-on its last set, up to rounding, so the certificate of a recorded round is
-a path of zero steps. A path that needs more than ``_STEPS_PER_COLUMN``
-times the smaller side of the design in steps, or meets a singular (or
-non-finite) system on its set, raises ``ConvergenceError``.
+on its last set, up to rounding. A path that needs more than
+``_STEPS_PER_COLUMN`` times the smaller side of the design in steps, or
+meets a singular (or non-finite) system on its set, raises
+``ConvergenceError``.
 
 The solver reads the Gram system only through the rows of its active
 columns, so ``X'X`` is never formed whole: the ``LassoDesign`` forms
 row j, ``x_j'X``, block by block, the first time column j enters a path
-and keeps it in its store for every later path on the same design, and
-for the certificates of the sets those paths recorded.
+and keeps it in its store for every later path on the same design.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 from statistics import NormalDist
@@ -144,12 +142,11 @@ class LassoFit:
     ``active_set`` holds the sorted positions of the nonzero coefficients.
     ``coefficients`` are those of the design's columns at unit root mean
     square (``LassoDesign``), not of the columns in the units given.
-    ``iterations`` counts the path steps of the final solve, one per
-    column that entered or left on the way from lam_max (``lasso_solve``):
-    a solve at or above lam_max takes 0, and so does a round of
-    ``iterated_lasso`` that a KKT certificate settles without a solve.
-    Either way the coefficients are the exact solution on the set, up to
-    rounding. ``converged`` is True on every fit returned: a path that
+    ``iterations`` counts the path steps the final solve added to its
+    path (``lasso_solve``): a step is one column that entered or left on
+    the way from lam_max, and a solve that reads its fit off a recorded
+    path adds none. The coefficients are the exact solution on the set, up
+    to rounding. ``converged`` is True on every fit returned: a path that
     cannot end raises ``ConvergenceError`` instead.
     """
 
@@ -204,7 +201,9 @@ def penalty_level(
     if gamma is None:
         gamma = default_gamma(n, n_targets, n_regressors)
     tail = gamma / (2.0 * n_targets * n_regressors)
-    return 2.0 * config.c * math.sqrt(n) * normal_quantile(1.0 - tail)
+    # Phi^{-1}(1 - tail) = -Phi^{-1}(tail): 1 - tail keeps only the bits
+    # of tail down to 2^-53, and rounds to 1 when tail is below 2^-54
+    return -2.0 * config.c * math.sqrt(n) * normal_quantile(tail)
 
 
 def _nonzero(loadings: np.ndarray, which: str) -> np.ndarray:
@@ -398,15 +397,12 @@ class LassoDesign:
 
 # relative margin between a level that ``settled_empty`` settles and lam / 2
 _MARGIN = 1e-12
-# the gap between a column's input and its threshold that a round's
-# certificate demands, as a share of the threshold, for rounding (``_span``)
-_CERTIFY_MARGIN = 1e-6
 # a path takes at most this many steps per column or row, whichever are
 # fewer (lars' ``max.steps``, Efron et al. 2004); the longest measured, on a
 # low_dim n = 500 sample with y + 100 and the 329-column tensor, took 188
 _STEPS_PER_COLUMN = 8
 # the span of a set whose system is singular or not finite
-_NO_SPAN = (math.inf, -math.inf, None, None, -1, 0.0)
+_NO_SPAN = (math.inf, None, None, -1, 0.0)
 # the two sides of an input's threshold, as the rows of ``_span``'s conditions
 _SIDES = np.array([[1.0], [-1.0]])
 _TINY = float(np.finfo(float).tiny)
@@ -557,12 +553,13 @@ class TargetBank:
     ``settled_empty`` settles at once the equations that plainly end with
     an empty active set.
 
-    ``records[j]`` holds the active set and signs of each round of the last
-    ``iterated_lasso`` call on target j that returned, and the cache of
-    certificate spans (``_span``) that every call on the target keeps
-    adding to, or None; the next call on the target certifies those rounds
-    where it can. Like the memos, the records are kept by target and
-    shared by ``subset``.
+    ``paths[j]`` holds the Lasso paths of target j (``lasso_solve``), one
+    per loadings round that ``iterated_lasso`` has solved: a dict from the
+    key of the round's loadings, None for the initial loadings and the
+    memo's key of the set they were refined on for the others, to the
+    sets the path has visited so far. Each call on the target reads its
+    rounds off these paths or extends them. Like the memos, the paths are
+    kept by target and shared by ``subset``.
     """
 
     design: LassoDesign
@@ -572,7 +569,7 @@ class TargetBank:
     levels: np.ndarray
     memos: list
     cols: tuple
-    records: list
+    paths: list
     pairs: tuple
 
     @classmethod
@@ -615,7 +612,7 @@ class TargetBank:
                  for p, d, psi in zip(perfect.tolist(), degenerate.tolist(), loadings[1])]
         return cls(design=design, rows=rows, xty=xty, loadings=loadings,
                    levels=_levels(xty, loadings), memos=memos,
-                   cols=tuple(range(len(rows))), records=[None] * len(rows), pairs=pairs)
+                   cols=tuple(range(len(rows))), paths=[{} for _ in rows], pairs=pairs)
 
     @property
     def n(self) -> int:
@@ -626,14 +623,14 @@ class TargetBank:
 
     def subset(self, cols) -> TargetBank:
         """The targets ``cols`` (ints or an index array) of this bank,
-        sharing its arrays and memos."""
+        sharing its arrays, memos and paths."""
         return replace(self, cols=tuple(np.asarray(cols, dtype=np.intp).tolist()))
 
     def leading(self, k: int) -> TargetBank:
         """The bank of the first ``k`` given rows and of every sum and
         difference of two of them, in the layout of ``of`` (rows, sums,
         differences, each in bank order), sharing this bank's arrays, memos
-        and records as ``subset`` does.
+        and paths as ``subset`` does.
 
         A degree grid banks the g dictionary at its largest degree, so
         ``leading(k)`` is the extended first stage at degree k (or the
@@ -679,36 +676,29 @@ class TargetBank:
 
 
 def _span(design: LassoDesign, xty: np.ndarray, psi: np.ndarray, active: np.ndarray,
-          signs: np.ndarray, margin: float = _CERTIFY_MARGIN) -> tuple:
-    """The penalty levels at which the Lasso of ``xty`` on ``design`` under
-    loadings ``psi`` surely has the set ``active`` with coefficient signs
-    ``signs``: ``(lo, hi, u, v, event, sign)``, an interval that is empty
-    when ``lo > hi``, the solution ``u - lam v`` on the set at any lam in
-    it, and the path's next step below the interval: the column whose
-    condition sets ``lo``, and the sign it enters with if it is off the set.
+          signs: np.ndarray) -> tuple:
+    """Where the Lasso path of ``xty`` on ``design`` under loadings ``psi``
+    leaves the set ``active`` with coefficient signs ``signs``: ``(lo, u, v,
+    event, sign)``, the solution ``u - lam v`` on the set, the level ``lo``
+    down to which it is the Lasso solution, and the path's next step there:
+    the column whose condition sets ``lo``, and the sign it enters with if
+    it is off the set.
 
     On A = ``active`` with signs s, the solution at lam is ``t_A = G_AA^-1
     (X_A'y - (lam/2) psi_A s) = u - lam v``, read from the rows of A in the
     design's store, which forms those it lacks. It is the Lasso solution
     when its signs are s and every column off A meets ``|x_j'y - G_jA t_A|
     <= (lam/2) psi_j``: the subgradient (KKT) conditions. Each condition is
-    linear in lam, so together they hold on an interval (the homotopy view
-    of the Lasso path; Osborne, Presnell & Turlach 2000). Columns with a
-    zero Gram diagonal are zero columns, which never enter, so they are
-    not checked.
+    linear in lam (the homotopy view of the Lasso path; Osborne, Presnell &
+    Turlach 2000). Columns with a zero Gram diagonal are zero columns,
+    which never enter, so they are not checked.
 
-    Each condition demands a gap of ``margin`` of the threshold between an
-    input and its threshold, and a coefficient on A at least that gap over
-    its Gram diagonal. A round's certificate takes the default, for the
-    rounding of the solve on A and of the interval's ends (rows formed as
-    ``x_a'X`` are symmetric only to rounding); the path takes 0, so its
-    events are the exact ones. Going down from ``hi``, the first condition
-    to fail sets ``lo``: its column enters with the sign of its input, or,
-    on A, leaves. Conditions are compared on lam / 2 and ties go to the
-    lowest column, so on the empty set ``lo / 2`` is the bank's level,
-    ``max_l |x_l'y| / psi_l`` rounded once.
+    Going down in lam, the first condition to fail sets ``lo``: its column
+    enters with the sign of its input, or, on A, leaves. Conditions are
+    compared on lam / 2 and ties go to the lowest column, so on the empty
+    set ``lo / 2`` is the bank's level, ``max_l |x_l'y| / psi_l`` rounded
+    once.
     """
-    c = (1.0 - margin) * psi
     with np.errstate(all="ignore"):
         # h * q >= p, per column: each input off A below its threshold from
         # above (row 0) and from below (row 1), and each coefficient on A on
@@ -725,17 +715,16 @@ def _span(design: LassoDesign, xty: np.ndarray, psi: np.ndarray, active: np.ndar
                 return _NO_SPAN
             u, w = uw
             Gu, Gw = uw @ G
-            q = c - _SIDES * Gw
+            q = psi - _SIDES * Gw
             p = _SIDES * (xty - Gu)
             gain = signs * np.diagonal(G_AA)
-            q[:, active] = -(gain * w + margin * psi[active])
+            q[:, active] = -gain * w
             p[:, active] = -gain * u
         else:
             u = w = psi[:0]
-            q, p = c, _SIDES * xty
+            q, p = psi, _SIDES * xty
         ratio = p / q
         lower = np.where(q > 0.0, ratio, -math.inf)
-        upper = np.where(q < 0.0, ratio, math.inf)
         if not np.isfinite(ratio).all():
             if np.isnan(q).any() or np.isnan(p).any():
                 return _NO_SPAN
@@ -743,14 +732,13 @@ def _span(design: LassoDesign, xty: np.ndarray, psi: np.ndarray, active: np.ndar
             lower[(q == 0.0) & (p > 0.0)] = math.inf
     off = design.diag == 0.0
     if off.any():
-        lower[:, off], upper[:, off] = -math.inf, math.inf
+        lower[:, off] = -math.inf
     low = lower.max(axis=0)
     m = low.size
     event = int(np.argmax(low)) if m else -1
     lo = max(float(low[event]), 0.0) if m else 0.0
-    hi = float(upper.min(initial=math.inf))
     sign = 1.0 if m and lower[0, event] >= lower[1, event] else -1.0
-    return 2.0 * lo, 2.0 * hi, u, 0.5 * w, event, sign
+    return 2.0 * lo, u, 0.5 * w, event, sign
 
 
 def lasso_solve(
@@ -758,7 +746,7 @@ def lasso_solve(
     xty: np.ndarray,
     lam: float,
     loadings: np.ndarray,
-    config: LassoConfig = LassoConfig(),
+    path: list | None = None,
 ) -> LassoFit:
     """Solve one weighted-penalty Lasso exactly, by following its path.
 
@@ -770,11 +758,21 @@ def lasso_solve(
     to ``lam`` one step at a time (``_span``): each step follows the
     solution on the current set and signs down to the first level where a
     column enters or a coefficient leaves, and applies that event. The fit
-    is the solution on the last set at ``lam``, and ``iterations`` counts
-    the steps. A path that would take more than ``_STEPS_PER_COLUMN *
-    min(n, m)`` steps, or that meets a singular or non-finite system on its
-    set, raises ``ConvergenceError``. ``config`` is accepted for a uniform
-    signature; nothing in it tunes the solve.
+    is the solution on the first set whose step reaches ``lam``. A path
+    that would take more than ``_STEPS_PER_COLUMN * min(n, m)`` steps, or
+    that meets a singular or non-finite system on its set, raises
+    ``ConvergenceError``.
+
+    ``path`` lists the sets that earlier solves of the same ``xty`` and
+    ``loadings`` on this design visited, each as ``(lo, active, signs, u,
+    v, event, sign)`` from ``_span``: the empty set at lam_max, then one
+    more per step. They do not depend on ``lam``, so the solve reads its
+    fit off the first listed set whose ``lo`` reaches ``lam``, or else
+    extends the path from the last one, appending each set it visits, and
+    the fit is that of a solve from an empty list, bit for bit. A path
+    keeps the sets it visited before a ``ConvergenceError``, and a solve
+    that must go further raises it again. ``iterations`` counts the steps
+    this solve added to the path.
     """
     xty = np.asarray(xty, dtype=float)
     loadings = np.asarray(loadings, dtype=float)
@@ -790,12 +788,24 @@ def lasso_solve(
     if not _proper(loadings):
         raise ValueError("loadings must be positive and finite; degenerate columns upstream")
     lam = float(lam)
-    cols, col_signs = [], []
+    path = [] if path is None else path
+    recorded = len(path)
     bound = _STEPS_PER_COLUMN * min(design.shape)
     steps = 0
     while True:
-        active, signs = np.array(cols, dtype=np.intp), np.array(col_signs)
-        lo, _, u, v, event, sign = _span(design, xty, loadings, active, signs, 0.0)
+        if steps == len(path):
+            if path:
+                _, active, signs, _, _, event, sign = path[-1]
+                at = int(np.searchsorted(active, event))
+                if at < active.size and active[at] == event:
+                    active, signs = np.delete(active, at), np.delete(signs, at)
+                else:
+                    active, signs = np.insert(active, at, event), np.insert(signs, at, sign)
+            else:
+                active, signs = np.array([], dtype=np.intp), np.array([])
+            lo, u, v, event, sign = _span(design, xty, loadings, active, signs)
+            path.append((lo, active, signs, u, v, event, sign))
+        lo, active, _, u, v, _, _ = path[steps]
         if u is None:
             raise ConvergenceError(f"the Lasso path met a singular or non-finite system "
                                    f"on {active.size} columns after {steps} steps")
@@ -804,12 +814,6 @@ def lasso_solve(
         if steps == bound:
             raise ConvergenceError(f"the Lasso path passed its step bound of {bound} steps")
         steps += 1
-        at = bisect.bisect_left(cols, event)
-        if at < len(cols) and cols[at] == event:
-            del cols[at], col_signs[at]
-        else:
-            cols.insert(at, event)
-            col_signs.insert(at, sign)
     coef = np.zeros(m)
     coef[active] = u - lam * v
     return LassoFit(
@@ -817,7 +821,7 @@ def lasso_solve(
         active_set=np.flatnonzero(coef),
         lam=lam,
         loadings=loadings,
-        iterations=steps,
+        iterations=len(path) - max(recorded, 1),
         converged=True,
     )
 
@@ -877,45 +881,20 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
     can skip the call. A round whose path cannot end raises
     ``ConvergenceError`` (``lasso_solve``), whichever round it is.
 
-    A call that returns records each round's active set and signs in the
-    bank; one that raises leaves no record. The target's next call (a
-    grid's next degree, at a nearby lam) certifies each round that has a
-    recorded round at its position when lam lies in that round's span under
-    this round's loadings (``_span``): the recorded set and signs are then
-    the exact Lasso solution, and the round's fit is that solution, a path
-    of zero steps read from Gram rows the recorded paths formed. Any other
-    round is a fresh path from lam_max, so every set is that of a call
-    without a record.
+    Each round solves on the bank's path for its loadings (``paths``), so
+    a later call on the target (a grid's next degree, at a nearby lam)
+    reads each round off the path an earlier call took, or extends it, and
+    its fit is that of a call on a bank without paths, bit for bit.
     """
     j, design = bank.cols[k], bank.design
-    y, xty, memo = bank.rows[j], bank.xty[j], bank.memos[j]
-    record, bank.records[j] = bank.records[j], None
-    recorded, spans = record if record is not None else ([], {})
-    if not 0.0 <= lam < math.inf:
-        recorded = []
+    y, xty, memo, paths = bank.rows[j], bank.xty[j], bank.memos[j], bank.paths[j]
     loadings = _nonzero(bank.loadings[0, j], "initial")
-    rounds, previous = [], None
+    rounds, previous = 0, None
     while True:
-        r, fit = len(rounds), None
-        if r < len(recorded):
-            active, signs = recorded[r]
-            # a round's span depends on its loadings, set and signs: it is
-            # formed once and serves every later call
-            step = (previous, active.tobytes(), signs.tobytes())
-            if step not in spans:
-                spans[step] = _span(design, xty, loadings, active, signs)[:4]
-            lo, hi, u, v = spans[step]
-            if lo <= lam <= hi:
-                coef = np.zeros(design.shape[1])
-                coef[active] = u - lam * v
-                fit = LassoFit(coefficients=coef, active_set=active, lam=float(lam),
-                               loadings=loadings, iterations=0, converged=True)
-                rounds.append(recorded[r])
-        if fit is None:
-            fit = lasso_solve(design, xty, lam, loadings, config)
-            rounds.append((fit.active_set, np.sign(fit.coefficients[fit.active_set])))
+        fit = lasso_solve(design, xty, lam, loadings, paths.setdefault(previous, []))
+        rounds += 1
         key = fit.active_set.tobytes()
-        if len(rounds) == config.n_loadings or key == previous:
+        if rounds == config.n_loadings or key == previous:
             break
         previous = key
         if key not in memo:
@@ -924,5 +903,4 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
         if isinstance(loadings, str):
             fit = replace(fit, **{loadings: True})
             break
-    bank.records[j] = (rounds, spans)
     return fit

@@ -54,11 +54,11 @@ Most first-stage equations select nothing. A bank of two or more
 equations is first asked which surely end with an empty active set
 (``TargetBank.settled_empty``: one comparison of the rounds' levels), and
 ``iterated_lasso`` runs for the rest, including any the screen cannot
-vouch for. In a grid, that call settles each loading round that an
-earlier degree's call on the same target recorded by a KKT certificate
-where it holds, and solves the others. The sets, and the exceptions of
-equations that fail, are those of one ``iterated_lasso`` call per
-equation on a bank without records.
+vouch for. In a grid, that call reads each loading round off the path
+an earlier degree's call on the same target took, or extends that path
+(``TargetBank.paths``). The sets, and the exceptions of equations that
+fail, are those of one ``iterated_lasso`` call per equation on a bank
+without paths.
 
 ``ESTIMATOR_LABELS`` owns the nine estimator names, with the label each
 prints under; ``ESTIMATORS`` is its keys, in order. ``comparison_estimators``
@@ -270,15 +270,15 @@ def _active_sets(bank: TargetBank, lam: float, config: LassoConfig, label: str) 
     In a bank of two or more equations, an equation that
     ``bank.settled_empty`` settles gets the empty set with no solve (one
     read-only empty array, shared by every settled equation). Every other
-    equation runs ``iterated_lasso``, which certifies the rounds of its
-    target's last call where it can, and a failure is raised as a
-    ``SelectionError`` naming the equation by ``label.format(k)``.
+    equation runs ``iterated_lasso``, which reads its rounds off the paths
+    of its target's earlier calls or extends them, and a failure is raised
+    as a ``SelectionError`` naming the equation by ``label.format(k)``.
     """
     # A one-equation bank (a reduced form) is never screened: screening it
     # would save ~20 us per reduced form, and the traced benchmark's repeat
     # check on mc_noise_controls, where every other equation is settled,
     # needs at least one iterated_lasso call to count. Its first degree
-    # solves it; later degrees of a grid may certify that solve's rounds.
+    # solves it; later degrees of a grid read or extend that solve's paths.
     left = np.flatnonzero(~bank.settled_empty(lam, config)).tolist() if len(bank) > 1 else [0]
     sets = [_EMPTY_SET] * len(bank)
     for k in left:
@@ -425,9 +425,9 @@ def choose_k_bic(data: Dataset, design: LassoDesign, k_grid,
     grid, and every Lasso target of the grid is evaluated once, in one
     ``TargetBank`` at the largest degree: each degree runs its equations on
     its rows of that bank, at its own penalty level, and an equation that
-    an earlier degree solved certifies that solve's rounds where it can
-    (``iterated_lasso``). Every degree's selection runs first; the
-    degrees that select the same controls then share one projection of
+    an earlier degree solved reads its rounds off that solve's paths, or
+    extends them (``iterated_lasso``). Every degree's selection runs first;
+    the degrees that select the same controls then share one projection of
     their final OLS (``_final_fits``), made at the group's largest degree,
     so a degree's fit agrees with its one-degree fit to rounding, not bit
     for bit, unless it is its group's largest. The chosen degree is the BIC
@@ -438,9 +438,9 @@ def choose_k_bic(data: Dataset, design: LassoDesign, k_grid,
     ``SelectionError`` names each degree's reason; when such a term fails
     them all, its error (``g_block``'s refusal) is raised once instead. A
     one-degree grid is the fit at a fixed degree: every Post-Double
-    estimator, and ``pds-series fit``, runs here. A ``design`` of more
-    than one block is refused by a ``ValueError``: its first block is read
-    as the raw ``Q`` of the final OLS.
+    estimator, and ``pds-series fit``, runs here. A ``design`` of more than
+    one block is refused by a ``ValueError``: its first block is read as
+    the raw ``Q`` of the final OLS.
     """
     if len(design.blocks) != 1:
         raise ValueError("choose_k_bic takes the one-block workspace of build_design")

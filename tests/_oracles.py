@@ -515,7 +515,7 @@ def iterated_lasso(
     X = unit_columns(design)
     y = np.asarray(y, dtype=float)
     xty = design.product(y)
-    fit = lasso_solve(design, xty, lam, initial_loadings(design, y), cfg)
+    fit = lasso_solve(design, xty, lam, initial_loadings(design, y))
     sd_y = float(y.std())
     for _ in range(1, cfg.n_loadings):
         coef = post_lasso(X, y, fit.active_set)
@@ -533,7 +533,7 @@ def iterated_lasso(
             break
         if np.array_equal(loadings, fit.loadings):
             break
-        fit = lasso_solve(design, xty, lam, loadings, cfg)
+        fit = lasso_solve(design, xty, lam, loadings)
     return fit
 
 

@@ -824,6 +824,19 @@ def test_main_fit_reports_a_rank_deficient_final_fit(monkeypatch, capsys, tmp_pa
     assert any(line.startswith("theta_hat = ") for line in lines)
 
 
+def test_main_fit_takes_a_gamma_whose_tail_is_below_the_rounding_of_one(capsys, tmp_path):
+    # at gamma = 1e-13 the penalty's tail gamma / (2M) is below 2^-54, so
+    # 1 - tail would round to 1; the level is finite and the fit runs
+    dump = tmp_path / "sample.csv"
+    write_sample_csv(
+        generate_sample(DgpConfig("low_dim", 80), np.random.default_rng(2)),
+        str(dump))
+    argv = ["fit", "--input", str(dump), "--y", "y", "--x", "x", "--z", "z*",
+            "--k", "3", "--gamma", "1e-13", "--out", str(tmp_path / "fit.txt")]
+    assert main(argv) == 0
+    assert "theta_hat = " in capsys.readouterr().out
+
+
 def test_main_simulate_end_to_end(capsys, tmp_path):
     out = tmp_path / "mc.csv"
     dump = tmp_path / "sample.csv"

@@ -1,5 +1,6 @@
 """Weighted-penalty Lasso: solver, penalty levels, loadings, iteration."""
 
+import collections
 import dataclasses
 import inspect
 import math
@@ -55,11 +56,11 @@ from pdsseries.selection import (
 scipy_stats = pytest.importorskip("scipy.stats")
 
 
-def solve(X, y, lam, loadings, config=LassoConfig()):
+def solve(X, y, lam, loadings):
     """``lasso_solve`` of ``y`` on a fresh design over ``X``, which reads
     ``unit_columns(LassoDesign(X))``."""
     design = LassoDesign(X)
-    return lasso_solve(design, design.product(y), lam, loadings, config)
+    return lasso_solve(design, design.product(y), lam, loadings)
 
 
 def iterate(X, y, lam, config=LassoConfig()):
@@ -126,6 +127,17 @@ def test_penalty_level_formula_and_frozen_value():
     assert fs == pytest.approx(102.37716568259604, abs=1e-10)
 
 
+@pytest.mark.parametrize("gamma", [0.1, 1e-6, 1e-10, 1e-13, 1e-100])
+def test_penalty_level_keeps_a_small_tail(gamma):
+    # Phi^{-1}(1 - tail) from the tail itself: 1 - tail rounds away the
+    # tail's low bits, and all of it below 2^-54
+    n, targets, regressors = 500, 7, 1000
+    lam = penalty_level(n, targets, regressors, LassoConfig(gamma=gamma))
+    tail = gamma / (2.0 * targets * regressors)
+    want = 2.0 * 1.1 * math.sqrt(n) * scipy_stats.norm.isf(tail)
+    assert lam == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_penalty_level_root_n_scaling():
     cfg = LassoConfig(gamma=0.05)
     lam1 = penalty_level(100, 1, 30, cfg)
@@ -189,9 +201,8 @@ def test_lasso_config_caps_are_whole_numbers(name):
 
 
 @pytest.mark.parametrize("entry", [
-    penalty_level, TargetBank.settled_empty, lasso_solve, iterated_lasso,
-    first_stage_select, reduced_form_select, post_double_select, choose_k_bic,
-    comparison_estimators,
+    penalty_level, TargetBank.settled_empty, iterated_lasso, first_stage_select,
+    reduced_form_select, post_double_select, choose_k_bic, comparison_estimators,
 ], ids=lambda f: f.__qualname__)
 def test_every_lasso_entry_point_defaults_to_one_config(entry):
     default = inspect.signature(entry).parameters["config"].default
@@ -338,7 +349,7 @@ def test_nan_lam_is_refused_and_inf_selects_nothing(rng):
     for nan in (math.nan, np.float64("nan")):
         with pytest.raises(ValueError, match="lam must be nonnegative"):
             solve(X, y, nan, np.ones(4))
-        # with the record of a call that returned, and without one
+        # twice: a refused call leaves the target's paths as they were
         for _ in range(2):
             with pytest.raises(ValueError, match="lam must be nonnegative"):
                 iterated_lasso(bank, 0, nan)
@@ -437,9 +448,12 @@ def test_iterated_support_recovery():
 
 # ---------------------------------------------------------------- stopping rule
 
-def assert_same_fit(got, want):
-    """Every field of two LassoFits equal, arrays bit for bit."""
+def assert_same_fit(got, want, steps=True):
+    """Every field of two LassoFits equal, arrays bit for bit; their
+    ``iterations`` only when ``steps``."""
     for f in dataclasses.fields(want):
+        if f.name == "iterations" and not steps:
+            continue
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
             np.testing.assert_array_equal(a, b, err_msg=f.name)
@@ -496,18 +510,18 @@ def test_stopping_rule_matches_loadings_fixed_point_oracle(monkeypatch):
             cfg = LassoConfig(gamma=0.1, n_loadings=n_loadings)
             solves.update(lib=0, oracle=0)
             want = iterated_lasso_oracle(LassoDesign(X), y, lam, cfg)
-            assert_same_fit(iterate(X, y, lam, cfg), want)
+            # a round whose loadings an earlier round of the call had reads
+            # its fit off that round's path, adding no steps
+            assert_same_fit(iterate(X, y, lam, cfg), want, steps=False)
             # the rule stops in the round where the oracle's loadings repeat
             assert solves["lib"] == solves["oracle"]
-            # a bank, and so its memo, shared across calls that differ in
-            # lam gives the same fits; its records are cleared, since a
-            # certified round carries the exact solution, not the solver's
-            shared.records[0] = None
-            assert_same_fit(iterated_lasso(shared, 0, lam, cfg), want)
+            # a bank, and so its memo and paths, shared across calls that
+            # differ in lam gives the same fits, but for the steps its
+            # solves add to the paths
+            assert_same_fit(iterated_lasso(shared, 0, lam, cfg), want, steps=False)
             lam2 = 0.8 * lam
-            shared.records[0] = None
             assert_same_fit(iterated_lasso(shared, 0, lam2, cfg),
-                            iterated_lasso_oracle(design, y, lam2, cfg))
+                            iterated_lasso_oracle(design, y, lam2, cfg), steps=False)
 
 
 def test_stopping_rule_matches_oracle_on_pipeline_problems():
@@ -1082,184 +1096,6 @@ def test_route_matches_one_solve_per_equation_near_each_level(monkeypatch):
     assert all(seen.values()), seen
 
 
-def solve_spy(monkeypatch):
-    """Record each ``lasso_solve`` call that ``iterated_lasso`` makes, as
-    (its loadings, the Gram rows it formed); the caller clears the list."""
-    calls = []
-
-    def spy(design, xty, lam, loadings, config=None):
-        formed = design.rows_formed
-        fit = lasso_solve(design, xty, lam, loadings, config)
-        calls.append((loadings, design.rows_formed - formed))
-        return fit
-
-    monkeypatch.setattr(lasso_module, "lasso_solve", spy)
-    return calls
-
-
-def call(bank, k, lam, cfg):
-    """``iterated_lasso(bank, k, lam, cfg)``, or the class of its exception."""
-    try:
-        return iterated_lasso(bank, k, lam, cfg)
-    except FIT_ERRORS as exc:
-        return type(exc)
-
-
-def assert_same_selection(got, want):
-    """Two fits of one equation with the same set, signs, loadings and flags."""
-    assert isinstance(got, LassoFit)
-    np.testing.assert_array_equal(got.active_set, want.active_set)
-    np.testing.assert_array_equal(np.sign(got.coefficients), np.sign(want.coefficients))
-    np.testing.assert_array_equal(got.loadings, want.loadings)
-    for flag in ("converged", "perfect_fit", "loadings_degenerate"):
-        assert getattr(got, flag) == getattr(want, flag), flag
-
-
-def recorded_calls(n_loadings_grid, shifts):
-    """Each equation of the ``screen_problem`` banks, solved at one penalty
-    level and then due to be called at another from that call's record.
-
-    Yields (bank, k, cfg, lam, other, want, rounds): ``bank.records[k]``
-    is the record of the call at ``lam``; ``want`` is the fit (or exception
-    class) at ``other`` on a bank without records, and ``rounds`` its
-    number of rounds.
-    """
-    for seed in range(3):
-        X, kinds = screen_problem(seed)
-        n, m = X.shape
-        rows = np.array(kinds["regular"] + kinds["constant"] + kinds["zero_loading"])
-        for n_loadings in n_loadings_grid:
-            for c in np.geomspace(0.05, 3.0, 5):
-                cfg = LassoConfig(c=c, gamma=0.1, n_loadings=n_loadings)
-                lam = penalty_level(n, len(rows), m, cfg)
-                bank = TargetBank.of(rows, LassoDesign(X))
-                for k, fit in enumerate(per_equation(bank, lam, cfg)):
-                    # a call that raised leaves no record
-                    assert (bank.records[k] is None) == isinstance(fit, type)
-                records = list(bank.records)
-                for other in shifts(lam):
-                    fresh = TargetBank.of(rows, LassoDesign(X))
-                    for k, want in enumerate(per_equation(fresh, other, cfg)):
-                        bank.records[:] = records
-                        rounds = len(fresh.records[k][0]) if fresh.records[k] else None
-                        yield bank, k, cfg, lam, other, want, rounds
-
-
-def test_replay_returns_a_set_only_where_a_fresh_call_returns_it(monkeypatch):
-    # each equation is solved at one penalty level, then called again from
-    # that call's record at levels near it and further off: the call gives
-    # the set, signs and flags of a call on a bank without records, or its
-    # exception, and forms only the Gram rows that its solves form
-    def shifts(lam):
-        return (lam, np.nextafter(lam, 0.0), np.nextafter(lam, np.inf),
-                lam * (1.0 - 1e-12), lam * (1.0 + 1e-12), 0.97 * lam, 1.03 * lam, 0.5 * lam)
-
-    calls = solve_spy(monkeypatch)
-    seen = {"certified": 0, "solved": 0, "unrecorded": 0}
-    for bank, k, cfg, lam, other, want, _ in recorded_calls((1, 2, 15), shifts):
-        record = bank.records[k]
-        calls.clear()
-        formed = bank.design.rows_formed
-        got = call(bank, k, other, cfg)
-        assert bank.design.rows_formed - formed == sum(rows for _, rows in calls)
-        if isinstance(want, type):
-            assert got is want
-        else:
-            assert_same_selection(got, want)
-        seen["unrecorded" if record is None else "solved" if calls else "certified"] += 1
-    assert all(seen.values()), seen
-
-
-def test_replay_refuses_a_set_at_the_solvers_threshold(monkeypatch):
-    # as in the level screen's test: every loading is 1 and every x_j't an
-    # integer, so at lam = 2 max |x_j't| the top column sits on the threshold,
-    # where the solver admits nothing; a set recorded just below it does not
-    # certify there, nor at its own level, where its coefficient is one
-    # rounding step from zero
-    rng = np.random.default_rng(5)
-    n, m = 8, 3
-    X = rng.choice([-1.0, 1.0], size=(n, m))
-    t = rng.permutation(np.repeat([-1.0, 1.0], n // 2))
-    bank = TargetBank.of(np.array([t, -t]), LassoDesign(X))
-    top = 2 * np.abs(bank.xty).max()
-    cfg = LassoConfig(n_loadings=1)
-    calls = solve_spy(monkeypatch)
-    below = np.nextafter(top, 0.0)
-    for k in range(2):
-        # (lam, whether the call's one round is solved, its set's size)
-        steps = [(below, True, 1), (below, True, 1), (top, True, 0),
-                 # the empty set recorded on the threshold certifies only
-                 # beyond the margin
-                 (top, True, 0), (1.01 * top, False, 0)]
-        for lam, solved, size in steps:
-            calls.clear()
-            assert iterated_lasso(bank, k, lam, cfg).active_set.size == size
-            assert len(calls) == solved
-
-
-def test_a_partly_certified_call_solves_only_what_does_not_certify(monkeypatch):
-    # a recorded equation whose round 1 certifies at a shifted lam and whose
-    # round 2 does not, and whose call on a bank without records ends after
-    # round 2: the call solves round 2 alone, under round 1's refined
-    # loadings, forms no Gram row for round 1, and ends where that call ends
-    def shifts(lam):
-        return (0.8 * lam, 0.9 * lam, 1.1 * lam, 1.2 * lam)
-
-    calls = solve_spy(monkeypatch)
-    found = 0
-    for bank, k, cfg, lam, other, want, rounds in recorded_calls((15,), shifts):
-        record = bank.records[k]
-        if record is None or rounds != 2 or len(record[0]) < 2:
-            continue
-        j = bank.cols[k]
-        (active1, signs1), (active2, signs2) = record[0][:2]
-        psi = bank.memos[j].get(active1.tobytes())
-        if isinstance(psi, str) or psi is None:
-            continue
-        span = lasso_module._span
-        lo1, hi1 = span(bank.design, bank.xty[j], bank.loadings[0, j], active1, signs1)[:2]
-        lo2, hi2 = span(bank.design, bank.xty[j], psi, active2, signs2)[:2]
-        if not lo1 <= other <= hi1 or lo2 <= other <= hi2:
-            continue
-        calls.clear()
-        formed = bank.design.rows_formed
-        got = iterated_lasso(bank, k, other, cfg)
-        assert len(calls) == 1
-        solved_loadings, solved_rows = calls[0]
-        assert solved_loadings is psi
-        assert bank.design.rows_formed - formed == solved_rows
-        assert_same_selection(got, want)
-        found += 1
-    assert found
-
-
-def test_a_fully_certified_call_returns_the_exact_solution(monkeypatch):
-    # a recorded call every round of which certifies at a nearby lam makes no
-    # solve; its fit, a path of zero steps, has the set, loadings and
-    # coefficients of a call on a bank without records, whose path ends on
-    # the same set and solves the same system there, and it meets the KKT
-    # conditions up to the rounding of the scores themselves
-    def shifts(lam):
-        return (lam, 0.99 * lam, 1.01 * lam)
-
-    calls = solve_spy(monkeypatch)
-    seen = {"empty": 0, "selected": 0}
-    for bank, k, cfg, lam, other, want, _ in recorded_calls((1, 15), shifts):
-        if bank.records[k] is None:
-            continue
-        calls.clear()
-        got = iterated_lasso(bank, k, other, cfg)
-        if calls:
-            continue
-        assert got.iterations == 0 and got.converged
-        np.testing.assert_array_equal(got.active_set, want.active_set)
-        np.testing.assert_array_equal(got.loadings, want.loadings)
-        np.testing.assert_array_equal(got.coefficients, want.coefficients)
-        X, y = unit_columns(bank.design), bank.rows[bank.cols[k]]
-        scores = 2.0 * np.abs(X.T @ y).max() + other * got.loadings.max()
-        assert kkt_max_violation(X, y, got) <= 1e-12 * scores
-        seen["selected" if got.active_set.size else "empty"] += 1
-    assert all(seen.values()), seen
 
 
 def test_level_screen_is_sound_and_complete_at_the_ends_of_the_float_range():
@@ -1421,12 +1257,151 @@ def test_a_singular_set_raises():
         lasso_solve(design, xty, 15.0, np.ones(3))
 
 
+def solve_spy(monkeypatch):
+    """Record each ``lasso_solve`` call that ``iterated_lasso`` makes, as
+    (the steps it added to its path, the Gram rows it formed), whether it
+    returns or raises; the caller clears the list."""
+    calls = []
+
+    def spy(design, xty, lam, loadings, path=None):
+        formed, visited = design.rows_formed, len(path)
+        try:
+            return lasso_solve(design, xty, lam, loadings, path)
+        finally:
+            calls.append((len(path) - visited, design.rows_formed - formed))
+
+    monkeypatch.setattr(lasso_module, "lasso_solve", spy)
+    return calls
+
+
+def outcome(bank, k, lam, cfg):
+    """``iterated_lasso(bank, k, lam, cfg)``, or the class and message of
+    its exception."""
+    try:
+        return iterated_lasso(bank, k, lam, cfg)
+    except FIT_ERRORS as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    """Two calls on one equation with the same fit, bit for bit but for its
+    ``iterations``, or the same exception class and message."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, LassoFit)
+    np.testing.assert_array_equal(got.active_set, want.active_set)
+    # bit for bit, so the signs too
+    for name in ("coefficients", "loadings"):
+        np.testing.assert_array_equal(getattr(got, name).view(np.int64),
+                                      getattr(want, name).view(np.int64), err_msg=name)
+    for flag in ("lam", "converged", "perfect_fit", "loadings_degenerate"):
+        assert getattr(got, flag) == getattr(want, flag), flag
+
+
+def check_any_order(rows, X, lams, cfg, rng, calls, seen):
+    """Call every equation of the bank of ``rows`` on ``X`` at every level
+    of ``lams``, in a shuffled order, on one bank whose paths each call
+    reads or extends, and check each against a call on a fresh bank; a
+    solve forms Gram rows only when it adds steps to its path. ``seen``
+    counts the calls that add no step, those that do, and the exceptions
+    by class name."""
+    bank = TargetBank.of(rows, LassoDesign(X))
+    wants = [[outcome(TargetBank.of(rows, LassoDesign(X)), k, lam, cfg)
+              for k in range(len(rows))] for lam in lams]
+    order = [(i, k) for i in range(len(lams)) for k in range(len(rows))]
+    rng.shuffle(order)
+    for i, k in order:
+        calls.clear()
+        formed = bank.design.rows_formed
+        got = outcome(bank, k, lams[i], cfg)
+        assert_same_outcome(got, wants[i][k])
+        assert all(steps or not rows for steps, rows in calls), calls
+        assert bank.design.rows_formed - formed == sum(rows for _, rows in calls)
+        added = any(steps for steps, _ in calls)
+        if isinstance(got, tuple):
+            seen[got[0].__name__] += 1
+        else:
+            seen["extended" if added else "read"] += 1
+
+
+def test_every_round_is_a_fresh_solve_in_any_call_order(monkeypatch):
+    # every equation of the screen_problem banks, at penalty levels near one
+    # and further off, at the threshold where each round's path takes its
+    # first step and one float below it, and at inf, called in a shuffled
+    # order on one bank: each call reads its rounds off the paths earlier
+    # calls took or extends them, and returns the fit of a call on a fresh
+    # bank, or raises its exception
+    calls = solve_spy(monkeypatch)
+    rng = np.random.default_rng(0)
+    seen = collections.Counter()
+    for seed in range(3):
+        X, kinds = screen_problem(seed)
+        n, m = X.shape
+        rows = np.array(kinds["regular"] + kinds["constant"] + kinds["zero_loading"])
+        levels = TargetBank.of(rows, LassoDesign(X)).levels
+        thresholds = 2.0 * np.unique(levels[np.isfinite(levels)])
+        for n_loadings in (1, 2, 15):
+            for c in np.geomspace(0.05, 3.0, 3):
+                cfg = LassoConfig(c=c, gamma=0.1, n_loadings=n_loadings)
+                lam = penalty_level(n, len(rows), m, cfg)
+                lams = [lam, np.nextafter(lam, 0.0), np.nextafter(lam, np.inf),
+                        lam * (1.0 - 1e-12), lam * (1.0 + 1e-12), 0.97 * lam, 1.03 * lam,
+                        0.5 * lam, *thresholds, *np.nextafter(thresholds, 0.0), np.inf]
+                check_any_order(rows, X, lams, cfg, rng, calls, seen)
+    assert set(seen) == {"read", "extended", "DegenerateLoadingsError", "ValueError"}, seen
+
+
+def test_a_path_that_raises_raises_again_where_it_must_go_further(monkeypatch):
+    # AR(1) columns at rho = 0.9 with one step per column allowed: the paths
+    # to low levels pass the step bound, those to higher ones do not; a call
+    # that must go further than a path that raised raises the same error,
+    # and one that stops before it reads its fit off the path
+    calls = solve_spy(monkeypatch)
+    monkeypatch.setattr(lasso_module, "_STEPS_PER_COLUMN", 1)
+    rng = np.random.default_rng(0)
+    n, m = 100, 20
+    X = _oracles.toeplitz_column_loop(n, m, 0.9, rng)
+    rows = np.array([X[:, 0] + 0.1 * rng.standard_normal(n),
+                     X[:, 0] - X[:, 1] + rng.standard_normal(n)])
+    lam = penalty_level(n, len(rows), m, LassoConfig(gamma=0.1))
+    lams = [0.0, 1e-3 * lam, 0.01 * lam, 0.1 * lam, 0.5 * lam, lam]
+    seen = collections.Counter()
+    for n_loadings in (1, 15):
+        check_any_order(rows, X, lams, LassoConfig(gamma=0.1, n_loadings=n_loadings),
+                        rng, calls, seen)
+    assert set(seen) == {"read", "extended", "ConvergenceError"}, seen
+
+
+def test_a_singular_set_raises_again_on_a_recorded_path():
+    # the repeated column of test_a_singular_set_raises: a path that met the
+    # singular set keeps the sets before it, so a solve that stops before
+    # it reads its fit off the path, and one that must go further raises
+    # the same error as a fresh solve
+    def outcome_of_solve(design, lam, path=None):
+        try:
+            return lasso_solve(design, xty, lam, np.ones(3), path)
+        except ConvergenceError as exc:
+            return type(exc), str(exc)
+
+    X = hadamard_columns()[:, [0, 1, 1]]
+    xty = np.array([0.0, 24.0, 8.0])
+    lams = [15.0, 17.0, 0.0, 48.0, 16.5, 15.0, np.inf, 20.0]
+    order = np.random.default_rng(1).permutation(len(lams)).tolist()
+    for first in (order, order[::-1]):
+        design, path = LassoDesign(X), []
+        for i in first:
+            assert_same_outcome(outcome_of_solve(design, lams[i], path),
+                                outcome_of_solve(LassoDesign(X), lams[i]))
+        assert len(path) == 3 and path[-1][3] is None
+
+
 def test_every_solve_of_a_shifted_outcome_fit_is_exact_within_the_step_bound(monkeypatch):
     # replication 0 of the low_dim n = 500 simulation at seed 0 (the sample
     # ``pds-series simulate --seed 0 --dump-sample`` writes) with y + 100, on
     # the Hermite tensor workspace, at the fixed degree n^(1/3) and over the
     # BIC grid with the extended first stage: every solve of both meets its
-    # KKT conditions and takes no more steps than the bound
+    # KKT conditions, and no path takes more steps than the bound
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0,)))
     data = generate_sample(DgpConfig("low_dim", 500), rng)
     data.y = data.y + 100.0
@@ -1438,9 +1413,9 @@ def test_every_solve_of_a_shifted_outcome_fit_is_exact_within_the_step_bound(mon
         target[:] = [bank.rows[bank.cols[k]]]
         return iterated_lasso(bank, k, lam, config)
 
-    def spy(design, xty, lam, loadings, config=LassoConfig()):
-        fit = lasso_solve(design, xty, lam, loadings, config)
-        solves.append((design, target[0], fit))
+    def spy(design, xty, lam, loadings, path=None):
+        fit = lasso_solve(design, xty, lam, loadings, path)
+        solves.append((design, target[0], fit, len(path) - 1))
         return fit
 
     monkeypatch.setattr(selection_module, "iterated_lasso", equation)
@@ -1450,9 +1425,9 @@ def test_every_solve_of_a_shifted_outcome_fit_is_exact_within_the_step_bound(mon
         choose_k_bic(data, design, grid, extended_fs=extended_fs)
         U = unit_columns(design)
         bound = lasso_module._STEPS_PER_COLUMN * min(design.shape)
-        for design_k, y, fit in solves:
+        for design_k, y, fit, steps in solves:
             assert design_k is design and fit.converged
-            assert fit.iterations <= bound
+            assert fit.iterations <= steps <= bound
             assert kkt_max_violation(U, y, fit) <= 1e-9 * fit.lam * fit.loadings.max()
-        assert any(fit.active_set.size for _, _, fit in solves)
+        assert any(fit.active_set.size for _, _, fit, _ in solves)
         solves.clear()

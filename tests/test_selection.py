@@ -553,7 +553,7 @@ def test_leading_holds_a_degrees_rows_and_their_pairs_at_the_bank_offsets(rng):
         for k in grid:
             view = bank.leading(k)
             assert view.cols == leading_cols(bank, k)
-            assert view.memos is bank.memos and view.records is bank.records
+            assert view.memos is bank.memos and view.paths is bank.paths
             want = rows[:k] if not paired else build_extended_fs(rows[:k].T).T
             np.testing.assert_array_equal(view.rows[list(view.cols)], want)
         # the outcome row is a given row too; a row past them is refused
@@ -626,11 +626,11 @@ def test_fixed_degree_post_double_is_the_one_degree_grid(monkeypatch, design_nam
 def one_call_per_equation(bank, lam, config):
     """Each equation of ``bank`` by one ``iterated_lasso`` call on a fresh
     copy: the bank's arrays, a new store of Gram rows, its memos as built
-    and nothing recorded. Returns each active set, or the class of the
-    exception the call raised."""
+    and no paths. Returns each active set, or the class of the exception
+    the call raised."""
     fresh = dataclasses.replace(bank, design=LassoDesign(*bank.design.blocks),
                                 memos=[{b"": memo[b""]} for memo in bank.memos],
-                                records=[None] * len(bank.rows))
+                                paths=[{} for _ in bank.rows])
     out = []
     for k in range(len(fresh)):
         try:
@@ -653,25 +653,28 @@ LAM_SHIFTS = (
 def check_every_route(monkeypatch, shift, seen):
     """Run ``_active_sets`` at ``shift(lam)`` and check it against one fresh
     ``iterated_lasso`` call per equation: its sets, or the exception of its
-    first failed equation. ``seen`` counts the calls that certify every
-    round, and so make no solve and form no Gram row, and the calls that
-    solve a round."""
+    first failed equation. ``seen`` counts the calls that replay every
+    round, reading it off a path that an earlier call took, and so add no
+    step and form no Gram row, and the calls that add steps."""
     real_route, real_call, real_solve = (
         selection._active_sets, selection.iterated_lasso, lasso.lasso_solve)
-    solves = []
+    steps = []
 
-    def solve(*args, **kwargs):
-        solves.append(1)
-        return real_solve(*args, **kwargs)
+    def solve(design, xty, lam, loadings, path=None):
+        visited = len(path)
+        try:
+            return real_solve(design, xty, lam, loadings, path)
+        finally:
+            steps.append(len(path) - visited)
 
     def call(bank, k, lam, config=None):
         formed = bank.design.rows_formed
-        solves.clear()
+        steps.clear()
         fit = real_call(bank, k, lam, config)
-        if solves:
+        if any(steps):
             seen["solved"] += 1
         else:
-            # a certified call forms no Gram row, and is never a failed one
+            # a replayed call forms no Gram row, and is never a failed one
             assert bank.design.rows_formed == formed
             seen["replayed"] += 1
         return fit
@@ -700,9 +703,9 @@ def check_every_route(monkeypatch, shift, seen):
 @pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
 @pytest.mark.parametrize("extended_fs", [False, True])
 def test_replayed_grid_gives_one_solve_per_equation(monkeypatch, design_name, extended_fs):
-    # a degree of the BIC grid certifies the rounds of an equation's last
-    # call under a KKT certificate instead of solving them again: every
-    # degree's sets are those of one fresh iterated_lasso call per equation.
+    # a degree of the BIC grid reads the rounds of an equation off the
+    # paths its earlier calls took, or extends them: every degree's sets
+    # are those of one fresh iterated_lasso call per equation.
     # 2 samples x 5 penalty shifts here, 40 fits over the four cases.
     cfg = DgpConfig(design_name, 200)
     grid = default_k_grid(200)
@@ -714,15 +717,15 @@ def test_replayed_grid_gives_one_solve_per_equation(monkeypatch, design_name, ex
             d = build_design(default_specs(cfg)[1], data.Z)
             choose_k_bic(data, d, grid, extended_fs=extended_fs)
         monkeypatch.undo()
-    # most repeated equations certify every round
+    # most repeated equations replay every round
     assert seen["replayed"] > seen["solved"] > 0 and seen["failed"] == 0, seen
 
 
 def test_replayed_grid_fails_an_equation_as_one_solve_would(monkeypatch):
     # x in {-1, 0, 1}: the extended target p_1 + p_3 is constant, so from
-    # K = 3 on its first-stage equation fails; the degrees before it are
-    # certified into the failing ones, and every failure is that of a fresh
-    # call, at every penalty shift
+    # K = 3 on its first-stage equation fails; the paths of the degrees
+    # before it are replayed in the failing ones, and every failure is that
+    # of a fresh call, at every penalty shift
     rng = np.random.default_rng(5)
     n = 120
     Z = rng.standard_normal((n, 30))
