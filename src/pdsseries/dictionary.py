@@ -10,7 +10,8 @@ g dictionary is not part of it: its degree changes from fit to fit, so each
 estimator builds its g block, He_1..He_K of ``x`` at the degree it fits, by
 ``g_block``. Both dictionaries refuse a column by one rule, ``_usable``: a
 column is degenerate when it is constant, every entry equal to its first
-(``_constant_columns``), or when its scale underflows to 0.
+(``_constant_columns``), or when its scale underflows to 0, and out of range
+when its scale overflows.
 
 A Hermite tensor column is the left-to-right product of its univariate
 factors, and columns that share leading factors share those products: at
@@ -111,13 +112,14 @@ def hermite_design(x, kmax: int) -> np.ndarray:
     kmax = _require_whole("kmax", kmax, 1)
     out, k_ok = _hermite_columns(x, kmax)
     if k_ok < kmax:
-        raise _out_of_range(k_ok + 1)
+        raise _out_of_range(f"Hermite term He_{k_ok + 1}")
     return out
 
 
-def _out_of_range(k: int) -> ValueError:
-    """The error of a Hermite column He_k that no fit can use."""
-    return ValueError(f"Hermite term He_{k} is out of floating-point range on this sample")
+def _out_of_range(name: str) -> ValueError:
+    """The error of a column, such as Hermite term He_k, that no fit can use
+    because it or its squares overflow."""
+    return ValueError(f"{name} is out of floating-point range on this sample")
 
 
 # an overflow is reported once, by the caller, not warned per degree
@@ -334,14 +336,19 @@ def _constant_columns(mat: np.ndarray) -> np.ndarray:
 
 def _usable(mat: np.ndarray, scales: np.ndarray, what: str):
     """The count of columns of ``mat`` before the first that is constant
-    (``_constant_columns``) or whose entry of ``scales`` is 0, and the
-    ``DegenerateColumnError`` naming that column, or None when there is
-    none: the one rule by which every dictionary refuses a column."""
-    bad = np.flatnonzero(_constant_columns(mat) | (scales == 0.0))
+    (``_constant_columns``) or whose entry of ``scales`` is 0 or not finite,
+    and the error naming that column, or None when there is none: the one
+    rule by which every dictionary refuses a column. The error is a
+    ``DegenerateColumnError`` for a constant column or a scale of 0, and
+    ``_out_of_range``'s for a scale that overflows."""
+    degenerate = _constant_columns(mat) | (scales == 0.0)
+    bad = np.flatnonzero(degenerate | ~np.isfinite(scales))
     if not bad.size:
         return mat.shape[1], None
     j = int(bad[0])
-    return j, DegenerateColumnError(f"{what} {j} has zero variance on this sample")
+    if degenerate[j]:
+        return j, DegenerateColumnError(f"{what} {j} has zero variance on this sample")
+    return j, _out_of_range(f"{what} {j}")
 
 
 def standardize_columns(mat: np.ndarray, what: str = "column"):
@@ -350,12 +357,14 @@ def standardize_columns(mat: np.ndarray, what: str = "column"):
     Returns a new scaled matrix and the vector of original scales, the
     bits of ``mat.std(axis=0)``; ``mat`` is not written. Raises
     ``DegenerateColumnError``, naming the first, if any column is constant
-    on the sample or its standard deviation is 0. No fit calls it: the
+    on the sample or its standard deviation is 0, and a ``ValueError``
+    naming the first whose standard deviation overflows. No fit calls it: the
     workspace reads ``Q`` in raw units and the g dictionary is scaled where
     it is built.
     """
     mat = np.asarray(mat, dtype=float)
-    scales = mat.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        scales = mat.std(axis=0)
     _, refusal = _usable(mat, scales, what)
     if refusal is not None:
         raise refusal
@@ -381,7 +390,7 @@ def g_block(x, k: int):
     scales = P_raw.std(axis=0)
     k_ok, refusal = _usable(P_raw, scales, "P column")
     if refusal is None and k_finite < k:
-        refusal = _out_of_range(k_finite + 1)
+        refusal = _out_of_range(f"Hermite term He_{k_finite + 1}")
     return P_raw[:, :k_ok], P_raw[:, :k_ok] / scales[:k_ok], refusal
 
 
@@ -404,7 +413,8 @@ def build_design(spec_q: DictionarySpec, Z) -> LassoDesign:
     change to ``Z`` changes it. Raises ``DegenerateColumnError``, naming
     the first, when a column is constant or its squares sum to zero
     (``_usable`` on the Gram diagonal), so that the design would read it
-    as a zero column.
+    as a zero column, and a ``ValueError`` naming the first column whose
+    squares overflow, which the design gives a NaN diagonal.
     """
     Q = evaluate_dictionary(spec_q, Z)
     design = LassoDesign(Q)

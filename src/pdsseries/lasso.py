@@ -21,38 +21,36 @@ loadings scale with their column as ``x_l't`` and the Gram entries do
 depend on the columns' units, and no standardized copy of the conditioning
 dictionary is made. A ``TargetBank`` holds targets on one ``LassoDesign``,
 each with its ``X't`` and initial loadings, evaluated for all targets at once,
-and a memo of its refined loadings by active set: refined loadings depend
-on a fit only through its active set, so the iteration stops as soon as a
-round selects the same set as the round before, and every equation on the
-same target reuses them. Every bank is built as rows and their pairwise
-sums and differences, with no pairs but in the BIC grid's extended first
-stage, and the bank alone knows where each target lies: ``TargetBank.of``
-lays them out, and ``TargetBank.leading(k)`` hands out the targets of the
-first k rows, a degree's equations. Each pair's ``X't`` and loadings are
-derived from products over the rows and the pairs' cross products, by
-linearity, instead of a product over every target.
+and one record per loadings round, keyed by the active set its loadings
+were refined on: refined loadings depend on a fit only through its active
+set, so the iteration stops as soon as a round selects the same set as the
+round before, and every equation on the same target reuses them. A target
+whose squares or loadings overflow is refused. Every bank is built as rows
+and their pairwise sums and differences, with no pairs but in the BIC
+grid's extended first stage, and the bank alone knows where each target
+lies: ``TargetBank.of`` lays them out, and ``TargetBank.leading(k)`` hands
+out the targets of the first k rows, a degree's equations. Each pair's
+``X't`` and loadings are derived from products over the rows and the
+pairs' cross products, by linearity, instead of a product over every target.
 ``iterated_lasso(bank, k, lam)`` fits the bank's ``k``-th target.
 
 Most equations of post-double selection select nothing. The bank keeps
 its first two loading rounds as one array: the initial loadings, then every
 target's refined loadings for the empty set, one product for the whole
-bank, which also pre-fill each memo. From them it keeps each target's level
-in each round, half its lam_max, as one (2, k) array, so
+bank, which also pre-fill each target's records. From them it keeps each
+round's lam_max, the first level its path records, as one (2, k) array, so
 ``TargetBank.settled_empty`` settles for the whole bank at once, in one
-comparison, the equations that select nothing in their first two rounds,
-and so end empty, at a given penalty level: a level at or below
-(lam / 2) / (1 + 1e-12) settles its round. The screen may leave an
-equation that ends empty unsettled, never the other way; every equation
-it leaves runs ``iterated_lasso``, which reads the same pre-filled
-loadings.
+comparison, exactly the equations whose paths take no step in their first
+two rounds, and so end empty, at a given penalty level: those whose
+lam_max is at or below it in each round. Every other equation runs
+``iterated_lasso``.
 
 A degree grid solves the same equations again at nearby penalty levels.
 The path a solve follows does not depend on the level, which only decides
-where it stops, so the bank records each path: ``TargetBank.paths[j]``
-holds target j's paths, one per loadings round that its calls have solved,
-and a later call on the target reads each round off that round's path, or
-extends the path from its last step, so every round is the fit of a fresh
-solve, bit for bit.
+where it stops, so each round's record keeps its path, and a later call on
+the target reads each round off that round's path, or extends the path
+from its last step, so every round is the fit of a fresh solve, bit for
+bit.
 
 The solver follows the weighted Lasso's path (the homotopy of Osborne,
 Presnell & Turlach 2000; LARS-Lasso, Efron, Hastie, Johnstone & Tibshirani
@@ -262,11 +260,13 @@ class LassoDesign:
     ``X`` stands for ``x_l / s_l``, with ``s_l = sqrt(sum_i x_il^2 / n)``,
     or, where that is 0 (a zero column, or one whose squares underflow),
     ``s_l = 1`` and a Gram diagonal of 0, so the column never enters a
-    solve. The weighted Lasso selects the same set on any positive
-    rescaling of its columns, since ``x_l't``, the Gram entries and the
-    loadings ``sqrt(mean(x_l^2 e^2))`` all scale with the column; reading
-    them at one scale gives every Gram block the path solves on a diagonal
-    of n, whatever the units of its columns. The blocks stay as given:
+    solve; a column whose squares overflow gets an infinite scale and a NaN
+    diagonal, which ``dictionary.build_design`` refuses. The weighted Lasso
+    selects the same set on any positive rescaling of its columns, since
+    ``x_l't``, the Gram entries and the loadings ``sqrt(mean(x_l^2 e^2))``
+    all scale with the column; reading them at one scale gives every Gram
+    block the path solves on a diagonal of n, whatever the units of its
+    columns. The blocks stay as given:
     ``scales`` holds ``s``, taken from the column sums of the squares that
     the Gram diagonal needs anyway, and only the design's outputs, each
     (k, m) or smaller, are divided by it.
@@ -308,7 +308,10 @@ class LassoDesign:
             if X.ndim != 2:
                 raise ValueError("a design block must be a 2-d matrix")
             arrays.append(X)
-            squares.append(X * X)
+            # a column whose squares overflow is refused by its caller
+            # (``dictionary.build_design``), not warned about here
+            with np.errstate(over="ignore"):
+                squares.append(X * X)
             stores.append(None)
         n = arrays[0].shape[0]
         if any(X.shape[0] != n for X in arrays):
@@ -328,7 +331,9 @@ class LassoDesign:
                 zero = s == 0.0
                 s[zero] = 1.0
                 self.scales[a:b] = s
-                self.diag[a:b] = np.where(zero, 0.0, total / (s * s))
+                # an infinite scale gives a NaN diagonal
+                with np.errstate(invalid="ignore"):
+                    self.diag[a:b] = np.where(zero, 0.0, total / (s * s))
             else:
                 self.scales[a:b], self.diag[a:b] = store.scales, store.diag
         self._rows: dict = {}  # column -> its row of X'X
@@ -395,8 +400,6 @@ class LassoDesign:
         return row
 
 
-# relative margin between a level that ``settled_empty`` settles and lam / 2
-_MARGIN = 1e-12
 # a path takes at most this many steps per column or row, whichever are
 # fewer (lars' ``max.steps``, Efron et al. 2004); the longest measured, on a
 # low_dim n = 500 sample with y + 100 and the 329-column tensor, took 188
@@ -405,32 +408,34 @@ _STEPS_PER_COLUMN = 8
 _NO_SPAN = (math.inf, None, None, -1, 0.0)
 # the two sides of an input's threshold, as the rows of ``_span``'s conditions
 _SIDES = np.array([[1.0], [-1.0]])
-_TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 
 
 def _proper(loadings: np.ndarray) -> np.ndarray:
     """Whether every loading of each row is positive and finite (False for a
-    row with a NaN): an overflowing target's loadings are not."""
+    row with a NaN)."""
     return ((loadings > 0.0) & (loadings <= _HUGE)).all(axis=-1)
 
 
-def _levels(xty: np.ndarray, loadings: np.ndarray) -> np.ndarray:
-    """Each row's level max_l |x_l't| / psi_l, half its lam_max, under each
+def _lam_max(design: LassoDesign, xty: np.ndarray, loadings: np.ndarray) -> np.ndarray:
+    """Each row's lam_max, ``2 max(0, max_l |x_l't| / psi_l)``, under each
     loading round of ``loadings`` (r, k, m): an (r, k) array, one pass over
     the bank per round.
 
-    NaN, which means "cannot settle", when a loading is not positive and
-    finite or when the level is not a finite normal number; a design with
-    no columns has no level.
+    It is the first level the row's path records under those loadings
+    (``_span`` on the empty set), bit for bit: the same rounded ratios, with
+    columns of a zero Gram diagonal left out. NaN where a loading is not
+    positive and finite, as ``lasso_solve`` refuses such loadings.
     """
     abs_xty = np.abs(xty)
-    levels = np.empty(loadings.shape[:-1])
+    abs_xty[:, design.diag == 0.0] = 0.0
+    lam_max = np.empty(loadings.shape[:-1])
     with np.errstate(all="ignore"):
-        for level, psi in zip(levels, loadings):
-            np.max(abs_xty / psi, axis=1, out=level, initial=-math.inf)
-    levels[~((levels >= _TINY) & (levels <= _HUGE) & _proper(loadings))] = np.nan
-    return levels
+        for out, psi in zip(lam_max, loadings):
+            np.max(abs_xty / psi, axis=1, out=out, initial=0.0)
+        lam_max *= 2.0
+    lam_max[~_proper(loadings)] = np.nan
+    return lam_max
 
 
 # A pair target's derived squared loading, (S_ii + S_jj +- 2 S_ij) / n, is
@@ -508,68 +513,49 @@ def _pair_loadings(design: LassoDesign, rows: np.ndarray, targets: np.ndarray,
         out[exact] = _loadings(design, t - t.mean(axis=1, keepdims=True) if centred else t)
 
 
-def _perfect_fit(rows: np.ndarray) -> np.ndarray:
-    """``max|t| < 1e-12 sd(t)`` for each row t, the perfect-fit test of
-    ``_refine`` on the empty set, whose residual is the target.
-
-    A finite sd is at most 2 max|t|, so the test can hold only where the sd
-    overflows. When max|t| <= sqrt(HUGE / n) / 4, every squared deviation
-    from the mean is at most HUGE / (4 n) and the sd is finite, so the row
-    is False without its sd; the test runs on the other rows, NaN ones
-    included.
-    """
-    amax = np.abs(rows).max(axis=1)
-    perfect = np.zeros(len(rows), dtype=bool)
-    wide = np.flatnonzero(~(amax <= math.sqrt(_HUGE / rows.shape[1]) / 4.0))
-    if wide.size:
-        perfect[wide] = amax[wide] < 1e-12 * rows[wide].std(axis=1)
-    return perfect
-
-
 @dataclass
 class TargetBank:
     """Lasso targets on one ``LassoDesign``, each evaluated once.
 
     Row j of ``rows`` is one target, regressed on ``design``. Its cross
     products ``xty[j]`` (a row of ``T'X``) and initial loadings
-    ``loadings[0, j]`` come from one matrix product each for the whole bank,
-    and ``memos[j]`` keeps its refined loadings by active set for every
-    equation that regresses this target on the design. ``cols`` names the
-    targets the bank stands for, in equation order: ``subset`` gives a bank
-    of some of them that shares every array and memo, and ``leading(k)``
-    the bank of a degree's equations, so a degree grid indexes each
-    degree's equations into one bank instead of rebuilding its targets.
-    ``pairs`` is ``np.triu_indices(paired, 1)`` of ``of``, as ``(ii, jj)``:
-    with the row count, it fixes where each target of ``rows`` lies.
+    ``loadings[0, j]`` come from one matrix product each for the whole bank.
+    ``cols`` names the targets the bank stands for, in equation order:
+    ``subset`` gives a bank of some of them that shares every array and
+    record, and ``leading(k)`` the bank of a degree's equations, so a degree
+    grid indexes each degree's equations into one bank instead of
+    rebuilding its targets. ``pairs`` is ``np.triu_indices(paired, 1)`` of
+    ``of``, as ``(ii, jj)``: with the row count, it fixes where each target
+    of ``rows`` lies.
 
     The empty set's Post-Lasso residual is the target itself, so its refined
     loadings ``loadings[1, j]`` are one more matrix product for the whole
-    bank: ``loadings`` is (2, k, m), row r the loadings of round r. Each
-    memo starts with round 1's under the empty-set key ``b""``, or with the
-    flag ``_refine`` would return instead. ``levels[r, j]`` is the target's
-    level in round r, max_l |x_l't| / psi_l with that round's loadings, or
-    NaN where rounding cannot vouch for one: a round's path takes no step
-    exactly when lam / 2 reaches the level. With both rounds at hand,
-    ``settled_empty`` settles at once the equations that plainly end with
-    an empty active set.
+    bank: ``loadings`` is (2, k, m), row r the loadings of round r.
 
-    ``paths[j]`` holds the Lasso paths of target j (``lasso_solve``), one
-    per loadings round that ``iterated_lasso`` has solved: a dict from the
-    key of the round's loadings, None for the initial loadings and the
-    memo's key of the set they were refined on for the others, to the
-    sets the path has visited so far. Each call on the target reads its
-    rounds off these paths or extends them. Like the memos, the paths are
-    kept by target and shared by ``subset``.
+    ``rounds[j]`` holds target j's loadings rounds, for every equation that
+    regresses it on the design: a dict from a round's key, None for the
+    initial loadings and otherwise the bytes of the active set its loadings
+    were refined on, to ``(loadings, path)``. ``loadings`` is the flag
+    ``_refine`` returns instead where it returns one, and ``path`` lists the
+    sets that round's Lasso path (``lasso_solve``) has visited so far. ``of``
+    fills the records of None and of the empty set ``b""`` from
+    ``loadings``; each call on the target reads one record per round, reads
+    its fit off the path or extends it, and adds the records of new sets.
+
+    ``lam_max[r, j]`` is the first level round r's path records
+    (``_lam_max``): the path takes no step exactly when lam is at or above
+    it. It is -inf in round 1 where the empty set's record is a flag, as
+    the call then ends after round 0, and NaN where the round's loadings are
+    not all positive and finite, as the call then raises.
     """
 
     design: LassoDesign
     rows: np.ndarray
     xty: np.ndarray
     loadings: np.ndarray
-    levels: np.ndarray
-    memos: list
+    lam_max: np.ndarray
+    rounds: list
     cols: tuple
-    paths: list
     pairs: tuple
 
     @classmethod
@@ -583,9 +569,11 @@ class TargetBank:
         for P pairs; no other module spells it (``leading`` reads it). The
         pairs' ``X't`` and loadings are derived from those of the rows, by
         linearity (``_pair_loadings``), not from products of their own.
-        Targets whose length is not the design's row count, and a
-        ``paired`` that is not a whole number from 0 to k, are refused by a
-        ``ValueError``.
+        Targets whose length is not the design's row count, a ``paired``
+        that is not a whole number from 0 to k, and a target whose squares
+        or loadings overflow (a loading of either round that is not finite)
+        are refused by a ``ValueError``, the last naming the first such
+        target.
         """
         rows = np.ascontiguousarray(np.atleast_2d(rows), dtype=float)
         if rows.shape[1] != design.shape[0]:
@@ -596,23 +584,30 @@ class TargetBank:
             raise ValueError(f"paired must be at most the {len(rows)} rows, got {paired}")
         ii, jj = pairs = np.triu_indices(paired, 1)
         targets = _paired(rows, ii, jj)
-        xty = _paired(design.product(rows), ii, jj)
-        # the bank's arrays first, then one buffer for both loadings' products:
-        # the working arrays, freed last, leave no holes among the kept ones
-        loadings = np.empty((2,) + xty.shape)
-        block = np.empty((len(rows) + ii.size, rows.shape[1]))
-        for centred, out in zip((True, False), loadings):
-            _pair_loadings(design, rows, targets, ii, jj, centred, block, out)
-        del block
-        rows = targets
-        # _refine's flags, on the empty set's residual
-        perfect = _perfect_fit(rows)
+        # an overflow is refused below, by the target, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            xty = _paired(design.product(rows), ii, jj)
+            # the bank's arrays first, then one buffer for both loadings'
+            # products: the working arrays, freed last, leave no holes among
+            # the kept ones
+            loadings = np.empty((2,) + xty.shape)
+            block = np.empty((len(rows) + ii.size, rows.shape[1]))
+            for centred, out in zip((True, False), loadings):
+                _pair_loadings(design, rows, targets, ii, jj, centred, block, out)
+            del block
+        wide = np.flatnonzero(~np.isfinite(loadings).all(axis=(0, 2)))
+        if wide.size:
+            raise ValueError(f"target {wide[0]} is out of floating-point range on this "
+                             "sample: its squares or penalty loadings overflow")
+        # _refine's flag on the empty set's residual; with finite squares its
+        # sd is finite, at most 2 max|t|, so it is never a perfect fit
         degenerate = ~loadings[1].any(axis=1)
-        memos = [{b"": "perfect_fit" if p else "loadings_degenerate" if d else psi}
-                 for p, d, psi in zip(perfect.tolist(), degenerate.tolist(), loadings[1])]
-        return cls(design=design, rows=rows, xty=xty, loadings=loadings,
-                   levels=_levels(xty, loadings), memos=memos,
-                   cols=tuple(range(len(rows))), paths=[{} for _ in rows], pairs=pairs)
+        lam_max = _lam_max(design, xty, loadings)
+        lam_max[1, degenerate] = -math.inf
+        rounds = [{None: (psi0, []), b"": ("loadings_degenerate" if d else psi1, [])}
+                  for d, psi0, psi1 in zip(degenerate.tolist(), loadings[0], loadings[1])]
+        return cls(design=design, rows=targets, xty=xty, loadings=loadings, lam_max=lam_max,
+                   rounds=rounds, cols=tuple(range(len(targets))), pairs=pairs)
 
     @property
     def n(self) -> int:
@@ -623,14 +618,14 @@ class TargetBank:
 
     def subset(self, cols) -> TargetBank:
         """The targets ``cols`` (ints or an index array) of this bank,
-        sharing its arrays, memos and paths."""
+        sharing its arrays and records."""
         return replace(self, cols=tuple(np.asarray(cols, dtype=np.intp).tolist()))
 
     def leading(self, k: int) -> TargetBank:
         """The bank of the first ``k`` given rows and of every sum and
         difference of two of them, in the layout of ``of`` (rows, sums,
-        differences, each in bank order), sharing this bank's arrays, memos
-        and paths as ``subset`` does.
+        differences, each in bank order), sharing this bank's arrays and
+        records as ``subset`` does.
 
         A degree grid banks the g dictionary at its largest degree, so
         ``leading(k)`` is the extended first stage at degree k (or the
@@ -644,35 +639,23 @@ class TargetBank:
         return self.subset(np.concatenate([np.arange(k), kept, kept + self.pairs[0].size]))
 
     def settled_empty(self, lam: float, config: LassoConfig = LassoConfig()) -> np.ndarray:
-        """Which equations in ``cols`` surely end with an empty active set at ``lam``.
+        """Which equations in ``cols`` end with an empty active set at ``lam``
+        without a path step.
 
-        Entry k is True only when the first two solves of
-        ``iterated_lasso(self, k, lam, config)`` admit nothing, so that the
-        call would return an empty set without raising: a caller can take
-        the empty set and skip the call. An entry may be False for an
-        equation that does end empty; its call decides, as the KKT check
-        decides what the strong rules (Tibshirani et al. 2012) leave. The
-        first solve's path starts at lam_max, twice the round's level, and
-        takes no step when lam reaches it; the second, run when
-        ``n_loadings > 1``, is the same test with ``loadings[1]`` (or is
-        skipped for a flagged memo, which ends the call empty as well); a
-        third would repeat the empty set and stop.
-
-        A round is settled when its level is at or below ``low = (lam / 2)
-        / (1 + 1e-12)``: one comparison of the rounds' levels, and an
-        equation is settled when each of its rounds is. A normal level at or
-        below ``low`` is each ratio |x_l't| / psi_l rounded once, with
-        relative error at most 2^-53, so every ``|x_l't| < lam / 2 * psi_l``
-        exactly; the path's first event (``_span`` on the empty set) is the
-        same rounded ratio, so it lies below lam / 2 and the path takes no
-        step, whatever the size of |x_l't|. A NaN level is never settled, so
-        neither is an equation whose loadings are not all positive and
-        finite, whose ``iterated_lasso`` call raises.
+        Entry k is True exactly when the call ``iterated_lasso(self, k, lam,
+        config)`` would return the empty set with no step on any path, so a
+        caller can take the empty set and skip the call. Its first round's
+        path takes no step when lam is at or above that round's lam_max; the
+        second round, run when ``n_loadings > 1``, is the same test with
+        round 1's, which is -inf where a flag ends the call after round 0; a
+        third would repeat the empty set and stop. So an equation is settled
+        when ``lam_max[:rounds, j] <= lam``, one comparison for the bank; a
+        NaN lam_max is never settled, as its call raises. An equation that
+        ends empty after its path took steps is left to its call, as the KKT
+        check decides what the strong rules (Tibshirani et al. 2012) leave.
         """
-        cols = list(self.cols)
         rounds = 1 if config.n_loadings == 1 else 2
-        low = min(0.5 * float(lam) / (1.0 + _MARGIN), _HUGE)
-        return (self.levels[:rounds, cols] <= low).all(axis=0)
+        return (self.lam_max[:rounds, list(self.cols)] <= lam).all(axis=0)
 
 
 def _span(design: LassoDesign, xty: np.ndarray, psi: np.ndarray, active: np.ndarray,
@@ -696,8 +679,8 @@ def _span(design: LassoDesign, xty: np.ndarray, psi: np.ndarray, active: np.ndar
     Going down in lam, the first condition to fail sets ``lo``: its column
     enters with the sign of its input, or, on A, leaves. Conditions are
     compared on lam / 2 and ties go to the lowest column, so on the empty
-    set ``lo / 2`` is the bank's level, ``max_l |x_l'y| / psi_l`` rounded
-    once.
+    set ``lo`` is ``2 max(0, max_l |x_l'y| / psi_l)``, the bank's
+    ``lam_max`` (``_lam_max``).
     """
     with np.errstate(all="ignore"):
         # h * q >= p, per column: each input off A below its threshold from
@@ -872,35 +855,37 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
     round before: the refined loadings depend on a fit only through its
     active set, so every further round would reproduce the same solution.
 
-    The target's ``X'y``, initial loadings and memo of refined loadings come
-    from the bank, and every solve reads the Gram rows of the bank's
-    design, so calls on the same bank that differ only in ``lam`` or
-    ``config`` reuse them. The memo starts with the empty set's loadings
-    (or flag), computed for the whole bank at once; an equation that
-    ``TargetBank.settled_empty`` marks would return an empty set here and
-    can skip the call. A round whose path cannot end raises
-    ``ConvergenceError`` (``lasso_solve``), whichever round it is.
+    The target's ``X'y`` and its records of loadings rounds come from the
+    bank (``TargetBank.rounds``), and every solve reads the Gram rows of the
+    bank's design, so calls on the same bank that differ only in ``lam`` or
+    ``config`` reuse them. Each round reads one record, the loadings (or
+    flag) its key names and the path they were solved on, and a round on a
+    set the target has not met adds its record. The records start with the
+    initial and the empty set's loadings (or flag), computed for the whole
+    bank at once; an equation that ``TargetBank.settled_empty`` marks would
+    return an empty set here and can skip the call. A round whose path
+    cannot end raises ``ConvergenceError`` (``lasso_solve``), whichever
+    round it is.
 
-    Each round solves on the bank's path for its loadings (``paths``), so
-    a later call on the target (a grid's next degree, at a nearby lam)
+    A later call on the target (a grid's next degree, at a nearby lam)
     reads each round off the path an earlier call took, or extends it, and
-    its fit is that of a call on a bank without paths, bit for bit.
+    its fit is that of a call on a fresh bank, bit for bit.
     """
     j, design = bank.cols[k], bank.design
-    y, xty, memo, paths = bank.rows[j], bank.xty[j], bank.memos[j], bank.paths[j]
-    loadings = _nonzero(bank.loadings[0, j], "initial")
-    rounds, previous = 0, None
+    y, xty, records = bank.rows[j], bank.xty[j], bank.rounds[j]
+    _nonzero(bank.loadings[0, j], "initial")
+    solved, key = 0, None
     while True:
-        fit = lasso_solve(design, xty, lam, loadings, paths.setdefault(previous, []))
-        rounds += 1
-        key = fit.active_set.tobytes()
-        if rounds == config.n_loadings or key == previous:
+        loadings, path = records[key]
+        fit = lasso_solve(design, xty, lam, loadings, path)
+        solved += 1
+        previous, key = key, fit.active_set.tobytes()
+        if solved == config.n_loadings or key == previous:
             break
-        previous = key
-        if key not in memo:
-            memo[key] = _refine(design, y, fit.active_set)
-        loadings = memo[key]
-        if isinstance(loadings, str):
-            fit = replace(fit, **{loadings: True})
+        if key not in records:
+            records[key] = (_refine(design, y, fit.active_set), [])
+        flag = records[key][0]
+        if isinstance(flag, str):
+            fit = replace(fit, **{flag: True})
             break
     return fit

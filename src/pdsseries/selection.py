@@ -27,8 +27,10 @@ solver by one route: a stage function (``first_stage_select``,
 ``lasso.TargetBank`` of its targets, which holds their design, and
 ``_active_sets`` fits each equation of the bank, raising a failure as a
 ``SelectionError`` that names the equation. A bank evaluates each target's
-``X't`` and initial loadings once and memoizes its refined loadings by
-active set; ``choose_k_bic`` builds one bank at the grid's largest degree,
+``X't`` and initial loadings once and keeps one record per loadings round,
+keyed by the active set its loadings were refined on, and refuses a target
+whose squares or loadings overflow, such as an outcome in units near
+1e160; ``choose_k_bic`` builds one bank at the grid's largest degree,
 of the g rows and the outcome, and with the extended first stage the
 pairs of g rows, which the bank lays out and derives itself; each degree
 runs on ``TargetBank.leading``, which alone knows where its targets lie.
@@ -51,14 +53,14 @@ workspace, which reuses ``Q*Q`` and the stored rows of ``Q'Q``, so only
 their ``P`` parts are new.
 
 Most first-stage equations select nothing. A bank of two or more
-equations is first asked which surely end with an empty active set
-(``TargetBank.settled_empty``: one comparison of the rounds' levels), and
-``iterated_lasso`` runs for the rest, including any the screen cannot
-vouch for. In a grid, that call reads each loading round off the path
-an earlier degree's call on the same target took, or extends that path
-(``TargetBank.paths``). The sets, and the exceptions of equations that
-fail, are those of one ``iterated_lasso`` call per equation on a bank
-without paths.
+equations is first asked which end with an empty active set without a
+path step (``TargetBank.settled_empty``: one comparison of each round's
+lam_max with lam), and ``iterated_lasso`` runs for the rest. In a grid,
+that call reads each loading round off the path an earlier degree's call
+on the same target took, or extends that path (the round's record in
+``TargetBank.rounds``). The sets, and the exceptions of equations that
+fail, are those of one ``iterated_lasso`` call per equation on a fresh
+bank.
 
 ``ESTIMATOR_LABELS`` owns the nine estimator names, with the label each
 prints under; ``ESTIMATORS`` is its keys, in order. ``comparison_estimators``
@@ -269,10 +271,11 @@ def _active_sets(bank: TargetBank, lam: float, config: LassoConfig, label: str) 
 
     In a bank of two or more equations, an equation that
     ``bank.settled_empty`` settles gets the empty set with no solve (one
-    read-only empty array, shared by every settled equation). Every other
-    equation runs ``iterated_lasso``, which reads its rounds off the paths
-    of its target's earlier calls or extends them, and a failure is raised
-    as a ``SelectionError`` naming the equation by ``label.format(k)``.
+    read-only empty array, shared by every settled equation), as its call
+    would return. Every other equation runs ``iterated_lasso``, which reads
+    its rounds off the paths of its target's earlier calls or extends them,
+    and a failure is raised as a ``SelectionError`` naming the equation by
+    ``label.format(k)``.
     """
     # A one-equation bank (a reduced form) is never screened: screening it
     # would save ~20 us per reduced form, and the traced benchmark's repeat

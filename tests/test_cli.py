@@ -780,6 +780,38 @@ def test_main_fit_at_a_degree_that_overflows_fails_in_one_line(capsys, tmp_path)
     assert "se        = " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("design, column, scale, refused", [
+    ("low_dim", "y", 1e160, "target 5"),  # the outcome, after the 5 g terms
+    ("high_dim", "z1", 1e160, "Q column 0"),
+    ("low_dim", "y", 1e150, None),
+])
+def test_main_fit_refuses_a_column_whose_squares_overflow_in_one_line(
+        capsys, tmp_path, design, column, scale, refused):
+    # replication zero's sample of simulate --n 200 --seed 0, with one
+    # column scaled: the refusal is the only report, with no RuntimeWarning
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0,)))
+    data = generate_sample(DgpConfig(design, 200), rng)
+    if column == "y":
+        data.y = scale * data.y
+    else:
+        data.Z[:, 0] *= scale
+    dump = tmp_path / "sample.csv"
+    write_sample_csv(data, str(dump))
+    argv = ["fit", "--input", str(dump), "--y", "y", "--x", "x", "--z", "z*",
+            "--out", str(tmp_path / "fit.txt")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert caught == []
+    out, err = capsys.readouterr()
+    if refused is None:
+        assert code == 0 and err == "" and "theta_hat = " in out
+        return
+    assert code == 1
+    assert err.startswith(f"error: {refused} is out of floating-point range on this sample")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("k", ["1", "auto14"])
 def test_main_fit_refuses_a_tensor_on_many_inputs_in_one_line(capsys, tmp_path, k):
     # 1000 z columns, as in a high_dim dump at n = 500: the tensor is refused

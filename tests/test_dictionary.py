@@ -329,6 +329,10 @@ def test_standardize_columns_names_offender(rng):
     M[:, 1] = 7.0
     with pytest.raises(DegenerateColumnError, match="Q column 1"):
         standardize_columns(M, what="Q column")
+    # a standard deviation that overflows, with no RuntimeWarning
+    M[:, 1] = 1e160 * rng.standard_normal(20)
+    with pytest.raises(ValueError, match="^Q column 1 is out of floating-point range"):
+        standardize_columns(M, what="Q column")
 
 
 def scale_test_matrix(n, m, seed):
@@ -469,6 +473,29 @@ def test_build_design_refuses_a_column_whose_squares_underflow(rng):
     # entries whose squares are subnormal but not all zero are read
     Z[:, 2] = rng.choice([1e-160, 2e-160], size=200)
     assert build_design(spec_q, Z).diag[2] > 0.0
+
+
+def test_build_design_refuses_a_column_whose_squares_overflow(rng):
+    # its scale is infinite: the refusal names the first such column and
+    # is the only report, with no RuntimeWarning; a Hermite tensor on it
+    # is refused by its first Hermite term out of range
+    Z = rng.standard_normal((200, 4))
+    Z[:, 1] *= 1e160
+    Z[:, 3] *= 1e160
+    Z[0, 1] = 0.0  # an exact zero times an infinite scale would read as NaN
+    for spec_q, name in ((DictionarySpec("raw_coordinates", input_dim=4), "Q column 1"),
+                         (DictionarySpec("hermite_tensor", degree=2, input_dim=4),
+                          "Hermite term He_1")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"^{name} is out of floating-point range "
+                                                 "on this sample$") as err:
+                build_design(spec_q, Z)
+        assert caught == [] and type(err.value) is ValueError
+    # squares that stay finite, and their sum, are read
+    Z[:, 1] = rng.standard_normal(200) * 1e150
+    Z[:, 3] = rng.standard_normal(200)
+    assert np.isfinite(build_design(DictionarySpec("raw_coordinates", input_dim=4), Z).diag).all()
 
 
 def test_build_design_keeps_at_most_two_dictionary_sized_blocks():

@@ -178,10 +178,11 @@ def test_selection_error_names_equation():
 
 
 @pytest.mark.parametrize("zero_entry", [False, True])
-def test_overflowing_target_fails_its_equation(zero_entry):
-    # a target whose sd overflows gets infinite initial loadings, or NaN
-    # ones where a design entry is zero: its equation must fail, not end
-    # with an empty set flagged perfect_fit
+def test_overflowing_target_is_refused_by_its_bank(zero_entry):
+    # a target whose squares overflow would get infinite initial loadings,
+    # or NaN ones where a design entry is zero: its bank, with pairs or
+    # without, refuses it by its place in the bank, with no RuntimeWarning
+    # (the suite turns one into an error), before any equation runs
     rng = np.random.default_rng(7)
     n = 60
     Q = rng.standard_normal((n, 4))
@@ -190,15 +191,19 @@ def test_overflowing_target_fails_its_equation(zero_entry):
     design = LassoDesign(Q)
     P = rng.standard_normal((n, 3))
     P[:, 1] = 1e160 * rng.standard_normal(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bank = TargetBank.of(P.T, design)
-        assert not np.isfinite(bank.loadings[0, 1]).all()
-        assert bank.memos[1][b""] == "perfect_fit"
-        with pytest.raises(SelectionError, match="first-stage equation 1") as err:
-            first_stage_select(bank_of(P, design))
-        assert "positive and finite" in str(err.value)
-        with pytest.raises(SelectionError, match="reduced-form equation"):
-            reduced_form_select(bank_of(P[:, 1], design))
+    for paired in (0, 3):
+        with pytest.raises(ValueError, match="^target 1 is out of floating-point range"):
+            TargetBank.of(P.T, design, paired=paired)
+    with pytest.raises(ValueError, match="^target 0 is out of floating-point range"):
+        bank_of(P[:, 1], design)
+    # squares that stay finite, but loadings that overflow on a column of
+    # huge entries, are refused too
+    huge = Q.copy()
+    huge[:, 0] *= 1e150
+    with pytest.raises(ValueError, match="^target 0 is out of floating-point range"):
+        bank_of(1e10 * P[:, 0], LassoDesign(huge))
+    # a target scaled by 1e150, whose squares and loadings stay finite, is banked
+    assert np.isfinite(bank_of(1e150 * P[:, [0, 2]], design).loadings).all()
 
 
 # ---------------------------------------------------------------- final OLS
@@ -524,17 +529,17 @@ def test_derived_pair_targets_match_the_direct_bank(design_name, n):
     np.testing.assert_array_equal(bank.rows, direct.rows)
     err = np.abs(bank.xty - direct.xty) / np.abs(direct.xty).max(axis=1, keepdims=True)
     assert err.max() < 1e-12
-    for name in ("loadings", "levels"):
+    for name in ("loadings", "lam_max"):
         np.testing.assert_allclose(getattr(bank, name), getattr(direct, name), rtol=1e-12,
                                    atol=0, err_msg=name)
 
     def flags(b):
-        return [m[b""] if isinstance(m[b""], str) else None for m in b.memos]
+        return [r[b""][0] if isinstance(r[b""][0], str) else None for r in b.rounds]
 
     assert flags(bank) == flags(direct)
     # without pairs, the bank is the one of direct products, bit for bit
     plain = TargetBank.of(direct.rows, d, paired=0)
-    for name in ("rows", "xty", "loadings", "levels"):
+    for name in ("rows", "xty", "loadings", "lam_max"):
         np.testing.assert_array_equal(getattr(plain, name), getattr(direct, name), err_msg=name)
     np.testing.assert_array_equal(direct.xty, d.product(direct.rows))
     np.testing.assert_array_equal(direct.loadings[0], lasso.initial_loadings(d, direct.rows))
@@ -553,7 +558,7 @@ def test_leading_holds_a_degrees_rows_and_their_pairs_at_the_bank_offsets(rng):
         for k in grid:
             view = bank.leading(k)
             assert view.cols == leading_cols(bank, k)
-            assert view.memos is bank.memos and view.paths is bank.paths
+            assert view.rounds is bank.rounds
             want = rows[:k] if not paired else build_extended_fs(rows[:k].T).T
             np.testing.assert_array_equal(view.rows[list(view.cols)], want)
         # the outcome row is a given row too; a row past them is refused
@@ -583,7 +588,7 @@ def test_a_constant_pair_target_gets_the_loadings_of_its_own_row():
     for r in (0, 1):
         np.testing.assert_array_equal(bank.loadings[r, zero], 0.0)
         np.testing.assert_array_equal(bank.loadings[r, zero], direct.loadings[r, zero])
-    assert [bank.memos[j][b""] for j in zero] == [direct.memos[j][b""] for j in zero]
+    assert [bank.rounds[j][b""][0] for j in zero] == [direct.rounds[j][b""][0] for j in zero]
 
 
 @pytest.mark.parametrize("design_name", ["low_dim", "high_dim"])
@@ -625,12 +630,12 @@ def test_fixed_degree_post_double_is_the_one_degree_grid(monkeypatch, design_nam
 
 def one_call_per_equation(bank, lam, config):
     """Each equation of ``bank`` by one ``iterated_lasso`` call on a fresh
-    copy: the bank's arrays, a new store of Gram rows, its memos as built
-    and no paths. Returns each active set, or the class of the exception
-    the call raised."""
+    copy: the bank's arrays, a new store of Gram rows, and its records as
+    built, with no paths. Returns each active set, or the class of the
+    exception the call raised."""
     fresh = dataclasses.replace(bank, design=LassoDesign(*bank.design.blocks),
-                                memos=[{b"": memo[b""]} for memo in bank.memos],
-                                paths=[{} for _ in bank.rows])
+                                rounds=[{key: (r[key][0], []) for key in (None, b"")}
+                                        for r in bank.rounds])
     out = []
     for k in range(len(fresh)):
         try:
