@@ -24,6 +24,7 @@ index plan cached per (d, K).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,8 +51,9 @@ KINDS = ("hermite_univariate", "hermite_tensor", "raw_coordinates")
 # rows per block of the tensor evaluation and of the constant-column check
 _ROW_BLOCK = 64
 # the largest L * d**2 of a Hermite tensor (L columns on d inputs) that is
-# built: its index plan takes about that many steps, about 2 s at the bound
-# on a 2-vCPU host with Python 3.11
+# built: it caps the L * d entries of its index set, which the set and its
+# plan take time in proportion to, at 1e8 / d; (d, K) = (10, 12), 6.5e6
+# entries, takes about 3 s on a 2-vCPU host with Python 3.11
 _TENSOR_WORK = 10**8
 
 
@@ -154,14 +156,16 @@ def hermite_deriv_design(x, kmax: int) -> np.ndarray:
     return out
 
 
-def _compositions(total: int, d: int):
-    # descending lexicographic order within a fixed total degree
-    if d == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, d - 1):
-            yield (first,) + rest
+def _compositions(total: int, d: int) -> np.ndarray:
+    """The compositions of ``total`` into ``d`` parts, one per row, in
+    descending lexicographic order. By stars and bars, part i is the gap
+    between bars i - 1 and i of d - 1 bars among total + d - 1 places, and
+    the bars' places, in descending order, give the parts in that order."""
+    bars = np.array(list(itertools.combinations(range(total + d - 1), d - 1)),
+                    dtype=np.intp)[::-1]
+    ends = np.full((len(bars), d + 1), -1, dtype=np.intp)
+    ends[:, 1:-1], ends[:, -1] = bars, total + d - 1
+    return np.diff(ends, axis=1) - 1
 
 
 def _check_tensor_size(d: int, kmax: int) -> None:
@@ -185,10 +189,8 @@ def tensor_index_set(d: int, kmax: int) -> list[tuple[int, ...]]:
     """
     d, kmax = _require_whole("d", d, 1), _require_whole("kmax", kmax, 1)
     _check_tensor_size(d, kmax)
-    out: list[tuple[int, ...]] = []
-    for deg in range(1, kmax + 1):
-        out.extend(_compositions(deg, d))
-    return out
+    grid = np.concatenate([_compositions(deg, d) for deg in range(1, kmax + 1)])
+    return list(map(tuple, grid.tolist()))
 
 
 @functools.lru_cache(maxsize=8)
@@ -198,26 +200,40 @@ def _tensor_plan(d: int, kmax: int):
     Column (m_1, ..., m_d) is the left-to-right product
     He_{m_1}(z_1) He_{m_2}(z_2) ... He_{m_d}(z_d). A j-prefix is the product
     of its first j factors; the 1-prefixes are He_0..He_K(z_1). Level j
-    stacks He_0..He_K(z_j) under the ``n_prev`` distinct (j-1)-prefixes and
-    forms every distinct j-prefix with one gather and one multiply: the
-    first half of ``gather`` picks each one's (j-1)-prefix, the second half
-    its factor He_{m_j}(z_j) at ``n_prev + m_j``. The last level's
-    j-prefixes are the columns, in ``indices`` order.
+    stacks He_0..He_K(z_j) under the ``n_prev`` (j-1)-prefixes and forms
+    its j-prefixes with one gather and one multiply: the first half of
+    ``gather`` picks each one's (j-1)-prefix, the second half its factor
+    He_{m_j}(z_j) at ``n_prev + m_j``.
+
+    Below the last level, the j-prefixes are every j-index of total degree
+    at most K, in ascending lexicographic order: each (j-1)-prefix in its
+    order, followed by each degree m up to K less its total, so one
+    extended by m is at slot ``first[parent] + m``. The last level's
+    j-prefixes are the columns, in ``indices`` order, and each column's
+    (d-1)-prefix is found by following those slots along its index.
 
     Returns ``indices`` (``tensor_index_set`` as a tuple) and, for levels
     2..d, the pairs ``(n_prev, gather)``.
     """
     indices = tuple(tensor_index_set(d, kmax))
-    slot = {(m,): m for m in range(kmax + 1)}  # level 1: the rows He_m(z_1)
+    grid = np.array(indices, dtype=np.intp)
+    total = np.arange(kmax + 1)  # the total degree of each 1-prefix
+    slot = grid[:, 0]  # each column's 1-prefix
     levels = []
     for j in range(2, d + 1):
-        targets = indices if j == d else sorted({mi[:j] for mi in indices})
-        n_prev = len(slot)
-        gather = np.array([slot[t[:-1]] for t in targets]
-                          + [n_prev + t[-1] for t in targets], dtype=np.intp)
+        n_prev = total.size
+        if j < d:
+            width = kmax + 1 - total
+            first = np.cumsum(width) - width
+            parent = np.repeat(np.arange(n_prev), width)
+            m = np.arange(parent.size) - first[parent]
+            total = total[parent] + m
+            slot = first[slot] + grid[:, j - 1]
+        else:
+            parent, m = slot, grid[:, -1]
+        gather = np.concatenate([parent, n_prev + m])
         gather.setflags(write=False)
         levels.append((n_prev, gather))
-        slot = {t: i for i, t in enumerate(targets)}
     return indices, tuple(levels)
 
 

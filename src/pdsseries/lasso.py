@@ -25,51 +25,49 @@ and one record per loadings round, keyed by the active set its loadings
 were refined on: refined loadings depend on a fit only through its active
 set, so the iteration stops as soon as a round selects the same set as the
 round before, and every equation on the same target reuses them. A target
-whose squares or loadings overflow is refused. Every bank is built as rows
+whose squares or loadings overflow is refused by its row, which the caller
+that laid the rows out names by its role. Every bank is built as rows
 and their pairwise sums and differences, with no pairs but in the BIC
 grid's extended first stage, and the bank alone knows where each target
-lies: ``TargetBank.of`` lays them out, and ``TargetBank.leading(k)`` hands
-out the targets of the first k rows, a degree's equations. Each pair's
-``X't`` and loadings are derived from products over the rows and the
-pairs' cross products, by linearity, instead of a product over every target.
-``iterated_lasso(bank, k, lam)`` fits the bank's ``k``-th target.
+lies: ``TargetBank.of`` lays them out, deriving each pair's ``X't`` and
+loadings by linearity, and ``TargetBank.leading(k)`` hands out the targets
+of the first k rows, a degree's equations. ``iterated_lasso(bank, k, lam)``
+fits the bank's ``k``-th target.
 
 Most equations of post-double selection select nothing. The bank keeps
 its first two loading rounds as one array: the initial loadings, then every
 target's refined loadings for the empty set, one product for the whole
 bank, which also pre-fill each target's records. From them it keeps each
-round's lam_max, the first level its path records, as one (2, k) array, so
-``TargetBank.settled_empty`` settles for the whole bank at once, in one
-comparison, exactly the equations whose paths take no step in their first
-two rounds, and so end empty, at a given penalty level: those whose
-lam_max is at or below it in each round. Every other equation runs
-``iterated_lasso``.
+round's lam_max, where its path leaves the empty set, as one (2, k) array,
+found by the function that takes the first step of every path
+(``_crossing``), so ``TargetBank.settled_empty`` settles for the whole bank
+at once, in one comparison, exactly the equations whose paths take no step
+in their first two rounds, and so end empty, at a given penalty level:
+those whose lam_max is at or below it in each round. Every other equation
+runs ``iterated_lasso``.
 
 A degree grid solves the same equations again at nearby penalty levels.
-The path a solve follows does not depend on the level, which only decides
-where it stops, so each round's record keeps its path, and a later call on
-the target reads each round off that round's path, or extends the path
-from its last step, so every round is the fit of a fresh solve, bit for
-bit.
+A path does not depend on the level, which only decides where it stops, so
+a later call reads each round off the path its record keeps, or extends
+it, and gets the fit of a fresh solve, bit for bit.
 
 The solver follows the weighted Lasso's path (the homotopy of Osborne,
 Presnell & Turlach 2000; LARS-Lasso, Efron, Hastie, Johnstone & Tibshirani
 2004). On a set A with coefficient signs s the solution is affine in the
 penalty level, ``t_A = u - lam v``, and it stays the solution down to the
 first level where an inactive column meets its KKT bound or an active
-coefficient reaches zero (``_span``). The path starts at lam_max with the
-empty set and takes one step per such event: the column enters with the
-sign of its input, or the coefficient leaves. A tie goes to the lowest
-column index. The path ends at the requested level with the exact solution
-on its last set, up to rounding. A path that needs more than
-``_STEPS_PER_COLUMN`` times the smaller side of the design in steps, or
-meets a singular (or non-finite) system on its set, raises
-``ConvergenceError``.
-
-The solver reads the Gram system only through the rows of its active
-columns, so ``X'X`` is never formed whole: the ``LassoDesign`` forms
-row j, ``x_j'X``, block by block, the first time column j enters a path
-and keeps it in its store for every later path on the same design.
+coefficient reaches zero (``_span``). The path starts with the empty set,
+the solution down to lam_max (``_crossing``), and takes one step per such
+event: the column enters with the sign of its input, or the coefficient
+leaves. A tie goes to the lowest column index, and a zero column, which
+the design marks as unable to enter, never does. The path ends at the
+requested level with the exact solution on its last set, up to rounding. A
+path that needs more than ``_STEPS_PER_COLUMN`` times the smaller side of
+the design in steps, or meets a singular (or non-finite) system on its
+set, raises ``ConvergenceError``. The solver reads the Gram system only
+through the rows of its active columns, so ``X'X`` is never formed whole:
+the ``LassoDesign`` forms row j, ``x_j'X``, the first time column j enters
+a path and keeps it for every later path on the same design.
 """
 
 from __future__ import annotations
@@ -106,6 +104,18 @@ class DegenerateLoadingsError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A Lasso path passed its step bound or met a singular system."""
+
+
+class _WideTarget(ValueError):
+    """A bank's refusal of its target at ``row``, whose squares or loadings
+    overflow; ``WORDING.format(name)`` words it for any name of the target."""
+
+    WORDING = ("{} is out of floating-point range on this sample: "
+               "its squares or penalty loadings overflow")
+
+    def __init__(self, row: int):
+        super().__init__(self.WORDING.format(f"target {row}"))
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -259,17 +269,17 @@ class LassoDesign:
     The design reads every column at unit root mean square: column l of
     ``X`` stands for ``x_l / s_l``, with ``s_l = sqrt(sum_i x_il^2 / n)``,
     or, where that is 0 (a zero column, or one whose squares underflow),
-    ``s_l = 1`` and a Gram diagonal of 0, so the column never enters a
-    solve; a column whose squares overflow gets an infinite scale and a NaN
+    ``s_l = 1`` and a Gram diagonal of 0, so the column cannot enter a
+    solve: the design lists such columns once, for every path to pass
+    over. A column whose squares overflow gets an infinite scale and a NaN
     diagonal, which ``dictionary.build_design`` refuses. The weighted Lasso
     selects the same set on any positive rescaling of its columns, since
     ``x_l't``, the Gram entries and the loadings ``sqrt(mean(x_l^2 e^2))``
-    all scale with the column; reading them at one scale gives every Gram
-    block the path solves on a diagonal of n, whatever the units of its
-    columns. The blocks stay as given:
-    ``scales`` holds ``s``, taken from the column sums of the squares that
-    the Gram diagonal needs anyway, and only the design's outputs, each
-    (k, m) or smaller, are divided by it.
+    all scale with the column; at one scale every Gram block the path
+    solves has a diagonal of n. The blocks stay as given: ``scales`` holds
+    ``s``, from the column sums of the squares that the Gram diagonal needs
+    anyway, and only the design's outputs, each (k, m) or smaller, are
+    divided by it.
 
     ``squares`` holds each block's ``X_b*X_b``: both loadings formulas are
     one product against them, ``sq_product``, and ``diag``, the Gram
@@ -293,8 +303,6 @@ class LassoDesign:
     """
 
     def __init__(self, *blocks):
-        if not blocks:
-            raise ValueError("a design needs at least one block")
         arrays, squares, stores = [], [], []
         for block in blocks:
             if isinstance(block, LassoDesign):
@@ -313,12 +321,14 @@ class LassoDesign:
             with np.errstate(over="ignore"):
                 squares.append(X * X)
             stores.append(None)
+        widths = [X.shape[1] for X in arrays]
+        if not sum(widths):
+            raise ValueError("a design needs at least one column")
         n = arrays[0].shape[0]
         if any(X.shape[0] != n for X in arrays):
             raise ValueError("the design blocks have different row counts")
         self.blocks, self.squares = tuple(arrays), tuple(squares)
         self._stores = tuple(stores)
-        widths = [X.shape[1] for X in arrays]
         self._stops = np.cumsum(widths)
         self._spans = [(int(stop) - w, int(stop)) for w, stop in zip(widths, self._stops)]
         m = int(self._stops[-1])
@@ -336,6 +346,7 @@ class LassoDesign:
                     self.diag[a:b] = np.where(zero, 0.0, total / (s * s))
             else:
                 self.scales[a:b], self.diag[a:b] = store.scales, store.diag
+        self._inert = np.flatnonzero(self.diag == 0.0)
         self._rows: dict = {}  # column -> its row of X'X
 
     @property
@@ -404,8 +415,6 @@ class LassoDesign:
 # fewer (lars' ``max.steps``, Efron et al. 2004); the longest measured, on a
 # low_dim n = 500 sample with y + 100 and the 329-column tensor, took 188
 _STEPS_PER_COLUMN = 8
-# the span of a set whose system is singular or not finite
-_NO_SPAN = (math.inf, None, None, -1, 0.0)
 # the two sides of an input's threshold, as the rows of ``_span``'s conditions
 _SIDES = np.array([[1.0], [-1.0]])
 _HUGE = float(np.finfo(float).max)
@@ -417,25 +426,29 @@ def _proper(loadings: np.ndarray) -> np.ndarray:
     return ((loadings > 0.0) & (loadings <= _HUGE)).all(axis=-1)
 
 
-def _lam_max(design: LassoDesign, xty: np.ndarray, loadings: np.ndarray) -> np.ndarray:
-    """Each row's lam_max, ``2 max(0, max_l |x_l't| / psi_l)``, under each
-    loading round of ``loadings`` (r, k, m): an (r, k) array, one pass over
-    the bank per round.
-
-    It is the first level the row's path records under those loadings
-    (``_span`` on the empty set), bit for bit: the same rounded ratios, with
-    columns of a zero Gram diagonal left out. NaN where a loading is not
-    positive and finite, as ``lasso_solve`` refuses such loadings.
-    """
-    abs_xty = np.abs(xty)
-    abs_xty[:, design.diag == 0.0] = 0.0
-    lam_max = np.empty(loadings.shape[:-1])
+def _crossing(design: LassoDesign, xty: np.ndarray, loadings: np.ndarray) -> tuple:
+    """Where the Lasso path of each target leaves the empty set, over the
+    leading axes of ``xty`` and ``loadings`` broadcast together: ``(lam_max,
+    event, sign)``. The empty set is the solution down to ``lam_max = 2
+    max(0, max_l |x_l't| / psi_l)`` over the columns that can enter
+    (``LassoDesign``), NaN where such a ratio is NaN; there the lowest column
+    of the max enters with the sign of its input: ``event`` and ``sign``,
+    each with a last axis of length one, are the set the path steps to."""
     with np.errstate(all="ignore"):
-        for out, psi in zip(lam_max, loadings):
-            np.max(abs_xty / psi, axis=1, out=out, initial=0.0)
-        lam_max *= 2.0
-    lam_max[~_proper(loadings)] = np.nan
-    return lam_max
+        ratio = xty / loadings
+    np.abs(ratio, out=ratio)
+    ratio[..., design._inert] = 0.0
+    event = ratio.argmax(axis=-1)[..., None]
+    top = np.take_along_axis(ratio, event, axis=-1)[..., 0]
+    entry = np.take_along_axis(np.broadcast_to(xty, ratio.shape), event, axis=-1)
+    return 2.0 * np.maximum(top, 0.0), event, np.where(entry >= 0.0, 1.0, -1.0)
+
+
+def _lam_max(design: LassoDesign, xty: np.ndarray, loadings: np.ndarray) -> np.ndarray:
+    """Each row's lam_max (``_crossing``) under each loading round of
+    ``loadings`` (r, k, m), as an (r, k) array; NaN where a loading is not
+    positive and finite, as ``lasso_solve`` refuses such loadings."""
+    return np.where(_proper(loadings), _crossing(design, xty, loadings)[0], np.nan)
 
 
 # A pair target's derived squared loading, (S_ii + S_jj +- 2 S_ij) / n, is
@@ -529,8 +542,8 @@ class TargetBank:
     of ``rows`` lies.
 
     The empty set's Post-Lasso residual is the target itself, so its refined
-    loadings ``loadings[1, j]`` are one more matrix product for the whole
-    bank: ``loadings`` is (2, k, m), row r the loadings of round r.
+    loadings ``loadings[1, j]`` are one more product for the whole bank:
+    ``loadings`` is (2, k, m), row r the loadings of round r.
 
     ``rounds[j]`` holds target j's loadings rounds, for every equation that
     regresses it on the design: a dict from a round's key, None for the
@@ -542,11 +555,11 @@ class TargetBank:
     ``loadings``; each call on the target reads one record per round, reads
     its fit off the path or extends it, and adds the records of new sets.
 
-    ``lam_max[r, j]`` is the first level round r's path records
+    ``lam_max[r, j]`` is the level of round r's first path record
     (``_lam_max``): the path takes no step exactly when lam is at or above
     it. It is -inf in round 1 where the empty set's record is a flag, as
-    the call then ends after round 0, and NaN where the round's loadings are
-    not all positive and finite, as the call then raises.
+    the call then ends after round 0, and NaN where the round's loadings
+    are not all positive and finite, as the call then raises.
     """
 
     design: LassoDesign
@@ -572,8 +585,8 @@ class TargetBank:
         Targets whose length is not the design's row count, a ``paired``
         that is not a whole number from 0 to k, and a target whose squares
         or loadings overflow (a loading of either round that is not finite)
-        are refused by a ``ValueError``, the last naming the first such
-        target.
+        are refused by a ``ValueError``, the last (``_WideTarget``) naming
+        the first such target by its row, for a caller to name by its role.
         """
         rows = np.ascontiguousarray(np.atleast_2d(rows), dtype=float)
         if rows.shape[1] != design.shape[0]:
@@ -597,8 +610,7 @@ class TargetBank:
             del block
         wide = np.flatnonzero(~np.isfinite(loadings).all(axis=(0, 2)))
         if wide.size:
-            raise ValueError(f"target {wide[0]} is out of floating-point range on this "
-                             "sample: its squares or penalty loadings overflow")
+            raise _WideTarget(int(wide[0]))
         # _refine's flag on the empty set's residual; with finite squares its
         # sd is finite, at most 2 max|t|, so it is never a perfect fit
         degenerate = ~loadings[1].any(axis=1)
@@ -651,8 +663,7 @@ class TargetBank:
         third would repeat the empty set and stop. So an equation is settled
         when ``lam_max[:rounds, j] <= lam``, one comparison for the bank; a
         NaN lam_max is never settled, as its call raises. An equation that
-        ends empty after its path took steps is left to its call, as the KKT
-        check decides what the strong rules (Tibshirani et al. 2012) leave.
+        ends empty after its path took steps is left to its call.
         """
         rounds = 1 if config.n_loadings == 1 else 2
         return (self.lam_max[:rounds, list(self.cols)] <= lam).all(axis=0)
@@ -660,12 +671,10 @@ class TargetBank:
 
 def _span(design: LassoDesign, xty: np.ndarray, psi: np.ndarray, active: np.ndarray,
           signs: np.ndarray) -> tuple:
-    """Where the Lasso path of ``xty`` on ``design`` under loadings ``psi``
-    leaves the set ``active`` with coefficient signs ``signs``: ``(lo, u, v,
-    event, sign)``, the solution ``u - lam v`` on the set, the level ``lo``
-    down to which it is the Lasso solution, and the path's next step there:
-    the column whose condition sets ``lo``, and the sign it enters with if
-    it is off the set.
+    """The record (``lasso_solve``) of the set ``active`` with coefficient
+    signs ``signs`` on the Lasso path of ``xty`` on ``design`` under
+    loadings ``psi``, a set the path stepped to; its first set, the empty
+    one, is ``_crossing``'s.
 
     On A = ``active`` with signs s, the solution at lam is ``t_A = G_AA^-1
     (X_A'y - (lam/2) psi_A s) = u - lam v``, read from the rows of A in the
@@ -673,55 +682,50 @@ def _span(design: LassoDesign, xty: np.ndarray, psi: np.ndarray, active: np.ndar
     when its signs are s and every column off A meets ``|x_j'y - G_jA t_A|
     <= (lam/2) psi_j``: the subgradient (KKT) conditions. Each condition is
     linear in lam (the homotopy view of the Lasso path; Osborne, Presnell &
-    Turlach 2000). Columns with a zero Gram diagonal are zero columns,
-    which never enter, so they are not checked.
+    Turlach 2000). Columns that cannot enter (``LassoDesign``) are not
+    checked.
 
     Going down in lam, the first condition to fail sets ``lo``: its column
-    enters with the sign of its input, or, on A, leaves. Conditions are
-    compared on lam / 2 and ties go to the lowest column, so on the empty
-    set ``lo`` is ``2 max(0, max_l |x_l'y| / psi_l)``, the bank's
-    ``lam_max`` (``_lam_max``).
+    enters with the sign of its input, or, on A, leaves, which gives the
+    record's next set. Conditions are compared on lam / 2 and ties go to the
+    lowest column.
     """
     with np.errstate(all="ignore"):
         # h * q >= p, per column: each input off A below its threshold from
         # above (row 0) and from below (row 1), and each coefficient on A on
-        # its side of zero, in both rows; every path starts on the empty set,
-        # where the inputs are the cross products themselves
-        if active.size:
-            G = design.rows(active)
-            G_AA = G[:, active]
-            rhs = np.array([xty[active], psi[active] * signs])
-            # t_A = u - h w at h = lam / 2
-            try:
-                uw = np.linalg.solve(G_AA, rhs.T).T
-            except np.linalg.LinAlgError:
-                return _NO_SPAN
-            u, w = uw
-            Gu, Gw = uw @ G
-            q = psi - _SIDES * Gw
-            p = _SIDES * (xty - Gu)
-            gain = signs * np.diagonal(G_AA)
-            q[:, active] = -gain * w
-            p[:, active] = -gain * u
-        else:
-            u = w = psi[:0]
-            q, p = psi, _SIDES * xty
+        # its side of zero, in both rows
+        G = design.rows(active)
+        G_AA = G[:, active]
+        rhs = np.array([xty[active], psi[active] * signs])
+        # t_A = u - h w at h = lam / 2
+        try:
+            uw = np.linalg.solve(G_AA, rhs.T).T
+        except np.linalg.LinAlgError:
+            uw = np.full_like(rhs, np.nan)  # as a non-finite system
+        u, w = uw
+        Gu, Gw = uw @ G
+        q = psi - _SIDES * Gw
+        p = _SIDES * (xty - Gu)
+        gain = signs * np.diagonal(G_AA)
+        q[:, active] = -gain * w
+        p[:, active] = -gain * u
         ratio = p / q
         lower = np.where(q > 0.0, ratio, -math.inf)
         if not np.isfinite(ratio).all():
             if np.isnan(q).any() or np.isnan(p).any():
-                return _NO_SPAN
+                return math.inf, active, signs, None, None, None, None
             # a condition with q = 0 holds at every level or at none
             lower[(q == 0.0) & (p > 0.0)] = math.inf
-    off = design.diag == 0.0
-    if off.any():
-        lower[:, off] = -math.inf
+    lower[:, design._inert] = -math.inf
     low = lower.max(axis=0)
-    m = low.size
-    event = int(np.argmax(low)) if m else -1
-    lo = max(float(low[event]), 0.0) if m else 0.0
-    sign = 1.0 if m and lower[0, event] >= lower[1, event] else -1.0
-    return 2.0 * lo, u, 0.5 * w, event, sign
+    event = int(np.argmax(low))
+    lo = max(float(low[event]), 0.0)
+    # the next set: the event's column leaves, or enters with its input's sign
+    after = np.zeros(low.size)
+    after[active] = signs
+    after[event] = 0.0 if after[event] else 1.0 if lower[0, event] >= lower[1, event] else -1.0
+    nxt = np.flatnonzero(after)
+    return 2.0 * lo, active, signs, u, 0.5 * w, nxt, after[nxt]
 
 
 def lasso_solve(
@@ -738,24 +742,26 @@ def lasso_solve(
     rows, forming those of entering columns it does not hold yet.
 
     The path starts at lam_max, where the solution is empty, and goes down
-    to ``lam`` one step at a time (``_span``): each step follows the
-    solution on the current set and signs down to the first level where a
-    column enters or a coefficient leaves, and applies that event. The fit
-    is the solution on the first set whose step reaches ``lam``. A path
-    that would take more than ``_STEPS_PER_COLUMN * min(n, m)`` steps, or
-    that meets a singular or non-finite system on its set, raises
-    ``ConvergenceError``.
+    to ``lam`` one step at a time: each step follows the solution on the
+    current set and signs down to the first level where a column enters or a
+    coefficient leaves, and applies that event. The fit is the solution on
+    the first set whose step reaches ``lam``. A path that would take more
+    than ``_STEPS_PER_COLUMN * min(n, m)`` steps, or that meets a singular
+    or non-finite system on its set, raises ``ConvergenceError``.
 
-    ``path`` lists the sets that earlier solves of the same ``xty`` and
-    ``loadings`` on this design visited, each as ``(lo, active, signs, u,
-    v, event, sign)`` from ``_span``: the empty set at lam_max, then one
-    more per step. They do not depend on ``lam``, so the solve reads its
-    fit off the first listed set whose ``lo`` reaches ``lam``, or else
-    extends the path from the last one, appending each set it visits, and
-    the fit is that of a solve from an empty list, bit for bit. A path
-    keeps the sets it visited before a ``ConvergenceError``, and a solve
-    that must go further raises it again. ``iterations`` counts the steps
-    this solve added to the path.
+    ``path`` lists one record per set that earlier solves of the same
+    ``xty`` and ``loadings`` on this design visited: ``(lo, active, signs,
+    u, v, after, after_signs)``, the solution ``u - lam v`` on the set down
+    to the level ``lo``, and the set the path steps to there (``u`` and
+    ``v`` None on a singular or non-finite system). The first record, the
+    empty set's, is ``_crossing``'s, and each later one ``_span``'s on the
+    set the record before steps to. They do not depend on ``lam``, so the
+    solve reads its fit off the first record whose ``lo`` reaches ``lam``,
+    or else extends the path from the last one, appending a record per
+    step, and the fit is that of a solve from an empty list, bit for bit. A
+    path keeps the records it made before a ``ConvergenceError``, and a
+    solve that must go further raises it again. ``iterations`` counts the
+    steps this solve added to the path.
     """
     xty = np.asarray(xty, dtype=float)
     loadings = np.asarray(loadings, dtype=float)
@@ -772,22 +778,16 @@ def lasso_solve(
         raise ValueError("loadings must be positive and finite; degenerate columns upstream")
     lam = float(lam)
     path = [] if path is None else path
+    if not path:
+        lo, event, sign = _crossing(design, xty, loadings)
+        u = None if np.isnan(lo) else loadings[:0]  # a NaN input
+        path.append((lo, np.empty(0, np.intp), np.empty(0), u, u, event, sign))
     recorded = len(path)
     bound = _STEPS_PER_COLUMN * min(design.shape)
     steps = 0
     while True:
         if steps == len(path):
-            if path:
-                _, active, signs, _, _, event, sign = path[-1]
-                at = int(np.searchsorted(active, event))
-                if at < active.size and active[at] == event:
-                    active, signs = np.delete(active, at), np.delete(signs, at)
-                else:
-                    active, signs = np.insert(active, at, event), np.insert(signs, at, sign)
-            else:
-                active, signs = np.array([], dtype=np.intp), np.array([])
-            lo, u, v, event, sign = _span(design, xty, loadings, active, signs)
-            path.append((lo, active, signs, u, v, event, sign))
+            path.append(_span(design, xty, loadings, *path[-1][5:]))
         lo, active, _, u, v, _, _ = path[steps]
         if u is None:
             raise ConvergenceError(f"the Lasso path met a singular or non-finite system "
@@ -804,7 +804,7 @@ def lasso_solve(
         active_set=np.flatnonzero(coef),
         lam=lam,
         loadings=loadings,
-        iterations=len(path) - max(recorded, 1),
+        iterations=len(path) - recorded,
         converged=True,
     )
 
@@ -865,11 +865,9 @@ def iterated_lasso(bank: TargetBank, k: int, lam: float,
     bank at once; an equation that ``TargetBank.settled_empty`` marks would
     return an empty set here and can skip the call. A round whose path
     cannot end raises ``ConvergenceError`` (``lasso_solve``), whichever
-    round it is.
-
-    A later call on the target (a grid's next degree, at a nearby lam)
-    reads each round off the path an earlier call took, or extends it, and
-    its fit is that of a call on a fresh bank, bit for bit.
+    round it is. A later call on the target (a grid's next degree, at a
+    nearby lam) reads each round off the path an earlier call took, or
+    extends it, and its fit is that of a call on a fresh bank, bit for bit.
     """
     j, design = bank.cols[k], bank.design
     y, xty, records = bank.rows[j], bank.xty[j], bank.rounds[j]

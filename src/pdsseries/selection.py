@@ -30,7 +30,8 @@ solver by one route: a stage function (``first_stage_select``,
 ``X't`` and initial loadings once and keeps one record per loadings round,
 keyed by the active set its loadings were refined on, and refuses a target
 whose squares or loadings overflow, such as an outcome in units near
-1e160; ``choose_k_bic`` builds one bank at the grid's largest degree,
+1e160, which ``_bank`` names by its role, not by its row in the bank;
+``choose_k_bic`` builds one bank at the grid's largest degree,
 of the g rows and the outcome, and with the extended first stage the
 pairs of g rows, which the bank lays out and derives itself; each degree
 runs on ``TargetBank.leading``, which alone knows where its targets lie.
@@ -89,6 +90,7 @@ from .lasso import (
     LassoConfig,
     LassoDesign,
     TargetBank,
+    _WideTarget,
     default_gamma,
     iterated_lasso,
     penalty_level,
@@ -386,6 +388,18 @@ def _bic(fit: PdsFit) -> float:
     return n * math.log(max(rss, 1e-300) / n) + ncols * math.log(n)
 
 
+def _bank(rows, design: LassoDesign, names: list, paired=0) -> TargetBank:
+    """``TargetBank.of(rows, design, paired)``, which refuses a target whose
+    squares or loadings overflow, naming it here: ``names[j]`` for given row
+    j, and "a sum or difference of two g terms" for a pair, which the bank
+    lays out after them."""
+    try:
+        return TargetBank.of(rows, design, paired=paired)
+    except _WideTarget as exc:
+        name = names[exc.row] if exc.row < len(names) else "a sum or difference of two g terms"
+        raise ValueError(exc.WORDING.format(name)) from None
+
+
 def _grid_bank(data: Dataset, design: LassoDesign, k_grid: list,
                extended_fs: bool):
     """One bank of every target of a degree grid (ascending degrees), built
@@ -405,7 +419,8 @@ def _grid_bank(data: Dataset, design: LassoDesign, k_grid: list,
     P_raw, P, refusal = g_block(data.x, k_grid[-1])
     k_top = max((k for k in k_grid if k <= P.shape[1]), default=0)
     rows = np.vstack([P[:, :k_top].T, data.y])
-    bank = TargetBank.of(rows, design, paired=k_top if extended_fs else 0)
+    names = [f"g term He_{k}" for k in range(1, k_top + 1)] + ["the outcome"]
+    bank = _bank(rows, design, names, paired=k_top if extended_fs else 0)
     return bank, P_raw[:, :k_top], refusal
 
 
@@ -563,12 +578,12 @@ def _fit_one(name, data: Dataset, design: LassoDesign, spec_p: DictionarySpec,
     k_ok = P.shape[1]
     y, controls = data.y, design.blocks[0]
     if name == "post_single_1":
-        sel = reduced_form_select(TargetBank.of(data.y, design), config)
+        sel = reduced_form_select(_bank(data.y, design, ["the outcome"]), config)
     elif name == "post_single_2":
         # one Lasso of y on [P, Q]: the blocks P and the workspace's design,
         # whose Q*Q and stored rows of Q'Q it reuses
         joint = LassoDesign(P, design)
-        active = reduced_form_select(TargetBank.of(data.y, joint), config)
+        active = reduced_form_select(_bank(data.y, joint, ["the outcome"]), config)
         sel = active[active >= k_ok] - k_ok
     elif name in ("series_1", "series_2"):
         controls, sel = _series_controls(data, design, spec_q, name, rng)

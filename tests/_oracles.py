@@ -45,6 +45,10 @@ itself before ``TargetBank.leading`` took it over, written out pair by
 pair from ``bank.pairs``. ``build_extended_fs`` is the library's former
 extended first-stage dictionary, which concatenated its column blocks,
 kept unchanged as the reference for the one the bank's routine forms.
+``tensor_plan_by_prefixes`` is the library's former Hermite tensor plan,
+which enumerated the index set by recursion and found each level's
+prefixes by slicing every index, kept unchanged as the reference for the
+plan that builds each level from the one before.
 """
 
 from __future__ import annotations
@@ -210,6 +214,32 @@ def hermite_tensor_design(Z: np.ndarray, kmax: int) -> np.ndarray:
         out[:, c] = col
     return out
 
+
+
+def _compositions(total: int, d: int):
+    # descending lexicographic order within a fixed total degree
+    if d == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, d - 1):
+            yield (first,) + rest
+
+
+def tensor_plan_by_prefixes(d: int, kmax: int):
+    """``dictionary._tensor_plan``'s indices and levels, by slicing every
+    index for each level's distinct prefixes."""
+    indices = tuple(mi for deg in range(1, kmax + 1) for mi in _compositions(deg, d))
+    slot = {(m,): m for m in range(kmax + 1)}  # level 1: the rows He_m(z_1)
+    levels = []
+    for j in range(2, d + 1):
+        targets = indices if j == d else sorted({mi[:j] for mi in indices})
+        n_prev = len(slot)
+        gather = np.array([slot[t[:-1]] for t in targets]
+                          + [n_prev + t[-1] for t in targets], dtype=np.intp)
+        levels.append((n_prev, gather))
+        slot = {t: i for i, t in enumerate(targets)}
+    return indices, tuple(levels)
 
 def toeplitz_column_loop(n: int, d: int, rho: float,
                          rng: np.random.Generator) -> np.ndarray:

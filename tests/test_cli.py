@@ -781,7 +781,7 @@ def test_main_fit_at_a_degree_that_overflows_fails_in_one_line(capsys, tmp_path)
 
 
 @pytest.mark.parametrize("design, column, scale, refused", [
-    ("low_dim", "y", 1e160, "target 5"),  # the outcome, after the 5 g terms
+    ("low_dim", "y", 1e160, "the outcome"),
     ("high_dim", "z1", 1e160, "Q column 0"),
     ("low_dim", "y", 1e150, None),
 ])

@@ -18,6 +18,7 @@ from _oracles import (
     hermite_monomial,
     hermite_tensor_design,
 )
+from pdsseries import dictionary
 from pdsseries.dictionary import (
     DegenerateColumnError,
     DictionarySpec,
@@ -201,6 +202,25 @@ def test_the_largest_admitted_k1_tensor_builds():
     idx = tensor_index_set(464, 1)
     assert idx == [tuple(int(i == j) for i in range(464)) for j in range(464)]
 
+
+
+@pytest.mark.parametrize("d, kmax", [
+    (2, 15), (3, 8), (4, 7), (4, 10), (6, 4), (20, 3), (60, 2), (464, 1)])
+def test_tensor_plan_matches_the_prefix_slicing_reference(d, kmax):
+    indices, levels = dictionary._tensor_plan.__wrapped__(d, kmax)
+    want_indices, want_levels = _oracles.tensor_plan_by_prefixes(d, kmax)
+    assert indices == want_indices and len(levels) == len(want_levels) == d - 1
+    for (n_prev, gather), (want_n, want_gather) in zip(levels, want_levels):
+        assert n_prev == want_n and gather.dtype == want_gather.dtype
+        np.testing.assert_array_equal(gather, want_gather)
+
+
+def test_a_k1_tensor_on_many_inputs_plans_quickly():
+    # the plan builds each level from the one before, so the largest K = 1
+    # tensor admitted (d = 464) plans in linear time in its d^2 index entries
+    start = time.perf_counter()
+    dictionary._tensor_plan.__wrapped__(464, 1)
+    assert time.perf_counter() - start < 0.2
 
 def test_tensor_evaluation_is_product_of_univariates():
     rng = np.random.default_rng(3)

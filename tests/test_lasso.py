@@ -1094,6 +1094,44 @@ def test_screen_settles_exactly_what_the_solver_settles():
     assert len(seen) == 8 and all(seen.values()), seen
 
 
+
+def test_screen_is_the_solver_on_post_single_2s_two_block_design():
+    # Post-Single II's design, LassoDesign(P, workspace), whose workspace
+    # column 2 underflows to a zero Gram diagonal, copied into the joint
+    # design; targets large on that column's rows give it the largest ratio
+    # |x_l't| / psi_l of some rows, yet no path enters it
+    rng = np.random.default_rng(5)
+    n = 40
+    Q = rng.standard_normal((n, 5))
+    Q[:, 2] = 0.0
+    Q[:3, 2] = 5e-162
+    P = rng.standard_normal((n, 3))
+    workspace = LassoDesign(Q)
+    joint = LassoDesign(P, workspace)
+    inert = P.shape[1] + 2
+    rows = 10.0 * rng.standard_normal((4, n))
+    rows[:, :3] = 1e3 + rng.standard_normal((4, 3))
+    signal = P[:, 0] - Q[:, 1] + rng.standard_normal(n)
+    bank = TargetBank.of(np.vstack([rows, signal]), joint)
+    assert workspace.diag[2] == joint.diag[inert] == 0.0
+    assert (bank.loadings[:, :, inert] > 0.0).all()
+    assert (np.abs(bank.xty / bank.loadings).argmax(axis=-1) == inert).any()
+    seen = collections.Counter()
+    check_screen_is_the_solver("two_block", bank, seen)
+    assert len(seen) == 2 and all(seen.values()), seen
+    # each target's paths, recorded in its bank down to lam = 0; a later
+    # round may refine a loading to zero, which its solve refuses
+    for k in range(len(bank)):
+        for lam in (50.0, 0.0):
+            try:
+                iterated_lasso(bank, k, lam)
+            except (ConvergenceError, ValueError):
+                pass
+    records = [record for rounds in bank.rounds for _, path in rounds.values()
+               for record in path]
+    assert max(record[1].size for record in records) == joint.shape[1] - 1
+    assert not any(inert in record[1] for record in records)
+
 def test_level_screen_is_sound_and_complete_at_the_ends_of_the_float_range():
     # the screen is exact, so sound and complete, on cross products and
     # loadings set by hand at the ends of the float range

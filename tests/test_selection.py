@@ -206,6 +206,24 @@ def test_overflowing_target_is_refused_by_its_bank(zero_entry):
     assert np.isfinite(bank_of(1e150 * P[:, [0, 2]], design).loadings).all()
 
 
+
+def test_an_overflowing_outcome_is_named_alike_by_every_estimator_that_banks_it():
+    # the outcome lies at another bank row for each estimator (after the g
+    # terms of one degree or of the grid's largest, or alone), so the
+    # refusal names it by its role, in one text for all of them
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0,)))
+    cfg = DgpConfig("low_dim", 200)
+    data = generate_sample(cfg, rng)
+    data.y = 1e160 * data.y
+    fits, failures = comparison_estimators(data, *default_specs(cfg),
+                                           rng=np.random.default_rng(1))
+    banked = [name for name in ESTIMATORS if name.startswith(("post_double", "post_single"))]
+    assert sorted(failures) == sorted(banked) and len(banked) == 6
+    assert set(failures.values()) == {
+        "ValueError: the outcome is out of floating-point range on this sample: "
+        "its squares or penalty loadings overflow"}
+    assert sorted(fits) == ["oracle", "series_1", "series_2"]
+
 # ---------------------------------------------------------------- final OLS
 
 def test_pds_fit_takes_the_selected_indices():
